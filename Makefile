@@ -2,11 +2,13 @@
 # formatting, vet, build, the docs gate (no undocumented exported
 # identifiers or stale design-section references), the full test suite under the race
 # detector, and the telemetry no-op benchmark that keeps disabled
-# instrumentation free.
+# instrumentation free. `make stress` is not part of it: it reruns the
+# concurrency-heavy packages (registry, xq, telemetry) twenty times under
+# the race detector, for changes to locking, snapshots or the recorder.
 
 GO ?= go
 
-.PHONY: check fmt-check vet build doclint test bench-noop bench bench-guard smoke run-registryd run-peerd
+.PHONY: check fmt-check vet build doclint test stress bench-noop bench bench-guard smoke run-registryd run-peerd
 
 check: fmt-check vet build doclint test bench-noop bench-guard smoke
 
@@ -31,6 +33,9 @@ doclint:
 
 test:
 	$(GO) test -race ./...
+
+stress:
+	$(GO) test -race -count=20 ./internal/registry ./internal/xq ./internal/telemetry
 
 # Proves the nil-receiver (telemetry disabled) fast path stays a bare nil
 # check. The acceptance bar is <=5ns/op; see internal/telemetry.

@@ -426,11 +426,11 @@ func registerRegistryStats(m *telemetry.Metrics, reg *registry.Registry) {
 		stat(func(s registry.Stats) int64 { return s.PullErrors }))
 	m.CounterFunc("wsda_registry_throttled_total", "Pulls suppressed by MinPullInterval.",
 		stat(func(s registry.Stats) int64 { return s.Throttled }))
-	m.CounterFunc("wsda_registry_view_hits_total", "Queries served from an already-synced cached view.",
+	m.CounterFunc("wsda_registry_view_hits_total", "Interpreted queries that pinned an already-current tuple-set snapshot.",
 		stat(func(s registry.Stats) int64 { return s.ViewHits }))
-	m.CounterFunc("wsda_registry_view_misses_total", "Queries that had to (re)build a view.",
+	m.CounterFunc("wsda_registry_view_misses_total", "Interpreted queries that found their tuple-set snapshot behind the store.",
 		stat(func(s registry.Stats) int64 { return s.ViewMisses }))
-	m.CounterFunc("wsda_registry_view_rebuilds_total", "View rebuild passes, full or incremental.",
+	m.CounterFunc("wsda_registry_view_rebuilds_total", "Tuple-set snapshot advances, from the journal or in full.",
 		stat(func(s registry.Stats) int64 { return s.ViewRebuilds }))
 	m.GaugeFunc("wsda_registry_live_tuples", "Live tuples in the registry.",
 		func() float64 { return float64(reg.Len()) })

@@ -308,11 +308,12 @@ func E12WSDAPrimitives(n int) (*Table, error) {
 	return t, nil
 }
 
-// E14ViewMaintenance measures the incremental view-maintenance layer
-// (ISSUE 2): cold first-query cost, warm steady-state cost over an
-// unchanged store, and query cost under bounded publish churn, per store
-// size. Warm cost should be size-independent and churn cost should track
-// the number of changed tuples rather than the store size.
+// E14ViewMaintenance measures the tuple-set snapshots (ISSUE 2, 14): cold
+// first-query cost, warm steady-state cost of pinning the current snapshot
+// over an unchanged store, and query cost when every query must first
+// advance it past bounded publish churn, per store size. Warm cost should
+// be size-independent and churn cost should track the number of changed
+// tuples rather than the store size.
 func E14ViewMaintenance(sizes []int, churn int) (*Table, error) {
 	t := &Table{
 		ID:    "E14",

@@ -15,10 +15,9 @@ import (
 	"wsda/internal/xq"
 )
 
-// e20Buckets is the number of distinct @type values in the E20 dataset.
-// It is sized so a single bucket stays under the planner's rendered-tuple
-// memo (8192) even at the 1M full-run scale, keeping bucket queries on
-// the pushdown path on every topology.
+// e20Buckets is the number of distinct @type values in the E20 dataset: a
+// bucket query selects 1/200th of the population through the type index on
+// every topology.
 const e20Buckets = 200
 
 // E20ShardScaleOut measures the sharded hyper registry (ISSUE 8): the

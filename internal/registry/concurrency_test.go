@@ -12,9 +12,9 @@ import (
 )
 
 // TestStressViewCoherence interleaves every mutating and querying operation
-// of the registry under the race detector and asserts view-cache coherence:
+// of the registry under the race detector and asserts tuple-set coherence:
 // a query must never observe a tuple that was unpublished before the query
-// began its snapshot.
+// pinned its snapshot.
 func TestStressViewCoherence(t *testing.T) {
 	r := New(Config{Name: "stress", DefaultTTL: time.Minute})
 	const (
@@ -63,10 +63,10 @@ func TestStressViewCoherence(t *testing.T) {
 			}
 		}
 	}()
-	// Queriers mixing cached-view XQueries and indexed MinQueries. The
-	// node-returning query's results are read after Query returns — they
-	// must be detached copies, not aliases into the shared view document
-	// that concurrent rebuilds mutate in place.
+	// Queriers mixing interpreted XQueries (buffered and streamed), planned
+	// ones and indexed MinQueries. Node results are read after Query
+	// returns: they alias shared elements and tuple-set roots, which stay
+	// safe to read only because nothing ever writes to them again.
 	for q := 0; q < queriers; q++ {
 		wg.Add(1)
 		go func() {
@@ -81,7 +81,7 @@ func TestStressViewCoherence(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				seq, err := r.Query(`/tupleset/tuple[@context="churn"]`, QueryOptions{})
+				seq, err := r.Query(`/tupleset/tuple[@ctx="churn"]`, QueryOptions{})
 				if err != nil {
 					t.Error(err)
 					return
@@ -93,14 +93,14 @@ func TestStressViewCoherence(t *testing.T) {
 						return
 					}
 					if link, _ := n.Attr("link"); link == "" {
-						t.Error("detached result tuple lost its link attribute")
+						t.Error("result tuple lost its link attribute")
 						return
 					}
 					_ = n.String()
 				}
-				// The root element aliases the view's mutating child list
-				// unless results are detached; serializing it after return
-				// races with rebuilds if the copy was skipped.
+				// The root element lists every tuple of the pinned set;
+				// serializing it after return races with advances if one
+				// ever edited a published root in place.
 				seq, err = r.Query(`/tupleset`, QueryOptions{})
 				if err != nil {
 					t.Error(err)
@@ -108,6 +108,17 @@ func TestStressViewCoherence(t *testing.T) {
 				}
 				if root, ok := seq[0].(*xmldoc.Node); ok {
 					_ = root.String()
+				}
+				// Streamed and unplannable: items are serialized inside
+				// Emit, while publishers keep advancing the store.
+				_, err = r.Query(`for $t in /tupleset/tuple where $t/@ctx = "churn" return $t`, QueryOptions{
+					Emit: func(it xq.Item) bool {
+						_ = it.(*xmldoc.Node).String()
+						return true
+					}})
+				if err != nil {
+					t.Error(err)
+					return
 				}
 				r.MinQuery(Filter{Context: "churn"})
 			}

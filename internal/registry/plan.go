@@ -2,15 +2,15 @@ package registry
 
 // Planned query execution: the registry-side executor for the pushdown
 // plans produced by xq.DiscoveryPlan. A plannable discovery query never
-// builds or locks a <tupleset> view — candidate tuples come straight from
-// the soft-state store (point lookup by link, secondary index by type or
+// touches a <tupleset> root — candidate tuples come straight from the
+// soft-state store (point lookup by link, secondary index by type or
 // context, or a plain live scan), tuple-field equalities run as compiled
-// closures over *tuple.Tuple, and only the survivors are rendered to XML,
-// through a per-revision memo so an unchanged tuple is serialized once,
-// not once per query. Unplannable queries fall back to the interpreter
-// with unchanged behavior.
+// closures over *tuple.Tuple, and only the survivors are rendered, through
+// the same per-revision shared elements the tuple-set snapshots list (see
+// view.go), so an unchanged tuple is rendered once however it is reached.
+// Unplannable queries are interpreted over a pinned tuple set.
 //
-// Two observable (and intended) differences from the view path, results
+// Two observable (and intended) differences from the interpreter, results
 // being equal: planned evaluations do not consume MaxQuerySteps (there is
 // no interpreter to meter), and freshness pulls apply only to candidates
 // that survive the index and field filters rather than to every
@@ -18,7 +18,6 @@ package registry
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"wsda/internal/softstate"
@@ -31,7 +30,7 @@ import (
 // it backs the X-Wsda-Plan response header and wsdaquery -explain.
 type PlanInfo struct {
 	// Mode is "index" (softstate index or point lookup), "scan" (live
-	// store scan, still view-free) or "view" (interpreter fallback).
+	// store scan) or "view" (interpreted over the pinned tuple set).
 	Mode string
 	// Index names the access path for index mode: "link", "type", "ctx",
 	// or "empty" for a statically contradictory query.
@@ -123,20 +122,8 @@ func compileExecPlan(p *xq.TuplePlan) *execPlan {
 	return ep
 }
 
-// maxCachedPlans bounds the per-registry executable-plan cache, and
-// maxMemoTuples the rendered-tuple memo.
-const (
-	maxCachedPlans = 1024
-	maxMemoTuples  = 8192
-)
-
-// memoTuple is one rendered-tuple memo entry, valid while the stored
-// tuple's revision is unchanged. The element is shared read-only between
-// queries; every result item handed out is a clone.
-type memoTuple struct {
-	rev  int64
-	elem *xmldoc.Node
-}
+// maxCachedPlans bounds the per-registry executable-plan cache.
+const maxCachedPlans = 1024
 
 // execPlanFor returns the registry's cached executable form of the
 // query's discovery plan, lowering it on first use.
@@ -164,103 +151,43 @@ func (r *Registry) execPlanFor(q *xq.Query, p *xq.TuplePlan) *execPlan {
 	return ep
 }
 
-// tupleElem returns the tuple rendered as a <tuple> element, memoized per
-// (link, revision) when t is the stored value itself; a freshness-
-// substituted copy is rendered directly and not memoized (the pull that
-// produced it has already bumped the stored revision for next time).
-func (r *Registry) tupleElem(e softstate.Entry[*tuple.Tuple], t *tuple.Tuple) *xmldoc.Node {
-	if t != e.Value {
-		elem := t.ToXML()
-		elem.Renumber()
-		return elem
-	}
-	r.memoMu.RLock()
-	m, ok := r.planMemo[e.Key]
-	r.memoMu.RUnlock()
-	if ok && m.rev == e.Rev {
-		return m.elem
-	}
-	elem := t.ToXML()
-	elem.Renumber()
-	r.memoMu.Lock()
-	if m, ok := r.planMemo[e.Key]; ok && m.rev == e.Rev {
-		elem = m.elem // lost the render race; share the winner
-	} else {
-		if len(r.planMemo) >= maxMemoTuples {
-			for k := range r.planMemo {
-				delete(r.planMemo, k)
-				break
-			}
-		}
-		r.planMemo[e.Key] = memoTuple{rev: e.Rev, elem: elem}
-	}
-	r.memoMu.Unlock()
-	return elem
-}
-
 // planCandidates picks the narrowest access path the plan and filter
 // allow, returning the candidate entries (sorted by link when more than
-// one, matching view document order) and the chosen path name. The ok
-// result is false when the chosen path would yield more candidates than
-// the rendered-tuple memo holds — sized with O(1) store probes, before
-// anything is materialized or sorted — telling the caller to decline the
-// plan rather than thrash the memo.
-func (r *Registry) planCandidates(ep *execPlan, f Filter) ([]softstate.Entry[*tuple.Tuple], string, string, bool) {
-	sized := func(entries func() []softstate.Entry[*tuple.Tuple], count int, mode, index string) ([]softstate.Entry[*tuple.Tuple], string, string, bool) {
-		if count > maxMemoTuples {
-			return nil, mode, index, false
-		}
-		return sortEntries(entries()), mode, index, true
+// one, the tuple set's document order) and the chosen path name.
+func (r *Registry) planCandidates(ep *execPlan, f Filter) (entries []softstate.Entry[*stored], mode, index string) {
+	// The plan's own equality outranks the filter's on the same index.
+	typ, ctx := ep.typ, ep.ctx
+	if typ == "" {
+		typ = f.Type
+	}
+	if ctx == "" {
+		ctx = f.Context
 	}
 	switch {
 	case ep.never:
-		return nil, "index", "empty", true
+		return nil, "index", "empty"
 	case ep.link != "":
 		if e, ok := r.store.GetEntry(ep.link); ok {
-			return []softstate.Entry[*tuple.Tuple]{e}, "index", "link", true
+			entries = append(entries, e)
 		}
-		return nil, "index", "link", true
-	case ep.typ != "":
-		return sized(func() []softstate.Entry[*tuple.Tuple] { return r.store.LiveBy(indexType, ep.typ) },
-			r.store.CountBy(indexType, ep.typ), "index", "type")
-	case f.Type != "":
-		return sized(func() []softstate.Entry[*tuple.Tuple] { return r.store.LiveBy(indexType, f.Type) },
-			r.store.CountBy(indexType, f.Type), "index", "type")
-	case ep.ctx != "":
-		return sized(func() []softstate.Entry[*tuple.Tuple] { return r.store.LiveBy(indexContext, ep.ctx) },
-			r.store.CountBy(indexContext, ep.ctx), "index", "ctx")
-	case f.Context != "":
-		return sized(func() []softstate.Entry[*tuple.Tuple] { return r.store.LiveBy(indexContext, f.Context) },
-			r.store.CountBy(indexContext, f.Context), "index", "ctx")
+		return entries, "index", "link"
+	case typ != "":
+		return sortEntries(r.store.LiveBy(indexType, typ)), "index", "type"
+	case ctx != "":
+		return sortEntries(r.store.LiveBy(indexContext, ctx)), "index", "ctx"
 	}
-	return sized(r.store.Live, r.store.Size(), "scan", "")
-}
-
-// sortEntries orders candidates by link, the view's document order.
-func sortEntries(es []softstate.Entry[*tuple.Tuple]) []softstate.Entry[*tuple.Tuple] {
-	if len(es) > 1 {
-		sort.Slice(es, func(i, j int) bool { return es[i].Key < es[j].Key })
-	}
-	return es
+	return sortEntries(r.store.Live()), "scan", ""
 }
 
 // runPlan executes a lowered plan: index probe, field closures, freshness,
-// memoized render, residual predicates, projection. Results are clones,
-// never aliases of memoized or stored state. With opts.Emit set items
-// stream out as produced (the returned sequence is nil, like the
-// interpreter's Emit mode) and a false return stops the walk early.
-//
-// The ran result is false when the plan declined to execute: a candidate
-// set larger than the rendered-tuple memo would thrash it and re-render
-// most tuples on every query, while the shared view already holds every
-// rendered tuple — so huge-result plans are handed back to the view path
-// before anything is emitted.
-func (r *Registry) runPlan(ep *execPlan, opts QueryOptions) (seq xq.Sequence, info PlanInfo, ran bool) {
+// shared per-revision element, residual predicates, projection. Result
+// nodes are (parts of) the shared immutable elements, never copies. With
+// opts.Emit set items stream out as produced (the returned sequence is
+// nil, like the interpreter's Emit mode) and a false return stops the walk
+// early.
+func (r *Registry) runPlan(ep *execPlan, opts QueryOptions) (seq xq.Sequence, info PlanInfo) {
 	now := r.cfg.Now()
-	candidates, mode, index, ok := r.planCandidates(ep, opts.Filter)
-	if !ok {
-		return nil, info, false
-	}
+	candidates, mode, index := r.planCandidates(ep, opts.Filter)
 	info = PlanInfo{Mode: mode, Index: index, Residual: len(ep.residual)}
 	if opts.Explain != nil {
 		// Filled before the first Emit so streaming callers can surface
@@ -269,15 +196,11 @@ func (r *Registry) runPlan(ep *execPlan, opts QueryOptions) (seq xq.Sequence, in
 	}
 	stopped := false
 	deliver := func(n *xmldoc.Node) bool {
-		c := n.Clone()
 		if opts.Emit != nil {
-			if !opts.Emit(c) {
-				stopped = true
-				return false
-			}
-			return true
+			stopped = !opts.Emit(n)
+			return !stopped
 		}
-		seq = append(seq, c)
+		seq = append(seq, n)
 		return true
 	}
 candidates:
@@ -285,7 +208,7 @@ candidates:
 		if stopped {
 			break
 		}
-		t := e.Value
+		t := e.Value.Tuple
 		if !opts.Filter.match(t) {
 			continue
 		}
@@ -294,8 +217,14 @@ candidates:
 				continue candidates
 			}
 		}
-		ft := r.ensureFresh(t, opts.Freshness, now)
-		elem := r.tupleElem(e, ft)
+		elem := e.Value.element()
+		if ft := r.ensureFresh(t, opts.Freshness, now); ft != t {
+			// A freshness-substituted copy is rendered directly: the pull
+			// that produced it has already stored a new revision, which
+			// carries its own rendering from the next query on.
+			elem = ft.ToXML()
+			elem.Renumber()
+		}
 		for _, pred := range ep.residual {
 			if !pred(elem) {
 				continue candidates
@@ -303,5 +232,5 @@ candidates:
 		}
 		xq.WalkPlan(elem, ep.proj, deliver)
 	}
-	return seq, info, true
+	return seq, info
 }

@@ -61,7 +61,7 @@ var planCorpus = []string{
 	`/tupleset/tuple/content/service[interface[@type="XQuery"]/operation/bind/@protocol="http"]`,
 	`/tupleset/tuple/content/service/attr[@name="load"]/@value`,
 	`/tupleset/tuple[content/service/attr[@name="load"]/@value=0.25]`,
-	// Unplannable: must fall back to the interpreted view, identically.
+	// Unplannable: must fall back to the interpreter, identically.
 	`count(/tupleset/tuple)`,
 	`string(/tupleset/@registry)`,
 	`/tupleset/tuple[1]`,
@@ -72,7 +72,7 @@ var planCorpus = []string{
 }
 
 // newPlanTestPair returns two identically populated registries, one with
-// the pushdown planner and one pinned to the interpreted view path.
+// the pushdown planner and one that interprets every query.
 func newPlanTestPair(t *testing.T, n int, seed int64) (planned, view *Registry) {
 	t.Helper()
 	clk := newFakeClock()
@@ -161,9 +161,10 @@ func TestPlannerDifferentialEmit(t *testing.T) {
 	}
 }
 
-// TestPlannerConcurrent hammers the plan and memo caches from parallel
-// queries racing live publishes; run under -race this checks the locking
-// in execPlanFor and tupleElem.
+// TestPlannerConcurrent hammers the plan cache and the per-revision shared
+// elements from parallel planned and interpreted queries, buffered and
+// streamed, racing live publishes; run under -race this checks execPlanFor's
+// locking and that rendering a revision once is safe from any path.
 func TestPlannerConcurrent(t *testing.T) {
 	clk := newFakeClock()
 	r := New(Config{Name: "r", DefaultTTL: time.Hour, MaxTTL: time.Hour, Now: clk.Now})
@@ -177,6 +178,7 @@ func TestPlannerConcurrent(t *testing.T) {
 		`/tupleset/tuple[content/service/@domain="cern.ch"]`,
 		`/tupleset/tuple[@ctx="child"]`,
 		`count(/tupleset/tuple)`,
+		`for $t in /tupleset/tuple where $t/@owner = "cms" return $t/content/service`,
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -184,7 +186,14 @@ func TestPlannerConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if _, err := r.Query(queries[(w+i)%len(queries)], QueryOptions{}); err != nil {
+				var opts QueryOptions
+				if i%2 == 1 {
+					opts.Emit = func(it xq.Item) bool {
+						_ = xq.Serialize(xq.Sequence{it})
+						return true
+					}
+				}
+				if _, err := r.Query(queries[(w+i)%len(queries)], opts); err != nil {
 					t.Errorf("query: %v", err)
 					return
 				}
@@ -195,7 +204,7 @@ func TestPlannerConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			// Republishing bumps the store revision, invalidating memos.
+			// Republishing installs a new revision with its own rendering.
 			if _, err := r.Publish(planTuple(i%32, rand.New(rand.NewSource(int64(i)))), 0); err != nil {
 				t.Errorf("publish: %v", err)
 				return

@@ -56,7 +56,7 @@ type Config struct {
 	MaxQuerySteps int
 
 	// JournalCap sets the soft-state change-journal capacity: how many of
-	// the most recent mutations incremental readers (cached views, the
+	// the most recent mutations incremental readers (tuple-set snapshots, the
 	// replication feed) can replay before being forced into a full resync
 	// or snapshot re-bootstrap. 0 uses softstate.DefaultJournalCap.
 	JournalCap int
@@ -78,9 +78,9 @@ type Config struct {
 	// carry a QueryOptions.TxID. Nil disables recording.
 	Flight *telemetry.FlightRecorder
 
-	// NoPlanner disables the discovery-query pushdown planner, forcing
-	// every evaluation through the interpreted view path. Used for
-	// differential testing and as an operational escape hatch.
+	// NoPlanner disables the discovery-query pushdown planner, so every
+	// query is interpreted over a pinned tuple set. Used for differential
+	// testing and as an operational escape hatch.
 	NoPlanner bool
 }
 
@@ -113,18 +113,18 @@ type Stats struct {
 	PullErrors  int64 // failed pulls
 	Throttled   int64 // pulls suppressed by MinPullInterval
 
-	ViewHits     int64 // queries served from an already-synced cached view
-	ViewMisses   int64 // queries that had to (re)build a view
-	ViewRebuilds int64 // view (re)build passes, full or incremental
+	ViewHits     int64 // queries that pinned an already-current tuple set
+	ViewMisses   int64 // queries that found their tuple set behind the store
+	ViewRebuilds int64 // tuple-set advances, from the journal or in full
 
-	PlanHits      int64 // queries answered by the pushdown planner, view-free
-	PlanFallbacks int64 // queries the planner rejected to the view path
+	PlanHits      int64 // queries answered by the pushdown planner
+	PlanFallbacks int64 // queries the planner rejected to the interpreter
 }
 
 // Registry is a hyper registry node. It is safe for concurrent use.
 type Registry struct {
 	cfg   Config
-	store *softstate.Store[*tuple.Tuple]
+	store *softstate.Store[*stored]
 
 	pullMu   sync.Mutex
 	lastPull map[string]time.Time
@@ -134,9 +134,9 @@ type Registry struct {
 	cacheMu    sync.RWMutex
 	queryCache map[string]*xq.Query
 
-	// views are the incrementally maintained per-filter tuple-set views
-	// (see view.go); flights single-flight concurrent content pulls per
-	// link so a freshness stampede issues one fetch.
+	// views hold the current tuple set of each recently used filter (see
+	// view.go); flights single-flight concurrent content pulls per link so
+	// a freshness stampede issues one fetch.
 	viewMu    sync.Mutex
 	views     map[Filter]*filterView
 	viewClock uint64 // LRU clock for view eviction; guarded by viewMu
@@ -144,12 +144,9 @@ type Registry struct {
 	flights   map[string]*pullFlight
 
 	// planCache holds the lowered executable form of each plannable
-	// compiled query; planMemo the per-revision rendered-tuple elements
-	// the planned path serves clones from (see plan.go).
+	// compiled query (see plan.go).
 	planMu    sync.RWMutex
 	planCache map[*xq.Query]*execPlan
-	memoMu    sync.RWMutex
-	planMemo  map[string]memoTuple
 
 	queries, minQueries                atomic.Int64
 	cacheHits, cacheMisses             atomic.Int64
@@ -175,18 +172,17 @@ func New(cfg Config) *Registry {
 	cfg = cfg.withDefaults()
 	r := &Registry{
 		cfg:        cfg,
-		store:      softstate.New[*tuple.Tuple](cfg.Now, softstate.WithJournalCap(cfg.JournalCap)),
+		store:      softstate.New[*stored](cfg.Now, softstate.WithJournalCap(cfg.JournalCap)),
 		lastPull:   make(map[string]time.Time),
 		queryCache: make(map[string]*xq.Query),
 		views:      make(map[Filter]*filterView),
 		flights:    make(map[string]*pullFlight),
 		planCache:  make(map[*xq.Query]*execPlan),
-		planMemo:   make(map[string]memoTuple),
 		tracer:     cfg.Tracer,
 		flight:     cfg.Flight,
 	}
-	r.store.AddIndex(indexType, func(t *tuple.Tuple) string { return t.Type })
-	r.store.AddIndex(indexContext, func(t *tuple.Tuple) string { return t.Context })
+	r.store.AddIndex(indexType, func(t *stored) string { return t.Type })
+	r.store.AddIndex(indexContext, func(t *stored) string { return t.Context })
 	if m := cfg.Metrics; m != nil {
 		r.publishSeconds = m.HistogramVec("wsda_registry_publish_seconds",
 			"Latency of tuple publications.", nil, "registry").With(cfg.Name)
@@ -195,19 +191,19 @@ func New(cfg Config) *Registry {
 		r.xquerySeconds = m.HistogramVec("wsda_registry_xquery_seconds",
 			"Latency of XQuery evaluations over the tuple-set view.", nil, "registry").With(cfg.Name)
 		r.viewBuildSeconds = m.HistogramVec("wsda_registry_view_build_seconds",
-			"Latency of tuple-set view builds, full or incremental.", nil, "registry").With(cfg.Name)
+			"Latency of tuple-set advances, from the journal or in full.", nil, "registry").With(cfg.Name)
 		r.store.InstrumentSweeps(m.HistogramVec("wsda_registry_sweep_seconds",
 			"Latency of expired-tuple sweeps.", nil, "registry").With(cfg.Name))
 		r.store.InstrumentJournalTruncations(m.CounterVec("wsda_softstate_journal_truncations_total",
 			"Change reads that fell off the bounded journal, forcing a full resync or replica re-bootstrap.",
 			"registry").With(cfg.Name))
 		planHits := m.CounterVec("wsda_registry_plan_hit_total",
-			"XQuery evaluations answered by the pushdown planner without building a view, by access mode.",
+			"XQuery evaluations answered by the pushdown planner, by access mode.",
 			"registry", "mode")
 		r.planHitIndex = planHits.With(cfg.Name, "index")
 		r.planHitScan = planHits.With(cfg.Name, "scan")
 		r.planFallback = m.CounterVec("wsda_registry_plan_fallback_total",
-			"XQuery evaluations whose shape the pushdown planner rejected, served by the interpreted view path.",
+			"XQuery evaluations whose shape the pushdown planner rejected, interpreted over a pinned tuple set.",
 			"registry").With(cfg.Name)
 	}
 	return r
@@ -240,7 +236,7 @@ func (r *Registry) Publish(t *tuple.Tuple, ttl time.Duration) (time.Duration, er
 	if pub.Content != nil && pub.TS4.IsZero() {
 		pub.TS4 = now // provider pushed content inline
 	}
-	r.store.Upsert(t.Link, granted, func(old *tuple.Tuple, exists bool) *tuple.Tuple {
+	r.store.Upsert(t.Link, granted, func(old *stored, exists bool) *stored {
 		if exists {
 			pub.TS1 = old.TS1
 			if pub.Content == nil && old.Content != nil {
@@ -252,7 +248,7 @@ func (r *Registry) Publish(t *tuple.Tuple, ttl time.Duration) (time.Duration, er
 		}
 		pub.TS2 = now
 		pub.TS3 = now.Add(granted)
-		return pub
+		return &stored{Tuple: pub}
 	})
 	return granted, nil
 }
@@ -343,7 +339,7 @@ type Freshness struct {
 
 // QueryOptions configure one XQuery evaluation.
 type QueryOptions struct {
-	Filter    Filter    // pre-filter applied before the view is built
+	Filter    Filter    // pre-filter selecting the tuple set the query sees
 	Freshness Freshness // content freshness demands
 	// Emit streams result items as they are produced (pipelined queries,
 	// thesis Ch. 6.5). Return false to stop early.
@@ -354,18 +350,18 @@ type QueryOptions struct {
 	// the discovery transaction it serves.
 	TxID string
 	// Explain, when non-nil, receives a description of how the evaluation
-	// was executed (pushdown plan or view fallback).
+	// was executed (pushdown plan or interpreter).
 	Explain *PlanInfo
 }
 
-// Query evaluates an XQuery over the registry's tuple-set view. The view is
-// a synthetic document
+// Query evaluates an XQuery over the registry's tuple set, the synthetic
+// document
 //
 //	<tupleset registry="NAME"> <tuple ...>...</tuple>* </tupleset>
 //
 // so queries navigate /tupleset/tuple/content/... as in the thesis
-// examples. Content freshness is enforced per the options before the view
-// is built.
+// examples. Content freshness is enforced per the options before the query
+// is evaluated.
 func (r *Registry) Query(query string, opts QueryOptions) (xq.Sequence, error) {
 	// The cache key is the canonicalized source, so trivially reformatted
 	// copies of one query share a slot (and a compiled plan) instead of
@@ -451,9 +447,12 @@ func isConstructorStart(r rune) bool {
 const maxCachedQueries = 1024
 
 // QueryCompiled is Query for a pre-compiled expression. Queries whose
-// shape the pushdown planner recognizes are answered straight from the
-// soft-state store and its secondary indexes (see plan.go); everything
-// else evaluates over the tuple-set view as before.
+// shape the pushdown planner recognizes select their tuples through the
+// soft-state store's indexes (see plan.go); everything else is interpreted
+// over the filter's pinned tuple set (see view.go). Both work on the same
+// shared per-revision <tuple> elements and hold no lock while evaluating or
+// while Emit runs. Node items in the result are parts of those immutable
+// elements, valid indefinitely; callers must not mutate them.
 func (r *Registry) QueryCompiled(q *xq.Query, opts QueryOptions) (xq.Sequence, error) {
 	if r.xquerySeconds != nil {
 		defer r.xquerySeconds.ObserveSince(time.Now())
@@ -464,46 +463,19 @@ func (r *Registry) QueryCompiled(q *xq.Query, opts QueryOptions) (xq.Sequence, e
 	var seq xq.Sequence
 	var err error
 	if plan, ok := q.DiscoveryPlan(); ok && !r.cfg.NoPlanner {
-		// A plan can still decline to run (candidate set larger than the
-		// rendered-tuple memo); it then falls through to the view path
-		// below like any unplannable query.
-		if planned, info, ran := r.runPlan(r.execPlanFor(q, plan), opts); ran {
-			r.planHits.Add(1)
-			if info.Mode == "scan" {
-				r.planHitScan.Inc()
-			} else {
-				r.planHitIndex.Inc()
-			}
-			if r.flight != nil {
-				r.flight.Record(opts.TxID, telemetry.FlightPlanned, r.cfg.Name, "", 0, info.String())
-			}
-			if sp != nil {
-				sp.SetAttr(telemetry.Int("items", int64(len(planned))))
-				sp.End()
-			}
-			return planned, nil
+		var info PlanInfo
+		seq, info = r.runPlan(r.execPlanFor(q, plan), opts)
+		r.planHits.Add(1)
+		if info.Mode == "scan" {
+			r.planHitScan.Inc()
+		} else {
+			r.planHitIndex.Inc()
 		}
-	}
-	r.planFallbacks.Add(1)
-	r.planFallback.Inc()
-	if opts.Explain != nil {
-		*opts.Explain = PlanInfo{Mode: "view"}
-	}
-	if opts.Emit != nil {
-		// Streaming queries evaluate over a private materialized view:
-		// Emit callbacks run arbitrary user code, and a long-running
-		// callback must not hold the shared view's read lease.
-		r.flight.Record(opts.TxID, telemetry.FlightPlanFallback, r.cfg.Name, "", 0, "streamed")
-		view := r.BuildView(opts.Filter, opts.Freshness)
-		seq, err = q.Eval(&xq.Options{
-			Context:  view,
-			MaxSteps: r.cfg.MaxQuerySteps,
-			Emit:     opts.Emit,
-			Vars:     opts.Vars,
-		})
+		if r.flight != nil {
+			r.flight.Record(opts.TxID, telemetry.FlightPlanned, r.cfg.Name, "", 0, info.String())
+		}
 	} else {
-		r.flight.Record(opts.TxID, telemetry.FlightPlanFallback, r.cfg.Name, "", 0, "shared-view")
-		seq, err = r.querySharedView(q, opts)
+		seq, err = r.interpret(q, opts)
 	}
 	if sp != nil {
 		sp.SetAttr(telemetry.Int("items", int64(len(seq))))
@@ -515,62 +487,44 @@ func (r *Registry) QueryCompiled(q *xq.Query, opts QueryOptions) (xq.Sequence, e
 	return seq, err
 }
 
-// querySharedView evaluates q over the shared cached view under its read
-// lease. The release is deferred so a panicking evaluation cannot leak the
-// view's read lock, and node items are detached before the lease ends:
-// later rebuilds mutate the shared document in place, so results handed to
-// the caller must not alias it.
-func (r *Registry) querySharedView(q *xq.Query, opts QueryOptions) (xq.Sequence, error) {
-	view, release, hit := r.leaseView(opts.Filter, opts.Freshness)
-	defer release()
-	if hit {
-		r.flight.Record(opts.TxID, telemetry.FlightViewHit, r.cfg.Name, "", 0, "")
-	} else {
-		r.flight.Record(opts.TxID, telemetry.FlightViewMiss, r.cfg.Name, "", 0, "")
+// interpret evaluates an unplannable query over the filter's pinned tuple
+// set, buffered or streamed alike.
+func (r *Registry) interpret(q *xq.Query, opts QueryOptions) (xq.Sequence, error) {
+	r.planFallbacks.Add(1)
+	r.planFallback.Inc()
+	if opts.Explain != nil {
+		*opts.Explain = PlanInfo{Mode: "view"}
 	}
-	seq, err := q.Eval(&xq.Options{
-		Context:  view,
+	delivery := "shared-view"
+	if opts.Emit != nil {
+		delivery = "streamed"
+	}
+	r.flight.Record(opts.TxID, telemetry.FlightPlanFallback, r.cfg.Name, "", 0, delivery)
+	set, hit := r.pinTupleSet(opts.Filter, opts.Freshness)
+	pinned := telemetry.FlightViewMiss
+	if hit {
+		pinned = telemetry.FlightViewHit
+	}
+	r.flight.Record(opts.TxID, pinned, r.cfg.Name, "", 0, "")
+	return q.Eval(&xq.Options{
+		Context:  set.doc,
 		MaxSteps: r.cfg.MaxQuerySteps,
+		Emit:     opts.Emit,
 		Vars:     opts.Vars,
 	})
-	return detachItems(seq), err
 }
 
-// detachItems replaces node items with deep copies so the sequence stays
-// valid after the view lease is released. Atomic items pass through.
-func detachItems(seq xq.Sequence) xq.Sequence {
-	for i, it := range seq {
-		if n, ok := it.(*xmldoc.Node); ok {
-			seq[i] = n.Clone()
-		}
-	}
-	return seq
-}
-
-// BuildView materializes a private tuple-set document for a query,
-// refreshing content copies as demanded by the freshness policy. Most
-// queries are served from the incrementally maintained shared view instead
-// (leaseView); this path remains for streaming queries and as the fallback
-// when the store mutates faster than the view can sync.
+// BuildView materializes the tuple set for a filter from scratch as a
+// private, fully parented document, refreshing content copies as demanded
+// by the freshness policy. No query calls it: it is the reference
+// materialization that the differential tests compare pinned tuple sets
+// against and that the cold-path benchmarks and experiments measure.
 func (r *Registry) BuildView(f Filter, fresh Freshness) *xmldoc.Node {
-	return r.buildViewLegacy(f, fresh, true)
-}
-
-// buildViewLegacy is BuildView with the per-tuple freshness pass optional:
-// leaseView's fallback has already applied freshness (and counted the
-// cache hits and misses) and must not double-count.
-func (r *Registry) buildViewLegacy(f Filter, fresh Freshness, applyFresh bool) *xmldoc.Node {
 	now := r.cfg.Now()
 	root := xmldoc.NewElement("tupleset")
 	root.SetAttr("registry", r.cfg.Name)
-	entries := r.liveMatching(f)
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
-	for _, e := range entries {
-		t := e.Value
-		if applyFresh {
-			t = r.ensureFresh(t, fresh, now)
-		}
-		root.AppendChild(t.ToXML())
+	for _, e := range sortEntries(r.liveMatching(f)) {
+		root.AppendChild(r.ensureFresh(e.Value.Tuple, fresh, now).ToXML())
 	}
 	doc := xmldoc.NewDocument()
 	doc.AppendChild(root)
@@ -649,15 +603,15 @@ func (r *Registry) pullContent(t *tuple.Tuple, now time.Time) (*xmldoc.Node, boo
 	} else {
 		r.pulls.Add(1)
 		content := fl.content
-		r.store.Upsert(link, r.remainingTTL(t, now), func(old *tuple.Tuple, exists bool) *tuple.Tuple {
+		r.store.Upsert(link, r.remainingTTL(t, now), func(old *stored, exists bool) *stored {
 			upd := t
 			if exists {
-				upd = old
+				upd = old.Tuple
 			}
 			c := upd.Clone()
 			c.Content = content
 			c.TS4 = now
-			return c
+			return &stored{Tuple: c}
 		})
 	}
 	r.flightMu.Lock()

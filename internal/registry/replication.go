@@ -1,6 +1,6 @@
 // Replication hooks: the registry side of the change-feed subsystem
 // (internal/changefeed). The soft-state store's generation counter and
-// bounded change journal already support incremental view maintenance;
+// bounded change journal already advance the tuple-set snapshots;
 // these methods expose the same machinery as a consumable change stream —
 // deltas by cursor, an atomic snapshot+generation pair for bootstrap, and
 // an apply path that preserves remaining lifetimes so the paper's
@@ -75,7 +75,7 @@ func (r *Registry) ApplyReplicated(c Change) bool {
 	if !c.Tuple.TS3.IsZero() && !c.Tuple.TS3.After(r.cfg.Now()) {
 		return r.store.Delete(c.Key) // expired in transit
 	}
-	r.store.PutUntil(c.Key, c.Tuple.Clone(), c.Tuple.TS3)
+	r.store.PutUntil(c.Key, &stored{Tuple: c.Tuple.Clone()}, c.Tuple.TS3)
 	return true
 }
 
@@ -85,7 +85,7 @@ func (r *Registry) ApplyReplicated(c Change) bool {
 // prunes the key range that moved away, and the prunes ride the change
 // feed as ordinary deletions so any tailer of this node stays consistent.
 func (r *Registry) PruneLinks(keep func(link string) bool) int {
-	return r.store.DeleteIf(func(key string, _ *tuple.Tuple) bool { return !keep(key) })
+	return r.store.DeleteIf(func(key string, _ *stored) bool { return !keep(key) })
 }
 
 // LiveLinks returns the links of all live tuples, in unspecified order —

@@ -42,7 +42,7 @@ func (r *Registry) SnapshotWithGen(w io.Writer) (uint64, error) {
 	sb.WriteString(">\n")
 	for _, e := range entries {
 		sb.WriteString("  ")
-		sb.WriteString(e.Value.ToXML().String())
+		sb.WriteString(e.Value.element().String())
 		sb.WriteByte('\n')
 	}
 	sb.WriteString("</snapshot>\n")

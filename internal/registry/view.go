@@ -1,25 +1,30 @@
-// Incremental maintenance of the registry's tuple-set view (thesis Ch. 4).
+// Tuple-set snapshots: the one structure every XQuery is answered from
+// (thesis Ch. 4).
 //
-// Every XQuery is answered over a synthetic <tupleset> document. Instead of
-// re-materializing that document per query, the registry keeps one cached
-// view per query filter and maintains it incrementally: the soft-state
-// store's generation counter detects "nothing changed", its change journal
-// names the tuples that did change, and each tuple's rendered XML subtree
-// is memoized by entry revision so ToXML runs once per revision, not once
-// per query. Document order is kept with sparse indices so a localized edit
-// renumbers only the edited subtree.
+// Each stored tuple revision is rendered to a <tuple> element once. The
+// rendering is immutable, parentless, numbered only within its own subtree,
+// and held by the stored value itself, so it lives exactly as long as the
+// revision does. A tuple set is a <tupleset> document whose root lists
+// those shared elements in link order; it too is immutable once published.
+// A query pins the current tuple set of its filter by loading one atomic
+// pointer and evaluates on it with no lock held, so a slow Emit callback
+// blocks nobody and results alias the snapshot safely. The pushdown planner
+// (plan.go) selects the same elements through the store's indexes instead
+// of through a root.
 //
-// Concurrency follows a copy-on-read discipline without the copy: queries
-// hold a read lease (RLock) on the view for the duration of evaluation, and
-// rebuilds mutate the document in place only under the write lock. A
-// query's snapshot is therefore exactly the store state some rebuild synced
-// to — a tuple unpublished before the query began can never appear.
+// A tuple set advances at query time, never at publish time: when the
+// store generation has moved or an included tuple has passively expired,
+// the querier merges the change journal's keys into a new root (a pointer
+// copy of the unchanged entries plus the re-read changed ones) and
+// publishes it. Advances for one filter are serialized by a mutex that no
+// reader of a current tuple set ever takes.
 package registry
 
 import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"wsda/internal/softstate"
@@ -34,72 +39,129 @@ const (
 	indexContext = "ctx"
 )
 
-// maxCachedViews bounds the number of per-filter cached views. Discovery
+// maxCachedViews bounds the number of per-filter tuple sets. Discovery
 // traffic concentrates on a handful of filter shapes; beyond that, the
-// least recently used view is evicted and rebuilt on demand, so a burst of
-// one-off filters cannot displace the hot filters' views.
+// least recently used one is evicted and rebuilt on demand, so a burst of
+// one-off filters cannot displace the hot filters' tuple sets.
 const maxCachedViews = 16
 
-// viewOrderStride is the gap RenumberSparse leaves between document-order
-// indices of a cached view, so replacing or inserting one tuple's subtree
-// usually renumbers just that subtree.
-const viewOrderStride = 16
-
-// viewEntry is the memoized rendering of one tuple: the element attached to
-// the view document plus the store revision it was rendered from and the
-// soft-state facts the view needs without re-reading the store.
-type viewEntry struct {
-	elem       *xmldoc.Node
-	rev        int64
-	expires    time.Time
-	ts4        time.Time
-	hasContent bool
+// stored is one tuple revision as the soft-state store holds it: the tuple
+// plus its <tuple> rendering, built on first use. Every store mutation that
+// changes the value installs a new stored, so the rendering can never
+// outlive or lag its revision.
+type stored struct {
+	*tuple.Tuple
+	render sync.Once
+	elem   *xmldoc.Node
 }
 
-// filterView is the cached tuple-set view for one filter.
-type filterView struct {
-	mu     sync.RWMutex
-	doc    *xmldoc.Node // <tupleset> document; nil until first build
-	root   *xmldoc.Node // the <tupleset> element; children sorted by link
-	gen    uint64       // store generation the view is synced to
-	byLink map[string]*viewEntry
+// element returns the revision's shared <tuple> element. Callers must not
+// mutate it or attach it with AppendChild: it has no parent on purpose.
+func (s *stored) element() *xmldoc.Node {
+	s.render.Do(func() {
+		s.elem = s.ToXML()
+		s.elem.Renumber()
+	})
+	return s.elem
+}
 
-	// lastUse is the Registry.viewClock reading of the most recent lookup,
-	// guarded by Registry.viewMu (not v.mu): the eviction scan must read it
-	// without taking each view's own lock.
-	lastUse uint64
+// memberMeta is the soft-state facts a tuple set keeps inline per member,
+// parallel to the root's children, so that an advance carries unchanged
+// members over and recomputes the aggregates without touching the tuples.
+// It is pointer-free on purpose: the garbage collector never scans it.
+type memberMeta struct {
+	expires int64 // soft-state deadline in UnixNano (a Touch moves it without a new revision); never = immortal
+	ts4     int64 // timestamp of the cached content copy in UnixNano; never = unstamped, noContent = no copy
+}
+
+const (
+	never     = math.MaxInt64 // a deadline or timestamp that does not exist
+	noContent = math.MinInt64 // memberMeta.ts4 of a tuple without a cached content copy
+)
+
+func unixOrNever(t time.Time) int64 {
+	if t.IsZero() {
+		return never
+	}
+	return t.UnixNano()
+}
+
+// memberOf returns the element and inline facts a tuple set lists for a
+// store entry.
+func memberOf(e softstate.Entry[*stored]) (*xmldoc.Node, memberMeta) {
+	m := memberMeta{expires: unixOrNever(e.Expires), ts4: noContent}
+	if e.Value.Content != nil {
+		m.ts4 = unixOrNever(e.Value.TS4)
+	}
+	return e.Value.element(), m
+}
+
+// tupleSet is one immutable snapshot of the tuples matching a filter.
+type tupleSet struct {
+	doc  *xmldoc.Node // <tupleset> document
+	root *xmldoc.Node // its root; the children are shared elements in link order
+	gen  uint64       // store generation the set is synced to
+	meta []memberMeta // parallel to root.Children
 
 	// Aggregates for O(1) staleness checks at query time.
-	minExpiry time.Time // earliest soft-state deadline of included tuples
-	minTS4    time.Time // oldest cached-content timestamp (content tuples)
-	missing   int       // included tuples without a cached content copy
+	minExpiry int64 // earliest soft-state deadline of a member; never if none
+	minTS4    int64 // oldest cached-content timestamp; never if none
+	missing   int   // members without a cached content copy
 }
 
-// expiryOK reports whether no included tuple has passively expired.
-func (v *filterView) expiryOK(now time.Time) bool {
-	return v.minExpiry.IsZero() || v.minExpiry.After(now)
+// newTupleSet publishes members (already in link order) as a document. The
+// document node, the root and its attribute are numbered before the shared
+// elements are listed, so no shared element is ever written to.
+func newTupleSet(registry string, gen uint64, kids []*xmldoc.Node, meta []memberMeta) *tupleSet {
+	s := &tupleSet{gen: gen, meta: meta, minExpiry: never, minTS4: never}
+	s.root = xmldoc.NewElement("tupleset")
+	s.root.SetAttr("registry", registry)
+	s.doc = xmldoc.NewDocument()
+	s.doc.AppendChild(s.root)
+	s.doc.Renumber()
+	s.root.Children = kids
+	for _, m := range meta {
+		s.minExpiry = min(s.minExpiry, m.expires)
+		if m.ts4 == noContent {
+			s.missing++
+		} else {
+			s.minTS4 = min(s.minTS4, m.ts4)
+		}
+	}
+	return s
 }
 
-// freshnessSuspect reports whether the view cannot prove the freshness
+// current reports whether the set reflects every store mutation up to
+// generation target and no member has passively expired.
+func (s *tupleSet) current(target uint64, now time.Time) bool {
+	return s != nil && s.gen >= target && s.minExpiry > now.UnixNano()
+}
+
+// freshnessSuspect reports whether the set cannot prove the freshness
 // demands are already met, so a pull pass over the store is needed.
-func (v *filterView) freshnessSuspect(fresh Freshness, now time.Time) bool {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	if v.doc == nil {
+func (s *tupleSet) freshnessSuspect(fresh Freshness, now time.Time) bool {
+	if s == nil {
 		return true
 	}
-	if fresh.PullMissing && v.missing > 0 {
+	if fresh.PullMissing && s.missing > 0 {
 		return true
 	}
-	if fresh.MaxAge > 0 && !v.minTS4.IsZero() && now.Sub(v.minTS4) > fresh.MaxAge {
-		return true
-	}
-	return false
+	return fresh.MaxAge > 0 && s.minTS4 != never && now.UnixNano()-s.minTS4 > int64(fresh.MaxAge)
 }
 
-// viewFor returns (creating if needed) the cached view for a filter,
-// evicting the least recently used view when the cache is full. An evicted
-// view's in-flight lessees keep working against the orphaned document.
+// filterView is the slot holding one filter's current tuple set.
+type filterView struct {
+	cur     atomic.Pointer[tupleSet]
+	advance sync.Mutex // serializes advances; pinning a current set never takes it
+
+	// lastUse is the Registry.viewClock reading of the most recent lookup,
+	// guarded by Registry.viewMu.
+	lastUse uint64
+}
+
+// viewFor returns (creating if needed) the slot for a filter, evicting the
+// least recently used slot when the cache is full. Queries that pinned an
+// evicted slot's tuple set keep working against it.
 func (r *Registry) viewFor(f Filter) *filterView {
 	r.viewMu.Lock()
 	defer r.viewMu.Unlock()
@@ -123,161 +185,124 @@ func (r *Registry) viewFor(f Filter) *filterView {
 	return v
 }
 
-// leaseView returns the shared tuple-set view for the filter, synced at
-// least to the store generation observed at call time, plus a release
-// function and whether the first lease attempt was served from an
-// already-synced view (the value behind ViewHits, reported per query to
-// the flight recorder). The document is valid only until release: rebuilds
-// mutate it in place under the write lock, so the read lease is what keeps
-// the query's snapshot stable. Callers must not mutate the document.
-func (r *Registry) leaseView(f Filter, fresh Freshness) (*xmldoc.Node, func(), bool) {
+// pinTupleSet returns the filter's tuple set, synced at least to the store
+// generation observed at call time, and whether an already-current set was
+// pinned (the value behind ViewHits, reported per query to the flight
+// recorder). The set is immutable: the caller holds no lock and may keep
+// nodes from it for as long as it likes.
+func (r *Registry) pinTupleSet(f Filter, fresh Freshness) (*tupleSet, bool) {
 	v := r.viewFor(f)
 	now := r.cfg.Now()
 	freshPass := false
-	if (fresh.PullMissing || fresh.MaxAge > 0) && v.freshnessSuspect(fresh, now) {
+	if (fresh.PullMissing || fresh.MaxAge > 0) && v.cur.Load().freshnessSuspect(fresh, now) {
 		// Pull against the store first; successful pulls bump the store
-		// generation and flow into the rebuild below. ensureFresh does the
+		// generation and flow into the advance below. ensureFresh does the
 		// per-tuple cache-hit/miss accounting on this path.
 		freshPass = true
-		r.applyFreshness(f, fresh, now)
+		for _, e := range r.liveMatching(f) {
+			r.ensureFresh(e.Value.Tuple, fresh, now)
+		}
 	}
 	target := r.store.Gen()
-	for attempt := 0; ; attempt++ {
-		v.mu.RLock()
-		if v.doc != nil && v.gen >= target && v.expiryOK(now) {
-			if attempt == 0 {
-				r.viewHits.Add(1)
-			}
-			if !freshPass {
-				// Every content-bearing tuple served from cache is a hit,
-				// mirroring the per-tuple accounting of the materializing
-				// path.
-				r.cacheHits.Add(int64(len(v.byLink) - v.missing))
-			}
-			return v.doc, v.mu.RUnlock, attempt == 0
+	s := v.cur.Load()
+	hit := s.current(target, now)
+	if hit {
+		r.viewHits.Add(1)
+	} else {
+		r.viewMisses.Add(1)
+		v.advance.Lock()
+		if s = v.cur.Load(); !s.current(target, now) {
+			s = r.advanceTupleSet(s, f, now)
+			v.cur.Store(s)
 		}
-		v.mu.RUnlock()
-		if attempt == 0 {
-			r.viewMisses.Add(1)
-		} else if attempt >= 3 {
-			// The store is mutating faster than we can re-acquire the
-			// lease; serve a private materialized view instead of spinning.
-			return r.buildViewLegacy(f, fresh, !freshPass), func() {}, false
-		}
-		v.mu.Lock()
-		if v.doc == nil || v.gen < r.store.Gen() || !v.expiryOK(now) {
-			r.rebuildView(v, f, now)
-		}
-		v.mu.Unlock()
+		v.advance.Unlock()
 	}
+	if !freshPass {
+		// Every content-bearing tuple served from cache is a hit,
+		// mirroring the per-tuple accounting of BuildView.
+		r.cacheHits.Add(int64(len(s.meta) - s.missing))
+	}
+	return s, hit
 }
 
-// rebuildView syncs v to the current store generation. Callers must hold
-// v.mu for writing.
-func (r *Registry) rebuildView(v *filterView, f Filter, now time.Time) {
+// advanceTupleSet builds the successor of old (nil on first use) at the
+// current store generation: the journaled keys since old.gen are re-read
+// and merged into old's members, passively expired tuples are dropped, and
+// when the journal no longer reaches back to old.gen the set is re-read
+// from the store in full. Either way an unchanged revision keeps its
+// rendering, because the rendering lives on the stored value.
+func (r *Registry) advanceTupleSet(old *tupleSet, f Filter, now time.Time) *tupleSet {
 	t0 := time.Now()
 	r.viewRebuilds.Add(1)
-	storeGen := r.store.Gen()
-	switch {
-	case v.doc == nil:
-		r.buildViewFull(v, f)
-	default:
-		keys, ok := r.store.ChangesSince(v.gen)
-		if ok {
-			for _, k := range keys {
-				r.applyViewChange(v, f, k)
-			}
-		} else {
-			r.resyncView(v, f)
+	// Read before the journal: a mutation racing in between is re-read on
+	// the next advance, which is harmless because members carry full state.
+	gen := r.store.Gen()
+	var keys []string
+	journaled := false
+	if old != nil {
+		keys, journaled = r.store.ChangesSince(old.gen)
+	}
+	var kids []*xmldoc.Node
+	var meta []memberMeta
+	if journaled {
+		kids, meta = r.mergeChanges(old, keys, f, now.UnixNano())
+	} else {
+		live := sortEntries(r.liveMatching(f))
+		kids, meta = make([]*xmldoc.Node, len(live)), make([]memberMeta, len(live))
+		for i, e := range live {
+			kids[i], meta[i] = memberOf(e)
 		}
 	}
-	v.pruneExpired(now)
-	v.recomputeMeta()
-	v.gen = storeGen
+	s := newTupleSet(r.cfg.Name, gen, kids, meta)
 	r.viewBuildSeconds.ObserveSince(t0)
+	return s
 }
 
-// buildViewFull materializes v from scratch.
-func (r *Registry) buildViewFull(v *filterView, f Filter) {
-	entries := r.liveMatching(f)
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
-	root := xmldoc.NewElement("tupleset")
-	root.SetAttr("registry", r.cfg.Name)
-	root.Children = make([]*xmldoc.Node, 0, len(entries))
-	byLink := make(map[string]*viewEntry, len(entries))
-	for _, e := range entries {
-		elem := e.Value.ToXML()
-		root.AppendChild(elem)
-		byLink[e.Key] = newViewEntry(elem, e)
-	}
-	doc := xmldoc.NewDocument()
-	doc.AppendChild(root)
-	doc.RenumberSparse(viewOrderStride)
-	v.doc, v.root, v.byLink = doc, root, byLink
-}
-
-func newViewEntry(elem *xmldoc.Node, e softstate.Entry[*tuple.Tuple]) *viewEntry {
-	return &viewEntry{
-		elem:       elem,
-		rev:        e.Rev,
-		expires:    e.Expires,
-		ts4:        e.Value.TS4,
-		hasContent: e.Value.Content != nil,
-	}
-}
-
-// applyViewChange folds one journaled store mutation into the view.
-func (r *Registry) applyViewChange(v *filterView, f Filter, key string) {
-	e, live := r.store.GetEntry(key)
-	matches := live && f.match(e.Value)
-	cur := v.byLink[key]
-	switch {
-	case !matches && cur == nil:
-		// Never in this view (filtered out, or insert+delete between syncs).
-	case !matches:
-		v.removeTuple(key)
-	case cur == nil:
-		v.insertTuple(key, e)
-	case cur.rev == e.Rev:
-		cur.expires = e.Expires // Touch: deadline moved, value unchanged
-	default:
-		v.replaceTuple(key, e)
-	}
-}
-
-// resyncView reconciles the whole view against the live store — the
-// fallback when the change journal no longer covers the view's generation.
-// Unchanged tuples keep their memoized subtrees.
-func (r *Registry) resyncView(v *filterView, f Filter) {
-	entries := r.liveMatching(f)
-	seen := make(map[string]struct{}, len(entries))
-	for _, e := range entries {
-		seen[e.Key] = struct{}{}
-		cur := v.byLink[e.Key]
-		switch {
-		case cur == nil:
-			v.insertTuple(e.Key, e)
-		case cur.rev != e.Rev:
-			v.replaceTuple(e.Key, e)
-		default:
-			cur.expires = e.Expires
+// mergeChanges returns old's members with every key in keys replaced by its
+// current store state (dropped when gone or no longer matching f) and every
+// passively expired member removed, in link order.
+func (r *Registry) mergeChanges(old *tupleSet, keys []string, f Filter, now int64) ([]*xmldoc.Node, []memberMeta) {
+	sort.Strings(keys)
+	oldKids := old.root.Children
+	kids := make([]*xmldoc.Node, 0, len(oldKids)+len(keys))
+	meta := make([]memberMeta, 0, cap(kids))
+	prune := old.minExpiry <= now
+	i := 0 // first old member not yet carried over or superseded
+	carryTo := func(j int) {
+		if !prune {
+			kids, meta = append(kids, oldKids[i:j]...), append(meta, old.meta[i:j]...)
+			i = j
+		}
+		for ; i < j; i++ {
+			if old.meta[i].expires > now {
+				kids, meta = append(kids, oldKids[i]), append(meta, old.meta[i])
+			}
 		}
 	}
-	var gone []string
-	for k := range v.byLink {
-		if _, ok := seen[k]; !ok {
-			gone = append(gone, k)
+	for _, k := range keys {
+		carryTo(i + sort.Search(len(oldKids)-i, func(n int) bool { return childLink(oldKids[i+n]) >= k }))
+		if i < len(oldKids) && childLink(oldKids[i]) == k {
+			i++ // superseded by the store's current state, read next
+		}
+		if e, live := r.store.GetEntry(k); live && f.match(e.Value.Tuple) {
+			kid, m := memberOf(e)
+			kids, meta = append(kids, kid), append(meta, m)
 		}
 	}
-	for _, k := range gone {
-		v.removeTuple(k)
-	}
+	carryTo(len(oldKids))
+	return kids, meta
+}
+
+// childLink returns the link attribute of a <tuple> element.
+func childLink(n *xmldoc.Node) string {
+	link, _ := n.Attr("link")
+	return link
 }
 
 // liveMatching snapshots the live entries matching a filter, using the
 // store's secondary indexes to avoid full scans for selective filters.
-func (r *Registry) liveMatching(f Filter) []softstate.Entry[*tuple.Tuple] {
-	var entries []softstate.Entry[*tuple.Tuple]
+func (r *Registry) liveMatching(f Filter) []softstate.Entry[*stored] {
+	var entries []softstate.Entry[*stored]
 	switch {
 	case f.Type != "":
 		entries = r.store.LiveBy(indexType, f.Type)
@@ -288,122 +313,17 @@ func (r *Registry) liveMatching(f Filter) []softstate.Entry[*tuple.Tuple] {
 	}
 	out := entries[:0]
 	for _, e := range entries {
-		if f.match(e.Value) {
+		if f.match(e.Value.Tuple) {
 			out = append(out, e)
 		}
 	}
 	return out
 }
 
-// childLink returns the link attribute of a <tuple> child element.
-func childLink(n *xmldoc.Node) string {
-	s, _ := n.Attr("link")
-	return s
-}
-
-// childIndex returns the position of link in the sorted children, or the
-// insertion point if absent.
-func (v *filterView) childIndex(link string) int {
-	return sort.Search(len(v.root.Children), func(i int) bool {
-		return childLink(v.root.Children[i]) >= link
-	})
-}
-
-// orderBounds returns the exclusive document-order bounds available to the
-// subtree at child position i: the highest index before it and the lowest
-// index after it.
-func (v *filterView) orderBounds(i int) (lo, hi int) {
-	if i == 0 {
-		if n := len(v.root.Attrs); n > 0 {
-			lo = v.root.Attrs[n-1].Order()
-		} else {
-			lo = v.root.Order()
-		}
-	} else {
-		lo = v.root.Children[i-1].MaxOrder()
+// sortEntries orders entries by link, the tuple set's document order.
+func sortEntries(es []softstate.Entry[*stored]) []softstate.Entry[*stored] {
+	if len(es) > 1 {
+		sort.Slice(es, func(i, j int) bool { return es[i].Key < es[j].Key })
 	}
-	if i == len(v.root.Children)-1 {
-		hi = math.MaxInt
-	} else {
-		hi = v.root.Children[i+1].Order()
-	}
-	return lo, hi
-}
-
-// placeSubtree numbers the subtree at child position i, falling back to a
-// full sparse renumber when the local gap is exhausted.
-func (v *filterView) placeSubtree(i int) {
-	lo, hi := v.orderBounds(i)
-	if !v.root.Children[i].SubtreeRenumber(lo, hi) {
-		v.doc.RenumberSparse(viewOrderStride)
-	}
-}
-
-func (v *filterView) insertTuple(key string, e softstate.Entry[*tuple.Tuple]) {
-	elem := e.Value.ToXML()
-	i := v.childIndex(key)
-	v.root.InsertChildAt(i, elem)
-	v.byLink[key] = newViewEntry(elem, e)
-	v.placeSubtree(i)
-}
-
-func (v *filterView) replaceTuple(key string, e softstate.Entry[*tuple.Tuple]) {
-	elem := e.Value.ToXML()
-	i := v.childIndex(key)
-	old := v.root.Children[i]
-	old.Parent = nil
-	elem.Parent = v.root
-	v.root.Children[i] = elem
-	v.byLink[key] = newViewEntry(elem, e)
-	v.placeSubtree(i)
-}
-
-func (v *filterView) removeTuple(key string) {
-	i := v.childIndex(key)
-	if i < len(v.root.Children) && childLink(v.root.Children[i]) == key {
-		v.root.RemoveChildAt(i) // neighbors keep their sparse orders
-	}
-	delete(v.byLink, key)
-}
-
-// pruneExpired structurally drops tuples whose soft-state deadline passed
-// without an explicit journal record (passive expiry).
-func (v *filterView) pruneExpired(now time.Time) {
-	if v.expiryOK(now) {
-		return
-	}
-	var dead []string
-	for k, ve := range v.byLink {
-		if !ve.expires.IsZero() && !ve.expires.After(now) {
-			dead = append(dead, k)
-		}
-	}
-	for _, k := range dead {
-		v.removeTuple(k)
-	}
-}
-
-// recomputeMeta refreshes the O(1)-staleness aggregates from byLink.
-func (v *filterView) recomputeMeta() {
-	v.minExpiry, v.minTS4, v.missing = time.Time{}, time.Time{}, 0
-	for _, ve := range v.byLink {
-		if !ve.expires.IsZero() && (v.minExpiry.IsZero() || ve.expires.Before(v.minExpiry)) {
-			v.minExpiry = ve.expires
-		}
-		if !ve.hasContent {
-			v.missing++
-		} else if !ve.ts4.IsZero() && (v.minTS4.IsZero() || ve.ts4.Before(v.minTS4)) {
-			v.minTS4 = ve.ts4
-		}
-	}
-}
-
-// applyFreshness runs the per-tuple freshness policy against the store for
-// every tuple matching the filter — the pull side of a cached-view query.
-// Successful pulls update the store (bumping its generation), so the
-// subsequent rebuild folds the fresh content into the cached view.
-func (r *Registry) applyFreshness(f Filter, fresh Freshness, now time.Time) {
-	for _, e := range r.liveMatching(f) {
-		r.ensureFresh(e.Value, fresh, now)
-	}
+	return es
 }

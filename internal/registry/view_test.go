@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"wsda/internal/tuple"
-	"wsda/internal/xmldoc"
 	"wsda/internal/xq"
 )
 
@@ -181,29 +180,176 @@ func TestViewRepublishAfterUnpublish(t *testing.T) {
 	}
 }
 
-// TestQueryResultsDetachedFromSharedView asserts node results survive the
-// end of their view lease: a later rebuild mutates the shared document in
-// place, so results must be detached copies, not aliases into it.
-func TestQueryResultsDetachedFromSharedView(t *testing.T) {
+// TestQueryResultsImmutable asserts what results aliasing a tuple set rely
+// on: sequences returned by planned and interpreted queries serialize
+// identically after later publishes, unpublishes, expiry and eviction of
+// the tuple set they came from.
+func TestQueryResultsImmutable(t *testing.T) {
 	clk := newFakeClock()
 	r := newTestRegistry(clk, nil)
-	r.Publish(svcTuple("a", "cern.ch", 0.1), 0)
-	seq, err := r.Query(`/tupleset`, QueryOptions{})
-	if err != nil {
+	for _, n := range []string{"a", "b", "c"} {
+		r.Publish(svcTuple(n, "cern.ch", 0.1), time.Minute)
+	}
+	held := map[string]xq.Sequence{}
+	for _, src := range []string{
+		`/tupleset`,          // interpreted: the root itself
+		`/tupleset/tuple[2]`, // interpreted: positional
+		`for $t in /tupleset/tuple return $t/@link`, // interpreted: FLWOR
+		`/tupleset/tuple[@type="service"]`,          // planned: index(type)
+		`/tupleset/tuple/content/service`,           // planned: scan + projection
+	} {
+		seq, err := r.Query(src, QueryOptions{})
+		if err != nil || len(seq) == 0 {
+			t.Fatalf("%s: %v %v", src, seq, err)
+		}
+		held[src] = seq
+	}
+	before := map[string]string{}
+	for src, seq := range held {
+		before[src] = xq.Serialize(seq)
+	}
+
+	r.Publish(svcTuple("b", "cern.ch", 0.9), time.Minute) // new revision of a held tuple
+	r.Publish(svcTuple("d", "cern.ch", 0.4), time.Hour)
+	r.Unpublish("http://cern.ch/a")
+	countTuples(t, r, QueryOptions{})
+	clk.Advance(2 * time.Minute) // b and c expire
+	r.Sweep()
+	if got := countTuples(t, r, QueryOptions{}); got != 1 {
+		t.Fatalf("count after expiry = %d, want 1", got)
+	}
+	for i := 0; i < 2*maxCachedViews; i++ { // evict the unfiltered tuple set
+		countTuples(t, r, QueryOptions{Filter: Filter{LinkPrefix: fmt.Sprintf("http://one-off%d.net/", i)}})
+	}
+
+	for src, seq := range held {
+		if after := xq.Serialize(seq); after != before[src] {
+			t.Errorf("%s: held result changed:\nbefore: %s\nafter:  %s", src, before[src], after)
+		}
+	}
+}
+
+// tupleSetCorpus adds, to the planner corpus, the queries that exercise
+// what the evaluator resolves through its context on a tuple set: parents,
+// ancestors, siblings and roots of shared <tuple> elements, document order
+// across them, and constructed nodes mixed in.
+var tupleSetCorpus = append([]string{
+	`/tupleset/tuple/..`,
+	`count(/tupleset/tuple/content/service/ancestor::tupleset)`,
+	`/tupleset/tuple/content/service/attr/ancestor-or-self::*/name()`,
+	`/tupleset/tuple/preceding-sibling::tuple[1]/@link`,
+	`/tupleset/tuple[3]/following-sibling::tuple/@link`,
+	`string(root((/tupleset/tuple)[last()]/content)/tupleset/@registry)`,
+	`count(/tupleset/tuple/root(.)/tupleset)`,
+	`/tupleset/tuple[@owner = /tupleset/tuple[1]/@owner]/@link`,
+	`/tupleset/tuple[content/service/@domain = //service[1]/@domain]/@link`,
+	`/tupleset/tuple[@owner="atlas"]/@link | /tupleset/tuple[@owner="cms"]/content/service/@name | /tupleset/@registry`,
+	`(/tupleset/tuple[2] | <x/> | /tupleset)/name()`,
+	`let $ts := /tupleset/tuple return $ts/content/service/@name`,
+	`let $ts := reverse(/tupleset/tuple) return ($ts/content/service)[1]/@name`,
+	`(<first/>, /tupleset/tuple[1]/@link, <n>{count(/tupleset/tuple)}</n>)`,
+	`for $t in /tupleset/tuple[position() < 3] return <hit link="{$t/@link}">{$t/content/service/attr}</hit>`,
+	`count(/tupleset/tuple except /tupleset/tuple[@owner="cms"])`,
+	`/tupleset/tuple[last()]/content/service/interface/operation/bind/../../../../../@link`,
+}, planCorpus...)
+
+// TestTupleSetMatchesBuildView is the snapshot's differential: every query
+// interpreted over a pinned tuple set (shared parentless elements under a
+// per-filter root) serializes byte-identically to the same query evaluated
+// over BuildView's from-scratch, fully parented document.
+func TestTupleSetMatchesBuildView(t *testing.T) {
+	_, r := newPlanTestPair(t, 45, 5) // NoPlanner: every query is interpreted
+	filters := []Filter{
+		{},
+		{Type: tuple.TypeService},
+		{Context: "child"},
+		{LinkPrefix: "http://infn.it/"},
+		{Type: "no-such-type"},
+	}
+	for _, f := range filters {
+		ref := r.BuildView(f, Freshness{})
+		for _, src := range tupleSetCorpus {
+			want, wantErr := xq.EvalString(src, ref)
+			got, gotErr := r.Query(src, QueryOptions{Filter: f})
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("filter %+v query %q: err %v vs %v", f, src, gotErr, wantErr)
+			}
+			if g, w := xq.Serialize(got), xq.Serialize(want); g != w {
+				t.Errorf("filter %+v query %q:\ntuple set: %s\nBuildView: %s", f, src, g, w)
+			}
+		}
+	}
+}
+
+// TestStreamedQueryPinsTupleSet blocks a streamed unplannable query inside
+// its Emit callback and, while it is stuck, publishes, unpublishes and runs
+// buffered and streamed queries to completion: nothing may wait on the
+// blocked consumer, and once released it must deliver exactly the tuple
+// set it pinned.
+func TestStreamedQueryPinsTupleSet(t *testing.T) {
+	r := New(Config{Name: "pin", DefaultTTL: time.Hour})
+	var pinned []string
+	for i := 0; i < 20; i++ {
+		ts := &tuple.Tuple{Link: fmt.Sprintf("http://pin.net/s%02d", i), Type: tuple.TypeService}
+		if _, err := r.Publish(ts, 0); err != nil {
+			t.Fatal(err)
+		}
+		pinned = append(pinned, ts.Link)
+	}
+	const links = `for $t in /tupleset/tuple return string($t/@link)`
+
+	started, release := make(chan struct{}), make(chan struct{})
+	var blockedOut []string
+	blockedDone := make(chan error, 1)
+	go func() {
+		_, err := r.Query(links, QueryOptions{Emit: func(it xq.Item) bool {
+			if len(blockedOut) == 0 {
+				close(started)
+				<-release
+			}
+			blockedOut = append(blockedOut, xq.StringValue(it))
+			return true
+		}})
+		blockedDone <- err
+	}()
+	<-started
+
+	others := make(chan error, 1)
+	go func() {
+		others <- func() error {
+			for i := 0; i < 10; i++ {
+				ts := &tuple.Tuple{Link: fmt.Sprintf("http://pin.net/new%02d", i), Type: tuple.TypeService}
+				if _, err := r.Publish(ts, 0); err != nil {
+					return err
+				}
+				r.Unpublish(pinned[i])
+				seq, err := r.Query(links, QueryOptions{})
+				if err != nil || len(seq) != 20 {
+					return fmt.Errorf("buffered query during block: %d items, err %v", len(seq), err)
+				}
+				n := 0
+				if _, err := r.Query(links, QueryOptions{Emit: func(xq.Item) bool { n++; return true }}); err != nil || n != 20 {
+					return fmt.Errorf("streamed query during block: %d items, err %v", n, err)
+				}
+			}
+			return nil
+		}()
+	}()
+	select {
+	case err := <-others:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("publishes and queries waited on a consumer blocked in Emit")
+	}
+
+	close(release)
+	if err := <-blockedDone; err != nil {
 		t.Fatal(err)
 	}
-	root, ok := seq[0].(*xmldoc.Node)
-	if !ok {
-		t.Fatalf("item = %T, want node", seq[0])
-	}
-	before := root.String()
-	// Mutate the store and sync the shared view to it.
-	r.Publish(svcTuple("b", "cern.ch", 0.2), 0)
-	if got := countTuples(t, r, QueryOptions{}); got != 2 {
-		t.Fatalf("count = %d", got)
-	}
-	if after := root.String(); after != before {
-		t.Errorf("held query result mutated by a later rebuild:\nbefore: %s\nafter:  %s", before, after)
+	if got, want := strings.Join(blockedOut, "\n"), strings.Join(pinned, "\n"); got != want {
+		t.Errorf("blocked query delivered\n%s\nwant its pin-time tuple set\n%s", got, want)
 	}
 }
 

@@ -97,7 +97,7 @@ type Store[V any] struct {
 
 	// journalTruncations, when set, counts ChangesSince calls that could
 	// not be served because the requested generation had fallen off the
-	// bounded journal — each one is a reader (cached view, replica) forced
+	// bounded journal — each one is a reader (tuple-set snapshot, replica) forced
 	// into a full resynchronization.
 	journalTruncations *telemetry.Counter
 }

@@ -16,7 +16,6 @@ package telemetry
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -35,12 +34,14 @@ const (
 	// (note = chosen plan: index/scan pushdown or the view path).
 	FlightPlanned = "planned"
 	// FlightPlanFallback marks a local evaluation whose shape the pushdown
-	// planner rejected, falling back to the interpreted view path
-	// (note = shared|streamed view path).
+	// planner rejected, falling back to the interpreter over a pinned
+	// tuple-set snapshot (note = shared-view|streamed delivery).
 	FlightPlanFallback = "plan-fallback"
-	// FlightViewHit marks a local evaluation served from the synced view.
+	// FlightViewHit marks a local evaluation that pinned an already-current
+	// tuple-set snapshot.
 	FlightViewHit = "view-hit"
-	// FlightViewMiss marks a local evaluation that had to rebuild a view.
+	// FlightViewMiss marks a local evaluation that first had to advance its
+	// tuple-set snapshot.
 	FlightViewMiss = "view-miss"
 	// FlightEval marks a finished local evaluation (n = hits).
 	FlightEval = "eval"
@@ -93,7 +94,9 @@ const (
 )
 
 // FlightEvent is one recorded lifecycle event. Seq orders events globally
-// within one recorder even when timestamps collide.
+// within one recorder even when timestamps collide; it is assigned under
+// the recorder's lock, so stored events ascend in Seq within every
+// transaction.
 type FlightEvent struct {
 	Seq  uint64    `json:"seq"`            // recorder-wide sequence number
 	At   time.Time `json:"at"`             // wall-clock time of the event
@@ -178,9 +181,9 @@ type flightTx struct {
 // is a cheap no-op, so instrumentation points need no branching.
 type FlightRecorder struct {
 	cfg FlightConfig
-	seq atomic.Uint64
 
 	mu    sync.Mutex
+	seq   uint64 // last sequence number handed out
 	txs   map[string]*flightTx
 	order []string // tx eviction ring, insertion order
 	next  int
@@ -229,18 +232,27 @@ func (fr *FlightRecorder) Record(tx, kind, node, peer string, n int64, note stri
 	if fr == nil || tx == "" {
 		return
 	}
-	ev := FlightEvent{
-		Seq: fr.seq.Add(1), At: fr.cfg.Now(),
-		Kind: kind, Node: node, Peer: peer, N: n, Note: note,
-	}
 	fr.mu.Lock()
+	defer fr.mu.Unlock()
+	fr.appendLocked(tx, FlightEvent{
+		At: fr.cfg.Now(), Kind: kind, Node: node, Peer: peer, N: n, Note: note,
+	})
+}
+
+// appendLocked stamps ev with the next sequence number and appends it to
+// tx's log. Sequencing and appending share one critical section: taking
+// the number outside it lets two recorders append in the opposite order of
+// their numbers. fr.mu must be held.
+func (fr *FlightRecorder) appendLocked(tx string, ev FlightEvent) *flightTx {
+	fr.seq++
+	ev.Seq = fr.seq
 	t := fr.getLocked(tx)
 	if len(t.events) < fr.cfg.EventsPerTx {
 		t.events = append(t.events, ev)
 	} else {
 		t.dropped++
 	}
-	fr.mu.Unlock()
+	return t
 }
 
 // Finish closes tx's recording with its summary: a FlightSummaryKind event
@@ -250,6 +262,8 @@ func (fr *FlightRecorder) Finish(tx string, sum FlightSummary) {
 	if fr == nil || tx == "" {
 		return
 	}
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
 	sum.TxID = tx
 	if sum.At.IsZero() {
 		sum.At = fr.cfg.Now()
@@ -269,17 +283,9 @@ func (fr *FlightRecorder) Finish(tx string, sum FlightSummary) {
 	if sum.Aborted {
 		note += ",aborted"
 	}
-	ev := FlightEvent{
-		Seq: fr.seq.Add(1), At: sum.At, Kind: FlightSummaryKind,
-		N: int64(sum.Items), Note: note,
-	}
-	fr.mu.Lock()
-	t := fr.getLocked(tx)
-	if len(t.events) < fr.cfg.EventsPerTx {
-		t.events = append(t.events, ev)
-	} else {
-		t.dropped++
-	}
+	t := fr.appendLocked(tx, FlightEvent{
+		At: sum.At, Kind: FlightSummaryKind, N: int64(sum.Items), Note: note,
+	})
 	s := sum
 	t.summary = &s
 	if sum.Reason != "" {
@@ -291,7 +297,6 @@ func (fr *FlightRecorder) Finish(tx string, sum FlightSummary) {
 		fr.snext = (fr.snext + 1) % fr.cfg.SlowlogCapacity
 		fr.total++
 	}
-	fr.mu.Unlock()
 }
 
 // Tx returns the recorded flight of one transaction, or nil when the

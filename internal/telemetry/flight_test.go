@@ -162,6 +162,35 @@ func TestFlightConcurrent(t *testing.T) {
 	}
 }
 
+// TestFlightSeqAscendsWithinTx hammers one transaction from many
+// goroutines: sequence numbers are handed out under the same lock as the
+// append, so the stored events must be strictly Seq-ascending.
+func TestFlightSeqAscendsWithinTx(t *testing.T) {
+	const goroutines, perG = 16, 200
+	fr := NewFlightRecorder(FlightConfig{EventsPerTx: goroutines*perG + goroutines})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				fr.Record("tx", FlightItem, "n", "", int64(i), "")
+			}
+			fr.Finish("tx", FlightSummary{Complete: true})
+		}()
+	}
+	wg.Wait()
+	info := fr.Tx("tx")
+	if info == nil || len(info.Events) != goroutines*perG+goroutines {
+		t.Fatalf("recorded %v events, want %d", info, goroutines*perG+goroutines)
+	}
+	for i := 1; i < len(info.Events); i++ {
+		if info.Events[i].Seq <= info.Events[i-1].Seq {
+			t.Fatalf("event %d seq %d not above previous %d", i, info.Events[i].Seq, info.Events[i-1].Seq)
+		}
+	}
+}
+
 func TestFlightHandlers(t *testing.T) {
 	fr := NewFlightRecorder(FlightConfig{SlowThreshold: time.Nanosecond})
 	fr.Record("a#1", FlightReceived, "node/0", "orig", 1, "")

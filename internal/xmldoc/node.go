@@ -223,83 +223,6 @@ func (n *Node) Renumber() {
 // Order returns the document-order index assigned by Renumber/Parse.
 func (n *Node) Order() int { return n.order }
 
-// RenumberSparse assigns document-order indices to the whole tree rooted at
-// the root of n, spaced stride apart. The gaps let a localized structural
-// edit renumber only the edited subtree (SubtreeRenumber) instead of the
-// whole document — the incremental-maintenance counterpart of Renumber.
-// Ordering comparisons only need relative order, so sparse indices are
-// interchangeable with dense ones.
-func (n *Node) RenumberSparse(stride int) {
-	if stride < 1 {
-		stride = 1
-	}
-	i := 0
-	n.Root().Walk(func(m *Node) bool {
-		m.order = i
-		i += stride
-		return true
-	})
-}
-
-// SubtreeSize returns the number of nodes in n's subtree, n and its
-// attributes included.
-func (n *Node) SubtreeSize() int {
-	size := 0
-	n.Walk(func(*Node) bool { size++; return true })
-	return size
-}
-
-// MaxOrder returns the largest document-order index in n's subtree.
-func (n *Node) MaxOrder() int {
-	max := n.order
-	n.Walk(func(m *Node) bool {
-		if m.order > max {
-			max = m.order
-		}
-		return true
-	})
-	return max
-}
-
-// SubtreeRenumber assigns sequential document-order indices to n's subtree
-// strictly inside the exclusive bounds (lo, hi). It reports whether the
-// subtree fits; on false the tree is left unchanged and the caller must
-// fall back to a full Renumber or RenumberSparse.
-func (n *Node) SubtreeRenumber(lo, hi int) bool {
-	size := n.SubtreeSize()
-	if hi <= lo || hi-lo-1 < size {
-		return false
-	}
-	i := lo + 1
-	n.Walk(func(m *Node) bool {
-		m.order = i
-		i++
-		return true
-	})
-	return true
-}
-
-// InsertChildAt inserts c as n's i-th child, shifting later siblings right.
-// It returns n to allow chaining.
-func (n *Node) InsertChildAt(i int, c *Node) *Node {
-	c.Parent = n
-	n.Children = append(n.Children, nil)
-	copy(n.Children[i+1:], n.Children[i:])
-	n.Children[i] = c
-	return n
-}
-
-// RemoveChildAt removes and returns n's i-th child, clearing its parent
-// link. The detached subtree itself is left intact.
-func (n *Node) RemoveChildAt(i int) *Node {
-	c := n.Children[i]
-	copy(n.Children[i:], n.Children[i+1:])
-	n.Children[len(n.Children)-1] = nil
-	n.Children = n.Children[:len(n.Children)-1]
-	c.Parent = nil
-	return c
-}
-
 // Clone returns a deep copy of n with no parent.
 func (n *Node) Clone() *Node {
 	c := &Node{Kind: n.Kind, Name: n.Name, Data: n.Data}

@@ -150,13 +150,61 @@ var corpus = []struct{ src, want string }{
 	{`count((//book, //book))`, "8"},               // sequences keep duplicates
 	{`count(//book | //book)`, "4"},                // union dedupes
 	{`(//book/@isbn)[1] << (//book/@isbn)[2]`, ""}, // << unsupported: see below
+
+	// Upward and sideways from the root element's children: over the
+	// shared form of the document these resolve through the evaluation
+	// context (shared.go) rather than through Parent links.
+	{`string(/library/shelf[1]/../@site)`, "geneva"},
+	{`count(/library/shelf/..)`, "1"},
+	{`string((//author)[last()]/ancestor::library/@site)`, "geneva"},
+	{`count(//book/ancestor-or-self::*)`, "7"},
+	{`string(/library/shelf[2]/preceding-sibling::shelf[1]/@id)`, "s1"},
+	{`string(/library/shelf[1]/following-sibling::shelf/@floor)`, "2"},
+	{`count(/library/shelf[2]/following-sibling::*)`, "0"},
+	{`string(root((//title)[3])/library/@site)`, "geneva"},
+	{`count(//book/root(.)/library)`, "1"},
+	{`count(//book[@lang = /library/shelf[1]/book[1]/@lang])`, "3"},
+	{`string-join(for $b in //book[/library/@site = "geneva"] return string($b/@isbn), " ")`, "111 222 333 444"},
+	{`string-join(//shelf[2]/book/@isbn | //shelf[1]/@id | /library/@site | //shelf[1]/book[2]/@isbn, " ")`,
+		"geneva s1 222 333 444"},
+	{`let $s := reverse(/library/shelf) return string-join($s/book/@isbn, " ")`, "111 222 333 444"},
+	{`string-join((//shelf[2] | <x i="c"/> | /library)/(@id | @i | @site), " ")`, "c geneva s2"},
+	{`(<a/>, //shelf[2]/book[1]/@isbn, <n>{count(//shelf/..)}</n>)`, "<a/>\nisbn=\"333\"\n<n>1</n>"},
+	{`count(//book except /library/shelf[2]/book)`, "2"},
 }
 
+// shareTopLevel returns a copy of doc in the shared form the registry's
+// tuple-set snapshots use: the root element lists parentless subtrees, each
+// numbered only within itself.
+func shareTopLevel(doc *xmldoc.Node) *xmldoc.Node {
+	src := doc.DocumentElement()
+	root := xmldoc.NewElement(src.Name)
+	for _, a := range src.Attrs {
+		root.SetAttr(a.Name, a.Data)
+	}
+	shared := xmldoc.NewDocument()
+	shared.AppendChild(root)
+	shared.Renumber()
+	for _, ch := range src.Children {
+		c := ch.Clone()
+		c.Renumber()
+		root.Children = append(root.Children, c)
+	}
+	return shared
+}
+
+// TestCorpus runs every entry over the parsed document and over its shared
+// form: both must produce the expected text, byte for byte.
 func TestCorpus(t *testing.T) {
 	d, err := xmldoc.ParseString(corpusDoc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Run("plain", func(t *testing.T) { runCorpus(t, d) })
+	t.Run("shared", func(t *testing.T) { runCorpus(t, shareTopLevel(d)) })
+}
+
+func runCorpus(t *testing.T, d *xmldoc.Node) {
 	for _, c := range corpus {
 		if strings.Contains(c.src, "<<") {
 			// Node-order comparisons are deliberately unsupported; ensure

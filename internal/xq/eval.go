@@ -43,6 +43,10 @@ type evalCtx struct {
 	funcs   map[string]*userFunc
 	globals *env
 	depth   int // user-function call depth
+
+	// shared is non-nil when the context document's root element lists
+	// parentless shared subtrees (see shared.go).
+	shared *sharedKids
 }
 
 // maxCallDepth bounds user-function recursion to keep runaway queries from
@@ -532,7 +536,7 @@ func (e *unionExpr) eval(c *evalCtx) (Sequence, error) {
 		}
 		all = append(all, v...)
 	}
-	return sortNodesDocOrder(all), nil
+	return sortNodesDocOrder(c, all), nil
 }
 
 func (e *concatExpr) eval(c *evalCtx) (Sequence, error) {
@@ -629,7 +633,7 @@ func (e *pathExpr) eval(c *evalCtx) (Sequence, error) {
 		if !ok {
 			return nil, fmt.Errorf("xq: absolute path requires a node context item")
 		}
-		cur = Singleton(n.Root())
+		cur = Singleton(c.rootOf(n))
 		if e.doubleSlash {
 			var err error
 			cur, err = applyAxisStep(c, cur, pathStep{axis: axisDescOrSelf, test: nodeTest{kind: "node"}})
@@ -649,7 +653,7 @@ func (e *pathExpr) eval(c *evalCtx) (Sequence, error) {
 			return nil, err
 		}
 		if len(e.steps) > 1 {
-			cur = sortNodesDocOrder(cur)
+			cur = sortNodesDocOrder(c, cur)
 		}
 		return e.evalSteps(c, cur, e.steps[1:])
 	} else {
@@ -664,17 +668,32 @@ func (e *pathExpr) eval(c *evalCtx) (Sequence, error) {
 // evalSteps applies the remaining path steps to cur.
 func (e *pathExpr) evalSteps(c *evalCtx, cur Sequence, steps []pathStep) (Sequence, error) {
 	for i, st := range steps {
+		fromOne := len(cur) == 1
 		var err error
 		cur, err = applyStep(c, cur, st)
 		if err != nil {
 			return nil, err
 		}
-		// Between steps, node sequences are kept in document order.
-		if i < len(steps)-1 || st.primary == nil {
-			cur = sortNodesDocOrder(cur)
+		// Between steps, node sequences are kept in document order; a
+		// forward axis from one node yields it already.
+		if (i < len(steps)-1 || st.primary == nil) && !(fromOne && st.forward()) {
+			cur = sortNodesDocOrder(c, cur)
 		}
 	}
 	return cur, nil
+}
+
+// forward reports whether the step, applied to a single node, yields
+// distinct nodes in document order.
+func (st pathStep) forward() bool {
+	if st.primary != nil {
+		return false
+	}
+	switch st.axis {
+	case axisChild, axisAttribute, axisSelf, axisParent, axisDescendant, axisDescOrSelf, axisFollowingSibling:
+		return true
+	}
+	return false
 }
 
 // applyStep applies one path step to each item of the input sequence.
@@ -703,7 +722,7 @@ func applyAxisStepWithPreds(c *evalCtx, input Sequence, st pathStep) (Sequence, 
 		if !ok {
 			return nil, fmt.Errorf("xq: path step on atomic value %T", it)
 		}
-		axisSeq := axisNodes(n, st.axis, st.test)
+		axisSeq := axisNodes(c, n, st.axis, st.test)
 		filtered, err := applyPredicates(c, axisSeq, st.preds)
 		if err != nil {
 			return nil, err
@@ -719,7 +738,7 @@ func applyAxisStep(c *evalCtx, input Sequence, st pathStep) (Sequence, error) {
 
 // axisNodes returns the nodes reachable from n on the axis that match the
 // node test, in axis order.
-func axisNodes(n *xmldoc.Node, ax axis, test nodeTest) Sequence {
+func axisNodes(c *evalCtx, n *xmldoc.Node, ax axis, test nodeTest) Sequence {
 	var out Sequence
 	add := func(m *xmldoc.Node) {
 		if matchTest(m, test, ax) {
@@ -745,8 +764,8 @@ func axisNodes(n *xmldoc.Node, ax axis, test nodeTest) Sequence {
 	case axisSelf:
 		add(n)
 	case axisParent:
-		if n.Parent != nil {
-			add(n.Parent)
+		if p := c.parentOf(n); p != nil {
+			add(p)
 		}
 	case axisDescOrSelf:
 		walkDesc(n)
@@ -755,18 +774,19 @@ func axisNodes(n *xmldoc.Node, ax axis, test nodeTest) Sequence {
 			walkDesc(ch)
 		}
 	case axisAncestor:
-		for p := n.Parent; p != nil; p = p.Parent {
+		for p := c.parentOf(n); p != nil; p = c.parentOf(p) {
 			add(p)
 		}
 	case axisAncestorOrSelf:
-		for p := n; p != nil; p = p.Parent {
+		for p := n; p != nil; p = c.parentOf(p) {
 			add(p)
 		}
 	case axisFollowingSibling, axisPrecedingSibling:
-		if n.Parent == nil {
+		parent := c.parentOf(n)
+		if parent == nil {
 			break
 		}
-		sibs := n.Parent.Children
+		sibs := parent.Children
 		idx := -1
 		for i, s := range sibs {
 			if s == n {

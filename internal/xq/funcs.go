@@ -291,7 +291,7 @@ func init() {
 			if !ok {
 				return nil, fmt.Errorf("xq: root() requires a node")
 			}
-			return Singleton(n.Root()), nil
+			return Singleton(c.rootOf(n)), nil
 		}},
 		"data": {1, 1, func(_ *evalCtx, a []Sequence) (Sequence, error) {
 			return Atomize(a[0]), nil

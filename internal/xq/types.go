@@ -215,7 +215,7 @@ func (e *intersectExceptExpr) eval(c *evalCtx) (Sequence, error) {
 			out = append(out, n)
 		}
 	}
-	return sortNodesDocOrder(out), nil
+	return sortNodesDocOrder(c, out), nil
 }
 
 // knownSeqTypeNames are the sequence-type names the parser accepts (with

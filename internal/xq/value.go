@@ -281,7 +281,7 @@ func valueCompare(op string, left, right Sequence) (Sequence, error) {
 
 // sortNodesDocOrder sorts a node sequence into document order and removes
 // duplicates. Mixed sequences are returned unchanged.
-func sortNodesDocOrder(seq Sequence) Sequence {
+func sortNodesDocOrder(c *evalCtx, seq Sequence) Sequence {
 	nodes := make([]*xmldoc.Node, 0, len(seq))
 	for _, it := range seq {
 		n, ok := it.(*xmldoc.Node)
@@ -290,7 +290,11 @@ func sortNodesDocOrder(seq Sequence) Sequence {
 		}
 		nodes = append(nodes, n)
 	}
-	sort.SliceStable(nodes, func(i, j int) bool { return nodes[i].Order() < nodes[j].Order() })
+	if c.shared == nil {
+		sort.SliceStable(nodes, func(i, j int) bool { return nodes[i].Order() < nodes[j].Order() })
+	} else if len(nodes) > 1 {
+		c.shared.sortDocOrder(nodes)
+	}
 	out := make(Sequence, 0, len(nodes))
 	var prev *xmldoc.Node
 	for _, n := range nodes {

@@ -47,7 +47,9 @@ func (q *Query) Source() string { return q.src }
 // Options configures one evaluation of a Query.
 type Options struct {
 	// Context is the initial context item (usually a document node). May be
-	// nil for queries that do not navigate from the context.
+	// nil for queries that do not navigate from the context. The children
+	// of a context document's root element may be parentless subtrees
+	// shared with other documents, all of them or none (see shared.go).
 	Context *xmldoc.Node
 	// Vars provides external variable bindings ($name -> sequence).
 	Vars map[string]Sequence
@@ -72,6 +74,7 @@ func (q *Query) Eval(opts *Options) (Sequence, error) {
 	ctx := &evalCtx{limit: opts.MaxSteps, steps: new(int), funcs: q.funcs}
 	if opts.Context != nil {
 		ctx.item = opts.Context
+		ctx.shared = sharedKidsOf(opts.Context)
 		ctx.pos, ctx.size = 1, 1
 	}
 	for name, val := range opts.Vars {

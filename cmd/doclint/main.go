@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	doclint [-v] [-design DESIGN.md] [dir ...]    # default: ./internal/...
+//	doclint [-v] [-design DESIGN.md] [-ops OPERATIONS.md] [dir ...]    # default: ./internal/...
 //
 // Rules:
 //   - every package must carry a package comment (conventionally doc.go)
@@ -18,6 +18,9 @@
 //   - every S<N> design-section reference in a comment must name a section
 //     that exists in DESIGN.md's inventory table, so refactors that
 //     renumber or drop sections cannot leave dangling pointers in code
+//   - the metrics inventory: every wsda_* metric family named by a string
+//     literal in the scanned code appears in OPERATIONS.md §2, and every
+//     family §2 names is one the code still registers
 //
 // Test files and generated files are skipped.
 package main
@@ -39,6 +42,7 @@ import (
 func main() {
 	verbose := flag.Bool("v", false, "list every scanned package")
 	design := flag.String("design", "DESIGN.md", "design doc whose S<N> inventory validates section references (\"\" disables)")
+	ops := flag.String("ops", "OPERATIONS.md", "operator handbook whose §2 metrics catalog must match the wsda_* families in code (\"\" disables)")
 	flag.Parse()
 	roots := flag.Args()
 	if len(roots) == 0 {
@@ -70,8 +74,9 @@ func main() {
 
 	var problems []string
 	scanned := 0
+	metrics := map[string]string{} // family -> where the code first names it
 	for _, dir := range dirs {
-		probs, ok, err := lintDir(dir, sections)
+		probs, ok, err := lintDir(dir, sections, metrics)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "doclint:", err)
 			os.Exit(2)
@@ -82,6 +87,14 @@ func main() {
 		scanned++
 		if *verbose {
 			fmt.Printf("doclint: %s\n", dir)
+		}
+		problems = append(problems, probs...)
+	}
+	if *ops != "" {
+		probs, err := lintMetricsInventory(*ops, metrics)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "doclint:", err)
+			os.Exit(2)
 		}
 		problems = append(problems, probs...)
 	}
@@ -100,10 +113,49 @@ func main() {
 
 // designSectionRow matches an inventory row like "| S29 | ..." in the
 // design doc, and sectionRef matches an S<N> reference in a Go comment.
+// metricLiteral is a string literal that is exactly one wsda_* family
+// name; metricMention finds family names in the handbook's prose, and
+// catalogSection cuts the handbook down to its "## 2." chapter.
 var (
 	designSectionRow = regexp.MustCompile(`(?m)^\|\s*(S[0-9]+)\s*\|`)
 	sectionRef       = regexp.MustCompile(`\bS[0-9]+\b`)
+	metricLiteral    = regexp.MustCompile("^[\"`]wsda_[a-z0-9_]*[a-z0-9][\"`]$")
+	metricMention    = regexp.MustCompile(`wsda_[a-z0-9_]*[a-z0-9]\b[_*]?`)
+	catalogSection   = regexp.MustCompile(`(?ms)^## 2\. .*?(^## |\z)`)
 )
+
+// lintMetricsInventory compares the families the code names with the ones
+// the handbook's metrics catalog lists. A mention ending in "_" or "*" is
+// a prefix ("wsda_simnet_*"), not a family.
+func lintMetricsInventory(path string, inCode map[string]string) ([]string, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("reading -ops: %w", err)
+	}
+	catalog := catalogSection.Find(data)
+	if catalog == nil {
+		return nil, fmt.Errorf("-ops %s has no \"## 2.\" metrics catalog", path)
+	}
+	inDoc := map[string]bool{}
+	for _, m := range metricMention.FindAllString(string(catalog), -1) {
+		if !strings.HasSuffix(m, "_") && !strings.HasSuffix(m, "*") {
+			inDoc[m] = true
+		}
+	}
+	var problems []string
+	for name, where := range inCode {
+		if !inDoc[name] {
+			problems = append(problems, fmt.Sprintf("%s: metric family %s is missing from the %s §2 catalog", where, name, path))
+		}
+	}
+	for name := range inDoc {
+		if _, ok := inCode[name]; !ok {
+			problems = append(problems, fmt.Sprintf("%s: §2 lists metric family %s, which no scanned code registers", path, name))
+		}
+	}
+	sort.Strings(problems)
+	return problems, nil
+}
 
 // loadDesignSections reads the design doc's S<N> inventory. A "" path
 // disables reference checking (nil map).
@@ -125,9 +177,10 @@ func loadDesignSections(path string) (map[string]bool, error) {
 	return sections, nil
 }
 
-// lintDir scans the non-test Go files of one directory. ok is false when
-// the directory holds no Go package.
-func lintDir(dir string, sections map[string]bool) (problems []string, ok bool, err error) {
+// lintDir scans the non-test Go files of one directory, adding the metric
+// families they name to metrics. ok is false when the directory holds no
+// Go package.
+func lintDir(dir string, sections map[string]bool, metrics map[string]string) (problems []string, ok bool, err error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -141,6 +194,17 @@ func lintDir(dir string, sections map[string]bool) (problems []string, ok bool, 
 		}
 		ok = true
 		problems = append(problems, lintPackage(fset, dir, pkg, sections)...)
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if lit, isLit := n.(*ast.BasicLit); isLit && metricLiteral.MatchString(lit.Value) {
+					if name := lit.Value[1 : len(lit.Value)-1]; metrics[name] == "" {
+						p := fset.Position(lit.Pos())
+						metrics[name] = fmt.Sprintf("%s:%d", p.Filename, p.Line)
+					}
+				}
+				return true
+			})
+		}
 	}
 	return problems, ok, nil
 }

@@ -28,21 +28,16 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"log/slog"
 	"math/rand"
 	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
+	"wsda/internal/daemon"
 	"wsda/internal/pdp"
 	"wsda/internal/registry"
 	"wsda/internal/telemetry"
@@ -53,9 +48,15 @@ import (
 )
 
 func main() {
+	d := daemon.New(flag.CommandLine, daemon.Spec{
+		Component: "peerd", Addr: ":9001", Name: "peer",
+		Traces: true, ReadTimeout: true,
+		Usage: map[string]string{
+			"name":      "node name",
+			"log-level": "log level, optionally with per-component overrides (e.g. warn,updf=debug)",
+		},
+	})
 	var (
-		addr      = flag.String("addr", ":9001", "HTTP listen address")
-		name      = flag.String("name", "peer", "node name")
 		public    = flag.String("public-url", "", "public base URL (default http://localhost<addr>)")
 		neighbors = flag.String("neighbors", "", "comma-separated neighbor PDP base URLs (static wiring)")
 		bootstrap = flag.String("bootstrap", "", "comma-separated seed PDP URLs for gossip membership (dynamic wiring)")
@@ -71,54 +72,18 @@ func main() {
 		breakerCool   = flag.Duration("breaker-cooldown", 5*time.Second, "how long an open neighbor circuit stays open")
 		chaosDrop     = flag.Float64("chaos-drop", 0, "probability of silently dropping each outbound PDP message (fault injection)")
 		chaosSeed     = flag.Int64("chaos-seed", 1, "RNG seed for -chaos-drop")
-
-		telemetryOn = flag.Bool("telemetry", true, "collect metrics and traces, serve /metrics and /debug endpoints")
-		traceCap    = flag.Int("trace-capacity", telemetry.DefaultTraceCapacity, "completed spans retained for /debug/traces")
-		pprofOn     = flag.Bool("pprof", false, "serve net/http/pprof profiles under /debug/pprof/")
-
-		logLevel  = flag.String("log-level", "info", "log level, optionally with per-component overrides (e.g. warn,updf=debug)")
-		logFormat = flag.String("log-format", "text", "log output format: text (human-readable) or json")
-
-		sloFirstItem    = flag.Duration("slo-first-item", telemetry.DefaultFirstItemTarget, "first-item latency target fed to the SLO engine and the slowlog gate")
-		sloCompleteness = flag.Float64("slo-completeness", telemetry.DefaultCompletenessTarget, "completeness-ratio target for the SLO engine")
-
-		readHeaderTimeout = flag.Duration("read-header-timeout", 5*time.Second, "http.Server ReadHeaderTimeout (slowloris guard)")
-		readTimeout       = flag.Duration("read-timeout", 30*time.Second, "http.Server ReadTimeout")
-		idleTimeout       = flag.Duration("idle-timeout", 120*time.Second, "http.Server IdleTimeout")
-		shutdownGrace     = flag.Duration("shutdown-grace", 5*time.Second, "graceful shutdown deadline on SIGINT/SIGTERM")
 	)
-	flag.Parse()
-
-	logger, err := wlog.New(wlog.Config{Level: *logLevel, Format: *logFormat})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	logger = wlog.WithComponent(logger, "peerd")
-
-	var metrics *telemetry.Metrics
-	var tracer *telemetry.Tracer
-	var flight *telemetry.FlightRecorder
-	var slo *telemetry.SLO
-	if *telemetryOn {
-		metrics = telemetry.NewMetrics()
-		tracer = telemetry.NewTracer(*traceCap)
-		flight = telemetry.NewFlightRecorder(telemetry.FlightConfig{SlowThreshold: *sloFirstItem})
-		slo = telemetry.NewSLO(telemetry.SLOConfig{
-			FirstItemTarget:    *sloFirstItem,
-			CompletenessTarget: *sloCompleteness,
-		})
-		slo.RegisterMetrics(metrics)
-	}
+	d.Parse(os.Args[1:])
+	logger, metrics, tracer, flight := d.Log, d.Metrics, d.Tracer, d.Flight
 
 	base := *public
 	if base == "" {
-		base = "http://" + hostAddr(*addr)
+		base = d.BaseURL()
 	}
 	pdpAddr := base + "/pdp"
 
 	reg := registry.New(registry.Config{
-		Name:       *name,
+		Name:       d.Name,
 		DefaultTTL: *ttl,
 		Metrics:    metrics,
 		Tracer:     tracer,
@@ -127,8 +92,7 @@ func main() {
 	})
 	if *seed > 0 {
 		if err := workload.NewGen(42).Populate(reg, *seed, 24*time.Hour); err != nil {
-			logger.Error("seeding synthetic services failed", "err", err)
-			os.Exit(1)
+			d.Fatal("seeding synthetic services failed", "err", err)
 		}
 		logger.Info("seeded synthetic services", "count", *seed)
 	}
@@ -153,8 +117,7 @@ func main() {
 		BreakerCooldown:  *breakerCool,
 	})
 	if err != nil {
-		logger.Error("node init failed", "err", err)
-		os.Exit(1)
+		d.Fatal("node init failed", "err", err)
 	}
 	registerNodeStats(metrics, node, reg)
 	if *neighbors != "" {
@@ -165,27 +128,24 @@ func main() {
 			Seeds:  strings.Split(*bootstrap, ","),
 			Period: *gossip,
 		}); err != nil {
-			logger.Error("membership start failed", "err", err)
-			os.Exit(1)
+			d.Fatal("membership start failed", "err", err)
 		}
 		wlog.WithComponent(logger, "membership").Info("gossip membership running", "period", *gossip)
 	}
 	if *advertise {
 		if err := node.AdvertiseSelf(24 * time.Hour); err != nil {
-			logger.Error("self-advertisement failed", "err", err)
-			os.Exit(1)
+			d.Fatal("self-advertisement failed", "err", err)
 		}
 	}
 	orig, err := updf.NewOriginator(pdpAddr+"/originator", net, nil)
 	if err != nil {
-		logger.Error("originator init failed", "err", err)
-		os.Exit(1)
+		d.Fatal("originator init failed", "err", err)
 	}
 	orig.SetTelemetry(metrics, tracer)
 	orig.SetFlight(flight)
-	orig.SetSLO(slo)
+	orig.SetSLO(d.SLO)
 
-	desc := wsda.NewService(*name).
+	desc := wsda.NewService(d.Name).
 		Link(base+wsda.PathPresenter).
 		Op(wsda.IfacePresenter, "getServiceDescription", base+wsda.PathPresenter).
 		Op(wsda.IfaceConsumer, "publish", base+wsda.PathPublish).
@@ -194,8 +154,8 @@ func main() {
 		Op("PDP", "message", pdpAddr).
 		Build()
 
-	mux := http.NewServeMux()
-	mux.Handle("/wsda/", wsda.HandlerWithMetrics(&wsda.LocalNode{Desc: desc, Registry: reg}, metrics))
+	mux := d.Mux
+	mux.Handle("/wsda/", wsda.HandlerWithObservability(&wsda.LocalNode{Desc: desc, Registry: reg}, metrics, flight))
 	mux.Handle("/pdp", net.Handler())
 	mux.Handle("/pdp/", net.Handler())
 	mux.Handle(wsda.PathNetQuery, updf.NetQueryHandler(orig, pdpAddr, metrics, flight))
@@ -209,38 +169,13 @@ func main() {
 			st.EvalErrors, st.Forwards, st.Aborts, st.LateMessages,
 			st.Retries, st.BreakerOpens, st.BreakerSkips, node.StateTableSize())
 	})
-	if *telemetryOn {
-		telemetry.Mount(mux, metrics, tracer)
-		telemetry.MountObservability(mux, flight, slo)
-	}
-	if *pprofOn {
-		mountPprof(mux)
-	}
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		// A peer owns its own tuple set, so it is ready as soon as the node
-		// and originator are registered on the transport — which has already
-		// happened by the time the mux serves.
-		fmt.Fprintln(w, "ready")
-	})
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           mux,
-		ReadHeaderTimeout: *readHeaderTimeout,
-		ReadTimeout:       *readTimeout,
-		IdleTimeout:       *idleTimeout,
-	}
-
-	logger.Info("peer serving WSDA+PDP", "name", *name, "addr", *addr,
+	logger.Info("peer serving WSDA+PDP", "name", d.Name, "addr", d.Addr,
 		"public", base, "neighbors", len(node.Neighbors()))
-	if err := serveUntilSignal(srv, *shutdownGrace, logger); err != nil {
-		logger.Error("server exited", "err", err)
-		os.Exit(1)
-	}
-	logFinalSnapshot(metrics, logger)
+	// A peer owns its own tuple set, so it is ready as soon as the node and
+	// originator are registered on the transport — which has already
+	// happened by the time the mux serves.
+	d.Serve(nil)
 }
 
 // registerNodeStats exports the P2P node's cumulative counters through the
@@ -281,52 +216,6 @@ func registerNodeStats(m *telemetry.Metrics, node *updf.Node, reg *registry.Regi
 		func() float64 { return float64(reg.Len()) })
 }
 
-// mountPprof exposes the standard net/http/pprof handlers on the custom
-// mux (the package's init only registers on http.DefaultServeMux).
-func mountPprof(mux *http.ServeMux) {
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
-// serveUntilSignal runs the server until it fails or a SIGINT/SIGTERM
-// arrives, then drains connections within the grace period.
-func serveUntilSignal(srv *http.Server, grace time.Duration, logger *slog.Logger) error {
-	ctx, cancel := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer cancel()
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-		logger.Info("signal received, draining connections", "grace", grace)
-		shutdownCtx, cancelShutdown := context.WithTimeout(context.Background(), grace)
-		defer cancelShutdown()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			return err
-		}
-		return nil
-	}
-}
-
-// logFinalSnapshot writes the closing metrics snapshot so a scrape gap at
-// shutdown loses nothing.
-func logFinalSnapshot(m *telemetry.Metrics, logger *slog.Logger) {
-	if m == nil {
-		return
-	}
-	data, err := json.Marshal(m.Snapshot())
-	if err != nil {
-		return
-	}
-	logger.Info("final metrics snapshot", "snapshot", string(data))
-}
-
 // lossyNetwork is the -chaos-drop fault injector: it silently discards a
 // random fraction of outbound messages before they reach the transport,
 // emulating a lossy WAN so retry/breaker settings can be rehearsed against
@@ -349,11 +238,4 @@ func (l *lossyNetwork) Send(msg *pdp.Message) error {
 		return nil
 	}
 	return l.next.Send(msg)
-}
-
-func hostAddr(addr string) string {
-	if len(addr) > 0 && addr[0] == ':' {
-		return "localhost" + addr
-	}
-	return addr
 }

@@ -58,35 +58,37 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"wsda/internal/changefeed"
+	"wsda/internal/daemon"
 	"wsda/internal/registry"
 	"wsda/internal/shard"
 	"wsda/internal/softstate"
 	"wsda/internal/telemetry"
-	"wsda/internal/tenant"
 	"wsda/internal/wlog"
 	"wsda/internal/workload"
 	"wsda/internal/wsda"
 )
 
 func main() {
+	d := daemon.New(flag.CommandLine, daemon.Spec{
+		Component: "registryd", Addr: ":8080", Name: "hyper-registry",
+		Traces: true, ReadTimeout: true, TenantEdge: true,
+		Usage: map[string]string{
+			"name":       "registry name",
+			"log-level":  "log level, optionally with per-component overrides (e.g. warn,replica=debug)",
+			"peer-token": "bearer token this node presents to its -replica-of primary and -shard-bootstrap sources when they run behind a tenant gate",
+		},
+	})
 	var (
-		addr    = flag.String("addr", ":8080", "HTTP listen address")
-		name    = flag.String("name", "hyper-registry", "registry name")
 		ttl     = flag.Duration("default-ttl", 10*time.Minute, "default tuple lifetime")
 		maxTTL  = flag.Duration("max-ttl", 24*time.Hour, "maximum granted lifetime")
 		minTTL  = flag.Duration("min-ttl", time.Second, "minimum granted lifetime")
@@ -102,84 +104,36 @@ func main() {
 
 		shardOf        = flag.String("shard-of", "", "serve one partition of a sharded tuple space, as K/N (e.g. 2/4); publishes for keys outside the slice are rejected with 421")
 		shardBootstrap = flag.String("shard-bootstrap", "", "comma-separated base URLs of the old owners (in old-map shard order) to bootstrap this shard's key range from over their change feeds")
-
-		tenantsFile = flag.String("tenants", "", "enable the multi-tenant gate: bearer auth, quotas and load shedding from this tenants file (see OPERATIONS.md §7)")
-		admitMax    = flag.Int("admit-max", tenant.DefaultCapacity, "global in-flight admission slots behind -tenants; browse work sheds at 50%, queries at 90%")
-		peerToken   = flag.String("peer-token", "", "bearer token this node presents to its -replica-of primary and -shard-bootstrap sources when they run behind a tenant gate")
-
-		telemetryOn = flag.Bool("telemetry", true, "collect metrics and traces, serve /metrics and /debug endpoints")
-		traceCap    = flag.Int("trace-capacity", telemetry.DefaultTraceCapacity, "completed spans retained for /debug/traces")
-		pprofOn     = flag.Bool("pprof", false, "serve net/http/pprof profiles under /debug/pprof/")
-
-		logLevel  = flag.String("log-level", "info", "log level, optionally with per-component overrides (e.g. warn,replica=debug)")
-		logFormat = flag.String("log-format", "text", "log output format: text (human-readable) or json")
-
-		sloFirstItem    = flag.Duration("slo-first-item", telemetry.DefaultFirstItemTarget, "first-item latency target fed to the SLO engine and the slowlog gate")
-		sloCompleteness = flag.Float64("slo-completeness", telemetry.DefaultCompletenessTarget, "completeness-ratio target for the SLO engine")
-		sloStaleness    = flag.Duration("slo-staleness", telemetry.DefaultStalenessTarget, "replica staleness target for the SLO engine")
-
-		readHeaderTimeout = flag.Duration("read-header-timeout", 5*time.Second, "http.Server ReadHeaderTimeout (slowloris guard)")
-		readTimeout       = flag.Duration("read-timeout", 30*time.Second, "http.Server ReadTimeout")
-		idleTimeout       = flag.Duration("idle-timeout", 120*time.Second, "http.Server IdleTimeout")
-		shutdownGrace     = flag.Duration("shutdown-grace", 5*time.Second, "graceful shutdown deadline on SIGINT/SIGTERM")
 	)
-	flag.Parse()
-
-	logger, err := wlog.New(wlog.Config{Level: *logLevel, Format: *logFormat})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	logger = wlog.WithComponent(logger, "registryd")
-
-	var metrics *telemetry.Metrics
-	var tracer *telemetry.Tracer
-	var flight *telemetry.FlightRecorder
-	var slo *telemetry.SLO
-	if *telemetryOn {
-		metrics = telemetry.NewMetrics()
-		tracer = telemetry.NewTracer(*traceCap)
-		flight = telemetry.NewFlightRecorder(telemetry.FlightConfig{SlowThreshold: *sloFirstItem})
-		slo = telemetry.NewSLO(telemetry.SLOConfig{
-			FirstItemTarget:    *sloFirstItem,
-			CompletenessTarget: *sloCompleteness,
-			StalenessTarget:    *sloStaleness,
-		})
-		slo.RegisterMetrics(metrics)
-	}
+	flag.DurationVar(&d.SLOStaleness, "slo-staleness", telemetry.DefaultStalenessTarget, "replica staleness target for the SLO engine")
+	d.Parse(os.Args[1:])
+	logger, metrics, flight, slo := d.Log, d.Metrics, d.Flight, d.SLO
 
 	reg := registry.New(registry.Config{
-		Name:          *name,
+		Name:          d.Name,
 		DefaultTTL:    *ttl,
 		MinTTL:        *minTTL,
 		MaxTTL:        *maxTTL,
 		MaxQuerySteps: *maxWork,
 		JournalCap:    *journalCap,
 		Metrics:       metrics,
-		Tracer:        tracer,
+		Tracer:        d.Tracer,
 		Flight:        flight,
 		NoPlanner:     *noPlanner,
 	})
 	registerRegistryStats(metrics, reg)
 	if *seed > 0 {
 		if *replicaOf != "" {
-			logger.Error("-seed-services conflicts with -replica-of: a replica's tuple set is owned by its primary")
-			os.Exit(1)
+			d.Fatal("-seed-services conflicts with -replica-of: a replica's tuple set is owned by its primary")
 		}
 		if err := workload.NewGen(42).Populate(reg, *seed, *maxTTL); err != nil {
-			logger.Error("seeding synthetic services failed", "err", err)
-			os.Exit(1)
+			d.Fatal("seeding synthetic services failed", "err", err)
 		}
 		logger.Info("seeded synthetic services", "count", *seed)
 	}
 
-	// Outbound feed/bootstrap requests authenticate with -peer-token when
-	// the upstream runs behind a tenant gate (nil client = changefeed's
-	// own long-poll-sized default, so only build one when a token exists).
-	var peerHTTP *http.Client
-	if *peerToken != "" {
-		peerHTTP = tenant.WithToken(&http.Client{Timeout: *longPoll + 15*time.Second}, *peerToken)
-	}
+	// Feed and bootstrap requests outlive the long-poll they ask for.
+	peerHTTP := d.PeerClient(*longPoll + 15*time.Second)
 
 	replCtx, stopRepl := context.WithCancel(context.Background())
 	defer stopRepl()
@@ -198,8 +152,8 @@ func main() {
 			"primary", *replicaOf, "long-poll", *longPoll)
 	}
 
-	base := "http://" + hostAddr(*addr)
-	b := wsda.NewService(*name).
+	base := d.BaseURL()
+	b := wsda.NewService(d.Name).
 		Owner("wsda").
 		Link(base+wsda.PathPresenter).
 		Op(wsda.IfacePresenter, "getServiceDescription", base+wsda.PathPresenter).
@@ -222,13 +176,11 @@ func main() {
 	var member *shard.Member
 	if *shardOf != "" {
 		if *replicaOf != "" {
-			logger.Error("-shard-of conflicts with -replica-of: a shard owns its slice, a replica owns nothing")
-			os.Exit(1)
+			d.Fatal("-shard-of conflicts with -replica-of: a shard owns its slice, a replica owns nothing")
 		}
 		asgn, err := shard.ParseAssignment(*shardOf)
 		if err != nil {
-			logger.Error("bad -shard-of", "err", err)
-			os.Exit(1)
+			d.Fatal("bad -shard-of", "err", err)
 		}
 		member = shard.NewMember(reg, asgn, metrics, wlog.WithComponent(logger, "shard"))
 		node = member.Guard(node)
@@ -244,8 +196,7 @@ func main() {
 		}
 		logger.Info("serving one shard of the tuple space", "shard", asgn.String())
 	} else if *shardBootstrap != "" {
-		logger.Error("-shard-bootstrap requires -shard-of")
-		os.Exit(1)
+		d.Fatal("-shard-bootstrap requires -shard-of")
 	}
 
 	stop := make(chan struct{})
@@ -284,7 +235,7 @@ func main() {
 		}()
 	}
 
-	mux := http.NewServeMux()
+	mux := d.Mux
 	mux.Handle("/wsda/", sloEdge(wsda.HandlerWithObservability(node, metrics, flight), slo, flight))
 	// Every node — primary or replica — serves the change feed, so replicas
 	// can themselves be replicated (chained fan-out), and a joining shard
@@ -300,68 +251,22 @@ func main() {
 			st.MinQueries, st.CacheHits, st.CacheMisses, st.Pulls, st.PullErrors, st.Throttled,
 			st.ViewHits, st.ViewMisses, st.ViewRebuilds)
 	})
-	if *telemetryOn {
-		telemetry.Mount(mux, metrics, tracer)
-		telemetry.MountObservability(mux, flight, slo)
-	}
-	if *pprofOn {
-		mountPprof(mux)
-	}
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
+
+	logger.Info("hyper registry serving WSDA", "name", d.Name, "addr", d.Addr)
+	d.Serve(func() string {
+		switch {
+		case rep != nil && !rep.Ready():
+			// A primary is ready as soon as it serves; a replica only once
+			// its snapshot bootstrap has landed — and it goes not-ready again
+			// while a primary loss forces a re-bootstrap.
+			return "replica bootstrapping"
+		case member != nil && !member.Ready():
+			// A joining shard is ready only once every bootstrap tail has
+			// its snapshot applied and is live on the feed.
+			return "shard bootstrapping"
+		}
+		return ""
 	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		// A primary is ready as soon as it serves; a replica only once its
-		// snapshot bootstrap has landed — and it goes not-ready again while
-		// a primary loss forces a re-bootstrap.
-		if rep != nil && !rep.Ready() {
-			http.Error(w, "replica bootstrapping", http.StatusServiceUnavailable)
-			return
-		}
-		// A joining shard is ready only once every bootstrap tail has its
-		// snapshot applied and is live on the feed.
-		if member != nil && !member.Ready() {
-			http.Error(w, "shard bootstrapping", http.StatusServiceUnavailable)
-			return
-		}
-		fmt.Fprintln(w, "ready")
-	})
-
-	// The tenant gate wraps the whole mux — the full WSDA surface plus
-	// the change feed and debug endpoints — so nothing is reachable
-	// without a token except the bypassed probe/scrape paths.
-	handler := http.Handler(mux)
-	if *tenantsFile != "" {
-		set, err := tenant.LoadFile(*tenantsFile)
-		if err != nil {
-			logger.Error("loading -tenants failed", "err", err)
-			os.Exit(1)
-		}
-		handler = tenant.NewGate(tenant.Config{
-			Set:      set,
-			Capacity: *admitMax,
-			Node:     *name,
-			Metrics:  metrics,
-			Flight:   flight,
-			Log:      wlog.WithComponent(logger, "tenant"),
-		}).Wrap(mux)
-		logger.Info("multi-tenant gate enabled", "tenants", set.Len(), "admit-max", *admitMax)
-	}
-
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           handler,
-		ReadHeaderTimeout: *readHeaderTimeout,
-		ReadTimeout:       *readTimeout,
-		IdleTimeout:       *idleTimeout,
-	}
-
-	logger.Info("hyper registry serving WSDA", "name", *name, "addr", *addr)
-	if err := serveUntilSignal(srv, *shutdownGrace, logger); err != nil {
-		logger.Error("server exited", "err", err)
-		os.Exit(1)
-	}
-	logFinalSnapshot(metrics, logger)
 }
 
 // sloEdge wraps the WSDA protocol handler so every request feeds the
@@ -434,57 +339,4 @@ func registerRegistryStats(m *telemetry.Metrics, reg *registry.Registry) {
 		stat(func(s registry.Stats) int64 { return s.ViewRebuilds }))
 	m.GaugeFunc("wsda_registry_live_tuples", "Live tuples in the registry.",
 		func() float64 { return float64(reg.Len()) })
-}
-
-// mountPprof exposes the standard net/http/pprof handlers on the custom
-// mux (the package's init only registers on http.DefaultServeMux).
-func mountPprof(mux *http.ServeMux) {
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
-// serveUntilSignal runs the server until it fails or a SIGINT/SIGTERM
-// arrives, then drains connections within the grace period.
-func serveUntilSignal(srv *http.Server, grace time.Duration, logger *slog.Logger) error {
-	ctx, cancel := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer cancel()
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-		logger.Info("signal received, draining connections", "grace", grace)
-		shutdownCtx, cancelShutdown := context.WithTimeout(context.Background(), grace)
-		defer cancelShutdown()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			return err
-		}
-		return nil
-	}
-}
-
-// logFinalSnapshot writes the closing metrics snapshot so a scrape gap at
-// shutdown loses nothing.
-func logFinalSnapshot(m *telemetry.Metrics, logger *slog.Logger) {
-	if m == nil {
-		return
-	}
-	data, err := json.Marshal(m.Snapshot())
-	if err != nil {
-		return
-	}
-	logger.Info("final metrics snapshot", "snapshot", string(data))
-}
-
-func hostAddr(addr string) string {
-	if len(addr) > 0 && addr[0] == ':' {
-		return "localhost" + addr
-	}
-	return addr
 }

@@ -35,60 +35,36 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
-	"fmt"
-	"log/slog"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"wsda/internal/daemon"
 	"wsda/internal/shard"
-	"wsda/internal/telemetry"
-	"wsda/internal/tenant"
 	"wsda/internal/wlog"
 	"wsda/internal/wsda"
 )
 
 func main() {
+	d := daemon.New(flag.CommandLine, daemon.Spec{
+		Component: "routerd", Addr: ":8090", Name: "wsda-router",
+		TenantEdge: true, OwnProbes: true,
+		Usage: map[string]string{
+			"name":       "router service name",
+			"telemetry":  "collect metrics, serve /metrics and /debug endpoints",
+			"log-format": "log output format: text or json",
+			"peer-token": "bearer token the router presents to shards that run behind their own tenant gate",
+		},
+	})
 	var (
-		addr  = flag.String("addr", ":8090", "HTTP listen address")
-		name  = flag.String("name", "wsda-router", "router service name")
 		peers = flag.String("peers", "", "comma-separated shard base URLs in shard order (peers[i] serves shard i/N)")
 
 		peerTimeout   = flag.Duration("peer-timeout", 30*time.Second, "per-shard HTTP client timeout for writes and probes (streamed queries are bounded by the client, not this)")
 		healthTimeout = flag.Duration("health-timeout", 2*time.Second, "per-shard health/readiness probe budget")
-
-		tenantsFile = flag.String("tenants", "", "enable the multi-tenant gate: bearer auth, quotas and load shedding from this tenants file (see OPERATIONS.md §7)")
-		admitMax    = flag.Int("admit-max", tenant.DefaultCapacity, "global in-flight admission slots behind -tenants; browse work sheds at 50%, queries at 90%")
-		peerToken   = flag.String("peer-token", "", "bearer token the router presents to shards that run behind their own tenant gate")
-
-		telemetryOn = flag.Bool("telemetry", true, "collect metrics, serve /metrics and /debug endpoints")
-		pprofOn     = flag.Bool("pprof", false, "serve net/http/pprof profiles under /debug/pprof/")
-
-		logLevel  = flag.String("log-level", "info", "log level, optionally with per-component overrides")
-		logFormat = flag.String("log-format", "text", "log output format: text or json")
-
-		sloFirstItem    = flag.Duration("slo-first-item", telemetry.DefaultFirstItemTarget, "first-item latency target fed to the SLO engine and the slowlog gate")
-		sloCompleteness = flag.Float64("slo-completeness", telemetry.DefaultCompletenessTarget, "completeness-ratio target for the SLO engine")
-
-		readHeaderTimeout = flag.Duration("read-header-timeout", 5*time.Second, "http.Server ReadHeaderTimeout (slowloris guard)")
-		idleTimeout       = flag.Duration("idle-timeout", 120*time.Second, "http.Server IdleTimeout")
-		shutdownGrace     = flag.Duration("shutdown-grace", 5*time.Second, "graceful shutdown deadline on SIGINT/SIGTERM")
 	)
-	flag.Parse()
-
-	logger, err := wlog.New(wlog.Config{Level: *logLevel, Format: *logFormat})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	logger = wlog.WithComponent(logger, "routerd")
+	d.Parse(os.Args[1:])
+	logger := d.Log
 
 	var peerList []string
 	for _, p := range strings.Split(*peers, ",") {
@@ -101,22 +77,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	var metrics *telemetry.Metrics
-	var flight *telemetry.FlightRecorder
-	var slo *telemetry.SLO
-	if *telemetryOn {
-		metrics = telemetry.NewMetrics()
-		flight = telemetry.NewFlightRecorder(telemetry.FlightConfig{SlowThreshold: *sloFirstItem})
-		slo = telemetry.NewSLO(telemetry.SLOConfig{
-			FirstItemTarget:    *sloFirstItem,
-			CompletenessTarget: *sloCompleteness,
-			StalenessTarget:    telemetry.DefaultStalenessTarget,
-		})
-		slo.RegisterMetrics(metrics)
-	}
-
-	base := "http://" + hostAddr(*addr)
-	desc := wsda.NewService(*name).
+	base := d.BaseURL()
+	desc := wsda.NewService(d.Name).
 		Owner("wsda").
 		Link(base+wsda.PathPresenter).
 		Op(wsda.IfacePresenter, "getServiceDescription", base+wsda.PathPresenter).
@@ -126,116 +88,27 @@ func main() {
 		Op(wsda.IfaceXQuery, "query", base+wsda.PathXQuery).
 		Build()
 
-	hc := tenant.WithToken(&http.Client{Timeout: *peerTimeout}, *peerToken)
+	hc := d.PeerClient(*peerTimeout)
+	dial := func(base string) shard.Backend { return shard.NewHTTPBackend(base, hc) }
 	backends := make([]shard.Backend, len(peerList))
 	for i, p := range peerList {
-		backends[i] = shard.NewHTTPBackend(p, hc)
+		backends[i] = dial(p)
 	}
 	router := shard.NewRouter(shard.Config{
 		Backends:      backends,
 		Desc:          desc,
-		Metrics:       metrics,
-		Flight:        flight,
+		Metrics:       d.Metrics,
+		Flight:        d.Flight,
 		Logger:        wlog.WithComponent(logger, "router"),
-		Dial:          func(base string) shard.Backend { return shard.NewHTTPBackend(base, hc) },
+		Dial:          dial,
 		HealthTimeout: *healthTimeout,
 	})
 
-	mux := http.NewServeMux()
-	mux.Handle("/", router.Handler())
-	if *telemetryOn {
-		telemetry.Mount(mux, metrics, nil)
-		telemetry.MountObservability(mux, flight, slo)
-	}
-	if *pprofOn {
-		mountPprof(mux)
-	}
+	// The router's handler answers /healthz and /readyz itself, aggregated
+	// over the shards (Spec.OwnProbes); with -tenants the kit's gate makes
+	// the router the multi-tenant edge in front of the whole routed surface.
+	d.Mux.Handle("/", router.Handler())
 
-	// The tenant gate makes the router the multi-tenant edge: the whole
-	// routed surface sits behind auth/quotas/shedding, probe and scrape
-	// paths excepted.
-	handler := http.Handler(mux)
-	if *tenantsFile != "" {
-		set, err := tenant.LoadFile(*tenantsFile)
-		if err != nil {
-			logger.Error("loading -tenants failed", "err", err)
-			os.Exit(1)
-		}
-		handler = tenant.NewGate(tenant.Config{
-			Set:      set,
-			Capacity: *admitMax,
-			Node:     *name,
-			Metrics:  metrics,
-			Flight:   flight,
-			Log:      wlog.WithComponent(logger, "tenant"),
-		}).Wrap(mux)
-		logger.Info("multi-tenant gate enabled", "tenants", set.Len(), "admit-max", *admitMax)
-	}
-
-	// NOTE: no ReadTimeout — streamed scatter-gather responses may
-	// legitimately outlive any fixed read window; ReadHeaderTimeout guards
-	// the accept path instead.
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           handler,
-		ReadHeaderTimeout: *readHeaderTimeout,
-		IdleTimeout:       *idleTimeout,
-	}
-
-	logger.Info("router serving sharded WSDA", "name", *name, "addr", *addr, "shards", len(peerList), "map", strings.Join(peerList, ","))
-	if err := serveUntilSignal(srv, *shutdownGrace, logger); err != nil {
-		logger.Error("server exited", "err", err)
-		os.Exit(1)
-	}
-	logFinalSnapshot(metrics, logger)
-}
-
-// mountPprof exposes the standard net/http/pprof handlers on the custom
-// mux (the package's init only registers on http.DefaultServeMux).
-func mountPprof(mux *http.ServeMux) {
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
-// serveUntilSignal runs the server until it fails or a SIGINT/SIGTERM
-// arrives, then drains connections within the grace period.
-func serveUntilSignal(srv *http.Server, grace time.Duration, logger *slog.Logger) error {
-	ctx, cancel := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer cancel()
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-		logger.Info("signal received, draining connections", "grace", grace)
-		shutdownCtx, cancelShutdown := context.WithTimeout(context.Background(), grace)
-		defer cancelShutdown()
-		return srv.Shutdown(shutdownCtx)
-	}
-}
-
-// logFinalSnapshot writes the closing metrics snapshot so a scrape gap at
-// shutdown loses nothing.
-func logFinalSnapshot(m *telemetry.Metrics, logger *slog.Logger) {
-	if m == nil {
-		return
-	}
-	data, err := json.Marshal(m.Snapshot())
-	if err != nil {
-		return
-	}
-	logger.Info("final metrics snapshot", "snapshot", string(data))
-}
-
-func hostAddr(addr string) string {
-	if len(addr) > 0 && addr[0] == ':' {
-		return "localhost" + addr
-	}
-	return addr
+	logger.Info("router serving sharded WSDA", "name", d.Name, "addr", d.Addr, "shards", len(peerList), "map", strings.Join(peerList, ","))
+	d.Serve(nil)
 }

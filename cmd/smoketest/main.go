@@ -1,9 +1,16 @@
-// Command smoketest is the CI boot probe: it builds and starts a real
-// registryd on a free port, waits for /healthz to answer, verifies
-// /readyz reports ready and /slo serves a well-formed SLO document, and
-// points a caching SDK client at it to walk the cache lifecycle (cold
-// miss, warm hit, invalidation after an unpublish once the feed cursor
-// passes the delete). It then boots a sharded topology — two registryd
+// Command smoketest is the CI boot probe. It builds the three daemons and
+// walks one endpoint matrix over all of them — registryd, a routerd in
+// front of it, and peerd — once as booted by default and once under
+// -telemetry=false: /healthz and /readyz answer 200 and the WSDA binding
+// keeps serving either way, /metrics, /debug/vars, /slo and /debug/slowlog
+// answer 200 only with telemetry on, /debug/pprof/ is a 404 without
+// -pprof, and SIGTERM ends each process with exit 0 inside
+// -shutdown-grace, the closing "final metrics snapshot" logged. It then
+// starts a registryd with seeded services, verifies /slo serves a
+// well-formed SLO document, and points a caching SDK client at it to walk
+// the cache lifecycle (cold miss, warm hit, invalidation after an
+// unpublish once the feed cursor passes the delete). It then boots a
+// sharded topology — two registryd
 // shards (-shard-of=0/2 and 1/2) behind a routerd — and verifies a routed
 // publish→query round-trip lands on both shards, router health aggregates
 // to 200, and killing one shard degrades /healthz to 503 with a per-shard
@@ -18,6 +25,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -41,7 +49,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "smoketest:", err)
 		os.Exit(1)
 	}
-	fmt.Println("smoketest: ok (/healthz, /readyz, /slo, sdk cache, sharded topology, tenant gate)")
+	fmt.Println("smoketest: ok (endpoint matrix x3 daemons, /slo, sdk cache, sharded topology, tenant gate)")
 }
 
 func run() error {
@@ -51,45 +59,34 @@ func run() error {
 	}
 	defer os.RemoveAll(dir)
 
-	bin := filepath.Join(dir, "registryd")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/registryd")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		return fmt.Errorf("build registryd: %w", err)
+	bins := map[string]string{}
+	for _, name := range daemons {
+		bins[name] = filepath.Join(dir, name)
+		build := exec.Command("go", "build", "-o", bins[name], "./cmd/"+name)
+		build.Stderr = os.Stderr
+		if err := build.Run(); err != nil {
+			return fmt.Errorf("build %s: %w", name, err)
+		}
+	}
+	for _, telemetry := range []bool{true, false} {
+		if err := runMatrix(bins, telemetry); err != nil {
+			return fmt.Errorf("endpoint matrix (telemetry=%v): %w", telemetry, err)
+		}
 	}
 
 	addr, err := freeAddr()
 	if err != nil {
 		return err
 	}
-	daemon := exec.Command(bin, "-addr", addr, "-seed-services", "10")
-	daemon.Stdout = os.Stderr
-	daemon.Stderr = os.Stderr
-	if err := daemon.Start(); err != nil {
-		return fmt.Errorf("start registryd: %w", err)
+	daemon, err := startDaemon(bins["registryd"], "-addr", addr, "-seed-services", "10")
+	if err != nil {
+		return err
 	}
-	defer func() {
-		_ = daemon.Process.Signal(syscall.SIGTERM)
-		done := make(chan struct{})
-		go func() { _ = daemon.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			_ = daemon.Process.Kill()
-			<-done
-		}
-	}()
-
+	defer daemon.stop() //nolint:errcheck
 	base := "http://" + addr
 	if err := waitHealthy(base+"/healthz", 10*time.Second); err != nil {
 		return err
 	}
-
-	body, err := get(base + "/readyz")
-	if err != nil {
-		return fmt.Errorf("/readyz: %w", err)
-	}
-	fmt.Printf("smoketest: /readyz -> %s", body)
 
 	sloBody, err := get(base + "/slo")
 	if err != nil {
@@ -111,10 +108,78 @@ func run() error {
 	if err := runSDK(base); err != nil {
 		return err
 	}
-	if err := runSharded(dir, bin); err != nil {
+	if err := runSharded(bins); err != nil {
 		return err
 	}
-	return runTenanted(dir, bin)
+	return runTenanted(dir, bins["registryd"])
+}
+
+// daemons are the binaries under test, in boot order (routerd needs its
+// registryd shard up).
+var daemons = []string{"registryd", "routerd", "peerd"}
+
+// matrix is the endpoint surface every daemon shares, with the status each
+// path answers when telemetry is on and under -telemetry=false.
+var matrix = []struct {
+	path    string
+	on, off int
+}{
+	{"/healthz", 200, 200},
+	{"/readyz", 200, 200},
+	{"/wsda/presenter", 200, 200},
+	{"/metrics", 200, 404},
+	{"/debug/vars", 200, 404},
+	{"/slo", 200, 404},
+	{"/debug/slowlog", 200, 404},
+	{"/debug/pprof/", 404, 404}, // no -pprof
+}
+
+// runMatrix boots registryd, a routerd over it and peerd, walks the matrix
+// over each, and stops them with SIGTERM: each must exit 0 within the
+// grace period and, with telemetry on, log the final metrics snapshot.
+func runMatrix(bins map[string]string, telemetry bool) error {
+	shard, err := freeAddr()
+	if err != nil {
+		return err
+	}
+	extra := map[string][]string{"routerd": {"-peers", "http://" + shard}}
+	procs := map[string]*proc{}
+	for _, name := range daemons {
+		addr := shard
+		if name != "registryd" {
+			if addr, err = freeAddr(); err != nil {
+				return err
+			}
+		}
+		args := append([]string{"-addr", addr, fmt.Sprintf("-telemetry=%v", telemetry)}, extra[name]...)
+		if procs[name], err = startDaemon(bins[name], args...); err != nil {
+			return err
+		}
+		defer procs[name].stop() //nolint:errcheck
+		base := "http://" + addr
+		if err := waitHealthy(base+"/healthz", 10*time.Second); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		for _, e := range matrix {
+			want := e.off
+			if telemetry {
+				want = e.on
+			}
+			if got, _, err := authedGet(base+e.path, ""); err != nil || got != want {
+				return fmt.Errorf("%s %s: got %d, %v; want %d", name, e.path, got, err, want)
+			}
+		}
+	}
+	for _, name := range daemons {
+		if err := procs[name].stop(); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		if telemetry != strings.Contains(procs[name].log.String(), "final metrics snapshot") {
+			return fmt.Errorf("%s: final metrics snapshot logged = %v, want %v", name, !telemetry, telemetry)
+		}
+	}
+	fmt.Printf("smoketest: endpoint matrix telemetry=%v -> %d paths x registryd, routerd, peerd; SIGTERM exits 0\n", telemetry, len(matrix))
+	return nil
 }
 
 // runSDK points a caching SDK client at the already-running registryd and
@@ -193,11 +258,11 @@ func runTenanted(dir, bin string) error {
 	if err != nil {
 		return err
 	}
-	stop, err := startDaemon(bin, "-addr", addr, "-seed-services", "5", "-tenants", tenants)
+	gated, err := startDaemon(bin, "-addr", addr, "-seed-services", "5", "-tenants", tenants)
 	if err != nil {
 		return err
 	}
-	defer stop()
+	defer gated.stop() //nolint:errcheck
 
 	// The liveness poll itself proves /healthz bypasses authentication.
 	base := "http://" + addr
@@ -270,44 +335,53 @@ func authedGet(url, token string) (int, http.Header, error) {
 	return resp.StatusCode, resp.Header, nil
 }
 
-// startDaemon launches bin with args, wires its output to stderr, and
-// returns a stopper that SIGTERMs (then kills) the process.
-func startDaemon(bin string, args ...string) (stop func(), err error) {
-	daemon := exec.Command(bin, args...)
-	daemon.Stdout = os.Stderr
-	daemon.Stderr = os.Stderr
-	if err := daemon.Start(); err != nil {
+// proc is one started daemon and everything it logged.
+type proc struct {
+	cmd  *exec.Cmd
+	log  bytes.Buffer
+	done bool
+}
+
+// startDaemon launches bin with args, its output copied to stderr and
+// kept for inspection.
+func startDaemon(bin string, args ...string) (*proc, error) {
+	p := &proc{cmd: exec.Command(bin, args...)}
+	out := io.MultiWriter(os.Stderr, &p.log)
+	p.cmd.Stdout, p.cmd.Stderr = out, out
+	if err := p.cmd.Start(); err != nil {
 		return nil, fmt.Errorf("start %s: %w", filepath.Base(bin), err)
 	}
-	var once bool
-	return func() {
-		if once {
-			return
+	return p, nil
+}
+
+// stop SIGTERMs the daemon and requires a clean exit inside the default
+// -shutdown-grace (5s); a daemon that lingers is killed and reported.
+// Repeated calls are no-ops.
+func (p *proc) stop() error {
+	if p.done {
+		return nil
+	}
+	p.done = true
+	_ = p.cmd.Process.Signal(syscall.SIGTERM)
+	exited := make(chan error, 1)
+	go func() { exited <- p.cmd.Wait() }()
+	select {
+	case err := <-exited:
+		if err != nil {
+			return fmt.Errorf("exit after SIGTERM: %w", err)
 		}
-		once = true
-		_ = daemon.Process.Signal(syscall.SIGTERM)
-		done := make(chan struct{})
-		go func() { _ = daemon.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			_ = daemon.Process.Kill()
-			<-done
-		}
-	}, nil
+		return nil
+	case <-time.After(6 * time.Second):
+		_ = p.cmd.Process.Kill()
+		<-exited
+		return fmt.Errorf("still running 6s after SIGTERM (-shutdown-grace is 5s); killed")
+	}
 }
 
 // runSharded boots the sharded topology: two registryd shards behind a
 // routerd, a routed publish→query round-trip, aggregate health, and the
 // degraded 503 body after one shard dies.
-func runSharded(dir, registrydBin string) error {
-	routerBin := filepath.Join(dir, "routerd")
-	build := exec.Command("go", "build", "-o", routerBin, "./cmd/routerd")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		return fmt.Errorf("build routerd: %w", err)
-	}
-
+func runSharded(bins map[string]string) error {
 	shard0, err := freeAddr()
 	if err != nil {
 		return err
@@ -321,22 +395,22 @@ func runSharded(dir, registrydBin string) error {
 		return err
 	}
 
-	stop0, err := startDaemon(registrydBin, "-addr", shard0, "-name", "shard0", "-shard-of", "0/2")
+	s0, err := startDaemon(bins["registryd"], "-addr", shard0, "-name", "shard0", "-shard-of", "0/2")
 	if err != nil {
 		return err
 	}
-	defer stop0()
-	stop1, err := startDaemon(registrydBin, "-addr", shard1, "-name", "shard1", "-shard-of", "1/2")
+	defer s0.stop() //nolint:errcheck
+	s1, err := startDaemon(bins["registryd"], "-addr", shard1, "-name", "shard1", "-shard-of", "1/2")
 	if err != nil {
 		return err
 	}
-	defer stop1()
+	defer s1.stop() //nolint:errcheck
 	peers := "http://" + shard0 + ",http://" + shard1
-	stopRouter, err := startDaemon(routerBin, "-addr", routerAddr, "-peers", peers)
+	rtr, err := startDaemon(bins["routerd"], "-addr", routerAddr, "-peers", peers)
 	if err != nil {
 		return err
 	}
-	defer stopRouter()
+	defer rtr.stop() //nolint:errcheck
 
 	router := "http://" + routerAddr
 	if err := waitHealthy(router+"/healthz", 10*time.Second); err != nil {
@@ -383,7 +457,9 @@ func runSharded(dir, registrydBin string) error {
 
 	// Kill one shard: aggregate health must degrade to 503 and name the
 	// dead shard in the per-shard JSON body.
-	stop1()
+	if err := s1.stop(); err != nil {
+		return fmt.Errorf("shard1: %w", err)
+	}
 	var degraded struct {
 		Status string `json:"status"`
 		Shards []struct {

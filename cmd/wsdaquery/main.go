@@ -66,6 +66,7 @@ import (
 	"time"
 
 	"wsda/internal/registry"
+	"wsda/internal/resilience"
 	"wsda/internal/sdk"
 	"wsda/internal/tenant"
 	"wsda/internal/tuple"
@@ -225,7 +226,7 @@ const retryAfterCap = 15 * time.Second
 // immediately — neither failover nor another pass — because re-running the
 // stream against another endpoint would duplicate the delivered items.
 func runAttempts(clients []*wsda.Client, retries int, sleep func(time.Duration), logger *slog.Logger, do func(c *wsda.Client) error) error {
-	backoff := 250 * time.Millisecond
+	backoff := resilience.NewBackoff(250*time.Millisecond, 5*time.Second)
 	var err error
 	for pass := 0; ; pass++ {
 		anyRetryable := false
@@ -257,15 +258,12 @@ func runAttempts(clients []*wsda.Client, retries int, sleep func(time.Duration),
 			logger.Warn("not retrying, the request was rejected", "err", err)
 			return err
 		}
-		wait := backoff
+		wait := backoff.Next()
 		if hint > 0 {
 			wait = min(hint, retryAfterCap)
 		}
 		logger.Warn("all endpoints failed, retrying", "err", err, "backoff", wait, "server-hinted", hint > 0)
 		sleep(wait)
-		if backoff *= 2; backoff > 5*time.Second {
-			backoff = 5 * time.Second
-		}
 	}
 }
 

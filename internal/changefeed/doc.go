@@ -25,10 +25,14 @@
 //	    elapses. truncated="true" tells the client its cursor fell off
 //	    the bounded journal and it must re-bootstrap from snapshot.
 //
-// Replica composes the client side: snapshot bootstrap, cursor-resumed
-// tailing, exponential backoff with jitter across primary outages, epoch
-// detection across primary restarts, and automatic re-bootstrap after
-// journal truncation. Applied deltas land in an ordinary
-// registry.Registry, so the incremental view machinery answers queries on
-// the replica exactly as on the primary.
+// The client side is Tailer: cursor-resumed feed requests, exponential
+// backoff with jitter across outages, and detection of the three ways a
+// feed stops being followable (epoch change across a primary restart,
+// journal truncation, a cursor from the future). What a page means is its
+// Consumer's business. Replica is the consumer with a full-state
+// obligation — snapshot bootstrap, automatic re-bootstrap after a gap —
+// and applies deltas into an ordinary registry.Registry, so the
+// incremental view machinery answers queries on the replica exactly as on
+// the primary; the client SDK's cache (internal/sdk) is the consumer
+// without one.
 package changefeed

@@ -2,14 +2,9 @@ package changefeed
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"log/slog"
-	"math/rand"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,28 +63,6 @@ type Config struct {
 	// the fatal-config auth rejection, logged at error once per outage
 	// instead of once per retry. Nil logs nothing.
 	Log *slog.Logger
-
-	// Now is the clock; nil means time.Now.
-	Now func() time.Time
-}
-
-func (c Config) withDefaults() Config {
-	if c.PollInterval == 0 {
-		c.PollInterval = 100 * time.Millisecond
-	}
-	if c.BackoffMin == 0 {
-		c.BackoffMin = 100 * time.Millisecond
-	}
-	if c.BackoffMax == 0 {
-		c.BackoffMax = 10 * time.Second
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	if c.HTTP == nil {
-		c.HTTP = &http.Client{Timeout: c.LongPollWait + 15*time.Second}
-	}
-	return c
 }
 
 // Stats is a snapshot of a replica's replication progress.
@@ -103,38 +76,49 @@ type Stats struct {
 	LastSync   time.Time // wall-clock time of the last successful sync
 }
 
-// Replica tails a primary's change feed into a local registry. Create with
-// New, drive with Run (or Step for deterministic tests), query the local
-// registry as usual.
+// Replica tails a primary's change feed into a local registry: a Tailer
+// whose consumer applies pages to the registry and resyncs by snapshot
+// bootstrap. Create with New, drive with Run (or Step for deterministic
+// tests), query the local registry as usual.
 type Replica struct {
-	cfg Config
+	cfg  Config
+	tail *Tailer
 
-	cursor       atomic.Uint64
 	primaryGen   atomic.Uint64
 	applied      atomic.Int64
 	bootstraps   atomic.Int64
 	feedErrors   atomic.Int64
 	authFailures atomic.Int64
-	lastSync     atomic.Int64 // UnixNano of the last successful round; 0 = never
 
-	mu            sync.Mutex
-	epoch         string // primary incarnation the cursor belongs to
-	needBootstrap bool
-	fatalConfig   string // non-empty while the primary rejects us as unauthorized
-	authLogged    bool   // the current auth outage has been logged already
+	mu          sync.Mutex
+	fatalConfig string // non-empty while the primary rejects us as unauthorized
+	authLogged  bool   // the current auth outage has been logged already
 }
 
 // New returns a replica for cfg. Call Run to start replication.
 func New(cfg Config) *Replica {
-	cfg = cfg.withDefaults()
-	r := &Replica{cfg: cfg, needBootstrap: true}
+	r := &Replica{cfg: cfg}
+	r.tail = NewTailer(replicaFeed{r}, cfg.Primary, cfg.HTTP, cfg.LongPollWait)
+	// A replica owes its readers the full tuple set, so its first round is
+	// the snapshot, not a feed poll: against an idle primary a leading
+	// long-poll would hold readiness back for the whole wait.
+	r.tail.resync.Store(true)
+	if cfg.PollInterval > 0 {
+		r.tail.poll = cfg.PollInterval
+	}
+	if cfg.BackoffMin > 0 {
+		r.tail.backoff.Initial = cfg.BackoffMin
+	}
+	if cfg.BackoffMax > 0 {
+		r.tail.backoff.Max = cfg.BackoffMax
+	}
 	if m := cfg.Metrics; m != nil {
 		m.GaugeFunc("wsda_replica_lag_generations",
 			"Primary generations observed but not yet applied locally.",
 			func() float64 { return float64(r.Stats().Lag) })
 		m.GaugeFunc("wsda_replica_staleness_seconds",
 			"Seconds since the replica last successfully synced with its primary.",
-			func() float64 { return r.staleness().Seconds() })
+			func() float64 { return r.Staleness().Seconds() })
 		m.CounterFunc("wsda_replica_applied_changes_total",
 			"Change-feed deltas applied into the local registry.",
 			r.applied.Load)
@@ -157,13 +141,13 @@ func (r *Replica) Registry() *registry.Registry { return r.cfg.Registry }
 
 // Stats returns a snapshot of replication progress.
 func (r *Replica) Stats() Stats {
-	cur, pg := r.cursor.Load(), r.primaryGen.Load()
+	cur, pg := r.tail.Cursor(), r.primaryGen.Load()
 	lag := uint64(0)
 	if pg > cur {
 		lag = pg - cur
 	}
 	var last time.Time
-	if ns := r.lastSync.Load(); ns != 0 {
+	if ns := r.tail.lastSync.Load(); ns != 0 {
 		last = time.Unix(0, ns)
 	}
 	return Stats{
@@ -212,139 +196,63 @@ func (r *Replica) Status() Status {
 // cursor forces a resync, and back true once the new snapshot lands —
 // the value behind a replica daemon's /readyz.
 func (r *Replica) Ready() bool {
-	if r.bootstraps.Load() == 0 {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return !r.needBootstrap
+	return r.bootstraps.Load() > 0 && !r.tail.resync.Load()
 }
 
 // Staleness returns how long ago the replica last synced successfully
 // with its primary (0 before the first sync) — the sample feeding the
 // replica-staleness SLO.
-func (r *Replica) Staleness() time.Duration { return r.staleness() }
-
-func (r *Replica) staleness() time.Duration {
-	ns := r.lastSync.Load()
-	if ns == 0 {
-		return 0
-	}
-	return r.cfg.Now().Sub(time.Unix(0, ns))
-}
+func (r *Replica) Staleness() time.Duration { return r.tail.Staleness() }
 
 // Run replicates until ctx is canceled: bootstrap from snapshot, tail the
 // feed, back off exponentially (with jitter) across primary outages,
 // re-bootstrap after journal truncation or a primary restart. It returns
 // ctx.Err().
-func (r *Replica) Run(ctx context.Context) error {
-	backoff := r.cfg.BackoffMin
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		progressed, err := r.Step(ctx)
-		switch {
-		case err != nil:
-			if isAuthError(err) {
-				// Fatal-config, not transient: the primary is up and
-				// refusing us. Hammering it with the hot end of the backoff
-				// ladder cannot help, so go straight to the slow end and
-				// keep probing only so a fixed tenants file heals without a
-				// restart.
-				backoff = r.cfg.BackoffMax
-			}
-			if !sleepCtx(ctx, jitter(backoff)) {
-				return ctx.Err()
-			}
-			backoff *= 2
-			if backoff > r.cfg.BackoffMax {
-				backoff = r.cfg.BackoffMax
-			}
-		case !progressed && r.cfg.LongPollWait == 0:
-			// Plain polling and nothing new: pace the next poll. With
-			// long-polling the primary already did the waiting.
-			backoff = r.cfg.BackoffMin
-			if !sleepCtx(ctx, r.cfg.PollInterval) {
-				return ctx.Err()
-			}
-		default:
-			backoff = r.cfg.BackoffMin
-		}
-	}
-}
+func (r *Replica) Run(ctx context.Context) error { return r.tail.Run(ctx) }
 
 // Step performs one replication round — a snapshot bootstrap if one is
 // needed, otherwise a single feed poll — and reports whether it applied
 // any change. Run loops Step; tests drive it directly for determinism.
 func (r *Replica) Step(ctx context.Context) (progressed bool, err error) {
-	r.mu.Lock()
-	boot := r.needBootstrap
-	r.mu.Unlock()
-	if boot {
-		if err := r.bootstrap(ctx); err != nil {
-			r.feedErrors.Add(1)
-			r.noteOutcome(err)
-			return false, err
-		}
-		r.noteOutcome(nil)
-		return true, nil
-	}
-	progressed, err = r.poll(ctx)
-	if err != nil {
-		r.feedErrors.Add(1)
-	}
-	r.noteOutcome(err)
-	return progressed, err
+	return r.tail.Step(ctx)
 }
 
-// noteOutcome classifies one round's result for Status(): an auth
-// rejection raises the fatal-config flag (counted, logged at error once
-// per outage); a successful round clears it. Other failures leave the flag
-// alone — a rejected replica whose primary then goes unreachable is still
-// misconfigured.
-func (r *Replica) noteOutcome(err error) {
-	if err != nil && isAuthError(err) {
-		r.authFailures.Add(1)
-		r.mu.Lock()
-		logIt := !r.authLogged
-		r.authLogged = true
-		r.fatalConfig = err.Error()
-		r.mu.Unlock()
-		if logIt && r.cfg.Log != nil {
-			r.cfg.Log.Error("primary rejected replica as unauthorized; fix -peer-token (fatal config, not retryable outage)",
-				"primary", r.cfg.Primary, "err", err)
+// replicaFeed is the Replica as its Tailer sees it; the Consumer methods
+// stay off the Replica's own method set.
+type replicaFeed struct{ r *Replica }
+
+// Apply folds one contiguous page into the registry.
+func (f replicaFeed) Apply(p Page) {
+	r := f.r
+	applied := 0
+	for _, c := range p.Changes {
+		if r.cfg.Filter != nil && !r.cfg.Filter(c.Key) {
+			continue
 		}
-		return
+		r.cfg.Registry.ApplyReplicated(c)
+		applied++
 	}
-	if err != nil {
-		return
-	}
-	r.mu.Lock()
-	recovered := r.fatalConfig != ""
-	r.fatalConfig = ""
-	r.authLogged = false
-	r.mu.Unlock()
-	if recovered && r.cfg.Log != nil {
-		r.cfg.Log.Info("primary accepted replica auth again", "primary", r.cfg.Primary)
-	}
+	r.applied.Add(int64(applied))
+	r.primaryGen.Store(p.To)
+	r.accepted()
 }
 
-// bootstrap fetches the primary's snapshot, applies it, reconciles local
-// tuples the snapshot no longer contains, and arms the cursor at the
+// Resync fetches the primary's snapshot, applies it, reconciles local
+// tuples the snapshot no longer contains, and resumes the feed at the
 // snapshot's generation.
-func (r *Replica) bootstrap(ctx context.Context) error {
-	doc, epoch, err := r.get(ctx, r.cfg.Primary+PathSnapshot)
+func (f replicaFeed) Resync(ctx context.Context, _ Page) (string, uint64, error) {
+	r := f.r
+	doc, epoch, err := r.tail.get(ctx, PathSnapshot)
 	if err != nil {
-		return err
+		return "", 0, err
 	}
 	root := doc.DocumentElement()
 	if root == nil || root.LocalName() != "snapshot" {
-		return fmt.Errorf("changefeed: bootstrap: expected <snapshot>")
+		return "", 0, fmt.Errorf("changefeed: bootstrap: expected <snapshot>")
 	}
 	gen, err := genAttr(root, "gen")
 	if err != nil {
-		return err
+		return "", 0, err
 	}
 	inSnapshot := make(map[string]struct{})
 	for _, el := range root.ChildElements() {
@@ -375,16 +283,44 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 			r.cfg.Registry.ApplyReplicated(registry.Change{Key: link})
 		}
 	}
-
-	r.mu.Lock()
-	r.epoch = epoch
-	r.needBootstrap = false
-	r.mu.Unlock()
-	r.cursor.Store(gen)
 	r.primaryGen.Store(gen)
 	r.bootstraps.Add(1)
-	r.lastSync.Store(r.cfg.Now().UnixNano())
-	return nil
+	r.accepted()
+	return epoch, gen, nil
+}
+
+// Failed counts the round and classifies it for Status(): an auth
+// rejection raises the fatal-config flag (counted, logged at error once
+// per outage). Other failures leave the flag alone — a rejected replica
+// whose primary then goes unreachable is still misconfigured.
+func (f replicaFeed) Failed(err error) {
+	r := f.r
+	r.feedErrors.Add(1)
+	if !isAuthError(err) {
+		return
+	}
+	r.authFailures.Add(1)
+	r.mu.Lock()
+	logIt := !r.authLogged
+	r.authLogged = true
+	r.fatalConfig = err.Error()
+	r.mu.Unlock()
+	if logIt && r.cfg.Log != nil {
+		r.cfg.Log.Error("primary rejected replica as unauthorized; fix -peer-token (fatal config, not retryable outage)",
+			"primary", r.cfg.Primary, "err", err)
+	}
+}
+
+// accepted clears the fatal-config flag: the primary answered a round.
+func (r *Replica) accepted() {
+	r.mu.Lock()
+	recovered := r.fatalConfig != ""
+	r.fatalConfig = ""
+	r.authLogged = false
+	r.mu.Unlock()
+	if recovered && r.cfg.Log != nil {
+		r.cfg.Log.Info("primary accepted replica auth again", "primary", r.cfg.Primary)
+	}
 }
 
 func tupleFromSnapshot(el *xmldoc.Node) (registry.Change, error) {
@@ -393,116 +329,4 @@ func tupleFromSnapshot(el *xmldoc.Node) (registry.Change, error) {
 		return registry.Change{}, fmt.Errorf("changefeed: bad snapshot tuple: %v", err)
 	}
 	return registry.Change{Key: t.Link, Tuple: t}, nil
-}
-
-// poll issues one feed request from the cursor and applies the page.
-func (r *Replica) poll(ctx context.Context) (progressed bool, err error) {
-	r.mu.Lock()
-	epoch := r.epoch
-	r.mu.Unlock()
-	cursor := r.cursor.Load()
-
-	u := fmt.Sprintf("%s%s?since=%d", r.cfg.Primary, PathFeed, cursor)
-	if r.cfg.LongPollWait > 0 {
-		u += "&wait-ms=" + strconv.FormatInt(r.cfg.LongPollWait.Milliseconds(), 10)
-	}
-	doc, gotEpoch, err := r.get(ctx, u)
-	if err != nil {
-		return false, err
-	}
-	p, err := UnmarshalPage(doc)
-	if err != nil {
-		return false, err
-	}
-	if p.Epoch == "" {
-		p.Epoch = gotEpoch
-	}
-	if p.Epoch != epoch || p.Truncated || p.To < cursor {
-		// Restarted primary (fresh generation counter), truncated journal,
-		// or a cursor from the future: resynchronize from scratch.
-		r.mu.Lock()
-		r.needBootstrap = true
-		r.mu.Unlock()
-		return false, nil
-	}
-	applied := 0
-	for _, c := range p.Changes {
-		if r.cfg.Filter != nil && !r.cfg.Filter(c.Key) {
-			continue
-		}
-		r.cfg.Registry.ApplyReplicated(c)
-		applied++
-	}
-	r.applied.Add(int64(applied))
-	r.cursor.Store(p.To)
-	r.primaryGen.Store(p.To)
-	r.lastSync.Store(r.cfg.Now().UnixNano())
-	return len(p.Changes) > 0, nil
-}
-
-// get fetches a URL and parses the XML body, returning the epoch header.
-func (r *Replica) get(ctx context.Context, u string) (*xmldoc.Node, string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, "", err
-	}
-	resp, err := r.cfg.HTTP.Do(req)
-	if err != nil {
-		return nil, "", err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
-	if err != nil {
-		return nil, "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, "", &remoteError{code: resp.StatusCode, body: strings.TrimSpace(string(data))}
-	}
-	doc, err := xmldoc.ParseString(string(data))
-	if err != nil {
-		return nil, "", err
-	}
-	return doc, resp.Header.Get(EpochHeader), nil
-}
-
-// remoteError is a non-200 answer from the primary, typed so Run can tell
-// a fatal auth rejection from a transient failure.
-type remoteError struct {
-	code int
-	body string
-}
-
-// Error formats the status and the remote error text.
-func (e *remoteError) Error() string {
-	return fmt.Sprintf("changefeed: remote error %d: %s", e.code, e.body)
-}
-
-// isAuthError reports whether err is a primary's 401/403 — the gated-
-// primary/missing-peer-token case that retrying cannot fix.
-func isAuthError(err error) bool {
-	var re *remoteError
-	return errors.As(err, &re) &&
-		(re.code == http.StatusUnauthorized || re.code == http.StatusForbidden)
-}
-
-// jitter spreads a backoff delay uniformly over [d/2, 3d/2) so a fleet of
-// replicas does not reconnect in lockstep after a primary restart.
-func jitter(d time.Duration) time.Duration {
-	return d/2 + time.Duration(rand.Int63n(int64(d)))
-}
-
-// sleepCtx sleeps d or until ctx is done, reporting whether it slept the
-// full duration.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
 }

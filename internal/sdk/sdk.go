@@ -25,8 +25,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"wsda/internal/changefeed"
 	"wsda/internal/registry"
 	"wsda/internal/telemetry"
+	"wsda/internal/tenant"
 	"wsda/internal/tuple"
 	"wsda/internal/wsda"
 	"wsda/internal/xq"
@@ -66,13 +68,8 @@ type Config struct {
 	// FeedWait is the long-poll wait the feed tail asks the origin to hold
 	// each request for. Defaults to 10s; must stay below the transport's
 	// response-header timeout (wsda.ResponseHeaderTimeout for the default).
-	// Negative disables long-polling (plain polling, paced ~10ms).
+	// Negative disables long-polling (plain polling at the tailer's pace).
 	FeedWait time.Duration
-
-	// BackoffMin and BackoffMax bound the exponential backoff (with the
-	// same jitter a Replica uses) between failed feed rounds. Defaults:
-	// 100ms and 10s.
-	BackoffMin, BackoffMax time.Duration
 
 	// MaxEntries bounds the cache (tuple entries + result entries) with
 	// random-victim eviction. Defaults to 4096.
@@ -86,26 +83,14 @@ type Config struct {
 	// Log, when set, receives feed-tail diagnostics (cold drops, errors).
 	// Nil logs nothing.
 	Log *slog.Logger
-
-	// Now is the clock; nil means time.Now.
-	Now func() time.Time
 }
 
 func (c Config) withDefaults() Config {
 	if c.FeedWait == 0 {
 		c.FeedWait = 10 * time.Second
 	}
-	if c.BackoffMin == 0 {
-		c.BackoffMin = 100 * time.Millisecond
-	}
-	if c.BackoffMax == 0 {
-		c.BackoffMax = 10 * time.Second
-	}
 	if c.MaxEntries == 0 {
 		c.MaxEntries = 4096
-	}
-	if c.Now == nil {
-		c.Now = time.Now
 	}
 	return c
 }
@@ -161,19 +146,17 @@ func (e *resultEntry) invalidatedBy(ch registry.Change) bool {
 // Cached values (tuples, result slices) are shared between callers and the
 // cache: treat them as read-only.
 type Client struct {
-	cfg Config
-	wc  *wsda.Client
+	cfg  Config
+	wc   *wsda.Client
+	tail *changefeed.Tailer // owns the cursor invalidations are applied through
 
 	hits          atomic.Int64
 	misses        atomic.Int64
 	invalidations atomic.Int64
 	coldDrops     atomic.Int64
-	lastSync      atomic.Int64  // UnixNano of the last successful feed round; 0 = never
-	cursor        atomic.Uint64 // origin generation invalidations are applied through
 
 	mu       sync.RWMutex
 	warm     bool                     // feed armed; cache may serve and fill
-	epoch    string                   // origin incarnation the cursor belongs to
 	resetSeq uint64                   // bumped on every cold drop; stale fills compare it
 	version  uint64                   // bumped per feed change; orders fills against invalidations
 	inflight int                      // origin fills in progress (prunes inval when it drains)
@@ -206,6 +189,7 @@ func New(cfg Config) (*Client, error) {
 		tuples:  make(map[string]*tuple.Tuple),
 		results: make(map[string]*resultEntry),
 	}
+	c.tail = changefeed.NewTailer(cacheFeed{c}, wc.BaseURL, tenant.WithToken(wc.HTTP, cfg.Token), cfg.FeedWait)
 	if m := cfg.Metrics; m != nil {
 		m.CounterFunc(MetricCacheHits,
 			"SDK reads served from the feed-invalidated cache.", c.hits.Load)
@@ -218,7 +202,7 @@ func New(cfg Config) (*Client, error) {
 			c.coldDrops.Load)
 		m.GaugeFunc(MetricStaleness,
 			"Seconds since the SDK cache last completed a feed round — the bound on how old its invalidation view is.",
-			func() float64 { return c.staleness().Seconds() })
+			func() float64 { return c.tail.Staleness().Seconds() })
 	}
 	return c, nil
 }
@@ -236,7 +220,7 @@ func (c *Client) Start() {
 	c.stopWG.Add(1)
 	go func() {
 		defer c.stopWG.Done()
-		c.runFeed(ctx)
+		_ = c.tail.Run(ctx) // returns only ctx's error
 	}()
 }
 
@@ -268,8 +252,8 @@ func (c *Client) Stats() Stats {
 		ColdDrops:     c.coldDrops.Load(),
 		Entries:       entries,
 		Warm:          warm,
-		Cursor:        c.cursor.Load(),
-		Staleness:     c.staleness(),
+		Cursor:        c.tail.Cursor(),
+		Staleness:     c.tail.Staleness(),
 	}
 }
 
@@ -284,7 +268,7 @@ func (c *Client) Warm() bool {
 // Cursor returns the origin generation invalidations have been applied
 // through. Once Cursor() >= the generation of a delete, a read can no
 // longer serve the deleted tuple.
-func (c *Client) Cursor() uint64 { return c.cursor.Load() }
+func (c *Client) Cursor() uint64 { return c.tail.Cursor() }
 
 // WaitCursor blocks until the cache is warm with its cursor at or past
 // gen, or ctx is done. It is how tests (and operators' probes) phrase "the
@@ -300,14 +284,6 @@ func (c *Client) WaitCursor(ctx context.Context, gen uint64) error {
 		case <-time.After(2 * time.Millisecond):
 		}
 	}
-}
-
-func (c *Client) staleness() time.Duration {
-	ns := c.lastSync.Load()
-	if ns == 0 {
-		return 0
-	}
-	return c.cfg.Now().Sub(time.Unix(0, ns))
 }
 
 // ---- read paths -------------------------------------------------------
@@ -630,14 +606,51 @@ func (c *Client) clearLocked() {
 	c.inval = make(map[string]uint64)
 }
 
-// arm (re)arms the cache at the origin generation gen of epoch: from here
-// on fills are cached and feed changes invalidate them.
-func (c *Client) arm(epoch string, gen uint64) {
+// arm (re)arms the empty cache: from here on fills are cached and feed
+// changes invalidate them.
+func (c *Client) arm() {
 	c.mu.Lock()
 	c.warm = true
-	c.epoch = epoch
 	c.resetSeq++
 	c.mu.Unlock()
-	c.cursor.Store(gen)
-	c.lastSync.Store(c.cfg.Now().UnixNano())
+}
+
+// cacheFeed is the Client as its feed tailer sees it. Any irregularity —
+// transport failure, origin epoch change, journal truncation, a cursor
+// from the future — drops the cache cold and re-arms; an empty cache plus
+// a current cursor is always consistent, because every subsequent fill
+// reads through to the origin. The Consumer methods stay off the Client's
+// own method set.
+type cacheFeed struct{ c *Client }
+
+// Apply folds one contiguous page into the cache — or, while a failed
+// round has left the cache cold, re-arms it at the page's To: nothing is
+// cached, so there is nothing the page's changes could invalidate.
+func (f cacheFeed) Apply(p changefeed.Page) {
+	if f.c.Warm() {
+		f.c.applyChanges(p.Changes)
+	} else {
+		f.c.arm()
+	}
+}
+
+// Resync clears the cache and resumes at gap.To. Unlike a Replica the
+// cache carries no full-state obligation, so no snapshot is ever fetched:
+// even a truncated page reports the origin's current generation in To,
+// which is exactly where a fresh empty cache belongs.
+func (f cacheFeed) Resync(_ context.Context, gap changefeed.Page) (string, uint64, error) {
+	f.c.dropCold(fmt.Sprintf("feed resync: epoch=%q truncated=%v to=%d cursor=%d",
+		gap.Epoch, gap.Truncated, gap.To, f.c.Cursor()))
+	f.c.arm()
+	return gap.Epoch, gap.To, nil
+}
+
+// Failed drops the cache cold: while the feed is down nothing invalidates
+// it.
+func (f cacheFeed) Failed(err error) {
+	if f.c.Warm() {
+		f.c.dropCold(fmt.Sprintf("feed error: %v", err))
+	} else if f.c.cfg.Log != nil {
+		f.c.cfg.Log.Warn("sdk feed round failed", "origin", f.c.cfg.Origin, "err", err)
+	}
 }

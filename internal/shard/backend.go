@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"time"
 
@@ -26,6 +25,11 @@ type QuerySpec struct {
 	Freshness  registry.Freshness // content freshness bounds
 	MaxResults int                // per-shard item bound; 0 = unlimited
 	TxID       string             // router-minted transaction ID ("" = none)
+}
+
+// options is the spec's wire-crossing part in the registry's own terms.
+func (s QuerySpec) options() registry.QueryOptions {
+	return registry.QueryOptions{Filter: s.Filter, Freshness: s.Freshness, TxID: s.TxID}
 }
 
 // Backend is one shard as the router sees it: the WSDA write and query
@@ -109,12 +113,8 @@ func (b *LocalBackend) MinQuery(_ context.Context, f registry.Filter) ([]*tuple.
 func (b *LocalBackend) QueryStream(ctx context.Context, spec QuerySpec, onPlan func(string), onItem func(xq.Item) bool) (*wsda.StreamSummary, error) {
 	start := time.Now()
 	var plan registry.PlanInfo
-	opts := registry.QueryOptions{
-		Filter:    spec.Filter,
-		Freshness: spec.Freshness,
-		TxID:      spec.TxID,
-		Explain:   &plan,
-	}
+	opts := spec.options()
+	opts.Explain = &plan
 	count := 0
 	truncated := false
 	deliver := func(it xq.Item) bool {
@@ -231,28 +231,7 @@ func (b *HTTPBackend) MinQuery(_ context.Context, f registry.Filter) ([]*tuple.T
 // request rides ctx, so a router-side cancel (max-results reached, client
 // gone) tears the shard's evaluation down mid-stream.
 func (b *HTTPBackend) QueryStream(ctx context.Context, spec QuerySpec, onPlan func(string), onItem func(xq.Item) bool) (*wsda.StreamSummary, error) {
-	q := url.Values{}
-	if spec.Filter.Type != "" {
-		q.Set("type", spec.Filter.Type)
-	}
-	if spec.Filter.Context != "" {
-		q.Set("ctx", spec.Filter.Context)
-	}
-	if spec.Filter.LinkPrefix != "" {
-		q.Set("prefix", spec.Filter.LinkPrefix)
-	}
-	if spec.Freshness.MaxAge > 0 {
-		q.Set("maxage-ms", strconv.FormatInt(spec.Freshness.MaxAge.Milliseconds(), 10))
-	}
-	if spec.Freshness.PullMissing {
-		q.Set("pull-missing", "true")
-	}
-	if spec.TxID != "" {
-		q.Set("tx", spec.TxID)
-	}
-	if spec.MaxResults > 0 {
-		q.Set("max-results", strconv.Itoa(spec.MaxResults))
-	}
+	q := wsda.QueryParams(spec.options(), spec.MaxResults)
 	q.Set("stream", "true")
 
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,

@@ -229,31 +229,7 @@ func (rt *Router) handlePublish(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	doc, err := xmldoc.Parse(r.Body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	root := doc.DocumentElement()
-	if root == nil || root.LocalName() != "publish" {
-		http.Error(w, "expected <publish> element", http.StatusBadRequest)
-		return
-	}
-	var ttl time.Duration
-	if s, ok := root.Attr("ttl-ms"); ok {
-		ms, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			http.Error(w, "bad ttl-ms", http.StatusBadRequest)
-			return
-		}
-		ttl = time.Duration(ms) * time.Millisecond
-	}
-	tupleEl := root.FirstChildElement("tuple")
-	if tupleEl == nil {
-		http.Error(w, "missing <tuple>", http.StatusBadRequest)
-		return
-	}
-	t, err := tuple.FromXML(tupleEl)
+	t, ttl, err := wsda.ParsePublish(r.Body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -382,45 +358,22 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	spec := QuerySpec{
-		Query: string(body),
-		Filter: registry.Filter{
-			Type:       q.Get("type"),
-			Context:    q.Get("ctx"),
-			LinkPrefix: q.Get("prefix"),
-		},
+	opts, maxResults, err := wsda.ParseQueryParams(q)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
-	if s := q.Get("maxage-ms"); s != "" {
-		ms, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			http.Error(w, "bad maxage-ms", http.StatusBadRequest)
-			return
-		}
-		spec.Freshness.MaxAge = time.Duration(ms) * time.Millisecond
+	tx := opts.TxID
+	if tx == "" {
+		tx = rt.mintTx()
 	}
-	if q.Get("pull-missing") == "true" {
-		spec.Freshness.PullMissing = true
-	}
-	maxResults := 0
-	if s := q.Get("max-results"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 0 {
-			http.Error(w, "bad max-results", http.StatusBadRequest)
-			return
-		}
-		maxResults = v
-	}
-	spec.MaxResults = maxResults
+	spec := QuerySpec{Query: string(body), Filter: opts.Filter, Freshness: opts.Freshness,
+		MaxResults: maxResults, TxID: tx}
 	compiled, err := xq.Compile(spec.Query)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
-	tx := q.Get("tx")
-	if tx == "" {
-		tx = rt.mintTx()
-	}
-	spec.TxID = tx
 	fr := rt.cfg.Flight
 	streamed := q.Get("stream") == "true"
 

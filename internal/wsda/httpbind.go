@@ -66,17 +66,13 @@ func errorStatus(err error, fallback int) int {
 
 // Handler exposes a Node over the WSDA HTTP protocol binding. Register it
 // on any mux; all paths are absolute.
-func Handler(n Node) http.Handler { return HandlerWithMetrics(n, nil) }
+func Handler(n Node) http.Handler { return HandlerWithObservability(n, nil, nil) }
 
-// HandlerWithMetrics is Handler with edge telemetry: when m is non-nil,
-// streamed /wsda/xquery responses record the time from request start to
-// the first item in the wsda_http_first_item_seconds histogram.
-func HandlerWithMetrics(n Node, m *telemetry.Metrics) http.Handler {
-	return HandlerWithObservability(n, m, nil)
-}
-
-// HandlerWithObservability is HandlerWithMetrics plus flight correlation:
-// when fr is non-nil and a /wsda/xquery request carries a tx parameter
+// HandlerWithObservability is Handler with edge telemetry and flight
+// correlation. When m is non-nil, streamed /wsda/xquery responses record
+// the time from request start to the first item in the
+// wsda_http_first_item_seconds histogram. When fr is non-nil and a
+// /wsda/xquery request carries a tx parameter
 // (minted by a router or another upstream), the local evaluation's flight
 // events — plan choice, view hits, streamed items — are recorded under
 // that transaction ID, so a routed query is explainable end-to-end by
@@ -102,31 +98,7 @@ func HandlerWithObservability(n Node, m *telemetry.Metrics, fr *telemetry.Flight
 			httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
 			return
 		}
-		doc, err := xmldoc.Parse(r.Body)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		root := doc.DocumentElement()
-		if root == nil || root.LocalName() != "publish" {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("expected <publish> element"))
-			return
-		}
-		var ttl time.Duration
-		if s, ok := root.Attr("ttl-ms"); ok {
-			ms, err := strconv.ParseInt(s, 10, 64)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("bad ttl-ms: %v", err))
-				return
-			}
-			ttl = time.Duration(ms) * time.Millisecond
-		}
-		tupleEl := root.FirstChildElement("tuple")
-		if tupleEl == nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("missing <tuple>"))
-			return
-		}
-		t, err := tuple.FromXML(tupleEl)
+		t, ttl, err := ParsePublish(r.Body)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
@@ -187,27 +159,11 @@ func HandlerWithObservability(n Node, m *telemetry.Metrics, fr *telemetry.Flight
 			return
 		}
 		q := r.URL.Query()
-		opts := registry.QueryOptions{
-			Filter: registry.Filter{
-				Type:       q.Get("type"),
-				Context:    q.Get("ctx"),
-				LinkPrefix: q.Get("prefix"),
-			},
+		opts, maxResults, err := ParseQueryParams(q)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
 		}
-		if s := q.Get("maxage-ms"); s != "" {
-			ms, err := strconv.ParseInt(s, 10, 64)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("bad maxage-ms: %v", err))
-				return
-			}
-			opts.Freshness.MaxAge = time.Duration(ms) * time.Millisecond
-		}
-		if q.Get("pull-missing") == "true" {
-			opts.Freshness.PullMissing = true
-		}
-		// An upstream-minted transaction ID (tx parameter) threads this
-		// evaluation into the upstream's flight recording.
-		opts.TxID = q.Get("tx")
 		// Capture the chosen plan; local registries fill it before the
 		// first item is emitted, so the header can lead a streamed body.
 		var plan registry.PlanInfo
@@ -216,15 +172,6 @@ func HandlerWithObservability(n Node, m *telemetry.Metrics, fr *telemetry.Flight
 			if plan.Mode != "" {
 				w.Header().Set(HeaderPlan, plan.String())
 			}
-		}
-		maxResults := 0
-		if s := q.Get("max-results"); s != "" {
-			v, err := strconv.Atoi(s)
-			if err != nil || v < 0 {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("bad max-results"))
-				return
-			}
-			maxResults = v
 		}
 		// Cursor pagination: page-size bounds this response to one page and
 		// page-cursor resumes where a previous page stopped. Pagination
@@ -597,9 +544,11 @@ func (c *Client) MinQuery(f registry.Filter) ([]*tuple.Tuple, error) {
 	return out, nil
 }
 
-// xqueryParams renders the wire-crossing query options (Filter, Freshness
-// and TxID; Emit and Vars are local-only concepts) as URL parameters.
-func xqueryParams(opts registry.QueryOptions) url.Values {
+// QueryParams renders the wire-crossing query options (Filter, Freshness
+// and TxID; Emit and Vars are local-only concepts) and the result bound as
+// /wsda/xquery URL parameters — the one encoder the Client, the router's
+// shard backend and anything else speaking the binding share.
+func QueryParams(opts registry.QueryOptions, maxResults int) url.Values {
 	q := url.Values{}
 	if opts.Filter.Type != "" {
 		q.Set("type", opts.Filter.Type)
@@ -619,7 +568,65 @@ func xqueryParams(opts registry.QueryOptions) url.Values {
 	if opts.TxID != "" {
 		q.Set("tx", opts.TxID)
 	}
+	if maxResults > 0 {
+		q.Set("max-results", strconv.Itoa(maxResults))
+	}
 	return q
+}
+
+// ParseQueryParams is QueryParams' inverse, shared by this package's
+// handler and the router's: type, ctx, prefix, maxage-ms, pull-missing, an
+// upstream-minted tx (threading the evaluation into the upstream's flight
+// recording) and max-results. Every error is the client's (400).
+func ParseQueryParams(q url.Values) (opts registry.QueryOptions, maxResults int, err error) {
+	opts.Filter = registry.Filter{
+		Type:       q.Get("type"),
+		Context:    q.Get("ctx"),
+		LinkPrefix: q.Get("prefix"),
+	}
+	if s := q.Get("maxage-ms"); s != "" {
+		ms, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			return opts, 0, fmt.Errorf("bad maxage-ms: %v", err)
+		}
+		opts.Freshness.MaxAge = time.Duration(ms) * time.Millisecond
+	}
+	opts.Freshness.PullMissing = q.Get("pull-missing") == "true"
+	opts.TxID = q.Get("tx")
+	if s := q.Get("max-results"); s != "" {
+		if maxResults, err = strconv.Atoi(s); err != nil || maxResults < 0 {
+			return opts, 0, fmt.Errorf("bad max-results")
+		}
+	}
+	return opts, maxResults, nil
+}
+
+// ParsePublish decodes a /wsda/publish request body — <publish ttl-ms>
+// around one <tuple> — for this package's handler and the router's. Every
+// error is the client's (400).
+func ParsePublish(body io.Reader) (*tuple.Tuple, time.Duration, error) {
+	doc, err := xmldoc.Parse(body)
+	if err != nil {
+		return nil, 0, err
+	}
+	root := doc.DocumentElement()
+	if root == nil || root.LocalName() != "publish" {
+		return nil, 0, fmt.Errorf("expected <publish> element")
+	}
+	var ttl time.Duration
+	if s, ok := root.Attr("ttl-ms"); ok {
+		ms, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			return nil, 0, fmt.Errorf("bad ttl-ms: %v", err)
+		}
+		ttl = time.Duration(ms) * time.Millisecond
+	}
+	tupleEl := root.FirstChildElement("tuple")
+	if tupleEl == nil {
+		return nil, 0, fmt.Errorf("missing <tuple>")
+	}
+	t, err := tuple.FromXML(tupleEl)
+	return t, ttl, err
 }
 
 // XQuery implements the powerful query primitive against the remote node.
@@ -627,7 +634,7 @@ func xqueryParams(opts registry.QueryOptions) url.Values {
 // local-only concepts. When opts.Explain is set it is filled from the
 // remote node's X-Wsda-Plan header (the view fallback when absent).
 func (c *Client) XQuery(query string, opts registry.QueryOptions) (xq.Sequence, error) {
-	doc, hdr, err := c.postHdr(PathXQuery, xqueryParams(opts), query)
+	doc, hdr, err := c.postHdr(PathXQuery, QueryParams(opts, 0), query)
 	if err != nil {
 		return nil, err
 	}

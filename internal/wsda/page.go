@@ -75,7 +75,7 @@ func (c *Client) XQueryPage(query string, opts registry.QueryOptions, pageSize i
 	if pageSize <= 0 {
 		return nil, fmt.Errorf("wsda: page size must be positive")
 	}
-	q := xqueryParams(opts)
+	q := QueryParams(opts, 0)
 	q.Set("page-size", strconv.Itoa(pageSize))
 	if cursor != "" {
 		q.Set("page-cursor", cursor)

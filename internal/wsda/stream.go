@@ -349,11 +349,8 @@ func elementFromStart(se xml.StartElement) *xmldoc.Node {
 // after that many items; onItem returning false stops the client-side
 // parse (and, by closing the connection, the server run).
 func (c *Client) XQueryStream(query string, opts registry.QueryOptions, maxResults int, onItem func(xq.Item) bool) (*StreamSummary, error) {
-	q := xqueryParams(opts)
+	q := QueryParams(opts, maxResults)
 	q.Set("stream", "true")
-	if maxResults > 0 {
-		q.Set("max-results", strconv.Itoa(maxResults))
-	}
 	return c.postStream(PathXQuery, q, query, onItem)
 }
 

@@ -21,7 +21,7 @@ func newStreamTestServer(t *testing.T) (*Client, *telemetry.Metrics) {
 	publishSample(t, node, "a", "cern.ch")
 	publishSample(t, node, "b", "infn.it")
 	m := telemetry.NewMetrics()
-	srv := httptest.NewServer(HandlerWithMetrics(node, m))
+	srv := httptest.NewServer(HandlerWithObservability(node, m, nil))
 	t.Cleanup(srv.Close)
 	return NewClient(srv.URL), m
 }

@@ -46,7 +46,7 @@ bench-noop:
 bench:
 	$(GO) test -bench . -benchtime 1s ./...
 
-# Perf guards: runs the guarded suites (view, stream, xq, shard, sdk —
+# Perf guards: runs the guarded suites (view, stream, xq, shard, sdk, xml —
 # see cmd/benchguard) with -benchmem, writes BENCH_<suite>.json each,
 # and fails on any budget breach.
 bench-guard:

@@ -5,6 +5,7 @@
 package wsda_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
@@ -483,6 +484,38 @@ func BenchmarkStreamFirstItem(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeStream is the client's half of a streamed scatter: a
+// canned 334-item stream (the routed-scatter workload's size) framed and
+// parsed into trees. ns/op and allocs/op divided by items/op are the
+// per-item cost of DecodeStream.
+func BenchmarkDecodeStream(b *testing.B) {
+	const items = 334
+	gen := workload.NewGen(1)
+	rec := httptest.NewRecorder()
+	sw := wsda.NewStreamWriter(rec)
+	for i := 0; i < items; i++ {
+		if err := sw.WriteItem(gen.Service(i).ToXML()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := sw.Close(wsda.StreamSummary{Complete: true}); err != nil {
+		b.Fatal(err)
+	}
+	stream := rec.Body.Bytes()
+	b.SetBytes(int64(len(stream)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		sum, err := wsda.DecodeStream(bytes.NewReader(stream), func(xq.Item) bool { n++; return true })
+		if err != nil || n != items || !sum.Complete {
+			b.Fatalf("decoded %d items, summary %+v, err %v", n, sum, err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(items, "items/op")
+}
+
 func BenchmarkXMLParse(b *testing.B) {
 	src := workload.NewGen(1).Service(0).String()
 	b.SetBytes(int64(len(src)))
@@ -720,6 +753,37 @@ func BenchmarkShardMergeItem(b *testing.B) {
 		req := httptest.NewRequest(http.MethodPost, wsda.PathXQuery+"?stream=true",
 			strings.NewReader(shardBenchQuery))
 		h.ServeHTTP(&discardWriter{h: make(http.Header)}, req)
+	}
+	b.StopTimer()
+	b.ReportMetric(shardBenchLinks, "items/op")
+}
+
+// BenchmarkRoutedScatterHTTP is the deployed shape of the merge: the same
+// scatter through a router whose two shards are registries behind real
+// HTTP servers, reached through shard.HTTPBackend. One op frames, forwards
+// and flushes shardBenchLinks items. The process also hosts the two
+// shards, so allocs/op divided by items/op is an upper bound on the
+// router's share per forwarded item, which benchguard holds to the same
+// budget as the in-process merge.
+func BenchmarkRoutedScatterHTTP(b *testing.B) {
+	regs := shardBenchRegs(b, 2)
+	backends := make([]shard.Backend, len(regs))
+	for i, reg := range regs {
+		srv := httptest.NewServer(wsda.Handler(&wsda.LocalNode{Registry: reg}))
+		defer srv.Close()
+		backends[i] = shard.NewHTTPBackend(srv.URL, srv.Client())
+	}
+	h := shard.NewRouter(shard.Config{Backends: backends}).Handler()
+	scatter := func() {
+		req := httptest.NewRequest(http.MethodPost, wsda.PathXQuery+"?stream=true",
+			strings.NewReader(shardBenchQuery))
+		h.ServeHTTP(&discardWriter{h: make(http.Header)}, req)
+	}
+	scatter() // prime shard views, plan caches and keep-alive connections
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scatter()
 	}
 	b.StopTimer()
 	b.ReportMetric(shardBenchLinks, "items/op")

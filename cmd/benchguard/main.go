@@ -8,11 +8,13 @@
 //     current one and allocates (almost) nothing, so allocs/op on the warm
 //     path is guarded by a small budget; and because a streamed query pins
 //     the same snapshot, its ns/op must stay within 2x of the buffered one.
-//   - stream suite (BenchmarkStream{WriteItem,FirstItem} -> BENCH_stream.json):
-//     delivering one item through the chunked HTTP stream encoder must stay
-//     a small constant number of allocations, so allocs/op on WriteItem is
-//     guarded; FirstItem's time-to-first-item over an 8-node chain is
-//     recorded alongside for trend tracking.
+//   - stream suite (BenchmarkStream{WriteItem,FirstItem}, BenchmarkDecodeStream
+//     -> BENCH_stream.json): delivering one item through the chunked HTTP
+//     stream encoder serializes straight into a reused buffer, so allocs/op
+//     on WriteItem is guarded at almost nothing; FirstItem's
+//     time-to-first-item over an 8-node chain and the client decoder's
+//     per-item ns and allocs over a canned 334-item stream are recorded
+//     alongside for trend tracking.
 //   - xq suite (BenchmarkPlannedQuery{Cold,Warm}, BenchmarkPlanFallback,
 //     BenchmarkLexer -> BENCH_xq.json): the pushdown planner must answer an
 //     index-hit discovery query at least 10x faster than the view-fallback
@@ -20,13 +22,18 @@
 //     store, and the warm planned path (cached plan, the revision's shared
 //     element) is held to a small allocs/op budget. Lexer throughput rides along for trend tracking.
 //   - shard suite (BenchmarkRoutedQueryWarm, BenchmarkDirectShardQueryWarm,
-//     BenchmarkShardMergeItem -> BENCH_shard.json): a streamed query routed
-//     through the scatter-gather router must put its first item on the wire
-//     within 2x of the same query evaluated directly on a single registry
-//     holding the full dataset (in practice the router wins: each shard
-//     evaluates half the data in parallel), and the router's per-merged-item
-//     allocations are held to a budget so large merged streams do not turn
-//     into GC pressure.
+//     BenchmarkShardMergeItem, BenchmarkRoutedScatterHTTP -> BENCH_shard.json):
+//     a streamed query routed through the scatter-gather router must put its
+//     first item on the wire within 2x of the same query evaluated directly
+//     on a single registry holding the full dataset (in practice the router
+//     wins: each shard evaluates half the data in parallel), and the
+//     router's per-merged-item allocations — in process, and across the HTTP
+//     hop where it forwards the shards' bytes — are held to a budget so
+//     large merged streams do not turn into GC pressure.
+//   - xml suite (BenchmarkXMLParse -> BENCH_xml.json): parsing one service
+//     description must stay within an allocs/op budget set just above what
+//     the hand-written scanner needs, so the parser cannot quietly regress
+//     (allocations, not MB/s: throughput depends on the host).
 //   - sdk suite (BenchmarkSDKCacheHit, BenchmarkSDK{Paged,Stream}FirstItem
 //     -> BENCH_sdk.json): a warm Lookup served from the client SDK's
 //     feed-invalidated cache must stay within a small allocs/op budget and
@@ -38,13 +45,14 @@
 //
 //	benchguard                       # runs every suite, exits 1 on any breach
 //	benchguard -suite stream         # one suite only
-//	benchguard -view-budget 32 -stream-budget 24 -xq-budget 8 -shard-budget 48 -sdk-budget 2
+//	benchguard -view-budget 32 -stream-budget 2 -xq-budget 8 -shard-budget 4 -sdk-budget 2 -xml-budget 4
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"strconv"
@@ -85,7 +93,9 @@ type report struct {
 	Shard *shardGuard `json:"shard,omitempty"`
 	// SDK summarizes the client-SDK cache and pagination guard numbers.
 	// SDK suite only.
-	SDK    *sdkGuard `json:"sdk,omitempty"`
+	SDK *sdkGuard `json:"sdk,omitempty"`
+	// XML summarizes the parser guard numbers. XML suite only.
+	XML    *xmlGuard `json:"xml,omitempty"`
 	Budget int64     `json:"budget"`
 	Pass   bool      `json:"pass"`
 }
@@ -107,11 +117,20 @@ type coldVsWarm struct {
 // query cost: both pin the same tuple set, so Emit may not double it.
 const viewStreamedMaxRatio = 2.0
 
-// streamGuard is the stream suite's guard section.
+// streamGuard is the stream suite's guard section. The decode numbers
+// are BenchmarkDecodeStream's ns/op and allocs/op divided by its items/op.
 type streamGuard struct {
 	WriteItemNsPerOp     float64 `json:"write_item_ns_per_op"`
 	WriteItemAllocsPerOp int64   `json:"write_item_allocs_per_op"`
 	FirstItemNsPerOp     float64 `json:"first_item_ns_per_op"`
+	DecodeNsPerItem      float64 `json:"decode_ns_per_item"`
+	DecodeAllocsPerItem  float64 `json:"decode_allocs_per_item"`
+}
+
+// xmlGuard is the xml suite's guard section.
+type xmlGuard struct {
+	ParseNsPerOp     float64 `json:"parse_ns_per_op"`
+	ParseAllocsPerOp int64   `json:"parse_allocs_per_op"`
 }
 
 // plannerGuard is the xq suite's guard section. Speedup is the cost of a
@@ -132,14 +151,19 @@ type plannerGuard struct {
 // routed first-item latency divided by the direct one; the acceptance
 // bound is 2.0. MergeAllocsPerItem is the router merge path's allocations
 // per delivered item (whole-query allocs/op divided by the items/op
-// metric the benchmark reports), guarded by the suite budget.
+// metric the benchmark reports, rounded up), and HTTPMergeAllocsPerItem
+// the same over shards behind HTTP (BenchmarkRoutedScatterHTTP, whose
+// process also runs the shards: an upper bound on the router's share);
+// both are guarded by the suite budget.
 type shardGuard struct {
-	DirectFirstItemNs  float64 `json:"direct_first_item_ns"`
-	RoutedFirstItemNs  float64 `json:"routed_first_item_ns"`
-	FirstItemRatio     float64 `json:"first_item_ratio"`
-	MergeNsPerOp       float64 `json:"merge_ns_per_op"`
-	MergeItemsPerOp    float64 `json:"merge_items_per_op"`
-	MergeAllocsPerItem int64   `json:"merge_allocs_per_item"`
+	DirectFirstItemNs      float64 `json:"direct_first_item_ns"`
+	RoutedFirstItemNs      float64 `json:"routed_first_item_ns"`
+	FirstItemRatio         float64 `json:"first_item_ratio"`
+	MergeNsPerOp           float64 `json:"merge_ns_per_op"`
+	MergeItemsPerOp        float64 `json:"merge_items_per_op"`
+	MergeAllocsPerItem     int64   `json:"merge_allocs_per_item"`
+	HTTPMergeNsPerOp       float64 `json:"http_merge_ns_per_op"`
+	HTTPMergeAllocsPerItem int64   `json:"http_merge_allocs_per_item"`
 }
 
 // shardFirstItemMaxRatio is the acceptance bound on routed/direct
@@ -210,7 +234,7 @@ var suites = []suite{
 	},
 	{
 		name:    "stream",
-		pattern: "BenchmarkStream",
+		pattern: "Benchmark(Stream|DecodeStream)",
 		out:     "BENCH_stream.json",
 		finish: func(rep *report, budget int64) (bool, string) {
 			sg := &streamGuard{}
@@ -221,12 +245,17 @@ var suites = []suite{
 					sg.WriteItemAllocsPerOp = r.AllocsPerOp
 				case "BenchmarkStreamFirstItem":
 					sg.FirstItemNsPerOp = r.NsPerOp
+				case "BenchmarkDecodeStream":
+					if items := r.Extra["items/op"]; items > 0 {
+						sg.DecodeNsPerItem = r.NsPerOp / items
+						sg.DecodeAllocsPerItem = float64(r.AllocsPerOp) / items
+					}
 				}
 			}
 			rep.Stream = sg
 			return sg.WriteItemAllocsPerOp <= budget,
-				fmt.Sprintf("write-item allocs/op %d, budget %d, first-item %.0f ns/op",
-					sg.WriteItemAllocsPerOp, budget, sg.FirstItemNsPerOp)
+				fmt.Sprintf("write-item allocs/op %d, budget %d, first-item %.0f ns/op, decode %.0f ns and %.1f allocs per item",
+					sg.WriteItemAllocsPerOp, budget, sg.FirstItemNsPerOp, sg.DecodeNsPerItem, sg.DecodeAllocsPerItem)
 		},
 	},
 	{
@@ -264,7 +293,7 @@ var suites = []suite{
 	},
 	{
 		name:    "shard",
-		pattern: "Benchmark(RoutedQueryWarm|DirectShardQueryWarm|ShardMergeItem)$",
+		pattern: "Benchmark(RoutedQueryWarm|DirectShardQueryWarm|ShardMergeItem|RoutedScatterHTTP)$",
 		out:     "BENCH_shard.json",
 		finish: func(rep *report, budget int64) (bool, string) {
 			sg := &shardGuard{}
@@ -277,9 +306,10 @@ var suites = []suite{
 				case "BenchmarkShardMergeItem":
 					sg.MergeNsPerOp = r.NsPerOp
 					sg.MergeItemsPerOp = r.Extra["items/op"]
-					if sg.MergeItemsPerOp > 0 {
-						sg.MergeAllocsPerItem = int64(float64(r.AllocsPerOp) / sg.MergeItemsPerOp)
-					}
+					sg.MergeAllocsPerItem = allocsPerItem(r)
+				case "BenchmarkRoutedScatterHTTP":
+					sg.HTTPMergeNsPerOp = r.NsPerOp
+					sg.HTTPMergeAllocsPerItem = allocsPerItem(r)
 				}
 			}
 			if sg.DirectFirstItemNs > 0 {
@@ -287,13 +317,14 @@ var suites = []suite{
 			}
 			rep.Shard = sg
 			// Two guards: routing+merge must not double first-item latency,
-			// and the merge hot path must stay within its per-item
-			// allocation budget.
+			// and the merge hot path, in process and over HTTP, must stay
+			// within its per-item allocation budget.
 			pass := sg.FirstItemRatio > 0 && sg.FirstItemRatio <= shardFirstItemMaxRatio &&
-				sg.MergeAllocsPerItem > 0 && sg.MergeAllocsPerItem <= budget
+				sg.MergeAllocsPerItem > 0 && sg.MergeAllocsPerItem <= budget &&
+				sg.HTTPMergeAllocsPerItem > 0 && sg.HTTPMergeAllocsPerItem <= budget
 			return pass, fmt.Sprintf(
-				"routed/direct first-item %.2fx (max %.1fx), merge allocs/item %d, budget %d",
-				sg.FirstItemRatio, shardFirstItemMaxRatio, sg.MergeAllocsPerItem, budget)
+				"routed/direct first-item %.2fx (max %.1fx), merge allocs/item %d in process, %d over HTTP, budget %d",
+				sg.FirstItemRatio, shardFirstItemMaxRatio, sg.MergeAllocsPerItem, sg.HTTPMergeAllocsPerItem, budget)
 		},
 	},
 	{
@@ -328,19 +359,44 @@ var suites = []suite{
 				sg.PagedVsStreamRatio, sdkPagedMaxRatio)
 		},
 	},
+	{
+		name:    "xml",
+		pattern: "BenchmarkXMLParse$",
+		out:     "BENCH_xml.json",
+		finish: func(rep *report, budget int64) (bool, string) {
+			xg := &xmlGuard{}
+			for _, r := range rep.Benchmarks {
+				xg.ParseNsPerOp, xg.ParseAllocsPerOp = r.NsPerOp, r.AllocsPerOp
+			}
+			rep.XML = xg
+			return xg.ParseAllocsPerOp <= budget,
+				fmt.Sprintf("parse allocs/op %d, budget %d, %.0f ns/op", xg.ParseAllocsPerOp, budget, xg.ParseNsPerOp)
+		},
+	},
+}
+
+// allocsPerItem is a benchmark's allocs/op over the items/op it reports,
+// rounded up so that a fraction of an allocation per item still shows.
+func allocsPerItem(r benchResult) int64 {
+	items := r.Extra["items/op"]
+	if items <= 0 {
+		return 0
+	}
+	return int64(math.Ceil(float64(r.AllocsPerOp) / items))
 }
 
 func main() {
-	which := flag.String("suite", "all", "suite to run: view|stream|xq|shard|sdk|all")
+	which := flag.String("suite", "all", "suite to run: view|stream|xq|shard|sdk|xml|all")
 	viewBudget := flag.Int64("view-budget", 32, "max allocs/op allowed on the warm view path")
-	streamBudget := flag.Int64("stream-budget", 24, "max allocs/op allowed per streamed item write")
+	streamBudget := flag.Int64("stream-budget", 2, "max allocs/op allowed per streamed item write")
 	xqBudget := flag.Int64("xq-budget", 8, "max allocs/op allowed on the warm planned-query path")
-	shardBudget := flag.Int64("shard-budget", 48, "max allocs allowed per item merged through the router")
+	shardBudget := flag.Int64("shard-budget", 4, "max allocs allowed per item merged through the router, in process and over HTTP")
 	sdkBudget := flag.Int64("sdk-budget", 2, "max allocs/op allowed on a warm SDK cache hit")
+	xmlBudget := flag.Int64("xml-budget", 4, "max allocs/op allowed parsing one service description")
 	flag.Parse()
 
 	budgets := map[string]int64{"view": *viewBudget, "stream": *streamBudget, "xq": *xqBudget,
-		"shard": *shardBudget, "sdk": *sdkBudget}
+		"shard": *shardBudget, "sdk": *sdkBudget, "xml": *xmlBudget}
 	failed := false
 	ran := 0
 	for _, s := range suites {

@@ -117,7 +117,7 @@ func (b *LocalBackend) QueryStream(ctx context.Context, spec QuerySpec, onPlan f
 	opts.Explain = &plan
 	count := 0
 	truncated := false
-	deliver := func(it xq.Item) bool {
+	opts.Emit = func(it xq.Item) bool {
 		if ctx.Err() != nil {
 			truncated = true
 			return false
@@ -136,19 +136,8 @@ func (b *LocalBackend) QueryStream(ctx context.Context, spec QuerySpec, onPlan f
 		}
 		return true
 	}
-	opts.Emit = deliver
-	seq, err := b.Reg.Query(spec.Query, opts)
-	if err != nil {
+	if _, err := b.Reg.Query(spec.Query, opts); err != nil { // every item left through Emit
 		return nil, err
-	}
-	// The registry honors Emit, but keep the buffered fallback the HTTP
-	// binding has, for engines that return the sequence instead.
-	if count == 0 && len(seq) > 0 {
-		for _, it := range seq {
-			if !deliver(it) {
-				break
-			}
-		}
 	}
 	return &wsda.StreamSummary{
 		Count:    count,
@@ -227,9 +216,10 @@ func (b *HTTPBackend) MinQuery(_ context.Context, f registry.Filter) ([]*tuple.T
 }
 
 // QueryStream implements Backend: POST /wsda/xquery?stream=true with the
-// spec's parameters, decoding the chunked response incrementally. The
-// request rides ctx, so a router-side cancel (max-results reached, client
-// gone) tears the shard's evaluation down mid-stream.
+// spec's parameters, framing the chunked response incrementally: onItem
+// gets each item as a wsda.RawItem, the shard's bytes, valid until it
+// returns. The request rides ctx, so a router-side cancel (max-results
+// reached, client gone) tears the shard's evaluation down mid-stream.
 func (b *HTTPBackend) QueryStream(ctx context.Context, spec QuerySpec, onPlan func(string), onItem func(xq.Item) bool) (*wsda.StreamSummary, error) {
 	q := wsda.QueryParams(spec.options(), spec.MaxResults)
 	q.Set("stream", "true")
@@ -253,7 +243,7 @@ func (b *HTTPBackend) QueryStream(ctx context.Context, spec QuerySpec, onPlan fu
 	if onPlan != nil {
 		onPlan(plan)
 	}
-	sum, err := wsda.DecodeStream(resp.Body, onItem)
+	sum, err := wsda.DecodeRawStream(resp.Body, func(raw wsda.RawItem) bool { return onItem(raw) })
 	if sum != nil {
 		sum.Plan = plan
 	}

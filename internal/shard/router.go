@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -450,6 +451,9 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 				return false
 			}
 		} else {
+			if raw, ok := it.(wsda.RawItem); ok {
+				it = slices.Clone(raw) // the span dies with this call
+			}
 			collected = append(collected, it)
 		}
 		count++
@@ -531,26 +535,16 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	sumComplete := complete && !wasTruncated
+	sum := wsda.StreamSummary{
+		TxID: tx, Complete: sumComplete, Aborted: aborted, Elapsed: elapsed,
+		Network: true, NodesContacted: len(targets), NodesResponded: responded,
+		Shortfall: shortfall,
+	}
 	if sw != nil {
-		_ = sw.Close(wsda.StreamSummary{
-			TxID: tx, Complete: sumComplete, Aborted: aborted, Elapsed: elapsed,
-			Network: true, NodesContacted: len(targets), NodesResponded: responded,
-			Shortfall: shortfall,
-		})
-		finish(sumComplete)
-		return
+		_ = sw.Close(sum)
+	} else {
+		wsda.WriteResults(w, &sum, collected)
 	}
-	res := wsda.MarshalSequence(collected)
-	res.SetAttr("tx", tx)
-	res.SetAttr("elapsed-ms", strconv.FormatInt(elapsed.Milliseconds(), 10))
-	res.SetAttr("aborted", strconv.FormatBool(aborted))
-	res.SetAttr("nodes-contacted", strconv.Itoa(len(targets)))
-	res.SetAttr("nodes-responded", strconv.Itoa(responded))
-	res.SetAttr("complete", strconv.FormatBool(sumComplete))
-	if shortfall != "" {
-		res.SetAttr("shortfall", shortfall)
-	}
-	writeXML(w, res)
 	finish(sumComplete)
 }
 

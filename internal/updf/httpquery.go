@@ -1,7 +1,6 @@
 package updf
 
 import (
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -162,28 +161,18 @@ func NetQueryHandler(o *Originator, entry string, m *telemetry.Metrics, fr *tele
 		if !rs.Complete && len(rs.Errs) > 0 {
 			shortfall = strings.Join(rs.Errs, "; ")
 		}
+		sum := wsda.StreamSummary{
+			TxID:     rs.TxID,
+			Complete: rs.Complete,
+			Aborted:  rs.Aborted,
+			Elapsed:  rs.Elapsed,
+			Network:  true, NodesContacted: rs.NodesContacted, NodesResponded: rs.NodesResponded,
+			Shortfall: shortfall,
+		}
 		if sw != nil {
-			_ = sw.Close(wsda.StreamSummary{
-				TxID:     rs.TxID,
-				Complete: rs.Complete,
-				Aborted:  rs.Aborted,
-				Elapsed:  rs.Elapsed,
-				Network:  true, NodesContacted: rs.NodesContacted, NodesResponded: rs.NodesResponded,
-				Shortfall: shortfall,
-			})
+			_ = sw.Close(sum)
 			return
 		}
-		res := wsda.MarshalSequence(rs.Items)
-		res.SetAttr("tx", rs.TxID)
-		res.SetAttr("elapsed-ms", strconv.FormatInt(rs.Elapsed.Milliseconds(), 10))
-		res.SetAttr("aborted", strconv.FormatBool(rs.Aborted))
-		res.SetAttr("nodes-contacted", strconv.Itoa(rs.NodesContacted))
-		res.SetAttr("nodes-responded", strconv.Itoa(rs.NodesResponded))
-		res.SetAttr("complete", strconv.FormatBool(rs.Complete))
-		if shortfall != "" {
-			res.SetAttr("shortfall", shortfall)
-		}
-		w.Header().Set("Content-Type", "text/xml; charset=utf-8")
-		fmt.Fprint(w, res.String())
+		wsda.WriteResults(w, &sum, rs.Items)
 	}
 }

@@ -7,4 +7,14 @@
 //
 // internal/registry supplies the local implementation of the query
 // primitives; Client/Handler bind them to HTTP for remote nodes.
+//
+// # Result items on the wire
+//
+// A result is a <results> document: one <node> or <atomic> child per item
+// and, when streamed, a trailing <summary>. AppendItem alone renders an
+// item to bytes, so an item has the same bytes on every path. Reading goes
+// through an xmldoc.Framer: DecodeRawStream yields each item's bytes — what
+// the router forwards, unparsed — and DecodeStream parses each into its
+// value, where an atomic's lexical form is checked. Both accept what
+// xmldoc.Parse accepts and, inside <results>, only those three elements.
 package wsda

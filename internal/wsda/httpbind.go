@@ -208,7 +208,7 @@ func HandlerWithObservability(n Node, m *telemetry.Metrics, fr *telemetry.Flight
 				return
 			}
 			planHeader()
-			writeXML(w, MarshalSequence(seq))
+			WriteResults(w, nil, seq)
 			return
 		}
 
@@ -293,7 +293,7 @@ func HandlerWithObservability(n Node, m *telemetry.Metrics, fr *telemetry.Flight
 			return
 		}
 		planHeader()
-		writeXML(w, MarshalSequence(collected))
+		WriteResults(w, nil, collected)
 	})
 	return mux
 }
@@ -307,13 +307,41 @@ func writeXML(w http.ResponseWriter, n *xmldoc.Node) {
 	_, _ = io.WriteString(w, n.String())
 }
 
-// MarshalSequence renders a result sequence as a <results> element: nodes
-// wrapped in <node>, atomics in <atomic type="...">.
+// WriteResults answers w with a buffered <results> document: a root with
+// the item count (or, given a network query's accounting, all of it, as a
+// <summary> would) around every item as AppendItem renders it: the bytes
+// of MarshalSequence(seq).String(), without the tree.
+func WriteResults(w http.ResponseWriter, sum *StreamSummary, seq xq.Sequence) {
+	buf := []byte("<results")
+	if sum != nil {
+		root := *sum
+		root.Count = len(seq)
+		buf = root.appendAttrs(buf)
+	} else {
+		buf = append(strconv.AppendInt(append(buf, ` count="`...), int64(len(seq)), 10), '"')
+	}
+	if len(seq) == 0 {
+		buf = append(buf, "/>"...)
+	} else {
+		buf = append(buf, '>')
+		for _, it := range seq {
+			buf = AppendItem(buf, it)
+		}
+		buf = append(buf, "</results>"...)
+	}
+	w.Header().Set("Content-Type", "text/xml; charset=utf-8")
+	_, _ = w.Write(buf)
+}
+
+// MarshalSequence renders a result sequence as a <results> element tree —
+// nodes wrapped in <node>, atomics in <atomic type="..."> — for callers
+// that embed it in a larger document (PDP messages); WriteResults writes
+// the same bytes without it.
 func MarshalSequence(seq xq.Sequence) *xmldoc.Node {
 	root := xmldoc.NewElement("results")
 	root.SetAttr("count", strconv.Itoa(len(seq)))
 	for _, it := range seq {
-		root.AppendChild(marshalItem(it))
+		root.AppendChild(itemElement(it))
 	}
 	root.Renumber()
 	return root
@@ -334,7 +362,7 @@ func atomicType(it xq.Item) string {
 
 // UnmarshalSequence parses a <results> element back into a sequence. Node
 // items come back as detached element trees (document identity is not
-// preserved across the wire).
+// preserved across the wire), taken out of root's tree rather than copied.
 func UnmarshalSequence(root *xmldoc.Node) (xq.Sequence, error) {
 	if root.Kind == xmldoc.DocumentNode {
 		root = root.DocumentElement()
@@ -346,7 +374,7 @@ func UnmarshalSequence(root *xmldoc.Node) (xq.Sequence, error) {
 	for _, c := range root.ChildElements() {
 		switch c.LocalName() {
 		case "node", "atomic":
-			it, err := unmarshalItem(c)
+			it, err := itemFromElement(c)
 			if err != nil {
 				return nil, err
 			}
@@ -472,7 +500,7 @@ func readXMLResponse(resp *http.Response) (*xmldoc.Node, error) {
 			RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
 		}
 	}
-	return xmldoc.ParseString(string(data))
+	return xmldoc.ParseBytes(data)
 }
 
 // GetServiceDescription implements Presenter against the remote node. This

@@ -1,7 +1,7 @@
 package wsda
 
 import (
-	"encoding/xml"
+	"cmp"
 	"fmt"
 	"io"
 	"net/http"
@@ -47,20 +47,71 @@ type StreamSummary struct {
 	NextCursor string
 }
 
+// RawItem is one result item in wire form: the bytes of a complete <node>
+// or <atomic> element as AppendItem renders one, and written as they are.
+// The router's shard backend hands these to the merge instead of decoded
+// trees, so an item crosses the router as the bytes the shard wrote. One
+// handed to a callback aliases the decoder's buffer and is valid until the
+// callback returns: write it out before that, or keep a copy.
+type RawItem []byte
+
+// Item parses the wire element into the item it stands for.
+func (r RawItem) Item() (xq.Item, error) {
+	doc, err := xmldoc.ParseBytes(r)
+	if err != nil {
+		return nil, fmt.Errorf("wsda: decode results: %w", err)
+	}
+	if doc.DocumentElement() == nil {
+		return nil, fmt.Errorf("wsda: decode results: item %q holds no element", r)
+	}
+	return itemFromElement(doc.DocumentElement())
+}
+
+// AppendItem appends the wire element of one result item to dst: a node
+// as <node> around its serialization (an attribute node in the attr-name
+// form, any other non-element as its text), an atomic as <atomic
+// type="...">, a RawItem as it is. Items are rendered nowhere else, which
+// makes streamed, buffered and routed item bytes identical. It only reads
+// the item, so shared immutable result elements are safe to pass.
+func AppendItem(dst []byte, it xq.Item) []byte {
+	switch v := it.(type) {
+	case RawItem:
+		return append(dst, v...)
+	case *xmldoc.Node:
+		if v.Kind == xmldoc.DocumentNode {
+			if v = v.DocumentElement(); v == nil {
+				return append(dst, "<node/>"...)
+			}
+		}
+		switch v.Kind {
+		case xmldoc.ElementNode:
+			dst = v.AppendTo(append(dst, "<node>"...))
+		case xmldoc.AttributeNode:
+			dst = xmldoc.EscapeAttr(append(dst, `<node attr-name="`...), v.Name)
+			dst = xmldoc.EscapeText(append(dst, `">`...), v.Data)
+		default:
+			dst = xmldoc.EscapeText(append(dst, "<node>"...), v.StringValue())
+		}
+		return append(dst, "</node>"...)
+	default:
+		dst = append(append(dst, `<atomic type="`...), atomicType(it)...)
+		dst = xmldoc.EscapeText(append(dst, `">`...), xq.StringValue(it))
+		return append(dst, "</atomic>"...)
+	}
+}
+
 // StreamWriter emits a chunked <results> stream over HTTP: one <node> or
-// <atomic> element per item — byte-identical to the elements MarshalSequence
-// produces, so streamed and buffered deliveries carry the same item bytes —
-// flushed to the client as they are written, terminated by a <summary>
-// element carrying the accounting. The zero value is not usable; call
-// NewStreamWriter.
+// <atomic> element per item, rendered by AppendItem, each flushed to the
+// client as it is written — per-item flush is the pipelining contract —
+// terminated by a <summary> element carrying the accounting. The zero
+// value is not usable; call NewStreamWriter.
 type StreamWriter struct {
-	w          io.Writer
-	fl         http.Flusher
-	flushEvery int
-	unflushed  int
-	count      int
-	started    bool
-	err        error
+	w       http.ResponseWriter
+	fl      http.Flusher
+	buf     []byte // the item being written, reused
+	count   int
+	started bool
+	err     error
 
 	// Flight correlation (SetFlight): records one stream-item event per
 	// written item and a stream-close on the trailer, tying the HTTP edge
@@ -74,17 +125,7 @@ type StreamWriter struct {
 // error status for failures detected before evaluation starts.
 func NewStreamWriter(w http.ResponseWriter) *StreamWriter {
 	fl, _ := w.(http.Flusher)
-	return &StreamWriter{w: w, fl: fl, flushEvery: 1}
-}
-
-// SetFlushEvery makes the writer flush once per n items instead of after
-// every item — the knob for high-volume streams where per-item flushes cost
-// a syscall each. Values below 1 are treated as 1.
-func (sw *StreamWriter) SetFlushEvery(n int) {
-	if n < 1 {
-		n = 1
-	}
-	sw.flushEvery = n
+	return &StreamWriter{w: w, fl: fl}
 }
 
 // SetFlight attaches a flight recorder and the transaction this stream
@@ -93,9 +134,6 @@ func (sw *StreamWriter) SetFlushEvery(n int) {
 func (sw *StreamWriter) SetFlight(fr *telemetry.FlightRecorder, tx string) {
 	sw.fr, sw.tx = fr, tx
 }
-
-// Count returns how many items have been written so far.
-func (sw *StreamWriter) Count() int { return sw.count }
 
 // Started reports whether the response header has been committed (after
 // which errors can no longer be answered with an HTTP status).
@@ -106,71 +144,42 @@ func (sw *StreamWriter) start() {
 		return
 	}
 	sw.started = true
-	if hw, ok := sw.w.(http.ResponseWriter); ok {
-		hw.Header().Set("Content-Type", "text/xml; charset=utf-8")
-	}
+	sw.w.Header().Set("Content-Type", "text/xml; charset=utf-8")
 	_, sw.err = io.WriteString(sw.w, `<results streamed="true">`)
 	sw.flush()
 }
 
 func (sw *StreamWriter) flush() {
-	sw.unflushed = 0
 	if sw.fl != nil {
 		sw.fl.Flush()
 	}
 }
 
-// WriteItem appends one result item to the stream and flushes per the
-// flush policy. The first call commits the response header.
+// WriteItem appends one result item to the stream and flushes it. The
+// first call commits the response header.
 func (sw *StreamWriter) WriteItem(it xq.Item) error {
-	if sw.err != nil {
+	if sw.start(); sw.err != nil { // an earlier failure, or the header's
 		return sw.err
 	}
-	sw.start()
-	if sw.err != nil {
-		return sw.err
-	}
-	if _, sw.err = io.WriteString(sw.w, marshalItem(it).String()); sw.err != nil {
+	sw.buf = AppendItem(sw.buf[:0], it)
+	if _, sw.err = sw.w.Write(sw.buf); sw.err != nil {
 		return sw.err
 	}
 	sw.count++
 	sw.fr.Record(sw.tx, telemetry.FlightStreamItem, "", "", int64(sw.count), "")
-	if sw.unflushed++; sw.unflushed >= sw.flushEvery {
-		sw.flush()
-	}
+	sw.flush()
 	return nil
 }
 
 // Close terminates the stream with the <summary> trailer and the closing
 // </results> tag. sum.Count is overridden with the writer's own item count.
 func (sw *StreamWriter) Close(sum StreamSummary) error {
-	if sw.err != nil {
-		return sw.err
-	}
-	sw.start()
-	if sw.err != nil {
+	if sw.start(); sw.err != nil {
 		return sw.err
 	}
 	sum.Count = sw.count
-	el := xmldoc.NewElement("summary")
-	if sum.TxID != "" {
-		el.SetAttr("tx", sum.TxID)
-	}
-	el.SetAttr("count", strconv.Itoa(sum.Count))
-	el.SetAttr("complete", strconv.FormatBool(sum.Complete))
-	el.SetAttr("elapsed-ms", strconv.FormatInt(sum.Elapsed.Milliseconds(), 10))
-	if sum.Network {
-		el.SetAttr("aborted", strconv.FormatBool(sum.Aborted))
-		el.SetAttr("nodes-contacted", strconv.Itoa(sum.NodesContacted))
-		el.SetAttr("nodes-responded", strconv.Itoa(sum.NodesResponded))
-	}
-	if sum.Shortfall != "" {
-		el.SetAttr("shortfall", sum.Shortfall)
-	}
-	if sum.NextCursor != "" {
-		el.SetAttr("next-cursor", sum.NextCursor)
-	}
-	if _, sw.err = io.WriteString(sw.w, el.String()+"</results>"); sw.err != nil {
+	sw.buf = append(sum.appendAttrs(append(sw.buf[:0], "<summary"...)), "/></results>"...)
+	if _, sw.err = sw.w.Write(sw.buf); sw.err != nil {
 		return sw.err
 	}
 	note := "complete"
@@ -182,164 +191,138 @@ func (sw *StreamWriter) Close(sum StreamSummary) error {
 	return nil
 }
 
+// appendAttrs appends the summary as attributes, the way both a <summary>
+// trailer and the root of a buffered response carry it.
+func (sum *StreamSummary) appendAttrs(dst []byte) []byte {
+	attr := func(name, val string) {
+		dst = xmldoc.EscapeAttr(append(append(append(dst, ' '), name...), `="`...), val)
+		dst = append(dst, '"')
+	}
+	if sum.TxID != "" {
+		attr("tx", sum.TxID)
+	}
+	attr("count", strconv.Itoa(sum.Count))
+	attr("complete", strconv.FormatBool(sum.Complete))
+	attr("elapsed-ms", strconv.FormatInt(sum.Elapsed.Milliseconds(), 10))
+	if sum.Network {
+		attr("aborted", strconv.FormatBool(sum.Aborted))
+		attr("nodes-contacted", strconv.Itoa(sum.NodesContacted))
+		attr("nodes-responded", strconv.Itoa(sum.NodesResponded))
+	}
+	if sum.Shortfall != "" {
+		attr("shortfall", sum.Shortfall)
+	}
+	if sum.NextCursor != "" {
+		attr("next-cursor", sum.NextCursor)
+	}
+	return dst
+}
+
 // DecodeStream incrementally parses a <results> document from r, invoking
 // onItem for every result item the moment its element is fully read — no
 // buffering of the document, so items surface while the producer is still
 // streaming. onItem returning false stops the parse early. The returned
 // summary comes from the trailing <summary> element (streamed responses) or
 // from the root's own attributes (buffered responses); on early stop it
-// reflects what had been seen so far.
+// reflects what had been seen so far. Node items are the caller's own.
 func DecodeStream(r io.Reader, onItem func(it xq.Item) bool) (*StreamSummary, error) {
-	dec := xml.NewDecoder(r)
-	sum := &StreamSummary{Complete: true}
-	depth := 0
+	var bad error
+	sum, err := DecodeRawStream(r, func(raw RawItem) bool {
+		it, err := raw.Item()
+		if err != nil {
+			bad = err
+			return false
+		}
+		return onItem == nil || onItem(it)
+	})
+	return sum, cmp.Or(bad, err)
+}
+
+// DecodeRawStream is DecodeStream without the trees: an xmldoc.Framer
+// finds each child of <results> and onItem receives the <node> and
+// <atomic> elements as RawItems (see there for how long one stays valid);
+// only the root's attributes and <summary> are parsed. The framer checks
+// what it passes over as Parse would, so a truncated or malformed stream,
+// or one holding any other element, ends with an error — after the items
+// before the fault were delivered, and never reporting Complete.
+func DecodeRawStream(r io.Reader, onItem func(raw RawItem) bool) (*StreamSummary, error) {
+	sum := &StreamSummary{}
+	fail := func(err error) (*StreamSummary, error) {
+		sum.Complete = false
+		return sum, fmt.Errorf("wsda: decode results: %w", err)
+	}
+	f := xmldoc.NewFramer(r)
+	root, err := f.Root()
+	if err != nil {
+		return fail(err)
+	}
+	if root.LocalName() != "results" {
+		return fail(fmt.Errorf("expected <results> element, got <%s>", root.LocalName()))
+	}
+	sum.Complete = true
+	summaryFromElement(sum, root)
 	count := 0
 	for {
-		tok, err := dec.Token()
+		name, span, err := f.Next()
 		if err == io.EOF {
-			if depth != 0 {
-				return sum, fmt.Errorf("wsda: truncated result stream")
-			}
 			break
 		}
 		if err != nil {
-			return sum, fmt.Errorf("wsda: decode results: %w", err)
+			return fail(err)
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if depth == 0 {
-				if t.Name.Local != "results" {
-					return sum, fmt.Errorf("wsda: expected <results> element, got <%s>", t.Name.Local)
-				}
-				summaryFromAttrs(sum, t.Attr)
-				depth = 1
-				continue
-			}
-			// A complete child element: materialize it from the token
-			// stream, then interpret it.
-			el, err := buildElement(dec, t)
+		switch string(name) {
+		case "summary":
+			el, err := xmldoc.ParseBytes(span)
 			if err != nil {
-				return sum, err
+				return fail(err)
 			}
-			if el.LocalName() == "summary" {
-				summaryFromElement(sum, el)
-				continue
-			}
-			it, err := unmarshalItem(el)
-			if err != nil {
-				return sum, err
-			}
-			count++
-			sum.Count = count
-			if onItem != nil && !onItem(it) {
-				// The consumer stopped before the stream (and its trailing
-				// accounting) finished: whatever was left unread is missing,
-				// so this result must not claim completeness.
-				sum.Complete = false
-				return sum, nil
-			}
-		case xml.EndElement:
-			if depth == 1 && t.Name.Local == "results" {
-				depth = 0
-			}
+			summaryFromElement(sum, el.DocumentElement())
+			continue
+		default:
+			return fail(fmt.Errorf("unexpected result element <%s>", name))
+		case "node", "atomic":
 		}
-	}
-	if sum.Count < count {
+		count++
 		sum.Count = count
+		if !onItem(span) {
+			// The consumer stopped before the stream (and its trailing
+			// accounting) finished: whatever was left unread is missing,
+			// so this result must not claim completeness.
+			sum.Complete = false
+			return sum, nil
+		}
 	}
+	sum.Count = max(sum.Count, count)
 	return sum, nil
 }
 
-// summaryFromAttrs folds encoding/xml attributes (the <results> root of a
-// buffered response) into the summary.
-func summaryFromAttrs(sum *StreamSummary, attrs []xml.Attr) {
-	el := xmldoc.NewElement("summary")
-	for _, a := range attrs {
-		el.SetAttr(a.Name.Local, a.Value)
-	}
-	summaryFromElement(sum, el)
-}
-
-// summaryFromElement folds a <summary>-shaped element's attributes into sum.
+// summaryFromElement folds the accounting attributes of a <summary>
+// element, or of a buffered response's <results> root, into sum.
 func summaryFromElement(sum *StreamSummary, el *xmldoc.Node) {
-	if v, ok := el.Attr("tx"); ok {
-		sum.TxID = v
-	}
-	if v, ok := el.Attr("count"); ok {
-		if n, err := strconv.Atoi(v); err == nil {
+	for _, a := range el.Attrs {
+		n, err := strconv.Atoi(a.Data)
+		num := err == nil
+		switch {
+		case a.Name == "tx":
+			sum.TxID = a.Data
+		case a.Name == "count" && num:
 			sum.Count = n
-		}
-	}
-	if v, ok := el.Attr("complete"); ok {
-		sum.Complete = v == "true"
-	}
-	if v, ok := el.Attr("elapsed-ms"); ok {
-		if ms, err := strconv.ParseInt(v, 10, 64); err == nil {
-			sum.Elapsed = time.Duration(ms) * time.Millisecond
-		}
-	}
-	if v, ok := el.Attr("aborted"); ok {
-		sum.Aborted = v == "true"
-		sum.Network = true
-	}
-	if v, ok := el.Attr("nodes-contacted"); ok {
-		if n, err := strconv.Atoi(v); err == nil {
-			sum.NodesContacted = n
-			sum.Network = true
-		}
-	}
-	if v, ok := el.Attr("nodes-responded"); ok {
-		if n, err := strconv.Atoi(v); err == nil {
+		case a.Name == "complete":
+			sum.Complete = a.Data == "true"
+		case a.Name == "elapsed-ms" && num:
+			sum.Elapsed = time.Duration(n) * time.Millisecond
+		case a.Name == "aborted":
+			sum.Aborted, sum.Network = a.Data == "true", true
+		case a.Name == "nodes-contacted" && num:
+			sum.NodesContacted, sum.Network = n, true
+		case a.Name == "nodes-responded" && num:
 			sum.NodesResponded = n
+		case a.Name == "shortfall":
+			sum.Shortfall = a.Data
+		case a.Name == "next-cursor":
+			sum.NextCursor = a.Data
 		}
 	}
-	if v, ok := el.Attr("shortfall"); ok {
-		sum.Shortfall = v
-	}
-	if v, ok := el.Attr("next-cursor"); ok {
-		sum.NextCursor = v
-	}
-}
-
-// buildElement materializes the element opened by se (and its whole
-// subtree) from the decoder's token stream into an xmldoc tree — the
-// incremental counterpart of xmldoc.Parse for one child element.
-func buildElement(dec *xml.Decoder, se xml.StartElement) (*xmldoc.Node, error) {
-	root := elementFromStart(se)
-	cur := root
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return nil, fmt.Errorf("wsda: decode results: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			el := elementFromStart(t)
-			cur.AppendChild(el)
-			cur = el
-		case xml.EndElement:
-			if cur == root {
-				root.Renumber()
-				return root, nil
-			}
-			cur = cur.Parent
-		case xml.CharData:
-			cur.AppendChild(xmldoc.NewText(string(t)))
-		case xml.Comment:
-			cur.AppendChild(xmldoc.NewComment(string(t)))
-		}
-	}
-}
-
-func elementFromStart(se xml.StartElement) *xmldoc.Node {
-	el := xmldoc.NewElement(se.Name.Local)
-	for _, a := range se.Attr {
-		if a.Name.Space == "xmlns" || (a.Name.Space == "" && a.Name.Local == "xmlns") {
-			continue
-		}
-		el.SetAttr(a.Name.Local, a.Value)
-	}
-	return el
 }
 
 // XQueryStream runs the powerful query primitive against the remote node
@@ -400,58 +383,52 @@ func (c *Client) postStream(path string, q url.Values, body string, onItem func(
 	return sum, err
 }
 
-// marshalItem renders one result item as its wire element: nodes wrapped
-// in <node> (attribute nodes via the attr-name form), atomics in
-// <atomic type="...">. MarshalSequence and StreamWriter share it, which is
-// what makes buffered and streamed item bytes identical.
-func marshalItem(it xq.Item) *xmldoc.Node {
+// itemElement builds the wire element of one result item as a tree, for
+// MarshalSequence. Its serialization is AppendItem's output byte for byte
+// (for a RawItem, which is parsed back into its item first, the canonical
+// form of its bytes).
+func itemElement(it xq.Item) *xmldoc.Node {
+	if raw, ok := it.(RawItem); ok {
+		it, _ = raw.Item()
+	}
+	var wrap *xmldoc.Node
 	switch v := it.(type) {
 	case *xmldoc.Node:
-		wrap := xmldoc.NewElement("node")
-		body := v
-		if body.Kind == xmldoc.DocumentNode {
-			body = body.DocumentElement()
+		wrap = xmldoc.NewElement("node")
+		if v.Kind == xmldoc.DocumentNode {
+			v = v.DocumentElement()
 		}
-		if body != nil {
-			switch body.Kind {
-			case xmldoc.ElementNode:
-				wrap.AppendChild(body.Clone())
-			case xmldoc.AttributeNode:
-				wrap.SetAttr("attr-name", body.Name)
-				wrap.AppendChild(xmldoc.NewText(body.Data))
-			default:
-				wrap.AppendChild(xmldoc.NewText(body.StringValue()))
-			}
+		switch {
+		case v == nil:
+		case v.Kind == xmldoc.ElementNode:
+			wrap.AppendChild(v.Clone())
+		case v.Kind == xmldoc.AttributeNode:
+			wrap.SetAttr("attr-name", v.Name).AppendChild(xmldoc.NewText(v.Data))
+		default:
+			wrap.AppendChild(xmldoc.NewText(v.StringValue()))
 		}
-		wrap.Renumber()
-		return wrap
 	default:
-		a := xmldoc.NewElement("atomic")
-		a.SetAttr("type", atomicType(it))
-		a.AppendChild(xmldoc.NewText(xq.StringValue(it)))
-		a.Renumber()
-		return a
+		wrap = xmldoc.NewElement("atomic").SetAttr("type", atomicType(it))
+		wrap.AppendChild(xmldoc.NewText(xq.StringValue(it)))
 	}
+	wrap.Renumber()
+	return wrap
 }
 
-// unmarshalItem parses one wire element (<node> or <atomic>) back into a
-// result item — the per-item core of UnmarshalSequence, shared with the
-// streaming decoder.
-func unmarshalItem(c *xmldoc.Node) (xq.Item, error) {
+// itemFromElement interprets one wire element (<node> or <atomic>) as the
+// result item it stands for. A node item is taken out of c's tree, not
+// copied: its Parent is cleared and it is returned as is.
+func itemFromElement(c *xmldoc.Node) (xq.Item, error) {
 	switch c.LocalName() {
 	case "node":
 		if an, ok := c.Attr("attr-name"); ok {
 			return xmldoc.NewAttr(an, c.StringValue()), nil
 		}
-		var inner *xmldoc.Node
-		for _, cc := range c.ChildElements() {
-			inner = cc
-			break
-		}
-		if inner != nil {
-			n := inner.Clone()
-			n.Renumber()
-			return n, nil
+		for _, inner := range c.Children {
+			if inner.Kind == xmldoc.ElementNode {
+				inner.Parent = nil
+				return inner, nil
+			}
 		}
 		return xmldoc.NewText(c.StringValue()), nil
 	case "atomic":

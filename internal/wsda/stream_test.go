@@ -46,7 +46,7 @@ func TestXQueryStreamMatchesBuffered(t *testing.T) {
 		t.Fatalf("streamed %d items (summary %d), buffered %d", len(streamed), sum.Count, len(buffered))
 	}
 	for i := range buffered {
-		b, s := marshalItem(buffered[i]).String(), marshalItem(streamed[i]).String()
+		b, s := string(AppendItem(nil, buffered[i])), string(AppendItem(nil, streamed[i]))
 		if b != s {
 			t.Fatalf("item %d bytes differ:\nbuffered: %s\nstreamed: %s", i, b, s)
 		}

@@ -6,65 +6,59 @@ import (
 )
 
 // String serializes the subtree rooted at n to compact XML text.
-func (n *Node) String() string {
-	var sb strings.Builder
-	n.write(&sb, -1, 0)
-	return sb.String()
-}
+func (n *Node) String() string { return string(n.AppendTo(nil)) }
 
 // Indent serializes the subtree rooted at n with two-space indentation.
-func (n *Node) Indent() string {
-	var sb strings.Builder
-	n.write(&sb, 0, 0)
-	return sb.String()
-}
+func (n *Node) Indent() string { return string(n.append(nil, 0, 0)) }
 
 // WriteTo serializes n compactly to w.
 func (n *Node) WriteTo(w io.Writer) (int64, error) {
-	var sb strings.Builder
-	n.write(&sb, -1, 0)
-	m, err := io.WriteString(w, sb.String())
+	m, err := w.Write(n.AppendTo(nil))
 	return int64(m), err
 }
 
-// write emits the node. indent < 0 means compact output.
-func (n *Node) write(sb *strings.Builder, indent, depth int) {
+// AppendTo appends the compact serialization of the subtree rooted at n to
+// dst and returns the extended slice. It only reads the tree, so shared
+// immutable elements may be serialized concurrently.
+func (n *Node) AppendTo(dst []byte) []byte { return n.append(dst, -1, 0) }
+
+// append emits the node. indent < 0 means compact output.
+func (n *Node) append(dst []byte, indent, depth int) []byte {
 	switch n.Kind {
 	case DocumentNode:
 		for i, c := range n.Children {
 			if indent >= 0 && i > 0 {
-				sb.WriteByte('\n')
+				dst = append(dst, '\n')
 			}
-			c.write(sb, indent, depth)
+			dst = c.append(dst, indent, depth)
 		}
 	case TextNode:
-		escapeText(sb, n.Data)
+		dst = EscapeText(dst, n.Data)
 	case CommentNode:
-		sb.WriteString("<!--")
-		sb.WriteString(n.Data)
-		sb.WriteString("-->")
+		dst = append(dst, "<!--"...)
+		dst = append(dst, n.Data...)
+		dst = append(dst, "-->"...)
 	case AttributeNode:
-		sb.WriteString(n.Name)
-		sb.WriteString(`="`)
-		escapeAttr(sb, n.Data)
-		sb.WriteByte('"')
+		dst = append(dst, n.Name...)
+		dst = append(dst, `="`...)
+		dst = EscapeAttr(dst, n.Data)
+		dst = append(dst, '"')
 	case ElementNode:
 		pad := ""
 		if indent >= 0 {
 			pad = strings.Repeat("  ", depth)
-			sb.WriteString(pad)
+			dst = append(dst, pad...)
 		}
-		sb.WriteByte('<')
-		sb.WriteString(n.Name)
+		dst = append(dst, '<')
+		dst = append(dst, n.Name...)
 		for _, a := range n.Attrs {
-			sb.WriteByte(' ')
-			a.write(sb, -1, 0)
+			dst = append(dst, ' ')
+			dst = a.append(dst, -1, 0)
 		}
 		if len(n.Children) == 0 {
-			sb.WriteString("/>")
-			return
+			return append(dst, "/>"...)
 		}
-		sb.WriteByte('>')
+		dst = append(dst, '>')
 		onlyText := true
 		for _, c := range n.Children {
 			if c.Kind != TextNode {
@@ -74,56 +68,60 @@ func (n *Node) write(sb *strings.Builder, indent, depth int) {
 		}
 		if indent < 0 || onlyText {
 			for _, c := range n.Children {
-				c.write(sb, -1, 0)
+				dst = c.append(dst, -1, 0)
 			}
 		} else {
 			for _, c := range n.Children {
-				sb.WriteByte('\n')
+				dst = append(dst, '\n')
 				if c.Kind == TextNode {
 					if strings.TrimSpace(c.Data) == "" {
 						continue
 					}
-					sb.WriteString(strings.Repeat("  ", depth+1))
-					escapeText(sb, strings.TrimSpace(c.Data))
+					dst = append(dst, strings.Repeat("  ", depth+1)...)
+					dst = EscapeText(dst, strings.TrimSpace(c.Data))
 					continue
 				}
-				c.write(sb, indent, depth+1)
+				dst = c.append(dst, indent, depth+1)
 			}
-			sb.WriteByte('\n')
-			sb.WriteString(pad)
+			dst = append(dst, '\n')
+			dst = append(dst, pad...)
 		}
-		sb.WriteString("</")
-		sb.WriteString(n.Name)
-		sb.WriteByte('>')
+		dst = append(dst, "</"...)
+		dst = append(dst, n.Name...)
+		dst = append(dst, '>')
 	}
+	return dst
 }
 
-func escapeText(sb *strings.Builder, s string) {
-	for _, r := range s {
-		switch r {
-		case '<':
-			sb.WriteString("&lt;")
-		case '>':
-			sb.WriteString("&gt;")
-		case '&':
-			sb.WriteString("&amp;")
-		default:
-			sb.WriteRune(r)
-		}
-	}
-}
+// EscapeText appends s to dst as element content: '<', '>' and '&' become
+// entity references, and a carriage return a character reference (a
+// literal one would read back as a line feed).
+func EscapeText(dst []byte, s string) []byte { return escape(dst, s, '>', "&gt;") }
 
-func escapeAttr(sb *strings.Builder, s string) {
-	for _, r := range s {
-		switch r {
+// EscapeAttr appends s to dst as the inside of a double-quoted attribute
+// value: as EscapeText, except that '"' is escaped and '>' is not.
+func EscapeAttr(dst []byte, s string) []byte { return escape(dst, s, '"', "&quot;") }
+
+// escape copies s, replacing '<', '&', CR, and the byte extra by extraRef.
+func escape(dst []byte, s string, extra byte, extraRef string) []byte {
+	from := 0
+	for i := 0; i < len(s); i++ {
+		var ref string
+		switch s[i] {
 		case '<':
-			sb.WriteString("&lt;")
+			ref = "&lt;"
 		case '&':
-			sb.WriteString("&amp;")
-		case '"':
-			sb.WriteString("&quot;")
+			ref = "&amp;"
+		case '\r':
+			ref = "&#13;"
+		case extra:
+			ref = extraRef
 		default:
-			sb.WriteRune(r)
+			continue
 		}
+		dst = append(dst, s[from:i]...)
+		dst = append(dst, ref...)
+		from = i + 1
 	}
+	return append(dst, s[from:]...)
 }

@@ -268,20 +268,28 @@ func BenchmarkViewQueryCold(b *testing.B) {
 // queries against an unchanged 1000-tuple store, each pinning the current
 // tuple set.
 func BenchmarkViewQueryWarm(b *testing.B) {
-	benchViewQueryWarm(b, registry.QueryOptions{})
+	benchViewQueryWarm(b, viewBenchQuery, registry.QueryOptions{})
 }
 
 // BenchmarkViewQueryStreamed is the warm benchmark delivered through Emit —
 // what routerd and the SDK send. It takes the same path as the buffered
 // query, so cmd/benchguard holds it within 2x of BenchmarkViewQueryWarm.
 func BenchmarkViewQueryStreamed(b *testing.B) {
-	benchViewQueryWarm(b, registry.QueryOptions{Emit: func(xq.Item) bool { return true }})
+	benchViewQueryWarm(b, viewBenchQuery, registry.QueryOptions{Emit: func(xq.Item) bool { return true }})
 }
 
-func benchViewQueryWarm(b *testing.B, opts registry.QueryOptions) {
+// BenchmarkViewQueryQ7 is the warm benchmark with the evaluator doing the
+// work: canonical Q7 (for/where/order by over a predicated path), the
+// unplannable query bench/'s view-xquery workload gates. cmd/benchguard
+// holds its allocs/op under a fixed per-tuple budget.
+func BenchmarkViewQueryQ7(b *testing.B) {
+	benchViewQueryWarm(b, workload.CanonicalQueries[6].XQ, registry.QueryOptions{})
+}
+
+func benchViewQueryWarm(b *testing.B, src string, opts registry.QueryOptions) {
 	b.Helper()
 	reg := benchRegistry(b, 1000)
-	q := xq.MustCompile(viewBenchQuery)
+	q := xq.MustCompile(src)
 	if _, err := reg.QueryCompiled(q, opts); err != nil {
 		b.Fatal(err) // build the tuple set
 	}

@@ -16,11 +16,18 @@
 //     per-item ns and allocs over a canned 334-item stream are recorded
 //     alongside for trend tracking.
 //   - xq suite (BenchmarkPlannedQuery{Cold,Warm}, BenchmarkPlanFallback,
+//     BenchmarkViewQueryQ7, BenchmarkXQEval{Simple,Medium,Complex},
 //     BenchmarkLexer -> BENCH_xq.json): the pushdown planner must answer an
 //     index-hit discovery query at least 10x faster than the view-fallback
 //     from-scratch materialization answers an unplannable one on the same
-//     store, and the warm planned path (cached plan, the revision's shared
-//     element) is held to a small allocs/op budget. Lexer throughput rides along for trend tracking.
+//     store (the fallback is a BuildView of 1000 tuples, milliseconds
+//     whatever the interpreter does, against microseconds: the ratio keeps
+//     two orders of magnitude of headroom over its floor), and the warm
+//     planned path (cached plan, the revision's shared element) is held to
+//     a small allocs/op budget. The interpreter is guarded through canonical Q7
+//     over 1000 tuples: its predicates run as compiled closures and its
+//     paths as fused walks, so it may allocate at most 10 times per tuple.
+//     The XQEval trio and lexer throughput ride along for trend tracking.
 //   - shard suite (BenchmarkRoutedQueryWarm, BenchmarkDirectShardQueryWarm,
 //     BenchmarkShardMergeItem, BenchmarkRoutedScatterHTTP -> BENCH_shard.json):
 //     a streamed query routed through the scatter-gather router must put its
@@ -145,7 +152,14 @@ type plannerGuard struct {
 	Speedup          float64 `json:"speedup"`
 	LexerNsPerOp     float64 `json:"lexer_ns_per_op"`
 	LexerAllocsPerOp int64   `json:"lexer_allocs_per_op"`
+	Q7NsPerOp        float64 `json:"q7_ns_per_op"`
+	Q7AllocsPerOp    int64   `json:"q7_allocs_per_op"`
 }
+
+// q7MaxAllocsPerOp is the interpreter's allocation ceiling on
+// BenchmarkViewQueryQ7: 10 per tuple of its 1000-tuple store (the AST
+// interpreter it replaced took 94).
+const q7MaxAllocsPerOp = 10_000
 
 // shardGuard is the shard suite's guard section. FirstItemRatio is the
 // routed first-item latency divided by the direct one; the acceptance
@@ -260,7 +274,7 @@ var suites = []suite{
 	},
 	{
 		name:    "xq",
-		pattern: "Benchmark(PlannedQuery|PlanFallback|Lexer)",
+		pattern: "Benchmark(PlannedQuery|PlanFallback|Lexer|ViewQueryQ7|XQEval)",
 		out:     "BENCH_xq.json",
 		finish: func(rep *report, budget int64) (bool, string) {
 			pg := &plannerGuard{}
@@ -276,19 +290,23 @@ var suites = []suite{
 				case "BenchmarkLexer":
 					pg.LexerNsPerOp = r.NsPerOp
 					pg.LexerAllocsPerOp = r.AllocsPerOp
+				case "BenchmarkViewQueryQ7":
+					pg.Q7NsPerOp = r.NsPerOp
+					pg.Q7AllocsPerOp = r.AllocsPerOp
 				}
 			}
 			if pg.ColdNsPerOp > 0 {
 				pg.Speedup = pg.FallbackNsPerOp / pg.ColdNsPerOp
 			}
 			rep.Planner = pg
-			// Two guards: planner-vs-fallback speedup and the warm
-			// allocation budget. Both regressions defeat the point of
-			// the planner, so either breach fails the suite.
-			pass := pg.Speedup >= 10 && pg.WarmAllocsPerOp <= budget
+			// Three guards: planner-vs-fallback speedup and the warm
+			// allocation budget (either regression defeats the point of
+			// the planner), and the interpreter's allocations per tuple.
+			pass := pg.Speedup >= 10 && pg.WarmAllocsPerOp <= budget &&
+				pg.Q7AllocsPerOp > 0 && pg.Q7AllocsPerOp <= q7MaxAllocsPerOp
 			return pass, fmt.Sprintf(
-				"speedup %.0fx (min 10x), warm allocs/op %d, budget %d",
-				pg.Speedup, pg.WarmAllocsPerOp, budget)
+				"speedup %.0fx (min 10x), warm allocs/op %d, budget %d, Q7 allocs/op %d (max %d)",
+				pg.Speedup, pg.WarmAllocsPerOp, budget, pg.Q7AllocsPerOp, q7MaxAllocsPerOp)
 		},
 	},
 	{

@@ -226,11 +226,11 @@ candidates:
 			elem.Renumber()
 		}
 		for _, pred := range ep.residual {
-			if !pred(elem) {
+			if !pred(elem, nil) {
 				continue candidates
 			}
 		}
-		xq.WalkPlan(elem, ep.proj, deliver)
+		xq.WalkPlan(elem, ep.proj, nil, deliver)
 	}
 	return seq, info
 }

@@ -240,6 +240,57 @@ func TestPlannerExplain(t *testing.T) {
 	}
 }
 
+// TestStepBudgetCompiledPredicates pins what -max-query-steps bounds now
+// that the interpreter runs predicates through the planner's closures: an
+// interpreted evaluation is charged one step per node a compiled predicate
+// is tested against (nested predicates included), so a predicated path over
+// 1000 tuples trips a 1000-step budget and fits the daemon's default; a
+// planned evaluation of the same query is not charged at all.
+func TestStepBudgetCompiledPredicates(t *testing.T) {
+	clk := newFakeClock()
+	mk := func(maxSteps int, noPlanner bool) *Registry {
+		r := New(Config{Name: "r", DefaultTTL: time.Hour, MaxTTL: time.Hour, Now: clk.Now,
+			MaxQuerySteps: maxSteps, NoPlanner: noPlanner})
+		for i := 0; i < 1000; i++ {
+			if _, err := r.Publish(planTuple(i, rand.New(rand.NewSource(int64(i)))), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return r
+	}
+	tight, roomy, planned := mk(1000, true), mk(10_000_000, true), mk(1000, false)
+	q3 := `/tupleset/tuple/content/service[attr[@name="kind"]/@value="monitor"]`
+	for _, src := range []string{
+		q3,
+		`/tupleset/tuple[content/service[interface[@type="XQuery"]]]/@link`, // nested predicates
+		`//service[attr[@name="kind"]/@value="monitor"]`,                    // not a fused run
+	} {
+		if _, err := tight.Query(src, QueryOptions{}); err == nil || !strings.Contains(err.Error(), "exceeded 1000 steps") {
+			t.Errorf("%s under 1000 steps: err %v, want the step-limit error", src, err)
+		}
+		want, err := roomy.Query(src, QueryOptions{})
+		if err != nil || len(want) == 0 {
+			t.Fatalf("%s under the default budget: %d items, err %v", src, len(want), err)
+		}
+		// Planned where plannable, and then uncharged; the descendant path
+		// is interpreted on every registry and trips here too.
+		got, err := planned.Query(src, QueryOptions{})
+		if strings.HasPrefix(src, "//") {
+			if err == nil {
+				t.Errorf("%s: interpreted under 1000 steps without error", src)
+			}
+		} else if err != nil || xq.Serialize(got) != xq.Serialize(want) {
+			t.Errorf("%s planned under 1000 steps: err %v, %d items, want %d", src, err, len(got), len(want))
+		}
+	}
+	// The nested level is charged for itself: testing 1000 <service>
+	// elements is 1000 steps, which a 1000-step budget allows; the <attr>
+	// elements tested beneath each are what exceeds it.
+	if _, err := tight.Query(`/tupleset/tuple/content/service[@domain="cern.ch"]`, QueryOptions{}); err != nil {
+		t.Errorf("one predicate level over 1000 services under 1000 steps: %v", err)
+	}
+}
+
 // TestPlanInfoRoundTrip checks String/ParsePlanInfo are inverses.
 func TestPlanInfoRoundTrip(t *testing.T) {
 	infos := []PlanInfo{

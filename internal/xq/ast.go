@@ -1,5 +1,7 @@
 package xq
 
+import "sync"
+
 // Expr is a compiled XQuery expression node. Every expression evaluates to
 // a Sequence.
 type Expr interface {
@@ -43,9 +45,15 @@ type quantExpr struct {
 // ifExpr is "if (C) then T else E".
 type ifExpr struct{ cond, then, els Expr }
 
-// orExpr / andExpr are short-circuit boolean connectives.
+// orExpr / andExpr are short-circuit boolean connectives. conj holds the
+// closures compilePred built for an andExpr's conjuncts (nil if any is
+// outside the closure grammar), so the planner can push single conjuncts
+// down without compiling them again.
 type orExpr struct{ args []Expr }
-type andExpr struct{ args []Expr }
+type andExpr struct {
+	args []Expr
+	conj []NodePred
+}
 
 // compExpr is a general (=, <, ...) or value (eq, lt, ...) comparison.
 type compExpr struct {
@@ -147,10 +155,31 @@ type varDecl struct {
 	init     Expr
 }
 
-// nodeTest matches nodes on an axis.
+// testKind is what a node test selects, resolved at parse time.
+type testKind uint8
+
+const (
+	testName     testKind = iota // QName, on the axis' principal node kind
+	testAnyName                  // "*", any node of the principal kind
+	testNode                     // node()
+	testText                     // text()
+	testComment                  // comment()
+	testElement                  // element()
+	testDocument                 // document-node()
+)
+
+// nodeTest matches nodes on an axis (see matchTest).
 type nodeTest struct {
-	name string // element/attribute name; "*" matches any; "" with kind set
-	kind string // "", "text", "node", "comment", "element", "document-node"
+	kind testKind
+	name string // the QName of a testName; "*" for testAnyName
+}
+
+// nameTest is the node test for a name or "*".
+func nameTest(name string) nodeTest {
+	if name == "*" {
+		return nodeTest{kind: testAnyName, name: name}
+	}
+	return nodeTest{name: name}
 }
 
 // pathStep is one step of a path expression: either an axis step or a
@@ -160,6 +189,17 @@ type pathStep struct {
 	test    nodeTest
 	primary Expr // non-nil for filter steps; axis/test ignored then
 	preds   []Expr
+	// cpreds is the closure form of preds, one per predicate, built by
+	// pathExpr.compiled: nil when the step has none or any is outside the
+	// closure grammar (plan.go), and the step's predicates are interpreted.
+	cpreds []NodePred
+}
+
+// walkable reports whether WalkPlan can take the step: a child or
+// attribute name test whose predicates, if any, all compiled.
+func (st *pathStep) walkable() bool {
+	return st.primary == nil && (st.axis == axisChild || st.axis == axisAttribute) &&
+		st.test.kind <= testAnyName && len(st.cpreds) == len(st.preds)
 }
 
 // pathExpr is a path expression. If absolute, evaluation starts at the root
@@ -169,13 +209,30 @@ type pathExpr struct {
 	absolute    bool
 	doubleSlash bool
 	steps       []pathStep
+	compileOnce sync.Once // guards the steps' cpreds
+}
+
+// compiled returns the steps with their predicates compiled to closures,
+// compiling them on first use: once per compiled Query, whether the
+// interpreter or the planner gets here first.
+func (e *pathExpr) compiled() []pathStep {
+	e.compileOnce.Do(func() {
+		for i := range e.steps {
+			if st := &e.steps[i]; st.primary == nil {
+				st.cpreds = compilePreds(st.preds)
+			}
+		}
+	})
+	return e.steps
 }
 
 // varRef references a bound variable.
 type varRef struct{ name string }
 
-// literal is a constant atomic value.
-type literal struct{ val Item }
+// literal is a constant atomic value, held as the one-item sequence it
+// evaluates to (eval returns val[:], so evaluating allocates nothing and
+// an append to the result cannot reach the literal).
+type literal struct{ val [1]Item }
 
 // ctxItemExpr is ".".
 type ctxItemExpr struct{}

@@ -219,6 +219,10 @@ func runCorpus(t *testing.T, d *xmldoc.Node) {
 			t.Errorf("%s: %v", c.src, err)
 			continue
 		}
+		// The shared predicate engine against the reference evaluation.
+		if ref, err := MustCompileGeneral(c.src).EvalDoc(d); err != nil || Serialize(ref) != Serialize(seq) {
+			t.Errorf("%s: reference evaluation gave %q (err %v), compiled %q", c.src, Serialize(ref), err, Serialize(seq))
+		}
 		parts := make([]string, len(seq))
 		for i, it := range seq {
 			if n, ok := it.(*xmldoc.Node); ok {

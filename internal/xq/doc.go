@@ -7,5 +7,8 @@
 //
 // The engine is written from scratch on the Go standard library: a
 // hand-rolled lexer and recursive-descent parser produce an AST that is
-// evaluated against trees from internal/xmldoc.
+// evaluated against trees from internal/xmldoc. Path-step predicates inside
+// a small boolean grammar compile once per query into closures (plan.go);
+// the interpreter filters and walks path steps through them, and the
+// registry's planner runs the same closures over single tuples.
 package xq

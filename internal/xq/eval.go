@@ -34,9 +34,13 @@ type evalCtx struct {
 	// emit, when non-nil, receives items produced by the top-level FLWOR
 	// return clause as soon as they are computed (pipelined evaluation,
 	// thesis Ch. 6.5). It may return false to abort evaluation early.
-	emit  func(Item) bool
-	steps *int // shared work counter for resource limiting
-	limit int  // max steps; 0 = unlimited
+	emit func(Item) bool
+	m    *meter // the evaluation's step budget, shared by every derived context
+
+	// general makes path steps ignore their compiled predicates and
+	// interpret them all: the reference evaluation the differential tests
+	// hold the closures to. Only _test.go files can set it.
+	general bool
 
 	// funcs are the user-declared functions of the query prolog; globals
 	// the prolog-declared variable bindings visible inside function bodies.
@@ -70,16 +74,37 @@ func (c *evalCtx) withItem(item Item, pos, size int) *evalCtx {
 	return &cc
 }
 
-// tick accounts one unit of evaluation work and enforces the step limit.
-func (c *evalCtx) tick() error {
-	if c.steps == nil {
-		return nil
+// meter is the step budget of one interpreted evaluation (Options.MaxSteps;
+// limit 0 is unlimited). A step is one FLWOR tuple, one quantifier binding
+// or one node tested against one predicate, interpreted or compiled, at any
+// nesting depth. Compiled closures carry it as a parameter; the planner
+// passes nil, which charges nothing.
+type meter struct{ steps, limit int }
+
+// tick charges one step and reports whether the budget still holds.
+func (m *meter) tick() bool {
+	if m == nil {
+		return true
 	}
-	*c.steps++
-	if c.limit > 0 && *c.steps > c.limit {
-		return fmt.Errorf("xq: evaluation exceeded %d steps", c.limit)
+	m.steps++
+	return m.limit <= 0 || m.steps <= m.limit
+}
+
+// err is the step-limit error once the budget is spent: closures cannot
+// return one, so their callers ask here after running them.
+func (m *meter) err() error {
+	if m != nil && m.limit > 0 && m.steps > m.limit {
+		return fmt.Errorf("xq: evaluation exceeded %d steps", m.limit)
 	}
 	return nil
+}
+
+// tick accounts one unit of evaluation work and enforces the step limit.
+func (c *evalCtx) tick() error {
+	if c.m.tick() {
+		return nil
+	}
+	return c.m.err()
 }
 
 func (e *seqExpr) eval(c *evalCtx) (Sequence, error) {
@@ -254,24 +279,25 @@ func runOrdered(e *flworExpr, c *evalCtx, tuples *[]Sequence, keys *[]Sequence) 
 	return run(c, 0)
 }
 
-// compareKeys compares two order-by keys under the given spec. Empty (nil)
-// keys sort least by default.
+// compareKeys compares two order-by keys under the given spec. An empty
+// (nil) key is the least value or the greatest, as the spec says, and the
+// direction then applies to it like to any other.
 func compareKeys(a, b Item, spec orderSpec) int {
 	var cmp int
 	switch {
 	case a == nil && b == nil:
-		cmp = 0
-	case a == nil:
-		cmp = -1
-	case b == nil:
+		return 0
+	case a == nil || b == nil:
 		cmp = 1
+		if (a == nil) == spec.emptyLeast {
+			cmp = -1
+		}
 	default:
 		c, err := compareAtomic(a, b)
 		if err != nil || c == 2 {
-			cmp = 0
-		} else {
-			cmp = c
+			return 0
 		}
+		cmp = c
 	}
 	if spec.descending {
 		cmp = -cmp
@@ -314,7 +340,7 @@ func (e *quantExpr) eval(c *evalCtx) (Sequence, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Singleton(ok), nil
+	return boolSeq(ok), nil
 }
 
 func (e *ifExpr) eval(c *evalCtx) (Sequence, error) {
@@ -343,10 +369,10 @@ func (e *orExpr) eval(c *evalCtx) (Sequence, error) {
 			return nil, err
 		}
 		if ok {
-			return Singleton(true), nil
+			return seqTrue, nil
 		}
 	}
-	return Singleton(false), nil
+	return seqFalse, nil
 }
 
 func (e *andExpr) eval(c *evalCtx) (Sequence, error) {
@@ -360,10 +386,10 @@ func (e *andExpr) eval(c *evalCtx) (Sequence, error) {
 			return nil, err
 		}
 		if !ok {
-			return Singleton(false), nil
+			return seqFalse, nil
 		}
 	}
-	return Singleton(true), nil
+	return seqTrue, nil
 }
 
 func (e *compExpr) eval(c *evalCtx) (Sequence, error) {
@@ -380,7 +406,7 @@ func (e *compExpr) eval(c *evalCtx) (Sequence, error) {
 		if err != nil {
 			return nil, err
 		}
-		return Singleton(ok), nil
+		return boolSeq(ok), nil
 	}
 	return valueCompare(e.op, l, r)
 }
@@ -565,7 +591,7 @@ func (e *varRef) eval(c *evalCtx) (Sequence, error) {
 	return nil, fmt.Errorf("xq: undefined variable $%s", e.name)
 }
 
-func (e *literal) eval(*evalCtx) (Sequence, error) { return Singleton(e.val), nil }
+func (e *literal) eval(*evalCtx) (Sequence, error) { return e.val[:], nil }
 
 func (e *ctxItemExpr) eval(c *evalCtx) (Sequence, error) {
 	if c.item == nil {
@@ -626,51 +652,73 @@ func (e *funcCall) evalUser(c *evalCtx, uf *userFunc) (Sequence, error) {
 
 // --- Path evaluation ---
 
+// descOrSelfNode is the descendant-or-self::node() step "//" stands for.
+var descOrSelfNode = pathStep{axis: axisDescOrSelf, test: nodeTest{kind: testNode}}
+
 func (e *pathExpr) eval(c *evalCtx) (Sequence, error) {
+	steps := e.compiled()
 	var cur Sequence
 	if e.absolute || e.doubleSlash {
 		n, ok := c.item.(*xmldoc.Node)
 		if !ok {
 			return nil, fmt.Errorf("xq: absolute path requires a node context item")
 		}
-		cur = Singleton(c.rootOf(n))
-		if e.doubleSlash {
-			var err error
-			cur, err = applyAxisStep(c, cur, pathStep{axis: axisDescOrSelf, test: nodeTest{kind: "node"}})
-			if err != nil {
-				return nil, err
-			}
+		if root := c.rootOf(n); e.doubleSlash {
+			cur = c.appendAxis(nil, root, &descOrSelfNode, nil)
+		} else {
+			cur = Singleton(root)
 		}
-	} else if len(e.steps) > 0 && e.steps[0].primary != nil {
+	} else if steps[0].primary != nil {
 		// A path headed by a primary expression ($v/..., f()/...) does not
 		// need a context item: the primary supplies the start sequence.
-		v, err := e.steps[0].primary.eval(c)
+		v, err := steps[0].primary.eval(c)
 		if err != nil {
 			return nil, err
 		}
-		cur, err = applyPredicates(c, v, e.steps[0].preds)
+		cur, err = applyPredicates(c, v, steps[0].preds)
 		if err != nil {
 			return nil, err
 		}
-		if len(e.steps) > 1 {
+		if len(steps) > 1 {
 			cur = sortNodesDocOrder(c, cur)
 		}
-		return e.evalSteps(c, cur, e.steps[1:])
+		steps = steps[1:]
 	} else {
 		if c.item == nil {
 			return nil, fmt.Errorf("xq: relative path requires a context item")
 		}
 		cur = Singleton(c.item)
 	}
-	return e.evalSteps(c, cur, e.steps)
+	return c.evalSteps(cur, steps)
 }
 
 // evalSteps applies the remaining path steps to cur.
-func (e *pathExpr) evalSteps(c *evalCtx, cur Sequence, steps []pathStep) (Sequence, error) {
-	for i, st := range steps {
+func (c *evalCtx) evalSteps(cur Sequence, steps []pathStep) (Sequence, error) {
+	for i := 0; i < len(steps); {
+		st := &steps[i]
+		if n, ok := c.fuseFrom(cur, st); ok {
+			// A maximal run of child/attribute name steps with compiled
+			// predicates, from one start node: every intermediate result
+			// sits at one tree depth, so the depth-first walk delivers the
+			// run's result duplicate-free and in document order.
+			j := i + 1
+			for j < len(steps) && steps[j].walkable() {
+				j++
+			}
+			var out Sequence
+			WalkPlan(n, steps[i:j], c.m, func(x *xmldoc.Node) bool {
+				out = append(out, x)
+				return true
+			})
+			if err := c.m.err(); err != nil {
+				return nil, err
+			}
+			cur, i = out, j
+			continue
+		}
 		fromOne := len(cur) == 1
 		var err error
-		cur, err = applyStep(c, cur, st)
+		cur, err = c.applyStep(cur, st)
 		if err != nil {
 			return nil, err
 		}
@@ -679,13 +727,25 @@ func (e *pathExpr) evalSteps(c *evalCtx, cur Sequence, steps []pathStep) (Sequen
 		if (i < len(steps)-1 || st.primary == nil) && !(fromOne && st.forward()) {
 			cur = sortNodesDocOrder(c, cur)
 		}
+		i++
 	}
 	return cur, nil
 }
 
+// fuseFrom reports whether st can start a fused run: cur is a single node
+// (a node set could hold an ancestor and its descendant, and the walk of
+// one would then interleave with the other's) and st is walkable.
+func (c *evalCtx) fuseFrom(cur Sequence, st *pathStep) (*xmldoc.Node, bool) {
+	if len(cur) != 1 || c.general || !st.walkable() {
+		return nil, false
+	}
+	n, ok := cur[0].(*xmldoc.Node)
+	return n, ok
+}
+
 // forward reports whether the step, applied to a single node, yields
 // distinct nodes in document order.
-func (st pathStep) forward() bool {
+func (st *pathStep) forward() bool {
 	if st.primary != nil {
 		return false
 	}
@@ -697,7 +757,7 @@ func (st pathStep) forward() bool {
 }
 
 // applyStep applies one path step to each item of the input sequence.
-func applyStep(c *evalCtx, input Sequence, st pathStep) (Sequence, error) {
+func (c *evalCtx) applyStep(input Sequence, st *pathStep) (Sequence, error) {
 	if st.primary != nil {
 		// Filter step: evaluate primary for each context item, concatenate,
 		// then filter by predicates over the whole sequence.
@@ -712,18 +772,24 @@ func applyStep(c *evalCtx, input Sequence, st pathStep) (Sequence, error) {
 		}
 		return applyPredicates(c, all, st.preds)
 	}
-	return applyAxisStepWithPreds(c, input, st)
-}
-
-func applyAxisStepWithPreds(c *evalCtx, input Sequence, st pathStep) (Sequence, error) {
+	// Axis step. Compiled predicates filter the axis candidates in place;
+	// predicates outside the closure grammar need each node's axis
+	// sequence for position() and last().
+	compiled := !c.general && len(st.cpreds) == len(st.preds)
 	var out Sequence
 	for _, it := range input {
 		n, ok := it.(*xmldoc.Node)
 		if !ok {
 			return nil, fmt.Errorf("xq: path step on atomic value %T", it)
 		}
-		axisSeq := axisNodes(c, n, st.axis, st.test)
-		filtered, err := applyPredicates(c, axisSeq, st.preds)
+		if compiled {
+			out = c.appendAxis(out, n, st, st.cpreds)
+			if err := c.m.err(); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		filtered, err := applyPredicates(c, c.appendAxis(nil, n, st, nil), st.preds)
 		if err != nil {
 			return nil, err
 		}
@@ -732,54 +798,37 @@ func applyAxisStepWithPreds(c *evalCtx, input Sequence, st pathStep) (Sequence, 
 	return out, nil
 }
 
-func applyAxisStep(c *evalCtx, input Sequence, st pathStep) (Sequence, error) {
-	return applyAxisStepWithPreds(c, input, st)
-}
-
-// axisNodes returns the nodes reachable from n on the axis that match the
-// node test, in axis order.
-func axisNodes(c *evalCtx, n *xmldoc.Node, ax axis, test nodeTest) Sequence {
-	var out Sequence
-	add := func(m *xmldoc.Node) {
-		if matchTest(m, test, ax) {
-			out = append(out, m)
-		}
-	}
-	var walkDesc func(m *xmldoc.Node)
-	walkDesc = func(m *xmldoc.Node) {
-		add(m)
-		for _, ch := range m.Children {
-			walkDesc(ch)
-		}
-	}
-	switch ax {
+// appendAxis appends to out the nodes reachable from n on st's axis that
+// match its node test and hold under preds, in axis order.
+func (c *evalCtx) appendAxis(out Sequence, n *xmldoc.Node, st *pathStep, preds []NodePred) Sequence {
+	switch st.axis {
 	case axisChild:
 		for _, ch := range n.Children {
-			add(ch)
+			out = c.take(out, ch, st, preds)
 		}
 	case axisAttribute:
 		for _, a := range n.Attrs {
-			add(a)
+			out = c.take(out, a, st, preds)
 		}
 	case axisSelf:
-		add(n)
+		out = c.take(out, n, st, preds)
 	case axisParent:
 		if p := c.parentOf(n); p != nil {
-			add(p)
+			out = c.take(out, p, st, preds)
 		}
 	case axisDescOrSelf:
-		walkDesc(n)
+		out = c.takeSubtree(out, n, st, preds)
 	case axisDescendant:
 		for _, ch := range n.Children {
-			walkDesc(ch)
+			out = c.takeSubtree(out, ch, st, preds)
 		}
 	case axisAncestor:
 		for p := c.parentOf(n); p != nil; p = c.parentOf(p) {
-			add(p)
+			out = c.take(out, p, st, preds)
 		}
 	case axisAncestorOrSelf:
 		for p := n; p != nil; p = c.parentOf(p) {
-			add(p)
+			out = c.take(out, p, st, preds)
 		}
 	case axisFollowingSibling, axisPrecedingSibling:
 		parent := c.parentOf(n)
@@ -797,35 +846,55 @@ func axisNodes(c *evalCtx, n *xmldoc.Node, ax axis, test nodeTest) Sequence {
 		if idx < 0 {
 			break
 		}
-		if ax == axisFollowingSibling {
+		if st.axis == axisFollowingSibling {
 			for _, s := range sibs[idx+1:] {
-				add(s)
+				out = c.take(out, s, st, preds)
 			}
 		} else {
 			// Preceding-sibling axis order is reverse document order.
 			for i := idx - 1; i >= 0; i-- {
-				add(sibs[i])
+				out = c.take(out, sibs[i], st, preds)
 			}
 		}
 	}
 	return out
 }
 
-func matchTest(n *xmldoc.Node, test nodeTest, ax axis) bool {
+// take appends m if it matches st's node test and holds under preds.
+func (c *evalCtx) take(out Sequence, m *xmldoc.Node, st *pathStep, preds []NodePred) Sequence {
+	if matchTest(m, &st.test, st.axis) && holdAll(preds, m, c.m) {
+		out = append(out, m)
+	}
+	return out
+}
+
+// takeSubtree is take over m and its descendants, in document order.
+func (c *evalCtx) takeSubtree(out Sequence, m *xmldoc.Node, st *pathStep, preds []NodePred) Sequence {
+	out = c.take(out, m, st, preds)
+	for _, ch := range m.Children {
+		out = c.takeSubtree(out, ch, st, preds)
+	}
+	return out
+}
+
+// matchTest is the one node test: whether n, met on axis ax, is what test
+// selects. A name test selects the axis' principal node kind (attributes
+// on the attribute axis, elements elsewhere) and matches QNames
+// prefix-insensitively, looking only at the tail of a name long enough to
+// carry a prefix.
+func matchTest(n *xmldoc.Node, test *nodeTest, ax axis) bool {
 	switch test.kind {
-	case "node":
+	case testNode:
 		return true
-	case "text":
+	case testText:
 		return n.Kind == xmldoc.TextNode
-	case "comment":
+	case testComment:
 		return n.Kind == xmldoc.CommentNode
-	case "element":
+	case testElement:
 		return n.Kind == xmldoc.ElementNode
-	case "document-node":
+	case testDocument:
 		return n.Kind == xmldoc.DocumentNode
 	}
-	// Name test. On the attribute axis it selects attributes; elsewhere,
-	// elements.
 	want := xmldoc.ElementNode
 	if ax == axisAttribute {
 		want = xmldoc.AttributeNode
@@ -833,10 +902,14 @@ func matchTest(n *xmldoc.Node, test nodeTest, ax axis) bool {
 	if n.Kind != want {
 		return false
 	}
-	if test.name == "*" {
+	if test.kind == testAnyName {
 		return true
 	}
-	return n.Name == test.name || n.LocalName() == test.name
+	name, p := n.Name, len(n.Name)-len(test.name)
+	if p <= 0 {
+		return name == test.name
+	}
+	return name[p-1] == ':' && name[p:] == test.name && strings.IndexByte(name[:p-1], ':') < 0
 }
 
 // applyPredicates filters seq by each predicate in turn. A numeric

@@ -20,6 +20,11 @@ func FuzzCompile(f *testing.F) {
 		"let $x := <a/> return $x//b", "1 cast as xs:boolean",
 		"(: comment :) 1", "(: unterminated", "a | b | @c",
 		"//a[position() = last()]", "fn:count(1)", "xs:integer('3')",
+		// The closure grammar and the fused walk (engine_test.go's shapes).
+		`/r/a[@x = "1"]`, `/r/a[@x = 1 and (b or "t" = .)]/@x`, `//a[b[@x = 2.5]/@*]`,
+		`/r/*[p:a/@k = ""][2 = @x]`, `for $v in //a return $v/*[@x]/@x`,
+		`let $s := //a return $s/*[a or b = "t"]`, `(//a | //r)/a/@x`,
+		`for $a in /r/a order by $a/@y descending empty greatest return $a`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -790,7 +790,7 @@ func (p *parser) parsePath() (Expr, error) {
 		}
 		p.lx.next()
 		if t.text == "//" {
-			pe.steps = append(pe.steps, pathStep{axis: axisDescOrSelf, test: nodeTest{kind: "node"}})
+			pe.steps = append(pe.steps, descOrSelfNode)
 		}
 		st, err := p.parseStep()
 		if err != nil {
@@ -819,9 +819,9 @@ func (p *parser) startsStep(t token) bool {
 	return false
 }
 
-var kindTests = map[string]string{
-	"text": "text", "node": "node", "comment": "comment",
-	"element": "element", "document-node": "document-node",
+var kindTests = map[string]testKind{
+	"text": testText, "node": testNode, "comment": testComment,
+	"element": testElement, "document-node": testDocument,
 }
 
 // parseStep parses one path step, including its predicates.
@@ -838,13 +838,13 @@ func (p *parser) parseStep() (pathStep, error) {
 		if err != nil {
 			return pathStep{}, err
 		}
-		st = pathStep{axis: axisAttribute, test: nodeTest{name: name}}
+		st = pathStep{axis: axisAttribute, test: nameTest(name)}
 	case t.kind == tokSymbol && t.text == "..":
 		p.lx.next()
-		st = pathStep{axis: axisParent, test: nodeTest{kind: "node"}}
+		st = pathStep{axis: axisParent, test: nodeTest{kind: testNode}}
 	case t.kind == tokSymbol && t.text == "*":
 		p.lx.next()
-		st = pathStep{axis: axisChild, test: nodeTest{name: "*"}}
+		st = pathStep{axis: axisChild, test: nameTest("*")}
 	case t.kind == tokName && strings.Contains(t.text, "::"):
 		// Explicit axis syntax: the lexer merges "axis::name" into one
 		// token (":" is a name character for QNames); split it here.
@@ -864,7 +864,7 @@ func (p *parser) parseStep() (pathStep, error) {
 				return pathStep{}, err
 			}
 			if nt.kind == tokSymbol && nt.text == "*" {
-				st.test = nodeTest{name: "*"}
+				st.test = nameTest("*")
 			} else {
 				return pathStep{}, p.lx.errorf(nt.pos, "expected node test after %s::", parts[0])
 			}
@@ -881,7 +881,7 @@ func (p *parser) parseStep() (pathStep, error) {
 				}
 				st.test = nodeTest{kind: kind}
 			} else {
-				st.test = nodeTest{name: rest}
+				st.test = nameTest(rest)
 			}
 		}
 	case t.kind == tokName:
@@ -918,7 +918,7 @@ func (p *parser) parseStep() (pathStep, error) {
 			break
 		}
 		p.lx.next()
-		st = pathStep{axis: axisChild, test: nodeTest{name: t.text}}
+		st = pathStep{axis: axisChild, test: nameTest(t.text)}
 	default:
 		prim, err := p.parsePrimary()
 		if err != nil {
@@ -956,21 +956,21 @@ func (p *parser) parsePrimary() (Expr, error) {
 	switch t.kind {
 	case tokString:
 		p.lx.next()
-		return &literal{val: t.text}, nil
+		return &literal{val: [1]Item{t.text}}, nil
 	case tokInteger:
 		p.lx.next()
 		i, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
 			return nil, p.lx.errorf(t.pos, "bad integer literal %q", t.text)
 		}
-		return &literal{val: i}, nil
+		return &literal{val: [1]Item{i}}, nil
 	case tokDecimal:
 		p.lx.next()
 		f, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
 			return nil, p.lx.errorf(t.pos, "bad decimal literal %q", t.text)
 		}
-		return &literal{val: f}, nil
+		return &literal{val: [1]Item{f}}, nil
 	case tokVar:
 		p.lx.next()
 		return &varRef{name: t.text}, nil

@@ -1,21 +1,29 @@
-// Discovery-query planning: recognizing the compiled AST shapes of the
-// thesis' "simple"/"medium" discovery queries so the registry can answer
-// them straight from its soft-state indexes instead of evaluating the
-// interpreted AST over a materialized <tupleset> document.
+// The predicate engine and discovery-query planning.
 //
-// The plannable grammar is deliberately narrow — exactly the query family
-// that dominates registry traffic:
+// One closure compiler serves both evaluators. compilePred turns a path
+// step's predicate into a closure over document nodes when it is inside
+// the closure grammar: and/or over general `=` comparisons between a
+// relative child/attribute name-step path and a string or numeric literal,
+// and bare relative paths (existence tests), the steps of those paths
+// predicated by the same grammar. Every form is boolean-valued and cannot
+// raise. Each predicate compiles at most once per compiled Query
+// (pathExpr.compiled), and WalkPlan is the one walker of child/attribute
+// steps. The interpreter (eval.go) filters any axis step's candidates
+// through the closures and walks runs of such steps in one pass, metering
+// one step per node tested; predicates outside the grammar (positional,
+// position()/last(), variables, function calls, value and ordering
+// comparisons) keep the general AST interpretation.
+//
+// The planner recognizes the query family that dominates registry traffic,
 //
 //	/tupleset/tuple[P1][P2].../step/step...
 //
-// where each predicate P is a conjunction/disjunction of attribute or
-// child-path `=` string comparisons (and bare path-existence tests), and
-// every trailing step is a child-element or attribute name step, itself
-// optionally predicated by the same predicate grammar. Anything else —
-// prologs, FLWOR, functions, positional predicates, ordering comparisons,
-// descendant axes — is rejected, and the caller falls back to the full
-// interpreter. Predicates compile once into closure chains over document
-// nodes, so repeated execution does no tree-walking of the AST.
+// with every predicate inside the grammar and every trailing step a
+// child-element or attribute name step, so the registry can answer it
+// straight from its soft-state indexes instead of evaluating over a
+// materialized <tupleset>: the same closures and the same walker, run over
+// single rendered tuples, unmetered. Anything else (prologs, FLWOR,
+// functions, descendant axes) is not plannable and is interpreted.
 package xq
 
 import (
@@ -26,19 +34,17 @@ import (
 	"wsda/internal/xmldoc"
 )
 
-// NodePred is one compiled predicate closure over a document node: the
-// planner's replacement for interpreting a predicate's AST per candidate.
-type NodePred func(n *xmldoc.Node) bool
+// NodePred is one compiled predicate closure over a document node: what
+// both evaluators run instead of interpreting a predicate's AST per
+// candidate. m meters an interpreted evaluation (eval.go) and is nil on
+// the planned path, which by design is not charged.
+type NodePred func(n *xmldoc.Node, m *meter) bool
 
 // PlanStep is one compiled path step below the <tuple> element: a child
-// element (Attr false) or attribute (Attr true) name test plus the step's
-// compiled predicates. Name "*" matches any node of the step's kind,
-// mirroring the interpreter's name-test semantics.
-type PlanStep struct {
-	Attr  bool       // attribute axis instead of child-element axis
-	Name  string     // name test; "*" matches any node of the axis kind
-	Preds []NodePred // compiled predicates, all must hold
-}
+// element or attribute name test plus the step's compiled predicates. It
+// is the parsed step itself, so planning copies and compiles nothing the
+// interpreter has not.
+type PlanStep = pathStep
 
 // TuplePlan is the compiled pushdown form of a plannable discovery query.
 // The executing registry turns AttrEq entries for tuple fields (link,
@@ -83,73 +89,58 @@ func buildDiscoveryPlan(q *Query) *TuplePlan {
 	if !ok || !pe.absolute || pe.doubleSlash || len(pe.steps) < 2 {
 		return nil
 	}
-	s0, s1 := pe.steps[0], pe.steps[1]
+	steps := pe.compiled()
+	s0, s1 := &steps[0], &steps[1]
 	if !isChildNameStep(s0, "tupleset") || len(s0.preds) > 0 {
 		return nil
 	}
 	if !isChildNameStep(s1, "tuple") {
 		return nil
 	}
-	p := &TuplePlan{AttrEq: map[string]string{}, AttrPred: map[string]NodePred{}}
-	for _, pred := range s1.preds {
-		if !p.addTuplePred(pred) {
+	for i := 1; i < len(steps); i++ {
+		if !steps[i].walkable() {
 			return nil
 		}
 	}
-	for _, st := range pe.steps[2:] {
-		ps, ok := compilePlanStep(st)
-		if !ok {
-			return nil
-		}
-		p.Proj = append(p.Proj, ps)
+	p := &TuplePlan{AttrEq: map[string]string{}, AttrPred: map[string]NodePred{}, Proj: steps[2:]}
+	for i, pred := range s1.preds {
+		p.addTuplePred(pred, s1.cpreds[i])
 	}
 	return p
 }
 
 // isChildNameStep reports whether st is a plain child::name axis step.
-func isChildNameStep(st pathStep, name string) bool {
+func isChildNameStep(st *pathStep, name string) bool {
 	return st.primary == nil && st.axis == axisChild &&
-		st.test.kind == "" && st.test.name == name
+		st.test.kind == testName && st.test.name == name
 }
 
-// addTuplePred folds one tuple-step predicate into the plan: top-level
-// conjuncts are scanned for pushdown-eligible @attr = "literal" equalities;
-// everything else compiles to a residual closure. It reports whether the
-// predicate is plannable at all.
-func (p *TuplePlan) addTuplePred(e Expr) bool {
+// addTuplePred folds one tuple-step predicate and its closure into the
+// plan: top-level conjuncts are scanned for pushdown-eligible
+// @attr = "literal" equalities; everything else is a residual closure.
+func (p *TuplePlan) addTuplePred(e Expr, pred NodePred) {
 	if and, ok := e.(*andExpr); ok {
-		for _, a := range and.args {
-			if !p.addTuplePred(a) {
-				return false
-			}
+		for i, a := range and.args {
+			p.addTuplePred(a, and.conj[i])
 		}
-		return true
+		return
 	}
 	if name, val, ok := simpleAttrEq(e); ok && val != "" {
 		// A tuple attribute equal to a non-empty literal is pushdown
 		// material; empty literals are not (an absent attribute and an
 		// empty field are different things to the interpreter) and stay
-		// residual via the generic compiler below.
+		// residual.
 		if prev, dup := p.AttrEq[name]; dup {
 			if prev != val {
 				p.Never = true
 			}
-			return true
-		}
-		pred, ok := compilePred(e)
-		if !ok {
-			return false
+			return
 		}
 		p.AttrEq[name] = val
 		p.AttrPred[name] = pred
-		return true
-	}
-	pred, ok := compilePred(e)
-	if !ok {
-		return false
+		return
 	}
 	p.Residual = append(p.Residual, pred)
-	return true
 }
 
 // simpleAttrEq recognizes `@name = "literal"` (either operand order) with
@@ -168,7 +159,7 @@ func simpleAttrEq(e Expr) (name, val string, ok bool) {
 	if !isLit {
 		return "", "", false
 	}
-	s, isStr := lit.val.(string)
+	s, isStr := lit.val[0].(string)
 	if !isStr {
 		return "", "", false
 	}
@@ -176,74 +167,71 @@ func simpleAttrEq(e Expr) (name, val string, ok bool) {
 	if !isPath || pp.absolute || pp.doubleSlash || len(pp.steps) != 1 {
 		return "", "", false
 	}
-	st := pp.steps[0]
-	if st.primary != nil || st.axis != axisAttribute || st.test.kind != "" ||
-		st.test.name == "*" || len(st.preds) > 0 {
+	st := &pp.steps[0]
+	if st.primary != nil || st.axis != axisAttribute || st.test.kind != testName || len(st.preds) > 0 {
 		return "", "", false
 	}
 	return st.test.name, s, true
 }
 
-// compilePred compiles one predicate expression to a node closure, or
-// reports it unplannable. The supported grammar: and/or connectives,
-// general `=` comparisons between a relative child/attribute path and an
-// atomic literal, and bare relative paths (existence tests). All forms
-// are boolean-valued, so the interpreter's positional-predicate rule
-// (numeric value selects by position) can never apply to a compiled
-// predicate.
-func compilePred(e Expr) (NodePred, bool) {
+// compilePred compiles one predicate expression to a node closure; nil
+// reports it outside the closure grammar: and/or connectives, general `=`
+// comparisons between a relative child/attribute path and an atomic
+// literal, and bare relative paths (existence tests). All forms are
+// boolean-valued and cannot raise, so the interpreter's positional rule
+// (a numeric predicate value selects by position) and its error paths can
+// never apply to a compiled predicate.
+func compilePred(e Expr) NodePred {
 	switch x := e.(type) {
 	case *andExpr:
-		preds, ok := compilePreds(x.args)
-		if !ok {
-			return nil, false
+		x.conj = compilePreds(x.args)
+		if x.conj == nil {
+			return nil
 		}
-		return func(n *xmldoc.Node) bool {
-			for _, p := range preds {
-				if !p(n) {
+		return func(n *xmldoc.Node, m *meter) bool {
+			for _, p := range x.conj {
+				if !p(n, m) {
 					return false
 				}
 			}
 			return true
-		}, true
-	case *orExpr:
-		preds, ok := compilePreds(x.args)
-		if !ok {
-			return nil, false
 		}
-		return func(n *xmldoc.Node) bool {
+	case *orExpr:
+		preds := compilePreds(x.args)
+		if preds == nil {
+			return nil
+		}
+		return func(n *xmldoc.Node, m *meter) bool {
 			for _, p := range preds {
-				if p(n) {
+				if p(n, m) {
 					return true
 				}
 			}
 			return false
-		}, true
+		}
 	case *compExpr:
 		return compileEq(x)
 	case *pathExpr:
-		steps, ok := compileRelPath(x)
-		if !ok {
-			return nil, false
+		if steps := compileRelPath(x); steps != nil {
+			return reaches(steps, nil)
 		}
-		return func(n *xmldoc.Node) bool {
-			return !WalkPlan(n, steps, func(*xmldoc.Node) bool { return false })
-		}, true
 	}
-	return nil, false
+	return nil
 }
 
-// compilePreds compiles every expression or reports the lot unplannable.
-func compilePreds(args []Expr) ([]NodePred, bool) {
-	preds := make([]NodePred, 0, len(args))
-	for _, a := range args {
-		p, ok := compilePred(a)
-		if !ok {
-			return nil, false
-		}
-		preds = append(preds, p)
+// compilePreds compiles every expression, or returns nil if any is outside
+// the grammar (or there are none).
+func compilePreds(args []Expr) []NodePred {
+	if len(args) == 0 {
+		return nil
 	}
-	return preds, true
+	preds := make([]NodePred, len(args))
+	for i, a := range args {
+		if preds[i] = compilePred(a); preds[i] == nil {
+			return nil
+		}
+	}
+	return preds
 }
 
 // compileEq compiles a general `=` comparison between a relative path and
@@ -251,49 +239,49 @@ func compilePreds(args []Expr) ([]NodePred, bool) {
 // interpreter's general-comparison coercion: node string values compare
 // as strings against string literals and numerically against numeric
 // literals (non-numeric node text then compares unequal, like NaN).
-func compileEq(cmp *compExpr) (NodePred, bool) {
+func compileEq(cmp *compExpr) NodePred {
 	if !cmp.general || cmp.op != "=" {
-		return nil, false
+		return nil
 	}
 	pathSide, litSide := cmp.l, cmp.r
 	if _, isLit := pathSide.(*literal); isLit {
 		pathSide, litSide = litSide, pathSide
 	}
 	lit, isLit := litSide.(*literal)
-	if !isLit {
-		return nil, false
+	pp, isPath := pathSide.(*pathExpr)
+	if !isLit || !isPath {
+		return nil
 	}
 	var match func(string) bool
-	switch v := lit.val.(type) {
+	switch v := lit.val[0].(type) {
 	case string:
 		match = func(s string) bool { return s == v }
 	case int64:
-		f := float64(v)
-		match = numericMatch(f)
+		match = numericMatch(float64(v))
 	case float64:
 		match = numericMatch(v)
 	default:
-		return nil, false
+		return nil
 	}
-	pp, isPath := pathSide.(*pathExpr)
-	if !isPath {
-		return nil, false
+	if steps := compileRelPath(pp); steps != nil {
+		return reaches(steps, match)
 	}
-	steps, ok := compileRelPath(pp)
-	if !ok {
-		return nil, false
-	}
-	return func(n *xmldoc.Node) bool {
+	return nil
+}
+
+// reaches is the existential closure both predicate forms share: some node
+// reached from the candidate through steps has a string value that match
+// accepts (nil: any node will do). An exhausted meter stops the walk with
+// nothing found.
+func reaches(steps []PlanStep, match func(string) bool) NodePred {
+	return func(n *xmldoc.Node, m *meter) bool {
 		found := false
-		WalkPlan(n, steps, func(leaf *xmldoc.Node) bool {
-			if match(leaf.StringValue()) {
-				found = true
-				return false
-			}
-			return true
+		WalkPlan(n, steps, m, func(leaf *xmldoc.Node) bool {
+			found = match == nil || match(leaf.StringValue())
+			return !found
 		})
 		return found
-	}, true
+	}
 }
 
 // numericMatch compares a node's string value against a numeric literal
@@ -305,71 +293,59 @@ func numericMatch(f float64) func(string) bool {
 	}
 }
 
-// compileRelPath compiles a relative child/attribute name-step path (each
-// step optionally predicated) to plan steps.
-func compileRelPath(pe *pathExpr) ([]PlanStep, bool) {
-	if pe.absolute || pe.doubleSlash || len(pe.steps) == 0 {
-		return nil, false
+// compileRelPath returns the steps of a relative child/attribute name-step
+// path whose predicates all compiled, or nil.
+func compileRelPath(pe *pathExpr) []PlanStep {
+	if pe.absolute || pe.doubleSlash {
+		return nil
 	}
-	steps := make([]PlanStep, 0, len(pe.steps))
-	for _, st := range pe.steps {
-		ps, ok := compilePlanStep(st)
-		if !ok {
-			return nil, false
+	steps := pe.compiled()
+	for i := range steps {
+		if !steps[i].walkable() {
+			return nil
 		}
-		steps = append(steps, ps)
 	}
-	return steps, true
+	return steps
 }
 
-// compilePlanStep compiles one axis step (child or attribute name test
-// plus plannable predicates).
-func compilePlanStep(st pathStep) (PlanStep, bool) {
-	if st.primary != nil || st.test.kind != "" {
-		return PlanStep{}, false
-	}
-	if st.axis != axisChild && st.axis != axisAttribute {
-		return PlanStep{}, false
-	}
-	preds, ok := compilePreds(st.preds)
-	if !ok {
-		return PlanStep{}, false
-	}
-	return PlanStep{Attr: st.axis == axisAttribute, Name: st.test.name, Preds: preds}, true
-}
-
-// WalkPlan walks every node reached from n through the compiled steps, in
-// document order, calling visit per reached node (with no steps, n
-// itself). visit returning false stops the walk; WalkPlan reports whether
-// the walk ran to completion. Attribute steps yield attribute nodes;
-// child steps yield elements — the same node-test semantics as the
-// interpreter's axis evaluation, including prefix-insensitive QName
-// matching.
-func WalkPlan(n *xmldoc.Node, steps []PlanStep, visit func(*xmldoc.Node) bool) bool {
+// WalkPlan is the one walker of child/attribute name steps: it visits
+// every node reached from n through steps, depth-first and therefore in
+// document order and without duplicates (with no steps, n itself). visit
+// returning false stops the walk; WalkPlan reports whether the walk ran
+// to completion. It reads only Children, Attrs, Name and Data, never
+// Parent, so it is at home in shared subtrees. With a meter, every node
+// tested against a predicate is charged one step per predicate, nested
+// predicates included, and the walk stops once the budget is spent; the
+// caller then finds the error in m.err.
+func WalkPlan(n *xmldoc.Node, steps []PlanStep, m *meter, visit func(*xmldoc.Node) bool) bool {
 	if len(steps) == 0 {
 		return visit(n)
 	}
-	st := steps[0]
+	st := &steps[0]
 	nodes := n.Children
-	want := xmldoc.ElementNode
-	if st.Attr {
+	if st.axis == axisAttribute {
 		nodes = n.Attrs
-		want = xmldoc.AttributeNode
 	}
-outer:
 	for _, c := range nodes {
-		if c.Kind != want {
+		if !matchTest(c, &st.test, st.axis) {
 			continue
 		}
-		if st.Name != "*" && c.Name != st.Name && c.LocalName() != st.Name {
-			continue
-		}
-		for _, p := range st.Preds {
-			if !p(c) {
-				continue outer
+		if holdAll(st.cpreds, c, m) {
+			if !WalkPlan(c, steps[1:], m, visit) {
+				return false
 			}
+		} else if m.err() != nil {
+			return false
 		}
-		if !WalkPlan(c, steps[1:], visit) {
+	}
+	return true
+}
+
+// holdAll runs compiled predicates over one candidate, charging the meter
+// one step each; a spent budget fails the candidate.
+func holdAll(preds []NodePred, n *xmldoc.Node, m *meter) bool {
+	for _, p := range preds {
+		if !m.tick() || !p(n, m) {
 			return false
 		}
 	}

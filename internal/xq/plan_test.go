@@ -117,7 +117,7 @@ func TestWalkPlan(t *testing.T) {
 
 	p := mustPlan(t, `/tupleset/tuple/content/service/attr[@name="kind"]/@value`)
 	var got []string
-	WalkPlan(el, p.Proj, func(n *xmldoc.Node) bool {
+	WalkPlan(el, p.Proj, nil, func(n *xmldoc.Node) bool {
 		got = append(got, n.StringValue())
 		return true
 	})
@@ -128,7 +128,7 @@ func TestWalkPlan(t *testing.T) {
 	// Early stop.
 	p = mustPlan(t, `/tupleset/tuple/content/service/attr`)
 	calls := 0
-	completed := WalkPlan(el, p.Proj, func(*xmldoc.Node) bool { calls++; return false })
+	completed := WalkPlan(el, p.Proj, nil, func(*xmldoc.Node) bool { calls++; return false })
 	if completed || calls != 1 {
 		t.Fatalf("early stop: completed=%v calls=%d", completed, calls)
 	}
@@ -136,13 +136,13 @@ func TestWalkPlan(t *testing.T) {
 	// Numeric-literal predicate uses number coercion.
 	p = mustPlan(t, `/tupleset/tuple[content/service/attr/@value=0.25]`)
 	for _, pred := range p.Residual {
-		if !pred(el) {
+		if !pred(el, nil) {
 			t.Fatal("numeric residual predicate should match 0.25")
 		}
 	}
 	p = mustPlan(t, `/tupleset/tuple[content/service/attr/@value=0.26]`)
 	for _, pred := range p.Residual {
-		if pred(el) {
+		if pred(el, nil) {
 			t.Fatal("numeric residual predicate should not match 0.26")
 		}
 	}

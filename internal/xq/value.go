@@ -24,6 +24,18 @@ func Singleton(it Item) Sequence { return Sequence{it} }
 // Empty is the empty sequence.
 var Empty = Sequence{}
 
+// seqTrue and seqFalse are the two boolean results, shared by every
+// expression that yields one; their capacity is 1, so appending to a
+// returned result copies it.
+var seqTrue, seqFalse = Sequence{true}, Sequence{false}
+
+func boolSeq(b bool) Sequence {
+	if b {
+		return seqTrue
+	}
+	return seqFalse
+}
+
 // StringValue converts an item to its string value.
 func StringValue(it Item) string {
 	switch v := it.(type) {
@@ -48,7 +60,7 @@ func StringValue(it Item) string {
 }
 
 func formatFloat(f float64) string {
-	if f == math.Trunc(f) && math.Abs(f) < 1e15 && !math.Signbit(f) || (f == math.Trunc(f) && math.Abs(f) < 1e15) {
+	if f == math.Trunc(f) && math.Abs(f) < 1e15 {
 		return strconv.FormatFloat(f, 'f', -1, 64)
 	}
 	return strconv.FormatFloat(f, 'g', -1, 64)
@@ -113,13 +125,17 @@ func EffectiveBool(seq Sequence) (bool, error) {
 func Atomize(seq Sequence) Sequence {
 	out := make(Sequence, len(seq))
 	for i, it := range seq {
-		if n, ok := it.(*xmldoc.Node); ok {
-			out[i] = n.StringValue()
-		} else {
-			out[i] = it
-		}
+		out[i] = atomOf(it)
 	}
 	return out
+}
+
+// atomOf is the typed value of one item.
+func atomOf(it Item) Item {
+	if n, ok := it.(*xmldoc.Node); ok {
+		return n.StringValue()
+	}
+	return it
 }
 
 // compareAtomic compares two atomic values with XPath general-comparison
@@ -203,10 +219,15 @@ func isNumeric(it Item) bool {
 // generalCompare implements XPath general comparisons (=, !=, <, <=, >, >=)
 // with existential semantics over two sequences.
 func generalCompare(op string, left, right Sequence) (bool, error) {
-	left, right = Atomize(left), Atomize(right)
+	if len(left) > 1 && len(right) > 1 {
+		// The right side is read once per left item: take its element
+		// nodes' string values once.
+		right = Atomize(right)
+	}
 	for _, a := range left {
+		a = atomOf(a)
 		for _, b := range right {
-			c, err := compareAtomic(a, b)
+			c, err := compareAtomic(a, atomOf(b))
 			if err != nil {
 				return false, err
 			}
@@ -257,7 +278,7 @@ func valueCompare(op string, left, right Sequence) (Sequence, error) {
 		return nil, err
 	}
 	if c == 2 {
-		return Singleton(op == "ne"), nil
+		return boolSeq(op == "ne"), nil
 	}
 	var ok bool
 	switch op {
@@ -276,12 +297,15 @@ func valueCompare(op string, left, right Sequence) (Sequence, error) {
 	default:
 		return nil, fmt.Errorf("xq: unknown value comparison %q", op)
 	}
-	return Singleton(ok), nil
+	return boolSeq(ok), nil
 }
 
 // sortNodesDocOrder sorts a node sequence into document order and removes
 // duplicates. Mixed sequences are returned unchanged.
 func sortNodesDocOrder(c *evalCtx, seq Sequence) Sequence {
+	if len(seq) <= 1 {
+		return seq
+	}
 	nodes := make([]*xmldoc.Node, 0, len(seq))
 	for _, it := range seq {
 		n, ok := it.(*xmldoc.Node)
@@ -292,7 +316,7 @@ func sortNodesDocOrder(c *evalCtx, seq Sequence) Sequence {
 	}
 	if c.shared == nil {
 		sort.SliceStable(nodes, func(i, j int) bool { return nodes[i].Order() < nodes[j].Order() })
-	} else if len(nodes) > 1 {
+	} else {
 		c.shared.sortDocOrder(nodes)
 	}
 	out := make(Sequence, 0, len(nodes))

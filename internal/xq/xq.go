@@ -20,6 +20,10 @@ type Query struct {
 	// once per compiled query (nil plan = not plannable).
 	planOnce sync.Once
 	plan     *TuplePlan
+
+	// general selects the reference evaluation (see evalCtx.general); set
+	// through export_test.go only.
+	general bool
 }
 
 // Compile parses src into a Query.
@@ -71,7 +75,7 @@ func (q *Query) Eval(opts *Options) (Sequence, error) {
 	if opts == nil {
 		opts = &Options{}
 	}
-	ctx := &evalCtx{limit: opts.MaxSteps, steps: new(int), funcs: q.funcs}
+	ctx := &evalCtx{m: &meter{limit: opts.MaxSteps}, funcs: q.funcs, general: q.general}
 	if opts.Context != nil {
 		ctx.item = opts.Context
 		ctx.shared = sharedKidsOf(opts.Context)

@@ -201,6 +201,28 @@ func TestFLWOR(t *testing.T) {
 		t.Errorf("order by desc = %v", got)
 	}
 
+	// An empty key sorts where "empty least" (the default) or "empty
+	// greatest" says, independently of the direction of the rest.
+	keyed := xmldoc.MustParse(`<r><a k="2"/><a/><a k="1"/></r>`)
+	for mod, want := range map[string]string{
+		"":                          ",1,2",
+		"empty least":               ",1,2",
+		"empty greatest":            "1,2,",
+		"descending":                "2,1,",
+		"descending empty least":    "2,1,",
+		"descending empty greatest": ",2,1",
+		"ascending empty greatest":  "1,2,",
+	} {
+		src := `for $a in /r/a order by $a/@k ` + mod + ` return string($a/@k)`
+		seq, err := EvalString(src, keyed)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if got := strings.ReplaceAll(Serialize(seq), "\n", ","); got != want {
+			t.Errorf("%s = %q, want %q", src, got, want)
+		}
+	}
+
 	got = evalStrings(t, `
 		let $n := count(//service)
 		return $n * 10`)

@@ -21,6 +21,11 @@
 //   - the metrics inventory: every wsda_* metric family named by a string
 //     literal in the scanned code appears in OPERATIONS.md §2, and every
 //     family §2 names is one the code still registers
+//   - single sites: an outgoing HTTP request is built (http.NewRequest*),
+//     a streamed <results> response is begun (NewStreamWriter) and the
+//     first-item histogram is registered (HistogramVec with
+//     MetricFirstItemSeconds) only in the files singleSite allows, so a new
+//     hand-built request or delivery loop fails the gate
 //
 // Test files and generated files are skipped.
 package main
@@ -35,6 +40,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -124,6 +130,52 @@ var (
 	catalogSection   = regexp.MustCompile(`(?ms)^## 2\. .*?(^## |\z)`)
 )
 
+// requestSites are the files that may build an outgoing HTTP request: the
+// WSDA client's one request path, the change-feed tailer (it cannot import
+// wsda) and the smoke test's probe client.
+var requestSites = []string{"internal/wsda/httpbind.go", "internal/changefeed/tailer.go", "cmd/smoketest/main.go"}
+
+// singleSite maps a callee name to the only files that may call it. With
+// pkg set only calls qualified by it are restricted (http.NewRequest, not
+// httptest.NewRequest); with arg set, only calls passing that identifier.
+var singleSite = map[string]struct {
+	pkg, arg string
+	files    []string
+}{
+	"NewRequest":            {pkg: "http", files: requestSites},
+	"NewRequestWithContext": {pkg: "http", files: requestSites},
+	"NewStreamWriter":       {files: []string{"internal/wsda/edge.go"}},
+	"HistogramVec":          {arg: "MetricFirstItemSeconds", files: []string{"internal/wsda/edge.go"}},
+}
+
+// lastName is the identifier an expression ends in: f for f and for p.f.
+func lastName(e ast.Expr) string {
+	switch v := e.(type) {
+	case *ast.Ident:
+		return v.Name
+	case *ast.SelectorExpr:
+		return v.Sel.Name
+	}
+	return ""
+}
+
+// lintSingleSite reports a call that singleSite confines to other files.
+func lintSingleSite(fset *token.FileSet, call *ast.CallExpr) string {
+	rule, ok := singleSite[lastName(call.Fun)]
+	if !ok || rule.arg != "" && !slices.ContainsFunc(call.Args, func(a ast.Expr) bool { return lastName(a) == rule.arg }) {
+		return ""
+	}
+	if sel, _ := call.Fun.(*ast.SelectorExpr); rule.pkg != "" && (sel == nil || lastName(sel.X) != rule.pkg) {
+		return ""
+	}
+	p := fset.Position(call.Pos())
+	if slices.ContainsFunc(rule.files, func(f string) bool { return strings.HasSuffix(filepath.ToSlash(p.Filename), f) }) {
+		return ""
+	}
+	return fmt.Sprintf("%s:%d: %s%s belongs to %s alone; go through the code there",
+		p.Filename, p.Line, lastName(call.Fun), strings.TrimSuffix(" with "+rule.arg, " with "), strings.Join(rule.files, ", "))
+}
+
 // lintMetricsInventory compares the families the code names with the ones
 // the handbook's metrics catalog lists. A mention ending in "_" or "*" is
 // a prefix ("wsda_simnet_*"), not a family.
@@ -196,6 +248,11 @@ func lintDir(dir string, sections map[string]bool, metrics map[string]string) (p
 		problems = append(problems, lintPackage(fset, dir, pkg, sections)...)
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
+				if call, isCall := n.(*ast.CallExpr); isCall {
+					if p := lintSingleSite(fset, call); p != "" {
+						problems = append(problems, p)
+					}
+				}
 				if lit, isLit := n.(*ast.BasicLit); isLit && metricLiteral.MatchString(lit.Value) {
 					if name := lit.Value[1 : len(lit.Value)-1]; metrics[name] == "" {
 						p := fset.Position(lit.Pos())

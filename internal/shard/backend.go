@@ -171,11 +171,12 @@ func (b *LocalBackend) Assign(_ context.Context, a Assignment) (int, error) {
 }
 
 // HTTPBackend is a shard reached over the WSDA HTTP binding — the shape
-// routerd deploys against real registryd shards.
+// routerd deploys against real registryd shards. Every call it makes is a
+// wsda.Client call carrying the caller's ctx (wsda.Client.Do is the one
+// request path), so a shard's error comes back as a *wsda.HTTPError with
+// its Retry-After hint and a cancelled ctx cancels the shard call.
 type HTTPBackend struct {
-	base   string
 	client *wsda.Client
-	hc     *http.Client
 }
 
 var _ Backend = (*HTTPBackend)(nil)
@@ -189,30 +190,25 @@ func NewHTTPBackend(base string, hc *http.Client) *HTTPBackend {
 	if hc == nil {
 		hc = &http.Client{Timeout: 30 * time.Second}
 	}
-	base = strings.TrimSuffix(base, "/")
-	return &HTTPBackend{
-		base:   base,
-		client: &wsda.Client{BaseURL: base, HTTP: hc},
-		hc:     hc,
-	}
+	return &HTTPBackend{client: &wsda.Client{BaseURL: strings.TrimSuffix(base, "/"), HTTP: hc}}
 }
 
 // Name implements Backend.
-func (b *HTTPBackend) Name() string { return b.base }
+func (b *HTTPBackend) Name() string { return b.client.BaseURL }
 
 // Publish implements Backend.
-func (b *HTTPBackend) Publish(_ context.Context, t *tuple.Tuple, ttl time.Duration) (time.Duration, error) {
-	return b.client.Publish(t, ttl)
+func (b *HTTPBackend) Publish(ctx context.Context, t *tuple.Tuple, ttl time.Duration) (time.Duration, error) {
+	return b.client.WithContext(ctx).Publish(t, ttl)
 }
 
 // Unpublish implements Backend.
-func (b *HTTPBackend) Unpublish(_ context.Context, link string) error {
-	return b.client.Unpublish(link)
+func (b *HTTPBackend) Unpublish(ctx context.Context, link string) error {
+	return b.client.WithContext(ctx).Unpublish(link)
 }
 
 // MinQuery implements Backend.
-func (b *HTTPBackend) MinQuery(_ context.Context, f registry.Filter) ([]*tuple.Tuple, error) {
-	return b.client.MinQuery(f)
+func (b *HTTPBackend) MinQuery(ctx context.Context, f registry.Filter) ([]*tuple.Tuple, error) {
+	return b.client.WithContext(ctx).MinQuery(f)
 }
 
 // QueryStream implements Backend: POST /wsda/xquery?stream=true with the
@@ -223,22 +219,11 @@ func (b *HTTPBackend) MinQuery(_ context.Context, f registry.Filter) ([]*tuple.T
 func (b *HTTPBackend) QueryStream(ctx context.Context, spec QuerySpec, onPlan func(string), onItem func(xq.Item) bool) (*wsda.StreamSummary, error) {
 	q := wsda.QueryParams(spec.options(), spec.MaxResults)
 	q.Set("stream", "true")
-
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		b.base+wsda.PathXQuery+"?"+q.Encode(), strings.NewReader(spec.Query))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "text/xml")
-	resp, err := b.hc.Do(req)
+	resp, err := b.client.WithContext(ctx).Do(http.MethodPost, wsda.PathXQuery, q, spec.Query)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		return nil, &wsda.HTTPError{StatusCode: resp.StatusCode, Body: strings.TrimSpace(string(data))}
-	}
 	plan := resp.Header.Get(wsda.HeaderPlan)
 	if onPlan != nil {
 		onPlan(plan)
@@ -263,46 +248,28 @@ func (b *HTTPBackend) Ready(ctx context.Context) error {
 }
 
 func (b *HTTPBackend) probe(ctx context.Context, path string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := b.hc.Do(req)
+	resp, err := b.client.WithContext(ctx).Do(http.MethodGet, path, nil, "")
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusOK {
-		return &wsda.HTTPError{StatusCode: resp.StatusCode, Body: strings.TrimSpace(string(data))}
-	}
+	// Read the few bytes of a probe answer so the connection is reusable.
+	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 	return nil
 }
 
 // Assign implements Backend via POST /wsda/shard/cutover?of=K/N.
 func (b *HTTPBackend) Assign(ctx context.Context, a Assignment) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		b.base+PathShardCutover+"?of="+url.QueryEscape(a.String()), nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := b.hc.Do(req)
+	resp, err := b.client.WithContext(ctx).Do(http.MethodPost, PathShardCutover, url.Values{"of": {a.String()}}, "")
 	if err != nil {
 		return 0, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, &wsda.HTTPError{StatusCode: resp.StatusCode, Body: strings.TrimSpace(string(data))}
-	}
 	var out struct {
 		Pruned int `json:"pruned"`
 	}
-	if err := json.Unmarshal(data, &out); err != nil {
-		return 0, fmt.Errorf("shard: bad cutover response from %s: %w", b.base, err)
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&out); err != nil {
+		return 0, fmt.Errorf("shard: bad cutover response from %s: %w", b.Name(), err)
 	}
 	return out.Pruned, nil
 }

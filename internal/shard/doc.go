@@ -34,4 +34,9 @@
 // metrics survive the hop: the router forwards its minted transaction ID
 // to every shard, reflects the first shard plan it sees, and adds an
 // X-Wsda-Route header describing the routing decision.
+//
+// The router speaks the binding through wsda's two single sites: its query
+// responses are a wsda.Delivery's (the router only routes, merges and
+// accounts), and every call HTTPBackend makes to a shard goes out through
+// wsda.Client.Do with the caller's context.
 package shard

@@ -8,7 +8,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -81,8 +80,8 @@ type Router struct {
 	requests    *telemetry.CounterVec
 	shardErrors *telemetry.CounterVec
 	fanout      *telemetry.CounterVec
-	firstItem   *telemetry.Histogram
 	cutovers    *telemetry.Counter
+	edge        *wsda.Edge // the /wsda/xquery and /netquery edge, path="router"
 }
 
 // NewRouter builds a Router over cfg.Backends.
@@ -97,7 +96,9 @@ func NewRouter(cfg Config) *Router {
 		hc := &http.Client{Timeout: 30 * time.Second}
 		cfg.Dial = func(base string) Backend { return NewHTTPBackend(base, hc) }
 	}
-	rt := &Router{cfg: cfg, logger: cfg.Logger, backends: cfg.Backends}
+	rt := &Router{cfg: cfg, logger: cfg.Logger, backends: cfg.Backends,
+		// A scatter merges in arrival order, so the edge refuses pages.
+		edge: wsda.NewEdge(cfg.Metrics, cfg.Flight, "router", false)}
 	if m := cfg.Metrics; m != nil {
 		rt.requests = m.CounterVec("wsda_router_requests_total",
 			"Requests accepted by the router, by path.", "path")
@@ -105,9 +106,6 @@ func NewRouter(cfg Config) *Router {
 			"Shard calls that failed (transport error or non-2xx), by shard.", "shard")
 		rt.fanout = m.CounterVec("wsda_router_fanout_total",
 			"Query routing decisions, by route class (single, scatter, never).", "route")
-		rt.firstItem = m.HistogramVec(wsda.MetricFirstItemSeconds,
-			"Time from request start to the first streamed result item leaving the HTTP edge.",
-			nil, "path").With("router")
 		rt.cutovers = m.Counter("wsda_router_cutovers_total",
 			"Partition-map cutovers performed under the write barrier.")
 		m.GaugeFunc("wsda_router_shards",
@@ -345,38 +343,23 @@ func (rt *Router) handleMinQuery(w http.ResponseWriter, r *http.Request) {
 // not fail the response — it is named in the summary's shortfall with
 // complete="false".
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, wsda.MaxQueryBytes+1))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(body) > wsda.MaxQueryBytes {
-		http.Error(w, fmt.Sprintf("query exceeds %d bytes", wsda.MaxQueryBytes), http.StatusRequestEntityTooLarge)
-		return
-	}
-	q := r.URL.Query()
-	opts, maxResults, err := wsda.ParseQueryParams(q)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	query, opts, d := rt.edge.Open(w, r)
+	if d == nil {
 		return
 	}
 	tx := opts.TxID
 	if tx == "" {
 		tx = rt.mintTx()
 	}
-	spec := QuerySpec{Query: string(body), Filter: opts.Filter, Freshness: opts.Freshness,
-		MaxResults: maxResults, TxID: tx}
+	d.SetTx(tx)
+	spec := QuerySpec{Query: query, Filter: opts.Filter, Freshness: opts.Freshness,
+		MaxResults: d.MaxResults(), TxID: tx}
 	compiled, err := xq.Compile(spec.Query)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+		d.Fail(err, http.StatusUnprocessableEntity)
 		return
 	}
 	fr := rt.cfg.Flight
-	streamed := q.Get("stream") == "true"
 
 	// The read barrier is held for the whole scatter-gather: a cutover
 	// waits for every in-flight query, so no query spans two partition
@@ -388,7 +371,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var targets []Backend
 	switch {
 	case len(backends) == 0:
-		http.Error(w, "router has no shards", http.StatusServiceUnavailable)
+		d.Fail(errors.New("router has no shards"), http.StatusServiceUnavailable)
 		return
 	case route.Never:
 		rt.fanout.With("never").Inc()
@@ -407,62 +390,34 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	var sw *wsda.StreamWriter
-	if streamed {
-		sw = wsda.NewStreamWriter(w)
-		sw.SetFlight(fr, tx)
-	}
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 
-	// One mutex serializes the merge: item writes, the plan header (only
-	// before the response commits), and the truncation decision.
+	// One mutex serializes the merge: every Item, and the first shard plan
+	// seen, which the response reflects if it arrives before the headers
+	// commit.
 	var mu sync.Mutex
-	var collected xq.Sequence
-	var firstAt time.Duration
-	count := 0
-	truncated := false
-	planSet := false
-	onPlan := func(plan string) {
+	plan := ""
+	d.OnCommit = func(h http.Header) {
+		if plan != "" {
+			h.Set(wsda.HeaderPlan, plan)
+		}
+	}
+	onPlan := func(p string) {
 		mu.Lock()
 		defer mu.Unlock()
-		if planSet || plan == "" || (sw != nil && sw.Started()) {
-			return
+		if plan == "" {
+			plan = p
 		}
-		w.Header().Set(wsda.HeaderPlan, plan)
-		planSet = true
 	}
 	deliver := func(it xq.Item) bool {
 		mu.Lock()
 		defer mu.Unlock()
-		if truncated || ctx.Err() != nil {
-			return false
+		if d.Item(it) {
+			return true
 		}
-		if count == 0 {
-			firstAt = time.Since(start)
-		}
-		if sw != nil {
-			if count == 0 {
-				rt.firstItem.ObserveSince(start)
-			}
-			if sw.WriteItem(it) != nil {
-				truncated = true
-				cancel()
-				return false
-			}
-		} else {
-			if raw, ok := it.(wsda.RawItem); ok {
-				it = slices.Clone(raw) // the span dies with this call
-			}
-			collected = append(collected, it)
-		}
-		count++
-		if maxResults > 0 && count >= maxResults {
-			truncated = true
-			cancel()
-			return false
-		}
-		return true
+		cancel() // bound reached or client gone: stop the whole fan-out
+		return false
 	}
 
 	type shardResult struct {
@@ -480,12 +435,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}(i, b)
 	}
 	wg.Wait()
-
-	mu.Lock() // the merge is over; lock for a consistent read of its state
-	wasTruncated := truncated
-	items := count
-	first := firstAt
-	mu.Unlock()
+	items, first, truncated := d.Delivered() // the merge is over
 
 	responded := 0
 	complete := true
@@ -493,7 +443,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var shortfalls []string
 	for i, res := range results {
 		if res.err != nil {
-			if wasTruncated || r.Context().Err() != nil {
+			if truncated || r.Context().Err() != nil {
 				// The router canceled the fan-out itself (max-results hit or
 				// client gone); the resulting errors are not shard failures.
 				continue
@@ -526,26 +476,19 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 
-	if len(targets) > 0 && responded == 0 && items == 0 && !wasTruncated && (sw == nil || !sw.Started()) {
+	if len(targets) > 0 && responded == 0 && items == 0 && !truncated {
 		// Every shard failed before anything streamed: this is a gateway
 		// failure, not a partial answer.
 		finish(false)
-		http.Error(w, "all shards failed: "+shortfall, http.StatusBadGateway)
+		d.Fail(errors.New("all shards failed: "+shortfall), http.StatusBadGateway)
 		return
 	}
-
-	sumComplete := complete && !wasTruncated
-	sum := wsda.StreamSummary{
-		TxID: tx, Complete: sumComplete, Aborted: aborted, Elapsed: elapsed,
+	d.Finish(wsda.StreamSummary{
+		TxID: tx, Complete: complete, Aborted: aborted, Elapsed: elapsed,
 		Network: true, NodesContacted: len(targets), NodesResponded: responded,
 		Shortfall: shortfall,
-	}
-	if sw != nil {
-		_ = sw.Close(sum)
-	} else {
-		wsda.WriteResults(w, &sum, collected)
-	}
-	finish(sumComplete)
+	})
+	finish(complete && !truncated)
 }
 
 func (rt *Router) handleStatus(w http.ResponseWriter, r *http.Request) {

@@ -1,7 +1,7 @@
 package updf
 
 import (
-	"io"
+	"errors"
 	"net/http"
 	"strconv"
 	"strings"
@@ -26,39 +26,30 @@ import (
 // as N items have been delivered; a client disconnect does the same
 // instead of letting the query run to its abort deadline.
 //
-// m, when non-nil, records the edge time-to-first-item histogram
-// (wsda_http_first_item_seconds, path="netquery") for streamed requests.
-// fr, when non-nil, ties streamed deliveries into the flight recorder:
-// the minted transaction ID is bound to the stream writer so per-item
-// stream-item events and the stream-close trailer land in the same
-// /debug/query/<tx> recording as the network-side events.
+// Reading the request and writing the response are the shared wsda.Edge's
+// (path label "netquery"; see there for m and fr): the minted transaction
+// ID is bound to the delivery, so a stream's per-item and trailer events
+// land in the same /debug/query/<tx> recording as the network-side events.
 func NetQueryHandler(o *Originator, entry string, m *telemetry.Metrics, fr *telemetry.FlightRecorder) http.HandlerFunc {
-	var firstItem *telemetry.Histogram
-	if m != nil {
-		firstItem = m.HistogramVec(wsda.MetricFirstItemSeconds,
-			"Time from request start to the first streamed result item leaving the HTTP edge.",
-			nil, "path").With("netquery")
-	}
+	// Items arrive in network order, so the edge refuses pages.
+	edge := wsda.NewEdge(m, fr, "netquery", false)
 	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
+		query, _, d := edge.Open(w, r)
+		if d == nil {
 			return
 		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, wsda.MaxQueryBytes+1))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if len(body) > wsda.MaxQueryBytes {
-			http.Error(w, "query too large", http.StatusRequestEntityTooLarge)
-			return
-		}
+		bad := func(what string) { d.Fail(errors.New(what), http.StatusBadRequest) }
 		q := r.URL.Query()
 		spec := QuerySpec{
-			Query:  string(body),
+			Query:  query,
 			Entry:  entry,
 			Mode:   pdp.Routed,
 			Cancel: r.Context().Done(),
+			OnTx:   d.SetTx,
+			// Items leave through the callback the moment they arrive from
+			// the network; returning false closes the transaction with
+			// KindClose so every node downstream stops working for us.
+			OnItem: func(it xq.Item, _ string) bool { return d.Item(it) },
 		}
 		switch q.Get("mode") {
 		case "", "routed":
@@ -69,14 +60,14 @@ func NetQueryHandler(o *Originator, entry string, m *telemetry.Metrics, fr *tele
 		case "referral":
 			spec.Mode = pdp.Referral
 		default:
-			http.Error(w, "unknown mode", http.StatusBadRequest)
+			bad("unknown mode")
 			return
 		}
 		spec.Radius = -1
 		if s := q.Get("radius"); s != "" {
 			v, err := strconv.Atoi(s)
 			if err != nil {
-				http.Error(w, "bad radius", http.StatusBadRequest)
+				bad("bad radius")
 				return
 			}
 			spec.Radius = v
@@ -84,7 +75,7 @@ func NetQueryHandler(o *Originator, entry string, m *telemetry.Metrics, fr *tele
 		if s := q.Get("timeout-ms"); s != "" {
 			ms, err := strconv.Atoi(s)
 			if err != nil {
-				http.Error(w, "bad timeout-ms", http.StatusBadRequest)
+				bad("bad timeout-ms")
 				return
 			}
 			spec.AbortTimeout = time.Duration(ms) * time.Millisecond
@@ -95,7 +86,7 @@ func NetQueryHandler(o *Originator, entry string, m *telemetry.Metrics, fr *tele
 		if s := q.Get("retries"); s != "" {
 			v, err := strconv.Atoi(s)
 			if err != nil {
-				http.Error(w, "bad retries", http.StatusBadRequest)
+				bad("bad retries")
 				return
 			}
 			spec.MaxRetries = v
@@ -103,55 +94,15 @@ func NetQueryHandler(o *Originator, entry string, m *telemetry.Metrics, fr *tele
 		if s := q.Get("fanout"); s != "" {
 			v, err := strconv.Atoi(s)
 			if err != nil {
-				http.Error(w, "bad fanout", http.StatusBadRequest)
+				bad("bad fanout")
 				return
 			}
 			spec.Fanout = v
 		}
-		maxResults := 0
-		if s := q.Get("max-results"); s != "" {
-			v, err := strconv.Atoi(s)
-			if err != nil || v < 0 {
-				http.Error(w, "bad max-results", http.StatusBadRequest)
-				return
-			}
-			maxResults = v
-		}
 
-		start := time.Now()
-		var sw *wsda.StreamWriter
-		if q.Get("stream") == "true" {
-			sw = wsda.NewStreamWriter(w)
-			if fr != nil {
-				stream := sw
-				spec.OnTx = func(tx string) { stream.SetFlight(fr, tx) }
-			}
-		}
-		count := 0
-		if sw != nil || maxResults > 0 {
-			// Items leave through the callback the moment they arrive from
-			// the network; returning false closes the transaction with
-			// KindClose so every node downstream stops working for us.
-			spec.OnItem = func(it xq.Item, source string) bool {
-				if sw != nil {
-					if count == 0 {
-						firstItem.ObserveSince(start)
-					}
-					if sw.WriteItem(it) != nil {
-						return false
-					}
-				}
-				count++
-				return maxResults == 0 || count < maxResults
-			}
-		}
 		rs, err := o.Submit(spec)
 		if err != nil {
-			if sw == nil || !sw.Started() {
-				http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-				return
-			}
-			_ = sw.Close(wsda.StreamSummary{Complete: false, Elapsed: time.Since(start), Network: true})
+			d.Fail(err, http.StatusUnprocessableEntity)
 			return
 		}
 		// An incomplete answer names its shortfall (the downstream failure
@@ -161,18 +112,13 @@ func NetQueryHandler(o *Originator, entry string, m *telemetry.Metrics, fr *tele
 		if !rs.Complete && len(rs.Errs) > 0 {
 			shortfall = strings.Join(rs.Errs, "; ")
 		}
-		sum := wsda.StreamSummary{
+		d.Finish(wsda.StreamSummary{
 			TxID:     rs.TxID,
 			Complete: rs.Complete,
 			Aborted:  rs.Aborted,
 			Elapsed:  rs.Elapsed,
 			Network:  true, NodesContacted: rs.NodesContacted, NodesResponded: rs.NodesResponded,
 			Shortfall: shortfall,
-		}
-		if sw != nil {
-			_ = sw.Close(sum)
-			return
-		}
-		wsda.WriteResults(w, &sum, rs.Items)
+		})
 	}
 }

@@ -97,8 +97,8 @@ func randomItem(rng *rand.Rand) xq.Item {
 	}
 }
 
-// The tree MarshalSequence builds and the bytes WriteResults writes are
-// the same document, for every kind of item; and both delivery shapes
+// The tree MarshalSequence builds and the bytes a buffered Delivery writes
+// are the same document, for every kind of item; and both delivery shapes
 // decode back to items that render to the same bytes again.
 func TestMarshalSequenceMatchesBytePath(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -108,9 +108,14 @@ func TestMarshalSequenceMatchesBytePath(t *testing.T) {
 			seq[i] = randomItem(rng)
 		}
 		rec := httptest.NewRecorder()
-		WriteResults(rec, nil, seq)
+		_, _, d := NewEdge(nil, nil, "xquery", true).Open(rec,
+			httptest.NewRequest(http.MethodPost, PathXQuery, strings.NewReader("q")))
+		for _, it := range seq {
+			d.Item(it)
+		}
+		d.Finish(StreamSummary{Complete: true})
 		if tree := MarshalSequence(seq).String(); tree != rec.Body.String() {
-			t.Fatalf("MarshalSequence and WriteResults differ:\n%s\n%s", tree, rec.Body.String())
+			t.Fatalf("MarshalSequence and the buffered Delivery differ:\n%s\n%s", tree, rec.Body.String())
 		}
 
 		streamed := httptest.NewRecorder()
@@ -135,6 +140,30 @@ func TestMarshalSequenceMatchesBytePath(t *testing.T) {
 			if err != nil || i != len(seq) || sum.Count != len(seq) || !sum.Complete {
 				t.Fatalf("decode: %d of %d items, summary %+v, err %v", i, len(seq), sum, err)
 			}
+		}
+	}
+}
+
+// A buffered root that outgrows the room kept for it (a long shortfall)
+// still leaves as one well-formed document with every item.
+func TestBufferedRootLargerThanItsRoom(t *testing.T) {
+	for _, shortfall := range []string{"", strings.Repeat("shard-7: connection refused; ", 40)} {
+		rec := httptest.NewRecorder()
+		_, _, d := NewEdge(nil, nil, "router", false).Open(rec,
+			httptest.NewRequest(http.MethodPost, PathXQuery, strings.NewReader("q")))
+		seq := xq.Sequence{int64(1), "two", xmldoc.MustParse(`<three/>`).DocumentElement()}
+		for _, it := range seq {
+			d.Item(it)
+		}
+		d.Finish(StreamSummary{TxID: "router#1", Complete: shortfall == "", Network: true,
+			NodesContacted: 2, NodesResponded: 1, Shortfall: shortfall})
+		var got xq.Sequence
+		sum, err := DecodeStream(rec.Body, func(it xq.Item) bool { got = append(got, it); return true })
+		if err != nil || sum.Shortfall != shortfall || sum.Count != 3 || sum.TxID != "router#1" || sum.Complete != (shortfall == "") {
+			t.Fatalf("summary %+v, err %v", sum, err)
+		}
+		if want := MarshalSequence(seq).String(); MarshalSequence(got).String() != want {
+			t.Fatalf("items %s, want %s", MarshalSequence(got), want)
 		}
 	}
 }

@@ -6,7 +6,12 @@
 // protocol bindings.
 //
 // internal/registry supplies the local implementation of the query
-// primitives; Client/Handler bind them to HTTP for remote nodes.
+// primitives; Client/Handler bind them to HTTP for remote nodes. Each half
+// of the binding has one site: Client.Do builds every outgoing request
+// (URL, token, context, non-200 to *HTTPError), and Edge reads every
+// POSTed query and writes every <results> response through a Delivery —
+// for the registry's handler here, the shard router and a peer's
+// /netquery alike.
 //
 // # Result items on the wire
 //

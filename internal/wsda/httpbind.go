@@ -1,6 +1,7 @@
 package wsda
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -16,10 +17,6 @@ import (
 	"wsda/internal/xmldoc"
 	"wsda/internal/xq"
 )
-
-// MetricFirstItemSeconds is the edge time-to-first-item histogram, labeled
-// by path ("xquery" here, "netquery" at the peer's network-query edge).
-const MetricFirstItemSeconds = "wsda_http_first_item_seconds"
 
 // HTTP binding paths for the WSDA primitives.
 const (
@@ -38,11 +35,6 @@ const PathNetQuery = "/netquery"
 // registry executed the query (registry.PlanInfo.String form); wsdaquery
 // -explain surfaces it.
 const HeaderPlan = "X-Wsda-Plan"
-
-// MaxQueryBytes bounds the request body of query endpoints. Oversize
-// queries are rejected with 413 rather than silently truncated into a
-// different (usually malformed) query.
-const MaxQueryBytes = 1 << 20
 
 // StatusCoder lets a Node error pick its own HTTP status instead of the
 // handler's default. The shard guard uses it to answer a publish for a key
@@ -78,12 +70,7 @@ func Handler(n Node) http.Handler { return HandlerWithObservability(n, nil, nil)
 // that transaction ID, so a routed query is explainable end-to-end by
 // asking each hop's /debug/query/<tx> for the same tx.
 func HandlerWithObservability(n Node, m *telemetry.Metrics, fr *telemetry.FlightRecorder) http.Handler {
-	var firstItem *telemetry.Histogram
-	if m != nil {
-		firstItem = m.HistogramVec(MetricFirstItemSeconds,
-			"Time from request start to the first streamed result item leaving the HTTP edge.",
-			nil, "path").With("xquery")
-	}
+	edge := NewEdge(m, fr, "xquery", true)
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathPresenter, func(w http.ResponseWriter, r *http.Request) {
 		desc, err := n.GetServiceDescription()
@@ -142,158 +129,36 @@ func HandlerWithObservability(n Node, m *telemetry.Metrics, fr *telemetry.Flight
 		writeXML(w, root)
 	})
 	mux.HandleFunc(PathXQuery, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
+		query, opts, d := edge.Open(w, r)
+		if d == nil {
 			return
 		}
-		// Read one byte past the limit so an oversize body is detectable
-		// and answered with 413 instead of evaluating a truncated query.
-		body, err := io.ReadAll(io.LimitReader(r.Body, MaxQueryBytes+1))
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		if len(body) > MaxQueryBytes {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("query exceeds %d bytes", MaxQueryBytes))
-			return
-		}
-		q := r.URL.Query()
-		opts, maxResults, err := ParseQueryParams(q)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
+		d.SetTx(opts.TxID)
 		// Capture the chosen plan; local registries fill it before the
 		// first item is emitted, so the header can lead a streamed body.
 		var plan registry.PlanInfo
 		opts.Explain = &plan
-		planHeader := func() {
+		d.OnCommit = func(h http.Header) {
 			if plan.Mode != "" {
-				w.Header().Set(HeaderPlan, plan.String())
+				h.Set(HeaderPlan, plan.String())
 			}
 		}
-		// Cursor pagination: page-size bounds this response to one page and
-		// page-cursor resumes where a previous page stopped. Pagination
-		// implies streamed delivery — the continuation cursor rides the
-		// trailing <summary> — and composes with Emit-driven early stop, so
-		// the engine never materializes the skipped prefix's renderings nor
-		// anything past the page bound plus one probe item.
-		pageSize := 0
-		if s := q.Get("page-size"); s != "" {
-			v, err := strconv.Atoi(s)
-			if err != nil || v <= 0 {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("bad page-size"))
-				return
-			}
-			pageSize = v
-		}
-		pageOffset := 0
-		if s := q.Get("page-cursor"); s != "" {
-			if pageSize == 0 {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("page-cursor requires page-size"))
-				return
-			}
-			off, err := DecodePageCursor(s)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, err)
-				return
-			}
-			pageOffset = off
-		}
-		if q.Get("stream") != "true" && maxResults == 0 && pageSize == 0 {
-			seq, err := n.XQuery(string(body), opts)
-			if err != nil {
-				httpError(w, http.StatusUnprocessableEntity, err)
-				return
-			}
-			planHeader()
-			WriteResults(w, nil, seq)
-			return
-		}
-
-		// Streamed (or result-bounded) delivery: items leave through the
-		// Emit callback the moment the engine produces them; evaluation
-		// stops early on the max-results bound or a client disconnect.
-		start := time.Now()
-		var sw *StreamWriter
-		if q.Get("stream") == "true" || pageSize > 0 {
-			sw = NewStreamWriter(w)
-			if fr != nil && opts.TxID != "" {
-				sw.SetFlight(fr, opts.TxID)
-			}
-		}
-		var collected xq.Sequence
-		count := 0
-		truncated := false
-		skip := pageOffset
-		nextCursor := ""
-		ctx := r.Context()
-		deliver := func(it xq.Item) bool {
-			if ctx.Err() != nil {
-				truncated = true
-				return false
-			}
-			if skip > 0 {
-				skip--
-				return true
-			}
-			if pageSize > 0 && count >= pageSize {
-				// This item is past the page bound; its existence (not its
-				// value) is the proof that a next page exists, so mint the
-				// continuation cursor and stop the evaluation.
-				nextCursor = EncodePageCursor(pageOffset + pageSize)
-				truncated = true
-				return false
-			}
-			if sw != nil {
-				if count == 0 {
-					planHeader() // before the first write commits headers
-					firstItem.ObserveSince(start)
-				}
-				if sw.WriteItem(it) != nil {
-					truncated = true
-					return false
-				}
-			} else {
-				collected = append(collected, it)
-			}
-			count++
-			if maxResults > 0 && count >= maxResults {
-				truncated = true
-				return false
-			}
-			return true
-		}
-		opts.Emit = deliver
-		seq, err := n.XQuery(string(body), opts)
+		// Items leave through the Emit callback the moment the engine
+		// produces them; evaluation stops early when Item says so.
+		opts.Emit = d.Item
+		seq, err := n.XQuery(query, opts)
 		if err != nil {
-			if sw == nil || !sw.Started() {
-				httpError(w, http.StatusUnprocessableEntity, err)
-				return
-			}
-			_ = sw.Close(StreamSummary{Complete: false, Elapsed: time.Since(start)})
+			d.Fail(err, http.StatusUnprocessableEntity)
 			return
 		}
 		// Nodes that do not honor Emit (e.g. a proxying Client) return the
 		// full sequence instead; feed it through the same delivery path.
-		if count == 0 && len(seq) > 0 {
-			for _, it := range seq {
-				if !deliver(it) {
-					break
-				}
+		for _, it := range seq {
+			if !d.Item(it) {
+				break
 			}
 		}
-		if sw != nil {
-			if !sw.Started() {
-				planHeader() // zero-item stream: headers not committed yet
-			}
-			_ = sw.Close(StreamSummary{Complete: !truncated, Elapsed: time.Since(start),
-				NextCursor: nextCursor})
-			return
-		}
-		planHeader()
-		WriteResults(w, nil, collected)
+		d.Finish(StreamSummary{Complete: true})
 	})
 	return mux
 }
@@ -307,36 +172,10 @@ func writeXML(w http.ResponseWriter, n *xmldoc.Node) {
 	_, _ = io.WriteString(w, n.String())
 }
 
-// WriteResults answers w with a buffered <results> document: a root with
-// the item count (or, given a network query's accounting, all of it, as a
-// <summary> would) around every item as AppendItem renders it: the bytes
-// of MarshalSequence(seq).String(), without the tree.
-func WriteResults(w http.ResponseWriter, sum *StreamSummary, seq xq.Sequence) {
-	buf := []byte("<results")
-	if sum != nil {
-		root := *sum
-		root.Count = len(seq)
-		buf = root.appendAttrs(buf)
-	} else {
-		buf = append(strconv.AppendInt(append(buf, ` count="`...), int64(len(seq)), 10), '"')
-	}
-	if len(seq) == 0 {
-		buf = append(buf, "/>"...)
-	} else {
-		buf = append(buf, '>')
-		for _, it := range seq {
-			buf = AppendItem(buf, it)
-		}
-		buf = append(buf, "</results>"...)
-	}
-	w.Header().Set("Content-Type", "text/xml; charset=utf-8")
-	_, _ = w.Write(buf)
-}
-
 // MarshalSequence renders a result sequence as a <results> element tree —
 // nodes wrapped in <node>, atomics in <atomic type="..."> — for callers
-// that embed it in a larger document (PDP messages); WriteResults writes
-// the same bytes without it.
+// that embed it in a larger document (PDP messages); a buffered Delivery
+// writes the same bytes without it.
 func MarshalSequence(seq xq.Sequence) *xmldoc.Node {
 	root := xmldoc.NewElement("results")
 	root.SetAttr("count", strconv.Itoa(len(seq)))
@@ -395,6 +234,8 @@ type Client struct {
 	// — a static tenant token or one minted by `wsdaquery mint` — for
 	// nodes running behind a -tenants gate. Empty sends no header.
 	Token string
+
+	ctx context.Context // WithContext; nil is context.Background()
 }
 
 var _ Node = (*Client)(nil)
@@ -406,57 +247,74 @@ func NewClient(baseURL string) *Client {
 	return &Client{BaseURL: strings.TrimSuffix(baseURL, "/"), HTTP: DefaultHTTPClient}
 }
 
-// newRequest builds a request with the client's auth header attached.
-func (c *Client) newRequest(method, u string, body io.Reader) (*http.Request, error) {
-	req, err := http.NewRequest(method, u, body)
+// WithContext returns a shallow copy of c whose requests carry ctx, in the
+// style of http.Request.WithContext: the primitives keep their ctx-free
+// Node signatures, and a caller holding a context (the router's shard
+// backend) cancels the remote call with it.
+func (c *Client) WithContext(ctx context.Context) *Client {
+	c2 := *c
+	c2.ctx = ctx
+	return &c2
+}
+
+// Do is the one request path to a node: it spells the URL (BaseURL + path
+// + encoded q), sends body (if any) as text/xml with the client's token
+// and context, and maps every non-200 answer to an *HTTPError carrying the
+// node's error text and Retry-After hint. The caller closes the returned
+// response's body. Everything the Client and the router's HTTPBackend
+// send goes through here.
+func (c *Client) Do(method, path string, q url.Values, body string) (*http.Response, error) {
+	u := c.BaseURL + path
+	if len(q) > 0 {
+		u += "?" + q.Encode()
+	}
+	ctx := c.ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	var rd io.Reader
+	if body != "" {
+		rd = strings.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, u, rd)
 	if err != nil {
 		return nil, err
 	}
 	if c.Token != "" {
 		req.Header.Set("Authorization", "Bearer "+c.Token)
 	}
-	return req, nil
-}
-
-func (c *Client) get(path string, q url.Values) (*xmldoc.Node, error) {
-	u := c.BaseURL + path
-	if len(q) > 0 {
-		u += "?" + q.Encode()
-	}
-	req, err := c.newRequest(http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
+	if rd != nil {
+		req.Header.Set("Content-Type", "text/xml")
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
 		return nil, err
 	}
-	return readXMLResponse(resp)
-}
-
-func (c *Client) post(path string, q url.Values, body string) (*xmldoc.Node, error) {
-	doc, _, err := c.postHdr(path, q, body)
-	return doc, err
-}
-
-// postHdr is post, additionally returning the response headers (nil on
-// transport errors) for callers that read side-channel metadata like
-// X-Wsda-Plan.
-func (c *Client) postHdr(path string, q url.Values, body string) (*xmldoc.Node, http.Header, error) {
-	u := c.BaseURL + path
-	if len(q) > 0 {
-		u += "?" + q.Encode()
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+		return nil, &HTTPError{
+			StatusCode: resp.StatusCode,
+			Body:       strings.TrimSpace(string(data)),
+			RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
+		}
 	}
-	req, err := c.newRequest(http.MethodPost, u, strings.NewReader(body))
+	return resp, nil
+}
+
+// fetch is Do for an XML document answer, read and parsed whole; it also
+// returns the response headers for side-channel metadata like X-Wsda-Plan.
+func (c *Client) fetch(method, path string, q url.Values, body string) (*xmldoc.Node, http.Header, error) {
+	resp, err := c.Do(method, path, q, body)
 	if err != nil {
 		return nil, nil, err
 	}
-	req.Header.Set("Content-Type", "text/xml")
-	resp, err := c.httpClient().Do(req)
+	defer resp.Body.Close()
+	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
 		return nil, nil, err
 	}
-	doc, err := readXMLResponse(resp)
+	doc, err := xmldoc.ParseBytes(data)
 	return doc, resp.Header, err
 }
 
@@ -487,27 +345,11 @@ func (e *HTTPError) Retryable() bool {
 		e.StatusCode == http.StatusTooManyRequests
 }
 
-func readXMLResponse(resp *http.Response) (*xmldoc.Node, error) {
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, &HTTPError{
-			StatusCode: resp.StatusCode,
-			Body:       strings.TrimSpace(string(data)),
-			RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
-		}
-	}
-	return xmldoc.ParseBytes(data)
-}
-
 // GetServiceDescription implements Presenter against the remote node. This
 // is also the service-link resolution mechanism: an HTTP GET retrieving the
 // current description.
 func (c *Client) GetServiceDescription() (*Service, error) {
-	doc, err := c.get(PathPresenter, nil)
+	doc, _, err := c.fetch(http.MethodGet, PathPresenter, nil, "")
 	if err != nil {
 		return nil, err
 	}
@@ -519,7 +361,7 @@ func (c *Client) Publish(t *tuple.Tuple, ttl time.Duration) (time.Duration, erro
 	req := xmldoc.NewElement("publish")
 	req.SetAttr("ttl-ms", strconv.FormatInt(ttl.Milliseconds(), 10))
 	req.AppendChild(t.ToXML())
-	doc, err := c.post(PathPublish, nil, req.String())
+	doc, _, err := c.fetch(http.MethodPost, PathPublish, nil, req.String())
 	if err != nil {
 		return 0, err
 	}
@@ -537,23 +379,13 @@ func (c *Client) Publish(t *tuple.Tuple, ttl time.Duration) (time.Duration, erro
 
 // Unpublish implements Consumer against the remote node.
 func (c *Client) Unpublish(link string) error {
-	_, err := c.get(PathUnpublish, url.Values{"link": {link}})
+	_, _, err := c.fetch(http.MethodGet, PathUnpublish, url.Values{"link": {link}}, "")
 	return err
 }
 
 // MinQuery implements the minimal query primitive against the remote node.
 func (c *Client) MinQuery(f registry.Filter) ([]*tuple.Tuple, error) {
-	q := url.Values{}
-	if f.Type != "" {
-		q.Set("type", f.Type)
-	}
-	if f.Context != "" {
-		q.Set("ctx", f.Context)
-	}
-	if f.LinkPrefix != "" {
-		q.Set("prefix", f.LinkPrefix)
-	}
-	doc, err := c.get(PathMinQuery, q)
+	doc, _, err := c.fetch(http.MethodGet, PathMinQuery, QueryParams(registry.QueryOptions{Filter: f}, 0), "")
 	if err != nil {
 		return nil, err
 	}
@@ -575,7 +407,8 @@ func (c *Client) MinQuery(f registry.Filter) ([]*tuple.Tuple, error) {
 // QueryParams renders the wire-crossing query options (Filter, Freshness
 // and TxID; Emit and Vars are local-only concepts) and the result bound as
 // /wsda/xquery URL parameters — the one encoder the Client, the router's
-// shard backend and anything else speaking the binding share.
+// shard backend and anything else speaking the binding share; Edge.Open
+// is its inverse.
 func QueryParams(opts registry.QueryOptions, maxResults int) url.Values {
 	q := url.Values{}
 	if opts.Filter.Type != "" {
@@ -600,33 +433,6 @@ func QueryParams(opts registry.QueryOptions, maxResults int) url.Values {
 		q.Set("max-results", strconv.Itoa(maxResults))
 	}
 	return q
-}
-
-// ParseQueryParams is QueryParams' inverse, shared by this package's
-// handler and the router's: type, ctx, prefix, maxage-ms, pull-missing, an
-// upstream-minted tx (threading the evaluation into the upstream's flight
-// recording) and max-results. Every error is the client's (400).
-func ParseQueryParams(q url.Values) (opts registry.QueryOptions, maxResults int, err error) {
-	opts.Filter = registry.Filter{
-		Type:       q.Get("type"),
-		Context:    q.Get("ctx"),
-		LinkPrefix: q.Get("prefix"),
-	}
-	if s := q.Get("maxage-ms"); s != "" {
-		ms, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return opts, 0, fmt.Errorf("bad maxage-ms: %v", err)
-		}
-		opts.Freshness.MaxAge = time.Duration(ms) * time.Millisecond
-	}
-	opts.Freshness.PullMissing = q.Get("pull-missing") == "true"
-	opts.TxID = q.Get("tx")
-	if s := q.Get("max-results"); s != "" {
-		if maxResults, err = strconv.Atoi(s); err != nil || maxResults < 0 {
-			return opts, 0, fmt.Errorf("bad max-results")
-		}
-	}
-	return opts, maxResults, nil
 }
 
 // ParsePublish decodes a /wsda/publish request body — <publish ttl-ms>
@@ -662,7 +468,7 @@ func ParsePublish(body io.Reader) (*tuple.Tuple, time.Duration, error) {
 // local-only concepts. When opts.Explain is set it is filled from the
 // remote node's X-Wsda-Plan header (the view fallback when absent).
 func (c *Client) XQuery(query string, opts registry.QueryOptions) (xq.Sequence, error) {
-	doc, hdr, err := c.postHdr(PathXQuery, QueryParams(opts, 0), query)
+	doc, hdr, err := c.fetch(http.MethodPost, PathXQuery, QueryParams(opts, 0), query)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 	"time"
 
 	"wsda/internal/registry"
@@ -113,9 +112,9 @@ type StreamWriter struct {
 	started bool
 	err     error
 
-	// Flight correlation (SetFlight): records one stream-item event per
-	// written item and a stream-close on the trailer, tying the HTTP edge
-	// into /debug/query/<tx>.
+	// Flight correlation (Delivery.SetTx): records one stream-item event
+	// per written item and a stream-close on the trailer, tying the HTTP
+	// edge into /debug/query/<tx>. A nil recorder or empty tx records nothing.
 	fr *telemetry.FlightRecorder
 	tx string
 }
@@ -127,17 +126,6 @@ func NewStreamWriter(w http.ResponseWriter) *StreamWriter {
 	fl, _ := w.(http.Flusher)
 	return &StreamWriter{w: w, fl: fl}
 }
-
-// SetFlight attaches a flight recorder and the transaction this stream
-// serves; subsequent WriteItem/Close calls record stream-item and
-// stream-close events. A nil recorder (or empty tx) disables recording.
-func (sw *StreamWriter) SetFlight(fr *telemetry.FlightRecorder, tx string) {
-	sw.fr, sw.tx = fr, tx
-}
-
-// Started reports whether the response header has been committed (after
-// which errors can no longer be answered with an HTTP status).
-func (sw *StreamWriter) Started() bool { return sw.started }
 
 func (sw *StreamWriter) start() {
 	if sw.started {
@@ -348,16 +336,7 @@ func (c *Client) NetQueryStream(query string, params url.Values, onItem func(xq.
 // postStream POSTs body and hands the (possibly chunked) response to the
 // incremental decoder instead of buffering it whole.
 func (c *Client) postStream(path string, q url.Values, body string, onItem func(xq.Item) bool) (*StreamSummary, error) {
-	u := c.BaseURL + path
-	if len(q) > 0 {
-		u += "?" + q.Encode()
-	}
-	req, err := c.newRequest(http.MethodPost, u, strings.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "text/xml")
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.Do(http.MethodPost, path, q, body)
 	if err != nil {
 		return nil, err
 	}
@@ -368,14 +347,6 @@ func (c *Client) postStream(path string, q url.Values, body string, onItem func(
 	// re-dial. The drain is bounded, so a huge abandoned stream still just
 	// gets its connection dropped.
 	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		return nil, &HTTPError{
-			StatusCode: resp.StatusCode,
-			Body:       strings.TrimSpace(string(data)),
-			RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
-		}
-	}
 	sum, err := DecodeStream(resp.Body, onItem)
 	if sum != nil {
 		sum.Plan = resp.Header.Get(HeaderPlan)

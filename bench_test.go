@@ -286,6 +286,18 @@ func BenchmarkViewQueryQ7(b *testing.B) {
 	benchViewQueryWarm(b, workload.CanonicalQueries[6].XQ, registry.QueryOptions{})
 }
 
+// BenchmarkViewQueryQ8 and Q9 are the warm benchmark over the two
+// set-at-a-time shapes: canonical Q8 groups by an equality probe, Q9 joins
+// two invariant sources through one. cmd/benchguard holds each under a
+// per-tuple allocation budget.
+func BenchmarkViewQueryQ8(b *testing.B) {
+	benchViewQueryWarm(b, workload.CanonicalQueries[7].XQ, registry.QueryOptions{})
+}
+
+func BenchmarkViewQueryQ9(b *testing.B) {
+	benchViewQueryWarm(b, workload.CanonicalQueries[8].XQ, registry.QueryOptions{})
+}
+
 func benchViewQueryWarm(b *testing.B, src string, opts registry.QueryOptions) {
 	b.Helper()
 	reg := benchRegistry(b, 1000)

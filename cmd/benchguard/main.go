@@ -16,7 +16,7 @@
 //     per-item ns and allocs over a canned 334-item stream are recorded
 //     alongside for trend tracking.
 //   - xq suite (BenchmarkPlannedQuery{Cold,Warm}, BenchmarkPlanFallback,
-//     BenchmarkViewQueryQ7, BenchmarkXQEval{Simple,Medium,Complex},
+//     BenchmarkViewQueryQ{7,8,9}, BenchmarkXQEval{Simple,Medium,Complex},
 //     BenchmarkLexer -> BENCH_xq.json): the pushdown planner must answer an
 //     index-hit discovery query at least 10x faster than the view-fallback
 //     from-scratch materialization answers an unplannable one on the same
@@ -27,6 +27,9 @@
 //     a small allocs/op budget. The interpreter is guarded through canonical Q7
 //     over 1000 tuples: its predicates run as compiled closures and its
 //     paths as fused walks, so it may allocate at most 10 times per tuple.
+//     Canonical Q8 (grouping) and Q9 (a join) guard set-at-a-time FLWOR the
+//     same way: 12 and 40 allocations per tuple, where re-walking the tuple
+//     set per group or per pair took 61 and 214.
 //     The XQEval trio and lexer throughput ride along for trend tracking.
 //   - shard suite (BenchmarkRoutedQueryWarm, BenchmarkDirectShardQueryWarm,
 //     BenchmarkShardMergeItem, BenchmarkRoutedScatterHTTP -> BENCH_shard.json):
@@ -154,12 +157,23 @@ type plannerGuard struct {
 	LexerAllocsPerOp int64   `json:"lexer_allocs_per_op"`
 	Q7NsPerOp        float64 `json:"q7_ns_per_op"`
 	Q7AllocsPerOp    int64   `json:"q7_allocs_per_op"`
+	Q8NsPerOp        float64 `json:"q8_ns_per_op"`
+	Q8AllocsPerOp    int64   `json:"q8_allocs_per_op"`
+	Q9NsPerOp        float64 `json:"q9_ns_per_op"`
+	Q9AllocsPerOp    int64   `json:"q9_allocs_per_op"`
 }
 
 // q7MaxAllocsPerOp is the interpreter's allocation ceiling on
 // BenchmarkViewQueryQ7: 10 per tuple of its 1000-tuple store (the AST
-// interpreter it replaced took 94).
-const q7MaxAllocsPerOp = 10_000
+// interpreter it replaced took 94). q8 and q9 are the ceilings of
+// set-at-a-time FLWOR on BenchmarkViewQueryQ8 and Q9, 12 and 40 per tuple:
+// a grouping or a join that goes back to walking the tuple set once per
+// group or per pair (61 and 214 per tuple) breaks them on any host.
+const (
+	q7MaxAllocsPerOp = 10_000
+	q8MaxAllocsPerOp = 12_000
+	q9MaxAllocsPerOp = 40_000
+)
 
 // shardGuard is the shard suite's guard section. FirstItemRatio is the
 // routed first-item latency divided by the direct one; the acceptance
@@ -274,7 +288,7 @@ var suites = []suite{
 	},
 	{
 		name:    "xq",
-		pattern: "Benchmark(PlannedQuery|PlanFallback|Lexer|ViewQueryQ7|XQEval)",
+		pattern: "Benchmark(PlannedQuery|PlanFallback|Lexer|ViewQueryQ[789]|XQEval)",
 		out:     "BENCH_xq.json",
 		finish: func(rep *report, budget int64) (bool, string) {
 			pg := &plannerGuard{}
@@ -293,6 +307,12 @@ var suites = []suite{
 				case "BenchmarkViewQueryQ7":
 					pg.Q7NsPerOp = r.NsPerOp
 					pg.Q7AllocsPerOp = r.AllocsPerOp
+				case "BenchmarkViewQueryQ8":
+					pg.Q8NsPerOp = r.NsPerOp
+					pg.Q8AllocsPerOp = r.AllocsPerOp
+				case "BenchmarkViewQueryQ9":
+					pg.Q9NsPerOp = r.NsPerOp
+					pg.Q9AllocsPerOp = r.AllocsPerOp
 				}
 			}
 			if pg.ColdNsPerOp > 0 {
@@ -301,12 +321,17 @@ var suites = []suite{
 			rep.Planner = pg
 			// Three guards: planner-vs-fallback speedup and the warm
 			// allocation budget (either regression defeats the point of
-			// the planner), and the interpreter's allocations per tuple.
+			// the planner), and the interpreter's allocations per tuple on
+			// a predicated path (Q7), a grouping (Q8) and a join (Q9).
+			within := func(allocs, ceiling int64) bool { return allocs > 0 && allocs <= ceiling }
 			pass := pg.Speedup >= 10 && pg.WarmAllocsPerOp <= budget &&
-				pg.Q7AllocsPerOp > 0 && pg.Q7AllocsPerOp <= q7MaxAllocsPerOp
+				within(pg.Q7AllocsPerOp, q7MaxAllocsPerOp) &&
+				within(pg.Q8AllocsPerOp, q8MaxAllocsPerOp) &&
+				within(pg.Q9AllocsPerOp, q9MaxAllocsPerOp)
 			return pass, fmt.Sprintf(
-				"speedup %.0fx (min 10x), warm allocs/op %d, budget %d, Q7 allocs/op %d (max %d)",
-				pg.Speedup, pg.WarmAllocsPerOp, budget, pg.Q7AllocsPerOp, q7MaxAllocsPerOp)
+				"speedup %.0fx (min 10x), warm allocs/op %d, budget %d, allocs/op Q7 %d (max %d), Q8 %d (max %d), Q9 %d (max %d)",
+				pg.Speedup, pg.WarmAllocsPerOp, budget, pg.Q7AllocsPerOp, q7MaxAllocsPerOp,
+				pg.Q8AllocsPerOp, q8MaxAllocsPerOp, pg.Q9AllocsPerOp, q9MaxAllocsPerOp)
 		},
 	},
 	{

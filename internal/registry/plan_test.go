@@ -291,6 +291,40 @@ func TestStepBudgetCompiledPredicates(t *testing.T) {
 	}
 }
 
+// TestStepBudgetJoin: set-at-a-time evaluation walks a join's sources once
+// and probes a hash index, but it does not make the query free — a
+// Q9-shaped join over 300 tuples still trips a 1000-step budget (its two
+// predicated sources alone test more nodes than that), and under the
+// daemon's default it gives what the reference materialization gives.
+func TestStepBudgetJoin(t *testing.T) {
+	clk := newFakeClock()
+	mk := func(maxSteps int) *Registry {
+		r := New(Config{Name: "r", DefaultTTL: time.Hour, MaxTTL: time.Hour, Now: clk.Now, MaxQuerySteps: maxSteps})
+		for i := 0; i < 300; i++ {
+			if _, err := r.Publish(planTuple(i, rand.New(rand.NewSource(int64(i)))), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return r
+	}
+	src := `for $j in /tupleset/tuple/content/service[attr[@name="kind"]/@value="monitor"],
+    $s in /tupleset/tuple/content/service[attr[@name="kind"]/@value="replica-catalog"]
+where $j/attr[@name="load"]/@value = $s/attr[@name="load"]/@value
+return <pair monitor="{$j/@name}" catalog="{$s/@name}"/>`
+	if _, err := mk(1000).Query(src, QueryOptions{}); err == nil || !strings.Contains(err.Error(), "exceeded 1000 steps") {
+		t.Errorf("join over 300 tuples under 1000 steps: err %v, want the step-limit error", err)
+	}
+	roomy := mk(10_000_000)
+	got, err := roomy.Query(src, QueryOptions{})
+	if err != nil || len(got) == 0 {
+		t.Fatalf("join under the default budget: %d items, err %v", len(got), err)
+	}
+	want, err := xq.MustCompile(src).EvalDoc(roomy.BuildView(Filter{}, Freshness{}))
+	if err != nil || xq.Serialize(got) != xq.Serialize(want) {
+		t.Errorf("join over the pinned tuple set: %d items, over BuildView %d (err %v)", len(got), len(want), err)
+	}
+}
+
 // TestPlanInfoRoundTrip checks String/ParsePlanInfo are inverses.
 func TestPlanInfoRoundTrip(t *testing.T) {
 	infos := []PlanInfo{

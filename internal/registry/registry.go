@@ -495,11 +495,7 @@ func (r *Registry) interpret(q *xq.Query, opts QueryOptions) (xq.Sequence, error
 	if opts.Explain != nil {
 		*opts.Explain = PlanInfo{Mode: "view"}
 	}
-	delivery := "shared-view"
-	if opts.Emit != nil {
-		delivery = "streamed"
-	}
-	r.flight.Record(opts.TxID, telemetry.FlightPlanFallback, r.cfg.Name, "", 0, delivery)
+	r.flight.Record(opts.TxID, telemetry.FlightPlanFallback, r.cfg.Name, "", 0, "interpreted")
 	set, hit := r.pinTupleSet(opts.Filter, opts.Freshness)
 	pinned := telemetry.FlightViewMiss
 	if hit {

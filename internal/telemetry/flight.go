@@ -35,7 +35,8 @@ const (
 	FlightPlanned = "planned"
 	// FlightPlanFallback marks a local evaluation whose shape the pushdown
 	// planner rejected, falling back to the interpreter over a pinned
-	// tuple-set snapshot (note = shared-view|streamed delivery).
+	// tuple-set snapshot, however the result is delivered (note =
+	// "interpreted").
 	FlightPlanFallback = "plan-fallback"
 	// FlightViewHit marks a local evaluation that pinned an already-current
 	// tuple-set snapshot.

@@ -33,6 +33,9 @@ type flworExpr struct {
 	where   Expr
 	orderBy []orderSpec
 	ret     Expr
+
+	joinOnce sync.Once // guards join
+	join     *eqProbe  // the where-join on the last for clause, if any (setwise.go)
 }
 
 // quantExpr is "some/every $v in E satisfies P".
@@ -209,7 +212,13 @@ type pathExpr struct {
 	absolute    bool
 	doubleSlash bool
 	steps       []pathStep
-	compileOnce sync.Once // guards the steps' cpreds
+	compileOnce sync.Once // guards the steps' cpreds, invariant and probe
+
+	// What set-at-a-time evaluation (setwise.go) makes of the path: it is
+	// invariant when its value depends on nothing but its root, and has a
+	// probe when only a last predicate `rel = $v...` stands in the way.
+	invariant bool
+	probe     *eqProbe
 }
 
 // compiled returns the steps with their predicates compiled to closures,
@@ -222,6 +231,7 @@ func (e *pathExpr) compiled() []pathStep {
 				st.cpreds = compilePreds(st.preds)
 			}
 		}
+		e.analyzeSet()
 	})
 	return e.steps
 }

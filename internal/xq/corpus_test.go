@@ -102,6 +102,13 @@ var corpus = []struct{ src, want string }{
 	{`min(//book/@year)`, "1994"},
 	{`max(for $b in //book return number($b/@price))`, "99.99"},
 	{`count(distinct-values(//book/@lang))`, "2"},
+	// Distinct by kind and string value: numerics fold (1 and 1.0 are one
+	// value), a string and a boolean of the same spelling stay apart; nodes
+	// are atomized, first occurrence kept, in order.
+	{`distinct-values((1, 1.0, "1", true(), "true", 1.5, "1"))`, "1\n1\ntrue\ntrue\n1.5"},
+	{`for $v in distinct-values((1, 1.0, "1", true(), "true")) return $v instance of xs:string`, "false\ntrue\nfalse\ntrue"},
+	{`distinct-values(//book/@lang)`, "en\nde"},
+	{`distinct-values((//author, "Foster", //book[2]/author))`, "Tanenbaum\nvan Steen\nFoster\nKesselman\nHoschek\nStevens"},
 
 	// String functions on document data.
 	{`upper-case(substring(string((//book)[1]/title), 1, 4))`, "DIST"},

@@ -35,7 +35,7 @@ type evalCtx struct {
 	// return clause as soon as they are computed (pipelined evaluation,
 	// thesis Ch. 6.5). It may return false to abort evaluation early.
 	emit func(Item) bool
-	m    *meter // the evaluation's step budget, shared by every derived context
+	run  *evalRun // the evaluation's step budget and memo, shared by every derived context
 
 	// general makes path steps ignore their compiled predicates and
 	// interpret them all: the reference evaluation the differential tests
@@ -74,6 +74,14 @@ func (c *evalCtx) withItem(item Item, pos, size int) *evalCtx {
 	return &cc
 }
 
+// evalRun is what lives and dies with one Eval call: its step budget and
+// the node sets it has walked once (setwise.go). Never on the Query, which
+// is evaluated concurrently over different documents.
+type evalRun struct {
+	meter
+	sets map[setKey]*nodeSet // made on first use: most evaluations memoise nothing
+}
+
 // meter is the step budget of one interpreted evaluation (Options.MaxSteps;
 // limit 0 is unlimited). A step is one FLWOR tuple, one quantifier binding
 // or one node tested against one predicate, interpreted or compiled, at any
@@ -82,11 +90,14 @@ func (c *evalCtx) withItem(item Item, pos, size int) *evalCtx {
 type meter struct{ steps, limit int }
 
 // tick charges one step and reports whether the budget still holds.
-func (m *meter) tick() bool {
+func (m *meter) tick() bool { return m.charge(1) }
+
+// charge is tick for n steps at once.
+func (m *meter) charge(n int) bool {
 	if m == nil {
 		return true
 	}
-	m.steps++
+	m.steps += n
 	return m.limit <= 0 || m.steps <= m.limit
 }
 
@@ -101,10 +112,10 @@ func (m *meter) err() error {
 
 // tick accounts one unit of evaluation work and enforces the step limit.
 func (c *evalCtx) tick() error {
-	if c.m.tick() {
+	if c.run.tick() {
 		return nil
 	}
-	return c.m.err()
+	return c.run.err()
 }
 
 func (e *seqExpr) eval(c *evalCtx) (Sequence, error) {
@@ -185,7 +196,7 @@ func (e *flworExpr) bindClause(ci *evalCtx, i int, cont func(*evalCtx, int) erro
 		}
 		return cont(ci.withVar(cl.varName, v), i+1)
 	}
-	seq, err := cl.expr.eval(ci)
+	seq, err := e.forSource(ci, i)
 	if err != nil {
 		return err
 	}
@@ -659,11 +670,14 @@ func (e *pathExpr) eval(c *evalCtx) (Sequence, error) {
 	steps := e.compiled()
 	var cur Sequence
 	if e.absolute || e.doubleSlash {
-		n, ok := c.item.(*xmldoc.Node)
-		if !ok {
-			return nil, fmt.Errorf("xq: absolute path requires a node context item")
+		root, err := c.docRoot()
+		if err != nil {
+			return nil, err
 		}
-		if root := c.rootOf(n); e.doubleSlash {
+		if (e.invariant || e.probe != nil) && c.setwise() {
+			return c.evalPathSet(e, root)
+		}
+		if e.doubleSlash {
 			cur = c.appendAxis(nil, root, &descOrSelfNode, nil)
 		} else {
 			cur = Singleton(root)
@@ -692,6 +706,15 @@ func (e *pathExpr) eval(c *evalCtx) (Sequence, error) {
 	return c.evalSteps(cur, steps)
 }
 
+// docRoot is where an absolute path starts: the root of the context node.
+func (c *evalCtx) docRoot() (*xmldoc.Node, error) {
+	n, ok := c.item.(*xmldoc.Node)
+	if !ok {
+		return nil, fmt.Errorf("xq: absolute path requires a node context item")
+	}
+	return c.rootOf(n), nil
+}
+
 // evalSteps applies the remaining path steps to cur.
 func (c *evalCtx) evalSteps(cur Sequence, steps []pathStep) (Sequence, error) {
 	for i := 0; i < len(steps); {
@@ -706,11 +729,11 @@ func (c *evalCtx) evalSteps(cur Sequence, steps []pathStep) (Sequence, error) {
 				j++
 			}
 			var out Sequence
-			WalkPlan(n, steps[i:j], c.m, func(x *xmldoc.Node) bool {
+			WalkPlan(n, steps[i:j], &c.run.meter, func(x *xmldoc.Node) bool {
 				out = append(out, x)
 				return true
 			})
-			if err := c.m.err(); err != nil {
+			if err := c.run.err(); err != nil {
 				return nil, err
 			}
 			cur, i = out, j
@@ -784,7 +807,7 @@ func (c *evalCtx) applyStep(input Sequence, st *pathStep) (Sequence, error) {
 		}
 		if compiled {
 			out = c.appendAxis(out, n, st, st.cpreds)
-			if err := c.m.err(); err != nil {
+			if err := c.run.err(); err != nil {
 				return nil, err
 			}
 			continue
@@ -862,7 +885,7 @@ func (c *evalCtx) appendAxis(out Sequence, n *xmldoc.Node, st *pathStep, preds [
 
 // take appends m if it matches st's node test and holds under preds.
 func (c *evalCtx) take(out Sequence, m *xmldoc.Node, st *pathStep, preds []NodePred) Sequence {
-	if matchTest(m, &st.test, st.axis) && holdAll(preds, m, c.m) {
+	if matchTest(m, &st.test, st.axis) && holdAll(preds, m, &c.run.meter) {
 		out = append(out, m)
 	}
 	return out

@@ -192,12 +192,23 @@ func init() {
 		}},
 
 		"distinct-values": {1, 1, func(_ *evalCtx, a []Sequence) (Sequence, error) {
-			seen := make(map[string]bool)
+			// Values are distinct by kind and string value: numerics fold
+			// into one kind (1 and 1.0 are one value), "1" and true() stay
+			// apart from them and from each other.
+			type key struct {
+				kind byte
+				s    string
+			}
+			seen := make(map[key]bool)
 			var out Sequence
-			for _, it := range Atomize(a[0]) {
-				k := fmt.Sprintf("%T\x00%s", it, StringValue(it))
-				if isNumeric(it) {
-					k = "num\x00" + StringValue(it)
+			for _, it := range a[0] {
+				it = atomOf(it)
+				k := key{s: StringValue(it)}
+				switch it.(type) {
+				case int64, float64:
+					k.kind = 'n'
+				case bool:
+					k.kind = 'b'
 				}
 				if !seen[k] {
 					seen[k] = true

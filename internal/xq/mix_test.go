@@ -1,6 +1,7 @@
 package xq_test
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -75,5 +76,51 @@ func TestDiscoveryQueriesMatchGeneral(t *testing.T) {
 				t.Errorf("%s: streamed result differs from the reference (err %v)", src, err)
 			}
 		}
+	}
+}
+
+// TestCompiledQuerySharedAcrossTupleSets: the registry caches compiled
+// queries and evaluates one concurrently over different pinned snapshots,
+// so nothing an evaluation memoises may sit on the Query. One compiled Q8
+// and one compiled Q9 run from many goroutines over two tuple sets of
+// different content; each goroutine must see its own document's answer.
+// Run under -race (make check, make stress).
+func TestCompiledQuerySharedAcrossTupleSets(t *testing.T) {
+	var docs []*xmldoc.Node
+	for seed, n := range []int{150, 90} {
+		reg := registry.New(registry.Config{Name: "mix", DefaultTTL: time.Hour})
+		if err := workload.NewGen(int64(seed+1)).Populate(reg, n, time.Hour); err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, xq.ShareTopLevel(reg.BuildView(registry.Filter{}, registry.Freshness{})))
+	}
+	for _, cq := range workload.CanonicalQueries[7:9] {
+		q := xq.MustCompile(cq.XQ)
+		var want []string
+		for _, d := range docs {
+			ref, err := xq.MustCompileGeneral(cq.XQ).EvalDoc(d)
+			if err != nil || len(ref) == 0 {
+				t.Fatalf("%s reference: %d items, err %v", cq.ID, len(ref), err)
+			}
+			want = append(want, xq.Serialize(ref))
+		}
+		if want[0] == want[1] {
+			t.Fatalf("%s: the two tuple sets give one answer; the test cannot tell them apart", cq.ID)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 5; i++ {
+					got, err := q.EvalDoc(docs[g%2])
+					if err != nil || xq.Serialize(got) != want[g%2] {
+						t.Errorf("%s, goroutine %d: another tuple set's answer (err %v)", cq.ID, g, err)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
 	}
 }

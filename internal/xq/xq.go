@@ -75,7 +75,7 @@ func (q *Query) Eval(opts *Options) (Sequence, error) {
 	if opts == nil {
 		opts = &Options{}
 	}
-	ctx := &evalCtx{m: &meter{limit: opts.MaxSteps}, funcs: q.funcs, general: q.general}
+	ctx := &evalCtx{run: &evalRun{meter: meter{limit: opts.MaxSteps}}, funcs: q.funcs, general: q.general}
 	if opts.Context != nil {
 		ctx.item = opts.Context
 		ctx.shared = sharedKidsOf(opts.Context)

@@ -240,6 +240,21 @@ func BenchmarkRegistryMinQuery1k(b *testing.B) {
 	}
 }
 
+// BenchmarkRegistryMinQueryPrefix is a MinQuery by one full link as the
+// prefix: a binary search of the pinned link-ordered tuple set, so
+// cmd/benchguard holds its bytes/op far below one whole-store copy.
+func BenchmarkRegistryMinQueryPrefix(b *testing.B) {
+	reg := benchRegistry(b, 1000)
+	f := registry.Filter{LinkPrefix: "http://cern.ch/replica-catalog-0000/wsda/presenter"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := reg.MinQuery(f); len(got) != 1 {
+			b.Fatalf("got %d tuples", len(got))
+		}
+	}
+}
+
 // --- Tuple-set snapshot benchmarks (ISSUE 2 and 14 acceptance) ---
 //
 // The query is deliberately trivial (one attribute read) so the measured
@@ -390,6 +405,25 @@ func BenchmarkPlannedQueryWarm(b *testing.B) {
 		seq, err := reg.QueryCompiled(q, registry.QueryOptions{})
 		if err != nil || len(seq) != 1 {
 			b.Fatalf("seq=%d err=%v", len(seq), err)
+		}
+	}
+}
+
+// BenchmarkPlannedQueryScanPage is a first page of one: a planned scan
+// whose Emit stops after two items, what page-size=1 does. The scan walks
+// the pinned link-ordered tuple set and stops with the page, so
+// cmd/benchguard holds its bytes/op far below one whole-store copy.
+func BenchmarkPlannedQueryScanPage(b *testing.B) {
+	reg := benchRegistry(b, 1000)
+	q := xq.MustCompile(`/tupleset/tuple`)
+	n := 0
+	opts := registry.QueryOptions{Emit: func(xq.Item) bool { n++; return n < 2 }}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n = 0
+		if _, err := reg.QueryCompiled(q, opts); err != nil || n != 2 {
+			b.Fatalf("items=%d err=%v", n, err)
 		}
 	}
 }

@@ -15,9 +15,10 @@
 //     time-to-first-item over an 8-node chain and the client decoder's
 //     per-item ns and allocs over a canned 334-item stream are recorded
 //     alongside for trend tracking.
-//   - xq suite (BenchmarkPlannedQuery{Cold,Warm}, BenchmarkPlanFallback,
+//   - xq suite (BenchmarkPlannedQuery{Cold,Warm,ScanPage}, BenchmarkPlanFallback,
 //     BenchmarkViewQueryQ{7,8,9}, BenchmarkXQEval{Simple,Medium,Complex},
-//     BenchmarkLexer -> BENCH_xq.json): the pushdown planner must answer an
+//     BenchmarkRegistryMinQueryPrefix, BenchmarkLexer -> BENCH_xq.json):
+//     the pushdown planner must answer an
 //     index-hit discovery query at least 10x faster than the view-fallback
 //     from-scratch materialization answers an unplannable one on the same
 //     store (the fallback is a BuildView of 1000 tuples, milliseconds
@@ -29,7 +30,11 @@
 //     paths as fused walks, so it may allocate at most 10 times per tuple.
 //     Canonical Q8 (grouping) and Q9 (a join) guard set-at-a-time FLWOR the
 //     same way: 12 and 40 allocations per tuple, where re-walking the tuple
-//     set per group or per pair took 61 and 214.
+//     set per group or per pair took 61 and 214. A first page of one
+//     (BenchmarkPlannedQueryScanPage) and a one-link MinQuery
+//     (BenchmarkRegistryMinQueryPrefix) read the pinned link-ordered tuple
+//     set, so their bytes/op are held to 2 KB and 16 KB, far below the
+//     whole-store copy and sort they replaced (about 105 and 110 KB).
 //     The XQEval trio and lexer throughput ride along for trend tracking.
 //   - shard suite (BenchmarkRoutedQueryWarm, BenchmarkDirectShardQueryWarm,
 //     BenchmarkShardMergeItem, BenchmarkRoutedScatterHTTP -> BENCH_shard.json):
@@ -161,6 +166,11 @@ type plannerGuard struct {
 	Q8AllocsPerOp    int64   `json:"q8_allocs_per_op"`
 	Q9NsPerOp        float64 `json:"q9_ns_per_op"`
 	Q9AllocsPerOp    int64   `json:"q9_allocs_per_op"`
+
+	ScanPageNsPerOp          float64 `json:"scan_page_ns_per_op"`
+	ScanPageBytesPerOp       int64   `json:"scan_page_bytes_per_op"`
+	MinQueryPrefixNsPerOp    float64 `json:"minquery_prefix_ns_per_op"`
+	MinQueryPrefixBytesPerOp int64   `json:"minquery_prefix_bytes_per_op"`
 }
 
 // q7MaxAllocsPerOp is the interpreter's allocation ceiling on
@@ -173,6 +183,17 @@ const (
 	q7MaxAllocsPerOp = 10_000
 	q8MaxAllocsPerOp = 12_000
 	q9MaxAllocsPerOp = 40_000
+)
+
+// scanPageMaxBytesPerOp and minQueryPrefixMaxBytesPerOp are the ceilings on
+// BenchmarkPlannedQueryScanPage (a first page of one) and
+// BenchmarkRegistryMinQueryPrefix (one full link as the prefix) over 1000
+// tuples: both read the pinned link-ordered tuple set, where copying and
+// sorting the store took about 105 and 110 KB. Bytes, not ns, so a return
+// to a whole-store copy breaks them on any host.
+const (
+	scanPageMaxBytesPerOp       = 2_048
+	minQueryPrefixMaxBytesPerOp = 16_384
 )
 
 // shardGuard is the shard suite's guard section. FirstItemRatio is the
@@ -288,7 +309,7 @@ var suites = []suite{
 	},
 	{
 		name:    "xq",
-		pattern: "Benchmark(PlannedQuery|PlanFallback|Lexer|ViewQueryQ[789]|XQEval)",
+		pattern: "Benchmark(PlannedQuery|PlanFallback|Lexer|ViewQueryQ[789]|XQEval|RegistryMinQueryPrefix)",
 		out:     "BENCH_xq.json",
 		finish: func(rep *report, budget int64) (bool, string) {
 			pg := &plannerGuard{}
@@ -313,25 +334,37 @@ var suites = []suite{
 				case "BenchmarkViewQueryQ9":
 					pg.Q9NsPerOp = r.NsPerOp
 					pg.Q9AllocsPerOp = r.AllocsPerOp
+				case "BenchmarkPlannedQueryScanPage":
+					pg.ScanPageNsPerOp = r.NsPerOp
+					pg.ScanPageBytesPerOp = r.BytesPerOp
+				case "BenchmarkRegistryMinQueryPrefix":
+					pg.MinQueryPrefixNsPerOp = r.NsPerOp
+					pg.MinQueryPrefixBytesPerOp = r.BytesPerOp
 				}
 			}
 			if pg.ColdNsPerOp > 0 {
 				pg.Speedup = pg.FallbackNsPerOp / pg.ColdNsPerOp
 			}
 			rep.Planner = pg
-			// Three guards: planner-vs-fallback speedup and the warm
+			// Four guards: planner-vs-fallback speedup and the warm
 			// allocation budget (either regression defeats the point of
-			// the planner), and the interpreter's allocations per tuple on
-			// a predicated path (Q7), a grouping (Q8) and a join (Q9).
+			// the planner), the interpreter's allocations per tuple on a
+			// predicated path (Q7), a grouping (Q8) and a join (Q9), and
+			// the bytes of a first page and a one-link MinQuery.
 			within := func(allocs, ceiling int64) bool { return allocs > 0 && allocs <= ceiling }
+			ranWithin := func(ns float64, bytes, ceiling int64) bool { return ns > 0 && bytes <= ceiling }
 			pass := pg.Speedup >= 10 && pg.WarmAllocsPerOp <= budget &&
 				within(pg.Q7AllocsPerOp, q7MaxAllocsPerOp) &&
 				within(pg.Q8AllocsPerOp, q8MaxAllocsPerOp) &&
-				within(pg.Q9AllocsPerOp, q9MaxAllocsPerOp)
+				within(pg.Q9AllocsPerOp, q9MaxAllocsPerOp) &&
+				ranWithin(pg.ScanPageNsPerOp, pg.ScanPageBytesPerOp, scanPageMaxBytesPerOp) &&
+				ranWithin(pg.MinQueryPrefixNsPerOp, pg.MinQueryPrefixBytesPerOp, minQueryPrefixMaxBytesPerOp)
 			return pass, fmt.Sprintf(
-				"speedup %.0fx (min 10x), warm allocs/op %d, budget %d, allocs/op Q7 %d (max %d), Q8 %d (max %d), Q9 %d (max %d)",
+				"speedup %.0fx (min 10x), warm allocs/op %d, budget %d, allocs/op Q7 %d (max %d), Q8 %d (max %d), Q9 %d (max %d), "+
+					"B/op scan page %d (max %d), minquery prefix %d (max %d)",
 				pg.Speedup, pg.WarmAllocsPerOp, budget, pg.Q7AllocsPerOp, q7MaxAllocsPerOp,
-				pg.Q8AllocsPerOp, q8MaxAllocsPerOp, pg.Q9AllocsPerOp, q9MaxAllocsPerOp)
+				pg.Q8AllocsPerOp, q8MaxAllocsPerOp, pg.Q9AllocsPerOp, q9MaxAllocsPerOp,
+				pg.ScanPageBytesPerOp, scanPageMaxBytesPerOp, pg.MinQueryPrefixBytesPerOp, minQueryPrefixMaxBytesPerOp)
 		},
 	},
 	{

@@ -4,7 +4,8 @@ package registry
 // plans produced by xq.DiscoveryPlan. A plannable discovery query never
 // touches a <tupleset> root — candidate tuples come straight from the
 // soft-state store (point lookup by link, secondary index by type or
-// context, or a plain live scan), tuple-field equalities run as compiled
+// context) or, for a scan, from the pinned unfiltered tuple set's
+// link-ordered members, tuple-field equalities run as compiled
 // closures over *tuple.Tuple, and only the survivors are rendered, through
 // the same per-revision shared elements the tuple-set snapshots list (see
 // view.go), so an unchanged tuple is rendered once however it is reached.
@@ -29,8 +30,9 @@ import (
 // PlanInfo describes how one query evaluation was (or would be) executed;
 // it backs the X-Wsda-Plan response header and wsdaquery -explain.
 type PlanInfo struct {
-	// Mode is "index" (softstate index or point lookup), "scan" (live
-	// store scan) or "view" (interpreted over the pinned tuple set).
+	// Mode is "index" (softstate index or point lookup), "scan" (a walk
+	// of the link-ordered live tuples) or "view" (interpreted over the
+	// pinned tuple set).
 	Mode string
 	// Index names the access path for index mode: "link", "type", "ctx",
 	// or "empty" for a statically contradictory query.
@@ -152,9 +154,11 @@ func (r *Registry) execPlanFor(q *xq.Query, p *xq.TuplePlan) *execPlan {
 }
 
 // planCandidates picks the narrowest access path the plan and filter
-// allow, returning the candidate entries (sorted by link when more than
-// one, the tuple set's document order) and the chosen path name.
-func (r *Registry) planCandidates(ep *execPlan, f Filter) (entries []softstate.Entry[*stored], mode, index string) {
+// allow, returning the candidate revisions in link order (the tuple set's
+// document order) and the chosen path name. A scan reads the pinned
+// Filter{} tuple set, the one slot unfiltered interpreted queries share,
+// narrowed to the filter's link prefix by binary search.
+func (r *Registry) planCandidates(ep *execPlan, f Filter) (candidates []*stored, mode, index string) {
 	// The plan's own equality outranks the filter's on the same index.
 	typ, ctx := ep.typ, ep.ctx
 	if typ == "" {
@@ -167,16 +171,26 @@ func (r *Registry) planCandidates(ep *execPlan, f Filter) (entries []softstate.E
 	case ep.never:
 		return nil, "index", "empty"
 	case ep.link != "":
-		if e, ok := r.store.GetEntry(ep.link); ok {
-			entries = append(entries, e)
+		if v, ok := r.store.Get(ep.link); ok {
+			candidates = []*stored{v}
 		}
-		return entries, "index", "link"
+		return candidates, "index", "link"
 	case typ != "":
-		return sortEntries(r.store.LiveBy(indexType, typ)), "index", "type"
+		return valuesByLink(r.store.LiveBy(indexType, typ)), "index", "type"
 	case ctx != "":
-		return sortEntries(r.store.LiveBy(indexContext, ctx)), "index", "ctx"
+		return valuesByLink(r.store.LiveBy(indexContext, ctx)), "index", "ctx"
 	}
-	return sortEntries(r.store.Live()), "scan", ""
+	s, _, _ := r.pin(Filter{}, Freshness{})
+	return s.linkRange(f.LinkPrefix), "scan", ""
+}
+
+// valuesByLink returns the entries' revisions in link order.
+func valuesByLink(es []softstate.Entry[*stored]) []*stored {
+	vals := make([]*stored, len(es))
+	for i, e := range sortEntries(es) {
+		vals[i] = e.Value
+	}
+	return vals
 }
 
 // runPlan executes a lowered plan: index probe, field closures, freshness,
@@ -204,11 +218,11 @@ func (r *Registry) runPlan(ep *execPlan, opts QueryOptions) (seq xq.Sequence, in
 		return true
 	}
 candidates:
-	for _, e := range candidates {
+	for _, v := range candidates {
 		if stopped {
 			break
 		}
-		t := e.Value.Tuple
+		t := v.Tuple
 		if !opts.Filter.match(t) {
 			continue
 		}
@@ -217,7 +231,7 @@ candidates:
 				continue candidates
 			}
 		}
-		elem := e.Value.element()
+		elem := v.element()
 		if ft := r.ensureFresh(t, opts.Freshness, now); ft != t {
 			// A freshness-substituted copy is rendered directly: the pull
 			// that produced it has already stored a new revision, which

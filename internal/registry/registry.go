@@ -113,9 +113,9 @@ type Stats struct {
 	PullErrors  int64 // failed pulls
 	Throttled   int64 // pulls suppressed by MinPullInterval
 
-	ViewHits     int64 // queries that pinned an already-current tuple set
-	ViewMisses   int64 // queries that found their tuple set behind the store
-	ViewRebuilds int64 // tuple-set advances, from the journal or in full
+	ViewHits     int64 // interpreted queries that pinned an already-current tuple set
+	ViewMisses   int64 // interpreted queries that found their tuple set behind the store
+	ViewRebuilds int64 // tuple-set advances, from the journal or in full, whoever paid (scans and MinQuery too)
 
 	PlanHits      int64 // queries answered by the pushdown planner
 	PlanFallbacks int64 // queries the planner rejected to the interpreter
@@ -311,12 +311,23 @@ func (f Filter) match(t *tuple.Tuple) bool {
 }
 
 // MinQuery returns copies of all live tuples matching the filter, sorted by
-// link for determinism.
+// link for determinism. A filter without type or context reads the pinned
+// Filter{} tuple set, already in link order, narrowed by binary search to
+// the link prefix; a type or context filter reads its index bucket.
 func (r *Registry) MinQuery(f Filter) []*tuple.Tuple {
 	if r.minQuerySeconds != nil {
 		defer r.minQuerySeconds.ObserveSince(time.Now())
 	}
 	r.minQueries.Add(1)
+	if f.Type == "" && f.Context == "" {
+		s, _, _ := r.pin(Filter{}, Freshness{})
+		members := s.linkRange(f.LinkPrefix)
+		out := make([]*tuple.Tuple, len(members))
+		for i, v := range members {
+			out[i] = v.Clone()
+		}
+		return out
+	}
 	entries := r.liveMatching(f)
 	out := make([]*tuple.Tuple, 0, len(entries))
 	for _, e := range entries {

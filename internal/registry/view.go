@@ -9,8 +9,9 @@
 // A query pins the current tuple set of its filter by loading one atomic
 // pointer and evaluates on it with no lock held, so a slow Emit callback
 // blocks nobody and results alias the snapshot safely. The pushdown planner
-// (plan.go) selects the same elements through the store's indexes instead
-// of through a root.
+// (plan.go) selects the same elements through the store's indexes, and a
+// planned scan or an unindexed MinQuery reads the unfiltered set's
+// link-ordered members rather than copying and sorting the store.
 //
 // A tuple set advances at query time, never at publish time: when the
 // store generation has moved or an included tuple has passively expired,
@@ -23,6 +24,7 @@ package registry
 import (
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,6 +104,7 @@ type tupleSet struct {
 	root *xmldoc.Node // its root; the children are shared elements in link order
 	gen  uint64       // store generation the set is synced to
 	meta []memberMeta // parallel to root.Children
+	vals []*stored    // parallel to root.Children: the revisions they render
 
 	// Aggregates for O(1) staleness checks at query time.
 	minExpiry int64 // earliest soft-state deadline of a member; never if none
@@ -112,8 +115,8 @@ type tupleSet struct {
 // newTupleSet publishes members (already in link order) as a document. The
 // document node, the root and its attribute are numbered before the shared
 // elements are listed, so no shared element is ever written to.
-func newTupleSet(registry string, gen uint64, kids []*xmldoc.Node, meta []memberMeta) *tupleSet {
-	s := &tupleSet{gen: gen, meta: meta, minExpiry: never, minTS4: never}
+func newTupleSet(registry string, gen uint64, kids []*xmldoc.Node, meta []memberMeta, vals []*stored) *tupleSet {
+	s := &tupleSet{gen: gen, meta: meta, vals: vals, minExpiry: never, minTS4: never}
 	s.root = xmldoc.NewElement("tupleset")
 	s.root.SetAttr("registry", registry)
 	s.doc = xmldoc.NewDocument()
@@ -147,6 +150,15 @@ func (s *tupleSet) freshnessSuspect(fresh Freshness, now time.Time) bool {
 		return true
 	}
 	return fresh.MaxAge > 0 && s.minTS4 != never && now.UnixNano()-s.minTS4 > int64(fresh.MaxAge)
+}
+
+// linkRange returns the members whose link starts with prefix, in link
+// order: they are contiguous, so two binary searches bound them. The result
+// is a capped sub-slice of the immutable set, never a copy.
+func (s *tupleSet) linkRange(prefix string) []*stored {
+	lo := sort.Search(len(s.vals), func(i int) bool { return s.vals[i].Link >= prefix })
+	hi := lo + sort.Search(len(s.vals)-lo, func(i int) bool { return !strings.HasPrefix(s.vals[lo+i].Link, prefix) })
+	return s.vals[lo:hi:hi]
 }
 
 // filterView is the slot holding one filter's current tuple set.
@@ -185,31 +197,27 @@ func (r *Registry) viewFor(f Filter) *filterView {
 	return v
 }
 
-// pinTupleSet returns the filter's tuple set, synced at least to the store
-// generation observed at call time, and whether an already-current set was
-// pinned (the value behind ViewHits, reported per query to the flight
-// recorder). The set is immutable: the caller holds no lock and may keep
-// nodes from it for as long as it likes.
-func (r *Registry) pinTupleSet(f Filter, fresh Freshness) (*tupleSet, bool) {
+// pin returns the filter's tuple set, synced at least to the store
+// generation observed at call time, whether an already-current set was
+// pinned, and whether a freshness pass pulled against the store first. It
+// counts no hits or misses: callers account for what they read. The set is
+// immutable: the caller holds no lock and may keep nodes from it for as
+// long as it likes.
+func (r *Registry) pin(f Filter, fresh Freshness) (s *tupleSet, hit, pulled bool) {
 	v := r.viewFor(f)
 	now := r.cfg.Now()
-	freshPass := false
 	if (fresh.PullMissing || fresh.MaxAge > 0) && v.cur.Load().freshnessSuspect(fresh, now) {
 		// Pull against the store first; successful pulls bump the store
 		// generation and flow into the advance below. ensureFresh does the
 		// per-tuple cache-hit/miss accounting on this path.
-		freshPass = true
+		pulled = true
 		for _, e := range r.liveMatching(f) {
 			r.ensureFresh(e.Value.Tuple, fresh, now)
 		}
 	}
 	target := r.store.Gen()
-	s := v.cur.Load()
-	hit := s.current(target, now)
-	if hit {
-		r.viewHits.Add(1)
-	} else {
-		r.viewMisses.Add(1)
+	s = v.cur.Load()
+	if hit = s.current(target, now); !hit {
 		v.advance.Lock()
 		if s = v.cur.Load(); !s.current(target, now) {
 			s = r.advanceTupleSet(s, f, now)
@@ -217,9 +225,21 @@ func (r *Registry) pinTupleSet(f Filter, fresh Freshness) (*tupleSet, bool) {
 		}
 		v.advance.Unlock()
 	}
-	if !freshPass {
-		// Every content-bearing tuple served from cache is a hit,
-		// mirroring the per-tuple accounting of BuildView.
+	return s, hit, pulled
+}
+
+// pinTupleSet is pin for an interpreted query: it counts the view hit or
+// miss (the value behind ViewHits, reported per query to the flight
+// recorder) and, unless a freshness pass already did, every content-bearing
+// member served from cache as a cache hit, mirroring BuildView.
+func (r *Registry) pinTupleSet(f Filter, fresh Freshness) (*tupleSet, bool) {
+	s, hit, pulled := r.pin(f, fresh)
+	if hit {
+		r.viewHits.Add(1)
+	} else {
+		r.viewMisses.Add(1)
+	}
+	if !pulled {
 		r.cacheHits.Add(int64(len(s.meta) - s.missing))
 	}
 	return s, hit
@@ -244,16 +264,18 @@ func (r *Registry) advanceTupleSet(old *tupleSet, f Filter, now time.Time) *tupl
 	}
 	var kids []*xmldoc.Node
 	var meta []memberMeta
+	var vals []*stored
 	if journaled {
-		kids, meta = r.mergeChanges(old, keys, f, now.UnixNano())
+		kids, meta, vals = r.mergeChanges(old, keys, f, now.UnixNano())
 	} else {
 		live := sortEntries(r.liveMatching(f))
-		kids, meta = make([]*xmldoc.Node, len(live)), make([]memberMeta, len(live))
+		kids, meta, vals = make([]*xmldoc.Node, len(live)), make([]memberMeta, len(live)), make([]*stored, len(live))
 		for i, e := range live {
 			kids[i], meta[i] = memberOf(e)
+			vals[i] = e.Value
 		}
 	}
-	s := newTupleSet(r.cfg.Name, gen, kids, meta)
+	s := newTupleSet(r.cfg.Name, gen, kids, meta, vals)
 	r.viewBuildSeconds.ObserveSince(t0)
 	return s
 }
@@ -261,42 +283,37 @@ func (r *Registry) advanceTupleSet(old *tupleSet, f Filter, now time.Time) *tupl
 // mergeChanges returns old's members with every key in keys replaced by its
 // current store state (dropped when gone or no longer matching f) and every
 // passively expired member removed, in link order.
-func (r *Registry) mergeChanges(old *tupleSet, keys []string, f Filter, now int64) ([]*xmldoc.Node, []memberMeta) {
+func (r *Registry) mergeChanges(old *tupleSet, keys []string, f Filter, now int64) ([]*xmldoc.Node, []memberMeta, []*stored) {
 	sort.Strings(keys)
 	oldKids := old.root.Children
 	kids := make([]*xmldoc.Node, 0, len(oldKids)+len(keys))
 	meta := make([]memberMeta, 0, cap(kids))
+	vals := make([]*stored, 0, cap(kids))
 	prune := old.minExpiry <= now
 	i := 0 // first old member not yet carried over or superseded
 	carryTo := func(j int) {
 		if !prune {
-			kids, meta = append(kids, oldKids[i:j]...), append(meta, old.meta[i:j]...)
+			kids, meta, vals = append(kids, oldKids[i:j]...), append(meta, old.meta[i:j]...), append(vals, old.vals[i:j]...)
 			i = j
 		}
 		for ; i < j; i++ {
 			if old.meta[i].expires > now {
-				kids, meta = append(kids, oldKids[i]), append(meta, old.meta[i])
+				kids, meta, vals = append(kids, oldKids[i]), append(meta, old.meta[i]), append(vals, old.vals[i])
 			}
 		}
 	}
 	for _, k := range keys {
-		carryTo(i + sort.Search(len(oldKids)-i, func(n int) bool { return childLink(oldKids[i+n]) >= k }))
-		if i < len(oldKids) && childLink(oldKids[i]) == k {
+		carryTo(i + sort.Search(len(oldKids)-i, func(n int) bool { return old.vals[i+n].Link >= k }))
+		if i < len(oldKids) && old.vals[i].Link == k {
 			i++ // superseded by the store's current state, read next
 		}
 		if e, live := r.store.GetEntry(k); live && f.match(e.Value.Tuple) {
 			kid, m := memberOf(e)
-			kids, meta = append(kids, kid), append(meta, m)
+			kids, meta, vals = append(kids, kid), append(meta, m), append(vals, e.Value)
 		}
 	}
 	carryTo(len(oldKids))
-	return kids, meta
-}
-
-// childLink returns the link attribute of a <tuple> element.
-func childLink(n *xmldoc.Node) string {
-	link, _ := n.Attr("link")
-	return link
+	return kids, meta, vals
 }
 
 // liveMatching snapshots the live entries matching a filter, using the

@@ -533,28 +533,6 @@ func (s *Store[V]) LiveBy(name, key string) []Entry[V] {
 	return out
 }
 
-// CountBy returns the number of entries currently in the named index
-// bucket, expired-but-unswept entries included: an O(1) upper bound on
-// len(LiveBy(name, key)), cheap enough for per-query access-path sizing
-// decisions. Like LiveBy it panics on an unregistered index name.
-func (s *Store[V]) CountBy(name, key string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ix := s.indexes[name]
-	if ix == nil {
-		panic("softstate: CountBy on unregistered index " + name)
-	}
-	return len(ix.buckets[key])
-}
-
-// Size returns the number of entries in the store, expired-but-unswept
-// entries included: an O(1) upper bound on Len.
-func (s *Store[V]) Size() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.entries)
-}
-
 // Stats reports cumulative counters: first-time puts, refreshes and swept
 // expirations.
 func (s *Store[V]) Stats() (puts, refreshes, expirations int64) {

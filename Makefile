@@ -5,10 +5,11 @@
 # instrumentation free. `make stress` is not part of it: it reruns the
 # concurrency-heavy packages (registry, xq, telemetry) twenty times under
 # the race detector, for changes to locking, snapshots or the recorder.
+# Nor is `make fuzz`, which CI runs as its own job beside `make check`.
 
 GO ?= go
 
-.PHONY: check fmt-check vet build doclint test stress bench-noop bench bench-guard smoke run-registryd run-peerd
+.PHONY: check fmt-check vet build doclint test stress fuzz bench-noop bench bench-guard smoke run-registryd run-peerd
 
 check: fmt-check vet build doclint test bench-noop bench-guard smoke
 
@@ -36,6 +37,18 @@ test:
 
 stress:
 	$(GO) test -race -count=20 ./internal/registry ./internal/xq ./internal/telemetry
+
+# Runs every fuzz target for 30 s, one `go test -fuzz` per target (it
+# takes one at a time). A failing input is written under the package's
+# testdata/fuzz/ and fails the run; commit it with its fix.
+FUZZ_TARGETS = internal/pdp:FuzzDecode internal/xmldoc:FuzzParse internal/wsda:FuzzDecodeStream \
+	internal/xq:FuzzCompile internal/registry:FuzzCanonicalQuerySource
+
+fuzz:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $$t"; \
+		$(GO) test ./$${t%%:*} -run '^$$' -fuzz "^$${t##*:}$$" -fuzztime 30s -fuzzminimizetime 5s; \
+	done
 
 # Proves the nil-receiver (telemetry disabled) fast path stays a bare nil
 # check. The acceptance bar is <=5ns/op; see internal/telemetry.

@@ -366,7 +366,7 @@ func BenchmarkViewQueryChurn(b *testing.B) {
 //
 // BenchmarkPlannedQueryCold measures a discovery query from source text:
 // compile, plan, and answer from the link index — no tuple set is pinned.
-// BenchmarkPlannedQueryWarm is the steady state (cached plan, the
+// BenchmarkPlannedQueryWarm is the steady state (a compiled query, the
 // revision's shared element); its allocs/op is the guarded budget.
 // BenchmarkPlanFallback is the comparator: the pre-planner cost of a
 // discovery query on the same store, a from-scratch BuildView plus a
@@ -397,7 +397,7 @@ func BenchmarkPlannedQueryWarm(b *testing.B) {
 	reg := benchRegistry(b, 1000)
 	q := xq.MustCompile(plannedBenchQuery)
 	if _, err := reg.QueryCompiled(q, registry.QueryOptions{}); err != nil {
-		b.Fatal(err) // prime the plan cache and render the tuple
+		b.Fatal(err) // compile and render the tuple
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -726,7 +726,7 @@ func BenchmarkDirectShardQueryWarm(b *testing.B) {
 		}
 		return first
 	}
-	runDirect() // prime views and plan caches
+	runDirect() // prime views and compiled-query caches
 	var totalFirst time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -775,7 +775,7 @@ func BenchmarkRoutedQueryWarm(b *testing.B) {
 		}
 		return w.first.Sub(start)
 	}
-	runRouted() // prime shard views and plan caches
+	runRouted() // prime shard views and compiled-query caches
 	var totalFirst time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -833,7 +833,7 @@ func BenchmarkRoutedScatterHTTP(b *testing.B) {
 			strings.NewReader(shardBenchQuery))
 		h.ServeHTTP(&discardWriter{h: make(http.Header)}, req)
 	}
-	scatter() // prime shard views, plan caches and keep-alive connections
+	scatter() // prime shard views, compiled-query caches and keep-alive connections
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -928,7 +928,7 @@ func BenchmarkSDKStreamFirstItem(b *testing.B) {
 		}
 		return first
 	}
-	runStream() // prime views and plan caches
+	runStream() // prime views and compiled-query caches
 	var totalFirst time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -955,7 +955,7 @@ func BenchmarkSDKPagedFirstItem(b *testing.B) {
 		}
 		return time.Since(start)
 	}
-	runPage() // prime views and plan caches
+	runPage() // prime views and compiled-query caches
 	var totalFirst time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

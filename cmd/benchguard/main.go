@@ -24,8 +24,8 @@
 //     store (the fallback is a BuildView of 1000 tuples, milliseconds
 //     whatever the interpreter does, against microseconds: the ratio keeps
 //     two orders of magnitude of headroom over its floor), and the warm
-//     planned path (cached plan, the revision's shared element) is held to
-//     a small allocs/op budget. The interpreter is guarded through canonical Q7
+//     index path (the revision's shared element) is held to a small
+//     allocs/op budget. The interpreter is guarded through canonical Q7
 //     over 1000 tuples: its predicates run as compiled closures and its
 //     paths as fused walks, so it may allocate at most 10 times per tuple.
 //     Canonical Q8 (grouping) and Q9 (a join) guard set-at-a-time FLWOR the

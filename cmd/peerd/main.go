@@ -64,7 +64,6 @@ func main() {
 		advertise = flag.Bool("advertise", true, "publish a node tuple describing this peer into its registry")
 		ttl       = flag.Duration("default-ttl", 10*time.Minute, "default tuple lifetime")
 		seed      = flag.Int("seed-services", 0, "pre-populate with N synthetic services")
-		noPlanner = flag.Bool("no-planner", false, "disable the discovery-query pushdown planner; every query takes the interpreted view path")
 
 		maxRetries    = flag.Int("max-retries", 0, "retransmissions per forwarded child query (0 disables)")
 		retryInterval = flag.Duration("retry-interval", 200*time.Millisecond, "initial child retransmission interval (doubles per retry)")
@@ -88,7 +87,6 @@ func main() {
 		Metrics:    metrics,
 		Tracer:     tracer,
 		Flight:     flight,
-		NoPlanner:  *noPlanner,
 	})
 	if *seed > 0 {
 		if err := workload.NewGen(42).Populate(reg, *seed, 24*time.Hour); err != nil {

@@ -96,8 +96,6 @@ func main() {
 		seed    = flag.Int("seed-services", 0, "pre-populate with N synthetic services")
 		maxWork = flag.Int("max-query-steps", 10_000_000, "per-query evaluation step budget (0 = unlimited)")
 
-		noPlanner = flag.Bool("no-planner", false, "disable the discovery-query pushdown planner; every query takes the interpreted view path")
-
 		replicaOf  = flag.String("replica-of", "", "run as a read-only replica tailing this primary's change feed (base URL, e.g. http://primary:8080)")
 		journalCap = flag.Int("journal-cap", softstate.DefaultJournalCap, "change-journal capacity; feeds and views resync past it")
 		longPoll   = flag.Duration("replica-long-poll", 20*time.Second, "long-poll wait the replica requests from its primary's feed")
@@ -119,7 +117,6 @@ func main() {
 		Metrics:       metrics,
 		Tracer:        d.Tracer,
 		Flight:        flight,
-		NoPlanner:     *noPlanner,
 	})
 	registerRegistryStats(metrics, reg)
 	if *seed > 0 {
@@ -331,9 +328,9 @@ func registerRegistryStats(m *telemetry.Metrics, reg *registry.Registry) {
 		stat(func(s registry.Stats) int64 { return s.PullErrors }))
 	m.CounterFunc("wsda_registry_throttled_total", "Pulls suppressed by MinPullInterval.",
 		stat(func(s registry.Stats) int64 { return s.Throttled }))
-	m.CounterFunc("wsda_registry_view_hits_total", "Interpreted queries that pinned an already-current tuple-set snapshot.",
+	m.CounterFunc("wsda_registry_view_hits_total", "Queries answered over the pinned snapshot that found it already current.",
 		stat(func(s registry.Stats) int64 { return s.ViewHits }))
-	m.CounterFunc("wsda_registry_view_misses_total", "Interpreted queries that found their tuple-set snapshot behind the store.",
+	m.CounterFunc("wsda_registry_view_misses_total", "Queries answered over the pinned snapshot that found it behind the store.",
 		stat(func(s registry.Stats) int64 { return s.ViewMisses }))
 	m.CounterFunc("wsda_registry_view_rebuilds_total", "Tuple-set snapshot advances, from the journal or in full.",
 		stat(func(s registry.Stats) int64 { return s.ViewRebuilds }))

@@ -21,8 +21,8 @@ func E19QueryPlanner(sizes []int, iters int) (*Table, error) {
 	t := &Table{
 		ID:    "E19",
 		Title: "Softstate index pushdown vs interpreted view path",
-		Note: "link/type/scan = plannable queries answered through the store's indexes\n" +
-			"(warm plan cache); view-stream = one from-scratch BuildView plus a streamed\n" +
+		Note: "link/type/scan = plannable queries answered through the store's indexes;\n" +
+			"view-stream = one from-scratch BuildView plus a streamed\n" +
 			"interpretation per iteration, the pre-planner cost of every discovery\n" +
 			"query; speedup = view-stream / link.",
 		Header: []string{"tuples", "link", "type", "scan", "view-stream", "speedup", "plan-hits", "fallbacks"},
@@ -40,7 +40,7 @@ func E19QueryPlanner(sizes []int, iters int) (*Table, error) {
 			"scan": `/tupleset/tuple[content/service/@domain="cern.ch"]/@link`,
 		}
 		timed := func(src string, opts registry.QueryOptions) (time.Duration, error) {
-			// One untimed run primes the compiled-query and plan caches.
+			// One untimed run primes the compiled-query cache.
 			if _, err := reg.Query(src, opts); err != nil {
 				return 0, err
 			}

@@ -6,14 +6,14 @@
 // answers both minimal queries (attribute filters) and full XQueries over
 // the tuple-set view.
 //
-// Every XQuery takes one path: each stored tuple revision is rendered to an
-// immutable <tuple> element once, a tuple-set snapshot lists those shared
-// elements under a <tupleset> root and advances from the store's change
-// journal at query time, and a query pins the current snapshot and
-// evaluates on it with no lock held — through the pushdown planner when
-// its shape is a discovery query, through the interpreter otherwise (see
-// view.go and plan.go). BuildView is the from-scratch reference the
-// differential tests compare against.
+// Every XQuery is evaluated by xq, once, with no lock held, over the same
+// shared elements: each stored tuple revision is rendered to an immutable
+// <tuple> element once. A discovery query (one with an xq.TupleHead) reads
+// its members from a tuple source over the store's indexes (plan.go);
+// any other query reads a tuple-set snapshot that lists those elements
+// under a <tupleset> root, advances from the store's change journal at
+// query time and is pinned for the evaluation (view.go). BuildView is the
+// from-scratch reference the differential tests compare both against.
 //
 // The data model lives in internal/tuple (over internal/xmldoc trees),
 // queries are evaluated by internal/xq, and lifetimes are enforced by the

@@ -50,23 +50,19 @@ func serializeTuples(ts []*tuple.Tuple) string {
 	return sb.String()
 }
 
-// TestOrderedReadsGenerated drives a planned and a NoPlanner registry on one
-// injected clock through random publishes and refreshes (TTLs short enough
-// that members passively expire between steps), unpublishes, sweeps and
-// bursts that overflow a four-record journal, and after every step checks
-// MinQuery against the store's own Live()+filter+sort, and the planned scan
-// against the interpreter, buffered and stopped early, under every prefix.
+// TestOrderedReadsGenerated drives a registry on an injected clock through
+// random publishes and refreshes (TTLs short enough that members passively
+// expire between steps), unpublishes, sweeps and bursts that overflow a
+// four-record journal, and after every step checks, under every prefix,
+// MinQuery against the store's own Live()+filter+sort, and the scan against
+// the same query evaluated over BuildView, buffered and stopped early.
 func TestOrderedReadsGenerated(t *testing.T) {
 	const journalCap = 4
 	steps, overflows := 0, 0
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		clk := newFakeClock()
-		cfg := Config{Name: "r", DefaultTTL: time.Minute, MaxTTL: time.Hour, JournalCap: journalCap, Now: clk.Now}
-		planned := New(cfg)
-		cfg.NoPlanner = true
-		view := New(cfg)
-		both := func(op func(r *Registry)) { op(planned); op(view) }
+		r := New(Config{Name: "r", DefaultTTL: time.Minute, MaxTTL: time.Hour, JournalCap: journalCap, Now: clk.Now})
 		mutate := func() {
 			link := orderLinks[rng.Intn(len(orderLinks))]
 			switch op := rng.Intn(10); {
@@ -79,19 +75,17 @@ func TestOrderedReadsGenerated(t *testing.T) {
 					tp.Content = svcContent(fmt.Sprint(rng.Intn(100)), "a.org", 0.5)
 				}
 				ttl := []time.Duration{time.Second, 2 * time.Second, 5 * time.Second, 0}[rng.Intn(4)]
-				both(func(r *Registry) {
-					if _, err := r.Publish(tp.Clone(), ttl); err != nil {
-						t.Fatal(err)
-					}
-				})
+				if _, err := r.Publish(tp, ttl); err != nil {
+					t.Fatal(err)
+				}
 			case op < 9:
-				both(func(r *Registry) { r.Unpublish(link) })
+				r.Unpublish(link)
 			default:
-				both(func(r *Registry) { r.Sweep() })
+				r.Sweep()
 			}
 		}
 		for step := 0; step < 500; step++ {
-			gen := planned.Gen()
+			gen := r.Gen()
 			switch op := rng.Intn(10); {
 			case op < 6:
 				mutate()
@@ -103,11 +97,11 @@ func TestOrderedReadsGenerated(t *testing.T) {
 				}
 			}
 			steps++
-			if planned.Gen()-gen > journalCap {
+			if r.Gen()-gen > journalCap {
 				overflows++
 			}
 			for _, p := range orderPrefixes {
-				checkOrderedReads(t, fmt.Sprintf("seed %d step %d prefix %q", seed, step, p), planned, view, Filter{LinkPrefix: p})
+				checkOrderedReads(t, fmt.Sprintf("seed %d step %d prefix %q", seed, step, p), r, Filter{LinkPrefix: p})
 			}
 			if t.Failed() {
 				return
@@ -119,39 +113,39 @@ func TestOrderedReadsGenerated(t *testing.T) {
 	}
 }
 
-// checkOrderedReads compares one registry pair's ordered reads under f.
-func checkOrderedReads(t *testing.T, at string, planned, view *Registry, f Filter) {
+// checkOrderedReads compares one registry's ordered reads under f with
+// their references.
+func checkOrderedReads(t *testing.T, at string, r *Registry, f Filter) {
 	t.Helper()
-	want := referenceMinQuery(planned, f)
-	for _, r := range []*Registry{planned, view} {
-		if got := serializeTuples(r.MinQuery(f)); got != want {
-			t.Fatalf("%s: MinQuery\n got %s\nwant %s", at, got, want)
-		}
+	if got, want := serializeTuples(r.MinQuery(f)), referenceMinQuery(r, f); got != want {
+		t.Fatalf("%s: MinQuery\n got %s\nwant %s", at, got, want)
 	}
+	view := r.BuildView(f, Freshness{})
 	for _, src := range []string{`/tupleset/tuple`, `/tupleset/tuple/@link`} {
+		q := xq.MustCompile(src)
 		for _, stopAfter := range []int{0, 1, 2, 5} {
-			var got, want string
-			var info PlanInfo
-			for _, side := range []struct {
-				r   *Registry
-				out *string
-			}{{planned, &got}, {view, &want}} {
-				opts := QueryOptions{Filter: f, Explain: &info}
-				var items xq.Sequence
-				if stopAfter > 0 {
-					opts.Emit = func(it xq.Item) bool { items = append(items, it); return len(items) < stopAfter }
+			var got, want xq.Sequence
+			emit := func(items *xq.Sequence) func(xq.Item) bool {
+				if stopAfter == 0 {
+					return nil
 				}
-				seq, err := side.r.Query(src, opts)
-				if err != nil {
-					t.Fatalf("%s: %s: %v", at, src, err)
-				}
-				*side.out = xq.Serialize(append(items, seq...))
-				if side.r == planned && info != (PlanInfo{Mode: "scan"}) {
-					t.Fatalf("%s: %s explained as %+v, want a scan", at, src, info)
-				}
+				return func(it xq.Item) bool { *items = append(*items, it); return len(*items) < stopAfter }
 			}
-			if got != want {
-				t.Fatalf("%s: %s stop %d:\nplanned %s\nview    %s", at, src, stopAfter, got, want)
+			var info PlanInfo
+			seq, err := r.QueryCompiled(q, QueryOptions{Filter: f, Explain: &info, Emit: emit(&got)})
+			if err != nil {
+				t.Fatalf("%s: %s: %v", at, src, err)
+			}
+			got = append(got, seq...)
+			if info != (PlanInfo{Mode: "scan"}) {
+				t.Fatalf("%s: %s explained as %+v, want a scan", at, src, info)
+			}
+			ref, err := q.Eval(&xq.Options{Context: view, Emit: emit(&want)})
+			if err != nil {
+				t.Fatalf("%s: %s over BuildView: %v", at, src, err)
+			}
+			if want = append(want, ref...); xq.Serialize(got) != xq.Serialize(want) {
+				t.Fatalf("%s: %s stop %d:\nregistry  %s\nBuildView %s", at, src, stopAfter, xq.Serialize(got), xq.Serialize(want))
 			}
 		}
 	}
@@ -327,5 +321,25 @@ func TestOrderedReadAccounting(t *testing.T) {
 	if after.ViewHits-before.ViewHits != 1 || after.ViewMisses != before.ViewMisses {
 		t.Errorf("view hits %d -> %d, misses %d -> %d: want one hit", before.ViewHits, after.ViewHits,
 			before.ViewMisses, after.ViewMisses)
+	}
+}
+
+// TestSourceFieldsBeforeFreshness: a tuple source checks a head's
+// tuple-field equalities before freshness, so a candidate its index returns
+// but an @owner equality rejects is never pulled for.
+func TestSourceFieldsBeforeFreshness(t *testing.T) {
+	r := newTestRegistry(newFakeClock(), &trackingFetcher{})
+	for i, owner := range []string{"cms", "atlas", "atlas"} {
+		tp := svcTuple(fmt.Sprint("s", i), "cern.ch", 0.1)
+		tp.Owner, tp.Content = owner, nil
+		if _, err := r.Publish(tp, time.Hour); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var info PlanInfo
+	seq, err := r.Query(`/tupleset/tuple[@ctx="child" and @owner="cms"]`,
+		QueryOptions{Freshness: Freshness{PullMissing: true}, Explain: &info})
+	if st := r.Stats(); err != nil || len(seq) != 1 || info.Index != "ctx" || st.Pulls != 1 || st.CacheMisses != 1 {
+		t.Fatalf("%d items via %s, err %v: %d pulls, %d misses, want 1 each", len(seq), info, err, st.Pulls, st.CacheMisses)
 	}
 }

@@ -1,27 +1,28 @@
 package registry
 
-// Planned query execution: the registry-side executor for the pushdown
-// plans produced by xq.DiscoveryPlan. A plannable discovery query never
-// touches a <tupleset> root — candidate tuples come straight from the
-// soft-state store (point lookup by link, secondary index by type or
-// context) or, for a scan, from the pinned unfiltered tuple set's
-// link-ordered members, tuple-field equalities run as compiled
-// closures over *tuple.Tuple, and only the survivors are rendered, through
-// the same per-revision shared elements the tuple-set snapshots list (see
-// view.go), so an unchanged tuple is rendered once however it is reached.
-// Unplannable queries are interpreted over a pinned tuple set.
+// Tuple sources: where a discovery query's tuples come from. A query with
+// an xq.TupleHead (/tupleset/tuple[...]/...) reads nothing of the tuple set
+// but its <tuple> members, so it needs no pinned document: the registry
+// hands xq its candidate members straight from the soft-state store (point
+// lookup by link, secondary index by type or context) or, for a scan, from
+// the pinned unfiltered tuple set's link-ordered members. Tuple-field
+// equalities are checked on *tuple.Tuple before any XML is rendered,
+// freshness is applied per candidate, and the member is the same
+// per-revision shared element the tuple sets list (see view.go). xq then
+// tests and walks every member as it would the document's, under the same
+// step meter. Every other query is evaluated over its filter's pinned
+// tuple set.
 //
-// Two observable (and intended) differences from the interpreter, results
-// being equal: planned evaluations do not consume MaxQuerySteps (there is
-// no interpreter to meter), and freshness pulls apply only to candidates
-// that survive the index and field filters rather than to every
-// filter-matching tuple.
+// One observable (and intended) difference from a pinned evaluation,
+// results being equal: freshness pulls apply only to the candidates the
+// walk reaches, not to every filter-matching tuple.
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
+	"time"
 
-	"wsda/internal/softstate"
 	"wsda/internal/tuple"
 	"wsda/internal/xmldoc"
 	"wsda/internal/xq"
@@ -31,14 +32,14 @@ import (
 // it backs the X-Wsda-Plan response header and wsdaquery -explain.
 type PlanInfo struct {
 	// Mode is "index" (softstate index or point lookup), "scan" (a walk
-	// of the link-ordered live tuples) or "view" (interpreted over the
+	// of the link-ordered live tuples) or "view" (evaluated over the
 	// pinned tuple set).
 	Mode string
 	// Index names the access path for index mode: "link", "type", "ctx",
 	// or "empty" for a statically contradictory query.
 	Index string
-	// Residual counts the predicate closures evaluated against rendered
-	// tuple XML after index and field filtering.
+	// Residual counts the tuple-step conjuncts the source does not answer
+	// from tuple fields: the ones only rendered tuple XML can decide.
 	Residual int
 }
 
@@ -78,173 +79,93 @@ func ParsePlanInfo(s string) PlanInfo {
 	return p
 }
 
-// execPlan is a TuplePlan bound to the registry's execution machinery:
-// tuple-field equalities split out as typed probes and closures, with
-// everything else kept as node predicates over the rendered element.
-type execPlan struct {
-	never bool   // statically empty result
-	link  string // exact-link point lookup, "" if none
-	typ   string // type-index equality, "" if none
-	ctx   string // context-index equality, "" if none
-	// fields are the compiled tuple-field equality closures (link, type,
-	// ctx, owner), applied before any XML is rendered.
-	fields []func(t *tuple.Tuple) bool
-	// residual are the predicates that need the rendered <tuple> element.
-	residual []xq.NodePred
-	// proj are the projection steps below the tuple element.
-	proj []xq.PlanStep
+// fieldEq is a tuple head's equalities on the tuple fields the store holds
+// unrendered; "" constrains nothing, since a pushed literal is never empty.
+type fieldEq struct{ link, typ, ctx, owner string }
+
+// match reports whether t meets every equality.
+func (e fieldEq) match(t *tuple.Tuple) bool {
+	return (e.link == "" || t.Link == e.link) && (e.typ == "" || t.Type == e.typ) &&
+		(e.ctx == "" || t.Context == e.ctx) && (e.owner == "" || t.Owner == e.owner)
 }
 
-// compileExecPlan lowers a TuplePlan: AttrEq entries over real tuple
-// fields become index probes plus field closures; pushed equalities over
-// any other attribute fall back to their compiled node predicates.
-func compileExecPlan(p *xq.TuplePlan) *execPlan {
-	ep := &execPlan{never: p.Never, proj: p.Proj}
-	// Copy, never append to, the plan's residual slice: the plan is
-	// shared by every registry that executes the query.
-	ep.residual = append(ep.residual, p.Residual...)
-	for name, val := range p.AttrEq {
-		v := val
-		switch name {
-		case "link":
-			ep.link = v
-			ep.fields = append(ep.fields, func(t *tuple.Tuple) bool { return t.Link == v })
-		case "type":
-			ep.typ = v
-			ep.fields = append(ep.fields, func(t *tuple.Tuple) bool { return t.Type == v })
-		case "ctx":
-			ep.ctx = v
-			ep.fields = append(ep.fields, func(t *tuple.Tuple) bool { return t.Context == v })
-		case "owner":
-			ep.fields = append(ep.fields, func(t *tuple.Tuple) bool { return t.Owner == v })
-		default:
-			ep.residual = append(ep.residual, p.AttrPred[name])
-		}
-	}
-	return ep
-}
-
-// maxCachedPlans bounds the per-registry executable-plan cache.
-const maxCachedPlans = 1024
-
-// execPlanFor returns the registry's cached executable form of the
-// query's discovery plan, lowering it on first use.
-func (r *Registry) execPlanFor(q *xq.Query, p *xq.TuplePlan) *execPlan {
-	r.planMu.RLock()
-	ep, ok := r.planCache[q]
-	r.planMu.RUnlock()
-	if ok {
-		return ep
-	}
-	ep = compileExecPlan(p)
-	r.planMu.Lock()
-	if cached, ok := r.planCache[q]; ok {
-		ep = cached
-	} else {
-		if len(r.planCache) >= maxCachedPlans {
-			for k := range r.planCache {
-				delete(r.planCache, k)
-				break
-			}
-		}
-		r.planCache[q] = ep
-	}
-	r.planMu.Unlock()
-	return ep
-}
-
-// planCandidates picks the narrowest access path the plan and filter
+// planCandidates picks the narrowest access path the head and filter
 // allow, returning the candidate revisions in link order (the tuple set's
-// document order) and the chosen path name. A scan reads the pinned
-// Filter{} tuple set, the one slot unfiltered interpreted queries share,
-// narrowed to the filter's link prefix by binary search.
-func (r *Registry) planCandidates(ep *execPlan, f Filter) (candidates []*stored, mode, index string) {
-	// The plan's own equality outranks the filter's on the same index.
-	typ, ctx := ep.typ, ep.ctx
-	if typ == "" {
-		typ = f.Type
+// document order), the field equalities every candidate must meet, and
+// the plan. A scan reads the pinned Filter{} tuple set, the one slot
+// unfiltered pinned evaluations share, narrowed to the filter's link
+// prefix by binary search; no other path pins anything.
+func (r *Registry) planCandidates(h xq.TupleHead, f Filter) (candidates []*stored, eq fieldEq, info PlanInfo) {
+	info.Residual = h.Other
+	for _, e := range h.Eqs {
+		switch e.Attr {
+		case "link":
+			eq.link = e.Value
+		case "type":
+			eq.typ = e.Value
+		case "ctx":
+			eq.ctx = e.Value
+		case "owner":
+			eq.owner = e.Value
+		default:
+			info.Residual++
+		}
 	}
-	if ctx == "" {
-		ctx = f.Context
-	}
-	switch {
-	case ep.never:
-		return nil, "index", "empty"
-	case ep.link != "":
-		if v, ok := r.store.Get(ep.link); ok {
+	// The head's own equality outranks the filter's on the same index.
+	typ, ctx := cmp.Or(eq.typ, f.Type), cmp.Or(eq.ctx, f.Context)
+	info.Mode = "index"
+	switch index, key := indexType, typ; {
+	case h.Never:
+		info.Index = "empty"
+	case eq.link != "":
+		info.Index = "link"
+		if v, ok := r.store.Get(eq.link); ok {
 			candidates = []*stored{v}
 		}
-		return candidates, "index", "link"
-	case typ != "":
-		return valuesByLink(r.store.LiveBy(indexType, typ)), "index", "type"
-	case ctx != "":
-		return valuesByLink(r.store.LiveBy(indexContext, ctx)), "index", "ctx"
+	case typ != "" || ctx != "":
+		if typ == "" {
+			index, key = indexContext, ctx
+		}
+		info.Index = index
+		es := sortEntries(r.store.LiveBy(index, key))
+		candidates = make([]*stored, len(es))
+		for i, e := range es {
+			candidates[i] = e.Value
+		}
+	default:
+		info.Mode = "scan"
+		s, _, _ := r.pin(Filter{}, Freshness{})
+		candidates = s.linkRange(f.LinkPrefix)
 	}
-	s, _, _ := r.pin(Filter{}, Freshness{})
-	return s.linkRange(f.LinkPrefix), "scan", ""
+	return candidates, eq, info
 }
 
-// valuesByLink returns the entries' revisions in link order.
-func valuesByLink(es []softstate.Entry[*stored]) []*stored {
-	vals := make([]*stored, len(es))
-	for i, e := range sortEntries(es) {
-		vals[i] = e.Value
-	}
-	return vals
-}
-
-// runPlan executes a lowered plan: index probe, field closures, freshness,
-// shared per-revision element, residual predicates, projection. Result
-// nodes are (parts of) the shared immutable elements, never copies. With
-// opts.Emit set items stream out as produced (the returned sequence is
-// nil, like the interpreter's Emit mode) and a false return stops the walk
-// early.
-func (r *Registry) runPlan(ep *execPlan, opts QueryOptions) (seq xq.Sequence, info PlanInfo) {
-	now := r.cfg.Now()
-	candidates, mode, index := r.planCandidates(ep, opts.Filter)
-	info = PlanInfo{Mode: mode, Index: index, Residual: len(ep.residual)}
-	if opts.Explain != nil {
-		// Filled before the first Emit so streaming callers can surface
-		// the plan (e.g. as a response header) ahead of the first item.
-		*opts.Explain = info
-	}
-	stopped := false
-	deliver := func(n *xmldoc.Node) bool {
-		if opts.Emit != nil {
-			stopped = !opts.Emit(n)
-			return !stopped
+// tupleSource is xq's Options.Tuples over planCandidates' answer, with the
+// plan: each candidate that passes the filter and the field equalities is
+// made fresh and handed over as its revision's shared element, until visit
+// declines. A freshness-substituted copy is rendered privately: the pull
+// that produced it has already stored a new revision, which carries its own
+// rendering from the next query on.
+func (r *Registry) tupleSource(h xq.TupleHead, f Filter, fresh Freshness) (func(func(*xmldoc.Node) bool), PlanInfo) {
+	candidates, eq, info := r.planCandidates(h, f)
+	return func(visit func(*xmldoc.Node) bool) {
+		var now time.Time
+		if fresh != (Freshness{}) {
+			now = r.cfg.Now() // only freshness reads the clock
 		}
-		seq = append(seq, n)
-		return true
-	}
-candidates:
-	for _, v := range candidates {
-		if stopped {
-			break
-		}
-		t := v.Tuple
-		if !opts.Filter.match(t) {
-			continue
-		}
-		for _, fp := range ep.fields {
-			if !fp(t) {
-				continue candidates
+		for _, v := range candidates {
+			t := v.Tuple
+			if !f.match(t) || !eq.match(t) {
+				continue
+			}
+			elem := v.element()
+			if ft := r.ensureFresh(t, fresh, now); ft != t {
+				elem = ft.ToXML()
+				elem.Renumber()
+			}
+			if !visit(elem) {
+				return
 			}
 		}
-		elem := v.element()
-		if ft := r.ensureFresh(t, opts.Freshness, now); ft != t {
-			// A freshness-substituted copy is rendered directly: the pull
-			// that produced it has already stored a new revision, which
-			// carries its own rendering from the next query on.
-			elem = ft.ToXML()
-			elem.Renumber()
-		}
-		for _, pred := range ep.residual {
-			if !pred(elem, nil) {
-				continue candidates
-			}
-		}
-		xq.WalkPlan(elem, ep.proj, nil, deliver)
-	}
-	return seq, info
+	}, info
 }

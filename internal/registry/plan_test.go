@@ -39,11 +39,11 @@ func planTuple(i int, rng *rand.Rand) *tuple.Tuple {
 	}
 }
 
-// planCorpus is the differential query corpus: every shape the planner
-// claims to handle, plus a spread of shapes it must reject, all run
-// against both engines and compared byte for byte.
+// planCorpus is the differential query corpus: every shape a tuple source
+// answers, plus a spread of shapes evaluated over the pinned tuple set, all
+// compared byte for byte with the same query over BuildView.
 var planCorpus = []string{
-	// Plannable: pushdown-eligible discovery shapes.
+	// A tuple head: answered from a tuple source.
 	`/tupleset/tuple`,
 	`/tupleset/tuple[@link="http://cern.ch/replica-catalog-0000/wsda/presenter"]`,
 	`/tupleset/tuple[@link="http://nowhere.example/absent"]`,
@@ -61,7 +61,7 @@ var planCorpus = []string{
 	`/tupleset/tuple/content/service[interface[@type="XQuery"]/operation/bind/@protocol="http"]`,
 	`/tupleset/tuple/content/service/attr[@name="load"]/@value`,
 	`/tupleset/tuple[content/service/attr[@name="load"]/@value=0.25]`,
-	// Unplannable: must fall back to the interpreter, identically.
+	// No tuple head: evaluated over the pinned tuple set.
 	`count(/tupleset/tuple)`,
 	`string(/tupleset/@registry)`,
 	`/tupleset/tuple[1]`,
@@ -71,100 +71,85 @@ var planCorpus = []string{
 	`//service/@domain`,
 }
 
-// newPlanTestPair returns two identically populated registries, one with
-// the pushdown planner and one that interprets every query.
-func newPlanTestPair(t *testing.T, n int, seed int64) (planned, view *Registry) {
+// corpusFilters are the filters every corpus query is checked under: none,
+// each index, a link prefix some link equalities in the corpus match and
+// one they do not, and a type nothing has.
+var corpusFilters = []Filter{
+	{},
+	{Type: tuple.TypeService},
+	{Context: "child"},
+	{LinkPrefix: "http://cern.ch/"},
+	{LinkPrefix: "http://infn.it/"},
+	{Type: "no-such-type"},
+}
+
+// newPlanTestRegistry returns a registry holding n planTuple services,
+// published in a seeded random order.
+func newPlanTestRegistry(t *testing.T, n int, seed int64) *Registry {
 	t.Helper()
-	clk := newFakeClock()
-	planned = New(Config{Name: "r", DefaultTTL: time.Hour, MaxTTL: time.Hour, Now: clk.Now})
-	view = New(Config{Name: "r", DefaultTTL: time.Hour, MaxTTL: time.Hour, Now: clk.Now, NoPlanner: true})
-	rng := rand.New(rand.NewSource(seed))
-	order := rng.Perm(n)
-	for _, i := range order {
-		// Same index stream for both stores: content must be identical.
-		tp := planTuple(i, rand.New(rand.NewSource(seed+int64(i))))
-		for _, r := range []*Registry{planned, view} {
-			if _, err := r.Publish(tp.Clone(), 0); err != nil {
-				t.Fatalf("publish %d: %v", i, err)
-			}
+	r := New(Config{Name: "r", DefaultTTL: time.Hour, MaxTTL: time.Hour, Now: newFakeClock().Now})
+	for _, i := range rand.New(rand.NewSource(seed)).Perm(n) {
+		if _, err := r.Publish(planTuple(i, rand.New(rand.NewSource(seed+int64(i)))), 0); err != nil {
+			t.Fatalf("publish %d: %v", i, err)
 		}
 	}
-	return planned, view
+	return r
 }
 
-// TestPlannerDifferential proves the planner is invisible: for every query
-// in the corpus, the planned registry and the view-only registry return
-// byte-identical serialized sequences and identical errors.
-func TestPlannerDifferential(t *testing.T) {
-	planned, view := newPlanTestPair(t, 60, 7)
-	filters := []Filter{
-		{},
-		{Type: tuple.TypeService},
-		{Context: "child"},
-		{LinkPrefix: "http://cern.ch/"},
-		{Type: "no-such-type"},
-	}
-	for _, f := range filters {
-		for _, src := range planCorpus {
-			got, gotErr := planned.Query(src, QueryOptions{Filter: f})
-			want, wantErr := view.Query(src, QueryOptions{Filter: f})
-			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("filter %+v query %q: err %v vs %v", f, src, gotErr, wantErr)
-			}
-			if gotErr != nil {
-				continue
-			}
-			if g, w := xq.Serialize(got), xq.Serialize(want); g != w {
-				t.Errorf("filter %+v query %q:\nplanned: %s\nview:    %s", f, src, g, w)
-			}
-		}
-	}
-	st := planned.Stats()
-	if st.PlanHits == 0 || st.PlanFallbacks == 0 {
-		t.Fatalf("stats: hits=%d fallbacks=%d, want both > 0", st.PlanHits, st.PlanFallbacks)
-	}
-	if st := view.Stats(); st.PlanHits != 0 {
-		t.Fatalf("NoPlanner registry recorded %d plan hits", st.PlanHits)
-	}
-}
-
-// TestPlannerDifferentialEmit repeats the comparison in streaming mode,
-// including the early-stop contract (Emit returning false).
-func TestPlannerDifferentialEmit(t *testing.T) {
-	planned, view := newPlanTestPair(t, 40, 11)
-	collect := func(r *Registry, src string, stopAfter int) ([]string, xq.Sequence, error) {
-		var items []string
-		seq, err := r.Query(src, QueryOptions{Emit: func(it xq.Item) bool {
-			items = append(items, xq.Serialize(xq.Sequence{it}))
-			return stopAfter == 0 || len(items) < stopAfter
-		}})
-		return items, seq, err
+// TestPlannerExplainCorpus pins the X-Wsda-Plan of every corpus query under
+// every corpus filter: the strings clients read, which depend on the
+// query's tuple head and the filter alone.
+func TestPlannerExplainCorpus(t *testing.T) {
+	r := newPlanTestRegistry(t, 60, 7)
+	const (
+		scan0, scan1 = "scan residual=0", "scan residual=1"
+		type0, type1 = "index(type) residual=0", "index(type) residual=1"
+		ctx0, ctx1   = "index(ctx) residual=0", "index(ctx) residual=1"
+		link, empty  = "index(link) residual=0", "index(empty) residual=0"
+	)
+	unfiltered0 := [6]string{scan0, type0, ctx0, scan0, scan0, type0}
+	unfiltered1 := [6]string{scan1, type1, ctx1, scan1, scan1, type1}
+	want := map[string][6]string{
+		planCorpus[0]:  unfiltered0,
+		planCorpus[1]:  {link, link, link, link, link, link},
+		planCorpus[2]:  {link, link, link, link, link, link},
+		planCorpus[3]:  {type0, type0, type0, type0, type0, type0},
+		planCorpus[4]:  {type0, type0, type0, type0, type0, type0},
+		planCorpus[5]:  {ctx0, type0, ctx0, ctx0, ctx0, type0},
+		planCorpus[6]:  {empty, empty, empty, empty, empty, empty},
+		planCorpus[7]:  unfiltered1,
+		planCorpus[8]:  unfiltered1,
+		planCorpus[9]:  unfiltered1,
+		planCorpus[10]: {type0, type0, type0, type0, type0, type0},
+		planCorpus[11]: unfiltered0,
+		planCorpus[12]: unfiltered0,
+		planCorpus[13]: unfiltered0,
+		planCorpus[14]: unfiltered0,
+		planCorpus[15]: unfiltered0,
+		planCorpus[16]: unfiltered1,
 	}
 	for _, src := range planCorpus {
-		for _, stopAfter := range []int{0, 1, 3} {
-			gotItems, gotSeq, gotErr := collect(planned, src, stopAfter)
-			wantItems, wantSeq, wantErr := collect(view, src, stopAfter)
-			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("query %q stop %d: err %v vs %v", src, stopAfter, gotErr, wantErr)
+		w, ok := want[src]
+		if !ok {
+			w = [6]string{"view", "view", "view", "view", "view", "view"}
+		}
+		for i, f := range corpusFilters {
+			var got PlanInfo
+			if _, err := r.Query(src, QueryOptions{Filter: f, Explain: &got}); err != nil {
+				t.Fatalf("filter %+v query %q: %v", f, src, err)
 			}
-			if gotErr != nil {
-				continue
-			}
-			if strings.Join(gotItems, "\n") != strings.Join(wantItems, "\n") {
-				t.Errorf("query %q stop %d:\nplanned: %v\nview:    %v", src, stopAfter, gotItems, wantItems)
-			}
-			// Emit mode returns a nil sequence on both paths.
-			if gotSeq != nil || wantSeq != nil {
-				t.Errorf("query %q: emit mode returned non-nil sequence", src)
+			if got.String() != w[i] {
+				t.Errorf("filter %+v query %q: explained as %q, want %q", f, src, got, w[i])
 			}
 		}
 	}
 }
 
-// TestPlannerConcurrent hammers the plan cache and the per-revision shared
-// elements from parallel planned and interpreted queries, buffered and
-// streamed, racing live publishes; run under -race this checks execPlanFor's
-// locking and that rendering a revision once is safe from any path.
+// TestPlannerConcurrent hammers the per-revision shared elements and the
+// compiled queries' memos from parallel sourced and pinned queries,
+// buffered and streamed, racing live publishes; run under -race this checks
+// that rendering a revision once and recognising a tuple head once are
+// safe from any path.
 func TestPlannerConcurrent(t *testing.T) {
 	clk := newFakeClock()
 	r := New(Config{Name: "r", DefaultTTL: time.Hour, MaxTTL: time.Hour, Now: clk.Now})
@@ -216,7 +201,7 @@ func TestPlannerConcurrent(t *testing.T) {
 
 // TestPlannerExplain checks that Explain reports the chosen access path.
 func TestPlannerExplain(t *testing.T) {
-	planned, _ := newPlanTestPair(t, 12, 3)
+	planned := newPlanTestRegistry(t, 12, 3)
 	cases := []struct {
 		src  string
 		want PlanInfo
@@ -240,17 +225,16 @@ func TestPlannerExplain(t *testing.T) {
 	}
 }
 
-// TestStepBudgetCompiledPredicates pins what -max-query-steps bounds now
-// that the interpreter runs predicates through the planner's closures: an
-// interpreted evaluation is charged one step per node a compiled predicate
-// is tested against (nested predicates included), so a predicated path over
-// 1000 tuples trips a 1000-step budget and fits the daemon's default; a
-// planned evaluation of the same query is not charged at all.
+// TestStepBudgetCompiledPredicates pins what -max-query-steps bounds: every
+// evaluation is charged one step per node a compiled predicate is tested
+// against (nested predicates included), whether its tuples come from a
+// tuple source or from the pinned tuple set, so a predicated path over 1000
+// tuples trips a 1000-step budget and fits the daemon's default. What
+// makes a point lookup cheap is the narrowing: one candidate tested once.
 func TestStepBudgetCompiledPredicates(t *testing.T) {
 	clk := newFakeClock()
-	mk := func(maxSteps int, noPlanner bool) *Registry {
-		r := New(Config{Name: "r", DefaultTTL: time.Hour, MaxTTL: time.Hour, Now: clk.Now,
-			MaxQuerySteps: maxSteps, NoPlanner: noPlanner})
+	mk := func(maxSteps int) *Registry {
+		r := New(Config{Name: "r", DefaultTTL: time.Hour, MaxTTL: time.Hour, Now: clk.Now, MaxQuerySteps: maxSteps})
 		for i := 0; i < 1000; i++ {
 			if _, err := r.Publish(planTuple(i, rand.New(rand.NewSource(int64(i)))), 0); err != nil {
 				t.Fatal(err)
@@ -258,29 +242,22 @@ func TestStepBudgetCompiledPredicates(t *testing.T) {
 		}
 		return r
 	}
-	tight, roomy, planned := mk(1000, true), mk(10_000_000, true), mk(1000, false)
-	q3 := `/tupleset/tuple/content/service[attr[@name="kind"]/@value="monitor"]`
+	tight, roomy := mk(1000), mk(10_000_000)
 	for _, src := range []string{
-		q3,
-		`/tupleset/tuple[content/service[interface[@type="XQuery"]]]/@link`, // nested predicates
-		`//service[attr[@name="kind"]/@value="monitor"]`,                    // not a fused run
+		`/tupleset/tuple/content/service[attr[@name="kind"]/@value="monitor"]`, // canonical Q3
+		`/tupleset/tuple[content/service[interface[@type="XQuery"]]]/@link`,    // nested predicates
+		`//service[attr[@name="kind"]/@value="monitor"]`,                       // no tuple head
 	} {
 		if _, err := tight.Query(src, QueryOptions{}); err == nil || !strings.Contains(err.Error(), "exceeded 1000 steps") {
 			t.Errorf("%s under 1000 steps: err %v, want the step-limit error", src, err)
 		}
-		want, err := roomy.Query(src, QueryOptions{})
-		if err != nil || len(want) == 0 {
-			t.Fatalf("%s under the default budget: %d items, err %v", src, len(want), err)
+		got, err := roomy.Query(src, QueryOptions{})
+		if err != nil || len(got) == 0 {
+			t.Fatalf("%s under the default budget: %d items, err %v", src, len(got), err)
 		}
-		// Planned where plannable, and then uncharged; the descendant path
-		// is interpreted on every registry and trips here too.
-		got, err := planned.Query(src, QueryOptions{})
-		if strings.HasPrefix(src, "//") {
-			if err == nil {
-				t.Errorf("%s: interpreted under 1000 steps without error", src)
-			}
-		} else if err != nil || xq.Serialize(got) != xq.Serialize(want) {
-			t.Errorf("%s planned under 1000 steps: err %v, %d items, want %d", src, err, len(got), len(want))
+		want, err := xq.MustCompile(src).EvalDoc(roomy.BuildView(Filter{}, Freshness{}))
+		if err != nil || xq.Serialize(got) != xq.Serialize(want) {
+			t.Errorf("%s: %d items, over BuildView %d (err %v)", src, len(got), len(want), err)
 		}
 	}
 	// The nested level is charged for itself: testing 1000 <service>
@@ -288,6 +265,13 @@ func TestStepBudgetCompiledPredicates(t *testing.T) {
 	// elements tested beneath each are what exceeds it.
 	if _, err := tight.Query(`/tupleset/tuple/content/service[@domain="cern.ch"]`, QueryOptions{}); err != nil {
 		t.Errorf("one predicate level over 1000 services under 1000 steps: %v", err)
+	}
+	// A point lookup tests one candidate against one predicate.
+	var info PlanInfo
+	src := `/tupleset/tuple[@link="http://cern.ch/replica-catalog-0000/wsda/presenter"]/@type`
+	got, err := mk(2).Query(src, QueryOptions{Explain: &info})
+	if err != nil || len(got) != 1 || info.String() != "index(link) residual=0" {
+		t.Errorf("@link lookup under 2 steps: %d items (%s), err %v", len(got), info, err)
 	}
 }
 
@@ -383,19 +367,24 @@ func TestQueryCacheCanonicalization(t *testing.T) {
 	}
 }
 
+// canonicalCases pin the normalization rules: input and canonical form.
+var canonicalCases = []struct{ in, want string }{
+	{`/tupleset/tuple`, `/tupleset/tuple`},
+	{"  /tupleset/tuple  ", `/tupleset/tuple`},
+	{"/tupleset\n\t/tuple", `/tupleset /tuple`},
+	{`/tupleset/tuple[@a="x  y"]`, `/tupleset/tuple[@a="x  y"]`}, // literal kept
+	{"for  $t  in  /tupleset/tuple  return  $t", "for $t in /tupleset/tuple return $t"},
+	// Direct element constructors are whitespace-sensitive raw text.
+	{"<out>  spaced  </out>", "<out>  spaced  </out>"},
+	{"1  <  2", "1 < 2"}, // '<' as operator still collapses
+	// A comment may hold a quote that opens no literal.
+	{`(: " :) "a  b"  (: " :)`, `(: " :) "a  b"  (: " :)`},
+	{"0\f", "0\f"}, // whitespace the lexer rejects is not trimmed
+}
+
 // TestCanonicalQuerySource pins the normalization rules directly.
 func TestCanonicalQuerySource(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{`/tupleset/tuple`, `/tupleset/tuple`},
-		{"  /tupleset/tuple  ", `/tupleset/tuple`},
-		{"/tupleset\n\t/tuple", `/tupleset /tuple`},
-		{`/tupleset/tuple[@a="x  y"]`, `/tupleset/tuple[@a="x  y"]`}, // literal kept
-		{"for  $t  in  /tupleset/tuple  return  $t", "for $t in /tupleset/tuple return $t"},
-		// Direct element constructors are whitespace-sensitive raw text.
-		{"<out>  spaced  </out>", "<out>  spaced  </out>"},
-		{"1  <  2", "1 < 2"}, // '<' as operator still collapses
-	}
-	for _, tc := range cases {
+	for _, tc := range canonicalCases {
 		if got := canonicalQuerySource(tc.in); got != tc.want {
 			t.Errorf("canonicalQuerySource(%q) = %q, want %q", tc.in, got, tc.want)
 		}

@@ -77,11 +77,6 @@ type Config struct {
 	// (planned, plan-fallback, view-hit, view-miss) for evaluations that
 	// carry a QueryOptions.TxID. Nil disables recording.
 	Flight *telemetry.FlightRecorder
-
-	// NoPlanner disables the discovery-query pushdown planner, so every
-	// query is interpreted over a pinned tuple set. Used for differential
-	// testing and as an operational escape hatch.
-	NoPlanner bool
 }
 
 func (c Config) withDefaults() Config {
@@ -113,12 +108,12 @@ type Stats struct {
 	PullErrors  int64 // failed pulls
 	Throttled   int64 // pulls suppressed by MinPullInterval
 
-	ViewHits     int64 // interpreted queries that pinned an already-current tuple set
-	ViewMisses   int64 // interpreted queries that found their tuple set behind the store
+	ViewHits     int64 // queries over a pinned tuple set that found it already current
+	ViewMisses   int64 // queries over a pinned tuple set that found it behind the store
 	ViewRebuilds int64 // tuple-set advances, from the journal or in full, whoever paid (scans and MinQuery too)
 
-	PlanHits      int64 // queries answered by the pushdown planner
-	PlanFallbacks int64 // queries the planner rejected to the interpreter
+	PlanHits      int64 // queries whose tuples came from a tuple source (index or scan)
+	PlanFallbacks int64 // queries answered over the pinned snapshot
 }
 
 // Registry is a hyper registry node. It is safe for concurrent use.
@@ -142,11 +137,6 @@ type Registry struct {
 	viewClock uint64 // LRU clock for view eviction; guarded by viewMu
 	flightMu  sync.Mutex
 	flights   map[string]*pullFlight
-
-	// planCache holds the lowered executable form of each plannable
-	// compiled query (see plan.go).
-	planMu    sync.RWMutex
-	planCache map[*xq.Query]*execPlan
 
 	queries, minQueries                atomic.Int64
 	cacheHits, cacheMisses             atomic.Int64
@@ -177,7 +167,6 @@ func New(cfg Config) *Registry {
 		queryCache: make(map[string]*xq.Query),
 		views:      make(map[Filter]*filterView),
 		flights:    make(map[string]*pullFlight),
-		planCache:  make(map[*xq.Query]*execPlan),
 		tracer:     cfg.Tracer,
 		flight:     cfg.Flight,
 	}
@@ -198,12 +187,12 @@ func New(cfg Config) *Registry {
 			"Change reads that fell off the bounded journal, forcing a full resync or replica re-bootstrap.",
 			"registry").With(cfg.Name))
 		planHits := m.CounterVec("wsda_registry_plan_hit_total",
-			"XQuery evaluations answered by the pushdown planner, by access mode.",
+			"XQuery evaluations whose tuples came from a tuple source, by access mode.",
 			"registry", "mode")
 		r.planHitIndex = planHits.With(cfg.Name, "index")
 		r.planHitScan = planHits.With(cfg.Name, "scan")
 		r.planFallback = m.CounterVec("wsda_registry_plan_fallback_total",
-			"XQuery evaluations whose shape the pushdown planner rejected, interpreted over a pinned tuple set.",
+			"XQuery evaluations answered over the pinned snapshot: their shape has no tuple head.",
 			"registry").With(cfg.Name)
 	}
 	return r
@@ -407,11 +396,15 @@ func (r *Registry) Query(query string, opts QueryOptions) (xq.Sequence, error) {
 // trailing space is trimmed and interior whitespace runs collapse to one
 // space, except inside string literals. A query containing a direct
 // element constructor (a '<' followed by a name character, outside any
-// string) is only trimmed, since constructor content is whitespace-
-// sensitive raw text. Canonicalization never changes query semantics, so
-// distinct keys always mean distinct queries.
+// string) or a comment is only trimmed, since constructor content is
+// whitespace-sensitive raw text and a comment may hold a quote that would
+// throw off the literal tracking. Canonicalization never changes query
+// semantics, so one key never stands for two different queries.
 func canonicalQuerySource(src string) string {
-	src = strings.TrimSpace(src)
+	src = strings.Trim(src, " \t\n\r") // the lexer's whitespace, no more: it rejects the rest
+	if strings.Contains(src, "(:") {
+		return src // a comment, or "(:" in a literal: keep verbatim
+	}
 	var sb strings.Builder
 	sb.Grow(len(src))
 	var quote byte // active string-literal delimiter, 0 outside literals
@@ -457,13 +450,14 @@ func isConstructorStart(r rune) bool {
 // maxCachedQueries bounds the compiled-query cache.
 const maxCachedQueries = 1024
 
-// QueryCompiled is Query for a pre-compiled expression. Queries whose
-// shape the pushdown planner recognizes select their tuples through the
-// soft-state store's indexes (see plan.go); everything else is interpreted
-// over the filter's pinned tuple set (see view.go). Both work on the same
-// shared per-revision <tuple> elements and hold no lock while evaluating or
-// while Emit runs. Node items in the result are parts of those immutable
-// elements, valid indefinitely; callers must not mutate them.
+// QueryCompiled is Query for a pre-compiled expression, evaluated by xq
+// once, buffered or streamed alike. A query with a tuple head reads its
+// <tuple> members from a tuple source over the soft-state store's indexes
+// (see plan.go); everything else is evaluated over the filter's pinned
+// tuple set (see view.go). Both hand xq the same shared per-revision
+// <tuple> elements and hold no lock while evaluating or while Emit runs.
+// Node items in the result are parts of those immutable elements, valid
+// indefinitely; callers must not mutate them.
 func (r *Registry) QueryCompiled(q *xq.Query, opts QueryOptions) (xq.Sequence, error) {
 	if r.xquerySeconds != nil {
 		defer r.xquerySeconds.ObserveSince(time.Now())
@@ -471,11 +465,10 @@ func (r *Registry) QueryCompiled(q *xq.Query, opts QueryOptions) (xq.Sequence, e
 	sp := r.tracer.StartSpan("", nil, "registry.xquery")
 	sp.SetAttr(telemetry.String("registry", r.cfg.Name))
 	r.queries.Add(1)
-	var seq xq.Sequence
-	var err error
-	if plan, ok := q.DiscoveryPlan(); ok && !r.cfg.NoPlanner {
-		var info PlanInfo
-		seq, info = r.runPlan(r.execPlanFor(q, plan), opts)
+	xo := xq.Options{MaxSteps: r.cfg.MaxQuerySteps, Emit: opts.Emit, Vars: opts.Vars}
+	info := PlanInfo{Mode: "view"}
+	if h, ok := q.TupleHead(); ok {
+		xo.Tuples, info = r.tupleSource(h, opts.Filter, opts.Freshness)
 		r.planHits.Add(1)
 		if info.Mode == "scan" {
 			r.planHitScan.Inc()
@@ -486,8 +479,17 @@ func (r *Registry) QueryCompiled(q *xq.Query, opts QueryOptions) (xq.Sequence, e
 			r.flight.Record(opts.TxID, telemetry.FlightPlanned, r.cfg.Name, "", 0, info.String())
 		}
 	} else {
-		seq, err = r.interpret(q, opts)
+		r.planFallbacks.Add(1)
+		r.planFallback.Inc()
+		r.flight.Record(opts.TxID, telemetry.FlightPlanFallback, r.cfg.Name, "", 0, "interpreted")
+		xo.Context = r.pinTupleSet(opts.Filter, opts.Freshness, opts.TxID).doc
 	}
+	if opts.Explain != nil {
+		// Filled before the first Emit so streaming callers can surface
+		// the plan (e.g. as a response header) ahead of the first item.
+		*opts.Explain = info
+	}
+	seq, err := q.Eval(&xo)
 	if sp != nil {
 		sp.SetAttr(telemetry.Int("items", int64(len(seq))))
 		if err != nil {
@@ -496,29 +498,6 @@ func (r *Registry) QueryCompiled(q *xq.Query, opts QueryOptions) (xq.Sequence, e
 		sp.End()
 	}
 	return seq, err
-}
-
-// interpret evaluates an unplannable query over the filter's pinned tuple
-// set, buffered or streamed alike.
-func (r *Registry) interpret(q *xq.Query, opts QueryOptions) (xq.Sequence, error) {
-	r.planFallbacks.Add(1)
-	r.planFallback.Inc()
-	if opts.Explain != nil {
-		*opts.Explain = PlanInfo{Mode: "view"}
-	}
-	r.flight.Record(opts.TxID, telemetry.FlightPlanFallback, r.cfg.Name, "", 0, "interpreted")
-	set, hit := r.pinTupleSet(opts.Filter, opts.Freshness)
-	pinned := telemetry.FlightViewMiss
-	if hit {
-		pinned = telemetry.FlightViewHit
-	}
-	r.flight.Record(opts.TxID, pinned, r.cfg.Name, "", 0, "")
-	return q.Eval(&xq.Options{
-		Context:  set.doc,
-		MaxSteps: r.cfg.MaxQuerySteps,
-		Emit:     opts.Emit,
-		Vars:     opts.Vars,
-	})
 }
 
 // BuildView materializes the tuple set for a filter from scratch as a

@@ -8,10 +8,10 @@
 // those shared elements in link order; it too is immutable once published.
 // A query pins the current tuple set of its filter by loading one atomic
 // pointer and evaluates on it with no lock held, so a slow Emit callback
-// blocks nobody and results alias the snapshot safely. The pushdown planner
+// blocks nobody and results alias the snapshot safely. A tuple source
 // (plan.go) selects the same elements through the store's indexes, and a
-// planned scan or an unindexed MinQuery reads the unfiltered set's
-// link-ordered members rather than copying and sorting the store.
+// scan or an unindexed MinQuery reads the unfiltered set's link-ordered
+// members rather than copying and sorting the store.
 //
 // A tuple set advances at query time, never at publish time: when the
 // store generation has moved or an included tuple has passively expired,
@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"wsda/internal/softstate"
+	"wsda/internal/telemetry"
 	"wsda/internal/tuple"
 	"wsda/internal/xmldoc"
 )
@@ -228,21 +229,25 @@ func (r *Registry) pin(f Filter, fresh Freshness) (s *tupleSet, hit, pulled bool
 	return s, hit, pulled
 }
 
-// pinTupleSet is pin for an interpreted query: it counts the view hit or
-// miss (the value behind ViewHits, reported per query to the flight
-// recorder) and, unless a freshness pass already did, every content-bearing
-// member served from cache as a cache hit, mirroring BuildView.
-func (r *Registry) pinTupleSet(f Filter, fresh Freshness) (*tupleSet, bool) {
+// pinTupleSet is pin for a query evaluated over the snapshot: it counts
+// the view hit or miss (the value behind ViewHits), records it for the
+// flight recorder under tx and, unless a freshness pass already did,
+// counts every content-bearing member served from cache as a cache hit,
+// mirroring BuildView.
+func (r *Registry) pinTupleSet(f Filter, fresh Freshness, tx string) *tupleSet {
 	s, hit, pulled := r.pin(f, fresh)
+	event := telemetry.FlightViewMiss
 	if hit {
 		r.viewHits.Add(1)
+		event = telemetry.FlightViewHit
 	} else {
 		r.viewMisses.Add(1)
 	}
+	r.flight.Record(tx, event, r.cfg.Name, "", 0, "")
 	if !pulled {
 		r.cacheHits.Add(int64(len(s.meta) - s.missing))
 	}
-	return s, hit
+	return s
 }
 
 // advanceTupleSet builds the successor of old (nil on first use) at the

@@ -229,7 +229,7 @@ func TestQueryResultsImmutable(t *testing.T) {
 	}
 }
 
-// tupleSetCorpus adds, to the planner corpus, the queries that exercise
+// tupleSetCorpus adds, to the plan corpus, the queries that exercise
 // what the evaluator resolves through its context on a tuple set: parents,
 // ancestors, siblings and roots of shared <tuple> elements, document order
 // across them, and constructed nodes mixed in.
@@ -253,20 +253,16 @@ var tupleSetCorpus = append([]string{
 	`/tupleset/tuple[last()]/content/service/interface/operation/bind/../../../../../@link`,
 }, planCorpus...)
 
-// TestTupleSetMatchesBuildView is the snapshot's differential: every query
-// interpreted over a pinned tuple set (shared parentless elements under a
-// per-filter root) serializes byte-identically to the same query evaluated
-// over BuildView's from-scratch, fully parented document.
+// TestTupleSetMatchesBuildView is the registry's differential: every query,
+// whether its tuples come from a tuple source or from a pinned tuple set
+// (shared parentless elements under a per-filter root), serializes
+// byte-identically to the same query evaluated over BuildView's
+// from-scratch, fully parented document, buffered and streamed; a consumer
+// that stops after k items sees the reference's first k, and a streamed
+// evaluation returns no sequence.
 func TestTupleSetMatchesBuildView(t *testing.T) {
-	_, r := newPlanTestPair(t, 45, 5) // NoPlanner: every query is interpreted
-	filters := []Filter{
-		{},
-		{Type: tuple.TypeService},
-		{Context: "child"},
-		{LinkPrefix: "http://infn.it/"},
-		{Type: "no-such-type"},
-	}
-	for _, f := range filters {
+	r := newPlanTestRegistry(t, 45, 5)
+	for _, f := range corpusFilters {
 		ref := r.BuildView(f, Freshness{})
 		for _, src := range tupleSetCorpus {
 			want, wantErr := xq.EvalString(src, ref)
@@ -275,9 +271,30 @@ func TestTupleSetMatchesBuildView(t *testing.T) {
 				t.Fatalf("filter %+v query %q: err %v vs %v", f, src, gotErr, wantErr)
 			}
 			if g, w := xq.Serialize(got), xq.Serialize(want); g != w {
-				t.Errorf("filter %+v query %q:\ntuple set: %s\nBuildView: %s", f, src, g, w)
+				t.Errorf("filter %+v query %q:\nregistry:  %s\nBuildView: %s", f, src, g, w)
+			}
+			if wantErr != nil {
+				continue
+			}
+			for _, stopAfter := range []int{0, 1, 3} {
+				var items xq.Sequence
+				seq, err := r.Query(src, QueryOptions{Filter: f, Emit: func(it xq.Item) bool {
+					items = append(items, it)
+					return stopAfter == 0 || len(items) < stopAfter
+				}})
+				n := len(want)
+				if stopAfter > 0 {
+					n = min(n, stopAfter)
+				}
+				if err != nil || seq != nil || xq.Serialize(items) != xq.Serialize(want[:n]) {
+					t.Errorf("filter %+v query %q stop %d: err %v, returned %d items, streamed %s, BuildView %s",
+						f, src, stopAfter, err, len(seq), xq.Serialize(items), xq.Serialize(want[:n]))
+				}
 			}
 		}
+	}
+	if st := r.Stats(); st.PlanHits == 0 || st.PlanFallbacks == 0 {
+		t.Fatalf("stats: hits=%d fallbacks=%d, want both > 0", st.PlanHits, st.PlanFallbacks)
 	}
 }
 

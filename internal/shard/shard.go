@@ -126,26 +126,25 @@ func (rt Route) Note(total int) string {
 }
 
 // RouteQuery computes the index-aware fan-out hint for a compiled query
-// against total shards: a discovery plan with a link equality pins the
+// against total shards: a tuple head with a link equality pins the
 // owning shard (the partition function is the link hash), a statically
-// contradictory plan needs no shard at all, and everything else — type/ctx
+// contradictory head needs no shard at all, and everything else — type/ctx
 // equalities included, since every shard indexes those locally — scatters.
 // A link-prefix filter cannot pin a shard (hashing destroys prefix
 // locality), so it scatters too.
 func RouteQuery(q *xq.Query, linkPrefix string, total int) Route {
-	p, ok := q.DiscoveryPlan()
-	if !ok || p == nil {
-		return Route{}
-	}
-	if p.Never {
+	h, _ := q.TupleHead() // no tuple head: the zero head scatters
+	if h.Never {
 		return Route{Never: true}
 	}
-	link, ok := p.AttrEq["link"]
-	if !ok {
-		return Route{}
+	for _, eq := range h.Eqs {
+		switch {
+		case eq.Attr != "link":
+		case linkPrefix != "" && !strings.HasPrefix(eq.Value, linkPrefix):
+			return Route{Never: true}
+		default:
+			return Route{Single: true, Shard: Owner(eq.Value, total)}
+		}
 	}
-	if linkPrefix != "" && !strings.HasPrefix(link, linkPrefix) {
-		return Route{Never: true}
-	}
-	return Route{Single: true, Shard: Owner(link, total)}
+	return Route{}
 }

@@ -33,10 +33,9 @@ const (
 	// FlightPlanned marks the registry planning a local evaluation
 	// (note = chosen plan: index/scan pushdown or the view path).
 	FlightPlanned = "planned"
-	// FlightPlanFallback marks a local evaluation whose shape the pushdown
-	// planner rejected, falling back to the interpreter over a pinned
-	// tuple-set snapshot, however the result is delivered (note =
-	// "interpreted").
+	// FlightPlanFallback marks a local evaluation answered over the pinned
+	// tuple-set snapshot, because its shape has no tuple head, however the
+	// result is delivered (note = "interpreted").
 	FlightPlanFallback = "plan-fallback"
 	// FlightViewHit marks a local evaluation that pinned an already-current
 	// tuple-set snapshot.

@@ -5,7 +5,7 @@
 // next-cursor while more items remain.
 //
 // The cursor encodes the item offset into the query's result sequence.
-// Both the planner's candidate walk and the tuple-set view deliver items
+// Both a tuple source's candidate walk and the tuple-set view deliver items
 // in document order — tuples sorted by link — so offsets are stable across
 // requests as long as the tuple set itself is stable; a mutation between
 // pages can shift items across page boundaries (skip or repeat), exactly

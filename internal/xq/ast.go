@@ -48,15 +48,9 @@ type quantExpr struct {
 // ifExpr is "if (C) then T else E".
 type ifExpr struct{ cond, then, els Expr }
 
-// orExpr / andExpr are short-circuit boolean connectives. conj holds the
-// closures compilePred built for an andExpr's conjuncts (nil if any is
-// outside the closure grammar), so the planner can push single conjuncts
-// down without compiling them again.
+// orExpr / andExpr are short-circuit boolean connectives.
 type orExpr struct{ args []Expr }
-type andExpr struct {
-	args []Expr
-	conj []NodePred
-}
+type andExpr struct{ args []Expr }
 
 // compExpr is a general (=, <, ...) or value (eq, lt, ...) comparison.
 type compExpr struct {
@@ -195,10 +189,10 @@ type pathStep struct {
 	// cpreds is the closure form of preds, one per predicate, built by
 	// pathExpr.compiled: nil when the step has none or any is outside the
 	// closure grammar (plan.go), and the step's predicates are interpreted.
-	cpreds []NodePred
+	cpreds []nodePred
 }
 
-// walkable reports whether WalkPlan can take the step: a child or
+// walkable reports whether walkPlan can take the step: a child or
 // attribute name test whose predicates, if any, all compiled.
 func (st *pathStep) walkable() bool {
 	return st.primary == nil && (st.axis == axisChild || st.axis == axisAttribute) &&
@@ -222,8 +216,8 @@ type pathExpr struct {
 }
 
 // compiled returns the steps with their predicates compiled to closures,
-// compiling them on first use: once per compiled Query, whether the
-// interpreter or the planner gets here first.
+// compiling them on first use: once per compiled Query, whether an
+// evaluation or TupleHead gets here first.
 func (e *pathExpr) compiled() []pathStep {
 	e.compileOnce.Do(func() {
 		for i := range e.steps {

@@ -9,6 +9,8 @@
 // hand-rolled lexer and recursive-descent parser produce an AST that is
 // evaluated against trees from internal/xmldoc. Path-step predicates inside
 // a small boolean grammar compile once per query into closures (plan.go);
-// the interpreter filters and walks path steps through them, and the
-// registry's planner runs the same closures over single tuples.
+// the interpreter filters and walks path steps through them. A discovery
+// query with a tuple head can read its <tuple> members from a source (the
+// registry's soft-state indexes) in place of a document, evaluated by the
+// same code under the same step meter.
 package xq

@@ -11,7 +11,7 @@ import (
 
 // The shared predicate engine's differential tests. Eval runs a step's
 // predicates through compilePred's closures whenever they are inside the
-// closure grammar and walks runs of child/attribute steps with WalkPlan;
+// closure grammar and walks runs of child/attribute steps with walkPlan;
 // the reference evaluation (MustCompileGeneral) interprets every predicate
 // from its AST, one step at a time with the sort between steps. The two
 // must agree on items, order and error-or-not, over a parsed document and
@@ -55,36 +55,37 @@ func checkAgainstGeneral(t *testing.T, src string, d *xmldoc.Node) {
 // prefixed element names, attributes that are absent, empty, numeric in
 // several spellings or not numeric at all, and occasional text.
 func genDoc(rng *rand.Rand) *xmldoc.Node {
-	names := []string{"a", "b", "c", "p:a", "q:b"}
-	attrs := []string{"k", "v", "p:k"}
-	vals := []string{"", "1", "1.0", "01", " 2 ", "2.5", "x", "abc", "NaN"}
 	var sb strings.Builder
-	var elem func(depth int)
-	elem = func(depth int) {
-		name := names[rng.Intn(len(names))]
-		sb.WriteString("<" + name)
-		for _, a := range attrs {
-			if rng.Intn(2) == 0 {
-				fmt.Fprintf(&sb, ` %s="%s"`, a, vals[rng.Intn(len(vals))])
-			}
-		}
-		sb.WriteString(">")
-		if rng.Intn(4) == 0 {
-			sb.WriteString(vals[rng.Intn(len(vals))])
-		}
-		if depth < 4 {
-			for i := rng.Intn(4); i > 0; i-- {
-				elem(depth + 1)
-			}
-		}
-		sb.WriteString("</" + name + ">")
-	}
 	sb.WriteString(`<r xmlns:p="urn:p" xmlns:q="urn:q" k="1">`)
 	for i := 2 + rng.Intn(4); i > 0; i-- {
-		elem(1)
+		genElem(rng, &sb, 1)
 	}
 	sb.WriteString("</r>")
 	return xmldoc.MustParse(sb.String())
+}
+
+// genElem writes one of genDoc's random elements at depth.
+func genElem(rng *rand.Rand, sb *strings.Builder, depth int) {
+	names := []string{"a", "b", "c", "p:a", "q:b"}
+	attrs := []string{"k", "v", "p:k"}
+	vals := []string{"", "1", "1.0", "01", " 2 ", "2.5", "x", "abc", "NaN"}
+	name := names[rng.Intn(len(names))]
+	sb.WriteString("<" + name)
+	for _, a := range attrs {
+		if rng.Intn(2) == 0 {
+			fmt.Fprintf(sb, ` %s="%s"`, a, vals[rng.Intn(len(vals))])
+		}
+	}
+	sb.WriteString(">")
+	if rng.Intn(4) == 0 {
+		sb.WriteString(vals[rng.Intn(len(vals))])
+	}
+	if depth < 4 {
+		for i := rng.Intn(4); i > 0; i-- {
+			genElem(rng, sb, depth+1)
+		}
+	}
+	sb.WriteString("</" + name + ">")
 }
 
 // genRelPath generates a relative child/attribute name-step path, its

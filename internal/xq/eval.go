@@ -82,11 +82,11 @@ type evalRun struct {
 	sets map[setKey]*nodeSet // made on first use: most evaluations memoise nothing
 }
 
-// meter is the step budget of one interpreted evaluation (Options.MaxSteps;
-// limit 0 is unlimited). A step is one FLWOR tuple, one quantifier binding
-// or one node tested against one predicate, interpreted or compiled, at any
-// nesting depth. Compiled closures carry it as a parameter; the planner
-// passes nil, which charges nothing.
+// meter is the step budget of one evaluation (Options.MaxSteps; limit 0 is
+// unlimited), over a document or over a tuple source alike. A step is one
+// FLWOR tuple, one quantifier binding or one node tested against one
+// predicate, interpreted or compiled, at any nesting depth. Compiled
+// closures carry it as a parameter.
 type meter struct{ steps, limit int }
 
 // tick charges one step and reports whether the budget still holds.
@@ -94,9 +94,6 @@ func (m *meter) tick() bool { return m.charge(1) }
 
 // charge is tick for n steps at once.
 func (m *meter) charge(n int) bool {
-	if m == nil {
-		return true
-	}
 	m.steps += n
 	return m.limit <= 0 || m.steps <= m.limit
 }
@@ -104,7 +101,7 @@ func (m *meter) charge(n int) bool {
 // err is the step-limit error once the budget is spent: closures cannot
 // return one, so their callers ask here after running them.
 func (m *meter) err() error {
-	if m != nil && m.limit > 0 && m.steps > m.limit {
+	if m.limit > 0 && m.steps > m.limit {
 		return fmt.Errorf("xq: evaluation exceeded %d steps", m.limit)
 	}
 	return nil
@@ -729,7 +726,7 @@ func (c *evalCtx) evalSteps(cur Sequence, steps []pathStep) (Sequence, error) {
 				j++
 			}
 			var out Sequence
-			WalkPlan(n, steps[i:j], &c.run.meter, func(x *xmldoc.Node) bool {
+			walkPlan(n, steps[i:j], &c.run.meter, func(x *xmldoc.Node) bool {
 				out = append(out, x)
 				return true
 			})
@@ -823,7 +820,7 @@ func (c *evalCtx) applyStep(input Sequence, st *pathStep) (Sequence, error) {
 
 // appendAxis appends to out the nodes reachable from n on st's axis that
 // match its node test and hold under preds, in axis order.
-func (c *evalCtx) appendAxis(out Sequence, n *xmldoc.Node, st *pathStep, preds []NodePred) Sequence {
+func (c *evalCtx) appendAxis(out Sequence, n *xmldoc.Node, st *pathStep, preds []nodePred) Sequence {
 	switch st.axis {
 	case axisChild:
 		for _, ch := range n.Children {
@@ -884,7 +881,7 @@ func (c *evalCtx) appendAxis(out Sequence, n *xmldoc.Node, st *pathStep, preds [
 }
 
 // take appends m if it matches st's node test and holds under preds.
-func (c *evalCtx) take(out Sequence, m *xmldoc.Node, st *pathStep, preds []NodePred) Sequence {
+func (c *evalCtx) take(out Sequence, m *xmldoc.Node, st *pathStep, preds []nodePred) Sequence {
 	if matchTest(m, &st.test, st.axis) && holdAll(preds, m, &c.run.meter) {
 		out = append(out, m)
 	}
@@ -892,7 +889,7 @@ func (c *evalCtx) take(out Sequence, m *xmldoc.Node, st *pathStep, preds []NodeP
 }
 
 // takeSubtree is take over m and its descendants, in document order.
-func (c *evalCtx) takeSubtree(out Sequence, m *xmldoc.Node, st *pathStep, preds []NodePred) Sequence {
+func (c *evalCtx) takeSubtree(out Sequence, m *xmldoc.Node, st *pathStep, preds []nodePred) Sequence {
 	out = c.take(out, m, st, preds)
 	for _, ch := range m.Children {
 		out = c.takeSubtree(out, ch, st, preds)

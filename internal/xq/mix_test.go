@@ -11,11 +11,11 @@ import (
 	"wsda/internal/xq"
 )
 
-// plannerCorpus is the registry's planner/interpreter differential corpus
-// (registry/plan_test.go): there it holds planned execution to the
-// interpreter, here it holds the interpreter's compiled predicates to the
-// reference evaluation, which closes the chain closures ≡ general
-// interpretation, planned ≡ interpreted.
+// plannerCorpus is the head of the registry's plan corpus
+// (registry/plan_test.go): there it holds every plan to the same query over
+// BuildView, here it holds the compiled predicates to the reference
+// evaluation, which closes the chain closures ≡ general interpretation,
+// sourced ≡ pinned ≡ BuildView.
 var plannerCorpus = []string{
 	`/tupleset/tuple`,
 	`/tupleset/tuple[@link="http://cern.ch/replica-catalog-0000/wsda/presenter"]`,

@@ -1,32 +1,36 @@
-// The predicate engine and discovery-query planning.
+// The predicate engine and the tuple head.
 //
-// One closure compiler serves both evaluators. compilePred turns a path
+// One closure compiler serves every evaluation. compilePred turns a path
 // step's predicate into a closure over document nodes when it is inside
 // the closure grammar: and/or over general `=` comparisons between a
 // relative child/attribute name-step path and a string or numeric literal,
 // and bare relative paths (existence tests), the steps of those paths
 // predicated by the same grammar. Every form is boolean-valued and cannot
 // raise. Each predicate compiles at most once per compiled Query
-// (pathExpr.compiled), and WalkPlan is the one walker of child/attribute
+// (pathExpr.compiled), and walkPlan is the one walker of child/attribute
 // steps. The interpreter (eval.go) filters any axis step's candidates
 // through the closures and walks runs of such steps in one pass, metering
 // one step per node tested; predicates outside the grammar (positional,
 // position()/last(), variables, function calls, value and ordering
 // comparisons) keep the general AST interpretation.
 //
-// The planner recognizes the query family that dominates registry traffic,
+// The query family that dominates registry traffic,
 //
 //	/tupleset/tuple[P1][P2].../step/step...
 //
-// with every predicate inside the grammar and every trailing step a
-// child-element or attribute name step, so the registry can answer it
-// straight from its soft-state indexes instead of evaluating over a
-// materialized <tupleset>: the same closures and the same walker, run over
-// single rendered tuples, unmetered. Anything else (prologs, FLWOR,
-// functions, descendant axes) is not plannable and is interpreted.
+// with every predicate inside the grammar and every step from tuple on a
+// child-element or attribute name step, reads nothing of its document but
+// the children of the root. TupleHead recognises it, and Eval can then take
+// those children from Options.Tuples, a source that may hand over fewer
+// members than the document holds (the registry's soft-state indexes) but
+// never different ones. Each member is tested and walked exactly as in a
+// document evaluation, by the same closures under the same meter, and its
+// results leave as they are produced. Anything else (prologs, FLWOR,
+// functions, descendant axes) has no tuple head and needs a document.
 package xq
 
 import (
+	"errors"
 	"math"
 	"strconv"
 	"strings"
@@ -34,144 +38,160 @@ import (
 	"wsda/internal/xmldoc"
 )
 
-// NodePred is one compiled predicate closure over a document node: what
-// both evaluators run instead of interpreting a predicate's AST per
-// candidate. m meters an interpreted evaluation (eval.go) and is nil on
-// the planned path, which by design is not charged.
-type NodePred func(n *xmldoc.Node, m *meter) bool
+// nodePred is one compiled predicate closure over a document node: what an
+// evaluation runs instead of interpreting a predicate's AST per candidate.
+// m is the evaluation's step meter.
+type nodePred func(n *xmldoc.Node, m *meter) bool
 
-// PlanStep is one compiled path step below the <tuple> element: a child
-// element or attribute name test plus the step's compiled predicates. It
-// is the parsed step itself, so planning copies and compiles nothing the
-// interpreter has not.
-type PlanStep = pathStep
-
-// TuplePlan is the compiled pushdown form of a plannable discovery query.
-// The executing registry turns AttrEq entries for tuple fields (link,
-// type, ctx, owner) into index probes and field-equality closures; any
-// other pushed attribute falls back to its compiled AttrPred. Residual
-// holds the predicate closures that need the rendered <tuple> element,
-// and Proj the steps projecting below it (empty: the tuple itself is the
-// result).
-type TuplePlan struct {
-	// AttrEq maps attribute names to the (non-empty) string literal each
-	// must equal, extracted from top-level conjunctive predicates.
-	AttrEq map[string]string
-	// AttrPred holds, for every AttrEq entry, the equivalent compiled
-	// node predicate — the executor's fallback for attributes that do not
-	// correspond to an indexed tuple field.
-	AttrPred map[string]NodePred
-	// Residual are the tuple-level predicate closures that were not
-	// extracted into AttrEq.
-	Residual []NodePred
-	// Proj are the compiled steps below the tuple element.
-	Proj []PlanStep
-	// Never reports a statically contradictory plan (two different
-	// equality literals for the same attribute): the result is empty.
+// TupleHead is what a query of the discovery shape asks of the tuples it
+// reads, as plain data a tuple source can narrow its members by (see
+// Options.Tuples). The evaluation still tests every member it is handed
+// against every predicate of the tuple step.
+type TupleHead struct {
+	// Eqs are the tuple step's top-level conjuncts that equate an
+	// attribute to a non-empty string literal, one per attribute. The
+	// slice is shared by every caller and must not be modified.
+	Eqs []AttrEq
+	// Other counts the tuple step's remaining top-level conjuncts.
+	Other int
+	// Never reports two different literals for one attribute: the result
+	// is statically empty.
 	Never bool
 }
 
-// DiscoveryPlan returns the compiled pushdown plan for the query if its
-// shape is plannable, memoizing the (possibly negative) answer on the
-// query: planning runs once per compiled query, not once per evaluation.
-func (q *Query) DiscoveryPlan() (*TuplePlan, bool) {
-	q.planOnce.Do(func() { q.plan = buildDiscoveryPlan(q) })
-	return q.plan, q.plan != nil
+// AttrEq is one conjunct @Attr = "Value" of a tuple head.
+type AttrEq struct {
+	Attr  string // the attribute's name
+	Value string // the literal it must equal, never empty
 }
 
-// buildDiscoveryPlan pattern-matches the compiled AST; nil means "not
-// plannable, use the interpreter".
-func buildDiscoveryPlan(q *Query) *TuplePlan {
-	if len(q.decls) > 0 || len(q.funcs) > 0 {
-		return nil
-	}
+// TupleHead returns the query's tuple head if it has the discovery shape,
+// as Compile recognised it.
+func (q *Query) TupleHead() (TupleHead, bool) { return q.head, q.hasHead }
+
+// tupleHeadOf pattern-matches the compiled AST.
+func tupleHeadOf(q *Query) (h TupleHead, ok bool) {
 	pe, ok := q.expr.(*pathExpr)
-	if !ok || !pe.absolute || pe.doubleSlash || len(pe.steps) < 2 {
-		return nil
+	if !ok || len(q.decls) > 0 || len(q.funcs) > 0 || !pe.absolute || pe.doubleSlash || len(pe.steps) < 2 {
+		return h, false
 	}
 	steps := pe.compiled()
-	s0, s1 := &steps[0], &steps[1]
-	if !isChildNameStep(s0, "tupleset") || len(s0.preds) > 0 {
-		return nil
-	}
-	if !isChildNameStep(s1, "tuple") {
-		return nil
-	}
-	for i := 1; i < len(steps); i++ {
+	for i := range steps {
 		if !steps[i].walkable() {
-			return nil
+			return h, false
 		}
 	}
-	p := &TuplePlan{AttrEq: map[string]string{}, AttrPred: map[string]NodePred{}, Proj: steps[2:]}
-	for i, pred := range s1.preds {
-		p.addTuplePred(pred, s1.cpreds[i])
+	if steps[0].axis != axisChild || steps[0].test != (nodeTest{name: "tupleset"}) || len(steps[0].preds) > 0 ||
+		steps[1].axis != axisChild || steps[1].test != (nodeTest{name: "tuple"}) {
+		return h, false
 	}
-	return p
+	h.add(&andExpr{args: steps[1].preds}) // a step's predicates are one conjunction
+	return h, true
 }
 
-// isChildNameStep reports whether st is a plain child::name axis step.
-func isChildNameStep(st *pathStep, name string) bool {
-	return st.primary == nil && st.axis == axisChild &&
-		st.test.kind == testName && st.test.name == name
-}
-
-// addTuplePred folds one tuple-step predicate and its closure into the
-// plan: top-level conjuncts are scanned for pushdown-eligible
-// @attr = "literal" equalities; everything else is a residual closure.
-func (p *TuplePlan) addTuplePred(e Expr, pred NodePred) {
+// add folds one tuple-step predicate into the head: its top-level
+// conjuncts of the form @name = "literal" go to Eqs, the rest count as
+// Other. An empty literal stays Other, since an absent attribute and an
+// empty one are different things to the evaluator.
+func (h *TupleHead) add(e Expr) {
 	if and, ok := e.(*andExpr); ok {
-		for i, a := range and.args {
-			p.addTuplePred(a, and.conj[i])
+		for _, a := range and.args {
+			h.add(a)
 		}
 		return
 	}
-	if name, val, ok := simpleAttrEq(e); ok && val != "" {
-		// A tuple attribute equal to a non-empty literal is pushdown
-		// material; empty literals are not (an absent attribute and an
-		// empty field are different things to the interpreter) and stay
-		// residual.
-		if prev, dup := p.AttrEq[name]; dup {
-			if prev != val {
-				p.Never = true
-			}
+	name, val, ok := simpleAttrEq(e)
+	if !ok || val == "" {
+		h.Other++
+		return
+	}
+	for _, eq := range h.Eqs {
+		if eq.Attr == name {
+			h.Never = h.Never || eq.Value != val
 			return
 		}
-		p.AttrEq[name] = val
-		p.AttrPred[name] = pred
-		return
 	}
-	p.Residual = append(p.Residual, pred)
+	h.Eqs = append(h.Eqs, AttrEq{name, val})
 }
 
 // simpleAttrEq recognizes `@name = "literal"` (either operand order) with
 // a plain single-attribute path and a string literal, returning the
 // attribute name and literal.
 func simpleAttrEq(e Expr) (name, val string, ok bool) {
-	cmp, isCmp := e.(*compExpr)
-	if !isCmp || !cmp.general || cmp.op != "=" {
+	pp, lit, ok := eqOperands(e)
+	if !ok || pp.absolute || pp.doubleSlash || len(pp.steps) != 1 {
 		return "", "", false
+	}
+	s, isStr := lit.val[0].(string)
+	st := &pp.steps[0]
+	if !isStr || st.primary != nil || st.axis != axisAttribute || st.test.kind != testName || len(st.preds) > 0 {
+		return "", "", false
+	}
+	return st.test.name, s, true
+}
+
+// eqOperands splits a general `=` comparison between a path and a literal,
+// in either operand order.
+func eqOperands(e Expr) (*pathExpr, *literal, bool) {
+	cmp, ok := e.(*compExpr)
+	if !ok || !cmp.general || cmp.op != "=" {
+		return nil, nil, false
 	}
 	pathSide, litSide := cmp.l, cmp.r
 	if _, isLit := pathSide.(*literal); isLit {
 		pathSide, litSide = litSide, pathSide
 	}
-	lit, isLit := litSide.(*literal)
-	if !isLit {
-		return "", "", false
-	}
-	s, isStr := lit.val[0].(string)
-	if !isStr {
-		return "", "", false
-	}
 	pp, isPath := pathSide.(*pathExpr)
-	if !isPath || pp.absolute || pp.doubleSlash || len(pp.steps) != 1 {
-		return "", "", false
+	lit, isLit := litSide.(*literal)
+	return pp, lit, isPath && isLit
+}
+
+// tupleWalk is one evaluation over Options.Tuples: the steps from tuple
+// on, the evaluation's meter, and where its results go.
+type tupleWalk struct {
+	steps []pathStep
+	m     meter
+	emit  func(Item) bool
+	out   Sequence
+}
+
+// evalTuples evaluates a query with a tuple head over opts.Tuples' members
+// in place of the root's children. Results reach Emit as the walk produces
+// them, so a consumer that stops stops the source too.
+func (q *Query) evalTuples(opts *Options) (Sequence, error) {
+	if !q.hasHead {
+		return nil, errors.New("xq: Options.Tuples needs a query with a tuple head")
 	}
-	st := &pp.steps[0]
-	if st.primary != nil || st.axis != axisAttribute || st.test.kind != testName || len(st.preds) > 0 {
-		return "", "", false
+	w := &tupleWalk{steps: q.expr.(*pathExpr).steps[1:], m: meter{limit: opts.MaxSteps}, emit: opts.Emit}
+	opts.Tuples(w.member)
+	if err := w.m.err(); err != nil {
+		return nil, err
 	}
-	return st.test.name, s, true
+	return w.out, nil
+}
+
+// member is walkPlan's loop body for one member of the source: tested
+// against the tuple step and, if it holds, walked on. false stops the
+// source. It is a copy rather than a function walkPlan calls, because a
+// call per child in walkPlan's loop slows every path walk.
+func (w *tupleWalk) member(t *xmldoc.Node) bool {
+	st := &w.steps[0]
+	if !matchTest(t, &st.test, st.axis) {
+		return true
+	}
+	if holdAll(st.cpreds, t, &w.m) {
+		return walkPlan(t, w.steps[1:], &w.m, w.deliver)
+	}
+	return w.m.err() == nil
+}
+
+// deliver hands one result to Emit, or buffers it.
+func (w *tupleWalk) deliver(n *xmldoc.Node) bool {
+	if w.emit != nil {
+		return w.emit(n)
+	}
+	w.out = append(w.out, n)
+	return true
 }
 
 // compilePred compiles one predicate expression to a node closure; nil
@@ -181,15 +201,15 @@ func simpleAttrEq(e Expr) (name, val string, ok bool) {
 // boolean-valued and cannot raise, so the interpreter's positional rule
 // (a numeric predicate value selects by position) and its error paths can
 // never apply to a compiled predicate.
-func compilePred(e Expr) NodePred {
+func compilePred(e Expr) nodePred {
 	switch x := e.(type) {
 	case *andExpr:
-		x.conj = compilePreds(x.args)
-		if x.conj == nil {
+		preds := compilePreds(x.args)
+		if preds == nil {
 			return nil
 		}
 		return func(n *xmldoc.Node, m *meter) bool {
-			for _, p := range x.conj {
+			for _, p := range preds {
 				if !p(n, m) {
 					return false
 				}
@@ -210,7 +230,7 @@ func compilePred(e Expr) NodePred {
 			return false
 		}
 	case *compExpr:
-		return compileEq(x)
+		return compileEq(e)
 	case *pathExpr:
 		if steps := compileRelPath(x); steps != nil {
 			return reaches(steps, nil)
@@ -221,11 +241,11 @@ func compilePred(e Expr) NodePred {
 
 // compilePreds compiles every expression, or returns nil if any is outside
 // the grammar (or there are none).
-func compilePreds(args []Expr) []NodePred {
+func compilePreds(args []Expr) []nodePred {
 	if len(args) == 0 {
 		return nil
 	}
-	preds := make([]NodePred, len(args))
+	preds := make([]nodePred, len(args))
 	for i, a := range args {
 		if preds[i] = compilePred(a); preds[i] == nil {
 			return nil
@@ -239,17 +259,9 @@ func compilePreds(args []Expr) []NodePred {
 // interpreter's general-comparison coercion: node string values compare
 // as strings against string literals and numerically against numeric
 // literals (non-numeric node text then compares unequal, like NaN).
-func compileEq(cmp *compExpr) NodePred {
-	if !cmp.general || cmp.op != "=" {
-		return nil
-	}
-	pathSide, litSide := cmp.l, cmp.r
-	if _, isLit := pathSide.(*literal); isLit {
-		pathSide, litSide = litSide, pathSide
-	}
-	lit, isLit := litSide.(*literal)
-	pp, isPath := pathSide.(*pathExpr)
-	if !isLit || !isPath {
+func compileEq(e Expr) nodePred {
+	pp, lit, ok := eqOperands(e)
+	if !ok {
 		return nil
 	}
 	var match func(string) bool
@@ -273,10 +285,10 @@ func compileEq(cmp *compExpr) NodePred {
 // reached from the candidate through steps has a string value that match
 // accepts (nil: any node will do). An exhausted meter stops the walk with
 // nothing found.
-func reaches(steps []PlanStep, match func(string) bool) NodePred {
+func reaches(steps []pathStep, match func(string) bool) nodePred {
 	return func(n *xmldoc.Node, m *meter) bool {
 		found := false
-		WalkPlan(n, steps, m, func(leaf *xmldoc.Node) bool {
+		walkPlan(n, steps, m, func(leaf *xmldoc.Node) bool {
 			found = match == nil || match(leaf.StringValue())
 			return !found
 		})
@@ -295,7 +307,7 @@ func numericMatch(f float64) func(string) bool {
 
 // compileRelPath returns the steps of a relative child/attribute name-step
 // path whose predicates all compiled, or nil.
-func compileRelPath(pe *pathExpr) []PlanStep {
+func compileRelPath(pe *pathExpr) []pathStep {
 	if pe.absolute || pe.doubleSlash {
 		return nil
 	}
@@ -308,16 +320,16 @@ func compileRelPath(pe *pathExpr) []PlanStep {
 	return steps
 }
 
-// WalkPlan is the one walker of child/attribute name steps: it visits
+// walkPlan is the one walker of child/attribute name steps: it visits
 // every node reached from n through steps, depth-first and therefore in
 // document order and without duplicates (with no steps, n itself). visit
-// returning false stops the walk; WalkPlan reports whether the walk ran
+// returning false stops the walk; walkPlan reports whether the walk ran
 // to completion. It reads only Children, Attrs, Name and Data, never
-// Parent, so it is at home in shared subtrees. With a meter, every node
-// tested against a predicate is charged one step per predicate, nested
-// predicates included, and the walk stops once the budget is spent; the
-// caller then finds the error in m.err.
-func WalkPlan(n *xmldoc.Node, steps []PlanStep, m *meter, visit func(*xmldoc.Node) bool) bool {
+// Parent, so it is at home in shared subtrees. Every node tested against a
+// predicate is charged one step per predicate, nested predicates included,
+// and the walk stops once the budget is spent; the caller then finds the
+// error in m.err.
+func walkPlan(n *xmldoc.Node, steps []pathStep, m *meter, visit func(*xmldoc.Node) bool) bool {
 	if len(steps) == 0 {
 		return visit(n)
 	}
@@ -331,7 +343,7 @@ func WalkPlan(n *xmldoc.Node, steps []PlanStep, m *meter, visit func(*xmldoc.Nod
 			continue
 		}
 		if holdAll(st.cpreds, c, m) {
-			if !WalkPlan(c, steps[1:], m, visit) {
+			if !walkPlan(c, steps[1:], m, visit) {
 				return false
 			}
 		} else if m.err() != nil {
@@ -343,7 +355,7 @@ func WalkPlan(n *xmldoc.Node, steps []PlanStep, m *meter, visit func(*xmldoc.Nod
 
 // holdAll runs compiled predicates over one candidate, charging the meter
 // one step each; a spent budget fails the candidate.
-func holdAll(preds []NodePred, n *xmldoc.Node, m *meter) bool {
+func holdAll(preds []nodePred, n *xmldoc.Node, m *meter) bool {
 	for _, p := range preds {
 		if !m.tick() || !p(n, m) {
 			return false

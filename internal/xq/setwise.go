@@ -48,7 +48,7 @@ func (s *nodeSet) capped() Sequence { return s.nodes[:len(s.nodes):len(s.nodes)]
 type eqProbe struct {
 	src  *pathExpr  // the path whose node set is indexed
 	walk []pathStep // the steps to that set: src's, without the probed predicate
-	rel  []PlanStep // from a node of the set to its key leaves
+	rel  []pathStep // from a node of the set to its key leaves
 	key  Expr       // `$v` or `$v/rel`: the same for every candidate
 	pred []Expr     // the probed predicate alone, for values the index cannot answer
 }
@@ -113,7 +113,7 @@ func (e *flworExpr) whereJoin() *eqProbe {
 // eqSides recognises a general `rel = E` in either order. With loopVar ""
 // rel is relative to the candidate (a predicate); otherwise it is written
 // `$loopVar/rel`, and E must not be headed by that variable.
-func eqSides(e Expr, loopVar string) (rel []PlanStep, key Expr, ok bool) {
+func eqSides(e Expr, loopVar string) (rel []pathStep, key Expr, ok bool) {
 	cmp, isCmp := e.(*compExpr)
 	if !isCmp || !cmp.general || cmp.op != "=" {
 		return nil, nil, false
@@ -136,7 +136,7 @@ func eqSides(e Expr, loopVar string) (rel []PlanStep, key Expr, ok bool) {
 
 // varPath splits `$v` or `$v/rel`, rel inside the closure grammar (and so
 // free of variables itself), into the variable's name and rel's steps.
-func varPath(e Expr) (name string, rel []PlanStep, ok bool) {
+func varPath(e Expr) (name string, rel []pathStep, ok bool) {
 	switch x := e.(type) {
 	case *varRef:
 		return x.name, nil, true
@@ -211,7 +211,7 @@ func (c *evalCtx) nodeSet(path *pathExpr, steps []pathStep, root *xmldoc.Node) (
 		return set, nil
 	}
 	set := &nodeSet{}
-	WalkPlan(root, steps, &c.run.meter, func(n *xmldoc.Node) bool {
+	walkPlan(root, steps, &c.run.meter, func(n *xmldoc.Node) bool {
 		set.nodes = append(set.nodes, n)
 		return true
 	})
@@ -263,7 +263,7 @@ func (c *evalCtx) probe(set *nodeSet, p *eqProbe) (hits Sequence, ok bool, err e
 		}
 		for i, it := range set.nodes {
 			pos = int32(i)
-			WalkPlan(it.(*xmldoc.Node), p.rel, &c.run.meter, visit)
+			walkPlan(it.(*xmldoc.Node), p.rel, &c.run.meter, visit)
 			if err := c.run.err(); err != nil {
 				return nil, false, err
 			}

@@ -3,7 +3,6 @@ package xq
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"wsda/internal/xmldoc"
 )
@@ -16,10 +15,8 @@ type Query struct {
 	decls []varDecl
 	funcs map[string]*userFunc
 
-	// Discovery-plan memo: DiscoveryPlan pattern-matches the AST at most
-	// once per compiled query (nil plan = not plannable).
-	planOnce sync.Once
-	plan     *TuplePlan
+	head    TupleHead // the query's tuple head, if hasHead
+	hasHead bool
 
 	// general selects the reference evaluation (see evalCtx.general); set
 	// through export_test.go only.
@@ -33,7 +30,9 @@ func Compile(src string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Query{src: src, expr: e, decls: decls, funcs: funcs}, nil
+	q := &Query{src: src, expr: e, decls: decls, funcs: funcs}
+	q.head, q.hasHead = tupleHeadOf(q)
+	return q, nil
 }
 
 // MustCompile compiles src and panics on error.
@@ -66,6 +65,12 @@ type Options struct {
 	// produced so far only if they were also accumulated; with Emit set the
 	// returned sequence is nil.
 	Emit func(Item) bool
+	// Tuples, when set, stands in for the children of the context
+	// document's <tupleset> root: it calls visit on each member in
+	// document order and stops once visit returns false. Only a query
+	// with a TupleHead can be evaluated over it, and Context is then not
+	// read. The members may be parentless shared subtrees.
+	Tuples func(visit func(*xmldoc.Node) bool)
 }
 
 // Eval evaluates the query and returns the result sequence. With
@@ -74,6 +79,9 @@ type Options struct {
 func (q *Query) Eval(opts *Options) (Sequence, error) {
 	if opts == nil {
 		opts = &Options{}
+	}
+	if opts.Tuples != nil {
+		return q.evalTuples(opts)
 	}
 	ctx := &evalCtx{run: &evalRun{meter: meter{limit: opts.MaxSteps}}, funcs: q.funcs, general: q.general}
 	if opts.Context != nil {

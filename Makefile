@@ -42,7 +42,8 @@ stress:
 # takes one at a time). A failing input is written under the package's
 # testdata/fuzz/ and fails the run; commit it with its fix.
 FUZZ_TARGETS = internal/pdp:FuzzDecode internal/xmldoc:FuzzParse internal/wsda:FuzzDecodeStream \
-	internal/xq:FuzzCompile internal/registry:FuzzCanonicalQuerySource
+	internal/xq:FuzzCompile internal/registry:FuzzCanonicalQuerySource internal/wsda:FuzzDecodePageCursor \
+	internal/changefeed:FuzzUnmarshalPage internal/tenant:FuzzAuthenticate
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

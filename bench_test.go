@@ -301,6 +301,27 @@ func BenchmarkViewQueryQ7(b *testing.B) {
 	benchViewQueryWarm(b, workload.CanonicalQueries[6].XQ, registry.QueryOptions{})
 }
 
+// BenchmarkViewQueryQ7Churn is BenchmarkViewQueryQ7 with one Publish (a
+// refresh of one tuple) before each query: every Q7 finds a new store
+// generation, advances the tuple set and fills the new set's memo from
+// cold, where the warm benchmark reads the node list and index an earlier
+// Q7 left there. cmd/benchguard holds it to Q7's per-tuple budget.
+func BenchmarkViewQueryQ7Churn(b *testing.B) {
+	reg := benchRegistry(b, 1000)
+	refresh := workload.NewGen(1).Tuple(0)
+	q := xq.MustCompile(workload.CanonicalQueries[6].XQ)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := reg.Publish(refresh, time.Hour); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := reg.QueryCompiled(q, registry.QueryOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkViewQueryQ8 and Q9 are the warm benchmark over the two
 // set-at-a-time shapes: canonical Q8 groups by an equality probe, Q9 joins
 // two invariant sources through one. cmd/benchguard holds each under a

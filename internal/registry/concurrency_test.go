@@ -2,10 +2,12 @@ package registry
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
+	"wsda/internal/telemetry"
 	"wsda/internal/tuple"
 	"wsda/internal/xmldoc"
 	"wsda/internal/xq"
@@ -203,5 +205,108 @@ func TestSingleFlightPull(t *testing.T) {
 	}
 	if st.Throttled != 0 {
 		t.Errorf("throttled = %d: flight joiners must not count as throttled", st.Throttled)
+	}
+}
+
+// TestMemoConcurrentReadersAndPublishers races publishers against readers
+// of one slot: each reader evaluates memoQueries over the pinned tuple set
+// with the set's memo, as QueryCompiled does, and holds each answer to the
+// same query over the same snapshot without one; others run the queries
+// through QueryCompiled. Run under -race (make check, make stress).
+func TestMemoConcurrentReadersAndPublishers(t *testing.T) {
+	r := New(Config{Name: "memo", DefaultTTL: time.Minute, JournalCap: 4})
+	queries := make([]*xq.Query, len(memoQueries))
+	for i, src := range memoQueries {
+		queries[i] = xq.MustCompile(src)
+	}
+	publish := func(rng *rand.Rand) {
+		tp := &tuple.Tuple{Link: orderLinks[rng.Intn(len(orderLinks))], Type: tuple.TypeService, Content: memoContent(rng)}
+		if _, err := r.Publish(tp, 0); err != nil {
+			t.Error(err)
+		}
+	}
+	seed := rand.New(rand.NewSource(1))
+	for range orderLinks {
+		publish(seed)
+	}
+	var wg sync.WaitGroup
+	run := func(n int, body func(rng *rand.Rand, i int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(n)))
+			for i := 0; i < 300 && !t.Failed(); i++ {
+				body(rng, i)
+			}
+		}()
+	}
+	for w := 0; w < 2; w++ {
+		run(w, func(rng *rand.Rand, _ int) {
+			if rng.Intn(4) == 0 {
+				r.Unpublish(orderLinks[rng.Intn(len(orderLinks))])
+			} else {
+				publish(rng)
+			}
+		})
+	}
+	for w := 2; w < 6; w++ {
+		run(w, func(rng *rand.Rand, i int) {
+			q := queries[i%len(queries)]
+			if w%2 == 0 {
+				if _, err := r.QueryCompiled(q, QueryOptions{}); err != nil {
+					t.Error(err)
+				}
+				return
+			}
+			s := r.pinTupleSet(Filter{}, Freshness{}, "")
+			got, err := q.Eval(&xq.Options{Context: s.doc, Memo: &s.memo})
+			want, wantErr := q.Eval(&xq.Options{Context: s.doc})
+			if err != nil || wantErr != nil || xq.Serialize(got) != xq.Serialize(want) {
+				t.Errorf("%s with the memo: %s (err %v); without: %s (err %v)", q.Source(), xq.Serialize(got), err, xq.Serialize(want), wantErr)
+			}
+		})
+	}
+	wg.Wait()
+}
+
+// TestMemoResultsNotShared is the mutation canary: a node list a pinned
+// tuple set's memo holds is handed to every query on that generation, so a
+// caller that overwrites every item of its result must not change what the
+// next query returns.
+func TestMemoResultsNotShared(t *testing.T) {
+	m := telemetry.NewMetrics()
+	r := New(Config{Name: "memo", DefaultTTL: time.Minute, Metrics: m})
+	for i, kind := range []string{"storage-element", "compute-element", "storage-element"} {
+		content := xmldoc.MustParse(fmt.Sprintf(`<service name="s%d"><attr name="kind" value=%q/></service>`, i, kind))
+		tp := &tuple.Tuple{Link: fmt.Sprintf("http://a.org/s%d", i), Type: tuple.TypeService, Content: content.DocumentElement().Clone()}
+		if _, err := r.Publish(tp, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, src := range []string{
+		`/tupleset/*/content/service`,
+		`declare variable $s := /tupleset/tuple/content/service; $s`,
+		`/tupleset/*/content/service[attr[@name="kind"]/@value="storage-element"]`,
+	} {
+		first, err := r.Query(src, QueryOptions{})
+		if err != nil || len(first) < 2 {
+			t.Fatalf("%s: %d items, err %v", src, len(first), err)
+		}
+		want, gen := xq.Serialize(first), r.Gen()
+		for i := range first {
+			first[i] = "overwritten"
+		}
+		again, err := r.Query(src, QueryOptions{})
+		if err != nil || r.Gen() != gen || xq.Serialize(again) != want {
+			t.Errorf("%s after its last result was overwritten: %s (err %v), want %s", src, xq.Serialize(again), err, want)
+		}
+	}
+	memo := m.CounterVec("wsda_registry_memo_total", "", "registry", "outcome")
+	st := r.Stats()
+	if st.MemoHits == 0 || st.MemoBuilds == 0 {
+		t.Errorf("memo hits %d, builds %d: the canary never read a memo", st.MemoHits, st.MemoBuilds)
+	}
+	if hit, build := memo.With("memo", "hit").Value(), memo.With("memo", "build").Value(); hit != st.MemoHits || build != st.MemoBuilds {
+		t.Errorf("wsda_registry_memo_total hit %d, build %d; Stats %d, %d", hit, build, st.MemoHits, st.MemoBuilds)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"wsda/internal/tuple"
+	"wsda/internal/xmldoc"
 	"wsda/internal/xq"
 )
 
@@ -72,7 +73,7 @@ func TestOrderedReadsGenerated(t *testing.T) {
 					tp.Type = tuple.TypeNode
 				}
 				if rng.Intn(3) > 0 { // else a refresh keeps the cached copy
-					tp.Content = svcContent(fmt.Sprint(rng.Intn(100)), "a.org", 0.5)
+					tp.Content = memoContent(rng)
 				}
 				ttl := []time.Duration{time.Second, 2 * time.Second, 5 * time.Second, 0}[rng.Intn(4)]
 				if _, err := r.Publish(tp, ttl); err != nil {
@@ -102,6 +103,9 @@ func TestOrderedReadsGenerated(t *testing.T) {
 			}
 			for _, p := range orderPrefixes {
 				checkOrderedReads(t, fmt.Sprintf("seed %d step %d prefix %q", seed, step, p), r, Filter{LinkPrefix: p})
+			}
+			for _, f := range []Filter{{}, {LinkPrefix: "http://a.org/"}} {
+				checkMemoReads(t, fmt.Sprintf("seed %d step %d filter %+v", seed, step, f), r, f, genMemoQueries(rng))
 			}
 			if t.Failed() {
 				return
@@ -146,6 +150,84 @@ func checkOrderedReads(t *testing.T, at string, r *Registry, f Filter) {
 			}
 			if want = append(want, ref...); xq.Serialize(got) != xq.Serialize(want) {
 				t.Fatalf("%s: %s stop %d:\nregistry  %s\nBuildView %s", at, src, stopAfter, xq.Serialize(got), xq.Serialize(want))
+			}
+		}
+	}
+}
+
+// memoQueries are canonical Q6–Q10 (internal/workload, which imports this
+// package): the queries that share a pinned tuple set's memo.
+var memoQueries = []string{
+	`let $ce := /tupleset/tuple/content/service[attr[@name="kind"]/@value="compute-element"]
+for $s at $i in (for $c in $ce order by number($c/attr[@name="load"]/@value) return $c)
+where $i <= 3
+return string($s/@name)`,
+	`for $s in /tupleset/tuple/content/service[attr[@name="kind"]/@value="storage-element"]
+where number($s/attr[@name="diskGB"]/@value) > 1000
+order by number($s/attr[@name="diskGB"]/@value) descending
+return $s/@name`,
+	`for $d in distinct-values(/tupleset/tuple/content/service/@domain)
+let $svcs := /tupleset/tuple/content/service[@domain = $d]
+order by $d
+return <domain name="{$d}" services="{count($svcs)}"
+  avgload="{avg(for $l in $svcs/attr[@name="load"]/@value return number($l))}"/>`,
+	`for $j in /tupleset/tuple/content/service[attr[@name="kind"]/@value="job-scheduler"],
+    $s in /tupleset/tuple/content/service[attr[@name="kind"]/@value="storage-element"]
+where $j/@domain = $s/@domain
+  and number($j/attr[@name="load"]/@value) < 0.3
+  and number($s/attr[@name="load"]/@value) < 0.3
+return <pair scheduler="{$j/@name}" storage="{$s/@name}" domain="{$j/@domain}"/>`,
+	`let $xfer := /tupleset/tuple/content/service[attr[@name="kind"]/@value="file-transfer"]
+return <summary services="{count($xfer)}"
+  domains="{count(distinct-values($xfer/@domain))}"
+  totalDiskGB="{sum(for $d in $xfer/attr[@name="diskGB"]/@value return number($d))}"/>`,
+}
+
+var (
+	memoKinds   = []string{"compute-element", "storage-element", "job-scheduler", "file-transfer"}
+	memoDomains = []string{"a.org", "b.org", "c.org"}
+)
+
+// memoContent generates a service description with the attributes
+// memoQueries read.
+func memoContent(rng *rand.Rand) *xmldoc.Node {
+	return xmldoc.MustParse(fmt.Sprintf(
+		`<service name="s%d" domain=%q><attr name="kind" value=%q/><attr name="load" value="0.%d"/><attr name="diskGB" value="%d"/></service>`,
+		rng.Intn(100), memoDomains[rng.Intn(len(memoDomains))], memoKinds[rng.Intn(len(memoKinds))],
+		rng.Intn(10), 500*rng.Intn(5))).DocumentElement().Clone()
+}
+
+// genMemoQueries returns memoQueries and generated sources over the same
+// node lists and indexes: literal probes, probes keyed by a variable, and
+// invariant paths, at the top level and under loops.
+func genMemoQueries(rng *rand.Rand) []string {
+	kind := func() string { return memoKinds[rng.Intn(len(memoKinds))] }
+	dom := func() string { return memoDomains[rng.Intn(len(memoDomains))] }
+	return append(memoQueries[:len(memoQueries):len(memoQueries)],
+		fmt.Sprintf(`/tupleset/*/content/service[attr[@name="kind"]/@value=%q]/@name`, kind()),
+		fmt.Sprintf(`count(/tupleset/tuple/content/service[@domain=%q]), /tupleset/*/content/service`, dom()),
+		fmt.Sprintf(`for $k in (%q, %q) return count(/tupleset/tuple/content/service[attr[@name="kind"]/@value = $k])`, kind(), kind()),
+		fmt.Sprintf(`for $s in /tupleset/tuple/content/service[@domain=%q] return /tupleset/tuple/content/service[attr[@name="kind"]/@value = $s/attr[@name="kind"]/@value]/@name`, dom()),
+		`for $t in /tupleset/tuple return ($t/@link, count(/tupleset/tuple/content/service/attr), $t/..[1]/@registry)`,
+	)
+}
+
+// checkMemoReads compares every query over f's pinned tuple set, twice, so
+// that the second reads what the first left in the set's memo, with plain
+// xq over BuildView.
+func checkMemoReads(t *testing.T, at string, r *Registry, f Filter, queries []string) {
+	t.Helper()
+	view := r.BuildView(f, Freshness{})
+	for _, src := range queries {
+		q := xq.MustCompile(src)
+		want, err := q.Eval(&xq.Options{Context: view})
+		if err != nil {
+			t.Fatalf("%s: %s over BuildView: %v", at, src, err)
+		}
+		for _, pass := range []string{"first", "second"} {
+			got, err := r.QueryCompiled(q, QueryOptions{Filter: f})
+			if err != nil || xq.Serialize(got) != xq.Serialize(want) {
+				t.Fatalf("%s: %s, %s pass (err %v):\nregistry  %s\nBuildView %s", at, src, pass, err, xq.Serialize(got), xq.Serialize(want))
 			}
 		}
 	}

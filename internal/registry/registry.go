@@ -114,6 +114,9 @@ type Stats struct {
 
 	PlanHits      int64 // queries whose tuples came from a tuple source (index or scan)
 	PlanFallbacks int64 // queries answered over the pinned snapshot
+
+	MemoHits   int64 // node lists, indexes and rank maps read from a pinned tuple set's memo
+	MemoBuilds int64 // node lists, indexes and rank maps installed in a pinned tuple set's memo
 }
 
 // Registry is a hyper registry node. It is safe for concurrent use.
@@ -143,6 +146,7 @@ type Registry struct {
 	pulls, pullErrors, throttledCnt    atomic.Int64
 	viewHits, viewMisses, viewRebuilds atomic.Int64
 	planHits, planFallbacks            atomic.Int64
+	memoHits, memoBuilds               atomic.Int64
 
 	// Telemetry handles; all nil when Config.Metrics/Tracer are unset, in
 	// which case every observation below is a nil-check no-op.
@@ -153,6 +157,9 @@ type Registry struct {
 	planHitIndex     *telemetry.Counter
 	planHitScan      *telemetry.Counter
 	planFallback     *telemetry.Counter
+	memoHit          *telemetry.Counter
+	memoBuild        *telemetry.Counter
+	memoOverflow     *telemetry.Counter
 	tracer           *telemetry.Tracer
 	flight           *telemetry.FlightRecorder
 }
@@ -194,6 +201,12 @@ func New(cfg Config) *Registry {
 		r.planFallback = m.CounterVec("wsda_registry_plan_fallback_total",
 			"XQuery evaluations answered over the pinned snapshot: their shape has no tuple head.",
 			"registry").With(cfg.Name)
+		memo := m.CounterVec("wsda_registry_memo_total",
+			"Node lists, value indexes and rank maps read from (hit) or installed in (build) a pinned tuple set's memo, or kept private because it was full (overflow).",
+			"registry", "outcome")
+		r.memoHit = memo.With(cfg.Name, "hit")
+		r.memoBuild = memo.With(cfg.Name, "build")
+		r.memoOverflow = memo.With(cfg.Name, "overflow")
 	}
 	return r
 }
@@ -482,7 +495,8 @@ func (r *Registry) QueryCompiled(q *xq.Query, opts QueryOptions) (xq.Sequence, e
 		r.planFallbacks.Add(1)
 		r.planFallback.Inc()
 		r.flight.Record(opts.TxID, telemetry.FlightPlanFallback, r.cfg.Name, "", 0, "interpreted")
-		xo.Context = r.pinTupleSet(opts.Filter, opts.Freshness, opts.TxID).doc
+		s := r.pinTupleSet(opts.Filter, opts.Freshness, opts.TxID)
+		xo.Context, xo.Memo, xo.MemoCounts = s.doc, &s.memo, &xq.MemoCounts{}
 	}
 	if opts.Explain != nil {
 		// Filled before the first Emit so streaming callers can surface
@@ -490,6 +504,13 @@ func (r *Registry) QueryCompiled(q *xq.Query, opts QueryOptions) (xq.Sequence, e
 		*opts.Explain = info
 	}
 	seq, err := q.Eval(&xo)
+	if mc := xo.MemoCounts; mc != nil {
+		r.memoHits.Add(int64(mc.Hits))
+		r.memoBuilds.Add(int64(mc.Builds))
+		r.memoHit.Add(int64(mc.Hits))
+		r.memoBuild.Add(int64(mc.Builds))
+		r.memoOverflow.Add(int64(mc.Overflows))
+	}
 	if sp != nil {
 		sp.SetAttr(telemetry.Int("items", int64(len(seq))))
 		if err != nil {
@@ -653,6 +674,9 @@ func (r *Registry) Stats() Stats {
 
 		PlanHits:      r.planHits.Load(),
 		PlanFallbacks: r.planFallbacks.Load(),
+
+		MemoHits:   r.memoHits.Load(),
+		MemoBuilds: r.memoBuilds.Load(),
 	}
 }
 

@@ -33,6 +33,7 @@ import (
 	"wsda/internal/telemetry"
 	"wsda/internal/tuple"
 	"wsda/internal/xmldoc"
+	"wsda/internal/xq"
 )
 
 // Secondary-index names registered on the store so selective filters skip
@@ -111,6 +112,12 @@ type tupleSet struct {
 	minExpiry int64 // earliest soft-state deadline of a member; never if none
 	minTS4    int64 // oldest cached-content timestamp; never if none
 	missing   int   // members without a cached content copy
+
+	// memo is what evaluations over doc learn about it: node lists, value
+	// indexes and member ranks, built by the first query that needs them
+	// and read by every later one. It dies with the set, so it needs no
+	// eviction or invalidation of its own.
+	memo xq.Memo
 }
 
 // newTupleSet publishes members (already in link order) as a document. The

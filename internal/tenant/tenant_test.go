@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -219,4 +220,52 @@ func TestAdmissionLadder(t *testing.T) {
 	for i := 0; i < held; i++ {
 		a.release()
 	}
+}
+
+// FuzzAuthenticate checks token verification on an injected clock against
+// arbitrary Authorization headers: it never panics, a tenant is returned
+// only for its own static token or for a minted token whose signature its
+// key makes and whose expiry is still ahead, and a signature failure or an
+// expiry is never reported for a token that verifies.
+func FuzzAuthenticate(f *testing.F) {
+	now := time.Unix(1_700_000_000, 0)
+	s, err := Parse(strings.NewReader("static token=sesame\nminted key=6162636465666768\nboth token=t2 key=00ff\n"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	key := []byte("abcdefgh")
+	for _, seed := range []string{
+		"Bearer sesame", "bearer\tt2", "sesame", "", "Bearer ", "BEARER  " + Mint("minted", key, now.Add(time.Hour)),
+		Mint("minted", key, now.Add(time.Hour)), Mint("minted", key, now.Add(-time.Hour)), Mint("minted", key, now),
+		Mint("static", key, now.Add(time.Hour)), Mint("both", []byte{0, 0xff}, now.Add(time.Minute)),
+		"wsda1.minted.x.y", "wsda1.minted." + "99999999999999999999.sig", "wsda1..1.", "wsda1.minted.1.2.3",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, authorization string) {
+		tn, err := s.Authenticate(authorization, now)
+		tok := strings.TrimSpace(authorization)
+		if rest, ok := cutPrefixFold(tok, "bearer"); ok && (rest == "" || rest[0] == ' ' || rest[0] == '\t') {
+			tok = strings.TrimSpace(rest)
+		}
+		parts := strings.Split(tok, ".")
+		signed := func(t *Tenant) bool {
+			return len(parts) == 4 && len(t.Key) > 0 && parts[3] == signPayload(t.Key, tok[:len(tok)-len(parts[3])-1])
+		}
+		switch {
+		case err == nil && tn.Token != tok:
+			exp, perr := strconv.ParseInt(parts[min(2, len(parts)-1)], 10, 64)
+			if !strings.HasPrefix(tok, mintPrefix+".") || !signed(tn) || parts[1] != tn.Name || perr != nil || now.Unix() >= exp {
+				t.Fatalf("%q authenticated as %s", authorization, tn.Name)
+			}
+		case errors.Is(err, ErrBadSignature):
+			if tn := s.Lookup(parts[1]); tn == nil || signed(tn) {
+				t.Fatalf("%q: bad signature reported for a token %v signs", authorization, tn)
+			}
+		case errors.Is(err, ErrExpired):
+			if tn := s.Lookup(parts[1]); tn == nil || !signed(tn) {
+				t.Fatalf("%q: expiry reported for a token no key signs", authorization)
+			}
+		}
+	})
 }

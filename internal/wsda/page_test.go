@@ -226,3 +226,29 @@ func TestXQueryPageRejectsBadSize(t *testing.T) {
 		t.Error("pageSize 0 accepted")
 	}
 }
+
+// FuzzDecodePageCursor checks the page-cursor decoder against arbitrary
+// client input: it never panics, an accepted cursor names a non-negative
+// offset, and re-minting that offset decodes to it again — so a cursor the
+// server accepts always means what the server would have minted.
+func FuzzDecodePageCursor(f *testing.F) {
+	for _, seed := range []string{
+		EncodePageCursor(0), EncodePageCursor(7), EncodePageCursor(1 << 40),
+		encodeRawCursor("-1"), encodeRawCursor("+3"), encodeRawCursor("007"), encodeRawCursor("9999999999999999999999"),
+		encodeRawCursor(""), "", "!!", "d3NkYS5wMjo1", EncodePageCursor(3) + "=",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, cursor string) {
+		off, err := DecodePageCursor(cursor)
+		if err != nil {
+			return
+		}
+		if off < 0 {
+			t.Fatalf("%q decoded to negative offset %d", cursor, off)
+		}
+		if again, err := DecodePageCursor(EncodePageCursor(off)); err != nil || again != off {
+			t.Fatalf("%q decoded to %d, whose cursor decodes to %d (err %v)", cursor, off, again, err)
+		}
+	})
+}

@@ -209,9 +209,11 @@ type pathExpr struct {
 	compileOnce sync.Once // guards the steps' cpreds, invariant and probe
 
 	// What set-at-a-time evaluation (setwise.go) makes of the path: it is
-	// invariant when its value depends on nothing but its root, and has a
-	// probe when only a last predicate `rel = $v...` stands in the way.
+	// invariant when its value depends on nothing but its root, memoised
+	// under key, and has a probe when its last predicate is `rel = $v...`
+	// or `rel = "literal"`.
 	invariant bool
+	key       string
 	probe     *eqProbe
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"wsda/internal/xmldoc"
@@ -252,10 +253,21 @@ func TestSingletonsNotAliased(t *testing.T) {
 // MaxSteps it succeeds under.
 func stepsUsed(t *testing.T, q *Query, d *xmldoc.Node) int {
 	t.Helper()
-	lo, hi := 1, 1<<22
+	return stepsWithin(t, q, d, 1<<22, nil)
+}
+
+// stepsWithin is stepsUsed searched up to limit (limit+1 when it needs
+// more), each try with the Memo memo returns if memo is not nil.
+func stepsWithin(t *testing.T, q *Query, d *xmldoc.Node, limit int, memo func() *Memo) int {
+	t.Helper()
+	lo, hi := 1, limit+1
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if _, err := q.Eval(&Options{Context: d, MaxSteps: mid}); err == nil {
+		opts := &Options{Context: d, MaxSteps: mid}
+		if memo != nil {
+			opts.Memo = memo()
+		}
+		if _, err := q.Eval(opts); err == nil {
 			hi = mid
 		} else if strings.Contains(err.Error(), "exceeded") {
 			lo = mid + 1
@@ -351,6 +363,18 @@ var setwiseShapes = []string{
 	// The same path under two roots: constructed elements and the document.
 	`for $e in (<x><a k="1"/><a k="x" v="1"/></x>, <x><a k="x"/><b k="1"/></x>), $v in ("1", "x") return count($e/*[/a[@k = $v]])`,
 	`for $e in (P1, <r><a k="1"><b v="x"/></a></r>, /r) return count($e/self::*[/r/a[R1 = $e/@k]])`,
+	// String-literal probes (a constant key: one index lookup), invariant
+	// paths at the top level, where only a shared memo keeps them, and
+	// literal probes under a loop and as a join's source.
+	`P1[R1 = L1]`,
+	`count(P1[L1 = R1]), P2[R2 = L2]/@k`,
+	`P1, count(P1), P2/@k`,
+	`let $p := P1 return ($p, P1[C])`,
+	`for $v in ("1", "x") return count(P1[R1 = L1]) + count(P2[R2 = $v])`,
+	`for $a in P1[R1 = L1] return count(P2[R2 = L2])`,
+	`for $a in P1[R1 = L1], $b in P2[R2 = L2] where $b/R3 = $a/R1 return $b`,
+	`for $a in P1 order by $a/@k return <m>{P2[R2 = L1][R3 = $a/R1]}</m>`,
+	`declare variable $g := P1; $g[R1 = L1], $g`,
 	// Inside a user function and inside quantifiers.
 	`declare function local:f($v) { P1[R1 = $v] }; for $x in distinct-values(P2/R2) return count(local:f($x))`,
 	`declare function local:j($a) { for $b in P2 where $b/R2 = $a/R1 return $b }; for $a in P1 return count(local:j($a))`,
@@ -359,63 +383,111 @@ var setwiseShapes = []string{
 	`some $a in P1 satisfies count(for $b in P2 where $b/R2 = $a/R1 return $b) > 1`,
 }
 
-// genSetwise fills one shape in.
+// genSetwise fills one shape in; L<n> becomes a string literal.
 func genSetwise(rng *rand.Rand) string {
 	src := setwiseShapes[rng.Intn(len(setwiseShapes))]
 	for _, n := range []string{"1", "2", "3"} {
 		src = strings.ReplaceAll(src, "P"+n, genSetPath(rng))
 		src = strings.ReplaceAll(src, "R"+n, genRelPath(rng, 1))
+		src = strings.ReplaceAll(src, "L"+n, []string{`"x"`, `""`, `'1'`, `"abc"`, `" 2 "`}[rng.Intn(5)])
 	}
 	return strings.ReplaceAll(src, "[C]", "["+genPred(rng, 1)+"]")
 }
 
-// TestSetwiseMatchesGeneral is the generated FLWOR differential: 2000
+// TestSetwiseMatchesGeneral is the generated FLWOR differential: 4000
 // seeded queries of the set-at-a-time shapes and their near-misses, over
 // generated documents in plain and shared form, against the reference
-// evaluation, which bypasses the memo, the index and the join. Buffered
-// results serialise identically and raise or not alike; a consumer that
-// stops after k items has seen the reference's first k; and the engine
-// fits the step budget the reference needs.
+// evaluation, which bypasses the memo, the index and the join. Every query
+// runs four ways: with no memo, with a cold shared memo, with the same
+// memo warm, and with one memo shared by every query over the document
+// (keys shared across queries, and past memoCap); every fourth also from 8
+// goroutines sharing a fresh memo (run under -race). Buffered results
+// serialise identically and raise or not alike; a consumer that stops
+// after k items has seen the reference's first k; and the steps charged
+// keep warm <= cold <= reference, with no memo <= reference too.
 func TestSetwiseMatchesGeneral(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
+	var counts MemoCounts // the document memos': every outcome must occur
 	for i := 0; i < 40; i++ {
 		plain := genDoc(rng)
-		docs := []*xmldoc.Node{plain, shareTopLevel(plain)}
-		for j := 0; j < 50; j++ {
-			src := genSetwise(rng)
-			q, err := Compile(src)
-			if err != nil {
-				t.Fatalf("generated query %q: %v", src, err)
-			}
-			for _, d := range docs {
-				got, gotErr := q.EvalDoc(d)
+		for _, d := range []*xmldoc.Node{plain, shareTopLevel(plain)} {
+			docMemo := &Memo{}
+			for j := 0; j < 50; j++ {
+				src := genSetwise(rng)
+				q, err := Compile(src)
+				if err != nil {
+					t.Fatalf("generated query %q: %v", src, err)
+				}
 				want, wantErr := MustCompileGeneral(src).EvalDoc(d)
-				if (gotErr == nil) != (wantErr == nil) {
-					t.Fatalf("%s: err %v, reference %v", src, gotErr, wantErr)
+				cold := &Memo{}
+				for _, m := range []struct {
+					name string
+					memo *Memo
+				}{{"no memo", nil}, {"cold memo", cold}, {"warm memo", cold}, {"document's memo", docMemo}} {
+					opts := &Options{Context: d, Memo: m.memo}
+					if m.memo == docMemo {
+						opts.MemoCounts = &counts
+					}
+					got, gotErr := q.Eval(opts)
+					if (gotErr == nil) != (wantErr == nil) {
+						t.Fatalf("%s, %s: err %v, reference %v", src, m.name, gotErr, wantErr)
+					}
+					if g, w := Serialize(got), Serialize(want); wantErr == nil && g != w {
+						t.Fatalf("%s, %s:\n  engine    %s\n  reference %s", src, m.name, g, w)
+					}
 				}
 				if wantErr != nil {
 					continue
 				}
-				if g, w := Serialize(got), Serialize(want); g != w {
-					t.Fatalf("%s:\n  engine    %s\n  reference %s", src, g, w)
+				if j%4 == 0 {
+					checkConcurrentMemo(t, q, d, Serialize(want))
 				}
 				for _, k := range []int{1, 3} {
-					var seen Sequence
-					_, err := q.Eval(&Options{Context: d, Emit: func(it Item) bool {
-						seen = append(seen, it)
-						return len(seen) < k
-					}})
-					if n := min(k, len(want)); err != nil || Serialize(seen) != Serialize(want[:n]) {
-						t.Fatalf("%s stopped after %d: err %v, saw %s, reference %s", src, k, err, Serialize(seen), Serialize(want[:n]))
+					for _, m := range []*Memo{nil, docMemo} {
+						var seen Sequence
+						_, err := q.Eval(&Options{Context: d, Memo: m, Emit: func(it Item) bool {
+							seen = append(seen, it)
+							return len(seen) < k
+						}})
+						if n := min(k, len(want)); err != nil || Serialize(seen) != Serialize(want[:n]) {
+							t.Fatalf("%s stopped after %d: err %v, saw %s, reference %s", src, k, err, Serialize(seen), Serialize(want[:n]))
+						}
 					}
 				}
 				limit := stepsUsed(t, MustCompileGeneral(src), d)
 				if _, err := q.Eval(&Options{Context: d, MaxSteps: limit}); err != nil {
 					t.Fatalf("%s: %v under the %d steps the reference needs", src, err, limit)
 				}
+				coldSteps := stepsWithin(t, q, d, limit, func() *Memo { return &Memo{} })
+				if coldSteps > limit {
+					t.Fatalf("%s: a cold memo needs more than the %d steps the reference needs", src, limit)
+				}
+				if warm := stepsWithin(t, q, d, coldSteps, func() *Memo { return cold }); warm > coldSteps {
+					t.Fatalf("%s: a warm memo needs more than the %d steps a cold one needs", src, coldSteps)
+				}
 			}
 		}
 	}
+	if counts.Hits == 0 || counts.Builds == 0 || counts.Overflows == 0 {
+		t.Errorf("document memos %+v: every outcome must occur", counts)
+	}
+}
+
+// checkConcurrentMemo evaluates q from 8 goroutines sharing one fresh memo.
+func checkConcurrentMemo(t *testing.T, q *Query, d *xmldoc.Node, want string) {
+	t.Helper()
+	m := &Memo{}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got, err := q.Eval(&Options{Context: d, Memo: m}); err != nil || Serialize(got) != want {
+				t.Errorf("%s from 8 goroutines on one memo: err %v, got %s, reference %s", q.Source(), err, Serialize(got), want)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestSetwiseShapesRecognised pins what compiles to a probe or a join and
@@ -440,6 +512,13 @@ func TestSetwiseShapesRecognised(t *testing.T) {
 		`/r/a[@k = $v[1]/x]`:                    false,
 		`/r/a[position() > 1][@k = $v]`:         false,
 		`/r/a[@k = @v]`:                         false,
+		`/r/a[@k = "x"]`:                        true, // a string literal is a constant key
+		`/r/a[b][c/@k = 'x']`:                   true,
+		`/r/a["x" = @k]`:                        true,
+		`/r/a[@k = 1]`:                          false, // numbers stay closures: compileEq coerces them
+		`/r/a[@k = "x"][@v]`:                    false,
+		`/r/a[@k = "x"]/b`:                      false,
+		`/r/a[. = "x"]`:                         false,
 	} {
 		if got := probed(src); got != want {
 			t.Errorf("%s: probe %v, want %v", src, got, want)
@@ -473,8 +552,8 @@ func TestMemoisedSequencesNotAliased(t *testing.T) {
 	c := &evalCtx{run: &evalRun{}, item: d, vars: &env{name: "bound"}}
 	pe := MustCompile(`/tupleset/tuple/content/service/@name`).expr.(*pathExpr)
 	first, err := pe.eval(c)
-	if err != nil || len(first) == 0 || len(c.run.sets) != 1 {
-		t.Fatalf("%d items, %d memoised sets, err %v", len(first), len(c.run.sets), err)
+	if err != nil || len(first) == 0 || len(c.run.own.sets) != 1 {
+		t.Fatalf("%d items, %d memoised sets, err %v", len(first), len(c.run.own.sets), err)
 	}
 	second, _ := pe.eval(c)
 	a, b := append(first, "a"), append(second, "b")
@@ -541,5 +620,115 @@ func TestSetwiseChargesSteps(t *testing.T) {
 	build := MustCompile(`for $g in ("d0", "d1") return /r/s[@d = $g]`)
 	if _, err := build.Eval(&Options{Context: d, MaxSteps: n - 1}); err == nil || !strings.Contains(err.Error(), "exceeded") {
 		t.Errorf("an index build over %d nodes under %d steps: err %v", n, n-1, err)
+	}
+}
+
+// TestMemoRefusesFailedBuildsAndOtherDocuments: a walk or an index build
+// that runs out of steps installs nothing, so the next evaluation over the
+// memo still gets the reference's answer; and a memo serves the one
+// document it was first given.
+func TestMemoRefusesFailedBuildsAndOtherDocuments(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("<r>")
+	const n = 12
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, `<s d="d%d"><attr name="load" value="%d"/></s>`, i%3, i)
+	}
+	sb.WriteString("</r>")
+	d := xmldoc.MustParse(sb.String())
+	for _, c := range []struct {
+		src    string
+		budget int
+		keys   int // what the memo holds after the failed evaluation
+	}{
+		{`count(/r/s[attr])`, n - 1, 0},            // the walk tests 12 nodes
+		{`count(/r/s[@d = "d1"])`, n - 1, 1},       // the list is walked for free; its index costs 12
+		{`count(/r/s[attr][@d = "d1"])`, n + 1, 1}, // the list costs 12, its index 12 more
+	} {
+		m := &Memo{}
+		if _, err := MustCompile(c.src).Eval(&Options{Context: d, Memo: m, MaxSteps: c.budget}); err == nil {
+			t.Fatalf("%s fits %d steps", c.src, c.budget)
+		}
+		if len(m.sets) != c.keys {
+			t.Errorf("%s under %d steps left %d keys in the memo, want %d", c.src, c.budget, len(m.sets), c.keys)
+		}
+		want, _ := MustCompileGeneral(c.src).EvalDoc(d)
+		if got, err := MustCompile(c.src).Eval(&Options{Context: d, Memo: m}); err != nil || Serialize(got) != Serialize(want) {
+			t.Errorf("%s after a failed build: %s, err %v; reference %s", c.src, Serialize(got), err, Serialize(want))
+		}
+	}
+	m := &Memo{}
+	q := MustCompile(`count(/r/s)`)
+	if _, err := q.Eval(&Options{Context: d, Memo: m}); err != nil {
+		t.Fatal(err)
+	}
+	other := xmldoc.MustParse(`<r><s/></r>`)
+	for _, ctx := range []*xmldoc.Node{other, nil} {
+		if _, err := q.Eval(&Options{Context: ctx, Memo: m}); err == nil {
+			t.Errorf("a memo bound to one document served context %v", ctx)
+		}
+	}
+	if _, err := q.Eval(&Options{Context: d.DocumentElement(), Memo: m}); err != nil {
+		t.Errorf("a memo refused a node of its own document: %v", err)
+	}
+}
+
+// TestMemoKeys: a memo key is the path's canonical text, so respelling a
+// path (whitespace, quote style, operand order) keeps its key, and two
+// generated paths that share a key select the same nodes on every
+// generated document; a table of near misses never shares one.
+func TestMemoKeys(t *testing.T) {
+	keyOf := func(src string) string {
+		pe := MustCompile(src).expr.(*pathExpr)
+		pe.compiled()
+		if !pe.invariant {
+			t.Fatalf("%s is not invariant", src)
+		}
+		return pe.key
+	}
+	for _, pair := range [][2]string{
+		{`/r/a[@k="x"]`, `/r/a[ @k = 'x' ]`},
+		{`/r/a[@k = "x"]`, `/r/a["x" = @k]`},
+		{`/r/a[b/@v = 1 and (c or @k)]`, `/r/a[1=b/@v and(c or@k)]`},
+		{`/r/p:a/@*`, `/r/p:a/attribute::*`},
+	} {
+		if a, b := keyOf(pair[0]), keyOf(pair[1]); a != b {
+			t.Errorf("%s and %s: keys %q and %q", pair[0], pair[1], a, b)
+		}
+	}
+	near := []string{
+		`/r/a`, `/r/*`, `/r/p:a`, `/r/@a`, `/r/a/b`, `/r/a[b]`, `/r/a[@b]`, `/r/a[b/c]`, `/r/a/b[c]`,
+		`/r/a[@k="1"]`, `/r/a[@k=1]`, `/r/a[@k=1.5]`, `/r/a[@k="x"]`, `/r/a[@k='x ']`, `/r/a[@k=""]`,
+		`/r/a[@k][@v]`, `/r/a[@k and @v]`, `/r/a[@k or @v]`, `/r/a[(@k or @v) and b]`, `/r/a[@k or (@v and b)]`,
+		`/r/a[b[c]/@k]`, `/r/a[b[c/@k]]`, `/r/a[b="x"]`, `/r/a[b/@x="x"]`,
+	}
+	seen := map[string]string{}
+	for _, src := range near {
+		if prev, dup := seen[keyOf(src)]; dup {
+			t.Errorf("%s and %s share key %q", prev, src, keyOf(src))
+		}
+		seen[keyOf(src)] = src
+	}
+	rng := rand.New(rand.NewSource(29))
+	var docs []*xmldoc.Node
+	for i := 0; i < 20; i++ {
+		docs = append(docs, genDoc(rng))
+	}
+	bySrc := map[string]string{} // key -> first source
+	for i := 0; i < 600; i++ {
+		src := genSetPath(rng)
+		k := keyOf(src)
+		first, dup := bySrc[k]
+		if !dup {
+			bySrc[k] = src
+			continue
+		}
+		for _, d := range docs {
+			a, errA := EvalString(first, d)
+			b, errB := EvalString(src, d)
+			if errA != nil || errB != nil || !sameItems(a, b) {
+				t.Fatalf("%s and %s share key %q but select different nodes", first, src, k)
+			}
+		}
 	}
 }

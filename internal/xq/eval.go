@@ -35,7 +35,7 @@ type evalCtx struct {
 	// return clause as soon as they are computed (pipelined evaluation,
 	// thesis Ch. 6.5). It may return false to abort evaluation early.
 	emit func(Item) bool
-	run  *evalRun // the evaluation's step budget and memo, shared by every derived context
+	run  *evalRun // the evaluation's step budget and memos, shared by every derived context
 
 	// general makes path steps ignore their compiled predicates and
 	// interpret them all: the reference evaluation the differential tests
@@ -74,12 +74,14 @@ func (c *evalCtx) withItem(item Item, pos, size int) *evalCtx {
 	return &cc
 }
 
-// evalRun is what lives and dies with one Eval call: its step budget and
-// the node sets it has walked once (setwise.go). Never on the Query, which
-// is evaluated concurrently over different documents.
+// evalRun is what lives and dies with one Eval call: its step budget, its
+// own memo and the shared one it reads and fills (setwise.go). Never on the
+// Query, which is evaluated concurrently over different documents.
 type evalRun struct {
 	meter
-	sets map[setKey]*nodeSet // made on first use: most evaluations memoise nothing
+	own    Memo        // private; its map is made on first use: most evaluations memoise nothing
+	shared *Memo       // Options.Memo, bound to the context document's root; nil without one
+	counts *MemoCounts // Options.MemoCounts, what is done with shared; set with it
 }
 
 // meter is the step budget of one evaluation (Options.MaxSteps; limit 0 is

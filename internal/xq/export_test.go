@@ -13,3 +13,27 @@ func MustCompileGeneral(src string) *Query {
 
 // ShareTopLevel is shareTopLevel (corpus_test.go) for the external tests.
 var ShareTopLevel = shareTopLevel
+
+// MemoCap is memoCap for the external tests.
+const MemoCap = memoCap
+
+// MemoFootprint reports what m holds: its keys, and an estimate of their
+// bytes — each node list once (an index shares its list's), each index's
+// values and positions, each key, and the rank map, with Go's map slots.
+func MemoFootprint(m *Memo) (keys, bytes int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	lists := map[*Item]bool{}
+	for k, s := range m.sets {
+		bytes += len(k.path) + 64 // the key, the entry and its slot
+		if len(s.nodes) > 0 && !lists[&s.nodes[0]] {
+			lists[&s.nodes[0]] = true
+			bytes += 16 * cap(s.nodes)
+		}
+		for v, at := range s.index {
+			bytes += len(v) + 48 + 4*cap(at)
+		}
+		bytes += 24 * len(s.ranks)
+	}
+	return len(m.sets), bytes
+}

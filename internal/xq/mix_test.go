@@ -124,3 +124,25 @@ func TestCompiledQuerySharedAcrossTupleSets(t *testing.T) {
 		wg.Wait()
 	}
 }
+
+// TestMemoFootprint records what canonical Q6–Q10 leave in one tuple set's
+// memo over the benchmarks' 1 000 tuples, the number memoCap is sized
+// from, and holds the mix well inside the cap.
+func TestMemoFootprint(t *testing.T) {
+	reg := registry.New(registry.Config{Name: "mix", DefaultTTL: time.Hour})
+	if err := workload.NewGen(1).Populate(reg, 1000, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	d := xq.ShareTopLevel(reg.BuildView(registry.Filter{}, registry.Freshness{}))
+	m := &xq.Memo{}
+	for _, cq := range workload.CanonicalQueries[5:10] {
+		if _, err := xq.MustCompile(cq.XQ).Eval(&xq.Options{Context: d, Memo: m}); err != nil {
+			t.Fatalf("%s: %v", cq.ID, err)
+		}
+		keys, bytes := xq.MemoFootprint(m)
+		t.Logf("after %s: %d keys, about %d KB", cq.ID, keys, bytes/1024)
+	}
+	if keys, _ := xq.MemoFootprint(m); keys > xq.MemoCap/4 {
+		t.Errorf("Q6–Q10 hold %d keys: the cap of %d leaves less than four mixes' room", keys, xq.MemoCap)
+	}
+}

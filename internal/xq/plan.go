@@ -284,8 +284,19 @@ func compileEq(e Expr) nodePred {
 // reaches is the existential closure both predicate forms share: some node
 // reached from the candidate through steps has a string value that match
 // accepts (nil: any node will do). An exhausted meter stops the walk with
-// nothing found.
+// nothing found. The commonest leaf, one unpredicated attribute step
+// (`@name = "kind"`), reads the candidate's attributes without a walk.
 func reaches(steps []pathStep, match func(string) bool) nodePred {
+	if st := &steps[0]; len(steps) == 1 && st.axis == axisAttribute && len(st.preds) == 0 {
+		return func(n *xmldoc.Node, _ *meter) bool {
+			for _, a := range n.Attrs {
+				if matchTest(a, &st.test, axisAttribute) && (match == nil || match(a.Data)) {
+					return true
+				}
+			}
+			return false
+		}
+	}
 	return func(n *xmldoc.Node, m *meter) bool {
 		found := false
 		walkPlan(n, steps, m, func(leaf *xmldoc.Node) bool {

@@ -1,62 +1,176 @@
 // Set-at-a-time evaluation: what keeps a FLWOR or quantifier from paying
-// for its inner sources once per binding of its outer ones.
+// for its inner sources once per binding of its outer ones, and an
+// evaluation over an immutable document from paying again for what an
+// earlier one learned about it.
 //
-// One mechanism, three uses. An absolute path whose every step is
-// walkable() holds no variable, no function call and no focus dependence
-// beyond its root, so under a bound variable it is loop-invariant: it is
-// walked once per Eval and the node set kept (nodeSet). A path
-// P[c1]...[ck][rel = E], P and the ci as above, rel inside the closure
-// grammar and E `$v` or `$v/rel`, indexes P's node set by the string
-// values of rel's leaves on its first evaluation and answers every later
-// one with a map lookup per value of E. A FLWOR whose last clause is
-// `for $s in P` and whose where starts with `$s/rel = E` iterates the same
-// probe's hits instead of all of P; the whole where still runs on them.
-// Everything else, and the reference evaluation always, takes eval.go's
-// general code. The memo lives and dies with one Eval call: a compiled
-// Query is evaluated concurrently over different snapshots, so nothing an
-// evaluation learns about a document may outlive it or sit on the AST.
+// An absolute path whose every step is walkable() depends on nothing but
+// its root, so it is invariant: its node list is walked once and kept in a
+// Memo. A path P[c1]...[ck][rel = E], P and the ci as above, rel inside
+// the closure grammar and E `$v`, `$v/rel` or a string literal, indexes
+// P's node list by the string values of rel's leaves on its first
+// evaluation and answers every later one with a map lookup per value of E.
+// A FLWOR whose last clause is `for $s in P` and whose where starts with
+// `$s/rel = E` iterates the same probe's hits instead of all of P; the
+// whole where still runs on them. Everything else, and the reference
+// evaluation always, takes eval.go's general code.
+//
+// A Memo keys its entries by the canonical text of the walk (and rel), so
+// different queries over one document share them. An evaluation's own
+// memo dies with it and is not entered at the top level, where nothing is
+// evaluated twice; one passed in Options.Memo belongs to an immutable
+// document (the registry keeps one per pinned tuple set) and serves every
+// evaluation over it, the top level included. Nothing an evaluation learns
+// sits on the Query or the AST, which serve many snapshots at once.
 package xq
 
 import (
+	"errors"
+	"fmt"
 	"slices"
+	"sync"
 
 	"wsda/internal/xmldoc"
 )
 
-// setKey names a memoised node set (evalRun.sets): an absolute path starts
-// at the root of its context node, which inside a predicate over
+// memoCap bounds a shared Memo's keys; past it an evaluation keeps its
+// builds in its own memo. Canonical Q6–Q10 install 7 keys, about 74 KB
+// over 1 000 tuples (TestMemoFootprint); on view-xquery they raised
+// registryd's peak RSS from about 44.5 to 45.7 MB. 32 keys are four such
+// mixes per tuple set, about 6 MB per 1 000 tuples over 16 filter slots.
+const memoCap = 32
+
+// Memo holds what evaluations learn about one document: the node lists of
+// invariant absolute paths, the equality indexes built over them, and the
+// ranks of its shared members (shared.go). The zero value is ready to use
+// and safe for concurrent evaluations. A Memo binds to the root of the
+// first document it serves and refuses any other; the document must not
+// change while the Memo lives.
+type Memo struct {
+	mu   sync.Mutex
+	root *xmldoc.Node // the root it serves; nil for an evaluation's own memo
+	sets map[setKey]*nodeSet
+}
+
+// MemoCounts is what evaluations did with a shared Memo (Options.Memo).
+type MemoCounts struct {
+	Hits      int // node lists, indexes and rank maps read from it
+	Builds    int // node lists, indexes and rank maps installed in it
+	Overflows int // builds kept private because it held memoCap keys
+}
+
+// errMemoDoc is Eval's answer to a Memo passed with another document.
+var errMemoDoc = errors.New("xq: Options.Memo serves another document")
+
+// bind ties m to root on first use and reports whether it serves root.
+func (m *Memo) bind(root *xmldoc.Node) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.root == nil {
+		m.root = root
+	}
+	return m.root == root
+}
+
+// get returns the set held under key, or nil.
+func (m *Memo) get(key setKey) *nodeSet {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.sets[key]
+}
+
+// put installs a complete build under key and returns what m then holds
+// there: the first complete build wins. A full shared memo returns nil.
+func (m *Memo) put(key setKey, set *nodeSet) *nodeSet {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if old := m.sets[key]; old != nil {
+		return old
+	}
+	if m.root != nil && len(m.sets) >= memoCap {
+		return nil
+	}
+	if m.sets == nil {
+		m.sets = make(map[setKey]*nodeSet)
+	}
+	m.sets[key] = set
+	return set
+}
+
+// setKey names a memoised set: the canonical text of its walk (memoText),
+// and for an index the rel it is keyed by, from a root. An absolute path
+// starts at the root of its context node, which inside a predicate over
 // constructed elements is not the context document's.
 type setKey struct {
-	path *pathExpr
+	path string
 	root *xmldoc.Node
 }
 
-// nodeSet is one memoised path result, in document order, and the index an
-// equality probe has built over it.
+// nodeSet is one memoised path result in document order, or an index over
+// one. It is immutable once installed.
 type nodeSet struct {
 	nodes Sequence
-	index map[string][]int32 // string value of a rel leaf -> positions in nodes; nil until first probed
+	cost  int                  // steps the walk was charged: the most a hit is charged
+	index valueIndex           // nil for a plain list
+	ranks map[*xmldoc.Node]int // instead, a document's shared members' positions (shared.go)
 }
 
 // capped hands the shared node list out so that no caller's append can
 // write into it.
 func (s *nodeSet) capped() Sequence { return s.nodes[:len(s.nodes):len(s.nodes)] }
 
-// eqProbe is an equality the index answers: `rel = key` over src's node
+// lookup returns the set held under key by the memo serving its root, the
+// shared one first.
+func (r *evalRun) lookup(key setKey) *nodeSet {
+	if r.serves(key.root) {
+		if set := r.shared.get(key); set != nil {
+			r.counts.Hits++
+			return set
+		}
+	}
+	return r.own.get(key)
+}
+
+// install publishes a complete build in the memo serving its root, or in
+// the evaluation's own when that one is full, and returns the set to use.
+func (r *evalRun) install(key setKey, set *nodeSet) *nodeSet {
+	if r.serves(key.root) {
+		if got := r.shared.put(key, set); got != nil {
+			r.counts.Builds++
+			return got
+		}
+		r.counts.Overflows++
+	}
+	return r.own.put(key, set)
+}
+
+// serves reports whether the shared memo holds the sets rooted at root.
+func (r *evalRun) serves(root *xmldoc.Node) bool { return r.shared != nil && r.shared.root == root }
+
+// eqProbe is an equality the index answers: `rel = key` over a path's node
 // set, found at compile time as a path's last predicate or as the first
 // where conjunct over a FLWOR's last for clause (a join: pred is nil).
 type eqProbe struct {
-	src  *pathExpr  // the path whose node set is indexed
-	walk []pathStep // the steps to that set: src's, without the probed predicate
-	rel  []pathStep // from a node of the set to its key leaves
-	key  Expr       // `$v` or `$v/rel`: the same for every candidate
-	pred []Expr     // the probed predicate alone, for values the index cannot answer
+	walk     []pathStep // the steps to the indexed set: the path's, without the probed predicate
+	walkKey  string     // memoText of walk
+	indexKey string     // walkKey and rel's memoText
+	rel      []pathStep // from a node of the set to its key leaves
+	key      Expr       // `$v`, `$v/rel` or a string literal
+	pred     []Expr     // the probed predicate alone, for values the index cannot answer
+}
+
+// newProbe fills in a probe's memo keys.
+func newProbe(walk, rel []pathStep, key Expr, pred []Expr) *eqProbe {
+	walkKey := string(memoText([]byte{'/'}, walk))
+	indexKey := string(memoText(append([]byte(walkKey), 0), rel))
+	return &eqProbe{walk: walk, walkKey: walkKey, indexKey: indexKey, rel: rel, key: key, pred: pred}
 }
 
 // setwise reports whether a path evaluated here may be evaluated again
-// with the same value: not at the top level, where nothing is bound and a
-// memo would be a map insert for nothing, and never for the reference.
-func (c *evalCtx) setwise() bool { return !c.general && c.vars != c.globals }
+// with the same value: under a bound variable, or anywhere when a shared
+// memo outlives the evaluation; never for the reference.
+func (c *evalCtx) setwise() bool {
+	return !c.general && (c.vars != c.globals || c.run.shared != nil)
+}
 
 // analyzeSet classifies the path once its steps are compiled.
 func (e *pathExpr) analyzeSet() {
@@ -72,7 +186,7 @@ func (e *pathExpr) analyzeSet() {
 	last := e.steps[n-1] // a copy: the walk's last step loses the probed predicate
 	if last.walkable() {
 		e.invariant = true
-		return
+		e.key = string(memoText([]byte{'/'}, e.steps))
 	}
 	k := len(last.preds) - 1
 	if k < 0 {
@@ -81,9 +195,60 @@ func (e *pathExpr) analyzeSet() {
 	probed := last.preds[k:]
 	last.preds = last.preds[:k:k]
 	last.cpreds = compilePreds(last.preds)
-	if rel, key, ok := eqSides(probed[0], ""); ok && last.walkable() {
-		e.probe = &eqProbe{src: e, walk: append(e.steps[:n-1:n-1], last), rel: rel, key: key, pred: probed}
+	rel, key, ok := eqSides(probed[0], "")
+	if pp, lit, isEq := eqOperands(probed[0]); isEq && e.invariant {
+		_, isStr := lit.val[0].(string) // a number stays a closure: compileEq compares it numerically
+		rel, key, ok = compileRelPath(pp), lit, isStr
 	}
+	if ok && last.walkable() {
+		e.probe = newProbe(append(e.steps[:n-1:n-1], last), rel, key, probed)
+	}
+}
+
+// memoText appends the canonical text of walkable steps to b: each step's
+// axis, name test and predicates, every predicate the closure grammar's
+// tree with comparisons written path first and literals in one spelling.
+// Whitespace, quote style and operand order do not show, and equal texts
+// select equal node sets.
+func memoText(b []byte, steps []pathStep) []byte {
+	for i := range steps {
+		st := &steps[i]
+		if i > 0 {
+			b = append(b, '/')
+		}
+		if st.axis == axisAttribute {
+			b = append(b, '@')
+		}
+		b = append(b, st.test.name...)
+		for _, p := range st.preds {
+			b = append(predText(append(b, '['), p), ']')
+		}
+	}
+	return b
+}
+
+// predText appends the canonical text of one closure-grammar predicate.
+func predText(b []byte, e Expr) []byte {
+	args, op := []Expr(nil), " and "
+	switch x := e.(type) {
+	case *andExpr:
+		args = x.args
+	case *orExpr:
+		args, op = x.args, " or "
+	case *compExpr:
+		pp, lit, _ := eqOperands(x)
+		return fmt.Appendf(append(memoText(b, pp.steps), '='), "%#v", lit.val[0])
+	case *pathExpr:
+		return memoText(b, x.steps)
+	}
+	b = append(b, '(')
+	for i, a := range args {
+		if i > 0 {
+			b = append(b, op...)
+		}
+		b = predText(b, a)
+	}
+	return append(b, ')')
 }
 
 // whereJoin returns the probe that restricts the last for clause's
@@ -104,7 +269,7 @@ func (e *flworExpr) whereJoin() *eqProbe {
 		}
 		src.compiled()
 		if rel, key, ok := eqSides(first, cl.varName); ok && src.invariant {
-			e.join = &eqProbe{src: src, walk: src.steps, rel: rel, key: key}
+			e.join = newProbe(src.steps, rel, key, nil)
 		}
 	})
 	return e.join
@@ -174,68 +339,114 @@ func (e *flworExpr) forSource(c *evalCtx, i int) (Sequence, error) {
 	return e.clauses[i].expr.eval(c)
 }
 
-// evalPathSet evaluates an invariant or probed absolute path from root.
+// evalPathSet evaluates an invariant or probed absolute path from root. A
+// memoised list is charged one step per node it returns, never more than
+// its walk was.
 func (c *evalCtx) evalPathSet(e *pathExpr, root *xmldoc.Node) (Sequence, error) {
 	if e.probe != nil {
 		return c.evalSet(e.probe, root)
 	}
-	set, err := c.nodeSet(e, e.steps, root)
+	set, hit, err := c.nodeSet(e.key, e.steps, root, nil, nil)
+	if err == nil && hit && !c.run.charge(min(len(set.nodes), set.cost)) {
+		err = c.run.err()
+	}
 	if err != nil {
 		return nil, err
 	}
 	return set.capped(), nil
 }
 
-// evalSet answers probe p from src's memoised node set: the hits of its
+// evalSet answers probe p from its path's memoised node set: the hits of its
 // index, or for a value the index cannot answer what the general code
 // gives — the probed predicate interpreted (neither it nor those before
 // it are positional, so filtering the concatenated candidates is filtering
 // each parent's), the join's source whole.
 func (c *evalCtx) evalSet(p *eqProbe, root *xmldoc.Node) (Sequence, error) {
-	set, err := c.nodeSet(p.src, p.walk, root)
-	if err != nil {
-		return nil, err
+	ikey := setKey{p.indexKey, root}
+	set, fresh := c.run.lookup(ikey), false
+	if set == nil {
+		// A string-literal key is always answerable, so a list walked now
+		// is indexed in the same walk: its nodes are visited once.
+		var index valueIndex
+		if _, lit := p.key.(*literal); lit {
+			index = valueIndex{}
+		}
+		list, hit, err := c.nodeSet(p.walkKey, p.walk, root, p.rel, index)
+		if err != nil {
+			return nil, err
+		}
+		if set, fresh = list, index != nil && !hit; fresh {
+			set = &nodeSet{nodes: list.nodes, index: index}
+		}
 	}
-	hits, ok, err := c.probe(set, p)
+	hits, ok, err := c.probe(set, p, ikey, fresh)
 	if err != nil || ok {
 		return hits, err
 	}
 	return applyPredicates(c, set.capped(), p.pred)
 }
 
-// nodeSet returns the nodes steps reach from root, walking them on the
-// evaluation's first request for (path, root) only.
-func (c *evalCtx) nodeSet(path *pathExpr, steps []pathStep, root *xmldoc.Node) (*nodeSet, error) {
+// nodeSet returns the nodes steps reach from root, walking them only when
+// no memo holds them; hit reports that one did. A walk also adds each node
+// to index by rel, if index is not nil, charged apart from the walk's
+// cost. A walk that runs out of steps is discarded, never installed.
+func (c *evalCtx) nodeSet(path string, steps []pathStep, root *xmldoc.Node, rel []pathStep, index valueIndex) (set *nodeSet, hit bool, err error) {
 	key := setKey{path, root}
-	if set := c.run.sets[key]; set != nil {
-		return set, nil
+	if set := c.run.lookup(key); set != nil {
+		return set, true, nil
 	}
-	set := &nodeSet{}
+	buf := walkBufs.Get().(*Sequence)
+	defer func() { clear(*buf); *buf = (*buf)[:0]; walkBufs.Put(buf) }()
+	before, indexing := c.run.steps, 0
 	walkPlan(root, steps, &c.run.meter, func(n *xmldoc.Node) bool {
-		set.nodes = append(set.nodes, n)
-		return true
+		if index != nil {
+			at := c.run.steps
+			index.add(c, n, int32(len(*buf)), rel)
+			indexing += c.run.steps - at
+		}
+		*buf = append(*buf, n)
+		return c.run.err() == nil
 	})
 	if err := c.run.err(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	if c.run.sets == nil {
-		c.run.sets = make(map[setKey]*nodeSet)
-	}
-	c.run.sets[key] = set
-	return set, nil
+	set = &nodeSet{nodes: slices.Clone(*buf), cost: c.run.steps - before - indexing}
+	return c.run.install(key, set), false, nil
+}
+
+// walkBufs are the buffers node lists are walked into: a list grown by
+// append allocates several times its final size, and a memo keeps the
+// exact copy for as long as its document lives.
+var walkBufs = sync.Pool{New: func() any { return new(Sequence) }}
+
+// valueIndex is an equality index: the string value of a rel leaf -> the
+// positions, ascending, of the nodes of a list reaching it.
+type valueIndex map[string][]int32
+
+// add indexes the node at pos by the leaves rel reaches from it.
+func (ix valueIndex) add(c *evalCtx, n *xmldoc.Node, pos int32, rel []pathStep) {
+	walkPlan(n, rel, &c.run.meter, func(leaf *xmldoc.Node) bool {
+		v := leaf.StringValue()
+		if at := ix[v]; len(at) == 0 || at[len(at)-1] != pos {
+			ix[v] = append(at, pos)
+		}
+		return true
+	})
 }
 
 // probe returns the nodes of set that have a rel leaf equal to one of the
 // key's values, each once and in document order: general `=` is
 // existential on both sides. ok is false when a value is not a string or
 // untyped atomic — compareAtomic coerces numbers and booleans differently.
+// set is the probed list or an index over it, fresh when this evaluation
+// built it; a fresh index is installed under ikey once charged.
 //
 // Steps: a probe is charged one per node it returns, the probe that builds
 // the index one per node it indexes instead (plus what rel's own
 // predicates test); a join's hits become FLWOR tuples and are charged as
 // those. Either way no more than the reference, which tests every node of
 // the set every time.
-func (c *evalCtx) probe(set *nodeSet, p *eqProbe) (hits Sequence, ok bool, err error) {
+func (c *evalCtx) probe(set *nodeSet, p *eqProbe, ikey setKey, fresh bool) (hits Sequence, ok bool, err error) {
 	if len(set.nodes) == 0 {
 		return nil, true, nil // no candidate: the reference never evaluates the key either
 	}
@@ -250,24 +461,14 @@ func (c *evalCtx) probe(set *nodeSet, p *eqProbe) (hits Sequence, ok bool, err e
 			return nil, false, nil
 		}
 	}
-	built := set.index == nil
-	if built {
-		set.index = make(map[string][]int32)
-		var pos int32
-		visit := func(leaf *xmldoc.Node) bool {
-			v := leaf.StringValue()
-			if at := set.index[v]; len(at) == 0 || at[len(at)-1] != pos {
-				set.index[v] = append(at, pos)
-			}
-			return true
-		}
+	if set.index == nil {
+		index := valueIndex{}
 		for i, it := range set.nodes {
-			pos = int32(i)
-			walkPlan(it.(*xmldoc.Node), p.rel, &c.run.meter, visit)
-			if err := c.run.err(); err != nil {
-				return nil, false, err
+			if index.add(c, it.(*xmldoc.Node), int32(i), p.rel); c.run.err() != nil {
+				return nil, false, c.run.err()
 			}
 		}
+		set, fresh = &nodeSet{nodes: set.nodes, index: index}, true
 	}
 	var at []int32
 	if len(keys) == 1 {
@@ -284,7 +485,7 @@ func (c *evalCtx) probe(set *nodeSet, p *eqProbe) (hits Sequence, ok bool, err e
 		hits[i] = set.nodes[pos]
 	}
 	charge := len(hits)
-	if built {
+	if fresh {
 		charge = len(set.nodes)
 	}
 	if p.pred == nil {
@@ -292,6 +493,9 @@ func (c *evalCtx) probe(set *nodeSet, p *eqProbe) (hits Sequence, ok bool, err e
 	}
 	if !c.run.charge(charge) {
 		return nil, false, c.run.err()
+	}
+	if fresh {
+		c.run.install(ikey, set)
 	}
 	return hits, true, nil
 }

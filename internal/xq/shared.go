@@ -14,15 +14,18 @@ import (
 // and carries only its own local document order, so its parent, its root
 // and its rank in the document are resolved here, through the evaluation
 // context. A fully parented context document never gets a sharedKids and
-// takes the plain xmldoc code everywhere.
+// takes the plain xmldoc code everywhere. The rank map is the document's:
+// it lives in the memo serving the document, so a shared Memo builds it
+// once per document, not once per Eval.
 type sharedKids struct {
 	root *xmldoc.Node         // the context document's root element
-	pos  map[*xmldoc.Node]int // shared child -> position under root; built on first use
+	run  *evalRun             // whose memo holds the rank map
+	pos  map[*xmldoc.Node]int // shared child -> position under root; fetched on first use
 }
 
 // sharedKidsOf inspects an evaluation's context node: non-nil only for a
 // document whose root element lists parentless children.
-func sharedKidsOf(doc *xmldoc.Node) *sharedKids {
+func sharedKidsOf(doc *xmldoc.Node, run *evalRun) *sharedKids {
 	if doc.Kind != xmldoc.DocumentNode {
 		return nil
 	}
@@ -30,20 +33,31 @@ func sharedKidsOf(doc *xmldoc.Node) *sharedKids {
 	if root == nil || len(root.Children) == 0 || root.Children[0].Parent != nil {
 		return nil
 	}
-	return &sharedKids{root: root}
+	return &sharedKids{root: root, run: run}
 }
 
 // rank returns n's position among the root's children, or false when n is
 // not one of them (the document node, the root, a constructed node).
 func (s *sharedKids) rank(n *xmldoc.Node) (int, bool) {
 	if s.pos == nil {
-		s.pos = make(map[*xmldoc.Node]int, len(s.root.Children))
-		for i, ch := range s.root.Children {
-			s.pos[ch] = i
-		}
+		s.pos = s.run.ranks(s.root)
 	}
 	i, ok := s.pos[n]
 	return i, ok
+}
+
+// ranks returns the rank map of root's children, memoised like a node
+// list under its document and the empty path, which no walk's text is.
+func (r *evalRun) ranks(root *xmldoc.Node) map[*xmldoc.Node]int {
+	key := setKey{"", root.Parent}
+	if set := r.lookup(key); set != nil {
+		return set.ranks
+	}
+	pos := make(map[*xmldoc.Node]int, len(root.Children))
+	for i, ch := range root.Children {
+		pos[ch] = i
+	}
+	return r.install(key, &nodeSet{ranks: pos}).ranks
 }
 
 // sortDocOrder sorts nodes by position under the root first and local

@@ -3,6 +3,7 @@ package xq
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"wsda/internal/xmldoc"
 )
@@ -71,6 +72,16 @@ type Options struct {
 	// with a TupleHead can be evaluated over it, and Context is then not
 	// read. The members may be parentless shared subtrees.
 	Tuples func(visit func(*xmldoc.Node) bool)
+	// Memo, when set, is what evaluations over Context's document share:
+	// the node lists, equality indexes and member ranks one evaluation
+	// builds, the next reads (setwise.go). It binds to the root of the
+	// first Context it serves, and Eval refuses it with any other. The
+	// document must be immutable for as long as the Memo lives. A sourced
+	// evaluation (Tuples) never reads it.
+	Memo *Memo
+	// MemoCounts, when set with Memo, accumulates what this evaluation
+	// read from Memo, installed in it, and kept private past its cap.
+	MemoCounts *MemoCounts
 }
 
 // Eval evaluates the query and returns the result sequence. With
@@ -83,11 +94,21 @@ func (q *Query) Eval(opts *Options) (Sequence, error) {
 	if opts.Tuples != nil {
 		return q.evalTuples(opts)
 	}
-	ctx := &evalCtx{run: &evalRun{meter: meter{limit: opts.MaxSteps}}, funcs: q.funcs, general: q.general}
+	run := &evalRun{meter: meter{limit: opts.MaxSteps}}
+	ctx := &evalCtx{run: run, funcs: q.funcs, general: q.general}
 	if opts.Context != nil {
 		ctx.item = opts.Context
-		ctx.shared = sharedKidsOf(opts.Context)
+		ctx.shared = sharedKidsOf(opts.Context, run)
 		ctx.pos, ctx.size = 1, 1
+	}
+	if opts.Memo != nil && !q.general {
+		if opts.Context == nil || !opts.Memo.bind(ctx.rootOf(opts.Context)) {
+			return nil, errMemoDoc
+		}
+		run.shared, run.counts = opts.Memo, opts.MemoCounts
+		if run.counts == nil {
+			run.counts = &MemoCounts{}
+		}
 	}
 	for name, val := range opts.Vars {
 		ctx.vars = &env{name: name, val: val, parent: ctx.vars}
@@ -109,7 +130,13 @@ func (q *Query) Eval(opts *Options) (Sequence, error) {
 	}
 	ctx.globals = ctx.vars
 	if opts.Emit == nil {
-		return q.expr.eval(ctx)
+		res, err := q.expr.eval(ctx)
+		if run.shared != nil {
+			// The result may be a shared memo's list, which the caller
+			// must not be able to write into.
+			res = slices.Clone(res)
+		}
+		return res, err
 	}
 	// Streaming mode: a top-level FLWOR pipes items out as they are
 	// produced; any other expression emits its final sequence.

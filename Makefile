@@ -1,7 +1,8 @@
 # Developer entry points. `make check` is the gate every change must pass:
 # formatting, vet, build, the docs gate (no undocumented exported
 # identifiers or stale design-section references), the full test suite under the race
-# detector, and the telemetry no-op benchmark that keeps disabled
+# detector, the bench/ module's vet and tests (its own go.mod, so the root
+# build skips it), and the telemetry no-op benchmark that keeps disabled
 # instrumentation free. `make stress` is not part of it: it reruns the
 # concurrency-heavy packages (registry, xq, telemetry) twenty times under
 # the race detector, for changes to locking, snapshots or the recorder.
@@ -9,9 +10,9 @@
 
 GO ?= go
 
-.PHONY: check fmt-check vet build doclint test stress fuzz bench-noop bench bench-guard smoke run-registryd run-peerd
+.PHONY: check fmt-check vet build doclint test bench-check stress fuzz bench-noop bench bench-guard smoke run-registryd run-peerd
 
-check: fmt-check vet build doclint test bench-noop bench-guard smoke
+check: fmt-check vet build doclint test bench-check bench-noop bench-guard smoke
 
 fmt-check:
 	@out="$$(gofmt -l .)"; \
@@ -34,6 +35,11 @@ doclint:
 
 test:
 	$(GO) test -race ./...
+
+# bench/ is its own module (replace wsda => ../): an internal API change
+# can break its load generator while the root build stays green.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 stress:
 	$(GO) test -race -count=20 ./internal/registry ./internal/xq ./internal/telemetry

@@ -21,6 +21,9 @@
 //   - the metrics inventory: every wsda_* metric family named by a string
 //     literal in the scanned code appears in OPERATIONS.md §2, and every
 //     family §2 names is one the code still registers
+//   - series bounds: a family registered with a "tenant" label grows one
+//     series per configured tenant, so its §2 row must say so ("one series
+//     per tenant in `-tenants`")
 //   - single sites: an outgoing HTTP request is built (http.NewRequest*),
 //     a streamed <results> response is begun (NewStreamWriter) and the
 //     first-item histogram is registered (HistogramVec with
@@ -81,8 +84,9 @@ func main() {
 	var problems []string
 	scanned := 0
 	metrics := map[string]string{} // family -> where the code first names it
+	tenant := map[string]bool{}    // families registered with a tenant label
 	for _, dir := range dirs {
-		probs, ok, err := lintDir(dir, sections, metrics)
+		probs, ok, err := lintDir(dir, sections, metrics, tenant)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "doclint:", err)
 			os.Exit(2)
@@ -97,7 +101,7 @@ func main() {
 		problems = append(problems, probs...)
 	}
 	if *ops != "" {
-		probs, err := lintMetricsInventory(*ops, metrics)
+		probs, err := lintMetricsInventory(*ops, metrics, tenant)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "doclint:", err)
 			os.Exit(2)
@@ -128,6 +132,8 @@ var (
 	metricLiteral    = regexp.MustCompile("^[\"`]wsda_[a-z0-9_]*[a-z0-9][\"`]$")
 	metricMention    = regexp.MustCompile(`wsda_[a-z0-9_]*[a-z0-9]\b[_*]?`)
 	catalogSection   = regexp.MustCompile(`(?ms)^## 2\. .*?(^## |\z)`)
+	catalogRow       = regexp.MustCompile(`(?m)^\|([^|\n]*)\|.*$`)
+	tenantBound      = regexp.MustCompile(`series per tenant`)
 )
 
 // requestSites are the files that may build an outgoing HTTP request: the
@@ -177,9 +183,10 @@ func lintSingleSite(fset *token.FileSet, call *ast.CallExpr) string {
 }
 
 // lintMetricsInventory compares the families the code names with the ones
-// the handbook's metrics catalog lists. A mention ending in "_" or "*" is
-// a prefix ("wsda_simnet_*"), not a family.
-func lintMetricsInventory(path string, inCode map[string]string) ([]string, error) {
+// the handbook's metrics catalog lists, and checks the series bound of the
+// tenant-labelled ones. A mention ending in "_" or "*" is a prefix
+// ("wsda_simnet_*"), not a family.
+func lintMetricsInventory(path string, inCode map[string]string, tenant map[string]bool) ([]string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("reading -ops: %w", err)
@@ -205,8 +212,44 @@ func lintMetricsInventory(path string, inCode map[string]string) ([]string, erro
 			problems = append(problems, fmt.Sprintf("%s: §2 lists metric family %s, which no scanned code registers", path, name))
 		}
 	}
+	problems = append(problems, lintTenantBounds(path, catalog, tenant)...)
 	sort.Strings(problems)
 	return problems, nil
+}
+
+// lintTenantBounds reports each tenant-labelled family whose own catalog
+// row — the table row naming it in its first cell — does not state its
+// series bound.
+func lintTenantBounds(path string, catalog []byte, tenant map[string]bool) []string {
+	bounded := map[string]bool{}
+	for _, row := range catalogRow.FindAllSubmatch(catalog, -1) {
+		for _, name := range metricMention.FindAll(row[1], -1) {
+			bounded[string(name)] = bounded[string(name)] || tenantBound.Match(row[0])
+		}
+	}
+	var problems []string
+	for name := range tenant {
+		if !bounded[name] {
+			problems = append(problems, fmt.Sprintf("%s: the §2 row of %s, which carries a tenant label, must state its series bound (\"one series per tenant in `-tenants`\")", path, name))
+		}
+	}
+	return problems
+}
+
+// tenantFamily returns the wsda_* family a registration call names when it
+// also passes the label "tenant", else "". Labels follow the name and the
+// help text, so the help text itself never counts.
+func tenantFamily(call *ast.CallExpr) string {
+	if len(call.Args) < 3 || !slices.ContainsFunc(call.Args[2:], func(a ast.Expr) bool {
+		l, ok := a.(*ast.BasicLit)
+		return ok && l.Value == `"tenant"`
+	}) {
+		return ""
+	}
+	if lit, ok := call.Args[0].(*ast.BasicLit); ok && metricLiteral.MatchString(lit.Value) {
+		return lit.Value[1 : len(lit.Value)-1]
+	}
+	return ""
 }
 
 // loadDesignSections reads the design doc's S<N> inventory. A "" path
@@ -230,9 +273,9 @@ func loadDesignSections(path string) (map[string]bool, error) {
 }
 
 // lintDir scans the non-test Go files of one directory, adding the metric
-// families they name to metrics. ok is false when the directory holds no
-// Go package.
-func lintDir(dir string, sections map[string]bool, metrics map[string]string) (problems []string, ok bool, err error) {
+// families they name to metrics and those they register with a tenant
+// label to tenant. ok is false when the directory holds no Go package.
+func lintDir(dir string, sections map[string]bool, metrics map[string]string, tenant map[string]bool) (problems []string, ok bool, err error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -251,6 +294,9 @@ func lintDir(dir string, sections map[string]bool, metrics map[string]string) (p
 				if call, isCall := n.(*ast.CallExpr); isCall {
 					if p := lintSingleSite(fset, call); p != "" {
 						problems = append(problems, p)
+					}
+					if name := tenantFamily(call); name != "" {
+						tenant[name] = true
 					}
 				}
 				if lit, isLit := n.(*ast.BasicLit); isLit && metricLiteral.MatchString(lit.Value) {

@@ -50,7 +50,7 @@ import (
 func main() {
 	d := daemon.New(flag.CommandLine, daemon.Spec{
 		Component: "peerd", Addr: ":9001", Name: "peer",
-		Traces: true, ReadTimeout: true,
+		ReadTimeout: true,
 		Usage: map[string]string{
 			"name":      "node name",
 			"log-level": "log level, optionally with per-component overrides (e.g. warn,updf=debug)",
@@ -73,7 +73,7 @@ func main() {
 		chaosSeed     = flag.Int64("chaos-seed", 1, "RNG seed for -chaos-drop")
 	)
 	d.Parse(os.Args[1:])
-	logger, metrics, tracer, flight := d.Log, d.Metrics, d.Tracer, d.Flight
+	logger, metrics, flight := d.Log, d.Metrics, d.Flight
 
 	base := *public
 	if base == "" {
@@ -85,7 +85,6 @@ func main() {
 		Name:       d.Name,
 		DefaultTTL: *ttl,
 		Metrics:    metrics,
-		Tracer:     tracer,
 		Flight:     flight,
 	})
 	if *seed > 0 {
@@ -107,7 +106,6 @@ func main() {
 		Net:              nodeNet,
 		Registry:         reg,
 		Metrics:          metrics,
-		Tracer:           tracer,
 		Flight:           flight,
 		MaxRetries:       *maxRetries,
 		RetryInterval:    *retryInterval,
@@ -139,7 +137,7 @@ func main() {
 	if err != nil {
 		d.Fatal("originator init failed", "err", err)
 	}
-	orig.SetTelemetry(metrics, tracer)
+	orig.SetTelemetry(metrics)
 	orig.SetFlight(flight)
 	orig.SetSLO(d.SLO)
 

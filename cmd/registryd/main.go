@@ -81,7 +81,7 @@ import (
 func main() {
 	d := daemon.New(flag.CommandLine, daemon.Spec{
 		Component: "registryd", Addr: ":8080", Name: "hyper-registry",
-		Traces: true, ReadTimeout: true, TenantEdge: true,
+		ReadTimeout: true, TenantEdge: true,
 		Usage: map[string]string{
 			"name":       "registry name",
 			"log-level":  "log level, optionally with per-component overrides (e.g. warn,replica=debug)",
@@ -115,7 +115,6 @@ func main() {
 		MaxQuerySteps: *maxWork,
 		JournalCap:    *journalCap,
 		Metrics:       metrics,
-		Tracer:        d.Tracer,
 		Flight:        flight,
 	})
 	registerRegistryStats(metrics, reg)

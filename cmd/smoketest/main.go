@@ -2,17 +2,17 @@
 // walks one endpoint matrix over all of them — registryd, a routerd in
 // front of it, and peerd — once as booted by default and once under
 // -telemetry=false: /healthz and /readyz answer 200 and the WSDA binding
-// keeps serving either way, /metrics, /debug/vars, /slo and /debug/slowlog
-// answer 200 only with telemetry on, /debug/pprof/ is a 404 without
-// -pprof, and SIGTERM ends each process with exit 0 inside
-// -shutdown-grace, the closing "final metrics snapshot" logged. It then
-// starts a registryd with seeded services, verifies /slo serves a
-// well-formed SLO document, and points a caching SDK client at it to walk
-// the cache lifecycle (cold miss, warm hit, invalidation after an
+// keeps serving either way, /metrics, /debug/vars, /slo, /debug/slowlog
+// and /debug/traces (JSON) answer 200 only with telemetry on,
+// /debug/pprof/ is a 404 without -pprof, and SIGTERM ends each process
+// with exit 0 inside -shutdown-grace, the closing "final metrics snapshot"
+// logged. It then starts a registryd with seeded services, verifies /slo
+// serves a well-formed SLO document, and points a caching SDK client at it
+// to walk the cache lifecycle (cold miss, warm hit, invalidation after an
 // unpublish once the feed cursor passes the delete). It then boots a
-// sharded topology — two registryd
-// shards (-shard-of=0/2 and 1/2) behind a routerd — and verifies a routed
-// publish→query round-trip lands on both shards, router health aggregates
+// sharded topology — two registryd shards (-shard-of=0/2 and 1/2) behind
+// a routerd — and verifies a routed publish→query round-trip lands on both
+// shards and routerd's hop tree of it names both, router health aggregates
 // to 200, and killing one shard degrades /healthz to 503 with a per-shard
 // JSON body. Finally it boots a registryd behind a -tenants gate and walks
 // the auth matrix: probe endpoints answer without credentials, /wsda paths
@@ -131,6 +131,7 @@ var matrix = []struct {
 	{"/debug/vars", 200, 404},
 	{"/slo", 200, 404},
 	{"/debug/slowlog", 200, 404},
+	{"/debug/traces", 200, 404},
 	{"/debug/pprof/", 404, 404}, // no -pprof
 }
 
@@ -167,6 +168,11 @@ func runMatrix(bins map[string]string, telemetry bool) error {
 			}
 			if got, _, err := authedGet(base+e.path, ""); err != nil || got != want {
 				return fmt.Errorf("%s %s: got %d, %v; want %d", name, e.path, got, err, want)
+			}
+		}
+		if telemetry {
+			if body, err := get(base + "/debug/traces"); err != nil || !json.Valid([]byte(body)) {
+				return fmt.Errorf("%s /debug/traces: %v, body %q not JSON", name, err, body)
 			}
 		}
 	}
@@ -435,7 +441,7 @@ func runSharded(bins map[string]string) error {
 			return fmt.Errorf("routed publish %d: status %d", i, resp.StatusCode)
 		}
 	}
-	resp, err := http.Post(router+"/wsda/xquery?stream=true", "text/xml",
+	resp, err := http.Post(router+"/wsda/xquery?stream=true&tx=smoke-route", "text/xml",
 		strings.NewReader(`/tupleset/tuple[@type="service"]`))
 	if err != nil {
 		return fmt.Errorf("routed xquery: %w", err)
@@ -454,6 +460,9 @@ func runSharded(bins map[string]string) error {
 	}
 	route := resp.Header.Get("X-Wsda-Route")
 	fmt.Printf("smoketest: sharded round-trip -> %d tuples via %q\n", got, route)
+	if tree, err := get(router + "/debug/traces?trace=smoke-route"); err != nil || strings.Count(tree, `"name": "routed"`) != 2 {
+		return fmt.Errorf("router hop tree of the scatter: %v, want one routed span per shard: %s", err, tree)
+	}
 
 	// Kill one shard: aggregate health must degrade to 503 and name the
 	// dead shard in the per-shard JSON body.

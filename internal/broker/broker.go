@@ -146,10 +146,6 @@ type Schedule struct {
 	Request string       // Request.ID this schedule answers
 	Assign  []Assignment // one entry per operation, in request order
 	Cost    float64      // summed cost of the chosen candidates
-
-	// TraceID links the discovery/brokering trace with the later
-	// execution trace when telemetry is enabled ("" otherwise).
-	TraceID string
 }
 
 // PlanConfig tunes the brokering cost function.
@@ -160,9 +156,6 @@ type PlanConfig struct {
 
 	// Metrics, when set, receives discovery latency histograms.
 	Metrics *telemetry.Metrics
-	// Tracer, when set, records a span tree for the plan: one root with a
-	// discovery child per operation.
-	Tracer *telemetry.Tracer
 }
 
 // Plan performs the brokering step: discover candidates per operation and
@@ -173,29 +166,17 @@ func Plan(req Request, disc Discoverer, cfg PlanConfig) (*Schedule, error) {
 	if cfg.AffinityPenalty == 0 {
 		cfg.AffinityPenalty = 1.0
 	}
-	sp := cfg.Tracer.StartSpan("", nil, "broker.plan")
-	sp.SetAttr(telemetry.String("request", req.ID))
-	defer sp.End()
 	discoverSeconds := cfg.Metrics.Histogram("wsda_broker_discover_seconds",
 		"Latency of candidate discovery per operation.", nil)
 	chosenDomain := map[string]string{}
-	sched := &Schedule{Request: req.ID, TraceID: sp.TraceID()}
+	sched := &Schedule{Request: req.ID}
 	for _, spec := range req.Ops {
 		var d0 time.Time
 		if discoverSeconds != nil {
 			d0 = time.Now()
 		}
-		dsp := cfg.Tracer.StartSpan("", sp, "broker.discover")
-		dsp.SetAttr(telemetry.String("op", spec.Name))
 		cands, err := disc.Discover(spec)
 		discoverSeconds.ObserveSince(d0)
-		if dsp != nil {
-			dsp.SetAttr(telemetry.Int("candidates", int64(len(cands))))
-			if err != nil {
-				dsp.SetAttr(telemetry.String("err", err.Error()))
-			}
-			dsp.End()
-		}
 		if err != nil {
 			return nil, err
 		}
@@ -312,18 +293,12 @@ type Runner struct {
 	// Metrics, when set, receives invocation latency histograms and
 	// failover/stall counters.
 	Metrics *telemetry.Metrics
-	// Tracer, when set, records an execution span tree: one root per run,
-	// one child per invocation attempt, sharing the schedule's TraceID so
-	// discovery, brokering and execution line up in one trace.
-	Tracer *telemetry.Tracer
 }
 
 // Run executes the schedule's operations in order, failing over to the
 // next-best candidate on error or stall.
 func (r *Runner) Run(s *Schedule) *Report {
 	start := time.Now()
-	sp := r.Tracer.StartSpanID(s.TraceID, 0, "broker.execute")
-	sp.SetAttr(telemetry.String("request", s.Request))
 	var invokeSeconds *telemetry.Histogram
 	var failovers, stalls, skips *telemetry.Counter
 	var breakerOpen *telemetry.Gauge
@@ -368,23 +343,10 @@ func (r *Runner) Run(s *Schedule) *Report {
 				}
 			}
 			attempts++
-			isp := r.Tracer.StartSpan(s.TraceID, sp, "broker.invoke")
 			att, ok := r.invokeOnce(a.Op, cand)
 			invokeSeconds.ObserveDuration(att.Duration)
 			if att.Stalled {
 				stalls.Inc()
-			}
-			if isp != nil {
-				isp.SetAttr(telemetry.String("op", a.Op),
-					telemetry.String("service", cand.Service.Name),
-					telemetry.Bool("ok", ok))
-				if att.Err != "" {
-					isp.SetAttr(telemetry.String("err", att.Err))
-				}
-				if att.Stalled {
-					isp.SetAttr(telemetry.Bool("stalled", true))
-				}
-				isp.End()
 			}
 			or.Attempts = append(or.Attempts, att)
 			if r.Breaker != nil {
@@ -415,10 +377,6 @@ func (r *Runner) Run(s *Schedule) *Report {
 		}
 	}
 	rep.Elapsed = time.Since(start)
-	if sp != nil {
-		sp.SetAttr(telemetry.Bool("succeeded", rep.Succeeded()))
-		sp.End()
-	}
 	return rep
 }
 

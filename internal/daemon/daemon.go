@@ -4,8 +4,8 @@
 // /debug/*, /slo, optional pprof), the optional tenant gate around the
 // whole mux, the http.Server with its timeouts, signal-driven graceful
 // shutdown and the final metrics snapshot. A main declares its own flags
-// beside New's, builds its node against the Daemon's Log/Metrics/Tracer/
-// Flight/SLO, mounts its own paths on Mux and calls Serve.
+// beside New's, builds its node against the Daemon's Log/Metrics/Flight/
+// SLO, mounts its own paths on Mux and calls Serve.
 package daemon
 
 import (
@@ -32,9 +32,6 @@ type Spec struct {
 	Component string
 	// Addr and Name are the defaults of -addr and -name.
 	Addr, Name string
-	// Traces gives the daemon a span tracer (-trace-capacity, the data
-	// behind /debug/traces); routerd keeps none.
-	Traces bool
 	// ReadTimeout registers -read-timeout. routerd does without: a streamed
 	// scatter-gather response may legitimately outlive any fixed read
 	// window, and ReadHeaderTimeout guards its accept path instead.
@@ -61,7 +58,6 @@ type Daemon struct {
 
 	Log     *slog.Logger              // component-tagged logger
 	Metrics *telemetry.Metrics        // metric registry
-	Tracer  *telemetry.Tracer         // span tracer (Spec.Traces)
 	Flight  *telemetry.FlightRecorder // per-transaction flight recorder
 	SLO     *telemetry.SLO            // burn-rate engine, registered on Metrics
 	Mux     *http.ServeMux            // the daemon mounts its own paths here
@@ -70,7 +66,6 @@ type Daemon struct {
 	fs   *flag.FlagSet
 
 	telemetryOn, pprofOn bool
-	traceCap             int
 	logLevel, logFormat  string
 	sloFirstItem         time.Duration
 	sloCompleteness      float64
@@ -97,9 +92,6 @@ func New(fs *flag.FlagSet, spec Spec) *Daemon {
 	fs.DurationVar(&d.readHeaderTimeout, "read-header-timeout", 5*time.Second, "http.Server ReadHeaderTimeout (slowloris guard)")
 	fs.DurationVar(&d.idleTimeout, "idle-timeout", 120*time.Second, "http.Server IdleTimeout")
 	fs.DurationVar(&d.shutdownGrace, "shutdown-grace", 5*time.Second, "graceful shutdown deadline on SIGINT/SIGTERM")
-	if spec.Traces {
-		fs.IntVar(&d.traceCap, "trace-capacity", telemetry.DefaultTraceCapacity, "completed spans retained for /debug/traces")
-	}
 	if spec.ReadTimeout {
 		fs.DurationVar(&d.readTimeout, "read-timeout", 30*time.Second, "http.Server ReadTimeout")
 	}
@@ -129,9 +121,6 @@ func (d *Daemon) Parse(args []string) {
 		return
 	}
 	d.Metrics = telemetry.NewMetrics()
-	if d.spec.Traces {
-		d.Tracer = telemetry.NewTracer(d.traceCap)
-	}
 	d.Flight = telemetry.NewFlightRecorder(telemetry.FlightConfig{SlowThreshold: d.sloFirstItem})
 	d.SLO = telemetry.NewSLO(telemetry.SLOConfig{
 		FirstItemTarget:    d.sloFirstItem,
@@ -188,7 +177,7 @@ func (d *Daemon) handler(ready func() string) (http.Handler, error) {
 		})
 	}
 	if d.telemetryOn {
-		telemetry.Mount(mux, d.Metrics, d.Tracer)
+		telemetry.Mount(mux, d.Metrics)
 		telemetry.MountObservability(mux, d.Flight, d.SLO)
 	}
 	if d.pprofOn {

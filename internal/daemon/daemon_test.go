@@ -38,7 +38,7 @@ func status(h http.Handler, path, token string) int {
 var telemetryPaths = []string{"/metrics", "/debug/vars", "/debug/traces", "/debug/slowlog", "/debug/query/tx1", "/slo"}
 
 func TestStandardSurface(t *testing.T) {
-	spec := Spec{Component: "test", Traces: true}
+	spec := Spec{Component: "test"}
 	for _, tc := range []struct {
 		name             string
 		args             []string
@@ -69,7 +69,7 @@ func TestStandardSurface(t *testing.T) {
 		if got := status(h, "/debug/pprof/", ""); got != tc.pprof {
 			t.Errorf("%s: /debug/pprof/ = %d, want %d", tc.name, got, tc.pprof)
 		}
-		if (d.Metrics != nil) != (tc.telemetry == 200) || (d.Tracer != nil) != (tc.telemetry == 200) {
+		if (d.Metrics != nil) != (tc.telemetry == 200) || (d.Flight != nil) != (tc.telemetry == 200) {
 			t.Errorf("%s: telemetry handles do not follow -telemetry", tc.name)
 		}
 	}
@@ -141,7 +141,6 @@ func TestSpecSelectsFlagGroups(t *testing.T) {
 		flag string
 		spec Spec
 	}{
-		{"trace-capacity", Spec{Traces: true}},
 		{"read-timeout", Spec{ReadTimeout: true}},
 		{"tenants", Spec{TenantEdge: true}},
 		{"admit-max", Spec{TenantEdge: true}},

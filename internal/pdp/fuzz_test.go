@@ -1,6 +1,9 @@
 package pdp
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // FuzzDecode checks the wire decoder never panics on hostile input — PDP
 // endpoints accept bytes from arbitrary peers.
@@ -16,6 +19,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(`<pdp`)
 	f.Add(``)
 	f.Add(`<pdp kind="query" hop="99999999999999999999"/>`)
+	f.Add(legacySpanWire)
 	f.Fuzz(func(t *testing.T, wire string) {
 		msg, err := Decode(wire)
 		if err != nil {
@@ -30,4 +34,21 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("unstable round trip: %v vs %v", msg.Summary(), again.Summary())
 		}
 	})
+}
+
+// legacySpanWire is a query as an older peer sent it: with the span
+// attribute that once carried a trace parent. Decoding ignores it.
+const legacySpanWire = `<pdp kind="query" tx="n1#7" from="n0" to="n1" hop="2" span="12345678901234567890" mode="routed"><scope radius="1"/><query>//service</query></pdp>`
+
+func TestLegacySpanAttributeIgnored(t *testing.T) {
+	m, err := Decode(legacySpanWire)
+	if err != nil {
+		t.Fatalf("legacy span attribute rejected: %v", err)
+	}
+	if m.Kind != KindQuery || m.TxID != "n1#7" || m.Hop != 2 || m.Query != "//service" {
+		t.Fatalf("decoded %+v", m)
+	}
+	if strings.Contains(m.Encode(), "span=") {
+		t.Fatalf("re-encoded message carries span: %s", m.Encode())
+	}
 }

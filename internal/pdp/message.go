@@ -137,12 +137,6 @@ type Message struct {
 
 	// Referral/Pong fields.
 	Neighbors []string // neighbor addresses offered to the originator
-
-	// TraceParent carries the sender's telemetry span ID so that a
-	// receiving node can parent its own span under the hop that caused it;
-	// this is what lets /debug/traces reconstruct a query's full hop tree.
-	// Zero means untraced.
-	TraceParent uint64
 }
 
 // ToXML encodes the message for the wire.
@@ -153,9 +147,6 @@ func (m *Message) ToXML() *xmldoc.Node {
 	el.SetAttr("from", m.From)
 	el.SetAttr("to", m.To)
 	el.SetAttr("hop", strconv.Itoa(m.Hop))
-	if m.TraceParent != 0 {
-		el.SetAttr("span", strconv.FormatUint(m.TraceParent, 10))
-	}
 	if m.Kind == KindQuery || m.Kind == KindFetch {
 		el.SetAttr("mode", m.Mode.String())
 		if m.Origin != "" {
@@ -237,11 +228,6 @@ func FromXML(n *xmldoc.Node) (*Message, error) {
 	if s, ok := n.Attr("hop"); ok {
 		if m.Hop, err = strconv.Atoi(s); err != nil {
 			return nil, fmt.Errorf("pdp: bad hop %q", s)
-		}
-	}
-	if s, ok := n.Attr("span"); ok {
-		if m.TraceParent, err = strconv.ParseUint(s, 10, 64); err != nil {
-			return nil, fmt.Errorf("pdp: bad span %q", s)
 		}
 	}
 	if s, ok := n.Attr("mode"); ok {

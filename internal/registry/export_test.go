@@ -1,5 +1,10 @@
 package registry
 
+import (
+	"wsda/internal/tuple"
+	"wsda/internal/xmldoc"
+)
+
 // CanonicalQuerySource is the compiled-query cache's key function, exposed
 // with the inputs of its pinned cases to the external fuzz test, which
 // needs the workload package (an importer of this one) for its seeds.
@@ -12,4 +17,15 @@ func CanonicalInputs() []string {
 		in = append(in, c.in)
 	}
 	return in
+}
+
+// PinnedMembers pins the filter's tuple set and returns its shared member
+// elements with, parallel to them, the tuples they render.
+func PinnedMembers(r *Registry, f Filter) ([]*xmldoc.Node, []*tuple.Tuple) {
+	s, _, _ := r.pin(f, Freshness{})
+	tuples := make([]*tuple.Tuple, len(s.vals))
+	for i, v := range s.vals {
+		tuples[i] = v.Tuple
+	}
+	return s.root.Children, tuples
 }

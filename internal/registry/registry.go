@@ -69,10 +69,6 @@ type Config struct {
 	// disables metric collection at near-zero cost.
 	Metrics *telemetry.Metrics
 
-	// Tracer, when set, records a span per XQuery evaluation. Nil
-	// disables tracing.
-	Tracer *telemetry.Tracer
-
 	// Flight, when set, receives per-transaction planning events
 	// (planned, plan-fallback, view-hit, view-miss) for evaluations that
 	// carry a QueryOptions.TxID. Nil disables recording.
@@ -148,7 +144,7 @@ type Registry struct {
 	planHits, planFallbacks            atomic.Int64
 	memoHits, memoBuilds               atomic.Int64
 
-	// Telemetry handles; all nil when Config.Metrics/Tracer are unset, in
+	// Telemetry handles; all nil when Config.Metrics/Flight are unset, in
 	// which case every observation below is a nil-check no-op.
 	publishSeconds   *telemetry.Histogram
 	minQuerySeconds  *telemetry.Histogram
@@ -160,7 +156,6 @@ type Registry struct {
 	memoHit          *telemetry.Counter
 	memoBuild        *telemetry.Counter
 	memoOverflow     *telemetry.Counter
-	tracer           *telemetry.Tracer
 	flight           *telemetry.FlightRecorder
 }
 
@@ -174,7 +169,6 @@ func New(cfg Config) *Registry {
 		queryCache: make(map[string]*xq.Query),
 		views:      make(map[Filter]*filterView),
 		flights:    make(map[string]*pullFlight),
-		tracer:     cfg.Tracer,
 		flight:     cfg.Flight,
 	}
 	r.store.AddIndex(indexType, func(t *stored) string { return t.Type })
@@ -475,8 +469,6 @@ func (r *Registry) QueryCompiled(q *xq.Query, opts QueryOptions) (xq.Sequence, e
 	if r.xquerySeconds != nil {
 		defer r.xquerySeconds.ObserveSince(time.Now())
 	}
-	sp := r.tracer.StartSpan("", nil, "registry.xquery")
-	sp.SetAttr(telemetry.String("registry", r.cfg.Name))
 	r.queries.Add(1)
 	xo := xq.Options{MaxSteps: r.cfg.MaxQuerySteps, Emit: opts.Emit, Vars: opts.Vars}
 	info := PlanInfo{Mode: "view"}
@@ -510,13 +502,6 @@ func (r *Registry) QueryCompiled(q *xq.Query, opts QueryOptions) (xq.Sequence, e
 		r.memoHit.Add(int64(mc.Hits))
 		r.memoBuild.Add(int64(mc.Builds))
 		r.memoOverflow.Add(int64(mc.Overflows))
-	}
-	if sp != nil {
-		sp.SetAttr(telemetry.Int("items", int64(len(seq))))
-		if err != nil {
-			sp.SetAttr(telemetry.String("err", err.Error()))
-		}
-		sp.End()
 	}
 	return seq, err
 }

@@ -35,11 +35,6 @@ type Config struct {
 	// link-delay histogram.
 	Metrics *telemetry.Metrics
 
-	// Tracer, when set, records one hop event per accepted message —
-	// annotated with from/to/kind/hop and parented under the sender's
-	// span — so a network query's traffic is visible in its hop tree.
-	Tracer *telemetry.Tracer
-
 	// Faults, when set, attaches a scriptable fault model (loss, jitter,
 	// reordering, partitions, crashes) consulted on every Send after the
 	// static Drop hook. See Faults and FaultSchedule.
@@ -214,14 +209,6 @@ func (n *Network) Send(msg *pdp.Message) error {
 		delay += time.Duration(size * int64(time.Second) / n.cfg.Bandwidth)
 	}
 	n.delaySeconds.ObserveDuration(delay)
-	if tr := n.cfg.Tracer; tr != nil && msg.TxID != "" {
-		tr.Event(msg.TxID, msg.TraceParent, "net.hop",
-			telemetry.String("from", msg.From),
-			telemetry.String("to", msg.To),
-			telemetry.String("kind", msg.Kind.String()),
-			telemetry.Int("hop", int64(msg.Hop)),
-			telemetry.Int("delay_us", delay.Microseconds()))
-	}
 	if delay <= 0 {
 		box.put(msg)
 		return nil

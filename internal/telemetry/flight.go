@@ -1,9 +1,10 @@
 // The query flight recorder: a bounded, allocation-cheap event log of a
-// transaction's full lifecycle across the discovery plane. Where the span
-// ring (trace.go) answers "how long did each hop take", the flight
-// recorder answers the operator question "what exactly happened to THIS
-// query" — every fan-out, retransmission, breaker trip, streamed item and
-// the closing summary, in order, keyed by transaction ID.
+// transaction's full lifecycle across the discovery plane, keyed by
+// transaction ID. It answers the operator question "what exactly happened
+// to THIS query" — every fan-out, retransmission, breaker trip, streamed
+// item and the closing summary, in order — and it is the only
+// per-transaction record: /debug/traces rebuilds each transaction's hop
+// tree from these same events (trace.go).
 //
 // Recording is a single mutex-guarded append of a small value into a
 // per-transaction slice; transactions are retained in an insertion-order
@@ -43,7 +44,8 @@ const (
 	// FlightViewMiss marks a local evaluation that first had to advance its
 	// tuple-set snapshot.
 	FlightViewMiss = "view-miss"
-	// FlightEval marks a finished local evaluation (n = hits).
+	// FlightEval marks a finished local evaluation (n = hits, dur = its
+	// duration, note = the plan or the evaluation error).
 	FlightEval = "eval"
 	// FlightForward marks a child query sent to a neighbor (peer = child).
 	FlightForward = "forward"
@@ -57,7 +59,9 @@ const (
 	FlightPartial = "partial"
 	// FlightChildFinal marks a child's final answer (n = subtree hits).
 	FlightChildFinal = "child-final"
-	// FlightNodeFinal marks a node sending its final upstream (n = subtree hits).
+	// FlightNodeFinal marks a node sending its final upstream (n = subtree
+	// hits, note = "complete" or "incomplete", a comma and the abort reason
+	// if any, then "contacted=N responded=M").
 	FlightNodeFinal = "node-final"
 	// FlightAbort marks the dynamic abort timer firing on a node.
 	FlightAbort = "abort"
@@ -98,13 +102,14 @@ const (
 // the recorder's lock, so stored events ascend in Seq within every
 // transaction.
 type FlightEvent struct {
-	Seq  uint64    `json:"seq"`            // recorder-wide sequence number
-	At   time.Time `json:"at"`             // wall-clock time of the event
-	Kind string    `json:"kind"`           // one of the Flight* constants
-	Node string    `json:"node,omitempty"` // where the event happened
-	Peer string    `json:"peer,omitempty"` // the other party, if any
-	N    int64     `json:"n,omitempty"`    // kind-specific count
-	Note string    `json:"note,omitempty"` // kind-specific annotation
+	Seq  uint64        `json:"seq"`              // recorder-wide sequence number
+	At   time.Time     `json:"at"`               // wall-clock time of the event
+	Kind string        `json:"kind"`             // one of the Flight* constants
+	Node string        `json:"node,omitempty"`   // where the event happened
+	Peer string        `json:"peer,omitempty"`   // the other party, if any
+	N    int64         `json:"n,omitempty"`      // kind-specific count
+	Note string        `json:"note,omitempty"`   // kind-specific annotation
+	Dur  time.Duration `json:"dur_ns,omitempty"` // length of the interval the event closes, if any
 }
 
 // FlightSummary is the closing accounting of one transaction — what Finish
@@ -229,13 +234,19 @@ func (fr *FlightRecorder) getLocked(tx string) *flightTx {
 // Record appends one event to tx's flight log. Safe on nil; events past
 // the per-transaction cap are counted, not stored.
 func (fr *FlightRecorder) Record(tx, kind, node, peer string, n int64, note string) {
+	fr.RecordDur(tx, kind, node, peer, n, note, 0)
+}
+
+// RecordDur is Record for an event that closes an interval of length d,
+// such as an evaluation.
+func (fr *FlightRecorder) RecordDur(tx, kind, node, peer string, n int64, note string, d time.Duration) {
 	if fr == nil || tx == "" {
 		return
 	}
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
 	fr.appendLocked(tx, FlightEvent{
-		At: fr.cfg.Now(), Kind: kind, Node: node, Peer: peer, N: n, Note: note,
+		At: fr.cfg.Now(), Kind: kind, Node: node, Peer: peer, N: n, Note: note, Dur: d,
 	})
 }
 
@@ -307,6 +318,11 @@ func (fr *FlightRecorder) Tx(tx string) *FlightInfo {
 	}
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
+	return fr.txLocked(tx)
+}
+
+// txLocked copies tx's recording, or returns nil. fr.mu must be held.
+func (fr *FlightRecorder) txLocked(tx string) *FlightInfo {
 	t, ok := fr.txs[tx]
 	if !ok {
 		return nil

@@ -23,13 +23,13 @@ func VarsHandler(m *Metrics) http.Handler {
 	})
 }
 
-// TracesHandler serves reconstructed span trees from t as JSON.
-// Query parameters: trace=ID selects one trace; limit=N bounds how many
-// recent traces are returned (default 20).
-func TracesHandler(t *Tracer) http.Handler {
+// TracesHandler serves the hop trees rebuilt from fr's flight events as
+// JSON. Query parameters: trace=<tx> selects one transaction; limit=N
+// bounds how many recent transactions are returned (default 20).
+func TracesHandler(fr *FlightRecorder) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if id := r.URL.Query().Get("trace"); id != "" {
-			ti := t.Trace(id)
+			ti := fr.Trace(id)
 			if ti == nil {
 				http.Error(w, "no such trace", http.StatusNotFound)
 				return
@@ -37,13 +37,11 @@ func TracesHandler(t *Tracer) http.Handler {
 			writeJSON(w, ti)
 			return
 		}
-		limit := 20
-		if s := r.URL.Query().Get("limit"); s != "" {
-			if v, err := strconv.Atoi(s); err == nil && v > 0 {
-				limit = v
-			}
+		limit, err := strconv.Atoi(r.URL.Query().Get("limit"))
+		if err != nil || limit <= 0 {
+			limit = 20
 		}
-		writeJSON(w, t.Traces(limit))
+		writeJSON(w, fr.Traces(limit))
 	})
 }
 
@@ -89,20 +87,20 @@ func SlowlogHandler(fr *FlightRecorder) http.Handler {
 	})
 }
 
-// Mount registers the standard telemetry endpoints — /metrics,
-// /debug/vars and /debug/traces — on the mux.
-func Mount(mux *http.ServeMux, m *Metrics, t *Tracer) {
+// Mount registers the metrics endpoints — /metrics and /debug/vars — on
+// the mux.
+func Mount(mux *http.ServeMux, m *Metrics) {
 	mux.Handle("/metrics", MetricsHandler(m))
 	mux.Handle("/debug/vars", VarsHandler(m))
-	mux.Handle("/debug/traces", TracesHandler(t))
 }
 
 // MountObservability registers the flight-recorder and SLO endpoints —
-// /debug/query/<tx>, /debug/slowlog and /slo — on the mux. Nil arguments
+// /debug/query/<tx>, /debug/traces, /debug/slowlog and /slo — on the mux. Nil arguments
 // mount handlers that report empty/disabled state rather than 404s, so
 // probes keep working when a daemon runs with telemetry off.
 func MountObservability(mux *http.ServeMux, fr *FlightRecorder, s *SLO) {
 	mux.Handle("/debug/query/", FlightHandler(fr))
+	mux.Handle("/debug/traces", TracesHandler(fr))
 	mux.Handle("/debug/slowlog", SlowlogHandler(fr))
 	mux.Handle("/slo", SLOHandler(s))
 }

@@ -11,14 +11,13 @@ import (
 func TestMountEndpoints(t *testing.T) {
 	m := NewMetrics()
 	m.Counter("mount_total", "Things.").Add(9)
-	tr := NewTracer(16)
-	sp := tr.StartSpanID("tx-a", 0, "op")
-	child := tr.StartSpan("", sp, "inner")
-	child.End()
-	sp.End()
+	fr := NewFlightRecorder(FlightConfig{})
+	fr.Record("tx-a", FlightSubmit, "orig", "n1", 0, "routed")
+	fr.Record("tx-a", FlightReceived, "n1", "orig", 0, "")
 
 	mux := http.NewServeMux()
-	Mount(mux, m, tr)
+	Mount(mux, m)
+	MountObservability(mux, fr, nil)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
@@ -83,7 +82,7 @@ func TestMountEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &one); err != nil {
 		t.Fatalf("?trace not JSON: %v\n%s", err, body)
 	}
-	if one.TraceID != "tx-a" || len(one.Roots) != 1 || one.Roots[0].Name != "op" {
+	if one.TraceID != "tx-a" || len(one.Roots) != 1 || one.Roots[0].Name != "updf.submit" {
 		t.Fatalf("?trace = %+v", one)
 	}
 

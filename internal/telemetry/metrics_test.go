@@ -214,23 +214,6 @@ func TestNilSafety(t *testing.T) {
 	if m.Snapshot() != nil {
 		t.Fatal("nil Metrics Snapshot should be nil")
 	}
-
-	var tr *Tracer
-	_ = tr.NewTraceID()
-	sp := tr.StartSpan("t1", nil, "op")
-	sp.SetAttr(String("k", "v"))
-	_ = sp.ID()
-	_ = sp.TraceID()
-	sp.End()
-	sp2 := tr.StartSpanID("t1", 7, "op")
-	sp2.End()
-	tr.Event("t1", 0, "ev")
-	if tr.Traces(10) != nil {
-		t.Fatal("nil Tracer Traces should be nil")
-	}
-	if tr.Trace("t1") != nil {
-		t.Fatal("nil Tracer Trace should be nil")
-	}
 }
 
 // Benchmarks proving the disabled configuration costs only a nil check.
@@ -253,12 +236,11 @@ func BenchmarkNilHistogramObserve(b *testing.B) {
 	}
 }
 
-func BenchmarkNilSpanLifecycle(b *testing.B) {
-	var tr *Tracer
+func BenchmarkNilFlightRecord(b *testing.B) {
+	var fr *FlightRecorder
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sp := tr.StartSpanID("t", 0, "op")
-		sp.End()
+		fr.Record("t", FlightEval, "n", "", 1, "")
 	}
 }
 

@@ -1,236 +1,21 @@
+// Hop trees rebuilt from the flight recorder. There is no second
+// recorder: /debug/traces reads the same per-transaction events as
+// /debug/query/<tx> and nests them by the transaction's own structure —
+// the originator's submit, one residency per node the query reached,
+// parented at the node that sent it, and one evaluation inside each.
+
 package telemetry
 
 import (
-	"context"
-	"math/rand/v2"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
+	"strings"
 	"time"
 )
 
-// Attr is one span annotation.
-type Attr struct {
-	Key   string `json:"key"`   // annotation name
-	Value string `json:"value"` // annotation value, already stringified
-}
-
-// String builds a string attribute.
-func String(k, v string) Attr { return Attr{Key: k, Value: v} }
-
-// Int builds an integer attribute.
-func Int(k string, v int64) Attr { return Attr{Key: k, Value: strconv.FormatInt(v, 10)} }
-
-// Bool builds a boolean attribute.
-func Bool(k string, v bool) Attr { return Attr{Key: k, Value: strconv.FormatBool(v)} }
-
-// Span is one timed, annotated operation within a trace. Spans form a
-// tree through parent IDs; across PDP nodes the parent ID travels inside
-// the query message, so a network query's full hop tree reconstructs
-// from the ring even though each hop ran on a different node.
-//
-// A nil *Span is a valid disabled span: every method is a no-op.
-type Span struct {
-	t       *Tracer
-	traceID string
-	id      uint64
-	parent  uint64
-	name    string
-	start   time.Time
-
-	mu    sync.Mutex
-	attrs []Attr
-	ended bool
-}
-
-// spanRecord is the immutable snapshot of a completed span held in the
-// tracer's ring.
-type spanRecord struct {
-	traceID string
-	id      uint64
-	parent  uint64
-	name    string
-	start   time.Time
-	end     time.Time
-	attrs   []Attr
-}
-
-// Tracer records completed spans into a bounded ring buffer; when the
-// ring wraps, the oldest spans are overwritten. A nil *Tracer is a valid
-// disabled tracer.
-type Tracer struct {
-	capacity int
-
-	mu    sync.Mutex
-	ring  []spanRecord
-	next  int
-	total uint64 // completed spans ever, for overwrite accounting
-
-	ids  atomic.Uint64
-	tids atomic.Uint64
-}
-
-// DefaultTraceCapacity bounds the span ring when NewTracer is given a
-// non-positive capacity.
-const DefaultTraceCapacity = 4096
-
-// NewTracer creates a tracer retaining up to capacity completed spans.
-//
-// Span IDs start at a random 64-bit offset so that spans minted by
-// different processes (each with its own tracer) do not collide: a query
-// hop tree spans processes, and a remote parent ID accidentally equal to
-// a local span ID would mis-nest the tree.
-func NewTracer(capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
-	}
-	t := &Tracer{capacity: capacity, ring: make([]spanRecord, 0, capacity)}
-	t.ids.Store(rand.Uint64())
-	return t
-}
-
-// NewTraceID mints a process-unique trace identifier.
-func (t *Tracer) NewTraceID() string {
-	if t == nil {
-		return ""
-	}
-	return "t" + strconv.FormatUint(t.tids.Add(1), 10)
-}
-
-// StartSpan begins a span in the given trace under the given parent
-// (nil for a root). An empty traceID mints a fresh one (or inherits the
-// parent's). Returns nil on a nil tracer.
-func (t *Tracer) StartSpan(traceID string, parent *Span, name string) *Span {
-	var pid uint64
-	if parent != nil {
-		pid = parent.id
-		if traceID == "" {
-			traceID = parent.traceID
-		}
-	}
-	return t.StartSpanID(traceID, pid, name)
-}
-
-// StartSpanID is StartSpan with an explicit parent span ID — the form
-// used when the parent lives on another node and only its ID traveled
-// over the wire.
-func (t *Tracer) StartSpanID(traceID string, parentID uint64, name string) *Span {
-	if t == nil {
-		return nil
-	}
-	if traceID == "" {
-		traceID = t.NewTraceID()
-	}
-	return &Span{
-		t: t, traceID: traceID, id: t.ids.Add(1), parent: parentID,
-		name: name, start: time.Now(),
-	}
-}
-
-// Start begins a span as a child of the span in ctx (a root if none) and
-// returns a derived context carrying the new span.
-func (t *Tracer) Start(ctx context.Context, name string) (context.Context, *Span) {
-	if t == nil {
-		return ctx, nil
-	}
-	s := t.StartSpan("", SpanFromContext(ctx), name)
-	return ContextWithSpan(ctx, s), s
-}
-
-// Event records a completed zero-duration span — a point annotation such
-// as one message hop on a link.
-func (t *Tracer) Event(traceID string, parentID uint64, name string, attrs ...Attr) {
-	if t == nil {
-		return
-	}
-	now := time.Now()
-	t.record(spanRecord{
-		traceID: traceID, id: t.ids.Add(1), parent: parentID,
-		name: name, start: now, end: now, attrs: attrs,
-	})
-}
-
-func (t *Tracer) record(r spanRecord) {
-	t.mu.Lock()
-	if len(t.ring) < t.capacity {
-		t.ring = append(t.ring, r)
-	} else {
-		t.ring[t.next] = r
-	}
-	t.next = (t.next + 1) % t.capacity
-	t.total++
-	t.mu.Unlock()
-}
-
-// ID returns the span's process-unique ID (0 for nil).
-func (s *Span) ID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
-// TraceID returns the span's trace identifier ("" for nil).
-func (s *Span) TraceID() string {
-	if s == nil {
-		return ""
-	}
-	return s.traceID
-}
-
-// SetAttr annotates the span.
-func (s *Span) SetAttr(attrs ...Attr) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.attrs = append(s.attrs, attrs...)
-	s.mu.Unlock()
-}
-
-// End completes the span and commits it to the tracer's ring. Ending a
-// span twice records it once.
-func (s *Span) End() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if s.ended {
-		s.mu.Unlock()
-		return
-	}
-	s.ended = true
-	attrs := s.attrs
-	s.mu.Unlock()
-	s.t.record(spanRecord{
-		traceID: s.traceID, id: s.id, parent: s.parent, name: s.name,
-		start: s.start, end: time.Now(), attrs: attrs,
-	})
-}
-
-type spanCtxKey struct{}
-
-// ContextWithSpan returns a context carrying the span.
-func ContextWithSpan(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanCtxKey{}, s)
-}
-
-// SpanFromContext returns the span carried by ctx, or nil.
-func SpanFromContext(ctx context.Context) *Span {
-	if ctx == nil {
-		return nil
-	}
-	s, _ := ctx.Value(spanCtxKey{}).(*Span)
-	return s
-}
-
-// SpanInfo is the JSON form of one completed span, nested by parentage.
+// SpanInfo is the JSON form of one span of a rebuilt hop tree.
 type SpanInfo struct {
-	ID         uint64            `json:"id"`                 // span ID within the trace
+	ID         uint64            `json:"id"`                 // Seq of the flight event that opened the span
 	Parent     uint64            `json:"parent,omitempty"`   // parent span ID (0 for roots)
 	Name       string            `json:"name"`               // operation name
 	Start      time.Time         `json:"start"`              // wall-clock start
@@ -239,162 +24,272 @@ type SpanInfo struct {
 	Children   []*SpanInfo       `json:"children,omitempty"` // child spans, by start time
 }
 
-// TraceInfo is one reconstructed trace: the span forest sharing a trace
-// ID, roots ordered by start time.
+// TraceInfo is one transaction's hop tree, rebuilt from its flight events.
 type TraceInfo struct {
-	TraceID string      `json:"trace"` // shared trace identifier
-	Start   time.Time   `json:"start"` // earliest span start
-	Spans   int         `json:"spans"` // total spans in the trace
-	Roots   []*SpanInfo `json:"roots"` // parentless spans, by start time
+	TraceID string      `json:"trace"`             // the transaction ID
+	Start   time.Time   `json:"start"`             // earliest span start
+	Spans   int         `json:"spans"`             // total spans in the tree
+	Dropped int         `json:"dropped,omitempty"` // events lost to the per-transaction cap
+	Roots   []*SpanInfo `json:"roots"`             // parentless spans, by start time
 }
 
-func (r *spanRecord) info() *SpanInfo {
-	si := &SpanInfo{
-		ID: r.id, Parent: r.parent, Name: r.name, Start: r.start,
-		DurationUS: r.end.Sub(r.start).Microseconds(),
+// Trace rebuilds one transaction's hop tree, or nil when the recorder is
+// disabled or the transaction fell off the ring.
+func (fr *FlightRecorder) Trace(tx string) *TraceInfo {
+	info := fr.Tx(tx)
+	if info == nil {
+		return nil
 	}
-	if len(r.attrs) > 0 {
-		si.Attrs = make(map[string]string, len(r.attrs))
-		for _, a := range r.attrs {
-			si.Attrs[a.Key] = a.Value
+	return buildTrace(info)
+}
+
+// Traces rebuilds the hop trees of the limit most recently started
+// transactions (all retained ones when limit <= 0), most recent first.
+func (fr *FlightRecorder) Traces(limit int) []*TraceInfo {
+	if fr == nil {
+		return nil
+	}
+	var infos []*FlightInfo
+	fr.mu.Lock()
+	for i := 1; i <= len(fr.order) && (limit <= 0 || len(infos) < limit); i++ {
+		tx := fr.order[(fr.next-i+len(fr.order))%len(fr.order)]
+		if tx == "" {
+			break
 		}
+		infos = append(infos, fr.txLocked(tx))
 	}
-	return si
-}
-
-// snapshotRing copies the ring oldest-first.
-func (t *Tracer) snapshotRing() []spanRecord {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]spanRecord, 0, len(t.ring))
-	if len(t.ring) == t.capacity {
-		out = append(out, t.ring[t.next:]...)
-		out = append(out, t.ring[:t.next]...)
-	} else {
-		out = append(out, t.ring...)
+	fr.mu.Unlock()
+	out := make([]*TraceInfo, len(infos))
+	for i, info := range infos {
+		out[i] = buildTrace(info)
 	}
 	return out
 }
 
-// Traces reconstructs the most recent max traces (all retained traces
-// when max <= 0) from the span ring, most recent first. Spans whose
-// parent fell off the ring (or ran on another process) surface as roots.
-func (t *Tracer) Traces(max int) []*TraceInfo {
-	if t == nil {
-		return nil
-	}
-	recs := t.snapshotRing()
-	byTrace := make(map[string][]*spanRecord)
-	order := make([]string, 0, 16) // trace IDs by most recent span, dedup below
-	for i := range recs {
-		r := &recs[i]
-		byTrace[r.traceID] = append(byTrace[r.traceID], r)
-		order = append(order, r.traceID)
-	}
-	// Most recent first: walk the ring backwards, keeping first sighting.
-	seen := make(map[string]bool, len(byTrace))
-	ids := make([]string, 0, len(byTrace))
-	for i := len(order) - 1; i >= 0; i-- {
-		if !seen[order[i]] {
-			seen[order[i]] = true
-			ids = append(ids, order[i])
-		}
-	}
-	if max > 0 && len(ids) > max {
-		ids = ids[:max]
-	}
-	out := make([]*TraceInfo, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, buildTrace(id, byTrace[id]))
-	}
-	return out
+// span is a SpanInfo under construction.
+type span struct {
+	*SpanInfo
+	peer   string // who sent the query that opened it
+	parent *span
+	closed bool
+	busy   bool // a residency that accepted its query: a duplicate no longer answers it
 }
 
-// Trace reconstructs one trace by ID, or nil if no spans are retained.
-func (t *Tracer) Trace(traceID string) *TraceInfo {
-	if t == nil {
-		return nil
-	}
-	recs := t.snapshotRing()
-	var mine []*spanRecord
-	for i := range recs {
-		if recs[i].traceID == traceID {
-			mine = append(mine, &recs[i])
-		}
-	}
-	if len(mine) == 0 {
-		return nil
-	}
-	return buildTrace(traceID, mine)
+// traceBuilder nests one transaction's events, in Seq order:
+//   - submit opens the updf.submit root; the summary closes it;
+//   - a node's first received (from a peer) opens its updf.query
+//     residency; node-final, close, or a duplicate or dropped-expired
+//     answering that very received closes it. A later received of the node
+//     is a leaf under its sender, so a node has one residency and the
+//     (node, peer) edges cannot loop;
+//   - eval is a updf.eval child of its node's residency;
+//   - any other event of a node with a residency or the submit is counted
+//     on it; events of no residency — the HTTP edge's, a registry's under
+//     its own name, the router's — hang under the transaction's root as
+//     point spans. Without a submit or a residency, the first of them
+//     opens a synthetic wsda.request root.
+type traceBuilder struct {
+	info     *FlightInfo
+	spans    []*span
+	owner    map[string]*span // submit or residency, by node
+	lastRecv map[string]*span // the span of each node's latest received
+	submit   *span
+	orphans  []*FlightEvent
+	last     time.Time // the latest event: where a span left open ends
 }
 
-func buildTrace(id string, recs []*spanRecord) *TraceInfo {
-	infos := make(map[uint64]*SpanInfo, len(recs))
-	ordered := make([]*SpanInfo, 0, len(recs))
-	for _, r := range recs {
-		si := r.info()
-		infos[si.ID] = si
-		ordered = append(ordered, si)
+func buildTrace(info *FlightInfo) *TraceInfo {
+	b := &traceBuilder{info: info, owner: map[string]*span{}, lastRecv: map[string]*span{}}
+	for i := range info.Events {
+		b.add(&info.Events[i])
 	}
-	ti := &TraceInfo{TraceID: id, Spans: len(recs)}
-	for _, si := range ordered {
-		if p, ok := infos[si.Parent]; ok && si.Parent != si.ID {
-			p.Children = append(p.Children, si)
-		} else {
-			ti.Roots = append(ti.Roots, si)
-		}
+	return b.finish()
+}
+
+func (b *traceBuilder) open(ev *FlightEvent, name string) *span {
+	s := &span{SpanInfo: &SpanInfo{ID: ev.Seq, Name: name, Start: ev.At, Attrs: map[string]string{}}, peer: ev.Peer}
+	b.spans = append(b.spans, s)
+	return s
+}
+
+func (s *span) end(at time.Time) {
+	s.closed = true
+	if d := at.Sub(s.Start); d > 0 {
+		s.DurationUS = d.Microseconds()
 	}
-	// Break parentage cycles. A remote parent ID that happens to equal a
-	// local span ID (possible if another process's ID space collides)
-	// can link spans into a loop where no member is a root, which would
-	// silently drop the whole component. Promote the earliest span of
-	// each unreachable component to a root.
-	reached := make(map[uint64]bool, len(infos))
-	var mark func(si *SpanInfo)
-	mark = func(si *SpanInfo) {
-		if reached[si.ID] {
+}
+
+func (b *traceBuilder) add(ev *FlightEvent) {
+	if ev.At.After(b.last) {
+		b.last = ev.At
+	}
+	owner := b.owner[ev.Node]
+	switch ev.Kind {
+	case FlightSubmit:
+		if b.submit == nil {
+			s := b.open(ev, "updf.submit")
+			s.Attrs["originator"], s.Attrs["entry"], s.Attrs["mode"] = ev.Node, ev.Peer, ev.Note
+			s.Attrs["radius"] = strconv.FormatInt(ev.N, 10)
+			b.submit, b.owner[ev.Node] = s, s
 			return
 		}
-		reached[si.ID] = true
-		for _, c := range si.Children {
-			mark(c)
+	case FlightReceived:
+		if ev.Peer == "" {
+			break // an HTTP edge's arrival, not a hop
 		}
-	}
-	for _, r := range ti.Roots {
-		mark(r)
-	}
-	for len(reached) < len(ordered) {
-		var pick *SpanInfo
-		for _, si := range ordered {
-			if !reached[si.ID] && (pick == nil || si.Start.Before(pick.Start)) {
-				pick = si
+		s := b.open(ev, "updf.query")
+		s.Attrs["node"], s.Attrs["from"], s.Attrs["hop"] = ev.Node, ev.Peer, strconv.FormatInt(ev.N, 10)
+		if owner == nil {
+			b.owner[ev.Node] = s
+		} else {
+			s.Name = "updf.received"
+		}
+		b.lastRecv[ev.Node] = s
+		return
+	case FlightDuplicate, FlightExpired:
+		if l := b.lastRecv[ev.Node]; l != nil && l.peer == ev.Peer && !l.busy && !l.closed {
+			l.Attrs["outcome"] = ev.Kind
+			l.end(ev.At)
+			return
+		}
+		s := b.open(ev, "updf."+ev.Kind)
+		s.Attrs["node"], s.Attrs["from"] = ev.Node, ev.Peer
+		s.end(ev.At)
+		return
+	case FlightEval:
+		s := b.open(ev, "updf.eval")
+		s.Start = ev.At.Add(-ev.Dur)
+		s.end(ev.At)
+		s.Attrs["hits"] = strconv.FormatInt(ev.N, 10)
+		if ev.Note != "" {
+			s.Attrs["note"] = ev.Note
+		}
+		if owner != nil {
+			s.parent, owner.busy = owner, true
+			owner.Attrs["local_hits"] = s.Attrs["hits"]
+		}
+		return
+	case FlightNodeFinal:
+		if owner != nil && owner != b.submit {
+			owner.Attrs["subtree_hits"] = strconv.FormatInt(ev.N, 10)
+			status, accounting, _ := strings.Cut(ev.Note, " ")
+			status, reason, _ := strings.Cut(status, ",")
+			owner.Attrs["complete"] = strconv.FormatBool(status == "complete")
+			if reason != "" {
+				owner.Attrs["outcome"] = reason
 			}
-		}
-		if p, ok := infos[pick.Parent]; ok {
-			for i, c := range p.Children {
-				if c == pick {
-					p.Children = append(p.Children[:i], p.Children[i+1:]...)
-					break
+			for _, kv := range strings.Fields(accounting) {
+				if k, v, ok := strings.Cut(kv, "="); ok {
+					owner.Attrs["nodes_"+k] = v
 				}
 			}
+			owner.end(ev.At)
+			return
 		}
-		ti.Roots = append(ti.Roots, pick)
-		mark(pick)
+	case FlightClose:
+		if owner != nil && owner != b.submit && !owner.closed {
+			owner.Attrs["outcome"] = "closed"
+			owner.end(ev.At)
+			return
+		}
 	}
-	sortSpans(ti.Roots)
-	for _, si := range infos {
-		sortSpans(si.Children)
+	if owner != nil && ev.Kind != FlightSummaryKind {
+		owner.busy = true
+		n, _ := strconv.Atoi(owner.Attrs[ev.Kind])
+		owner.Attrs[ev.Kind] = strconv.Itoa(n + 1)
+		return
 	}
-	if len(ordered) > 0 {
-		min := ordered[0].Start
-		for _, si := range ordered[1:] {
-			if si.Start.Before(min) {
-				min = si.Start
+	b.orphans = append(b.orphans, ev)
+}
+
+// finish links parents, picks the root, hangs the orphans under it and
+// closes what is still open at the last event.
+func (b *traceBuilder) finish() *TraceInfo {
+	var root *span
+	for _, s := range b.spans {
+		if s.parent == nil && s.peer != "" && s != b.submit {
+			// A residency or leaf nests under its sender's residency (or the
+			// submit) when that one opened first; a sender in another process
+			// leaves it a root.
+			if p := b.owner[s.peer]; p != nil && p.ID < s.ID {
+				s.parent = p
 			}
 		}
-		ti.Start = min
+		if s.parent == nil && s.Name == "updf.query" && root == nil {
+			root = s
+		}
 	}
+	if b.submit != nil {
+		root = b.submit
+	}
+	for _, ev := range b.orphans {
+		if ev.Kind == FlightSummaryKind && b.info.Summary != nil && root != nil && root.Name != "updf.query" {
+			continue // applied to the root below
+		}
+		if root == nil {
+			root = b.open(ev, "wsda.request")
+			root.Attrs["event"] = ev.Kind
+			setEventAttrs(root, ev)
+			continue
+		}
+		p := b.open(ev, ev.Kind)
+		setEventAttrs(p, ev)
+		p.end(ev.At)
+	}
+	for _, s := range b.spans {
+		if s.parent == nil && s != root && s != b.submit && s.Name != "updf.query" {
+			s.parent = root // points, evals of no residency, leaves of no local sender
+		}
+	}
+	if sum := b.info.Summary; sum != nil && root != nil && root.Name != "updf.query" {
+		root.Attrs["items"] = strconv.Itoa(sum.Items)
+		root.Attrs["complete"] = strconv.FormatBool(sum.Complete)
+		root.Attrs["aborted"] = strconv.FormatBool(sum.Aborted)
+		root.Attrs["nodes_contacted"] = strconv.Itoa(sum.NodesContacted)
+		root.Attrs["nodes_responded"] = strconv.Itoa(sum.NodesResponded)
+		if sum.FirstItem > 0 {
+			root.Attrs["first_item_us"] = strconv.FormatInt(sum.FirstItem.Microseconds(), 10)
+		}
+		if sum.Err != "" {
+			root.Attrs["err"] = sum.Err
+		}
+		root.end(sum.At)
+	}
+
+	ti := &TraceInfo{TraceID: b.info.TxID, Spans: len(b.spans), Dropped: b.info.Dropped}
+	for _, s := range b.spans {
+		if !s.closed {
+			s.Attrs["open"] = "true"
+			s.end(b.last)
+		}
+		if s.parent != nil {
+			s.Parent = s.parent.ID
+			s.parent.Children = append(s.parent.Children, s.SpanInfo)
+		} else {
+			ti.Roots = append(ti.Roots, s.SpanInfo)
+		}
+		if ti.Start.IsZero() || s.Start.Before(ti.Start) {
+			ti.Start = s.Start
+		}
+	}
+	for _, s := range b.spans {
+		sortSpans(s.Children)
+	}
+	sortSpans(ti.Roots)
 	return ti
+}
+
+// setEventAttrs annotates a span opened by an event of no residency with
+// that event's own fields.
+func setEventAttrs(s *span, ev *FlightEvent) {
+	for k, v := range map[string]string{"node": ev.Node, "peer": ev.Peer, "note": ev.Note} {
+		if v != "" {
+			s.Attrs[k] = v
+		}
+	}
+	if ev.N != 0 {
+		s.Attrs["n"] = strconv.FormatInt(ev.N, 10)
+	}
 }
 
 func sortSpans(s []*SpanInfo) {

@@ -1,88 +1,108 @@
 package telemetry
 
 import (
-	"context"
+	"fmt"
+	"sync"
 	"testing"
+	"time"
 )
 
-// TestSpanTreeReconstruction builds the span topology of a two-hop P2P
-// query — originator submit, two node handlers parented across "the wire"
-// by span ID, per-node evals and net.hop events — and checks that the
-// tracer rebuilds the exact tree from its ring.
+// tick is a clock that advances one millisecond per reading, so every
+// recorded event has its own timestamp.
+func tick() func() time.Time {
+	var mu sync.Mutex
+	at := time.Unix(1_700_000_000, 0)
+	return func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		at = at.Add(time.Millisecond)
+		return at
+	}
+}
+
+func find(spans []*SpanInfo, name string) *SpanInfo {
+	for _, s := range spans {
+		if s.Name == name {
+			return s
+		}
+	}
+	return nil
+}
+
+func countSpans(roots []*SpanInfo) int {
+	n := 0
+	for _, s := range roots {
+		n += 1 + countSpans(s.Children)
+	}
+	return n
+}
+
+// TestSpanTreeReconstruction records the flight of a two-hop routed query
+// — originator submit, two node residencies, one evaluation each, a
+// registry event under its own name and the edge's streamed items — and
+// checks the hop tree rebuilt from it.
 func TestSpanTreeReconstruction(t *testing.T) {
-	tr := NewTracer(64)
-	const tx = "tx-123"
+	fr := NewFlightRecorder(FlightConfig{Now: tick()})
+	const tx = "orig#1"
+	fr.Record(tx, FlightSubmit, "orig", "n1", -1, "routed")
+	fr.Record(tx, FlightReceived, "n1", "orig", 0, "")
+	fr.Record(tx, FlightForward, "n1", "n2", 1, "")
+	fr.Record(tx, FlightReceived, "n2", "n1", 1, "")
+	fr.Record(tx, FlightPlanned, "reg2", "", 0, "index link")
+	fr.RecordDur(tx, FlightEval, "n2", "", 2, "index link", 500*time.Microsecond)
+	fr.Record(tx, FlightNodeFinal, "n2", "", 2, "complete contacted=1 responded=1")
+	fr.RecordDur(tx, FlightEval, "n1", "", 3, "view", 0)
+	fr.Record(tx, FlightChildFinal, "n1", "n2", 2, "")
+	fr.Record(tx, FlightNodeFinal, "n1", "", 5, "incomplete,abort-timeout contacted=3 responded=2")
+	fr.Record(tx, FlightFirstItem, "orig", "n1", 1, "")
+	fr.Record(tx, FlightStreamItem, "", "", 1, "")
+	fr.Finish(tx, FlightSummary{Items: 5, NodesContacted: 3, NodesResponded: 2, FirstItem: time.Millisecond})
 
-	submit := tr.StartSpanID(tx, 0, "updf.submit")
-	// Hop originator -> node1 (parent travels in the message).
-	tr.Event(tx, submit.ID(), "net.hop", String("to", "node1"))
-	n1 := tr.StartSpanID(tx, submit.ID(), "updf.query")
-	eval1 := tr.StartSpan(tx, n1, "updf.eval")
-	eval1.SetAttr(Int("hits", 3))
-	eval1.End()
-	// Hop node1 -> node2.
-	tr.Event(tx, n1.ID(), "net.hop", String("to", "node2"))
-	n2 := tr.StartSpanID(tx, n1.ID(), "updf.query")
-	eval2 := tr.StartSpan(tx, n2, "updf.eval")
-	eval2.End()
-	n2.End()
-	n1.End()
-	submit.SetAttr(Int("items", 5))
-	submit.End()
-
-	trace := tr.Trace(tx)
-	if trace == nil {
-		t.Fatal("Trace returned nil")
+	trace := fr.Trace(tx)
+	if trace == nil || trace.Spans != 7 || trace.Dropped != 0 {
+		t.Fatalf("trace = %+v, want 7 spans", trace)
 	}
-	if trace.Spans != 7 {
-		t.Fatalf("Spans = %d, want 7", trace.Spans)
-	}
-	if len(trace.Roots) != 1 {
-		t.Fatalf("got %d roots, want 1", len(trace.Roots))
+	if len(trace.Roots) != 1 || trace.Roots[0].Name != "updf.submit" {
+		t.Fatalf("roots = %+v, want one updf.submit", trace.Roots)
 	}
 	root := trace.Roots[0]
-	if root.Name != "updf.submit" || root.ID != submit.ID() {
-		t.Fatalf("root = %s (id %d), want updf.submit (id %d)", root.Name, root.ID, submit.ID())
+	if root.ID != 1 || root.Attrs["items"] != "5" || root.Attrs["complete"] != "false" || root.Attrs["first-item"] != "1" {
+		t.Fatalf("root = %+v", root)
 	}
-	if root.Attrs["items"] != "5" {
-		t.Fatalf("root attrs = %v, want items=5", root.Attrs)
+	if root.DurationUS != 12_000 { // submit at 1 ms, summary at 13 ms
+		t.Fatalf("root duration = %dus, want 12000", root.DurationUS)
 	}
-	if len(root.Children) != 2 { // net.hop event + node1 query span
-		t.Fatalf("root has %d children, want 2", len(root.Children))
+	n1 := find(root.Children, "updf.query")
+	if n1 == nil || n1.Parent != root.ID || n1.Attrs["node"] != "n1" {
+		t.Fatalf("n1 residency not under submit: %+v", root.Children)
 	}
-	var node1 *SpanInfo
-	for _, c := range root.Children {
-		if c.Name == "updf.query" {
-			node1 = c
+	for k, v := range map[string]string{"local_hits": "3", "subtree_hits": "5", "nodes_contacted": "3",
+		"nodes_responded": "2", "complete": "false", "outcome": "abort-timeout", "forward": "1", "child-final": "1"} {
+		if n1.Attrs[k] != v {
+			t.Errorf("n1 %s = %q, want %q (attrs %v)", k, n1.Attrs[k], v, n1.Attrs)
 		}
 	}
-	if node1 == nil || node1.ID != n1.ID() {
-		t.Fatalf("node1 query span not under submit: %+v", root.Children)
+	if find(root.Children, "planned") == nil || find(root.Children, "stream-item") == nil {
+		t.Fatalf("events of no residency must hang under the root: %+v", root.Children)
 	}
-	if len(node1.Children) != 3 { // eval, net.hop, node2 query
-		t.Fatalf("node1 has %d children, want 3", len(node1.Children))
+	n2 := find(n1.Children, "updf.query")
+	if n2 == nil || n2.Attrs["complete"] != "true" || n2.Attrs["subtree_hits"] != "2" {
+		t.Fatalf("n2 residency not under n1: %+v", n1.Children)
 	}
-	var node2 *SpanInfo
-	for _, c := range node1.Children {
-		if c.Name == "updf.query" {
-			node2 = c
-		}
+	if e := find(n2.Children, "updf.eval"); e == nil || e.DurationUS != 500 || e.Attrs["hits"] != "2" {
+		t.Fatalf("n2 eval = %+v, want 500us with 2 hits", n2.Children)
 	}
-	if node2 == nil || node2.ID != n2.ID() {
-		t.Fatalf("node2 query span not under node1: %+v", node1.Children)
-	}
-	if len(node2.Children) != 1 || node2.Children[0].Name != "updf.eval" {
-		t.Fatalf("node2 children = %+v, want one updf.eval", node2.Children)
+	if countSpans(trace.Roots) != trace.Spans {
+		t.Fatalf("reachable spans = %d, want %d", countSpans(trace.Roots), trace.Spans)
 	}
 }
 
 func TestTracesMostRecentFirst(t *testing.T) {
-	tr := NewTracer(64)
-	for i := 0; i < 3; i++ {
-		sp := tr.StartSpanID(tr.NewTraceID(), 0, "op")
-		sp.End()
+	fr := NewFlightRecorder(FlightConfig{})
+	for i := 1; i <= 3; i++ {
+		fr.Record(fmt.Sprintf("t%d", i), FlightSubmit, "orig", "n1", 0, "routed")
 	}
-	all := tr.Traces(0)
+	all := fr.Traces(0)
 	if len(all) != 3 {
 		t.Fatalf("got %d traces, want 3", len(all))
 	}
@@ -90,122 +110,126 @@ func TestTracesMostRecentFirst(t *testing.T) {
 		t.Fatalf("order = %s,%s,%s, want t3,t2,t1",
 			all[0].TraceID, all[1].TraceID, all[2].TraceID)
 	}
-	if got := tr.Traces(2); len(got) != 2 {
+	if got := fr.Traces(2); len(got) != 2 {
 		t.Fatalf("Traces(2) returned %d traces, want 2", len(got))
 	}
+	var nilRec *FlightRecorder
+	if nilRec.Traces(10) != nil || nilRec.Trace("t1") != nil {
+		t.Fatal("a nil recorder has no traces")
+	}
 }
 
-// TestRingWrapEviction checks that spans beyond the ring capacity evict
-// the oldest and that orphaned children (parent evicted) surface as
-// roots rather than disappearing.
+// TestRingWrapEviction checks that a transaction evicted from the
+// recorder's ring has no trace, and that a transaction past the per-tx
+// event cap reports its dropped events and keeps what is left nested.
 func TestRingWrapEviction(t *testing.T) {
-	tr := NewTracer(4)
-	parent := tr.StartSpanID("tx", 0, "parent")
-	parent.End()
-	child := tr.StartSpanID("tx", parent.ID(), "child")
-	child.End()
-	for i := 0; i < 4; i++ { // push the parent (and child) out of the ring
-		sp := tr.StartSpanID("other", 0, "filler")
-		sp.End()
-	}
-	if tr.Trace("tx") != nil {
-		t.Fatal("evicted trace should be gone")
+	fr := NewFlightRecorder(FlightConfig{Capacity: 2, EventsPerTx: 4})
+	fr.Record("old", FlightSubmit, "orig", "n1", 0, "routed")
+	fr.Record("a", FlightSubmit, "orig", "n1", 0, "routed")
+	fr.Record("b", FlightSubmit, "orig", "n1", 0, "routed")
+	if fr.Trace("old") != nil {
+		t.Fatal("evicted transaction should have no trace")
 	}
 
-	tr2 := NewTracer(4)
-	p2 := tr2.StartSpanID("tx2", 0, "parent")
-	p2.End()
-	c2 := tr2.StartSpanID("tx2", p2.ID(), "child")
-	c2.End()
-	for i := 0; i < 3; i++ { // evict only the parent
-		sp := tr2.StartSpanID("other", 0, "filler")
-		sp.End()
+	fr.Record("a", FlightReceived, "n1", "orig", 0, "")
+	fr.Record("a", FlightReceived, "n2", "n1", 1, "")
+	fr.Record("a", FlightReceived, "n3", "n2", 2, "") // the cap: kept
+	fr.Record("a", FlightNodeFinal, "n3", "", 1, "complete contacted=1 responded=1")
+	fr.Finish("a", FlightSummary{Complete: true})
+	trace := fr.Trace("a")
+	if trace == nil || trace.Dropped != 2 || trace.Spans != 4 || len(trace.Roots) != 1 {
+		t.Fatalf("truncated trace = %+v, want 4 spans, 2 dropped, 1 root", trace)
 	}
-	trace := tr2.Trace("tx2")
-	if trace == nil || len(trace.Roots) != 1 || trace.Roots[0].Name != "child" {
-		t.Fatalf("orphaned child should surface as root, got %+v", trace)
+	n3 := trace.Roots[0].Children[0].Children[0].Children[0]
+	if n3.Attrs["node"] != "n3" || n3.Attrs["open"] != "true" {
+		t.Fatalf("n3 = %+v, want the open residency at the bottom of the chain", n3)
 	}
 }
 
-// TestParentCycleBreaks reproduces a cross-process span-ID collision:
-// two spans whose parent pointers form a loop, so neither is a root. The
-// reconstruction must promote one to a root instead of dropping both.
+// TestParentCycleBreaks feeds two residencies whose senders point at each
+// other — impossible causally, possible from hostile or merged input. A
+// residency nests only under one that opened before it, so the loop
+// breaks and both spans stay reachable.
 func TestParentCycleBreaks(t *testing.T) {
-	tr := NewTracer(16)
-	probe := tr.StartSpanID("probe", 0, "p") // learn the current ID counter
-	probe.End()
-	// Event IDs are allocated sequentially, so these two events point at
-	// each other: a = (probe+1, parent probe+2), b = (probe+2, parent probe+1).
-	tr.Event("tx", probe.ID()+2, "a")
-	tr.Event("tx", probe.ID()+1, "b")
-	trace := tr.Trace("tx")
+	fr := NewFlightRecorder(FlightConfig{})
+	fr.Record("tx", FlightReceived, "a", "b", 0, "")
+	fr.Record("tx", FlightReceived, "b", "a", 0, "")
+	trace := fr.Trace("tx")
 	if trace == nil || trace.Spans != 2 {
 		t.Fatalf("trace = %+v, want 2 spans", trace)
 	}
-	if len(trace.Roots) == 0 {
-		t.Fatal("cycle dropped both spans: no roots")
-	}
-	total := 0
-	var count func(s *SpanInfo)
-	count = func(s *SpanInfo) {
-		total++
-		for _, c := range s.Children {
-			count(c)
-		}
-	}
-	for _, r := range trace.Roots {
-		count(r)
-	}
-	if total != 2 {
-		t.Fatalf("reachable spans = %d, want 2", total)
+	if len(trace.Roots) != 1 || countSpans(trace.Roots) != 2 {
+		t.Fatalf("roots = %+v, want a, with b under it", trace.Roots)
 	}
 }
 
+// TestDoubleEndRecordsOnce closes one residency twice — a node-final, then
+// a close that races it — and a node twice-received: one residency each,
+// its first closer wins, and the second received is a leaf.
 func TestDoubleEndRecordsOnce(t *testing.T) {
-	tr := NewTracer(8)
-	sp := tr.StartSpanID("tx", 0, "op")
-	sp.End()
-	sp.End()
-	trace := tr.Trace("tx")
-	if trace == nil || trace.Spans != 1 {
-		t.Fatalf("double End recorded %+v, want 1 span", trace)
+	fr := NewFlightRecorder(FlightConfig{Now: tick()})
+	fr.Record("tx", FlightSubmit, "orig", "n1", -1, "routed")
+	fr.Record("tx", FlightReceived, "n1", "orig", 0, "")
+	fr.Record("tx", FlightReceived, "n2", "n1", 1, "")
+	fr.Record("tx", FlightReceived, "n2", "n3", 1, "")
+	fr.Record("tx", FlightDuplicate, "n2", "n3", 0, "")
+	fr.Record("tx", FlightNodeFinal, "n1", "", 1, "complete contacted=2 responded=2")
+	fr.Record("tx", FlightClose, "n1", "orig", 0, "")
+	trace := fr.Trace("tx")
+	n1 := trace.Roots[0].Children[0]
+	if n1.Attrs["outcome"] != "" || n1.Attrs["complete"] != "true" || n1.Attrs["close"] != "1" {
+		t.Fatalf("n1 = %+v, want closed by its node-final, the late close counted", n1.Attrs)
+	}
+	if len(n1.Children) != 1 || n1.Children[0].Name != "updf.query" {
+		t.Fatalf("n1 children = %+v, want n2's one residency", n1.Children)
+	}
+	n2 := n1.Children[0]
+	if n2.Attrs["outcome"] != "" || n2.Attrs["open"] != "true" {
+		t.Fatalf("n2 = %+v: a duplicate from another sender must not close the residency", n2.Attrs)
+	}
+	// n3 has no residency here, so the leaf of n2's second received hangs
+	// under the root.
+	leaf := find(trace.Roots[0].Children, "updf.received")
+	if leaf == nil || leaf.Attrs["outcome"] != FlightDuplicate {
+		t.Fatalf("second received = %+v, want a duplicate leaf", trace.Roots[0].Children)
 	}
 }
 
-func TestContextPropagation(t *testing.T) {
-	tr := NewTracer(8)
-	ctx, root := tr.Start(context.Background(), "root")
-	_, child := tr.Start(ctx, "child")
-	child.End()
-	root.End()
-	trace := tr.Trace(root.TraceID())
-	if trace == nil || len(trace.Roots) != 1 {
-		t.Fatalf("trace = %+v, want one root", trace)
+// TestTracesEdgeOnly rebuilds a transaction with no submit and no PDP hop
+// — a router's — as one wsda.request root holding every event.
+func TestTracesEdgeOnly(t *testing.T) {
+	fr := NewFlightRecorder(FlightConfig{})
+	fr.Record("hop1", FlightReceived, "router", "", 1, "wsda/xquery")
+	fr.Record("hop1", FlightRouted, "router", "shard0", 1, "scatter=2")
+	fr.Record("hop1", FlightRouted, "router", "shard1", 1, "scatter=2")
+	fr.Record("hop1", FlightStreamItem, "", "", 1, "")
+	fr.Finish("hop1", FlightSummary{Items: 1, Complete: true})
+	trace := fr.Trace("hop1")
+	if trace == nil || len(trace.Roots) != 1 || trace.Spans != 4 {
+		t.Fatalf("trace = %+v, want one root and 4 spans", trace)
 	}
-	r := trace.Roots[0]
-	if r.Name != "root" || len(r.Children) != 1 || r.Children[0].Name != "child" {
-		t.Fatalf("tree = %+v, want root->child", r)
+	root := trace.Roots[0]
+	if root.Name != "wsda.request" || root.Attrs["items"] != "1" || len(root.Children) != 3 {
+		t.Fatalf("root = %+v", root)
 	}
-	if SpanFromContext(context.Background()) != nil {
-		t.Fatal("SpanFromContext on empty ctx should be nil")
+	if root.Children[0].Name != FlightRouted || root.Children[0].Attrs["peer"] != "shard0" {
+		t.Fatalf("first child = %+v, want the routed event naming shard0", root.Children[0])
 	}
 }
 
-func TestTracerConcurrent(t *testing.T) {
-	tr := NewTracer(128)
-	done := make(chan struct{})
+func TestTracesConcurrent(t *testing.T) {
+	fr := NewFlightRecorder(FlightConfig{Capacity: 16})
+	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
+		wg.Add(1)
 		go func(g int) {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < 500; i++ {
-				sp := tr.StartSpanID(tr.NewTraceID(), 0, "op")
-				sp.SetAttr(Int("i", int64(i)))
-				sp.End()
-				_ = tr.Traces(4)
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				tx := fmt.Sprintf("t%d.%d", g, i%20)
+				fr.Record(tx, FlightReceived, fmt.Sprint("n", i%3), fmt.Sprint("n", (i+1)%3), 0, "")
+				_ = fr.Traces(4)
 			}
 		}(g)
 	}
-	for g := 0; g < 8; g++ {
-		<-done
-	}
+	wg.Wait()
 }

@@ -46,9 +46,6 @@ type ClusterConfig struct {
 	BreakerCooldown time.Duration
 	// Metrics, when set, instruments every node (see Config.Metrics).
 	Metrics *telemetry.Metrics
-	// Tracer, when set, records per-node transaction spans (see
-	// Config.Tracer).
-	Tracer *telemetry.Tracer
 	// Flight, when set, records per-transaction lifecycle events on every
 	// node (see Config.Flight).
 	Flight *telemetry.FlightRecorder
@@ -85,7 +82,6 @@ func BuildCluster(g *topology.Graph, cfg ClusterConfig) (*Cluster, error) {
 			BreakerThreshold: cfg.BreakerThreshold,
 			BreakerCooldown:  cfg.BreakerCooldown,
 			Metrics:          cfg.Metrics,
-			Tracer:           cfg.Tracer,
 			Flight:           cfg.Flight,
 			Seed:             int64(i + 1),
 		})

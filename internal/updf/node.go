@@ -81,15 +81,11 @@ type Config struct {
 	// labeled by node address. Nil disables collection.
 	Metrics *telemetry.Metrics
 
-	// Tracer, when set, records one span per transaction residency on
-	// this node, parented under the sending hop's span (carried in
-	// pdp.Message.TraceParent) so a query's full hop tree reconstructs.
-	Tracer *telemetry.Tracer
-
 	// Flight, when set, receives per-transaction lifecycle events
 	// (received, forward, retransmit, breaker trips, partials, finals) so
-	// /debug/query/<tx> can replay exactly what this node did for a query.
-	// Nil disables recording.
+	// /debug/query/<tx> can replay exactly what this node did for a query
+	// and /debug/traces can nest it into the query's hop tree. Nil
+	// disables recording.
 	Flight *telemetry.FlightRecorder
 }
 
@@ -140,9 +136,8 @@ type Node struct {
 	retries, breakerOpens, breakerSkips     atomic.Int64
 	closes                                  atomic.Int64
 
-	// Telemetry handles; nil when Config.Metrics/Tracer/Flight are unset.
+	// Telemetry handles; nil when Config.Metrics/Flight are unset.
 	flight           *telemetry.FlightRecorder
-	tracer           *telemetry.Tracer
 	handleSeconds    *telemetry.Histogram
 	evalSeconds      *telemetry.Histogram
 	loopCheckSeconds *telemetry.Histogram
@@ -183,7 +178,6 @@ func NewNode(cfg Config) (*Node, error) {
 		now:    cfg.Now,
 		states: softstate.New[*txState](cfg.Now),
 		rng:    newLockedRand(seed),
-		tracer: cfg.Tracer,
 		flight: cfg.Flight,
 	}
 	if m := cfg.Metrics; m != nil {
@@ -335,11 +329,6 @@ func (n *Node) handleQuery(m *pdp.Message) {
 	if n.handleSeconds != nil {
 		defer n.handleSeconds.ObserveSince(time.Now())
 	}
-	sp := n.tracer.StartSpanID(m.TxID, m.TraceParent, "updf.query")
-	sp.SetAttr(telemetry.String("node", n.cfg.Addr),
-		telemetry.String("from", m.From),
-		telemetry.Int("hop", int64(m.Hop)),
-		telemetry.Int("radius", int64(m.Scope.Radius)))
 	n.queriesSeen.Add(1)
 	n.flight.Record(m.TxID, telemetry.FlightReceived, n.cfg.Addr, m.From, int64(m.Hop), "")
 	now := n.now()
@@ -349,8 +338,6 @@ func (n *Node) handleQuery(m *pdp.Message) {
 	if !m.Scope.LoopTimeout.IsZero() && now.After(m.Scope.LoopTimeout) {
 		n.droppedExpired.Add(1)
 		n.flight.Record(m.TxID, telemetry.FlightExpired, n.cfg.Addr, m.From, 0, "")
-		sp.SetAttr(telemetry.String("outcome", "dropped-expired"))
-		sp.End()
 		return
 	}
 
@@ -374,7 +361,6 @@ func (n *Node) handleQuery(m *pdp.Message) {
 		pipeline: m.Pipeline,
 		pending:  make(map[string]bool),
 		children: make(map[string]*childState),
-		span:     sp,
 	}
 	ttl := n.cfg.DefaultStateTTL
 	if !m.Scope.LoopTimeout.IsZero() {
@@ -391,8 +377,6 @@ func (n *Node) handleQuery(m *pdp.Message) {
 	if !isNew {
 		n.duplicates.Add(1)
 		n.flight.Record(m.TxID, telemetry.FlightDuplicate, n.cfg.Addr, m.From, 0, "")
-		sp.SetAttr(telemetry.String("outcome", "duplicate"))
-		sp.End()
 		cur.mu.Lock()
 		sameParent := cur.parent == m.From
 		finalOut := cur.finalOut
@@ -405,7 +389,7 @@ func (n *Node) handleQuery(m *pdp.Message) {
 		}
 		n.send(&pdp.Message{
 			Kind: pdp.KindReceipt, TxID: m.TxID, From: n.cfg.Addr, To: m.From,
-			Final: true, Complete: true, TraceParent: sp.ID(),
+			Final: true, Complete: true,
 		})
 		return
 	}
@@ -458,7 +442,7 @@ func (n *Node) handleQuery(m *pdp.Message) {
 				msg: &pdp.Message{
 					Kind: pdp.KindQuery, TxID: m.TxID, From: n.cfg.Addr, To: child,
 					Hop: m.Hop + 1, Query: m.Query, Mode: m.Mode, Origin: m.Origin,
-					Pipeline: m.Pipeline, Scope: childScope, TraceParent: sp.ID(),
+					Pipeline: m.Pipeline, Scope: childScope,
 				},
 				left:     n.cfg.MaxRetries,
 				interval: n.cfg.RetryInterval,
@@ -558,20 +542,9 @@ func (st *txState) childFinalLocked(m *pdp.Message) bool {
 // evalLocal runs the query against the node's own registry and disposes of
 // the local results per the response mode.
 func (n *Node) evalLocal(m *pdp.Message, st *txState) {
+	start := time.Now()
 	if n.evalSeconds != nil {
-		defer n.evalSeconds.ObserveSince(time.Now())
-	}
-	if esp := n.tracer.StartSpan(m.TxID, st.span, "updf.eval"); esp != nil {
-		defer func() {
-			st.mu.Lock()
-			hits, evalErr := st.localHits, st.evalErr
-			st.mu.Unlock()
-			esp.SetAttr(telemetry.Int("hits", int64(hits)))
-			if evalErr != "" {
-				esp.SetAttr(telemetry.String("err", evalErr))
-			}
-			esp.End()
-		}()
+		defer n.evalSeconds.ObserveSince(start)
 	}
 	n.evals.Add(1)
 	opts := n.cfg.QueryOptions
@@ -590,7 +563,7 @@ func (n *Node) evalLocal(m *pdp.Message, st *txState) {
 		if note == "" {
 			note = plan.String()
 		}
-		n.flight.Record(m.TxID, telemetry.FlightEval, n.cfg.Addr, "", int64(hits), note)
+		n.flight.RecordDur(m.TxID, telemetry.FlightEval, n.cfg.Addr, "", int64(hits), note, time.Since(start))
 	}()
 
 	if st.mode == pdp.Routed && st.pipeline {
@@ -608,7 +581,6 @@ func (n *Node) evalLocal(m *pdp.Message, st *txState) {
 			n.send(&pdp.Message{
 				Kind: pdp.KindResult, TxID: m.TxID, From: n.cfg.Addr, To: st.parent,
 				Items: xq.Sequence{it}, HitCount: 1, Source: n.cfg.Addr,
-				TraceParent: st.span.ID(),
 			})
 			return true
 		}
@@ -650,7 +622,6 @@ func (n *Node) evalLocal(m *pdp.Message, st *txState) {
 			n.send(&pdp.Message{
 				Kind: pdp.KindResult, TxID: m.TxID, From: n.cfg.Addr, To: st.origin,
 				Items: seq, HitCount: len(seq), Source: n.cfg.Addr, Final: true,
-				TraceParent: st.span.ID(),
 			})
 		}
 	case pdp.Metadata:
@@ -661,14 +632,14 @@ func (n *Node) evalLocal(m *pdp.Message, st *txState) {
 			// Metadata record: count + source, routed upstream.
 			n.send(&pdp.Message{
 				Kind: pdp.KindResult, TxID: m.TxID, From: n.cfg.Addr, To: st.parent,
-				HitCount: len(seq), Source: n.cfg.Addr, TraceParent: st.span.ID(),
+				HitCount: len(seq), Source: n.cfg.Addr,
 			})
 		}
 	case pdp.Referral:
 		n.send(&pdp.Message{
 			Kind: pdp.KindResult, TxID: m.TxID, From: n.cfg.Addr, To: st.origin,
 			Items: seq, HitCount: len(seq), Source: n.cfg.Addr, Final: true,
-			Neighbors: n.Neighbors(), TraceParent: st.span.ID(),
+			Neighbors:      n.Neighbors(),
 			NodesContacted: 1, NodesResponded: 1, Complete: true,
 		})
 	}
@@ -703,14 +674,9 @@ func (n *Node) handleResult(m *pdp.Message) {
 		}
 		if st.pipeline {
 			if len(m.Items) > 0 {
-				// The relay carries this node's span as its trace parent —
-				// like evalLocal's pipelined send — so relayed items stay
-				// attached to the hop tree instead of surfacing as orphan
-				// roots.
 				relay = &pdp.Message{
 					Kind: pdp.KindResult, TxID: m.TxID, From: n.cfg.Addr, To: st.parent,
 					Items: m.Items, HitCount: len(m.Items), Source: m.Source,
-					TraceParent: st.span.ID(),
 				}
 			}
 		} else {
@@ -721,7 +687,7 @@ func (n *Node) handleResult(m *pdp.Message) {
 		if m.HitCount > 0 && m.Source != "" {
 			relay = &pdp.Message{
 				Kind: pdp.KindResult, TxID: m.TxID, From: n.cfg.Addr, To: st.parent,
-				HitCount: m.HitCount, Source: m.Source, TraceParent: st.span.ID(),
+				HitCount: m.HitCount, Source: m.Source,
 			}
 		}
 	}
@@ -821,10 +787,6 @@ func (n *Node) handleClose(m *pdp.Message) {
 			cs.timer.Stop()
 		}
 	}
-	if st.span != nil {
-		st.span.SetAttr(telemetry.String("outcome", "closed"))
-		st.span.End()
-	}
 	children := make([]string, 0, len(st.pending))
 	for c := range st.pending {
 		children = append(children, c)
@@ -902,17 +864,6 @@ func (n *Node) finalizeLocked(tx string, st *txState, abortErr string) {
 			failed = append(failed, c)
 		}
 	}
-	if st.span != nil {
-		st.span.SetAttr(telemetry.Int("local_hits", int64(st.localHits)),
-			telemetry.Int("subtree_hits", int64(st.subtreeHits)),
-			telemetry.Int("nodes_contacted", int64(contacted)),
-			telemetry.Int("nodes_responded", int64(responded)),
-			telemetry.Bool("complete", complete))
-		if abortErr != "" {
-			st.span.SetAttr(telemetry.String("outcome", abortErr))
-		}
-		st.span.End()
-	}
 	errStr := st.evalErr
 	if abortErr != "" {
 		if errStr != "" {
@@ -926,7 +877,7 @@ func (n *Node) finalizeLocked(tx string, st *txState, abortErr string) {
 		out = &pdp.Message{
 			Kind: pdp.KindResult, TxID: tx, From: n.cfg.Addr, To: st.parent,
 			Items: st.buffered, HitCount: st.subtreeHits, Final: true,
-			Source: n.cfg.Addr, Err: errStr, TraceParent: st.span.ID(),
+			Source: n.cfg.Addr, Err: errStr,
 			NodesContacted: contacted, NodesResponded: responded, Complete: complete,
 		}
 		st.buffered = nil
@@ -934,7 +885,6 @@ func (n *Node) finalizeLocked(tx string, st *txState, abortErr string) {
 		out = &pdp.Message{
 			Kind: pdp.KindReceipt, TxID: tx, From: n.cfg.Addr, To: st.parent,
 			HitCount: st.subtreeHits, Final: true, Err: errStr,
-			TraceParent:    st.span.ID(),
 			NodesContacted: contacted, NodesResponded: responded, Complete: complete,
 		}
 	case pdp.Referral:
@@ -949,6 +899,9 @@ func (n *Node) finalizeLocked(tx string, st *txState, abortErr string) {
 	}
 	if abortErr != "" {
 		note += "," + abortErr
+	}
+	if n.flight != nil {
+		note += fmt.Sprintf(" contacted=%d responded=%d", contacted, responded)
 	}
 	n.flight.Record(tx, telemetry.FlightNodeFinal, n.cfg.Addr, "", int64(subtreeHits), note)
 	if out != nil {

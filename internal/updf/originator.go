@@ -119,7 +119,6 @@ type Originator struct {
 	seq atomic.Int64
 
 	// Telemetry handles; nil until SetTelemetry/SetFlight/SetSLO.
-	tracer        *telemetry.Tracer
 	flight        *telemetry.FlightRecorder
 	slo           *telemetry.SLO
 	submitSeconds *telemetry.Histogram
@@ -139,12 +138,10 @@ func NewOriginator(addr string, net pdp.Network, now func() time.Time) (*Origina
 	return o, nil
 }
 
-// SetTelemetry wires metrics and tracing into the originator: a span per
-// submission (traced under the query's transaction ID, so it roots the
-// network hop tree) plus end-to-end and time-to-first-item histograms.
-// Call it during setup; nil arguments disable the respective facility.
-func (o *Originator) SetTelemetry(m *telemetry.Metrics, tr *telemetry.Tracer) {
-	o.tracer = tr
+// SetTelemetry wires metrics into the originator: end-to-end,
+// time-to-first-item and completeness histograms per submission. Call it
+// during setup; nil disables them.
+func (o *Originator) SetTelemetry(m *telemetry.Metrics) {
 	if m != nil {
 		o.submitSeconds = m.HistogramVec("wsda_updf_submit_seconds",
 			"End-to-end latency of network query submissions.", nil, "originator").With(o.addr)
@@ -215,29 +212,11 @@ func (o *Originator) Submit(spec QuerySpec) (*ResultSet, error) {
 	if s.Mode == pdp.Referral {
 		return o.submitReferral(s)
 	}
-	tx := o.newTx()
-	if s.OnTx != nil {
-		s.OnTx(tx)
-	}
-	ch := make(chan *pdp.Message, 4096)
-	o.mu.Lock()
-	o.pending[tx] = ch
-	o.mu.Unlock()
-	defer func() {
-		o.mu.Lock()
-		delete(o.pending, tx)
-		o.mu.Unlock()
-	}()
-
-	start := o.now()
-	loopDeadline := start.Add(s.LoopTimeout)
-	abortDeadline := start.Add(s.AbortTimeout)
-	o.flight.Record(tx, telemetry.FlightSubmit, o.addr, s.Entry, int64(s.Radius), s.Mode.String())
-	sp := o.tracer.StartSpan(tx, nil, "updf.submit")
-	sp.SetAttr(telemetry.String("originator", o.addr),
-		telemetry.String("entry", s.Entry),
-		telemetry.String("mode", s.Mode.String()),
-		telemetry.Int("radius", int64(s.Radius)))
+	c := o.begin(s)
+	defer o.listen(c.tx, nil)
+	tx, ch, rs := c.tx, c.ch, c.rs
+	loopDeadline := c.start.Add(s.LoopTimeout)
+	abortDeadline := c.start.Add(s.AbortTimeout)
 	queryMsg := &pdp.Message{
 		Kind: pdp.KindQuery, TxID: tx, From: o.addr, To: s.Entry,
 		Query: s.Query, Mode: s.Mode, Origin: o.addr, Pipeline: s.Pipeline,
@@ -245,55 +224,11 @@ func (o *Originator) Submit(spec QuerySpec) (*ResultSet, error) {
 			Radius: s.Radius, LoopTimeout: loopDeadline, AbortTimeout: abortDeadline,
 			Policy: s.Policy, Fanout: s.Fanout,
 		},
-		TraceParent: sp.ID(),
 	}
 	if err := o.net.Send(queryMsg); err != nil {
-		sp.SetAttr(telemetry.String("err", err.Error()))
-		sp.End()
 		return nil, fmt.Errorf("updf: submit to %s: %w", s.Entry, err)
 	}
 
-	rs := &ResultSet{TxID: tx, Sources: make(map[string]int)}
-	// Metadata mode: a fetch that errs (state expired) or delivers fewer
-	// items than its record promised means items are provably missing —
-	// the entry receipt's Complete verdict must not survive that.
-	fetchShortfall := false
-	finish := func() {
-		if fetchShortfall {
-			rs.Complete = false
-		}
-		o.submitSeconds.ObserveDuration(rs.Elapsed)
-		if rs.TimeToFirst > 0 {
-			o.firstSeconds.ObserveDuration(rs.TimeToFirst)
-		}
-		if o.completeness != nil {
-			o.completeness.Observe(rs.Completeness())
-		}
-		o.flight.Finish(tx, telemetry.FlightSummary{
-			FirstItem: rs.TimeToFirst, Elapsed: rs.Elapsed, Items: len(rs.Items),
-			Complete: rs.Complete, Aborted: rs.Aborted,
-			NodesContacted: rs.NodesContacted, NodesResponded: rs.NodesResponded,
-			Err: strings.Join(rs.Errs, "; "),
-		})
-		if o.slo != nil {
-			// A query with no items is scored on its total elapsed time:
-			// fast empty completions pass, slow or aborted ones burn budget.
-			d := rs.TimeToFirst
-			if d == 0 {
-				d = rs.Elapsed
-			}
-			o.slo.ObserveFirstItem(d)
-			o.slo.ObserveCompleteness(rs.Completeness())
-		}
-		if sp != nil {
-			sp.SetAttr(telemetry.Int("items", int64(len(rs.Items))),
-				telemetry.Bool("aborted", rs.Aborted),
-				telemetry.Int("nodes_contacted", int64(rs.NodesContacted)),
-				telemetry.Int("nodes_responded", int64(rs.NodesResponded)),
-				telemetry.Bool("complete", rs.Complete))
-			sp.End()
-		}
-	}
 	// The originator grants itself a grace period beyond the entry node's
 	// abort deadline so finals emitted exactly at the deadline can arrive.
 	timer := time.NewTimer(s.AbortTimeout + s.AbortTimeout/2 + 50*time.Millisecond)
@@ -322,25 +257,6 @@ func (o *Originator) Submit(spec QuerySpec) (*ResultSet, error) {
 	fetchesPending := map[string]bool{} // Metadata mode: outstanding fetches
 	metaRecords := map[string]int{}     // Metadata mode: source -> hits
 	metaHits := 0                       // Metadata mode: hits accounted for by records
-
-	addItems := func(items xq.Sequence, source string) bool {
-		for _, it := range items {
-			if len(rs.Items) == 0 {
-				rs.TimeToFirst = o.now().Sub(start)
-				o.flight.Record(tx, telemetry.FlightFirstItem, o.addr, source, 1, "")
-			} else {
-				o.flight.Record(tx, telemetry.FlightItem, o.addr, source, int64(len(rs.Items)+1), "")
-			}
-			rs.Items = append(rs.Items, it)
-			if source != "" {
-				rs.Sources[source]++
-			}
-			if s.OnItem != nil && !s.OnItem(it, source) {
-				return false
-			}
-		}
-		return true
-	}
 
 	done := func() bool {
 		if !entryFinal {
@@ -393,19 +309,20 @@ func (o *Originator) Submit(spec QuerySpec) (*ResultSet, error) {
 						// Counting its items again would corrupt the result.
 						continue
 					}
-					if !addItems(m.Items, m.Source) {
+					if !c.add(m.Items, m.Source) {
 						closeTx()
 						rs.Complete = false // cancelled by the consumer
-						rs.Elapsed = o.now().Sub(start)
-						finish()
-						return rs, nil
+						rs.NodesVisited = len(rs.Sources)
+						return c.finish(), nil
 					}
 					if m.Final {
 						switch {
 						case s.Mode == pdp.Metadata:
 							delete(fetchesPending, m.Source)
 							if promised := metaRecords[m.Source]; m.Err != "" || len(m.Items) < promised {
-								fetchShortfall = true
+								// Items are provably missing: the entry
+								// receipt's Complete verdict must not survive.
+								c.shortfall = true
 								rs.Errs = append(rs.Errs, fmt.Sprintf(
 									"%s: fetch delivered %d of %d promised items",
 									m.Source, len(m.Items), promised))
@@ -446,85 +363,34 @@ func (o *Originator) Submit(spec QuerySpec) (*ResultSet, error) {
 			// to the abort deadline.
 			closeTx()
 			rs.Complete = false
-			rs.Elapsed = o.now().Sub(start)
 			rs.NodesVisited = len(rs.Sources)
-			finish()
-			return rs, nil
+			return c.finish(), nil
 		case <-timer.C:
 			rs.Aborted = true
 			rs.Complete = false
 			closeTx()
-			rs.Elapsed = o.now().Sub(start)
 			rs.NodesVisited = len(rs.Sources)
-			finish()
-			return rs, nil
+			return c.finish(), nil
 		}
 	}
-	rs.Elapsed = o.now().Sub(start)
 	rs.NodesVisited = len(rs.Sources)
-	finish()
-	return rs, nil
+	return c.finish(), nil
 }
 
 // submitReferral drives the referral response mode: the originator itself
 // expands the topology, querying one node at a time and following the
 // neighbor links returned with each answer (thesis Ch. 6.4).
 func (o *Originator) submitReferral(s QuerySpec) (*ResultSet, error) {
-	tx := o.newTx()
-	if s.OnTx != nil {
-		s.OnTx(tx)
-	}
-	o.flight.Record(tx, telemetry.FlightSubmit, o.addr, s.Entry, int64(s.Radius), "referral")
-	ch := make(chan *pdp.Message, 4096)
-	o.mu.Lock()
-	o.pending[tx] = ch
-	o.mu.Unlock()
-	defer func() {
-		o.mu.Lock()
-		delete(o.pending, tx)
-		o.mu.Unlock()
-	}()
-
-	start := o.now()
-	loopDeadline := start.Add(s.LoopTimeout)
+	c := o.begin(s)
+	defer o.listen(c.tx, nil)
+	tx, ch, rs := c.tx, c.ch, c.rs
+	loopDeadline := c.start.Add(s.LoopTimeout)
 	deadline := time.NewTimer(s.AbortTimeout)
 	defer deadline.Stop()
 
-	rs := &ResultSet{TxID: tx, Sources: make(map[string]int)}
 	visited := map[string]bool{}
 	depth := map[string]int{}
 	outstanding := 0
-
-	sp := o.tracer.StartSpan(tx, nil, "updf.submit")
-	sp.SetAttr(telemetry.String("originator", o.addr),
-		telemetry.String("entry", s.Entry),
-		telemetry.String("mode", "referral"),
-		telemetry.Int("radius", int64(s.Radius)))
-	finish := func() {
-		o.submitSeconds.ObserveDuration(rs.Elapsed)
-		if rs.TimeToFirst > 0 {
-			o.firstSeconds.ObserveDuration(rs.TimeToFirst)
-		}
-		o.flight.Finish(tx, telemetry.FlightSummary{
-			FirstItem: rs.TimeToFirst, Elapsed: rs.Elapsed, Items: len(rs.Items),
-			Complete: rs.Complete, Aborted: rs.Aborted,
-			NodesContacted: rs.NodesContacted, NodesResponded: rs.NodesResponded,
-			Err: strings.Join(rs.Errs, "; "),
-		})
-		if o.slo != nil {
-			d := rs.TimeToFirst
-			if d == 0 {
-				d = rs.Elapsed
-			}
-			o.slo.ObserveFirstItem(d)
-			o.slo.ObserveCompleteness(rs.Completeness())
-		}
-		if sp != nil {
-			sp.SetAttr(telemetry.Int("items", int64(len(rs.Items))),
-				telemetry.Bool("aborted", rs.Aborted))
-			sp.End()
-		}
-	}
 
 	ask := func(addr string) {
 		visited[addr] = true
@@ -534,14 +400,11 @@ func (o *Originator) submitReferral(s QuerySpec) (*ResultSet, error) {
 		_ = o.net.Send(&pdp.Message{
 			Kind: pdp.KindQuery, TxID: tx + "@" + addr, From: o.addr, To: addr,
 			Query: s.Query, Mode: pdp.Referral, Origin: o.addr,
-			Scope:       pdp.Scope{Radius: 0, LoopTimeout: loopDeadline},
-			TraceParent: sp.ID(),
+			Scope: pdp.Scope{Radius: 0, LoopTimeout: loopDeadline},
 		})
 	}
-	// Register the per-node transaction IDs as they share the tx prefix:
-	// the originator dispatches on exact TxID, so register a catch-all by
-	// rewriting incoming IDs is not possible — instead nodes answer with
-	// the per-node ID, which we register eagerly below.
+	// Replies are dispatched on their exact TxID, so each per-node ID is
+	// routed to the submission's channel before its query goes out.
 	askAll := func(addrs []string, d int) {
 		for _, a := range addrs {
 			if visited[a] {
@@ -551,18 +414,14 @@ func (o *Originator) submitReferral(s QuerySpec) (*ResultSet, error) {
 				continue
 			}
 			depth[a] = d
-			o.mu.Lock()
-			o.pending[tx+"@"+a] = ch
-			o.mu.Unlock()
+			o.listen(tx+"@"+a, ch)
 			ask(a)
 		}
 	}
 	defer func() {
-		o.mu.Lock()
 		for a := range visited {
-			delete(o.pending, tx+"@"+a)
+			o.listen(tx+"@"+a, nil)
 		}
-		o.mu.Unlock()
 	}()
 
 	askAll([]string{s.Entry}, 0)
@@ -577,17 +436,8 @@ func (o *Originator) submitReferral(s QuerySpec) (*ResultSet, error) {
 			if m.Err != "" {
 				rs.Errs = append(rs.Errs, m.From+": "+m.Err)
 			}
-			for _, it := range m.Items {
-				if len(rs.Items) == 0 {
-					rs.TimeToFirst = o.now().Sub(start)
-				}
-				rs.Items = append(rs.Items, it)
-				rs.Sources[m.Source]++
-				if s.OnItem != nil && !s.OnItem(it, m.Source) {
-					rs.Elapsed = o.now().Sub(start)
-					finish()
-					return rs, nil
-				}
+			if !c.add(m.Items, m.Source) {
+				return c.finish(), nil
 			}
 			askAll(m.Neighbors, depth[m.From]+1)
 		case <-s.Cancel:
@@ -596,17 +446,13 @@ func (o *Originator) submitReferral(s QuerySpec) (*ResultSet, error) {
 			rs.NodesContacted = len(visited)
 			rs.NodesResponded = rs.NodesVisited
 			rs.Complete = false
-			rs.Elapsed = o.now().Sub(start)
-			finish()
-			return rs, nil
+			return c.finish(), nil
 		case <-deadline.C:
 			rs.Aborted = true
 			rs.NodesContacted = len(visited)
 			rs.NodesResponded = rs.NodesVisited
 			rs.Complete = false
-			rs.Elapsed = o.now().Sub(start)
-			finish()
-			return rs, nil
+			return c.finish(), nil
 		}
 	}
 	// Every node the originator asked has answered: referral expansion has
@@ -614,7 +460,99 @@ func (o *Originator) submitReferral(s QuerySpec) (*ResultSet, error) {
 	rs.NodesContacted = len(visited)
 	rs.NodesResponded = rs.NodesVisited
 	rs.Complete = true
-	rs.Elapsed = o.now().Sub(start)
-	finish()
-	return rs, nil
+	return c.finish(), nil
+}
+
+// collector is one submission's result collection, the same for every
+// response mode: it appends items as they arrive and closes the
+// submission's accounting once.
+type collector struct {
+	o      *Originator
+	tx     string
+	ch     chan *pdp.Message // the submission's replies
+	start  time.Time
+	onItem func(item xq.Item, source string) bool
+	rs     *ResultSet
+	// shortfall forces Complete false at finish: a Metadata fetch erred or
+	// delivered fewer items than its record promised.
+	shortfall bool
+}
+
+// begin mints a submission's transaction, routes its replies to the
+// collector's channel, records the submit and starts the clock.
+func (o *Originator) begin(s QuerySpec) *collector {
+	c := &collector{o: o, tx: o.newTx(), ch: make(chan *pdp.Message, 4096), onItem: s.OnItem}
+	if s.OnTx != nil {
+		s.OnTx(c.tx)
+	}
+	o.listen(c.tx, c.ch)
+	c.start = o.now()
+	c.rs = &ResultSet{TxID: c.tx, Sources: make(map[string]int)}
+	o.flight.Record(c.tx, telemetry.FlightSubmit, o.addr, s.Entry, int64(s.Radius), s.Mode.String())
+	return c
+}
+
+// listen routes replies carrying tx to ch; a nil ch stops routing them.
+func (o *Originator) listen(tx string, ch chan *pdp.Message) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if ch == nil {
+		delete(o.pending, tx)
+	} else {
+		o.pending[tx] = ch
+	}
+}
+
+// add appends items from source, recording first-item and item flight
+// events and streaming each to OnItem; false means OnItem asked to stop.
+func (c *collector) add(items xq.Sequence, source string) bool {
+	rs := c.rs
+	for _, it := range items {
+		if len(rs.Items) == 0 {
+			rs.TimeToFirst = c.o.now().Sub(c.start)
+			c.o.flight.Record(c.tx, telemetry.FlightFirstItem, c.o.addr, source, 1, "")
+		} else {
+			c.o.flight.Record(c.tx, telemetry.FlightItem, c.o.addr, source, int64(len(rs.Items)+1), "")
+		}
+		rs.Items = append(rs.Items, it)
+		if source != "" {
+			rs.Sources[source]++
+		}
+		if c.onItem != nil && !c.onItem(it, source) {
+			return false
+		}
+	}
+	return true
+}
+
+// finish stamps the elapsed time and feeds every submission's accounting:
+// the latency and completeness histograms, the flight summary and the SLO.
+func (c *collector) finish() *ResultSet {
+	o, rs := c.o, c.rs
+	rs.Elapsed = o.now().Sub(c.start)
+	if c.shortfall {
+		rs.Complete = false
+	}
+	o.submitSeconds.ObserveDuration(rs.Elapsed)
+	if rs.TimeToFirst > 0 {
+		o.firstSeconds.ObserveDuration(rs.TimeToFirst)
+	}
+	o.completeness.Observe(rs.Completeness())
+	o.flight.Finish(c.tx, telemetry.FlightSummary{
+		FirstItem: rs.TimeToFirst, Elapsed: rs.Elapsed, Items: len(rs.Items),
+		Complete: rs.Complete, Aborted: rs.Aborted,
+		NodesContacted: rs.NodesContacted, NodesResponded: rs.NodesResponded,
+		Err: strings.Join(rs.Errs, "; "),
+	})
+	if o.slo != nil {
+		// A query with no items is scored on its total elapsed time: fast
+		// empty completions pass, slow or aborted ones burn budget.
+		d := rs.TimeToFirst
+		if d == 0 {
+			d = rs.Elapsed
+		}
+		o.slo.ObserveFirstItem(d)
+		o.slo.ObserveCompleteness(rs.Completeness())
+	}
+	return rs
 }

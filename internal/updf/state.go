@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"wsda/internal/pdp"
-	"wsda/internal/telemetry"
 	"wsda/internal/xq"
 )
 
@@ -64,10 +63,6 @@ type txState struct {
 	aborted   bool
 	timer     *time.Timer // dynamic abort timer
 	evalErr   string
-
-	// span covers this transaction's residency on the node, from query
-	// arrival to the final upstream message. Nil when tracing is off.
-	span *telemetry.Span
 }
 
 // childState is the per-child retransmission record: the exact query

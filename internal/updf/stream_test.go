@@ -1,7 +1,6 @@
 package updf
 
 import (
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,13 +12,10 @@ import (
 	"time"
 
 	"wsda/internal/pdp"
-	"wsda/internal/registry"
 	"wsda/internal/simnet"
 	"wsda/internal/telemetry"
 	"wsda/internal/topology"
-	"wsda/internal/tuple"
 	"wsda/internal/wsda"
-	"wsda/internal/xmldoc"
 	"wsda/internal/xq"
 )
 
@@ -206,52 +202,6 @@ func TestFetchAnsweredOnlyToRecordedOrigin(t *testing.T) {
 	}, "fetch answer redirected to the recorded origin")
 	if got := len(attacker.all()); got != 0 {
 		t.Fatalf("attacker received %d messages, want 0 (answer must go to the recorded origin)", got)
-	}
-}
-
-// Relayed pipelined results must stay attached to the hop tree: every
-// net.hop event parents under a real span, so the reconstructed trace has
-// exactly one root (the originator's submit span).
-func TestRelayedResultsCarryTraceParent(t *testing.T) {
-	tr := telemetry.NewTracer(256)
-	net := simnet.New(simnet.Config{Tracer: tr})
-	defer net.Close()
-	c, err := BuildCluster(topology.Line(3), ClusterConfig{
-		Net: net, Tracer: tr, AbortFloor: time.Millisecond,
-		RegistryFor: func(i int) *registry.Registry {
-			r := registry.New(registry.Config{Name: fmt.Sprintf("reg%d", i)})
-			content := xmldoc.MustParse(fmt.Sprintf(`<service name="svc%d"/>`, i)).DocumentElement().Clone()
-			if _, err := r.Publish(&tuple.Tuple{
-				Link: fmt.Sprintf("http://svc%d", i), Type: tuple.TypeService, Content: content,
-			}, time.Hour); err != nil {
-				t.Fatalf("publish: %v", err)
-			}
-			return r
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	o, err := NewOriginator("orig", net, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer o.Close()
-	o.SetTelemetry(nil, tr)
-
-	rs := submit(t, o, QuerySpec{Query: allNames, Entry: "node/0", Mode: pdp.Routed, Radius: -1, Pipeline: true})
-	if rs.Aborted {
-		t.Fatal("aborted")
-	}
-	// Trailing hop events race with Submit returning; give them a moment.
-	time.Sleep(50 * time.Millisecond)
-	ti := tr.Trace(rs.TxID)
-	if ti == nil {
-		t.Fatal("no trace recorded")
-	}
-	if len(ti.Roots) != 1 {
-		t.Fatalf("trace has %d roots, want 1 (relayed results detached from the hop tree)", len(ti.Roots))
 	}
 }
 

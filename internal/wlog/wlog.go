@@ -2,8 +2,8 @@
 // configuration shim over the standard library's log/slog that gives every
 // daemon and CLI the same three knobs — level, per-component level
 // overrides, and output format — plus the correlation attributes (tx,
-// trace, component) that tie a log line back to a flight recording or a
-// span tree.
+// component) that tie a log line back to a flight recording and the hop
+// tree /debug/traces rebuilds from it.
 //
 // The default "text" format deliberately mimics the classic log.Printf
 // look ("2006/01/02 15:04:05 message key=value"), so flipping a daemon
@@ -32,12 +32,8 @@ import (
 const AttrComponent = "component"
 
 // AttrTx is the attribute key carrying a transaction ID, correlating a
-// log line with /debug/query/<tx>.
+// log line with /debug/query/<tx> and /debug/traces?trace=<tx>.
 const AttrTx = "tx"
-
-// AttrTrace is the attribute key carrying a trace ID, correlating a log
-// line with /debug/traces.
-const AttrTrace = "trace"
 
 // AttrTenant is the attribute key naming the authenticated tenant a log
 // line concerns, correlating it with the wsda_tenant_* metric families.

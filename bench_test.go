@@ -303,9 +303,10 @@ func BenchmarkViewQueryQ7(b *testing.B) {
 
 // BenchmarkViewQueryQ7Churn is BenchmarkViewQueryQ7 with one Publish (a
 // refresh of one tuple) before each query: every Q7 finds a new store
-// generation, advances the tuple set and fills the new set's memo from
-// cold, where the warm benchmark reads the node list and index an earlier
-// Q7 left there. cmd/benchguard holds it to Q7's per-tuple budget.
+// generation and advances the tuple set, and the advance carries the node
+// list and index the last Q7 read to the new set's memo, walking only the
+// refreshed member. cmd/benchguard holds it to Q7's per-tuple budget and
+// its time to 1.6 times warm Q7's.
 func BenchmarkViewQueryQ7Churn(b *testing.B) {
 	reg := benchRegistry(b, 1000)
 	refresh := workload.NewGen(1).Tuple(0)
@@ -314,6 +315,30 @@ func BenchmarkViewQueryQ7Churn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := reg.Publish(refresh, time.Hour); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := reg.QueryCompiled(q, registry.QueryOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkViewQueryQ7Shift is BenchmarkViewQueryQ7 with an Unpublish and
+// the Publish of a new link before each query, alternating two tuples:
+// every Q7 finds a new store generation in which the members between the
+// two links sit one position off where the last one had them, so the
+// memo's carry moves index positions, where Q7Churn replaces one member
+// in place. cmd/benchguard holds both to Q7's time.
+func BenchmarkViewQueryQ7Shift(b *testing.B) {
+	reg := benchRegistry(b, 1000)
+	gen := workload.NewGen(1)
+	pair := [2]*tuple.Tuple{gen.Tuple(0), gen.Tuple(1000)}
+	q := xq.MustCompile(workload.CanonicalQueries[6].XQ)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reg.Unpublish(pair[i%2].Link)
+		if _, err := reg.Publish(pair[(i+1)%2], time.Hour); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := reg.QueryCompiled(q, registry.QueryOptions{}); err != nil {

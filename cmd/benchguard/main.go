@@ -16,7 +16,7 @@
 //     per-item ns and allocs over a canned 334-item stream are recorded
 //     alongside for trend tracking.
 //   - xq suite (BenchmarkPlannedQuery{Cold,Warm,ScanPage}, BenchmarkPlanFallback,
-//     BenchmarkViewQueryQ{7,7Churn,8,9}, BenchmarkXQEval{Simple,Medium,Complex},
+//     BenchmarkViewQueryQ{7,7Churn,7Shift,8,9}, BenchmarkXQEval{Simple,Medium,Complex},
 //     BenchmarkRegistryMinQueryPrefix, BenchmarkLexer -> BENCH_xq.json):
 //     the pushdown planner must answer an
 //     index-hit discovery query at least 10x faster than the view-fallback
@@ -30,8 +30,12 @@
 //     paths as fused walks, so it may allocate at most 10 times per tuple;
 //     warm, it reads its source from the pinned tuple set's memo and may
 //     allocate no more than the 2 240 times it did before the memo, and
-//     with a Publish before every query (BenchmarkViewQueryQ7Churn: a
-//     cold memo each time) it stays inside the 10 per tuple.
+//     with a Publish before every query (BenchmarkViewQueryQ7Churn) it
+//     stays inside the 10 per tuple. Churned, and with an Unpublish and a
+//     new link before every query (BenchmarkViewQueryQ7Shift), the advance
+//     carries the memo and walks only the changed members, so both must
+//     run within 1.6 times warm Q7's ns/op in the same run. This suite runs
+//     each benchmark three times and records the median run.
 //     Canonical Q8 (grouping) and Q9 (a join) guard set-at-a-time FLWOR the
 //     same way: 12 and 40 allocations per tuple, where re-walking the tuple
 //     set per group or per pair took 61 and 214. A first page of one
@@ -68,12 +72,14 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"os"
 	"os/exec"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -168,6 +174,8 @@ type plannerGuard struct {
 	Q7AllocsPerOp    int64   `json:"q7_allocs_per_op"`
 	Q7ChurnNsPerOp   float64 `json:"q7_churn_ns_per_op"`
 	Q7ChurnAllocs    int64   `json:"q7_churn_allocs_per_op"`
+	Q7ShiftNsPerOp   float64 `json:"q7_shift_ns_per_op"`
+	Q7ShiftAllocs    int64   `json:"q7_shift_allocs_per_op"`
 	Q8NsPerOp        float64 `json:"q8_ns_per_op"`
 	Q8AllocsPerOp    int64   `json:"q8_allocs_per_op"`
 	Q9NsPerOp        float64 `json:"q9_ns_per_op"`
@@ -195,6 +203,15 @@ const (
 // the pinned tuple set's memo: what it allocated when every Q7 walked the
 // set, so reading the memo can never cost allocations.
 const q7WarmMaxAllocsPerOp = 2_240
+
+// q7CarryMaxRatio bounds churned Q7 (BenchmarkViewQueryQ7Churn: a refresh
+// before every query) and shifted Q7 (BenchmarkViewQueryQ7Shift: an
+// unpublish and a new link, so member positions move) against warm Q7 in
+// the same run, by time: the advance carries the last generation's node
+// list and index and walks only the changed members, where a cold build
+// over the set took 3.0 times warm. Allocations cannot tell the two
+// apart: churned Q7 allocates about 360 more than warm either way.
+const q7CarryMaxRatio = 1.6
 
 // scanPageMaxBytesPerOp and minQueryPrefixMaxBytesPerOp are the ceilings on
 // BenchmarkPlannedQueryScanPage (a first page of one) and
@@ -256,6 +273,11 @@ type suite struct {
 	name    string
 	pattern string
 	out     string
+	// count runs each benchmark that many times (0: once) and records, of
+	// each benchmark's runs, the one with the median ns/op: a guard on a
+	// ratio of two times needs more than one sample of each on a shared
+	// host.
+	count int
 	// finish fills the suite's guard section from the parsed results and
 	// returns pass plus a one-line human summary.
 	finish func(rep *report, budget int64) (bool, string)
@@ -322,6 +344,7 @@ var suites = []suite{
 		name:    "xq",
 		pattern: "Benchmark(PlannedQuery|PlanFallback|Lexer|ViewQueryQ[789]|XQEval|RegistryMinQueryPrefix)",
 		out:     "BENCH_xq.json",
+		count:   3,
 		finish: func(rep *report, budget int64) (bool, string) {
 			pg := &plannerGuard{}
 			for _, r := range rep.Benchmarks {
@@ -342,6 +365,9 @@ var suites = []suite{
 				case "BenchmarkViewQueryQ7Churn":
 					pg.Q7ChurnNsPerOp = r.NsPerOp
 					pg.Q7ChurnAllocs = r.AllocsPerOp
+				case "BenchmarkViewQueryQ7Shift":
+					pg.Q7ShiftNsPerOp = r.NsPerOp
+					pg.Q7ShiftAllocs = r.AllocsPerOp
 				case "BenchmarkViewQueryQ8":
 					pg.Q8NsPerOp = r.NsPerOp
 					pg.Q8AllocsPerOp = r.AllocsPerOp
@@ -360,26 +386,30 @@ var suites = []suite{
 				pg.Speedup = pg.FallbackNsPerOp / pg.ColdNsPerOp
 			}
 			rep.Planner = pg
-			// Four guards: planner-vs-fallback speedup and the warm
+			// Five guards: planner-vs-fallback speedup and the warm
 			// allocation budget (either regression defeats the point of
 			// the planner), the interpreter's allocations per tuple on a
 			// predicated path (Q7, warm and churned), a grouping (Q8) and
-			// a join (Q9), and
+			// a join (Q9), churned and shifted Q7's time against warm
+			// Q7's (the memo's carry), and
 			// the bytes of a first page and a one-link MinQuery.
 			within := func(allocs, ceiling int64) bool { return allocs > 0 && allocs <= ceiling }
 			ranWithin := func(ns float64, bytes, ceiling int64) bool { return ns > 0 && bytes <= ceiling }
+			carried := func(ns float64) bool { return ns > 0 && ns <= q7CarryMaxRatio*pg.Q7NsPerOp }
 			pass := pg.Speedup >= 10 && pg.WarmAllocsPerOp <= budget &&
 				within(pg.Q7AllocsPerOp, q7WarmMaxAllocsPerOp) &&
 				within(pg.Q7ChurnAllocs, q7MaxAllocsPerOp) &&
+				carried(pg.Q7ChurnNsPerOp) && carried(pg.Q7ShiftNsPerOp) &&
 				within(pg.Q8AllocsPerOp, q8MaxAllocsPerOp) &&
 				within(pg.Q9AllocsPerOp, q9MaxAllocsPerOp) &&
 				ranWithin(pg.ScanPageNsPerOp, pg.ScanPageBytesPerOp, scanPageMaxBytesPerOp) &&
 				ranWithin(pg.MinQueryPrefixNsPerOp, pg.MinQueryPrefixBytesPerOp, minQueryPrefixMaxBytesPerOp)
 			return pass, fmt.Sprintf(
 				"speedup %.0fx (min 10x), warm allocs/op %d, budget %d, allocs/op Q7 %d (max %d), Q7 churned %d (max %d), Q8 %d (max %d), Q9 %d (max %d), "+
-					"B/op scan page %d (max %d), minquery prefix %d (max %d)",
+					"Q7 churned %.2fx and shifted %.2fx warm's ns/op (max %.1fx), B/op scan page %d (max %d), minquery prefix %d (max %d)",
 				pg.Speedup, pg.WarmAllocsPerOp, budget, pg.Q7AllocsPerOp, q7WarmMaxAllocsPerOp, pg.Q7ChurnAllocs, q7MaxAllocsPerOp,
 				pg.Q8AllocsPerOp, q8MaxAllocsPerOp, pg.Q9AllocsPerOp, q9MaxAllocsPerOp,
+				pg.Q7ChurnNsPerOp/pg.Q7NsPerOp, pg.Q7ShiftNsPerOp/pg.Q7NsPerOp, q7CarryMaxRatio,
 				pg.ScanPageBytesPerOp, scanPageMaxBytesPerOp, pg.MinQueryPrefixBytesPerOp, minQueryPrefixMaxBytesPerOp)
 		},
 	},
@@ -514,7 +544,7 @@ func main() {
 // suite runs and gets its report written.
 func runSuite(s suite, budget int64) bool {
 	cmd := exec.Command("go", "test", "-run", "^$",
-		"-bench", s.pattern, "-benchmem", "-count", "1", ".")
+		"-bench", s.pattern, "-benchmem", "-count", strconv.Itoa(max(s.count, 1)), ".")
 	cmd.Stderr = os.Stderr
 	raw, err := cmd.Output()
 	if err != nil {
@@ -533,6 +563,7 @@ func runSuite(s suite, budget int64) bool {
 		fmt.Fprintf(os.Stderr, "benchguard: %s: no benchmark results parsed\n", s.name)
 		return false
 	}
+	rep.Benchmarks = medianRuns(rep.Benchmarks)
 	pass, summary := s.finish(&rep, budget)
 	rep.Pass = pass
 
@@ -550,6 +581,25 @@ func runSuite(s suite, budget int64) bool {
 		fmt.Fprintf(os.Stderr, "benchguard: FAIL: suite %s over budget (%s)\n", s.name, summary)
 	}
 	return pass
+}
+
+// medianRuns keeps, of each benchmark's runs, the one with the median
+// ns/op, in the order the benchmarks first ran.
+func medianRuns(rs []benchResult) []benchResult {
+	runs := map[string][]benchResult{}
+	var out []benchResult
+	for _, r := range rs {
+		if runs[r.Name] == nil {
+			out = append(out, r)
+		}
+		runs[r.Name] = append(runs[r.Name], r)
+	}
+	for i, r := range out {
+		byNs := runs[r.Name]
+		slices.SortFunc(byNs, func(a, b benchResult) int { return cmp.Compare(a.NsPerOp, b.NsPerOp) })
+		out[i] = byNs[len(byNs)/2]
+	}
+	return out
 }
 
 // baseName strips the -GOMAXPROCS suffix from a benchmark name.

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"wsda/internal/changefeed"
 	"wsda/internal/pdp"
 	"wsda/internal/registry"
 	"wsda/internal/shard"
@@ -19,8 +20,10 @@ import (
 // result elements: Q1–Q10 go out through every path that reads the
 // registry's shared <tuple> elements — buffered, streamed and paged over
 // HTTP, the router's merge over a LocalBackend, and MarshalSequence into a
-// PDP message — and afterwards every member of the pinned tuple set must
-// still serialize byte-identical to its tuple's ToXML(). A writer that
+// PDP message — and a change-feed page is marshalled from ChangesSince,
+// which shares the stored content. Afterwards every member of the pinned
+// tuple set must still serialize byte-identical to its tuple's ToXML(),
+// which renders that content again. A writer that
 // annotates a result node in place (a SetAttr in AppendItem, say) changes
 // the next query's answer for everyone; this is where it shows.
 func TestSharedElementsSurviveEveryPath(t *testing.T) {
@@ -66,6 +69,12 @@ func TestSharedElementsSurviveEveryPath(t *testing.T) {
 	}
 	if shared == 0 {
 		t.Fatal("Q1–Q5 returned no shared nodes: the canary watches nothing")
+	}
+	// The change feed's page is marshalled from the stored content itself.
+	if _, changes, ok := r.ChangesSince(0); !ok || len(changes) != 200 {
+		t.Fatalf("ChangesSince(0): %d changes, ok %v", len(changes), ok)
+	} else {
+		_ = changefeed.MarshalPage(changefeed.Page{Changes: changes}).String()
 	}
 
 	members, tuples := registry.PinnedMembers(r, registry.Filter{})

@@ -270,43 +270,55 @@ func TestMemoConcurrentReadersAndPublishers(t *testing.T) {
 }
 
 // TestMemoResultsNotShared is the mutation canary: a node list a pinned
-// tuple set's memo holds is handed to every query on that generation, so a
-// caller that overwrites every item of its result must not change what the
-// next query returns.
+// tuple set's memo holds is handed to every query on that generation, and
+// an advance carries it to the next, so a caller that overwrites every item
+// of its result must not change what the next query returns, on the same
+// generation or after a refresh.
 func TestMemoResultsNotShared(t *testing.T) {
 	m := telemetry.NewMetrics()
 	r := New(Config{Name: "memo", DefaultTTL: time.Minute, Metrics: m})
-	for i, kind := range []string{"storage-element", "compute-element", "storage-element"} {
+	publish := func(i int, kind string) {
 		content := xmldoc.MustParse(fmt.Sprintf(`<service name="s%d"><attr name="kind" value=%q/></service>`, i, kind))
 		tp := &tuple.Tuple{Link: fmt.Sprintf("http://a.org/s%d", i), Type: tuple.TypeService, Content: content.DocumentElement().Clone()}
 		if _, err := r.Publish(tp, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, src := range []string{
-		`/tupleset/*/content/service`,
-		`declare variable $s := /tupleset/tuple/content/service; $s`,
-		`/tupleset/*/content/service[attr[@name="kind"]/@value="storage-element"]`,
-	} {
-		first, err := r.Query(src, QueryOptions{})
-		if err != nil || len(first) < 2 {
-			t.Fatalf("%s: %d items, err %v", src, len(first), err)
+	for i, kind := range []string{"storage-element", "compute-element", "storage-element"} {
+		publish(i, kind)
+	}
+	for _, refresh := range []bool{false, true} {
+		if refresh {
+			publish(1, "storage-element")
 		}
-		want, gen := xq.Serialize(first), r.Gen()
-		for i := range first {
-			first[i] = "overwritten"
-		}
-		again, err := r.Query(src, QueryOptions{})
-		if err != nil || r.Gen() != gen || xq.Serialize(again) != want {
-			t.Errorf("%s after its last result was overwritten: %s (err %v), want %s", src, xq.Serialize(again), err, want)
+		for _, src := range []string{
+			`/tupleset/*/content/service`,
+			`declare variable $s := /tupleset/tuple/content/service; $s`,
+			`/tupleset/*/content/service[attr[@name="kind"]/@value="storage-element"]`,
+		} {
+			first, err := r.Query(src, QueryOptions{})
+			if err != nil || len(first) < 2 {
+				t.Fatalf("%s: %d items, err %v", src, len(first), err)
+			}
+			want, gen := xq.Serialize(first), r.Gen()
+			if ref, _ := xq.MustCompile(src).EvalDoc(r.BuildView(Filter{}, Freshness{})); xq.Serialize(ref) != want {
+				t.Errorf("%s (refreshed %v): %s, over BuildView %s", src, refresh, want, xq.Serialize(ref))
+			}
+			for i := range first {
+				first[i] = "overwritten"
+			}
+			again, err := r.Query(src, QueryOptions{})
+			if err != nil || r.Gen() != gen || xq.Serialize(again) != want {
+				t.Errorf("%s after its last result was overwritten: %s (err %v), want %s", src, xq.Serialize(again), err, want)
+			}
 		}
 	}
 	memo := m.CounterVec("wsda_registry_memo_total", "", "registry", "outcome")
 	st := r.Stats()
-	if st.MemoHits == 0 || st.MemoBuilds == 0 {
-		t.Errorf("memo hits %d, builds %d: the canary never read a memo", st.MemoHits, st.MemoBuilds)
+	if st.MemoHits == 0 || st.MemoBuilds == 0 || st.MemoCarries == 0 {
+		t.Errorf("memo hits %d, builds %d, carries %d: the canary never read a memo or carried one", st.MemoHits, st.MemoBuilds, st.MemoCarries)
 	}
-	if hit, build := memo.With("memo", "hit").Value(), memo.With("memo", "build").Value(); hit != st.MemoHits || build != st.MemoBuilds {
-		t.Errorf("wsda_registry_memo_total hit %d, build %d; Stats %d, %d", hit, build, st.MemoHits, st.MemoBuilds)
+	if hit, build, carry := memo.With("memo", "hit").Value(), memo.With("memo", "build").Value(), memo.With("memo", "carry").Value(); hit != st.MemoHits || build != st.MemoBuilds || carry != st.MemoCarries {
+		t.Errorf("wsda_registry_memo_total hit %d, build %d, carry %d; Stats %d, %d, %d", hit, build, carry, st.MemoHits, st.MemoBuilds, st.MemoCarries)
 	}
 }

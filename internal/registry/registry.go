@@ -111,8 +111,9 @@ type Stats struct {
 	PlanHits      int64 // queries whose tuples came from a tuple source (index or scan)
 	PlanFallbacks int64 // queries answered over the pinned snapshot
 
-	MemoHits   int64 // node lists, indexes and rank maps read from a pinned tuple set's memo
-	MemoBuilds int64 // node lists, indexes and rank maps installed in a pinned tuple set's memo
+	MemoHits    int64 // node lists, indexes and rank maps read from a pinned tuple set's memo
+	MemoBuilds  int64 // node lists, indexes and rank maps installed in a pinned tuple set's memo
+	MemoCarries int64 // node lists and indexes an advance carried to the successor set's memo
 }
 
 // Registry is a hyper registry node. It is safe for concurrent use.
@@ -142,7 +143,7 @@ type Registry struct {
 	pulls, pullErrors, throttledCnt    atomic.Int64
 	viewHits, viewMisses, viewRebuilds atomic.Int64
 	planHits, planFallbacks            atomic.Int64
-	memoHits, memoBuilds               atomic.Int64
+	memoHits, memoBuilds, memoCarries  atomic.Int64
 
 	// Telemetry handles; all nil when Config.Metrics/Flight are unset, in
 	// which case every observation below is a nil-check no-op.
@@ -156,6 +157,7 @@ type Registry struct {
 	memoHit          *telemetry.Counter
 	memoBuild        *telemetry.Counter
 	memoOverflow     *telemetry.Counter
+	memoCarry        *telemetry.Counter
 	flight           *telemetry.FlightRecorder
 }
 
@@ -196,11 +198,12 @@ func New(cfg Config) *Registry {
 			"XQuery evaluations answered over the pinned snapshot: their shape has no tuple head.",
 			"registry").With(cfg.Name)
 		memo := m.CounterVec("wsda_registry_memo_total",
-			"Node lists, value indexes and rank maps read from (hit) or installed in (build) a pinned tuple set's memo, or kept private because it was full (overflow).",
+			"Node lists, value indexes and rank maps read from (hit) or installed in (build) a pinned tuple set's memo, kept private because it was full (overflow), or carried to its successor's by an advance (carry).",
 			"registry", "outcome")
 		r.memoHit = memo.With(cfg.Name, "hit")
 		r.memoBuild = memo.With(cfg.Name, "build")
 		r.memoOverflow = memo.With(cfg.Name, "overflow")
+		r.memoCarry = memo.With(cfg.Name, "carry")
 	}
 	return r
 }
@@ -660,8 +663,9 @@ func (r *Registry) Stats() Stats {
 		PlanHits:      r.planHits.Load(),
 		PlanFallbacks: r.planFallbacks.Load(),
 
-		MemoHits:   r.memoHits.Load(),
-		MemoBuilds: r.memoBuilds.Load(),
+		MemoHits:    r.memoHits.Load(),
+		MemoBuilds:  r.memoBuilds.Load(),
+		MemoCarries: r.memoCarries.Load(),
 	}
 }
 

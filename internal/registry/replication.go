@@ -16,7 +16,9 @@ import (
 // Change is one replicated mutation. A nil Tuple means the key is gone on
 // the source (unpublished or expired); otherwise Tuple is the key's current
 // state with TS3 carrying the absolute soft-state deadline, from which the
-// applier derives the remaining lifetime under its own clock.
+// applier derives the remaining lifetime under its own clock. From
+// ChangesSince, Tuple is a copy of the stored tuple whose Content and
+// Metadata are the store's own: read them, never write them.
 type Change struct {
 	Key   string       // the tuple key (its link)
 	Tuple *tuple.Tuple // current state; nil = deleted/expired
@@ -46,7 +48,8 @@ func (r *Registry) ChangesSince(gen uint64) (to uint64, changes []Change, ok boo
 	for _, k := range keys {
 		c := Change{Key: k}
 		if e, live := r.store.GetEntry(k); live {
-			c.Tuple = e.Value.Clone()
+			t := *e.Value.Tuple // a copy for the TS3 patch; the content is shared
+			c.Tuple = &t
 			// Ship the deadline the tuple itself advertises (TS3): it is what
 			// both sides serialize, so replication is byte-faithful. The
 			// entry's enforced Expires can trail it by a clock tick (Publish

@@ -115,8 +115,9 @@ type tupleSet struct {
 
 	// memo is what evaluations over doc learn about it: node lists, value
 	// indexes and member ranks, built by the first query that needs them
-	// and read by every later one. It dies with the set, so it needs no
-	// eviction or invalidation of its own.
+	// and read by every later one. It dies with the set; an advance from
+	// the journal carries what was read of it to the successor's, so it
+	// needs no eviction of its own.
 	memo xq.Memo
 }
 
@@ -262,7 +263,8 @@ func (r *Registry) pinTupleSet(f Filter, fresh Freshness, tx string) *tupleSet {
 // and merged into old's members, passively expired tuples are dropped, and
 // when the journal no longer reaches back to old.gen the set is re-read
 // from the store in full. Either way an unchanged revision keeps its
-// rendering, because the rendering lives on the stored value.
+// rendering, because the rendering lives on the stored value. A merge
+// also carries old's memo to the successor's; a full re-read does not.
 func (r *Registry) advanceTupleSet(old *tupleSet, f Filter, now time.Time) *tupleSet {
 	t0 := time.Now()
 	r.viewRebuilds.Add(1)
@@ -288,6 +290,11 @@ func (r *Registry) advanceTupleSet(old *tupleSet, f Filter, now time.Time) *tupl
 		}
 	}
 	s := newTupleSet(r.cfg.Name, gen, kids, meta, vals)
+	if journaled {
+		n := int64(s.memo.Carry(s.doc, &old.memo, func() []int32 { return memberMap(old, kids, vals) }))
+		r.memoCarries.Add(n)
+		r.memoCarry.Add(n)
+	}
 	r.viewBuildSeconds.ObserveSince(t0)
 	return s
 }
@@ -326,6 +333,23 @@ func (r *Registry) mergeChanges(old *tupleSet, keys []string, f Filter, now int6
 	}
 	carryTo(len(oldKids))
 	return kids, meta, vals
+}
+
+// memberMap returns, for each member of a successor of old (kids and vals
+// parallel), the position in old of the very same element, or -1: a
+// refreshed revision renders a new one. Both are in link order.
+func memberMap(old *tupleSet, kids []*xmldoc.Node, vals []*stored) []int32 {
+	from := make([]int32, len(kids))
+	j, n := 0, len(old.vals)
+	for i, kid := range kids {
+		for j < n && old.root.Children[j] != kid && old.vals[j].Link < vals[i].Link {
+			j++
+		}
+		if from[i] = -1; j < n && old.root.Children[j] == kid {
+			from[i], j = int32(j), j+1
+		}
+	}
+	return from
 }
 
 // liveMatching snapshots the live entries matching a filter, using the

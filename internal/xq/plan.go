@@ -170,20 +170,9 @@ func (q *Query) evalTuples(opts *Options) (Sequence, error) {
 	return w.out, nil
 }
 
-// member is walkPlan's loop body for one member of the source: tested
-// against the tuple step and, if it holds, walked on. false stops the
-// source. It is a copy rather than a function walkPlan calls, because a
-// call per child in walkPlan's loop slows every path walk.
-func (w *tupleWalk) member(t *xmldoc.Node) bool {
-	st := &w.steps[0]
-	if !matchTest(t, &st.test, st.axis) {
-		return true
-	}
-	if holdAll(st.cpreds, t, &w.m) {
-		return walkPlan(t, w.steps[1:], &w.m, w.deliver)
-	}
-	return w.m.err() == nil
-}
+// member walks one member of the source from the tuple step on. false
+// stops the source.
+func (w *tupleWalk) member(t *xmldoc.Node) bool { return walkMember(t, w.steps, &w.m, w.deliver) }
 
 // deliver hands one result to Emit, or buffers it.
 func (w *tupleWalk) deliver(n *xmldoc.Node) bool {
@@ -362,6 +351,21 @@ func walkPlan(n *xmldoc.Node, steps []pathStep, m *meter, visit func(*xmldoc.Nod
 		}
 	}
 	return true
+}
+
+// walkMember is walkPlan's loop body for one child t of the node it walks:
+// t tested against steps[0] and, if it holds, walked on. It is a copy
+// rather than a function walkPlan calls, because a call per child in
+// walkPlan's loop slows every path walk.
+func walkMember(t *xmldoc.Node, steps []pathStep, m *meter, visit func(*xmldoc.Node) bool) bool {
+	st := &steps[0]
+	if !matchTest(t, &st.test, st.axis) {
+		return true
+	}
+	if holdAll(st.cpreds, t, m) {
+		return walkPlan(t, steps[1:], m, visit)
+	}
+	return m.err() == nil
 }
 
 // holdAll runs compiled predicates over one candidate, charging the meter

@@ -21,11 +21,15 @@
 // document (the registry keeps one per pinned tuple set) and serves every
 // evaluation over it, the top level included. Nothing an evaluation learns
 // sits on the Query or the AST, which serve many snapshots at once.
+//
+// Carry derives a successor document's lists and indexes from a shared
+// memo's, walking only the members it does not share (segments).
 package xq
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 
@@ -75,7 +79,11 @@ func (m *Memo) bind(root *xmldoc.Node) bool {
 func (m *Memo) get(key setKey) *nodeSet {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.sets[key]
+	set := m.sets[key]
+	if set != nil {
+		set.read = true
+	}
+	return set
 }
 
 // put installs a complete build under key and returns what m then holds
@@ -84,6 +92,7 @@ func (m *Memo) put(key setKey, set *nodeSet) *nodeSet {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if old := m.sets[key]; old != nil {
+		old.read = true
 		return old
 	}
 	if m.root != nil && len(m.sets) >= memoCap {
@@ -92,8 +101,123 @@ func (m *Memo) put(key setKey, set *nodeSet) *nodeSet {
 	if m.sets == nil {
 		m.sets = make(map[setKey]*nodeSet)
 	}
-	m.sets[key] = set
+	m.sets[key], set.read = set, true
 	return set
+}
+
+// Carry fills m, the unused memo of doc, with what prev learned about the
+// document doc succeeds: each node list and index of prev that splits by
+// member and was read or built since prev was made or carried, as a build
+// over doc would make it. from, called only if there is one, returns for
+// each member i of doc the position among prev's members of the very same
+// node, or -1 for one to walk; carried members must keep their order. A
+// carried member's nodes are copied, a new one is walked, index positions
+// move with their members, and each set costs what a build over doc is
+// charged. m keeps nothing of prev. Carry returns how many sets it carried.
+func (m *Memo) Carry(doc *xmldoc.Node, prev *Memo, from func() []int32) int {
+	prev.mu.Lock()
+	sets := maps.Clone(prev.sets)
+	maps.DeleteFunc(sets, func(_ setKey, set *nodeSet) bool { return !set.read || set.segs == nil })
+	prev.mu.Unlock()
+	if len(sets) == 0 || !m.bind(doc) {
+		return 0
+	}
+	at := from()
+	lists := map[*segments]*nodeSet{} // carried lists by the segments they were carried from
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.sets = make(map[setKey]*nodeSet, len(sets))
+	for k, old := range sets {
+		kids, ok := members(doc, old.segs.steps)
+		if !ok || len(kids) != len(at) {
+			continue
+		}
+		list := lists[old.segs]
+		if list == nil {
+			list = carried(old, kids, at)
+			lists[old.segs] = list
+		}
+		set := list
+		if old.index != nil {
+			set = carriedIndex(old, list, at)
+		}
+		m.sets[setKey{k.path, doc}] = set
+	}
+	return len(m.sets)
+}
+
+// carried returns old's node list over the members kids, from as Carry's:
+// new members walked first, then runs of carried ones copied at a time.
+func carried(old *nodeSet, kids []*xmldoc.Node, from []int32) *nodeSet {
+	segs := &segments{steps: old.segs.steps, of: make([]segment, len(kids)+1)}
+	var walked Sequence
+	var m meter
+	size := 0
+	for i, j := range from {
+		if j >= 0 {
+			size += int(old.segs.of[j+1].start - old.segs.of[j].start)
+			continue
+		}
+		at := m.steps
+		walkMember(kids[i], segs.steps[1:], &m, func(n *xmldoc.Node) bool { walked = append(walked, n); return true })
+		segs.of[i] = segment{int32(len(walked)), int32(m.steps - at)} // where its nodes end in walked, for now
+	}
+	set := &nodeSet{nodes: make(Sequence, 0, size+len(walked)), segs: segs}
+	w, rlo, rhi := 0, 0, 0 // old.nodes[rlo:rhi]: carried nodes not yet copied
+	for i, j := range from {
+		seg := &segs.of[i]
+		start := int32(len(set.nodes) + rhi - rlo)
+		if j >= 0 {
+			if lo := int(old.segs.of[j].start); lo != rhi {
+				set.nodes, rlo = append(set.nodes, old.nodes[rlo:rhi]...), lo
+			}
+			rhi, seg.cost = int(old.segs.of[j+1].start), old.segs.of[j].cost
+		} else {
+			end := int(seg.start)
+			set.nodes = append(append(set.nodes, old.nodes[rlo:rhi]...), walked[w:end]...)
+			w, rlo, rhi = end, 0, 0
+		}
+		seg.start = start
+		set.cost += int(seg.cost)
+	}
+	set.nodes = append(set.nodes, old.nodes[rlo:rhi]...)
+	segs.of[len(kids)].start = int32(len(set.nodes))
+	return set
+}
+
+// carriedIndex returns old, an index, over list, its list carried with
+// from as Carry's: positions of carried members moved, those of the
+// others gone, and the new members indexed.
+func carriedIndex(old, list *nodeSet, from []int32) *nodeSet {
+	moved := make([]int32, len(old.nodes)) // old position -> new position + 1; 0: gone
+	index := valueIndex{}                  // the new members' positions first
+	var m meter
+	for i, j := range from {
+		lo, hi := int(list.segs.of[i].start), int(list.segs.of[i+1].start)
+		for p := lo; p < hi; p++ {
+			if j < 0 {
+				index.add(list.nodes[p].(*xmldoc.Node), int32(p), old.rel, &m)
+			} else {
+				moved[int(old.segs.of[j].start)+p-lo] = int32(p) + 1
+			}
+		}
+	}
+	for v, at := range old.index {
+		add := index[v]
+		to := make([]int32, 0, len(at)+len(add))
+		for _, p := range at {
+			if q := moved[p] - 1; q >= 0 {
+				for ; len(add) > 0 && add[0] < q; add = add[1:] {
+					to = append(to, add[0])
+				}
+				to = append(to, q)
+			}
+		}
+		if to = append(to, add...); len(to) > 0 {
+			index[v] = to
+		}
+	}
+	return &nodeSet{nodes: list.nodes, index: index, rel: old.rel, segs: list.segs}
 }
 
 // setKey names a memoised set: the canonical text of its walk (memoText),
@@ -106,12 +230,40 @@ type setKey struct {
 }
 
 // nodeSet is one memoised path result in document order, or an index over
-// one. It is immutable once installed.
+// one. It is immutable once installed, but for its read mark.
 type nodeSet struct {
 	nodes Sequence
 	cost  int                  // steps the walk was charged: the most a hit is charged
 	index valueIndex           // nil for a plain list
+	rel   []pathStep           // what index is keyed by
 	ranks map[*xmldoc.Node]int // instead, a document's shared members' positions (shared.go)
+	segs  *segments            // nodes by member, for Carry; nil when they do not split so
+	read  bool                 // read or built since installed, under the memo's lock: Carry takes only these
+}
+
+// segments splits the node list of a walk /A/B/... from a document, A
+// unpredicated, by the members it is the concatenation of: the children of
+// the document element, each walked on its own (compiled predicates read
+// only the subtree of the node they test). An index shares its list's.
+type segments struct {
+	steps []pathStep // the walk
+	of    []segment  // one per member, in document order, and one past the last
+}
+
+// segment is where one member's nodes start in the list, and the steps its
+// walk was charged: member i's nodes are nodes[of[i].start:of[i+1].start].
+type segment struct{ start, cost int32 }
+
+// members returns the document element's children when steps, walked from
+// root, split by them: root is a document with that element its one child,
+// steps[0] selects it without a predicate, and steps[1] is a child step.
+func members(root *xmldoc.Node, steps []pathStep) ([]*xmldoc.Node, bool) {
+	if root.Kind != xmldoc.DocumentNode || len(root.Children) != 1 || len(steps) < 2 ||
+		len(steps[0].preds) > 0 || steps[1].axis != axisChild {
+		return nil, false
+	}
+	top := root.Children[0]
+	return top.Children, matchTest(top, &steps[0].test, steps[0].axis)
 }
 
 // capped hands the shared node list out so that no caller's append can
@@ -376,7 +528,7 @@ func (c *evalCtx) evalSet(p *eqProbe, root *xmldoc.Node) (Sequence, error) {
 			return nil, err
 		}
 		if set, fresh = list, index != nil && !hit; fresh {
-			set = &nodeSet{nodes: list.nodes, index: index}
+			set = &nodeSet{nodes: list.nodes, index: index, rel: p.rel, segs: list.segs}
 		}
 	}
 	hits, ok, err := c.probe(set, p, ikey, fresh)
@@ -398,19 +550,31 @@ func (c *evalCtx) nodeSet(path string, steps []pathStep, root *xmldoc.Node, rel 
 	buf := walkBufs.Get().(*Sequence)
 	defer func() { clear(*buf); *buf = (*buf)[:0]; walkBufs.Put(buf) }()
 	before, indexing := c.run.steps, 0
-	walkPlan(root, steps, &c.run.meter, func(n *xmldoc.Node) bool {
+	visit := func(n *xmldoc.Node) bool {
 		if index != nil {
 			at := c.run.steps
-			index.add(c, n, int32(len(*buf)), rel)
+			index.add(n, int32(len(*buf)), rel, &c.run.meter)
 			indexing += c.run.steps - at
 		}
 		*buf = append(*buf, n)
 		return c.run.err() == nil
-	})
+	}
+	var segs *segments
+	if kids, ok := members(root, steps); ok && c.run.serves(root) {
+		segs = &segments{steps: steps, of: make([]segment, len(kids)+1)}
+		for i, t := range kids { // the same walk, member by member
+			start, at, ix := len(*buf), c.run.steps, indexing
+			walkMember(t, steps[1:], &c.run.meter, visit)
+			segs.of[i] = segment{int32(start), int32(c.run.steps - at - (indexing - ix))}
+		}
+		segs.of[len(kids)].start = int32(len(*buf))
+	} else {
+		walkPlan(root, steps, &c.run.meter, visit)
+	}
 	if err := c.run.err(); err != nil {
 		return nil, false, err
 	}
-	set = &nodeSet{nodes: slices.Clone(*buf), cost: c.run.steps - before - indexing}
+	set = &nodeSet{nodes: slices.Clone(*buf), cost: c.run.steps - before - indexing, segs: segs}
 	return c.run.install(key, set), false, nil
 }
 
@@ -424,8 +588,8 @@ var walkBufs = sync.Pool{New: func() any { return new(Sequence) }}
 type valueIndex map[string][]int32
 
 // add indexes the node at pos by the leaves rel reaches from it.
-func (ix valueIndex) add(c *evalCtx, n *xmldoc.Node, pos int32, rel []pathStep) {
-	walkPlan(n, rel, &c.run.meter, func(leaf *xmldoc.Node) bool {
+func (ix valueIndex) add(n *xmldoc.Node, pos int32, rel []pathStep, m *meter) {
+	walkPlan(n, rel, m, func(leaf *xmldoc.Node) bool {
 		v := leaf.StringValue()
 		if at := ix[v]; len(at) == 0 || at[len(at)-1] != pos {
 			ix[v] = append(at, pos)
@@ -464,11 +628,11 @@ func (c *evalCtx) probe(set *nodeSet, p *eqProbe, ikey setKey, fresh bool) (hits
 	if set.index == nil {
 		index := valueIndex{}
 		for i, it := range set.nodes {
-			if index.add(c, it.(*xmldoc.Node), int32(i), p.rel); c.run.err() != nil {
+			if index.add(it.(*xmldoc.Node), int32(i), p.rel, &c.run.meter); c.run.err() != nil {
 				return nil, false, c.run.err()
 			}
 		}
-		set, fresh = &nodeSet{nodes: set.nodes, index: index}, true
+		set, fresh = &nodeSet{nodes: set.nodes, index: index, rel: p.rel, segs: set.segs}, true
 	}
 	var at []int32
 	if len(keys) == 1 {

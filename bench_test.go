@@ -504,11 +504,15 @@ func BenchmarkLexer(b *testing.B) {
 // --- Streaming benchmarks (ISSUE 6 acceptance) ---
 //
 // BenchmarkStreamWriteItem guards the per-item hot path of the chunked
-// HTTP stream encoder: delivering one already-evaluated item must stay a
-// small constant number of allocations, or large result streams turn into
-// GC pressure at the edge. BenchmarkStreamFirstItem tracks time-to-first-
-// item of a pipelined streamed network query over an 8-node chain — the
-// latency the first-item SLO is about.
+// HTTP stream encoder: rendering and writing one already-evaluated item
+// (WriteItem alone does not flush; Delivery decides when bytes leave) must
+// stay a small constant number of allocations, or large result streams
+// turn into GC pressure at the edge. BenchmarkStreamHeldRun counts the
+// flushes of a streamed Q7: its sorted answer is held together, so it
+// leaves in two (the first item, then the rest with the trailer) however
+// many items it has. BenchmarkStreamFirstItem tracks time-to-first-item of
+// a pipelined streamed network query over an 8-node chain — the latency
+// the first-item SLO is about.
 
 // discardWriter is an http.ResponseWriter that throws the body away, so
 // the write benchmark measures encoding, not buffer growth.
@@ -529,6 +533,32 @@ func BenchmarkStreamWriteItem(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// flushCounter is a discardWriter that counts flushes.
+type flushCounter struct {
+	discardWriter
+	flushes int
+}
+
+func (f *flushCounter) Flush() { f.flushes++ }
+
+func BenchmarkStreamHeldRun(b *testing.B) {
+	h := wsda.Handler(&wsda.LocalNode{Registry: benchRegistry(b, 1000)})
+	w := &flushCounter{discardWriter: discardWriter{h: make(http.Header)}}
+	run := func() {
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, wsda.PathXQuery+"?stream=true",
+			strings.NewReader(workload.CanonicalQueries[6].XQ)))
+	}
+	run() // pin the tuple set and fill its memo
+	w.flushes = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(w.flushes)/float64(b.N), "flushes/op")
 }
 
 func BenchmarkStreamFirstItem(b *testing.B) {

@@ -354,6 +354,10 @@ type QueryOptions struct {
 	// Emit streams result items as they are produced (pipelined queries,
 	// thesis Ch. 6.5). Return false to stop early.
 	Emit func(xq.Item) bool
+	// Held, when set with Emit, is called once before the evaluation emits
+	// items it already holds together (xq.Options.Held): the rest of the
+	// result may leave back to back, flushed once when Query returns.
+	Held func()
 	// Vars are external variable bindings.
 	Vars map[string]xq.Sequence
 	// TxID, when set, tags this evaluation's flight-recorder events with
@@ -473,7 +477,7 @@ func (r *Registry) QueryCompiled(q *xq.Query, opts QueryOptions) (xq.Sequence, e
 		defer r.xquerySeconds.ObserveSince(time.Now())
 	}
 	r.queries.Add(1)
-	xo := xq.Options{MaxSteps: r.cfg.MaxQuerySteps, Emit: opts.Emit, Vars: opts.Vars}
+	xo := xq.Options{MaxSteps: r.cfg.MaxQuerySteps, Emit: opts.Emit, Held: opts.Held, Vars: opts.Vars}
 	info := PlanInfo{Mode: "view"}
 	if h, ok := q.TupleHead(); ok {
 		xo.Tuples, info = r.tupleSource(h, opts.Filter, opts.Freshness)

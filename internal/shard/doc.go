@@ -19,8 +19,10 @@
 //     into the wrong partition.
 //   - A router that owns no tuples: Router accepts the full WSDA HTTP
 //     surface, routes writes to the owning shard, and scatter-gathers
-//     queries across all shards with streamed merge — per-item flushes
-//     begin as soon as the first shard responds, the trailing <summary>
+//     queries across all shards with streamed merge — items arrive one by
+//     one, so each is flushed as it is merged, beginning as soon as the
+//     first shard responds (a shard's own sorted answer reaches the router
+//     in one flush, but the router never holds items), the trailing <summary>
 //     aggregates tx/count/complete/nodes across shards, and max-results
 //     plus client disconnect cancel the fan-out network-wide.
 //   - Rebalancing over the change feed: a shard joining at N→N+1

@@ -143,12 +143,15 @@ const rootRoom = 256
 
 // Delivery owns one query response from "the engine produced an item" to
 // "the response is finished": the page window and its continuation cursor,
-// the client-gone check, the first-item clock, streamed (per-item flush)
-// or buffered rendering, the max-results bound, the moment headers commit,
-// and how a failure is reported. Callers feed it Item by Item and end with
-// exactly one of Fail or Finish; which shape goes out is not theirs to
-// know. Not safe for concurrent use: the router serializes Item under its
-// merge mutex.
+// the client-gone check, the first-item clock, streamed or buffered
+// rendering, when a streamed item is flushed, the max-results bound, the
+// moment headers commit, and how a failure is reported. A stream flushes
+// its first item at once, which commits the headers, and by default every
+// item after it; once the producer says it holds the rest (Hold), the
+// items leave back to back and are flushed with the trailer. Callers feed
+// it Item by Item and end with exactly one of Fail or Finish; which shape
+// goes out is not theirs to know. Not safe for concurrent use: the router
+// serializes Item under its merge mutex.
 type Delivery struct {
 	// OnCommit, when set, is called once with the response headers
 	// immediately before the first byte of a 200 response is written —
@@ -168,6 +171,7 @@ type Delivery struct {
 	buf        []byte        // buffered delivery: rootRoom bytes, then the items so far as AppendItem renders them
 	skip       int           // items of the page offset still to pass over
 	count      int           // items delivered
+	held       bool          // Hold: the producer holds the rest; flush at Finish
 	first      time.Duration // start to the first delivered item
 	truncated  bool          // delivery stopped before the result ended
 	nextCursor string
@@ -184,6 +188,13 @@ func (d *Delivery) SetTx(tx string) {
 		d.sw.fr, d.sw.tx = d.edge.fr, tx
 	}
 }
+
+// Hold tells the delivery that every item still to come exists already
+// and that Finish follows the last of them, in the form
+// registry.QueryOptions.Held takes. A stream then writes those items back
+// to back and flushes once, with the trailer, instead of after each item;
+// the first item is still flushed at once. The bytes are the same.
+func (d *Delivery) Hold() { d.held = true }
 
 // Item delivers one result item, in the form registry.QueryOptions.Emit
 // takes. False means stop producing: the client is gone, a write failed,
@@ -223,6 +234,8 @@ func (d *Delivery) Item(it xq.Item) bool {
 	} else if d.sw.WriteItem(it) != nil {
 		d.truncated = true
 		return false
+	} else if d.count == 0 || !d.held {
+		d.sw.flush()
 	}
 	d.count++
 	if d.maxResults > 0 && d.count >= d.maxResults {

@@ -107,6 +107,39 @@ func emitUntilStopped(emit func(xq.Item) bool, stopped chan<- struct{}) {
 	close(stopped)
 }
 
+// disconnectStops serves h on a real server, reads the first streamed item,
+// walks away, and checks that the evaluation stops (closing stopped) and
+// every goroutine the request started ends.
+func disconnectStops(t *testing.T, h http.Handler, path string, stopped <-chan struct{}) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	srv := httptest.NewServer(h)
+	resp, err := http.Post(srv.URL+withParams(path, "stream=true"), "text/xml", strings.NewReader(allItems))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(resp.Body, make([]byte, len(`<results streamed="true"><atomic`))); err != nil {
+		t.Fatalf("no first item: %v", err)
+	}
+	resp.Body.Close() // walk away mid-stream
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the evaluation kept running after the client left")
+	}
+	srv.Close()
+	http.DefaultClient.CloseIdleConnections()
+	settled := false
+	for i := 0; i < 400 && !settled; i++ {
+		if settled = runtime.NumGoroutine() <= before; !settled {
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	if !settled {
+		t.Errorf("%d goroutines before the request, %d after", before, runtime.NumGoroutine())
+	}
+}
+
 type queryEdge struct {
 	name   string
 	path   string // request path, with the edge's fixed parameters
@@ -402,32 +435,7 @@ func TestQueryEdgeConformance(t *testing.T) {
 
 			t.Run("client disconnect stops the evaluation", func(t *testing.T) {
 				h, stopped := e.endless(t)
-				before := runtime.NumGoroutine()
-				srv := httptest.NewServer(h)
-				resp, err := http.Post(srv.URL+withParams(e.path, "stream=true"), "text/xml", strings.NewReader(allItems))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := io.ReadFull(resp.Body, make([]byte, len(`<results streamed="true"><atomic`))); err != nil {
-					t.Fatalf("no first item: %v", err)
-				}
-				resp.Body.Close() // walk away mid-stream
-				select {
-				case <-stopped:
-				case <-time.After(5 * time.Second):
-					t.Fatal("the evaluation kept running after the client left")
-				}
-				srv.Close()
-				http.DefaultClient.CloseIdleConnections()
-				settled := false
-				for i := 0; i < 400 && !settled; i++ {
-					if settled = runtime.NumGoroutine() <= before; !settled {
-						time.Sleep(5 * time.Millisecond)
-					}
-				}
-				if !settled {
-					t.Errorf("%d goroutines before the request, %d after", before, runtime.NumGoroutine())
-				}
+				disconnectStops(t, h, e.path, stopped)
 			})
 		})
 	}

@@ -144,8 +144,9 @@ func HandlerWithObservability(n Node, m *telemetry.Metrics, fr *telemetry.Flight
 			}
 		}
 		// Items leave through the Emit callback the moment the engine
-		// produces them; evaluation stops early when Item says so.
-		opts.Emit = d.Item
+		// produces them, those it holds together (a sorted result) in one
+		// flush; evaluation stops early when Item says so.
+		opts.Emit, opts.Held = d.Item, d.Hold
 		seq, err := n.XQuery(query, opts)
 		if err != nil {
 			d.Fail(err, http.StatusUnprocessableEntity)

@@ -100,10 +100,11 @@ func AppendItem(dst []byte, it xq.Item) []byte {
 }
 
 // StreamWriter emits a chunked <results> stream over HTTP: one <node> or
-// <atomic> element per item, rendered by AppendItem, each flushed to the
-// client as it is written — per-item flush is the pipelining contract —
-// terminated by a <summary> element carrying the accounting. The zero
-// value is not usable; call NewStreamWriter.
+// <atomic> element per item, rendered by AppendItem, terminated by a
+// <summary> element carrying the accounting. It writes; when an item's
+// bytes leave is Delivery's choice: a walked item leaves when found, items
+// the producer holds together leave together. The trailer is always
+// flushed. The zero value is not usable; call NewStreamWriter.
 type StreamWriter struct {
 	w       http.ResponseWriter
 	fl      http.Flusher
@@ -134,16 +135,17 @@ func (sw *StreamWriter) start() {
 	sw.started = true
 	sw.w.Header().Set("Content-Type", "text/xml; charset=utf-8")
 	_, sw.err = io.WriteString(sw.w, `<results streamed="true">`)
-	sw.flush()
 }
 
+// flush sends what has been written so far to the client, when the
+// ResponseWriter can flush.
 func (sw *StreamWriter) flush() {
 	if sw.fl != nil {
 		sw.fl.Flush()
 	}
 }
 
-// WriteItem appends one result item to the stream and flushes it. The
+// WriteItem appends one result item to the stream; it does not flush. The
 // first call commits the response header.
 func (sw *StreamWriter) WriteItem(it xq.Item) error {
 	if sw.start(); sw.err != nil { // an earlier failure, or the header's
@@ -155,12 +157,12 @@ func (sw *StreamWriter) WriteItem(it xq.Item) error {
 	}
 	sw.count++
 	sw.fr.Record(sw.tx, telemetry.FlightStreamItem, "", "", int64(sw.count), "")
-	sw.flush()
 	return nil
 }
 
 // Close terminates the stream with the <summary> trailer and the closing
-// </results> tag. sum.Count is overridden with the writer's own item count.
+// </results> tag, and flushes. sum.Count is overridden with the writer's
+// own item count.
 func (sw *StreamWriter) Close(sum StreamSummary) error {
 	if sw.start(); sw.err != nil {
 		return sw.err

@@ -82,6 +82,7 @@ type evalRun struct {
 	own    Memo        // private; its map is made on first use: most evaluations memoise nothing
 	shared *Memo       // Options.Memo, bound to the context document's root; nil without one
 	counts *MemoCounts // Options.MemoCounts, what is done with shared; set with it
+	held   func()      // Options.Held of a top-level FLWOR; nil otherwise
 }
 
 // meter is the step budget of one evaluation (Options.MaxSteps; limit 0 is
@@ -212,7 +213,7 @@ func (e *flworExpr) bindClause(ci *evalCtx, i int, cont func(*evalCtx, int) erro
 }
 
 // evalOrdered materializes all FLWOR tuples, sorts them stably by the
-// order-by keys, then concatenates (and optionally emits) the results.
+// order-by keys, then concatenates (and optionally emits, held) the results.
 func (e *flworExpr) evalOrdered(c *evalCtx, emit func(Item) bool) (Sequence, error) {
 	var tuples []Sequence
 	var keys []Sequence
@@ -236,6 +237,9 @@ func (e *flworExpr) evalOrdered(c *evalCtx, emit func(Item) bool) (Sequence, err
 		}
 		return false
 	})
+	if emit != nil && c.run.held != nil {
+		c.run.held()
+	}
 	var res Sequence
 	for _, i := range idx {
 		if emit != nil {

@@ -61,11 +61,20 @@ type Options struct {
 	// returns an error (used by the registry to throttle hostile queries).
 	MaxSteps int
 	// Emit, when non-nil, receives each result item as soon as it is
-	// produced. Returning false stops evaluation early without error
-	// (pipelined execution, thesis Ch. 6.5). Eval then returns the items
-	// produced so far only if they were also accumulated; with Emit set the
-	// returned sequence is nil.
+	// produced: a walk over Tuples and a top-level unordered FLWOR hand
+	// each item on as they find it, a sorted or non-FLWOR result once all
+	// of it exists (see Held). Returning false stops evaluation early
+	// without error (pipelined execution, thesis Ch. 6.5). With Emit set
+	// the returned sequence is nil.
 	Emit func(Item) bool
+	// Held, when set with Emit, is called once just before Eval emits
+	// items it already holds together: a sorted FLWOR's results after the
+	// sort, or the result of a query that is not a FLWOR. Every item Emit
+	// receives after the call already existed when it was made, and Eval
+	// returns after the last, so the consumer may write them back to back
+	// and flush once when Eval returns. Items a walk or an unordered FLWOR
+	// emits as it finds them never follow it.
+	Held func()
 	// Tuples, when set, stands in for the children of the context
 	// document's <tupleset> root: it calls visit on each member in
 	// document order and stops once visit returns false. Only a query
@@ -139,8 +148,13 @@ func (q *Query) Eval(opts *Options) (Sequence, error) {
 		return res, err
 	}
 	// Streaming mode: a top-level FLWOR pipes items out as they are
-	// produced; any other expression emits its final sequence.
-	ctx.emit = opts.Emit
+	// produced; any other expression emits its final sequence, held. Only
+	// the top level gets the callback: a FLWOR inside a sequence or a
+	// conditional must not emit ahead of the items evaluated around it.
+	_, isFLWOR := q.expr.(*flworExpr)
+	if isFLWOR {
+		ctx.emit, run.held = opts.Emit, opts.Held
+	}
 	res, err := q.expr.eval(ctx)
 	if errors.Is(err, errAborted) {
 		return nil, nil
@@ -148,7 +162,10 @@ func (q *Query) Eval(opts *Options) (Sequence, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, isFLWOR := q.expr.(*flworExpr); !isFLWOR {
+	if !isFLWOR {
+		if opts.Held != nil {
+			opts.Held()
+		}
 		for _, it := range res {
 			if !opts.Emit(it) {
 				break

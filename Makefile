@@ -50,7 +50,8 @@ stress:
 # testdata/fuzz/ and fails the run; commit it with its fix.
 FUZZ_TARGETS = internal/pdp:FuzzDecode internal/xmldoc:FuzzParse internal/wsda:FuzzDecodeStream \
 	internal/xq:FuzzCompile internal/registry:FuzzCanonicalQuerySource internal/wsda:FuzzDecodePageCursor \
-	internal/changefeed:FuzzUnmarshalPage internal/tenant:FuzzAuthenticate
+	internal/changefeed:FuzzUnmarshalPage internal/tenant:FuzzAuthenticate \
+	internal/xq:FuzzCompiledComparisonMatchesGeneral
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

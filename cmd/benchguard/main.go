@@ -31,8 +31,9 @@
 //     allocs/op budget. The interpreter is guarded through canonical Q7
 //     over 1000 tuples: its predicates run as compiled closures and its
 //     paths as fused walks, so it may allocate at most 10 times per tuple;
-//     warm, it reads its source from the pinned tuple set's memo and may
-//     allocate no more than the 2 240 times it did before the memo, and
+//     warm, it reads its source from the pinned tuple set's memo and runs
+//     its where and order-by key as closures over each binding, so it may
+//     allocate no more than 204 times (186 measured), and
 //     with a Publish before every query (BenchmarkViewQueryQ7Churn) it
 //     stays inside the 10 per tuple. Churned, and with an Unpublish and a
 //     new link before every query (BenchmarkViewQueryQ7Shift), the advance
@@ -208,9 +209,11 @@ const (
 )
 
 // q7WarmMaxAllocsPerOp is warm Q7's ceiling once its source is read from
-// the pinned tuple set's memo: what it allocated when every Q7 walked the
-// set, so reading the memo can never cost allocations.
-const q7WarmMaxAllocsPerOp = 2_240
+// the pinned tuple set's memo and its where and order-by key are compiled
+// over the bound node: 186 allocations measured, so a return to
+// interpreting them per binding (about 13 allocations per storage element,
+// 2 233 in all) breaks it on any host.
+const q7WarmMaxAllocsPerOp = 204
 
 // q7CarryMaxRatio bounds churned Q7 (BenchmarkViewQueryQ7Churn: a refresh
 // before every query) and shifted Q7 (BenchmarkViewQueryQ7Shift: an

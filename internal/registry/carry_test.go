@@ -14,13 +14,14 @@ import (
 // through random refreshes, new publications, unpublications, Touches,
 // expiries and bursts that overflow a four-record journal, under no filter
 // and a type filter. Before every advance it holds the member map Carry is
-// handed (memberMap) to element identity: a member keeps an old position
-// exactly when its element is the one the old set listed there, so a
+// handed (mergeChanges' from) to element identity: a member keeps an old
+// position exactly when its element is the one the old set listed there, so a
 // refreshed revision is walked again and a Touched one is not. A journaled
 // advance over a memo with something to carry carries it, a full re-read
 // carries nothing, and Q6–Q10 over the carried memo answer as plain xq
 // over BuildView does (xq's TestCarryMatchesColdBuild holds what Carry
-// installs to a cold build).
+// installs to a cold build). After every advance the set's aggregates match
+// its members, some of them published without content.
 func TestMemoCarryFollowsJournal(t *testing.T) {
 	const journalCap = 4
 	carried, rereads, kept, touched := 0, 0, 0, 0
@@ -35,6 +36,9 @@ func TestMemoCarryFollowsJournal(t *testing.T) {
 				tp := &tuple.Tuple{Link: link, Type: tuple.TypeService, Context: "child", Content: memoContent(rng)}
 				if rng.Intn(3) == 0 {
 					tp.Type = tuple.TypeNode
+				}
+				if rng.Intn(5) == 0 {
+					tp.Content = nil // a new link stays without content: the set counts it missing
 				}
 				ttl := []time.Duration{time.Second, 5 * time.Second, 0}[rng.Intn(3)]
 				if _, err := r.Publish(tp, ttl); err != nil {
@@ -74,6 +78,7 @@ func TestMemoCarryFollowsJournal(t *testing.T) {
 				}
 				before := r.Stats().MemoCarries
 				checkMemoReads(t, at, r, f, memoQueries)
+				checkAggregates(t, at, r.viewFor(f).cur.Load())
 				memoRead[f] = true
 				n := r.Stats().MemoCarries - before
 				if (n > 0) != (journaled && carries) {
@@ -85,6 +90,24 @@ func TestMemoCarryFollowsJournal(t *testing.T) {
 	}
 	if carried < 1500 || rereads < 30 || kept < 15 || touched < 30 {
 		t.Fatalf("%d sets carried, %d full re-reads, %d re-read members kept, %d Touches: the test exercises too little", carried, rereads, kept, touched)
+	}
+}
+
+// checkAggregates holds the aggregates an advance keeps (the missing count
+// adjusted by the members it changes, the earliest deadline, and the oldest
+// content timestamp found on demand) to the set's members.
+func checkAggregates(t *testing.T, at string, s *tupleSet) {
+	t.Helper()
+	missing, minExpiry, minTS4 := 0, int64(never), int64(never)
+	for i, v := range s.vals {
+		missing += uncached(v)
+		minExpiry = min(minExpiry, s.expires[i])
+		if v.Content != nil {
+			minTS4 = min(minTS4, unixOrNever(v.TS4))
+		}
+	}
+	if missing != s.missing || minExpiry != s.minExpiry || minTS4 != s.oldestTS4() {
+		t.Fatalf("%s: missing %d, min expiry %d, oldest content %d; the members give %d, %d, %d", at, s.missing, s.minExpiry, s.oldestTS4(), missing, minExpiry, minTS4)
 	}
 }
 
@@ -101,8 +124,7 @@ func checkMemberMap(t *testing.T, at string, r *Registry, old *tupleSet, keys []
 	for _, k := range keys {
 		reread[k] = true
 	}
-	kids, _, vals := r.mergeChanges(old, keys, f, now.UnixNano())
-	from := memberMap(old, kids, vals)
+	kids, _, vals, from, _ := r.mergeChanges(old, keys, f, now.UnixNano())
 	if len(from) != len(kids) {
 		t.Fatalf("%s: %d members, a map of %d", at, len(kids), len(from))
 	}

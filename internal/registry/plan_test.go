@@ -61,12 +61,12 @@ var planCorpus = []string{
 	`/tupleset/tuple/content/service[interface[@type="XQuery"]/operation/bind/@protocol="http"]`,
 	`/tupleset/tuple/content/service/attr[@name="load"]/@value`,
 	`/tupleset/tuple[content/service/attr[@name="load"]/@value=0.25]`,
+	`/tupleset/tuple[@type!="service"]`,
+	`/tupleset/tuple[number(content/service/attr[@name="load"]/@value) < 0.5]`,
 	// No tuple head: evaluated over the pinned tuple set.
 	`count(/tupleset/tuple)`,
 	`string(/tupleset/@registry)`,
 	`/tupleset/tuple[1]`,
-	`/tupleset/tuple[@type!="service"]`,
-	`/tupleset/tuple[number(content/service/attr[@name="load"]/@value) < 0.5]`,
 	`for $t in /tupleset/tuple where $t/@owner="cms" return $t/@link`,
 	`//service/@domain`,
 }
@@ -127,6 +127,8 @@ func TestPlannerExplainCorpus(t *testing.T) {
 		planCorpus[14]: unfiltered0,
 		planCorpus[15]: unfiltered0,
 		planCorpus[16]: unfiltered1,
+		planCorpus[17]: unfiltered1,
+		planCorpus[18]: unfiltered1,
 	}
 	for _, src := range planCorpus {
 		w, ok := want[src]

@@ -69,19 +69,7 @@ func (s *stored) element() *xmldoc.Node {
 	return s.elem
 }
 
-// memberMeta is the soft-state facts a tuple set keeps inline per member,
-// parallel to the root's children, so that an advance carries unchanged
-// members over and recomputes the aggregates without touching the tuples.
-// It is pointer-free on purpose: the garbage collector never scans it.
-type memberMeta struct {
-	expires int64 // soft-state deadline in UnixNano (a Touch moves it without a new revision); never = immortal
-	ts4     int64 // timestamp of the cached content copy in UnixNano; never = unstamped, noContent = no copy
-}
-
-const (
-	never     = math.MaxInt64 // a deadline or timestamp that does not exist
-	noContent = math.MinInt64 // memberMeta.ts4 of a tuple without a cached content copy
-)
+const never = math.MaxInt64 // a deadline or timestamp that does not exist
 
 func unixOrNever(t time.Time) int64 {
 	if t.IsZero() {
@@ -90,28 +78,34 @@ func unixOrNever(t time.Time) int64 {
 	return t.UnixNano()
 }
 
-// memberOf returns the element and inline facts a tuple set lists for a
+// memberOf returns the element and the deadline a tuple set lists for a
 // store entry.
-func memberOf(e softstate.Entry[*stored]) (*xmldoc.Node, memberMeta) {
-	m := memberMeta{expires: unixOrNever(e.Expires), ts4: noContent}
-	if e.Value.Content != nil {
-		m.ts4 = unixOrNever(e.Value.TS4)
+func memberOf(e softstate.Entry[*stored]) (*xmldoc.Node, int64) {
+	return e.Value.element(), unixOrNever(e.Expires)
+}
+
+// uncached is 1 for a revision without a cached content copy.
+func uncached(v *stored) int {
+	if v.Content == nil {
+		return 1
 	}
-	return e.Value.element(), m
+	return 0
 }
 
 // tupleSet is one immutable snapshot of the tuples matching a filter.
 type tupleSet struct {
-	doc  *xmldoc.Node // <tupleset> document
-	root *xmldoc.Node // its root; the children are shared elements in link order
-	gen  uint64       // store generation the set is synced to
-	meta []memberMeta // parallel to root.Children
-	vals []*stored    // parallel to root.Children: the revisions they render
+	doc     *xmldoc.Node // <tupleset> document
+	root    *xmldoc.Node // its root; the children are shared elements in link order
+	gen     uint64       // store generation the set is synced to
+	vals    []*stored    // parallel to root.Children: the revisions they render
+	expires []int64      // parallel too, pointer-free: soft-state deadlines in UnixNano (a Touch moves one without a new revision); never = immortal
 
-	// Aggregates for O(1) staleness checks at query time.
-	minExpiry int64 // earliest soft-state deadline of a member; never if none
-	minTS4    int64 // oldest cached-content timestamp; never if none
-	missing   int   // members without a cached content copy
+	// Aggregates for O(1) staleness checks at query time; an advance counts
+	// missing from the members it changes.
+	minExpiry int64     // earliest soft-state deadline of a member; never if none
+	missing   int       // members without a cached content copy
+	minTS4    int64     // oldest cached-content timestamp, never if none: oldestTS4 sets it once
+	ts4Once   sync.Once // guards minTS4
 
 	// memo is what evaluations over doc learn about it: node lists, value
 	// indexes and member ranks, built by the first query that needs them
@@ -124,23 +118,32 @@ type tupleSet struct {
 // newTupleSet publishes members (already in link order) as a document. The
 // document node, the root and its attribute are numbered before the shared
 // elements are listed, so no shared element is ever written to.
-func newTupleSet(registry string, gen uint64, kids []*xmldoc.Node, meta []memberMeta, vals []*stored) *tupleSet {
-	s := &tupleSet{gen: gen, meta: meta, vals: vals, minExpiry: never, minTS4: never}
+func newTupleSet(registry string, gen uint64, kids []*xmldoc.Node, expires []int64, vals []*stored, missing int) *tupleSet {
+	s := &tupleSet{gen: gen, expires: expires, vals: vals, minExpiry: never, missing: missing}
 	s.root = xmldoc.NewElement("tupleset")
 	s.root.SetAttr("registry", registry)
 	s.doc = xmldoc.NewDocument()
 	s.doc.AppendChild(s.root)
 	s.doc.Renumber()
 	s.root.Children = kids
-	for _, m := range meta {
-		s.minExpiry = min(s.minExpiry, m.expires)
-		if m.ts4 == noContent {
-			s.missing++
-		} else {
-			s.minTS4 = min(s.minTS4, m.ts4)
-		}
+	for _, t := range expires {
+		s.minExpiry = min(s.minExpiry, t)
 	}
 	return s
+}
+
+// oldestTS4 returns minTS4, reading every member the first time: only a
+// MaxAge demand asks.
+func (s *tupleSet) oldestTS4() int64 {
+	s.ts4Once.Do(func() {
+		s.minTS4 = never
+		for _, v := range s.vals {
+			if v.Content != nil {
+				s.minTS4 = min(s.minTS4, unixOrNever(v.TS4))
+			}
+		}
+	})
+	return s.minTS4
 }
 
 // current reports whether the set reflects every store mutation up to
@@ -158,7 +161,7 @@ func (s *tupleSet) freshnessSuspect(fresh Freshness, now time.Time) bool {
 	if fresh.PullMissing && s.missing > 0 {
 		return true
 	}
-	return fresh.MaxAge > 0 && s.minTS4 != never && now.UnixNano()-s.minTS4 > int64(fresh.MaxAge)
+	return fresh.MaxAge > 0 && s.oldestTS4() != never && now.UnixNano()-s.oldestTS4() > int64(fresh.MaxAge)
 }
 
 // linkRange returns the members whose link starts with prefix, in link
@@ -253,7 +256,7 @@ func (r *Registry) pinTupleSet(f Filter, fresh Freshness, tx string) *tupleSet {
 	}
 	r.flight.Record(tx, event, r.cfg.Name, "", 0, "")
 	if !pulled {
-		r.cacheHits.Add(int64(len(s.meta) - s.missing))
+		r.cacheHits.Add(int64(len(s.vals) - s.missing))
 	}
 	return s
 }
@@ -277,21 +280,23 @@ func (r *Registry) advanceTupleSet(old *tupleSet, f Filter, now time.Time) *tupl
 		keys, journaled = r.store.ChangesSince(old.gen)
 	}
 	var kids []*xmldoc.Node
-	var meta []memberMeta
+	var expires []int64
 	var vals []*stored
+	var from []int32
+	missing := 0
 	if journaled {
-		kids, meta, vals = r.mergeChanges(old, keys, f, now.UnixNano())
+		kids, expires, vals, from, missing = r.mergeChanges(old, keys, f, now.UnixNano())
 	} else {
 		live := sortEntries(r.liveMatching(f))
-		kids, meta, vals = make([]*xmldoc.Node, len(live)), make([]memberMeta, len(live)), make([]*stored, len(live))
+		kids, expires, vals = make([]*xmldoc.Node, len(live)), make([]int64, len(live)), make([]*stored, len(live))
 		for i, e := range live {
-			kids[i], meta[i] = memberOf(e)
-			vals[i] = e.Value
+			kids[i], expires[i] = memberOf(e)
+			vals[i], missing = e.Value, missing+uncached(e.Value)
 		}
 	}
-	s := newTupleSet(r.cfg.Name, gen, kids, meta, vals)
+	s := newTupleSet(r.cfg.Name, gen, kids, expires, vals, missing)
 	if journaled {
-		n := int64(s.memo.Carry(s.doc, &old.memo, func() []int32 { return memberMap(old, kids, vals) }))
+		n := int64(s.memo.Carry(s.doc, &old.memo, func() []int32 { return from }))
 		r.memoCarries.Add(n)
 		r.memoCarry.Add(n)
 	}
@@ -301,55 +306,50 @@ func (r *Registry) advanceTupleSet(old *tupleSet, f Filter, now time.Time) *tupl
 
 // mergeChanges returns old's members with every key in keys replaced by its
 // current store state (dropped when gone or no longer matching f) and every
-// passively expired member removed, in link order.
-func (r *Registry) mergeChanges(old *tupleSet, keys []string, f Filter, now int64) ([]*xmldoc.Node, []memberMeta, []*stored) {
+// passively expired member removed, in link order; for each member the
+// position in old of the very same element, or -1 (a refreshed revision
+// renders a new one); and how many lack a cached content copy.
+func (r *Registry) mergeChanges(old *tupleSet, keys []string, f Filter, now int64) ([]*xmldoc.Node, []int64, []*stored, []int32, int) {
 	sort.Strings(keys)
-	oldKids := old.root.Children
+	oldKids, missing := old.root.Children, old.missing
 	kids := make([]*xmldoc.Node, 0, len(oldKids)+len(keys))
-	meta := make([]memberMeta, 0, cap(kids))
+	expires := make([]int64, 0, cap(kids))
 	vals := make([]*stored, 0, cap(kids))
+	from := make([]int32, 0, cap(kids))
 	prune := old.minExpiry <= now
 	i := 0 // first old member not yet carried over or superseded
 	carryTo := func(j int) {
 		if !prune {
-			kids, meta, vals = append(kids, oldKids[i:j]...), append(meta, old.meta[i:j]...), append(vals, old.vals[i:j]...)
-			i = j
+			kids, expires, vals = append(kids, oldKids[i:j]...), append(expires, old.expires[i:j]...), append(vals, old.vals[i:j]...)
+			for ; i < j; i++ {
+				from = append(from, int32(i))
+			}
 		}
 		for ; i < j; i++ {
-			if old.meta[i].expires > now {
-				kids, meta, vals = append(kids, oldKids[i]), append(meta, old.meta[i]), append(vals, old.vals[i])
+			if old.expires[i] > now {
+				kids, expires, vals, from = append(kids, oldKids[i]), append(expires, old.expires[i]), append(vals, old.vals[i]), append(from, int32(i))
+			} else {
+				missing -= uncached(old.vals[i])
 			}
 		}
 	}
 	for _, k := range keys {
 		carryTo(i + sort.Search(len(oldKids)-i, func(n int) bool { return old.vals[i+n].Link >= k }))
+		was := -1
 		if i < len(oldKids) && old.vals[i].Link == k {
-			i++ // superseded by the store's current state, read next
+			was, i, missing = i, i+1, missing-uncached(old.vals[i]) // superseded by the store's current state, read next
 		}
 		if e, live := r.store.GetEntry(k); live && f.match(e.Value.Tuple) {
-			kid, m := memberOf(e)
-			kids, meta, vals = append(kids, kid), append(meta, m), append(vals, e.Value)
+			kid, t := memberOf(e)
+			if was >= 0 && oldKids[was] != kid {
+				was = -1
+			}
+			kids, expires, vals, from = append(kids, kid), append(expires, t), append(vals, e.Value), append(from, int32(was))
+			missing += uncached(e.Value)
 		}
 	}
 	carryTo(len(oldKids))
-	return kids, meta, vals
-}
-
-// memberMap returns, for each member of a successor of old (kids and vals
-// parallel), the position in old of the very same element, or -1: a
-// refreshed revision renders a new one. Both are in link order.
-func memberMap(old *tupleSet, kids []*xmldoc.Node, vals []*stored) []int32 {
-	from := make([]int32, len(kids))
-	j, n := 0, len(old.vals)
-	for i, kid := range kids {
-		for j < n && old.root.Children[j] != kid && old.vals[j].Link < vals[i].Link {
-			j++
-		}
-		if from[i] = -1; j < n && old.root.Children[j] == kid {
-			from[i], j = int32(j), j+1
-		}
-	}
-	return from
+	return kids, expires, vals, from, missing
 }
 
 // liveMatching snapshots the live entries matching a filter, using the

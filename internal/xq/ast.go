@@ -1,6 +1,9 @@
 package xq
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Expr is a compiled XQuery expression node. Every expression evaluates to
 // a Sequence.
@@ -34,15 +37,16 @@ type flworExpr struct {
 	orderBy []orderSpec
 	ret     Expr
 
-	joinOnce sync.Once // guards join
-	join     *eqProbe  // the where-join on the last for clause, if any (setwise.go)
+	once sync.Once // guards join and plan
+	join *eqProbe  // the where-join on the last for clause, if any (setwise.go)
+	plan *bindPlan // the where and order-by closures over its last for variable, if any (plan.go)
 }
 
-// quantExpr is "some/every $v in E satisfies P".
+// quantExpr is "some/every $v in E satisfies P": the FLWOR over the same
+// for clauses returning P.
 type quantExpr struct {
 	every bool
-	binds []flworClause // isLet always false
-	sat   Expr
+	fl    flworExpr
 }
 
 // ifExpr is "if (C) then T else E".
@@ -187,8 +191,9 @@ type pathStep struct {
 	primary Expr // non-nil for filter steps; axis/test ignored then
 	preds   []Expr
 	// cpreds is the closure form of preds, one per predicate, built by
-	// pathExpr.compiled: nil when the step has none or any is outside the
-	// closure grammar (plan.go), and the step's predicates are interpreted.
+	// pathExpr.compiled: nil when the step has none, any is outside the
+	// closure grammar (plan.go) or the path holds two that may raise
+	// (raises), and the step's predicates are interpreted.
 	cpreds []nodePred
 }
 
@@ -222,9 +227,17 @@ type pathExpr struct {
 // evaluation or TupleHead gets here first.
 func (e *pathExpr) compiled() []pathStep {
 	e.compileOnce.Do(func() {
+		raising := 0
 		for i := range e.steps {
-			if st := &e.steps[i]; st.primary == nil {
-				st.cpreds = compilePreds(st.preds)
+			for _, p := range e.steps[i].preds {
+				if raises(p) {
+					raising++
+				}
+			}
+		}
+		for i := range e.steps {
+			if st := &e.steps[i]; st.primary == nil && (raising < 2 || !slices.ContainsFunc(st.preds, raises)) {
+				st.cpreds = compilePreds(st.preds, "")
 			}
 		}
 		e.analyzeSet()
@@ -243,10 +256,11 @@ type literal struct{ val [1]Item }
 // ctxItemExpr is ".".
 type ctxItemExpr struct{}
 
-// funcCall calls a built-in function.
+// funcCall calls a built-in or prolog-declared function.
 type funcCall struct {
 	name string
 	args []Expr
+	user bool // a prolog declares a function of this name (set for number() only)
 }
 
 // attrPart is a fragment of an attribute value template: either raw text

@@ -35,8 +35,9 @@ func sameItems(a, b Sequence) bool {
 	return true
 }
 
-// checkAgainstGeneral evaluates src both ways over d.
-func checkAgainstGeneral(t *testing.T, src string, d *xmldoc.Node) {
+// checkAgainstGeneral evaluates src both ways over d: the same items or
+// the same error, which it returns.
+func checkAgainstGeneral(t *testing.T, src string, d *xmldoc.Node) error {
 	t.Helper()
 	q, err := Compile(src)
 	if err != nil {
@@ -44,12 +45,13 @@ func checkAgainstGeneral(t *testing.T, src string, d *xmldoc.Node) {
 	}
 	got, gotErr := q.EvalDoc(d)
 	want, wantErr := MustCompileGeneral(src).EvalDoc(d)
-	if (gotErr == nil) != (wantErr == nil) {
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 		t.Fatalf("%s: err %v, reference %v", src, gotErr, wantErr)
 	}
 	if gotErr == nil && !sameItems(got, want) {
 		t.Fatalf("%s:\n  compiled  %s\n  reference %s", src, Serialize(got), Serialize(want))
 	}
+	return wantErr
 }
 
 // genDoc builds a random document over a small vocabulary: repeated and
@@ -98,7 +100,7 @@ func genRelPath(rng *rand.Rand, depth int) string {
 	for i := 1 + rng.Intn(2); i > 0; i-- {
 		st := elems[rng.Intn(len(elems))]
 		if depth > 0 && rng.Intn(3) == 0 {
-			st += "[" + genPred(rng, depth-1) + "]"
+			st += "[" + genPred(rng, depth-1, false) + "]"
 		}
 		steps = append(steps, st)
 	}
@@ -111,34 +113,53 @@ func genRelPath(rng *rand.Rand, depth int) string {
 	return strings.Join(steps, "/")
 }
 
+// genLits and genOps are the literals and operators generated comparisons
+// use.
+var genLits, genOps = []string{`"x"`, `""`, `"1"`, `"abc"`, `"2.5"`, `1`, `2`, `1.0`, `2.5`}, []string{"=", "!=", "<", "<=", ">", ">="}
+
+// genCmp writes a general comparison between operand and a literal, in
+// either order.
+func genCmp(rng *rand.Rand, operand string) string {
+	lit, op := genLits[rng.Intn(len(genLits))], genOps[rng.Intn(len(genOps))]
+	if rng.Intn(3) == 0 {
+		return lit + " " + op + " " + operand
+	}
+	return operand + " " + op + " " + lit
+}
+
 // genPred generates one predicate of the closure grammar: and/or, a bare
-// relative path, or a general `=` between a relative path and a string,
-// integer or decimal literal on either side.
-func genPred(rng *rand.Rand, depth int) string {
-	lits := []string{`"x"`, `""`, `"1"`, `"abc"`, `1`, `2`, `1.0`, `2.5`}
+// relative path, or a general comparison (any operator) between a
+// relative path and a string, integer or decimal literal on either side;
+// with num, also number() of a relative path against a literal, which
+// raises over two nodes and so only at the top of a predicate.
+func genPred(rng *rand.Rand, depth int, num bool) string {
 	if depth > 0 {
 		switch rng.Intn(5) {
 		case 0:
-			return genPred(rng, depth-1) + " and " + genPred(rng, depth-1)
+			return genPred(rng, depth-1, num) + " and " + genPred(rng, depth-1, num)
 		case 1:
-			return "(" + genPred(rng, depth-1) + " or " + genPred(rng, depth-1) + ")"
+			return "(" + genPred(rng, depth-1, num) + " or " + genPred(rng, depth-1, num) + ")"
 		}
 	}
-	path, lit := genRelPath(rng, depth), lits[rng.Intn(len(lits))]
-	switch rng.Intn(3) {
+	path := genRelPath(rng, depth)
+	switch rng.Intn(4) {
 	case 0:
 		return path
 	case 1:
-		return lit + " = " + path
+		if num {
+			return genCmp(rng, "number("+path+")")
+		}
 	}
-	return path + " = " + lit
+	return genCmp(rng, path)
 }
 
 // TestCompiledPredicatesMatchGeneral is the generator half of the
 // differential: predicates from the closure grammar, nested to depth 3, on
-// single-start, descendant and variable-headed paths.
+// single-start, descendant and variable-headed paths, number() over two
+// nodes raising the reference's own error.
 func TestCompiledPredicatesMatchGeneral(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
+	raised := 0
 	shapes := []string{
 		`/r/*[%s]`,
 		`/r/a[%s]/*`,
@@ -158,19 +179,21 @@ func TestCompiledPredicatesMatchGeneral(t *testing.T) {
 			shape := shapes[rng.Intn(len(shapes))]
 			preds := make([]any, strings.Count(shape, "%s"))
 			for k := range preds {
-				p := genPred(rng, 3)
+				p := genPred(rng, 3, true)
 				pe, err := Compile(p)
 				if err != nil {
 					t.Fatalf("generated predicate %q: %v", p, err)
 				}
-				if compilePred(pe.expr) == nil {
+				if compilePred(pe.expr, "") == nil {
 					t.Fatalf("generated predicate %q is outside the closure grammar", p)
 				}
 				preds[k] = p
 			}
 			src := fmt.Sprintf(shape, preds...)
 			for _, d := range docs {
-				checkAgainstGeneral(t, src, d)
+				if checkAgainstGeneral(t, src, d) != nil {
+					raised++
+				}
 			}
 			// Metamorphic, no seam: `and true()` is outside the grammar, so
 			// the right-hand query interprets what the left-hand one runs
@@ -179,15 +202,16 @@ func TestCompiledPredicatesMatchGeneral(t *testing.T) {
 			for k, p := range preds {
 				wrapped[k] = "(" + p.(string) + ") and true()"
 			}
-			want, err := EvalString(fmt.Sprintf(shape, wrapped...), plain)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, err := EvalString(src, plain); err != nil || !sameItems(got, want) {
-				t.Fatalf("%s differs from its `and true()` form (err %v)", src, err)
+			want, wantErr := EvalString(fmt.Sprintf(shape, wrapped...), plain)
+			if got, err := EvalString(src, plain); fmt.Sprint(err) != fmt.Sprint(wantErr) || !sameItems(got, want) {
+				t.Fatalf("%s differs from its `and true()` form (err %v, %v)", src, err, wantErr)
 			}
 		}
 	}
+	if raised == 0 {
+		t.Fatal("no generated query raised: number() over two nodes went untested")
+	}
+	t.Logf("%d evaluations raised", raised)
 }
 
 // TestFusedRunsMatchStepwise: a run of child/attribute steps walked in one
@@ -278,6 +302,123 @@ func stepsWithin(t *testing.T, q *Query, d *xmldoc.Node, limit int, memo func() 
 	return lo
 }
 
+// genBound generates a where conjunct of the binding plan's grammar over
+// $x: a bare operand, a comparison of one or of number() of one with a
+// literal, and/or of those; $x alone or $x/rel, rel from genRelPath.
+func genBound(rng *rand.Rand, depth int) string {
+	operand := "$x"
+	if rng.Intn(4) > 0 {
+		operand += "/" + genRelPath(rng, 1)
+	}
+	switch rng.Intn(6) {
+	case 0:
+		return operand
+	case 1, 2:
+		return genCmp(rng, "number("+operand+")")
+	case 3:
+		if depth > 0 {
+			return "(" + genBound(rng, depth-1) + " or " + genBound(rng, depth-1) + ")"
+		}
+	}
+	return genCmp(rng, operand)
+}
+
+// genFLWOR generates `for $x in //a where … order by … return …` over
+// genDoc's trees: compiled where conjuncts (now and then one the plan
+// cannot take, which leaves the where interpreted), keys that are
+// number() of a path, a path, or $x, reaching no node, one or two and
+// numbers, NaN or ties, in either direction and with empty greatest.
+func genFLWOR(rng *rand.Rand) string {
+	src := "for $x in " + []string{"//a", "/r/*", "//*[@k]"}[rng.Intn(3)]
+	if n := rng.Intn(3); n > 0 {
+		conj := make([]string, n)
+		for i := range conj {
+			conj[i] = genBound(rng, 1)
+		}
+		if rng.Intn(6) == 0 {
+			conj = append(conj, `string($x/@k) != "x"`)
+		}
+		src += " where " + strings.Join(conj, " and ")
+	}
+	if n := rng.Intn(3); n > 0 {
+		keys := make([]string, n)
+		for i := range keys {
+			keys[i] = []string{"number($x/@k)", "number($x/@v)", "number($x/a/@k)", "number($x)", "$x/@v", "$x/*/@k", "$x"}[rng.Intn(7)]
+			keys[i] += []string{"", " descending", " empty greatest", " descending empty greatest"}[rng.Intn(4)]
+		}
+		src += " order by " + strings.Join(keys, ", ")
+	}
+	return src + " return " + []string{"$x/@k", "string($x/@v)", "$x"}[rng.Intn(3)]
+}
+
+// TestCompiledFLWORMatchesGeneral: FLWORs whose where conjuncts and
+// order-by keys compile to the binding plan give what the reference gives
+// over generated documents: items and their order, number()'s error over
+// two nodes, and never more steps, so that whatever budget the reference
+// fits, the compiled evaluation fits too, and one step less than its own
+// need exhausts it.
+func TestCompiledFLWORMatchesGeneral(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	raised, planned := 0, 0
+	for i := 0; i < 40; i++ {
+		d := genDoc(rng)
+		for j := 0; j < 25; j++ {
+			src := genFLWOR(rng)
+			q := MustCompile(src)
+			if q.expr.(*flworExpr).analyzed().plan != nil {
+				planned++
+			}
+			if checkAgainstGeneral(t, src, d) != nil {
+				raised++
+				continue
+			}
+			need, ref := stepsUsed(t, q, d), stepsUsed(t, MustCompileGeneral(src), d)
+			if need > ref {
+				t.Fatalf("%s: %d steps, the reference %d", src, need, ref)
+			}
+			if _, err := q.Eval(&Options{Context: d, MaxSteps: need - 1}); need > 1 && (err == nil || !strings.Contains(err.Error(), "exceeded")) {
+				t.Fatalf("%s under %d steps, one fewer than it needs: err %v", src, need-1, err)
+			}
+		}
+	}
+	if raised == 0 || planned < 500 {
+		t.Fatalf("%d raised, %d of 1000 planned: the generator misses the plan", raised, planned)
+	}
+}
+
+// TestOrderByNaN: order by sorts NaN next to the empty sequence, equal to
+// itself, as XQuery does: () < NaN < every number with empty least, every
+// number < NaN < () with empty greatest, both reversed by descending. The
+// compiled keys (number() of a bound path) and the reference agree.
+func TestOrderByNaN(t *testing.T) {
+	d := xmldoc.MustParse(`<r><a k="3"/><a k="x"/><a/><a k="1"/><a k="NaN"/><a k="2"/></r>`)
+	seq := `for $x in (3, number("x"), 1, 0, 2, number("y")) order by (if ($x = 0) then () else $x)`
+	for _, c := range []struct{ src, want string }{
+		{`for $x in (3, number("x"), 1, 2) order by $x return $x`, "NaN 1 2 3"},
+		{`for $x in (5, 4, number("x"), 3, 2, 1) order by $x return $x`, "NaN 1 2 3 4 5"},
+		{seq + ` return $x`, "0 NaN NaN 1 2 3"},
+		{seq + ` empty greatest return $x`, "1 2 3 NaN NaN 0"},
+		{seq + ` descending return $x`, "3 2 1 NaN NaN 0"},
+		{seq + ` descending empty greatest return $x`, "0 NaN NaN 3 2 1"},
+		// number() of a missing or non-numeric attribute is NaN, never empty.
+		{`for $a in /r/a order by number($a/@k) return string($a/@k)`, "x  NaN 1 2 3"},
+		{`for $a in /r/a order by number($a/@k) descending return string($a/@k)`, "3 2 1 x  NaN"},
+		{`for $a in /r/a order by number($a/@k) empty greatest return string($a/@k)`, "1 2 3 x  NaN"},
+		{`for $a in /r/a where number($a/@k) != 2 order by number($a/@k) return string($a/@k)`, "x  NaN 1 3"},
+	} {
+		for _, q := range []*Query{MustCompile(c.src), MustCompileGeneral(c.src)} {
+			got, err := q.EvalDoc(d)
+			var parts []string
+			for _, it := range got {
+				parts = append(parts, StringValue(it))
+			}
+			if err != nil || strings.Join(parts, " ") != c.want {
+				t.Errorf("%s (general %v): %q, err %v; want %q", c.src, q.general, strings.Join(parts, " "), err, c.want)
+			}
+		}
+	}
+}
+
 // TestCompiledPredicatesChargeSteps pins the step contract of an
 // interpreted evaluation: one step for every node a compiled predicate is
 // tested against, nested predicates included; a path without predicates
@@ -321,7 +462,7 @@ func genSetPath(rng *rand.Rand) string {
 	heads := []string{"/r/a", "/r/b", "/r/*", "/r/*/*", "/r/*/a", "/r/a/b", "/r/p:a", "/r/*/*/*"}
 	p := heads[rng.Intn(len(heads))]
 	if rng.Intn(3) == 0 {
-		p += "[" + genPred(rng, 1) + "]"
+		p += "[" + genPred(rng, 1, false) + "]"
 	}
 	return p
 }
@@ -391,7 +532,7 @@ func genSetwise(rng *rand.Rand) string {
 		src = strings.ReplaceAll(src, "R"+n, genRelPath(rng, 1))
 		src = strings.ReplaceAll(src, "L"+n, []string{`"x"`, `""`, `'1'`, `"abc"`, `" 2 "`}[rng.Intn(5)])
 	}
-	return strings.ReplaceAll(src, "[C]", "["+genPred(rng, 1)+"]")
+	return strings.ReplaceAll(src, "[C]", "["+genPred(rng, 1, false)+"]")
 }
 
 // TestSetwiseMatchesGeneral is the generated FLWOR differential: 4000
@@ -512,10 +653,10 @@ func TestSetwiseShapesRecognised(t *testing.T) {
 		`/r/a[@k = $v[1]/x]`:                    false,
 		`/r/a[position() > 1][@k = $v]`:         false,
 		`/r/a[@k = @v]`:                         false,
-		`/r/a[@k = "x"]`:                        true, // a string literal is a constant key
-		`/r/a[b][c/@k = 'x']`:                   true,
-		`/r/a["x" = @k]`:                        true,
-		`/r/a[@k = 1]`:                          false, // numbers stay closures: compileEq coerces them
+		`/r/a[@k = "x"]`:                        false, // a literal is a closure: the path is one invariant list
+		`/r/a[b][c/@k = 'x']`:                   false,
+		`/r/a["x" = @k]`:                        false,
+		`/r/a[@k = 1]`:                          false,
 		`/r/a[@k = "x"][@v]`:                    false,
 		`/r/a[@k = "x"]/b`:                      false,
 		`/r/a[. = "x"]`:                         false,
@@ -641,9 +782,11 @@ func TestMemoRefusesFailedBuildsAndOtherDocuments(t *testing.T) {
 		budget int
 		keys   int // what the memo holds after the failed evaluation
 	}{
-		{`count(/r/s[attr])`, n - 1, 0},            // the walk tests 12 nodes
-		{`count(/r/s[@d = "d1"])`, n - 1, 1},       // the list is walked for free; its index costs 12
-		{`count(/r/s[attr][@d = "d1"])`, n + 1, 1}, // the list costs 12, its index 12 more
+		{`count(/r/s[attr])`, n - 1, 0},      // the walk tests 12 nodes
+		{`count(/r/s[@d = "d1"])`, n - 1, 0}, // so does a literal's: it is part of the walk
+		// Two steps for the let, the list walked for free, its index 12.
+		{`let $k := "d1" return count(/r/s[@d = $k])`, n + 1, 1},
+		{`let $k := "d1" return count(/r/s[attr][@d = $k])`, 2*n + 1, 1}, // the list costs 12 more
 	} {
 		m := &Memo{}
 		if _, err := MustCompile(c.src).Eval(&Options{Context: d, Memo: m, MaxSteps: c.budget}); err == nil {

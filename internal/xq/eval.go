@@ -1,6 +1,7 @@
 package xq
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -89,8 +90,13 @@ type evalRun struct {
 // unlimited), over a document or over a tuple source alike. A step is one
 // FLWOR tuple, one quantifier binding or one node tested against one
 // predicate, interpreted or compiled, at any nesting depth. Compiled
-// closures carry it as a parameter.
-type meter struct{ steps, limit int }
+// closures carry it as a parameter, and the error one raises (fault: only
+// number() over several nodes does) stops the evaluation like a spent
+// budget.
+type meter struct {
+	steps, limit int
+	fault        error
+}
 
 // tick charges one step and reports whether the budget still holds.
 func (m *meter) tick() bool { return m.charge(1) }
@@ -98,12 +104,16 @@ func (m *meter) tick() bool { return m.charge(1) }
 // charge is tick for n steps at once.
 func (m *meter) charge(n int) bool {
 	m.steps += n
-	return m.limit <= 0 || m.steps <= m.limit
+	return m.fault == nil && (m.limit <= 0 || m.steps <= m.limit)
 }
 
-// err is the step-limit error once the budget is spent: closures cannot
-// return one, so their callers ask here after running them.
+// err is the closures' error, or the step-limit error once the budget is
+// spent: closures cannot return one, so their callers ask here after
+// running them.
 func (m *meter) err() error {
+	if m.fault != nil {
+		return m.fault
+	}
 	if m.limit > 0 && m.steps > m.limit {
 		return fmt.Errorf("xq: evaluation exceeded %d steps", m.limit)
 	}
@@ -132,45 +142,28 @@ func (e *seqExpr) eval(c *evalCtx) (Sequence, error) {
 
 func (e *flworExpr) eval(c *evalCtx) (Sequence, error) {
 	emit := c.emit
-	if len(e.orderBy) > 0 {
-		return e.evalOrdered(c, emit)
-	}
-
-	var out Sequence
-	var run func(ci *evalCtx, i int) error
-	run = func(ci *evalCtx, i int) error {
-		if err := ci.tick(); err != nil {
-			return err
-		}
-		if i == len(e.clauses) {
-			ok, err := e.whereHolds(ci)
-			if err != nil || !ok {
-				return err
-			}
-			v, err := e.ret.eval(ci)
-			if err != nil {
-				return err
-			}
-			if emit != nil {
-				for _, it := range v {
-					if !emit(it) {
-						return errAborted
-					}
-				}
-				return nil
-			}
-			out = append(out, v...)
-			return nil
-		}
-		return e.bindClause(ci, i, run)
-	}
-
 	cc := *c
 	cc.emit = nil
-	if err := run(&cc, 0); err != nil {
+	if len(e.orderBy) > 0 {
+		return e.evalOrdered(&cc, emit)
+	}
+	var out Sequence
+	err := e.tuples(&cc, func(ci *evalCtx, _ *binding) error {
+		v, err := e.ret.eval(ci)
+		if err != nil || emit == nil {
+			out = append(out, v...)
+			return err
+		}
+		for _, it := range v {
+			if !emit(it) {
+				return errAborted
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-
 	return out, nil
 }
 
@@ -186,52 +179,107 @@ func (e *flworExpr) whereHolds(ci *evalCtx) (bool, error) {
 	return EffectiveBool(v)
 }
 
-// bindClause evaluates clause i (for or let) and recurses via cont.
-func (e *flworExpr) bindClause(ci *evalCtx, i int, cont func(*evalCtx, int) error) error {
-	cl := e.clauses[i]
-	if cl.isLet {
-		v, err := cl.expr.eval(ci)
+// tuples enumerates the FLWOR's tuples, charging one step for the empty
+// tuple and one per clause binding, and calls keep with each one the where
+// clause keeps. When the FLWOR has a plan (plan.go) and its last for clause
+// binds a node, keep is handed that binding, and a compiled where tests the
+// node before any context is made for it.
+func (e *flworExpr) tuples(c *evalCtx, keep func(*evalCtx, *binding) error) error {
+	var b *binding
+	if p := e.analyzed().plan; p != nil && !c.general {
+		b = &binding{plan: p, vals: make([]float64, len(p.where))}
+	}
+	var run func(ci *evalCtx, i int, bound *binding) error
+	run = func(ci *evalCtx, i int, bound *binding) error {
+		if i == len(e.clauses) {
+			if bound == nil || bound.plan.where == nil {
+				if ok, err := e.whereHolds(ci); err != nil || !ok {
+					return err
+				}
+			}
+			return keep(ci, bound)
+		}
+		cl := &e.clauses[i]
+		seq, err := e.forSource(ci, i)
 		if err != nil {
 			return err
 		}
-		return cont(ci.withVar(cl.varName, v), i+1)
+		if cl.isLet {
+			if err := ci.tick(); err != nil {
+				return err
+			}
+			return run(ci.withVar(cl.varName, seq), i+1, nil)
+		}
+		child := ci.withVar(cl.varName, nil) // rebound per item: nothing keeps a context
+		for idx, it := range seq {
+			if err := ci.tick(); err != nil {
+				return err
+			}
+			var bound *binding
+			if n, ok := it.(*xmldoc.Node); ok && b != nil && i == len(e.clauses)-1 {
+				if b.n, bound = n, b; b.plan.where != nil && !b.holds(&c.run.meter) {
+					if err := c.run.err(); err != nil {
+						return err
+					}
+					continue
+				}
+			}
+			next := child
+			if child.vars.val = seq[idx : idx+1 : idx+1]; cl.posVar != "" {
+				next = child.withVar(cl.posVar, Singleton(int64(idx+1)))
+			}
+			if err := run(next, i+1, bound); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	seq, err := e.forSource(ci, i)
-	if err != nil {
+	if err := c.tick(); err != nil {
 		return err
 	}
-	for idx, it := range seq {
-		child := ci.withVar(cl.varName, Singleton(it))
-		if cl.posVar != "" {
-			child = child.withVar(cl.posVar, Singleton(int64(idx+1)))
-		}
-		if err := cont(child, i+1); err != nil {
-			return err
-		}
-	}
-	return nil
+	return run(c, 0, nil)
 }
 
 // evalOrdered materializes all FLWOR tuples, sorts them stably by the
 // order-by keys, then concatenates (and optionally emits, held) the results.
 func (e *flworExpr) evalOrdered(c *evalCtx, emit func(Item) bool) (Sequence, error) {
 	var tuples []Sequence
-	var keys []Sequence
-	cc := *c
-	cc.emit = nil
-	if err := runOrdered(e, &cc, &tuples, &keys); err != nil {
+	var keys []sortKey // len(e.orderBy) per tuple
+	err := e.tuples(c, func(ci *evalCtx, b *binding) error {
+		for k := range e.orderBy {
+			if b != nil && b.plan.keys != nil {
+				keys = append(keys, b.key(k, &c.run.meter))
+				continue
+			}
+			kv, err := e.orderBy[k].key.eval(ci)
+			if err != nil {
+				return err
+			}
+			var it Item
+			if len(kv) > 0 {
+				it = atomOf(kv[0])
+			}
+			keys = append(keys, keyOf(it))
+		}
+		if err := c.run.err(); err != nil { // a compiled key raised
+			return err
+		}
+		v, err := e.ret.eval(ci)
+		tuples = append(tuples, v)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
-
+	nk := len(e.orderBy)
 	idx := make([]int, len(tuples))
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.SliceStable(idx, func(a, b int) bool {
-		ka, kb := keys[idx[a]], keys[idx[b]]
+		ka, kb := keys[idx[a]*nk:], keys[idx[b]*nk:]
 		for k := range e.orderBy {
-			cmp := compareKeys(ka[k], kb[k], e.orderBy[k])
-			if cmp != 0 {
+			if cmp := compareKeys(&ka[k], &kb[k], &e.orderBy[k]); cmp != 0 {
 				return cmp < 0
 			}
 		}
@@ -255,63 +303,58 @@ func (e *flworExpr) evalOrdered(c *evalCtx, emit func(Item) bool) (Sequence, err
 	return res, nil
 }
 
-// runOrdered enumerates FLWOR tuples collecting per-tuple return values and
-// order-by keys.
-func runOrdered(e *flworExpr, c *evalCtx, tuples *[]Sequence, keys *[]Sequence) error {
-	var run func(ci *evalCtx, i int) error
-	run = func(ci *evalCtx, i int) error {
-		if err := ci.tick(); err != nil {
-			return err
-		}
-		if i == len(e.clauses) {
-			ok, err := e.whereHolds(ci)
-			if err != nil || !ok {
-				return err
-			}
-			var key Sequence
-			for _, os := range e.orderBy {
-				kv, err := os.key.eval(ci)
-				if err != nil {
-					return err
-				}
-				var k Item
-				if len(kv) > 0 {
-					k = Atomize(kv[:1])[0]
-				}
-				key = append(key, k)
-			}
-			v, err := e.ret.eval(ci)
-			if err != nil {
-				return err
-			}
-			*tuples = append(*tuples, v)
-			*keys = append(*keys, key)
-			return nil
-		}
-		return e.bindClause(ci, i, run)
-	}
-	return run(c, 0)
+// sortKey is one order-by key of one tuple: a number, held unboxed, or
+// any other atomic value, nil for the empty sequence.
+type sortKey struct {
+	atom  Item
+	num   float64
+	isNum bool
 }
 
-// compareKeys compares two order-by keys under the given spec. An empty
-// (nil) key is the least value or the greatest, as the spec says, and the
-// direction then applies to it like to any other.
-func compareKeys(a, b Item, spec orderSpec) int {
-	var cmp int
+// keyOf is the sort key of an atomized value.
+func keyOf(it Item) sortKey {
+	if f, ok := it.(float64); ok {
+		return sortKey{num: f, isNum: true}
+	}
+	return sortKey{atom: it}
+}
+
+// item is the key as compareAtomic takes it.
+func (k *sortKey) item() Item {
+	if k.isNum {
+		return k.num
+	}
+	return k.atom
+}
+
+// rank sets the empty sequence (2) and NaN (1) apart from every other key
+// (0).
+func (k *sortKey) rank() int {
 	switch {
-	case a == nil && b == nil:
-		return 0
-	case a == nil || b == nil:
-		cmp = 1
-		if (a == nil) == spec.emptyLeast {
-			cmp = -1
+	case k.isNum && math.IsNaN(k.num):
+		return 1
+	case !k.isNum && k.atom == nil:
+		return 2
+	}
+	return 0
+}
+
+// compareKeys compares two order-by keys under the given spec. The empty
+// sequence is the least value or the greatest, as the spec says, and NaN
+// sorts next to it, equal to itself: empty least orders () < NaN < every
+// number. The direction then applies to them like to any other value.
+func compareKeys(a, b *sortKey, spec *orderSpec) int {
+	ra, rb := a.rank(), b.rank()
+	cmp := ra - rb
+	if spec.emptyLeast {
+		cmp = -cmp
+	}
+	if ra == 0 && rb == 0 {
+		if a.isNum && b.isNum {
+			cmp = numCmp(a.num, b.num)
+		} else if c, err := compareAtomic(a.item(), b.item()); err == nil && c != 2 {
+			cmp = c
 		}
-	default:
-		c, err := compareAtomic(a, b)
-		if err != nil || c == 2 {
-			return 0
-		}
-		cmp = c
 	}
 	if spec.descending {
 		cmp = -cmp
@@ -319,42 +362,28 @@ func compareKeys(a, b Item, spec orderSpec) int {
 	return cmp
 }
 
+// errDecided stops a quantifier at the first binding that decides it.
+var errDecided = errors.New("xq: quantifier decided")
+
 func (e *quantExpr) eval(c *evalCtx) (Sequence, error) {
-	var run func(ci *evalCtx, i int) (bool, error)
-	run = func(ci *evalCtx, i int) (bool, error) {
-		if err := ci.tick(); err != nil {
-			return false, err
-		}
-		if i == len(e.binds) {
-			v, err := e.sat.eval(ci)
-			if err != nil {
-				return false, err
-			}
-			return EffectiveBool(v)
-		}
-		seq, err := e.binds[i].expr.eval(ci)
+	err := e.fl.tuples(c, func(ci *evalCtx, _ *binding) error {
+		v, err := e.fl.ret.eval(ci)
 		if err != nil {
-			return false, err
+			return err
 		}
-		for _, it := range seq {
-			ok, err := run(ci.withVar(e.binds[i].varName, Singleton(it)), i+1)
-			if err != nil {
-				return false, err
-			}
-			if ok && !e.every {
-				return true, nil
-			}
-			if !ok && e.every {
-				return false, nil
-			}
+		ok, err := EffectiveBool(v)
+		if err == nil && ok != e.every {
+			err = errDecided
 		}
-		return e.every, nil
+		return err
+	})
+	if err == errDecided {
+		return boolSeq(!e.every), nil
 	}
-	ok, err := run(c, 0)
 	if err != nil {
 		return nil, err
 	}
-	return boolSeq(ok), nil
+	return boolSeq(e.every), nil
 }
 
 func (e *ifExpr) eval(c *evalCtx) (Sequence, error) {

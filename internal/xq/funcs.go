@@ -483,6 +483,12 @@ func seqString(s Sequence) string {
 	return StringValue(s[0])
 }
 
+// errSingleton is a one-item argument's error over n items, raised by the
+// interpreter and by number()'s compiled form alike (plan.go).
+func errSingleton(n int) error {
+	return fmt.Errorf("xq: expected singleton argument, got %d items", n)
+}
+
 // argOrCtx returns args[i][0] if present, else the context item (which may
 // be nil only when the sequence argument is explicitly empty).
 func argOrCtx(c *evalCtx, args []Sequence, i int) (Item, error) {
@@ -491,7 +497,7 @@ func argOrCtx(c *evalCtx, args []Sequence, i int) (Item, error) {
 			return nil, nil
 		}
 		if len(args[i]) > 1 {
-			return nil, fmt.Errorf("xq: expected singleton argument, got %d items", len(args[i]))
+			return nil, errSingleton(len(args[i]))
 		}
 		return args[i][0], nil
 	}

@@ -1,6 +1,10 @@
 package xq
 
 import (
+	"fmt"
+	"math"
+	"strconv"
+	"strings"
 	"testing"
 
 	"wsda/internal/xmldoc"
@@ -37,5 +41,54 @@ func FuzzCompile(f *testing.F) {
 		}
 		// Bound evaluation so pathological-but-valid queries terminate.
 		_, _ = q.Eval(&Options{Context: doc, MaxSteps: 50_000})
+	})
+}
+
+// FuzzCompiledComparisonMatchesGeneral holds the comparison closures to the
+// reference for any operator, literal and attribute values: as a step
+// predicate over a path and over number() of one (which raises where it
+// reaches two nodes), and as a FLWOR's compiled where and order-by keys.
+func FuzzCompiledComparisonMatchesGeneral(f *testing.F) {
+	f.Add(uint8(2), "1", 1.5, false, "1", " 2 ", "x")
+	f.Add(uint8(5), "abc", 0.0, true, "NaN", "", "1e3")
+	f.Add(uint8(1), "", 2.0, false, "2", "2.0", "-0")
+	f.Add(uint8(3), "b", 1e300, true, "a", "B", "b ")
+	f.Fuzz(func(t *testing.T, op uint8, s string, x float64, numeric bool, v1, v2, v3 string) {
+		lit := `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
+		if numeric && x >= 0 && !math.IsInf(x, 0) {
+			lit = strconv.FormatFloat(x, 'f', -1, 64)
+		}
+		cmp := " " + genOps[int(op)%len(genOps)] + " " + lit
+		root := xmldoc.NewElement("r")
+		for i, v := range []string{v1, v2, v3} {
+			a := xmldoc.NewElement("a").SetAttr("k", v)
+			if i == 1 { // two b's: number(b/@k) raises here
+				a.AppendChild(xmldoc.NewElement("b").SetAttr("k", v1))
+				a.AppendChild(xmldoc.NewElement("b").SetAttr("k", v3))
+			}
+			root.AppendChild(a)
+		}
+		d := xmldoc.NewDocument()
+		d.AppendChild(root)
+		d.Renumber()
+		for _, src := range []string{
+			`/r/a[@k` + cmp + `]/@k`,
+			`/r/a[number(@k)` + cmp + `]/@k`,
+			`/r/a[b/@k` + cmp + `]/@k`,
+			`/r/a[number(b/@k)` + cmp + `]/@k`,
+			`for $x in /r/a where $x/@k` + cmp + ` order by number($x/@k) return $x/@k`,
+			`for $x in /r/a where number($x/@k)` + cmp + ` order by number($x/@k) descending empty greatest return $x/@k`,
+			`for $x in /r/a where $x/b/@k` + cmp + ` order by $x/@k return $x/@k`,
+		} {
+			q, err := Compile(src)
+			if err != nil {
+				return // a literal the lexer refuses
+			}
+			got, gotErr := q.EvalDoc(d)
+			want, wantErr := MustCompileGeneral(src).EvalDoc(d)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !sameItems(got, want) {
+				t.Fatalf("%s: %s (err %v), reference %s (err %v)", src, Serialize(got), gotErr, Serialize(want), wantErr)
+			}
+		}
 	})
 }

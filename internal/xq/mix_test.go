@@ -1,6 +1,7 @@
 package xq_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -76,6 +77,37 @@ func TestDiscoveryQueriesMatchGeneral(t *testing.T) {
 				t.Errorf("%s: streamed result differs from the reference (err %v)", src, err)
 			}
 		}
+	}
+}
+
+// TestQ4Compiles: canonical Q4, `service[@owner="cms"][number(...) < 0.5]`,
+// is inside the closure grammar, so it has a tuple head: every step from
+// tuple on walks with compiled predicates, and a tuple source can answer
+// it. Where number() meets two load attributes, the compiled walk, the
+// sourced walk and the reference raise the same error; a prolog's own
+// number() is the prolog's, never the closure's.
+func TestQ4Compiles(t *testing.T) {
+	q4 := workload.CanonicalQueries[3].XQ
+	if _, ok := xq.MustCompile(q4).TupleHead(); !ok {
+		t.Fatalf("Q4 has no tuple head: %s", q4)
+	}
+	d := xmldoc.MustParse(`<tupleset><tuple><content><service owner="cms"><attr name="load" value="0.2"/></service></content></tuple>` +
+		`<tuple><content><service owner="cms"><attr name="load" value="0.3"/><attr name="load" value="0.9"/></service></content></tuple></tupleset>`)
+	_, want := xq.MustCompileGeneral(q4).EvalDoc(d)
+	_, doc := xq.MustCompile(q4).EvalDoc(d)
+	_, sourced := xq.MustCompile(q4).Eval(&xq.Options{Tuples: func(visit func(*xmldoc.Node) bool) {
+		for _, m := range d.DocumentElement().Children {
+			if !visit(m) {
+				return
+			}
+		}
+	}})
+	if want == nil || fmt.Sprint(doc) != want.Error() || fmt.Sprint(sourced) != want.Error() {
+		t.Errorf("two loads: reference %v, compiled %v, sourced %v", want, doc, sourced)
+	}
+	own := `declare function local:number($x) { 0 }; count(/tupleset/tuple/content/service[number(attr/@value) < 0.5])`
+	if got, err := xq.MustCompile(own).EvalDoc(d); err != nil || xq.Serialize(got) != "2" {
+		t.Errorf("a prolog's number(): %s, err %v; want 2", xq.Serialize(got), err)
 	}
 }
 

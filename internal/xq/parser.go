@@ -9,7 +9,8 @@ import (
 // element constructors are parsed at the character level, calling back into
 // the token-level parser for embedded {expressions}.
 type parser struct {
-	lx *lexer
+	lx      *lexer
+	numbers []*funcCall // every call of number(), marked user if a prolog declares one
 }
 
 // parse compiles a complete query: an optional prolog (variable and
@@ -29,6 +30,9 @@ func (p *parser) parse() (Expr, []varDecl, map[string]*userFunc, error) {
 	}
 	if t.kind != tokEOF {
 		return nil, nil, nil, p.lx.errorf(t.pos, "unexpected %s %q after expression", t.kind, t.text)
+	}
+	for _, f := range p.numbers {
+		f.user = funcs["number"] != nil
 	}
 	return e, decls, funcs, nil
 }
@@ -326,7 +330,7 @@ func (p *parser) parseQuantified() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		q.binds = append(q.binds, flworClause{varName: v, expr: e})
+		q.fl.clauses = append(q.fl.clauses, flworClause{varName: v, expr: e})
 		ok, err := p.acceptSymbol(",")
 		if err != nil {
 			return nil, err
@@ -338,11 +342,9 @@ func (p *parser) parseQuantified() (Expr, error) {
 	if err := p.expectName("satisfies"); err != nil {
 		return nil, err
 	}
-	sat, err := p.parseExprSingle()
-	if err != nil {
+	if q.fl.ret, err = p.parseExprSingle(); err != nil {
 		return nil, err
 	}
-	q.sat = sat
 	return &q, nil
 }
 
@@ -427,9 +429,6 @@ func (p *parser) parseAnd() (Expr, error) {
 	return &andExpr{args: args}, nil
 }
 
-var generalCompOps = map[string]bool{"=": true, "!=": true, "<": true, "<=": true, ">": true, ">=": true}
-var valueCompOps = map[string]bool{"eq": true, "ne": true, "lt": true, "le": true, "gt": true, "ge": true}
-
 func (p *parser) parseComparison() (Expr, error) {
 	l, err := p.parseConcat()
 	if err != nil {
@@ -439,7 +438,7 @@ func (p *parser) parseComparison() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if t.kind == tokSymbol && generalCompOps[t.text] {
+	if _, ok := cmpMask[t.text]; ok && t.kind == tokSymbol {
 		p.lx.next()
 		r, err := p.parseConcat()
 		if err != nil {
@@ -447,7 +446,7 @@ func (p *parser) parseComparison() (Expr, error) {
 		}
 		return &compExpr{op: t.text, general: true, l: l, r: r}, nil
 	}
-	if t.kind == tokName && valueCompOps[t.text] {
+	if _, ok := cmpMask[t.text]; ok && t.kind == tokName {
 		p.lx.next()
 		r, err := p.parseConcat()
 		if err != nil {
@@ -1033,8 +1032,11 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if err := p.expectSymbol(")"); err != nil {
 				return nil, err
 			}
-			name := strings.TrimPrefix(strings.TrimPrefix(t.text, "fn:"), "local:")
-			return &funcCall{name: name, args: args}, nil
+			f := &funcCall{name: strings.TrimPrefix(strings.TrimPrefix(t.text, "fn:"), "local:"), args: args}
+			if f.name == "number" {
+				p.numbers = append(p.numbers, f)
+			}
+			return f, nil
 		}
 		// Computed constructors.
 		switch t.text {

@@ -2,17 +2,20 @@
 //
 // One closure compiler serves every evaluation. compilePred turns a path
 // step's predicate into a closure over document nodes when it is inside
-// the closure grammar: and/or over general `=` comparisons between a
-// relative child/attribute name-step path and a string or numeric literal,
-// and bare relative paths (existence tests), the steps of those paths
-// predicated by the same grammar. Every form is boolean-valued and cannot
-// raise. Each predicate compiles at most once per compiled Query
-// (pathExpr.compiled), and walkPlan is the one walker of child/attribute
-// steps. The interpreter (eval.go) filters any axis step's candidates
-// through the closures and walks runs of such steps in one pass, metering
-// one step per node tested; predicates outside the grammar (positional,
-// position()/last(), variables, function calls, value and ordering
-// comparisons) keep the general AST interpretation.
+// the closure grammar: and/or over general comparisons, any of the six
+// operators, between a string or numeric literal and either a relative
+// child/attribute name-step path (existential over its leaves) or
+// number() of one, and bare relative paths (existence tests), the steps
+// of those paths predicated by the same grammar. number() over two nodes
+// raises its own error through the meter; such a predicate compiles only
+// where every candidate is tested (raises). Each compiles at most once
+// per Query (pathExpr.compiled), and walkPlan is the one walker of
+// child/attribute steps. The interpreter (eval.go) filters any axis
+// step's candidates through the closures and walks runs of such steps in
+// one pass, metering one step per node tested; anything else (positions,
+// variables, other functions, value comparisons) is interpreted. A
+// FLWOR's where conjuncts and order-by keys over the node its last for
+// clause binds compile the same way, read from $v (bindPlan).
 //
 // The query family that dominates registry traffic,
 //
@@ -32,7 +35,7 @@ package xq
 import (
 	"errors"
 	"math"
-	"strconv"
+	"slices"
 	"strings"
 
 	"wsda/internal/xmldoc"
@@ -118,8 +121,9 @@ func (h *TupleHead) add(e Expr) {
 // a plain single-attribute path and a string literal, returning the
 // attribute name and literal.
 func simpleAttrEq(e Expr) (name, val string, ok bool) {
-	pp, lit, ok := eqOperands(e)
-	if !ok || pp.absolute || pp.doubleSlash || len(pp.steps) != 1 {
+	x, op, lit, ok := cmpOperands(e)
+	pp, isPath := x.(*pathExpr)
+	if !ok || op != "=" || !isPath || pp.absolute || pp.doubleSlash || len(pp.steps) != 1 {
 		return "", "", false
 	}
 	s, isStr := lit.val[0].(string)
@@ -128,22 +132,6 @@ func simpleAttrEq(e Expr) (name, val string, ok bool) {
 		return "", "", false
 	}
 	return st.test.name, s, true
-}
-
-// eqOperands splits a general `=` comparison between a path and a literal,
-// in either operand order.
-func eqOperands(e Expr) (*pathExpr, *literal, bool) {
-	cmp, ok := e.(*compExpr)
-	if !ok || !cmp.general || cmp.op != "=" {
-		return nil, nil, false
-	}
-	pathSide, litSide := cmp.l, cmp.r
-	if _, isLit := pathSide.(*literal); isLit {
-		pathSide, litSide = litSide, pathSide
-	}
-	pp, isPath := pathSide.(*pathExpr)
-	lit, isLit := litSide.(*literal)
-	return pp, lit, isPath && isLit
 }
 
 // tupleWalk is one evaluation over Options.Tuples: the steps from tuple
@@ -184,16 +172,16 @@ func (w *tupleWalk) deliver(n *xmldoc.Node) bool {
 }
 
 // compilePred compiles one predicate expression to a node closure; nil
-// reports it outside the closure grammar: and/or connectives, general `=`
-// comparisons between a relative child/attribute path and an atomic
-// literal, and bare relative paths (existence tests). All forms are
-// boolean-valued and cannot raise, so the interpreter's positional rule
-// (a numeric predicate value selects by position) and its error paths can
-// never apply to a compiled predicate.
-func compilePred(e Expr) nodePred {
+// reports it outside the closure grammar: and/or connectives, comparisons
+// (compileCmp), and bare operand paths (existence tests). v names the
+// variable whose node the closure reads: "" for a step predicate, whose
+// operand paths are relative; otherwise they are written $v or $v/rel.
+// Every form is boolean-valued, so the interpreter's positional rule (a
+// numeric predicate value selects by position) can never apply to it.
+func compilePred(e Expr, v string) nodePred {
 	switch x := e.(type) {
 	case *andExpr:
-		preds := compilePreds(x.args)
+		preds := compilePreds(x.args, v)
 		if preds == nil {
 			return nil
 		}
@@ -206,7 +194,7 @@ func compilePred(e Expr) nodePred {
 			return true
 		}
 	case *orExpr:
-		preds := compilePreds(x.args)
+		preds := compilePreds(x.args, v)
 		if preds == nil {
 			return nil
 		}
@@ -219,55 +207,154 @@ func compilePred(e Expr) nodePred {
 			return false
 		}
 	case *compExpr:
-		return compileEq(e)
-	case *pathExpr:
-		if steps := compileRelPath(x); steps != nil {
-			return reaches(steps, nil)
+		t := compileCmp(e, v)
+		if num, holds := t.num, t.holds; num != nil {
+			return func(n *xmldoc.Node, m *meter) bool { return holds(num(n, m)) }
 		}
+		return t.pred
+	}
+	if steps, ok := operand(e, v); ok {
+		return reaches(steps, nil)
 	}
 	return nil
 }
 
 // compilePreds compiles every expression, or returns nil if any is outside
 // the grammar (or there are none).
-func compilePreds(args []Expr) []nodePred {
+func compilePreds(args []Expr, v string) []nodePred {
 	if len(args) == 0 {
 		return nil
 	}
 	preds := make([]nodePred, len(args))
 	for i, a := range args {
-		if preds[i] = compilePred(a); preds[i] == nil {
+		if preds[i] = compilePred(a, v); preds[i] == nil {
 			return nil
 		}
 	}
 	return preds
 }
 
-// compileEq compiles a general `=` comparison between a relative path and
-// an atomic literal into an existential closure, replicating the
-// interpreter's general-comparison coercion: node string values compare
-// as strings against string literals and numerically against numeric
-// literals (non-numeric node text then compares unequal, like NaN).
-func compileEq(e Expr) nodePred {
-	pp, lit, ok := eqOperands(e)
+// cmpTest is a compiled comparison: pred, or for number(rel) the closure
+// num reading the number and holds deciding the comparison on it. As an
+// order-by key (bindPlan) it is number(rel) or rel's first leaf, and from
+// names the where conjunct that reads the same number, or is -1.
+type cmpTest struct {
+	pred  nodePred
+	num   func(*xmldoc.Node, *meter) float64
+	holds func(float64) bool
+	rel   []pathStep
+	from  int
+}
+
+// compileCmp compiles a general comparison, any of the six operators,
+// between an operand and an atomic literal, replicating generalCompare:
+// an operand path is existential over the string values of its leaves,
+// compared as strings with a string literal and numerically, with
+// fn:number coercion, with a numeric one; number(path) compares
+// numerically with the literal coerced likewise. NaN satisfies only `!=`.
+func compileCmp(e Expr, v string) (t cmpTest) {
+	x, op, lit, ok := cmpOperands(e)
 	if !ok {
-		return nil
+		return t
 	}
-	var match func(string) bool
-	switch v := lit.val[0].(type) {
-	case string:
-		match = func(s string) bool { return s == v }
-	case int64:
-		match = numericMatch(float64(v))
-	case float64:
-		match = numericMatch(v)
-	default:
-		return nil
+	mask, f := cmpMask[op], NumberValue(lit.val[0])
+	if t.rel, t.num = compileNum(x, v); t.num != nil {
+		t.holds = func(g float64) bool { return mask>>(numCmp(g, f)+1)&1 != 0 }
+		return t
 	}
-	if steps := compileRelPath(pp); steps != nil {
-		return reaches(steps, match)
+	steps, ok := operand(x, v)
+	if !ok {
+		return t
 	}
-	return nil
+	match := func(s string) bool { return mask>>(numCmp(numberOf(s), f)+1)&1 != 0 }
+	if l, isStr := lit.val[0].(string); isStr && op == "=" {
+		match = func(s string) bool { return s == l }
+	} else if isStr {
+		match = func(s string) bool { return mask>>(strings.Compare(s, l)+1)&1 != 0 }
+	}
+	t.pred = reaches(steps, match)
+	return t
+}
+
+// compileNum compiles number(p), p an operand path, to a closure giving
+// what number() gives: NaN over no node, the leaf's value over one, and
+// over more than one number()'s own error, set on the meter. A prolog's
+// own number() is not this one.
+func compileNum(e Expr, v string) ([]pathStep, func(*xmldoc.Node, *meter) float64) {
+	f, ok := e.(*funcCall)
+	if !ok || f.name != "number" || f.user || len(f.args) != 1 {
+		return nil, nil
+	}
+	steps, ok := operand(f.args[0], v)
+	if !ok {
+		return nil, nil
+	}
+	return steps, func(n *xmldoc.Node, m *meter) float64 {
+		var leaf *xmldoc.Node
+		count := 0
+		walkPlan(n, steps, m, func(l *xmldoc.Node) bool {
+			leaf, count = l, count+1
+			return true
+		})
+		if count == 1 {
+			return numberOf(leaf.StringValue())
+		}
+		if count > 1 && m.err() == nil {
+			m.fault = errSingleton(count)
+		}
+		return math.NaN()
+	}
+}
+
+// cmpOperands splits a general comparison with an atomic literal on
+// either side into the other operand and the operator as that operand
+// sees it: `1 < @k` is `@k > 1`.
+func cmpOperands(e Expr) (x Expr, op string, lit *literal, ok bool) {
+	cmp, isCmp := e.(*compExpr)
+	if !isCmp || !cmp.general {
+		return nil, "", nil, false
+	}
+	if lit, ok = cmp.r.(*literal); ok {
+		return cmp.l, cmp.op, lit, true
+	}
+	lit, ok = cmp.l.(*literal)
+	return cmp.r, flipOp[cmp.op], lit, ok
+}
+
+var flipOp = map[string]string{"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+// operand returns the steps from a closure's node to the nodes e reads: e
+// is a relative path inside the grammar or, with v set, $v or $v/rel.
+func operand(e Expr, v string) ([]pathStep, bool) {
+	if v != "" {
+		name, steps, ok := varPath(e)
+		return steps, ok && name == v
+	}
+	pe, ok := e.(*pathExpr)
+	if !ok {
+		return nil, false
+	}
+	steps := compileRelPath(pe)
+	return steps, steps != nil
+}
+
+// raises reports whether a predicate may compare number() of a path, which
+// raises over more than one node. Such a predicate compiles only where
+// every candidate is tested, as the reference tests them: never inside
+// another closure's path, which stops at its first hit, and at most once
+// per path, whose walk meets candidates depth-first.
+func raises(e Expr) bool {
+	switch x := e.(type) {
+	case *andExpr:
+		return slices.ContainsFunc(x.args, raises)
+	case *orExpr:
+		return slices.ContainsFunc(x.args, raises)
+	case *compExpr:
+		_, l := x.l.(*funcCall)
+		_, r := x.r.(*funcCall)
+		return l || r
+	}
+	return false
 }
 
 // reaches is the existential closure both predicate forms share: some node
@@ -276,7 +363,8 @@ func compileEq(e Expr) nodePred {
 // nothing found. The commonest leaf, one unpredicated attribute step
 // (`@name = "kind"`), reads the candidate's attributes without a walk.
 func reaches(steps []pathStep, match func(string) bool) nodePred {
-	if st := &steps[0]; len(steps) == 1 && st.axis == axisAttribute && len(st.preds) == 0 {
+	if len(steps) == 1 && steps[0].axis == axisAttribute && len(steps[0].preds) == 0 {
+		st := &steps[0]
 		return func(n *xmldoc.Node, _ *meter) bool {
 			for _, a := range n.Attrs {
 				if matchTest(a, &st.test, axisAttribute) && (match == nil || match(a.Data)) {
@@ -296,24 +384,15 @@ func reaches(steps []pathStep, match func(string) bool) nodePred {
 	}
 }
 
-// numericMatch compares a node's string value against a numeric literal
-// with fn:number coercion; unparsable (or NaN) values compare unequal.
-func numericMatch(f float64) func(string) bool {
-	return func(s string) bool {
-		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		return err == nil && !math.IsNaN(v) && v == f
-	}
-}
-
 // compileRelPath returns the steps of a relative child/attribute name-step
-// path whose predicates all compiled, or nil.
+// path whose predicates all compiled and cannot raise, or nil.
 func compileRelPath(pe *pathExpr) []pathStep {
 	if pe.absolute || pe.doubleSlash {
 		return nil
 	}
 	steps := pe.compiled()
 	for i := range steps {
-		if !steps[i].walkable() {
+		if !steps[i].walkable() || slices.ContainsFunc(steps[i].preds, raises) {
 			return nil
 		}
 	}
@@ -377,4 +456,105 @@ func holdAll(preds []nodePred, n *xmldoc.Node, m *meter) bool {
 		}
 	}
 	return true
+}
+
+// bindPlan is the closure form of a FLWOR's where clause and order-by keys
+// over the node its last for clause binds, compiled once per Query: the
+// where when each of its conjuncts is inside the closure grammar with
+// operands read from that variable ($v, $v/rel, number() of either), the
+// keys when each is such an operand. A part that does not compile is
+// interpreted.
+type bindPlan struct {
+	where []cmpTest // the where's conjuncts, in order
+	keys  []cmpTest // one per order spec
+}
+
+// binding is what a plan reads of one binding: the node, and the number
+// each of the where's number() conjuncts read from it.
+type binding struct {
+	plan *bindPlan
+	n    *xmldoc.Node
+	vals []float64
+}
+
+// compilePlan returns the FLWOR's plan, or nil when nothing compiled.
+func (e *flworExpr) compilePlan() *bindPlan {
+	cl := &e.clauses[len(e.clauses)-1]
+	if cl.isLet || cl.posVar == cl.varName {
+		return nil
+	}
+	p, v := &bindPlan{}, cl.varName
+	for _, x := range conjuncts(e.where) {
+		t := compileCmp(x, v)
+		if t.num == nil {
+			t.pred = compilePred(x, v)
+		}
+		if t.num == nil && t.pred == nil {
+			p.where = nil
+			break
+		}
+		p.where = append(p.where, t)
+	}
+	for _, os := range e.orderBy {
+		k, ok := cmpTest{from: -1}, true
+		if k.rel, k.num = compileNum(os.key, v); k.num != nil {
+			text := string(memoText(nil, k.rel))
+			k.from = slices.IndexFunc(p.where, func(t cmpTest) bool { return t.num != nil && string(memoText(nil, t.rel)) == text })
+		} else if k.rel, ok = operand(os.key, v); !ok {
+			p.keys = nil
+			break
+		}
+		p.keys = append(p.keys, k)
+	}
+	if p.where == nil && p.keys == nil {
+		return nil
+	}
+	return p
+}
+
+// holds runs the plan's where over the bound node, keeping the numbers it
+// reads. false with the meter's error set: a closure raised or the budget
+// ran out.
+func (b *binding) holds(m *meter) bool {
+	for i, t := range b.plan.where {
+		ok := false
+		if t.num != nil {
+			b.vals[i] = t.num(b.n, m)
+			ok = t.holds(b.vals[i])
+		} else {
+			ok = t.pred(b.n, m)
+		}
+		if !ok || m.err() != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// key returns order-by key k of the bound node.
+func (b *binding) key(k int, m *meter) sortKey {
+	t := &b.plan.keys[k]
+	switch {
+	case t.from >= 0:
+		return sortKey{num: b.vals[t.from], isNum: true}
+	case t.num != nil:
+		return sortKey{num: t.num(b.n, m), isNum: true}
+	}
+	var s sortKey
+	walkPlan(b.n, t.rel, m, func(leaf *xmldoc.Node) bool {
+		s.atom = leaf.StringValue()
+		return false
+	})
+	return s
+}
+
+// conjuncts returns the top-level conjuncts of e; none when e is nil.
+func conjuncts(e Expr) []Expr {
+	if and, ok := e.(*andExpr); ok {
+		return and.args
+	}
+	if e == nil {
+		return nil
+	}
+	return []Expr{e}
 }

@@ -42,24 +42,30 @@ func TestTupleHeadShapes(t *testing.T) {
 		`/tupleset/tuple/content/service[interface[@type="XQuery"]/operation/bind/@protocol="http"]`,
 		`/tupleset/tuple/content/service[@load=0.25]`,
 		`/tupleset/tuple["x"=@type]`, // literal on the left
+		`/tupleset/tuple[@type!="x"]`,
+		`/tupleset/tuple[@year>2000]`,
+		`/tupleset/tuple[2000 <= @year or @year < "1"]`,
+		`/tupleset/tuple/content/service[@owner="cms"][number(attr[@name="load"]/@value) < 0.5]`, // Q4
 	}
 	for _, src := range accepted {
 		mustHead(t, src)
 	}
 
 	rejected := []string{
-		`count(/tupleset/tuple)`,          // function call root
-		`string(/tupleset/@registry)`,     // not the tuple path shape
-		`/tupleset`,                       // too short
-		`/tupleset/tuple[1]`,              // positional predicate
-		`/tupleset/tuple[last()]`,         // function in predicate
-		`/tupleset/tuple[@type!="x"]`,     // unsupported operator
-		`/tupleset/tuple[@year>2000]`,     // ordering comparison
-		`/tupleset/tuple[not(@type="x")]`, // function in predicate
-		`//tuple`,                         // descendant axis
-		`/tupleset/tuple/..`,              // non-child/attribute step
-		`/tupleset/tuple[$v=@type]`,       // external variable
-		`/tupleset/tuple[@type=$v]`,       // external variable
+		`count(/tupleset/tuple)`,                          // function call root
+		`string(/tupleset/@registry)`,                     // not the tuple path shape
+		`/tupleset`,                                       // too short
+		`/tupleset/tuple[1]`,                              // positional predicate
+		`/tupleset/tuple[last()]`,                         // function in predicate
+		`/tupleset/tuple[@a eq "x"]`,                      // value comparison
+		`/tupleset/tuple[count(@a) > 1]`,                  // a function other than number()
+		`/tupleset/tuple[number(@a) > 1][number(@b) > 1]`, // two predicates that may raise
+		`/tupleset/tuple[content[number(@a) > 1]]`,        // one that may raise inside another
+		`/tupleset/tuple[not(@type="x")]`,                 // function in predicate
+		`//tuple`,                                         // descendant axis
+		`/tupleset/tuple/..`,                              // non-child/attribute step
+		`/tupleset/tuple[$v=@type]`,                       // external variable
+		`/tupleset/tuple[@type=$v]`,                       // external variable
 		`for $t in /tupleset/tuple return $t`,
 		`declare variable $x := 1; /tupleset/tuple`,
 		`/tupleset/tuple[text()]`,       // kind test
@@ -195,9 +201,9 @@ func genTupleQuery(rng *rand.Rand) string {
 		case 1:
 			src += "[" + eq() + " and " + eq() + "]"
 		case 2:
-			src += "[" + genPred(rng, 2) + "]"
+			src += "[" + genPred(rng, 2, false) + "]"
 		default:
-			src += "[" + eq() + " and " + genPred(rng, 1) + "]"
+			src += "[" + eq() + " and " + genPred(rng, 1, false) + "]"
 		}
 	}
 	if rng.Intn(3) > 0 {

@@ -6,9 +6,10 @@
 // An absolute path whose every step is walkable() depends on nothing but
 // its root, so it is invariant: its node list is walked once and kept in a
 // Memo. A path P[c1]...[ck][rel = E], P and the ci as above, rel inside
-// the closure grammar and E `$v`, `$v/rel` or a string literal, indexes
-// P's node list by the string values of rel's leaves on its first
-// evaluation and answers every later one with a map lookup per value of E.
+// the closure grammar and E `$v` or `$v/rel`, indexes P's node list by
+// the string values of rel's leaves on its first evaluation and answers
+// every later one with a map lookup per value of E; with E a literal the
+// whole path is walkable, one invariant list.
 // A FLWOR whose last clause is `for $s in P` and whose where starts with
 // `$s/rel = E` iterates the same probe's hits instead of all of P; the
 // whole where still runs on them. Everything else, and the reference
@@ -37,11 +38,11 @@ import (
 )
 
 // memoCap bounds a shared Memo's keys; past it an evaluation keeps its
-// builds in its own memo. Canonical Q6–Q10 install 7 keys, about 74 KB
+// builds in its own memo. Canonical Q6–Q10 install 9 keys, about 73 KB
 // over 1 000 tuples (TestMemoFootprint); on view-xquery they raised
-// registryd's peak RSS from about 44.5 to 45.7 MB. 32 keys are four such
+// registryd's peak RSS from about 44.5 to 45.7 MB. 36 keys are four such
 // mixes per tuple set, about 6 MB per 1 000 tuples over 16 filter slots.
-const memoCap = 32
+const memoCap = 36
 
 // Memo holds what evaluations learn about one document: the node lists of
 // invariant absolute paths, the equality indexes built over them, and the
@@ -132,10 +133,13 @@ func (m *Memo) Carry(doc *xmldoc.Node, prev *Memo, from func() []int32) int {
 		if !ok || len(kids) != len(at) {
 			continue
 		}
-		list := lists[old.segs]
-		if list == nil {
+		list, done := lists[old.segs]
+		if !done {
 			list = carried(old, kids, at)
 			lists[old.segs] = list
+		}
+		if list == nil {
+			continue
 		}
 		set := list
 		if old.index != nil {
@@ -147,7 +151,8 @@ func (m *Memo) Carry(doc *xmldoc.Node, prev *Memo, from func() []int32) int {
 }
 
 // carried returns old's node list over the members kids, from as Carry's:
-// new members walked first, then runs of carried ones copied at a time.
+// new members walked first, then runs of carried ones copied at a time; nil
+// when a new member's walk raised.
 func carried(old *nodeSet, kids []*xmldoc.Node, from []int32) *nodeSet {
 	segs := &segments{steps: old.segs.steps, of: make([]segment, len(kids)+1)}
 	var walked Sequence
@@ -161,6 +166,9 @@ func carried(old *nodeSet, kids []*xmldoc.Node, from []int32) *nodeSet {
 		at := m.steps
 		walkMember(kids[i], segs.steps[1:], &m, func(n *xmldoc.Node) bool { walked = append(walked, n); return true })
 		segs.of[i] = segment{int32(len(walked)), int32(m.steps - at)} // where its nodes end in walked, for now
+	}
+	if m.err() != nil {
+		return nil // a new member raised (number() over two nodes): a build over doc fails, so none is carried
 	}
 	set := &nodeSet{nodes: make(Sequence, 0, size+len(walked)), segs: segs}
 	w, rlo, rhi := 0, 0, 0 // old.nodes[rlo:rhi]: carried nodes not yet copied
@@ -306,7 +314,7 @@ type eqProbe struct {
 	walkKey  string     // memoText of walk
 	indexKey string     // walkKey and rel's memoText
 	rel      []pathStep // from a node of the set to its key leaves
-	key      Expr       // `$v`, `$v/rel` or a string literal
+	key      Expr       // `$v` or `$v/rel`
 	pred     []Expr     // the probed predicate alone, for values the index cannot answer
 }
 
@@ -346,13 +354,12 @@ func (e *pathExpr) analyzeSet() {
 	}
 	probed := last.preds[k:]
 	last.preds = last.preds[:k:k]
-	last.cpreds = compilePreds(last.preds)
-	rel, key, ok := eqSides(probed[0], "")
-	if pp, lit, isEq := eqOperands(probed[0]); isEq && e.invariant {
-		_, isStr := lit.val[0].(string) // a number stays a closure: compileEq compares it numerically
-		rel, key, ok = compileRelPath(pp), lit, isStr
+	if last.cpreds != nil {
+		last.cpreds = last.cpreds[:k:k]
+	} else if !slices.ContainsFunc(last.preds, raises) { // compiled() may have declined to
+		last.cpreds = compilePreds(last.preds, "")
 	}
-	if ok && last.walkable() {
+	if rel, key, ok := eqSides(probed[0], ""); ok && last.walkable() {
 		e.probe = newProbe(append(e.steps[:n-1:n-1], last), rel, key, probed)
 	}
 }
@@ -388,8 +395,13 @@ func predText(b []byte, e Expr) []byte {
 	case *orExpr:
 		args, op = x.args, " or "
 	case *compExpr:
-		pp, lit, _ := eqOperands(x)
-		return fmt.Appendf(append(memoText(b, pp.steps), '='), "%#v", lit.val[0])
+		y, op, lit, _ := cmpOperands(x)
+		if f, isCall := y.(*funcCall); isCall {
+			b = append(memoText(append(b, "number("...), f.args[0].(*pathExpr).steps), ')')
+		} else {
+			b = memoText(b, y.(*pathExpr).steps)
+		}
+		return fmt.Appendf(append(b, op...), "%#v", lit.val[0])
 	case *pathExpr:
 		return memoText(b, x.steps)
 	}
@@ -409,22 +421,23 @@ func predText(b []byte, e Expr) []byte {
 // the where's first conjunct, so that no conjunct the reference evaluates
 // on a pair the probe skips can raise.
 func (e *flworExpr) whereJoin() *eqProbe {
-	e.joinOnce.Do(func() {
-		cl := &e.clauses[len(e.clauses)-1]
-		src, ok := cl.expr.(*pathExpr)
-		if !ok || cl.isLet || cl.posVar != "" || e.where == nil {
-			return
-		}
-		first := e.where
-		if and, ok := first.(*andExpr); ok {
-			first = and.args[0]
-		}
-		src.compiled()
-		if rel, key, ok := eqSides(first, cl.varName); ok && src.invariant {
-			e.join = newProbe(src.steps, rel, key, nil)
-		}
-	})
-	return e.join
+	cl := &e.clauses[len(e.clauses)-1]
+	src, ok := cl.expr.(*pathExpr)
+	if !ok || cl.isLet || cl.posVar != "" || e.where == nil {
+		return nil
+	}
+	src.compiled()
+	if rel, key, ok := eqSides(conjuncts(e.where)[0], cl.varName); ok && src.invariant {
+		return newProbe(src.steps, rel, key, nil)
+	}
+	return nil
+}
+
+// analyzed compiles the FLWOR's where-join and its binding plan (plan.go)
+// on first use, once per compiled Query.
+func (e *flworExpr) analyzed() *flworExpr {
+	e.once.Do(func() { e.join, e.plan = e.whereJoin(), e.compilePlan() })
+	return e
 }
 
 // eqSides recognises a general `rel = E` in either order. With loopVar ""
@@ -436,14 +449,7 @@ func eqSides(e Expr, loopVar string) (rel []pathStep, key Expr, ok bool) {
 		return nil, nil, false
 	}
 	for _, s := range [2][2]Expr{{cmp.l, cmp.r}, {cmp.r, cmp.l}} {
-		rel = nil
-		if loopVar == "" {
-			if pe, isPath := s[0].(*pathExpr); isPath {
-				rel = compileRelPath(pe)
-			}
-		} else if name, steps, isVar := varPath(s[0]); isVar && name == loopVar {
-			rel = steps
-		}
+		rel, _ = operand(s[0], loopVar)
 		if name, _, isVar := varPath(s[1]); isVar && name != loopVar && len(rel) > 0 {
 			return rel, s[1], true
 		}
@@ -467,7 +473,7 @@ func varPath(e Expr) (name string, rel []pathStep, ok bool) {
 			break
 		}
 		for i := range steps[1:] {
-			if !steps[i+1].walkable() {
+			if !steps[i+1].walkable() || slices.ContainsFunc(steps[i+1].preds, raises) {
 				return "", nil, false
 			}
 		}
@@ -476,11 +482,11 @@ func varPath(e Expr) (name string, rel []pathStep, ok bool) {
 	return "", nil, false
 }
 
-// forSource evaluates for clause i's binding sequence, the last clause's
-// through its where-join when it has one.
+// forSource evaluates clause i's sequence, the last clause's through its
+// where-join when it has one.
 func (e *flworExpr) forSource(c *evalCtx, i int) (Sequence, error) {
 	if i == len(e.clauses)-1 && c.setwise() {
-		if j := e.whereJoin(); j != nil {
+		if j := e.analyzed().join; j != nil {
 			root, err := c.docRoot()
 			if err != nil {
 				return nil, err
@@ -498,7 +504,7 @@ func (c *evalCtx) evalPathSet(e *pathExpr, root *xmldoc.Node) (Sequence, error) 
 	if e.probe != nil {
 		return c.evalSet(e.probe, root)
 	}
-	set, hit, err := c.nodeSet(e.key, e.steps, root, nil, nil)
+	set, hit, err := c.nodeSet(e.key, e.steps, root)
 	if err == nil && hit && !c.run.charge(min(len(set.nodes), set.cost)) {
 		err = c.run.err()
 	}
@@ -515,23 +521,15 @@ func (c *evalCtx) evalPathSet(e *pathExpr, root *xmldoc.Node) (Sequence, error) 
 // each parent's), the join's source whole.
 func (c *evalCtx) evalSet(p *eqProbe, root *xmldoc.Node) (Sequence, error) {
 	ikey := setKey{p.indexKey, root}
-	set, fresh := c.run.lookup(ikey), false
+	set := c.run.lookup(ikey)
 	if set == nil {
-		// A string-literal key is always answerable, so a list walked now
-		// is indexed in the same walk: its nodes are visited once.
-		var index valueIndex
-		if _, lit := p.key.(*literal); lit {
-			index = valueIndex{}
-		}
-		list, hit, err := c.nodeSet(p.walkKey, p.walk, root, p.rel, index)
+		list, _, err := c.nodeSet(p.walkKey, p.walk, root)
 		if err != nil {
 			return nil, err
 		}
-		if set, fresh = list, index != nil && !hit; fresh {
-			set = &nodeSet{nodes: list.nodes, index: index, rel: p.rel, segs: list.segs}
-		}
+		set = list
 	}
-	hits, ok, err := c.probe(set, p, ikey, fresh)
+	hits, ok, err := c.probe(set, p, ikey)
 	if err != nil || ok {
 		return hits, err
 	}
@@ -539,23 +537,17 @@ func (c *evalCtx) evalSet(p *eqProbe, root *xmldoc.Node) (Sequence, error) {
 }
 
 // nodeSet returns the nodes steps reach from root, walking them only when
-// no memo holds them; hit reports that one did. A walk also adds each node
-// to index by rel, if index is not nil, charged apart from the walk's
-// cost. A walk that runs out of steps is discarded, never installed.
-func (c *evalCtx) nodeSet(path string, steps []pathStep, root *xmldoc.Node, rel []pathStep, index valueIndex) (set *nodeSet, hit bool, err error) {
+// no memo holds them; hit reports that one did. A walk that runs out of
+// steps is discarded, never installed.
+func (c *evalCtx) nodeSet(path string, steps []pathStep, root *xmldoc.Node) (set *nodeSet, hit bool, err error) {
 	key := setKey{path, root}
 	if set := c.run.lookup(key); set != nil {
 		return set, true, nil
 	}
 	buf := walkBufs.Get().(*Sequence)
 	defer func() { clear(*buf); *buf = (*buf)[:0]; walkBufs.Put(buf) }()
-	before, indexing := c.run.steps, 0
+	before := c.run.steps
 	visit := func(n *xmldoc.Node) bool {
-		if index != nil {
-			at := c.run.steps
-			index.add(n, int32(len(*buf)), rel, &c.run.meter)
-			indexing += c.run.steps - at
-		}
 		*buf = append(*buf, n)
 		return c.run.err() == nil
 	}
@@ -563,9 +555,9 @@ func (c *evalCtx) nodeSet(path string, steps []pathStep, root *xmldoc.Node, rel 
 	if kids, ok := members(root, steps); ok && c.run.serves(root) {
 		segs = &segments{steps: steps, of: make([]segment, len(kids)+1)}
 		for i, t := range kids { // the same walk, member by member
-			start, at, ix := len(*buf), c.run.steps, indexing
+			start, at := len(*buf), c.run.steps
 			walkMember(t, steps[1:], &c.run.meter, visit)
-			segs.of[i] = segment{int32(start), int32(c.run.steps - at - (indexing - ix))}
+			segs.of[i] = segment{int32(start), int32(c.run.steps - at)}
 		}
 		segs.of[len(kids)].start = int32(len(*buf))
 	} else {
@@ -574,7 +566,7 @@ func (c *evalCtx) nodeSet(path string, steps []pathStep, root *xmldoc.Node, rel 
 	if err := c.run.err(); err != nil {
 		return nil, false, err
 	}
-	set = &nodeSet{nodes: slices.Clone(*buf), cost: c.run.steps - before - indexing, segs: segs}
+	set = &nodeSet{nodes: slices.Clone(*buf), cost: c.run.steps - before, segs: segs}
 	return c.run.install(key, set), false, nil
 }
 
@@ -602,15 +594,15 @@ func (ix valueIndex) add(n *xmldoc.Node, pos int32, rel []pathStep, m *meter) {
 // key's values, each once and in document order: general `=` is
 // existential on both sides. ok is false when a value is not a string or
 // untyped atomic — compareAtomic coerces numbers and booleans differently.
-// set is the probed list or an index over it, fresh when this evaluation
-// built it; a fresh index is installed under ikey once charged.
+// set is the probed list or an index over it; an index built here is
+// installed under ikey once charged.
 //
 // Steps: a probe is charged one per node it returns, the probe that builds
 // the index one per node it indexes instead (plus what rel's own
 // predicates test); a join's hits become FLWOR tuples and are charged as
 // those. Either way no more than the reference, which tests every node of
 // the set every time.
-func (c *evalCtx) probe(set *nodeSet, p *eqProbe, ikey setKey, fresh bool) (hits Sequence, ok bool, err error) {
+func (c *evalCtx) probe(set *nodeSet, p *eqProbe, ikey setKey) (hits Sequence, ok bool, err error) {
 	if len(set.nodes) == 0 {
 		return nil, true, nil // no candidate: the reference never evaluates the key either
 	}
@@ -625,14 +617,15 @@ func (c *evalCtx) probe(set *nodeSet, p *eqProbe, ikey setKey, fresh bool) (hits
 			return nil, false, nil
 		}
 	}
-	if set.index == nil {
+	fresh := set.index == nil
+	if fresh {
 		index := valueIndex{}
 		for i, it := range set.nodes {
 			if index.add(it.(*xmldoc.Node), int32(i), p.rel, &c.run.meter); c.run.err() != nil {
 				return nil, false, c.run.err()
 			}
 		}
-		set, fresh = &nodeSet{nodes: set.nodes, index: index, rel: p.rel, segs: set.segs}, true
+		set = &nodeSet{nodes: set.nodes, index: index, rel: p.rel, segs: set.segs}
 	}
 	var at []int32
 	if len(keys) == 1 {

@@ -80,13 +80,17 @@ func NumberValue(it Item) float64 {
 		}
 		return 0
 	default:
-		s := strings.TrimSpace(StringValue(it))
-		f, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return math.NaN()
-		}
-		return f
+		return numberOf(StringValue(it))
 	}
+}
+
+// numberOf is fn:number of a string: NaN unless it parses as a number.
+func numberOf(s string) float64 {
+	f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+	if err != nil {
+		return math.NaN()
+	}
+	return f
 }
 
 // IsNode reports whether the item is a node.
@@ -158,12 +162,7 @@ func compareAtomic(a, b Item) (int, error) {
 		return boolCmp(ab, bb), nil
 	}
 	if isNumeric(a) || isNumeric(b) {
-		fa, fb := NumberValue(a), NumberValue(b)
-		if math.IsNaN(fa) || math.IsNaN(fb) {
-			// NaN compares unequal to everything; signal with sentinel.
-			return 2, nil
-		}
-		return floatCmp(fa, fb), nil
+		return numCmp(NumberValue(a), NumberValue(b)), nil
 	}
 	sa, sb := StringValue(a), StringValue(b)
 	return strings.Compare(sa, sb), nil
@@ -197,15 +196,18 @@ func boolCmp(a, b bool) int {
 	}
 }
 
-func floatCmp(a, b float64) int {
+// numCmp is compareAtomic of two numbers: 2 when either is NaN, which
+// compares unequal to everything.
+func numCmp(a, b float64) int {
 	switch {
 	case a < b:
 		return -1
 	case a > b:
 		return 1
-	default:
+	case a == b:
 		return 0
 	}
+	return 2
 }
 
 func isNumeric(it Item) bool {
@@ -216,6 +218,14 @@ func isNumeric(it Item) bool {
 	return false
 }
 
+// cmpMask is the set of compareAtomic outcomes each comparison operator,
+// general or value, accepts: bit c+1 for outcome c, 2 being NaN's, which
+// only != and ne accept. The parser makes no other operator.
+var cmpMask = map[string]uint8{
+	"=": 2, "!=": 13, "<": 1, "<=": 3, ">": 4, ">=": 6,
+	"eq": 2, "ne": 13, "lt": 1, "le": 3, "gt": 4, "ge": 6,
+}
+
 // generalCompare implements XPath general comparisons (=, !=, <, <=, >, >=)
 // with existential semantics over two sequences.
 func generalCompare(op string, left, right Sequence) (bool, error) {
@@ -224,6 +234,7 @@ func generalCompare(op string, left, right Sequence) (bool, error) {
 		// nodes' string values once.
 		right = Atomize(right)
 	}
+	mask := cmpMask[op]
 	for _, a := range left {
 		a = atomOf(a)
 		for _, b := range right {
@@ -231,30 +242,7 @@ func generalCompare(op string, left, right Sequence) (bool, error) {
 			if err != nil {
 				return false, err
 			}
-			if c == 2 { // NaN involved: only != can hold
-				if op == "!=" {
-					return true, nil
-				}
-				continue
-			}
-			ok := false
-			switch op {
-			case "=":
-				ok = c == 0
-			case "!=":
-				ok = c != 0
-			case "<":
-				ok = c < 0
-			case "<=":
-				ok = c <= 0
-			case ">":
-				ok = c > 0
-			case ">=":
-				ok = c >= 0
-			default:
-				return false, fmt.Errorf("xq: unknown comparison %q", op)
-			}
-			if ok {
+			if mask>>(c+1)&1 != 0 {
 				return true, nil
 			}
 		}
@@ -277,27 +265,7 @@ func valueCompare(op string, left, right Sequence) (Sequence, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c == 2 {
-		return boolSeq(op == "ne"), nil
-	}
-	var ok bool
-	switch op {
-	case "eq":
-		ok = c == 0
-	case "ne":
-		ok = c != 0
-	case "lt":
-		ok = c < 0
-	case "le":
-		ok = c <= 0
-	case "gt":
-		ok = c > 0
-	case "ge":
-		ok = c >= 0
-	default:
-		return nil, fmt.Errorf("xq: unknown value comparison %q", op)
-	}
-	return boolSeq(ok), nil
+	return boolSeq(cmpMask[op]>>(c+1)&1 != 0), nil
 }
 
 // sortNodesDocOrder sorts a node sequence into document order and removes

@@ -2,18 +2,18 @@
 # formatting, vet, build, the docs gate (no undocumented exported
 # identifiers or stale design-section references), the full test suite under the race
 # detector, the bench/ module's vet and tests (its own go.mod, so the root
-# build skips it), and the telemetry no-op benchmark that keeps disabled
-# instrumentation free. `make stress` is not part of it: it reruns the
-# concurrency-heavy packages (registry, xq, telemetry, wsda) twenty times
-# under the race detector, for changes to locking, snapshots, the recorder
-# or the delivery the router drives under its merge mutex.
+# build skips it), and the guarded benchmarks (bench-guard). `make stress`
+# is not part of it: it reruns the concurrency-heavy packages (registry,
+# xq, telemetry, wsda) twenty times under the race detector, for changes
+# to locking, snapshots, the recorder or the delivery the router drives
+# under its merge mutex.
 # Nor is `make fuzz`, which CI runs as its own job beside `make check`.
 
 GO ?= go
 
 .PHONY: check fmt-check vet build doclint test bench-check stress fuzz bench-noop bench bench-guard smoke run-registryd run-peerd
 
-check: fmt-check vet build doclint test bench-check bench-noop bench-guard smoke
+check: fmt-check vet build doclint test bench-check bench-guard smoke
 
 fmt-check:
 	@out="$$(gofmt -l .)"; \
@@ -59,8 +59,10 @@ fuzz:
 		$(GO) test ./$${t%%:*} -run '^$$' -fuzz "^$${t##*:}$$" -fuzztime 30s -fuzzminimizetime 5s; \
 	done
 
-# Proves the nil-receiver (telemetry disabled) fast path stays a bare nil
-# check. The acceptance bar is <=5ns/op; see internal/telemetry.
+# Prints the nil-receiver (telemetry disabled) fast path's cost. Its
+# allocations (none) are guarded by bench-guard's stream suite; its time is
+# not: the <=5 ns/op bar is read by eye, and BenchmarkNilFlightRecord has
+# read 5.51 ns/op on a shared 2-vCPU host. See internal/telemetry.
 bench-noop:
 	$(GO) test ./internal/telemetry/ -run '^$$' -bench 'BenchmarkNil' -benchtime 100ms
 
@@ -68,9 +70,10 @@ bench-noop:
 bench:
 	$(GO) test -bench . -benchtime 1s ./...
 
-# Perf guards: runs the guarded suites (view, stream, xq, shard, sdk, xml —
-# see cmd/benchguard) with -benchmem, writes BENCH_<suite>.json each,
-# and fails on any budget breach.
+# Perf guards: runs every benchmark a row of cmd/benchguard's table names,
+# three times each with -benchmem, writes BENCH_<suite>.json for the six
+# suites (view, stream, xq, shard, sdk, xml), and fails when a row's value
+# is over its ceiling or its benchmark did not run.
 bench-guard:
 	$(GO) run ./cmd/benchguard
 

@@ -217,8 +217,9 @@ func TestNilSafety(t *testing.T) {
 }
 
 // Benchmarks proving the disabled configuration costs only a nil check.
-// The acceptance bar is <=5ns/op; a predicted branch on nil runs in well
-// under 1ns on anything modern.
+// cmd/benchguard holds the Nil ones to zero allocations. The <=5ns/op bar
+// is not enforced: a predicted branch on nil runs in well under 1ns, but
+// a shared host can read more (5.51ns/op for NilFlightRecord on 2 vCPUs).
 
 func BenchmarkNilCounterInc(b *testing.B) {
 	var c *Counter

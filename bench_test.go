@@ -347,6 +347,37 @@ func BenchmarkViewQueryQ7Shift(b *testing.B) {
 	}
 }
 
+// BenchmarkViewQueryQ3 is canonical Q3, the headed scan a sharded registry
+// scatters to every shard, streamed through Emit over 1000 tuples. Nothing
+// is pushed down, so it is evaluated over the pinned Filter{} set and,
+// warm, reads its node list from the set's memo instead of walking every
+// member. cmd/benchguard holds its allocs/op, and its time to a fraction
+// of BenchmarkViewQueryCold's that a walk of every member would exceed.
+func BenchmarkViewQueryQ3(b *testing.B) {
+	benchViewQueryWarm(b, workload.CanonicalQueries[2].XQ, registry.QueryOptions{Emit: func(xq.Item) bool { return true }})
+}
+
+// BenchmarkViewQueryQ3Churn is BenchmarkViewQueryQ3 with one Publish (a
+// refresh of one tuple) before each query: every Q3 advances the tuple set,
+// and the advance carries Q3's node list, walking only the refreshed
+// member. cmd/benchguard holds it as it holds BenchmarkViewQueryQ3.
+func BenchmarkViewQueryQ3Churn(b *testing.B) {
+	reg := benchRegistry(b, 1000)
+	refresh := workload.NewGen(1).Tuple(0)
+	q := xq.MustCompile(workload.CanonicalQueries[2].XQ)
+	opts := registry.QueryOptions{Emit: func(xq.Item) bool { return true }}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := reg.Publish(refresh, time.Hour); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := reg.QueryCompiled(q, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkViewQueryQ8 and Q9 are the warm benchmark over the two
 // set-at-a-time shapes: canonical Q8 groups by an equality probe, Q9 joins
 // two invariant sources through one. cmd/benchguard holds each under a

@@ -66,6 +66,16 @@ var guards = []guard{
 	{"view", ".", "ViewQueryChurn/n=4000", "allocs/op", "", 3_387},
 	// One publish: parse, index and render of one tuple (203 measured).
 	{"view", ".", "RegistryPublish", "allocs/op", "", 224},
+	// Q3, streamed, reads its node list from the pinned set's memo warm
+	// (4 allocations, 1.0-1.2 us) and, with a refresh before each query,
+	// from the list the advance carried (240 allocations, 70 us), where
+	// walking all 1000 members took 630 and 700-760 us (288 allocations
+	// churned). The time rows divide by the from-scratch BuildView (13-15
+	// ms), which no query path runs.
+	{"view", ".", "ViewQueryQ3", "allocs/op", "", 5},
+	{"view", ".", "ViewQueryQ3Churn", "allocs/op", "", 264},
+	{"view", ".", "ViewQueryQ3", "ns/op", "ViewQueryCold", 0.002},
+	{"view", ".", "ViewQueryQ3Churn", "ns/op", "ViewQueryCold", 0.02},
 
 	// Delivering one item serializes straight into a reused buffer.
 	{"stream", ".", "StreamWriteItem", "allocs/op", "", 2},

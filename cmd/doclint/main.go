@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	doclint [-v] [-design DESIGN.md] [-ops OPERATIONS.md] [dir ...]    # default: ./internal/...
+//	doclint [-v] [-design DESIGN.md] [-ops OPERATIONS.md] [dir ...]    # default: internal cmd
 //
 // Rules:
 //   - every package must carry a package comment (conventionally doc.go)
@@ -48,14 +48,45 @@ import (
 	"strings"
 )
 
+// defaultRoots are the trees a bare run scans, the same as `make doclint`:
+// metric families are registered under cmd/ too, so scanning internal/
+// alone reports them as registered by no code.
+var defaultRoots = []string{"internal", "cmd"}
+
 func main() {
 	verbose := flag.Bool("v", false, "list every scanned package")
 	design := flag.String("design", "DESIGN.md", "design doc whose S<N> inventory validates section references (\"\" disables)")
 	ops := flag.String("ops", "OPERATIONS.md", "operator handbook whose §2 metrics catalog must match the wsda_* families in code (\"\" disables)")
 	flag.Parse()
-	roots := flag.Args()
+	problems, scanned, err := lint(flag.Args(), *design, *ops)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "doclint:", err)
+		os.Exit(2)
+	}
+	if *verbose {
+		for _, dir := range scanned {
+			fmt.Printf("doclint: %s\n", dir)
+		}
+	}
+	if len(problems) > 0 {
+		for _, p := range problems {
+			fmt.Println(p)
+		}
+		fmt.Fprintf(os.Stderr, "doclint: %d documentation problems in %d packages\n",
+			len(problems), len(scanned))
+		os.Exit(1)
+	}
+	if *verbose {
+		fmt.Printf("doclint: %d packages clean\n", len(scanned))
+	}
+}
+
+// lint checks every package under roots (defaultRoots when there are
+// none) against the design doc and the handbook, and returns the problems
+// found and the package directories it read.
+func lint(roots []string, design, ops string) (problems, scanned []string, err error) {
 	if len(roots) == 0 {
-		roots = []string{"internal"}
+		roots = defaultRoots
 	}
 	var dirs []string
 	for _, root := range roots {
@@ -69,56 +100,36 @@ func main() {
 			return nil
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "doclint:", err)
-			os.Exit(2)
+			return nil, nil, err
 		}
 	}
 	sort.Strings(dirs)
 
-	sections, err := loadDesignSections(*design)
+	sections, err := loadDesignSections(design)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "doclint:", err)
-		os.Exit(2)
+		return nil, nil, err
 	}
-
-	var problems []string
-	scanned := 0
 	metrics := map[string]string{} // family -> where the code first names it
 	tenant := map[string]bool{}    // families registered with a tenant label
 	for _, dir := range dirs {
 		probs, ok, err := lintDir(dir, sections, metrics, tenant)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "doclint:", err)
-			os.Exit(2)
+			return nil, nil, err
 		}
 		if !ok {
 			continue
 		}
-		scanned++
-		if *verbose {
-			fmt.Printf("doclint: %s\n", dir)
-		}
+		scanned = append(scanned, dir)
 		problems = append(problems, probs...)
 	}
-	if *ops != "" {
-		probs, err := lintMetricsInventory(*ops, metrics, tenant)
+	if ops != "" {
+		probs, err := lintMetricsInventory(ops, metrics, tenant)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "doclint:", err)
-			os.Exit(2)
+			return nil, nil, err
 		}
 		problems = append(problems, probs...)
 	}
-	if len(problems) > 0 {
-		for _, p := range problems {
-			fmt.Println(p)
-		}
-		fmt.Fprintf(os.Stderr, "doclint: %d documentation problems in %d packages\n",
-			len(problems), scanned)
-		os.Exit(1)
-	}
-	if *verbose {
-		fmt.Printf("doclint: %d packages clean\n", scanned)
-	}
+	return problems, scanned, nil
 }
 
 // designSectionRow matches an inventory row like "| S29 | ..." in the

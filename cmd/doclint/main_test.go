@@ -3,8 +3,23 @@ package main
 import (
 	"go/ast"
 	"go/parser"
+	"strings"
 	"testing"
 )
+
+// TestBareRunClean runs doclint as CI's docs-gate step does, with no
+// roots, from the module root: the tree must pass it as it passes
+// `make doclint`.
+func TestBareRunClean(t *testing.T) {
+	t.Chdir("../..")
+	problems, scanned, err := lint(nil, "DESIGN.md", "OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(problems) > 0 || len(scanned) == 0 {
+		t.Fatalf("%d packages scanned, %d problems:\n%s", len(scanned), len(problems), strings.Join(problems, "\n"))
+	}
+}
 
 func TestTenantBoundRule(t *testing.T) {
 	const header = "## 2. Metrics\n\n| Metric | Type | Watch for |\n|---|---|---|\n"

@@ -209,15 +209,16 @@ func TestSingleFlightPull(t *testing.T) {
 }
 
 // TestMemoConcurrentReadersAndPublishers races publishers against readers
-// of one slot: each reader evaluates memoQueries over the pinned tuple set
-// with the set's memo, as QueryCompiled does, and holds each answer to the
-// same query over the same snapshot without one; others run the queries
-// through QueryCompiled. Run under -race (make check, make stress).
+// of one slot: each reader evaluates memoQueries and a scan QueryCompiled
+// reads from the memo over the pinned tuple set with the set's memo, as
+// QueryCompiled does, and holds each answer to the same query over the
+// same snapshot without one; others run the queries through QueryCompiled.
+// Run under -race (make check, make stress).
 func TestMemoConcurrentReadersAndPublishers(t *testing.T) {
 	r := New(Config{Name: "memo", DefaultTTL: time.Minute, JournalCap: 4})
-	queries := make([]*xq.Query, len(memoQueries))
-	for i, src := range memoQueries {
-		queries[i] = xq.MustCompile(src)
+	var queries []*xq.Query
+	for _, src := range append(memoQueries[:len(memoQueries):len(memoQueries)], `/tupleset/tuple/content/service[attr[@name="kind"]/@value="storage-element"]/@name`) {
+		queries = append(queries, xq.MustCompile(src))
 	}
 	publish := func(rng *rand.Rand) {
 		tp := &tuple.Tuple{Link: orderLinks[rng.Intn(len(orderLinks))], Type: tuple.TypeService, Content: memoContent(rng)}
@@ -295,6 +296,7 @@ func TestMemoResultsNotShared(t *testing.T) {
 			`/tupleset/*/content/service`,
 			`declare variable $s := /tupleset/tuple/content/service; $s`,
 			`/tupleset/*/content/service[attr[@name="kind"]/@value="storage-element"]`,
+			`/tupleset/tuple/content/service[attr[@name="kind"]/@value="storage-element"]`, // a scan read from the memo
 		} {
 			first, err := r.Query(src, QueryOptions{})
 			if err != nil || len(first) < 2 {

@@ -13,6 +13,16 @@ package registry
 // step meter. Every other query is evaluated over its filter's pinned
 // tuple set.
 //
+// A scan with nothing pushed down (no filter, no freshness, no field
+// equality) that selects below the member or has a residual predicate
+// (Q2–Q5) is the exception: it is evaluated over the pinned Filter{} set
+// with the set's memo, like a query without a head, so its node list is
+// walked once per set, carried across advances, and read warm in
+// O(results). A cold read walks every member as the source would, under
+// the same meter, before its first item leaves. The bare /tupleset/tuple,
+// whose first page stops after one member, keeps the walk: a list of
+// every member would cost each advance a copy of it.
+//
 // One observable (and intended) difference from a pinned evaluation,
 // results being equal: freshness pulls apply only to the candidates the
 // walk reaches, not to every filter-matching tuple.
@@ -89,13 +99,14 @@ func (e fieldEq) match(t *tuple.Tuple) bool {
 		(e.ctx == "" || t.Context == e.ctx) && (e.owner == "" || t.Owner == e.owner)
 }
 
-// planCandidates picks the narrowest access path the head and filter
-// allow, returning the candidate revisions in link order (the tuple set's
-// document order), the field equalities every candidate must meet, and
-// the plan. A scan reads the pinned Filter{} tuple set, the one slot
-// unfiltered pinned evaluations share, narrowed to the filter's link
-// prefix by binary search; no other path pins anything.
-func (r *Registry) planCandidates(h xq.TupleHead, f Filter) (candidates []*stored, eq fieldEq, info PlanInfo) {
+// planCandidates picks the narrowest access path the head, filter and
+// freshness allow, returning the candidate revisions in link order (the
+// tuple set's document order), the field equalities every candidate must
+// meet, and the plan. A scan reads the pinned Filter{} tuple set, the one
+// slot unfiltered pinned evaluations share, narrowed to the filter's link
+// prefix by binary search; no other path pins anything. A scan the memo
+// answers (see above) returns that set instead of candidates.
+func (r *Registry) planCandidates(h xq.TupleHead, f Filter, fresh Freshness) (candidates []*stored, memo *tupleSet, eq fieldEq, info PlanInfo) {
 	info.Residual = h.Other
 	for _, e := range h.Eqs {
 		switch e.Attr {
@@ -135,9 +146,12 @@ func (r *Registry) planCandidates(h xq.TupleHead, f Filter) (candidates []*store
 	default:
 		info.Mode = "scan"
 		s, _, _ := r.pin(Filter{}, Freshness{})
+		if f == (Filter{}) && fresh == (Freshness{}) && eq == (fieldEq{}) && (h.Below || info.Residual > 0) {
+			return nil, s, eq, info
+		}
 		candidates = s.linkRange(f.LinkPrefix)
 	}
-	return candidates, eq, info
+	return candidates, nil, eq, info
 }
 
 // tupleSource is xq's Options.Tuples over planCandidates' answer, with the
@@ -145,9 +159,13 @@ func (r *Registry) planCandidates(h xq.TupleHead, f Filter) (candidates []*store
 // made fresh and handed over as its revision's shared element, until visit
 // declines. A freshness-substituted copy is rendered privately: the pull
 // that produced it has already stored a new revision, which carries its own
-// rendering from the next query on.
-func (r *Registry) tupleSource(h xq.TupleHead, f Filter, fresh Freshness) (func(func(*xmldoc.Node) bool), PlanInfo) {
-	candidates, eq, info := r.planCandidates(h, f)
+// rendering from the next query on. For a scan the memo answers it returns
+// no source but the pinned set to evaluate over.
+func (r *Registry) tupleSource(h xq.TupleHead, f Filter, fresh Freshness) (func(func(*xmldoc.Node) bool), *tupleSet, PlanInfo) {
+	candidates, memo, eq, info := r.planCandidates(h, f, fresh)
+	if memo != nil {
+		return nil, memo, info
+	}
 	return func(visit func(*xmldoc.Node) bool) {
 		var now time.Time
 		if fresh != (Freshness{}) {
@@ -167,5 +185,5 @@ func (r *Registry) tupleSource(h xq.TupleHead, f Filter, fresh Freshness) (func(
 				return
 			}
 		}
-	}, info
+	}, nil, info
 }

@@ -467,8 +467,10 @@ const maxCachedQueries = 1024
 // QueryCompiled is Query for a pre-compiled expression, evaluated by xq
 // once, buffered or streamed alike. A query with a tuple head reads its
 // <tuple> members from a tuple source over the soft-state store's indexes
-// (see plan.go); everything else is evaluated over the filter's pinned
-// tuple set (see view.go). Both hand xq the same shared per-revision
+// (see plan.go), but for an unfiltered scan with work below the tuple
+// step, which is evaluated over the pinned Filter{} set with its memo;
+// everything else is evaluated over the filter's pinned tuple set (see
+// view.go). Both hand xq the same shared per-revision
 // <tuple> elements and hold no lock while evaluating or while Emit runs.
 // Node items in the result are parts of those immutable elements, valid
 // indefinitely; callers must not mutate them.
@@ -480,7 +482,10 @@ func (r *Registry) QueryCompiled(q *xq.Query, opts QueryOptions) (xq.Sequence, e
 	xo := xq.Options{MaxSteps: r.cfg.MaxQuerySteps, Emit: opts.Emit, Held: opts.Held, Vars: opts.Vars}
 	info := PlanInfo{Mode: "view"}
 	if h, ok := q.TupleHead(); ok {
-		xo.Tuples, info = r.tupleSource(h, opts.Filter, opts.Freshness)
+		var s *tupleSet
+		if xo.Tuples, s, info = r.tupleSource(h, opts.Filter, opts.Freshness); s != nil {
+			xo.Context, xo.Memo, xo.MemoCounts = s.doc, &s.memo, &xq.MemoCounts{}
+		}
 		r.planHits.Add(1)
 		if info.Mode == "scan" {
 			r.planHitScan.Inc()

@@ -10,8 +10,10 @@
 // pointer and evaluates on it with no lock held, so a slow Emit callback
 // blocks nobody and results alias the snapshot safely. A tuple source
 // (plan.go) selects the same elements through the store's indexes, and a
-// scan or an unindexed MinQuery reads the unfiltered set's link-ordered
-// members rather than copying and sorting the store.
+// walked scan or an unindexed MinQuery reads the unfiltered set's
+// link-ordered members rather than copying and sorting the store; an
+// unfiltered scan with work below the tuple step is evaluated over that
+// set with its memo.
 //
 // A tuple set advances at query time, never at publish time: when the
 // store generation has moved or an included tuple has passively expired,

@@ -34,7 +34,7 @@ const (
 )
 
 var (
-	q3 = workload.CanonicalQueries[2].XQ // a sourced walk: the tuple source hands xq each member
+	q3 = workload.CanonicalQueries[2].XQ // an unfiltered scan, held: read from the pinned set's memo
 	q7 = workload.CanonicalQueries[6].XQ // an ordered FLWOR, held after its sort
 )
 
@@ -112,18 +112,21 @@ func workloadRegistry(t testing.TB, n int) *registry.Registry {
 func TestStreamFlushPoints(t *testing.T) {
 	reg := wsda.Handler(&wsda.LocalNode{Registry: workloadRegistry(t, 1000)})
 	for _, c := range []struct {
-		name  string
-		query string
-		min   int
-		want  func(ends []int, size int) []int
+		name   string
+		query  string
+		params string
+		min    int
+		want   func(ends []int, size int) []int
 	}{
-		{"Q7, ordered FLWOR", q7, 50, held},
-		{"Q3, sourced walk", q3, 50, perItem},
-		{"unordered FLWOR", `for $s in /tupleset/tuple/content/service[@domain="cern.ch"] return $s/@name`, 50, perItem},
-		{"non-FLWOR result", `//service[@domain="cern.ch"]/@name`, 50, held},
-		{"aggregate", `count(//service)`, 1, held},
+		{"Q7, ordered FLWOR", q7, "", 50, held},
+		{"Q3, scan read from the memo", q3, "", 50, held},
+		{"Q3 under a link prefix, sourced walk", q3, "&prefix=http", 50, perItem},
+		{"bare tuple scan, sourced walk", `/tupleset/tuple`, "", 50, perItem},
+		{"unordered FLWOR", `for $s in /tupleset/tuple/content/service[@domain="cern.ch"] return $s/@name`, "", 50, perItem},
+		{"non-FLWOR result", `//service[@domain="cern.ch"]/@name`, "", 50, held},
+		{"aggregate", `count(//service)`, "", 1, held},
 	} {
-		f := serve(reg, wsda.PathXQuery, "stream=true", c.query)
+		f := serve(reg, wsda.PathXQuery, "stream=true"+c.params, c.query)
 		body := f.body.String()
 		ends := itemEnds(t, body)
 		if len(ends) < c.min {

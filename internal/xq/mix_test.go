@@ -159,7 +159,9 @@ func TestCompiledQuerySharedAcrossTupleSets(t *testing.T) {
 
 // TestMemoFootprint records what canonical Q6–Q10 leave in one tuple set's
 // memo over the benchmarks' 1 000 tuples, the number memoCap is sized
-// from, and holds the mix well inside the cap.
+// from, and holds the mix well inside the cap; then what Q2–Q5 add, the
+// scans the registry reads from the same memo (Q1 is a link lookup and
+// never reaches it).
 func TestMemoFootprint(t *testing.T) {
 	reg := registry.New(registry.Config{Name: "mix", DefaultTTL: time.Hour})
 	if err := workload.NewGen(1).Populate(reg, 1000, time.Hour); err != nil {
@@ -176,5 +178,15 @@ func TestMemoFootprint(t *testing.T) {
 	}
 	if keys, _ := xq.MemoFootprint(m); keys > xq.MemoCap/4 {
 		t.Errorf("Q6–Q10 hold %d keys: the cap of %d leaves less than four mixes' room", keys, xq.MemoCap)
+	}
+	for _, cq := range workload.CanonicalQueries[1:5] {
+		if _, err := xq.MustCompile(cq.XQ).Eval(&xq.Options{Context: d, Memo: m}); err != nil {
+			t.Fatalf("%s: %v", cq.ID, err)
+		}
+		keys, bytes := xq.MemoFootprint(m)
+		t.Logf("after %s: %d keys, about %d KB", cq.ID, keys, bytes/1024)
+	}
+	if keys, _ := xq.MemoFootprint(m); keys > xq.MemoCap/2 {
+		t.Errorf("Q2–Q10 hold %d keys: the cap of %d leaves less than two mixes' room", keys, xq.MemoCap)
 	}
 }

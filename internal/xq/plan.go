@@ -60,6 +60,9 @@ type TupleHead struct {
 	// Never reports two different literals for one attribute: the result
 	// is statically empty.
 	Never bool
+	// Below reports steps past the tuple step: the query selects inside
+	// its members, not the members themselves.
+	Below bool
 }
 
 // AttrEq is one conjunct @Attr = "Value" of a tuple head.
@@ -89,6 +92,7 @@ func tupleHeadOf(q *Query) (h TupleHead, ok bool) {
 		return h, false
 	}
 	h.add(&andExpr{args: steps[1].preds}) // a step's predicates are one conjunction
+	h.Below = len(steps) > 2
 	return h, true
 }
 

@@ -217,8 +217,10 @@ func genTupleQuery(rng *rand.Rand) string {
 // root's children, gives what it gives over the document and what the
 // reference evaluation gives, over the plain and the shared form; a
 // consumer that stops after k items sees the document's first k and the
-// source yields no member past the one holding the k-th; and under a step
-// budget the sourced evaluation fails exactly when the document's does.
+// source yields no member past the one holding the k-th; under a step
+// budget the sourced evaluation fails exactly when the document's does; and
+// a read from a shared memo gives the same, cold under the same budget and
+// warm within it.
 func TestTuplesMatchDocument(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	never, empties := 0, 0
@@ -297,5 +299,16 @@ func checkTuples(t *testing.T, q *Query, d *xmldoc.Node) {
 	}
 	if _, err := q.Eval(opts(limit-1, nil)); limit > 1 && (err == nil || !strings.Contains(err.Error(), "exceeded")) {
 		t.Fatalf("%s: sourced under %d steps, one fewer than the document needs: err %v", src, limit-1, err)
+	}
+	// Read from a shared memo, as the registry reads an unfiltered scan: a
+	// cold read is charged what the walk is, a warm one no more.
+	memo := &Memo{}
+	for _, pass := range []string{"cold", "warm"} {
+		if got, err := q.Eval(&Options{Context: d, Memo: memo, MaxSteps: limit}); err != nil || !sameItems(got, want) {
+			t.Fatalf("%s: %s memo read under %d steps: %s (err %v), document %s", src, pass, limit, Serialize(got), err, Serialize(want))
+		}
+	}
+	if _, err := q.Eval(&Options{Context: d, Memo: &Memo{}, MaxSteps: limit - 1}); limit > 1 && (err == nil || !strings.Contains(err.Error(), "exceeded")) {
+		t.Fatalf("%s: cold memo read under %d steps, one fewer than the document needs: err %v", src, limit-1, err)
 	}
 }

@@ -4,9 +4,9 @@
 # detector, the bench/ module's vet and tests (its own go.mod, so the root
 # build skips it), and the guarded benchmarks (bench-guard). `make stress`
 # is not part of it: it reruns the concurrency-heavy packages (registry,
-# xq, telemetry, wsda) twenty times under the race detector, for changes
-# to locking, snapshots, the recorder or the delivery the router drives
-# under its merge mutex.
+# xq, telemetry, wsda, shard) twenty times under the race detector, for
+# changes to locking, snapshots, the recorder or the delivery the router
+# drives under its merge mutex (about 50 s of it is shard's).
 # Nor is `make fuzz`, which CI runs as its own job beside `make check`.
 
 GO ?= go
@@ -43,7 +43,7 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 stress:
-	$(GO) test -race -count=20 ./internal/registry ./internal/xq ./internal/telemetry ./internal/wsda
+	$(GO) test -race -count=20 ./internal/registry ./internal/xq ./internal/telemetry ./internal/wsda ./internal/shard
 
 # Runs every fuzz target for 30 s, one `go test -fuzz` per target (it
 # takes one at a time). A failing input is written under the package's

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -647,9 +648,23 @@ func BenchmarkStreamFirstItem(b *testing.B) {
 
 // BenchmarkDecodeStream is the client's half of a streamed scatter: a
 // canned 334-item stream (the routed-scatter workload's size) framed and
-// parsed into trees. ns/op and allocs/op divided by items/op are the
-// per-item cost of DecodeStream.
+// parsed into trees. ns/op and allocs/op divided
+// by items/op are the per-item cost of DecodeStream.
 func BenchmarkDecodeStream(b *testing.B) {
+	benchDecode(b, func(r io.Reader, onItem func()) (*wsda.StreamSummary, error) {
+		return wsda.DecodeStream(r, func(xq.Item) bool { onItem(); return true })
+	})
+}
+
+// BenchmarkDecodeRawStream is the router's half: the same stream framed
+// into raw items and nothing more, what HTTPBackend does per shard.
+func BenchmarkDecodeRawStream(b *testing.B) {
+	benchDecode(b, func(r io.Reader, onItem func()) (*wsda.StreamSummary, error) {
+		return wsda.DecodeRawStream(r, func(wsda.RawItem) bool { onItem(); return true })
+	})
+}
+
+func benchDecode(b *testing.B, decode func(r io.Reader, onItem func()) (*wsda.StreamSummary, error)) {
 	const items = 334
 	gen := workload.NewGen(1)
 	rec := httptest.NewRecorder()
@@ -668,7 +683,7 @@ func BenchmarkDecodeStream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		sum, err := wsda.DecodeStream(bytes.NewReader(stream), func(xq.Item) bool { n++; return true })
+		sum, err := decode(bytes.NewReader(stream), func() { n++ })
 		if err != nil || n != items || !sum.Complete {
 			b.Fatalf("decoded %d items, summary %+v, err %v", n, sum, err)
 		}
@@ -921,11 +936,12 @@ func BenchmarkShardMergeItem(b *testing.B) {
 
 // BenchmarkRoutedScatterHTTP is the deployed shape of the merge: the same
 // scatter through a router whose two shards are registries behind real
-// HTTP servers, reached through shard.HTTPBackend. One op frames, forwards
-// and flushes shardBenchLinks items. The process also hosts the two
-// shards, so allocs/op divided by items/op is an upper bound on the
-// router's share per forwarded item, which benchguard holds to the same
-// budget as the in-process merge.
+// HTTP servers, reached through shard.HTTPBackend. One op frames and
+// forwards shardBenchLinks items; flushes/item is how many flushes they
+// took, the router flushing only before it reads a shard. The process
+// also hosts the two shards, so allocs/op divided by items/op is an upper
+// bound on the router's share per forwarded item, which benchguard holds
+// to the same budget as the in-process merge.
 func BenchmarkRoutedScatterHTTP(b *testing.B) {
 	regs := shardBenchRegs(b, 2)
 	backends := make([]shard.Backend, len(regs))
@@ -935,12 +951,14 @@ func BenchmarkRoutedScatterHTTP(b *testing.B) {
 		backends[i] = shard.NewHTTPBackend(srv.URL, srv.Client())
 	}
 	h := shard.NewRouter(shard.Config{Backends: backends}).Handler()
+	w := &flushCounter{discardWriter: discardWriter{h: make(http.Header)}}
 	scatter := func() {
 		req := httptest.NewRequest(http.MethodPost, wsda.PathXQuery+"?stream=true",
 			strings.NewReader(shardBenchQuery))
-		h.ServeHTTP(&discardWriter{h: make(http.Header)}, req)
+		h.ServeHTTP(w, req)
 	}
 	scatter() // prime shard views, compiled-query caches and keep-alive connections
+	w.flushes = 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -948,6 +966,7 @@ func BenchmarkRoutedScatterHTTP(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(shardBenchLinks, "items/op")
+	b.ReportMetric(float64(w.flushes)/float64(b.N)/shardBenchLinks, "flushes/item")
 }
 
 // --- Client-SDK benchmarks (ISSUE 10 acceptance) ---

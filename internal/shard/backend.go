@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -25,6 +26,12 @@ type QuerySpec struct {
 	Freshness  registry.Freshness // content freshness bounds
 	MaxResults int                // per-shard item bound; 0 = unlimited
 	TxID       string             // router-minted transaction ID ("" = none)
+
+	// hold and wait pace the router's merge for this package's backends
+	// (nil elsewhere): once a backend calls hold, its items are no longer
+	// flushed one by one, and it calls wait before each time it would
+	// block on its shard.
+	hold, wait func()
 }
 
 // options is the spec's wire-crossing part in the registry's own terms.
@@ -114,7 +121,7 @@ func (b *LocalBackend) QueryStream(ctx context.Context, spec QuerySpec, onPlan f
 	start := time.Now()
 	var plan registry.PlanInfo
 	opts := spec.options()
-	opts.Explain = &plan
+	opts.Explain, opts.Held = &plan, spec.hold // a held answer never waits
 	count := 0
 	truncated := false
 	opts.Emit = func(it xq.Item) bool {
@@ -176,7 +183,7 @@ func (b *LocalBackend) Assign(_ context.Context, a Assignment) (int, error) {
 // request path), so a shard's error comes back as a *wsda.HTTPError with
 // its Retry-After hint and a cancelled ctx cancels the shard call.
 type HTTPBackend struct {
-	client *wsda.Client
+	client, stream *wsda.Client // stream: the same without hc's timeout
 }
 
 var _ Backend = (*HTTPBackend)(nil)
@@ -184,13 +191,16 @@ var _ Backend = (*HTTPBackend)(nil)
 // NewHTTPBackend returns a backend for the shard at base (scheme://host:
 // port). hc is shared across backends so the router reuses keep-alive
 // connections per shard; nil uses a client with a generous default
-// timeout for writes and health probes (streamed queries carry their own
-// cancellation via ctx).
+// timeout. The timeout bounds each write, MinQuery, probe and assignment,
+// body included; a streamed query is bounded by its ctx alone.
 func NewHTTPBackend(base string, hc *http.Client) *HTTPBackend {
 	if hc == nil {
 		hc = &http.Client{Timeout: 30 * time.Second}
 	}
-	return &HTTPBackend{client: &wsda.Client{BaseURL: strings.TrimSuffix(base, "/"), HTTP: hc}}
+	unbounded := *hc
+	unbounded.Timeout = 0
+	base = strings.TrimSuffix(base, "/")
+	return &HTTPBackend{client: &wsda.Client{BaseURL: base, HTTP: hc}, stream: &wsda.Client{BaseURL: base, HTTP: &unbounded}}
 }
 
 // Name implements Backend.
@@ -214,12 +224,14 @@ func (b *HTTPBackend) MinQuery(ctx context.Context, f registry.Filter) ([]*tuple
 // QueryStream implements Backend: POST /wsda/xquery?stream=true with the
 // spec's parameters, framing the chunked response incrementally: onItem
 // gets each item as a wsda.RawItem, the shard's bytes, valid until it
-// returns. The request rides ctx, so a router-side cancel (max-results
-// reached, client gone) tears the shard's evaluation down mid-stream.
+// returns. The request rides ctx alone, so a router-side cancel
+// (max-results reached, client gone) tears the shard's evaluation down
+// mid-stream, and no timeout cuts a long stream. In a merge the body is
+// read 32 KB at a time, and the merge flushes before each of those reads.
 func (b *HTTPBackend) QueryStream(ctx context.Context, spec QuerySpec, onPlan func(string), onItem func(xq.Item) bool) (*wsda.StreamSummary, error) {
 	q := wsda.QueryParams(spec.options(), spec.MaxResults)
 	q.Set("stream", "true")
-	resp, err := b.client.WithContext(ctx).Do(http.MethodPost, wsda.PathXQuery, q, spec.Query)
+	resp, err := b.stream.WithContext(ctx).Do(http.MethodPost, wsda.PathXQuery, q, spec.Query)
 	if err != nil {
 		return nil, err
 	}
@@ -228,11 +240,27 @@ func (b *HTTPBackend) QueryStream(ctx context.Context, spec QuerySpec, onPlan fu
 	if onPlan != nil {
 		onPlan(plan)
 	}
-	sum, err := wsda.DecodeRawStream(resp.Body, func(raw wsda.RawItem) bool { return onItem(raw) })
+	var body io.Reader = resp.Body
+	if spec.hold != nil {
+		spec.hold()
+		body = bufio.NewReaderSize(waitReader{resp.Body, spec.wait}, 32<<10)
+	}
+	sum, err := wsda.DecodeRawStream(body, func(raw wsda.RawItem) bool { return onItem(raw) })
 	if sum != nil {
 		sum.Plan = plan
 	}
 	return sum, err
+}
+
+// waitReader calls wait before each Read of r.
+type waitReader struct {
+	r    io.Reader
+	wait func()
+}
+
+func (w waitReader) Read(p []byte) (int, error) {
+	w.wait()
+	return w.r.Read(p)
 }
 
 // Healthy implements Backend via GET /healthz.

@@ -59,6 +59,56 @@ func TestHTTPBackendErrorsCarryRetryAfter(t *testing.T) {
 	}
 }
 
+// The client's timeout bounds every call but a streamed query, body
+// included: a write or probe whose answer stalls returns at it, while a
+// stream that runs past it is read to its end. Only the request's context
+// bounds a stream, so a router never reports a slow, healthy shard as a
+// shortfall.
+func TestHTTPBackendTimeoutSparesStreams(t *testing.T) {
+	const items = 6
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		if r.URL.Path != wsda.PathXQuery { // headers at once, then a stalled body
+			w.WriteHeader(http.StatusOK)
+			w.(http.Flusher).Flush()
+			select {
+			case <-r.Context().Done():
+			case <-time.After(5 * time.Second):
+			}
+			return
+		}
+		sw := wsda.NewStreamWriter(w)
+		for i := int64(0); i < items; i++ { // 6 items over 300 ms
+			_ = sw.WriteItem(i)
+			w.(http.Flusher).Flush()
+			time.Sleep(50 * time.Millisecond)
+		}
+		_ = sw.Close(wsda.StreamSummary{Complete: true})
+	}))
+	defer srv.Close()
+	b := NewHTTPBackend(srv.URL, &http.Client{Transport: &http.Transport{}, Timeout: 100 * time.Millisecond})
+	for name, call := range httpBackendCalls {
+		if name == "QueryStream" {
+			continue
+		}
+		start := time.Now()
+		if err := call(context.Background(), b); time.Since(start) > time.Second {
+			t.Errorf("%s: returned %v after %v, want it cut at the 100ms timeout", name, err, time.Since(start))
+		}
+	}
+	n := 0
+	sum, err := b.QueryStream(context.Background(), QuerySpec{Query: "/tupleset/tuple"}, nil, func(xq.Item) bool { n++; return true })
+	if err != nil || n != items || !sum.Complete {
+		t.Fatalf("stream: %d items, summary %+v, err %v; want all %d, complete", n, sum, err, items)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Millisecond)
+	defer cancel()
+	n = 0
+	if _, err := b.QueryStream(ctx, QuerySpec{Query: "/tupleset/tuple"}, nil, func(xq.Item) bool { n++; return true }); !errors.Is(err, context.DeadlineExceeded) || n == items {
+		t.Errorf("stream under a 120ms context: %d items, err %v; want it cut with context.DeadlineExceeded", n, err)
+	}
+}
+
 // stuckShard takes requests and never answers them: each is announced on
 // arrived and held until its context ends, that is, until the caller hangs
 // up (net/http watches for that only once the body has been read).

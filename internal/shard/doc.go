@@ -19,12 +19,13 @@
 //     into the wrong partition.
 //   - A router that owns no tuples: Router accepts the full WSDA HTTP
 //     surface, routes writes to the owning shard, and scatter-gathers
-//     queries across all shards with streamed merge — items arrive one by
-//     one, so each is flushed as it is merged, beginning as soon as the
-//     first shard responds (a shard's own sorted answer reaches the router
-//     in one flush, but the router never holds items), the trailing <summary>
-//     aggregates tx/count/complete/nodes across shards, and max-results
-//     plus client disconnect cancel the fan-out network-wide.
+//     queries across all shards with streamed merge — the first item is
+//     flushed as soon as a shard sends it, the rest when the merge would
+//     wait: before a backend reads its shard again, so what one read brought
+//     leaves in one flush (items of a backend that cannot tell are flushed
+//     one by one), the trailing <summary> aggregates tx/count/complete/nodes
+//     across shards, and max-results plus client disconnect cancel the
+//     fan-out network-wide.
 //   - Rebalancing over the change feed: a shard joining at N→N+1
 //     bootstraps its key range via /wsda/snapshot and tails /wsda/feed
 //     from each old owner (changefeed.Config.Filter keeps the ranges

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"sync"
 )
 
 // ErrBootstrapping is what a shard's readiness probe returns while its
@@ -27,13 +26,10 @@ type ShardHealth struct {
 // but still bootstrapping its key range; anything else means it is
 // unreachable.
 func classifyProbe(err error) string {
-	if err == nil {
+	switch {
+	case err == nil:
 		return "ok"
-	}
-	if errors.Is(err, ErrBootstrapping) {
-		return "bootstrapping"
-	}
-	if backendStatus(err) == http.StatusServiceUnavailable {
+	case errors.Is(err, ErrBootstrapping), backendStatus(err) == http.StatusServiceUnavailable:
 		return "bootstrapping"
 	}
 	return "unreachable"
@@ -46,32 +42,22 @@ func classifyProbe(err error) string {
 func (rt *Router) CheckShards(ctx context.Context, ready bool) (bool, []ShardHealth) {
 	backends := rt.Backends()
 	rows := make([]ShardHealth, len(backends))
-	var wg sync.WaitGroup
-	for i, b := range backends {
-		wg.Add(1)
-		go func(i int, b Backend) {
-			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, rt.cfg.HealthTimeout)
-			defer cancel()
-			var err error
-			if ready {
-				err = b.Ready(pctx)
-			} else {
-				err = b.Healthy(pctx)
-			}
-			row := ShardHealth{Shard: b.Name(), Index: i, Status: classifyProbe(err)}
-			if err != nil {
-				row.Error = err.Error()
-			}
-			rows[i] = row
-		}(i, b)
-	}
-	wg.Wait()
+	fanOut(backends, func(i int, b Backend) {
+		pctx, cancel := context.WithTimeout(ctx, rt.cfg.HealthTimeout)
+		defer cancel()
+		probe := b.Healthy
+		if ready {
+			probe = b.Ready
+		}
+		err := probe(pctx)
+		rows[i] = ShardHealth{Shard: b.Name(), Index: i, Status: classifyProbe(err)}
+		if err != nil {
+			rows[i].Error = err.Error()
+		}
+	})
 	ok := true
 	for _, row := range rows {
-		if row.Status != "ok" {
-			ok = false
-		}
+		ok = ok && row.Status == "ok"
 	}
 	return ok, rows
 }

@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"wsda/internal/registry"
 	"wsda/internal/telemetry"
 	"wsda/internal/tuple"
 	"wsda/internal/wsda"
@@ -55,7 +54,7 @@ type Config struct {
 	// Logger nil discards.
 	Logger *slog.Logger
 	// Dial builds a Backend for a peer base URL at cutover time; nil uses
-	// NewHTTPBackend with a shared client.
+	// NewHTTPBackend with its default client.
 	Dial func(base string) Backend
 	// HealthTimeout bounds each per-shard health/readiness probe.
 	// Defaults to 2s.
@@ -93,8 +92,7 @@ func NewRouter(cfg Config) *Router {
 		cfg.HealthTimeout = 2 * time.Second
 	}
 	if cfg.Dial == nil {
-		hc := &http.Client{Timeout: 30 * time.Second}
-		cfg.Dial = func(base string) Backend { return NewHTTPBackend(base, hc) }
+		cfg.Dial = func(base string) Backend { return NewHTTPBackend(base, nil) }
 	}
 	rt := &Router{cfg: cfg, logger: cfg.Logger, backends: cfg.Backends,
 		// A scatter merges in arrival order, so the edge refuses pages.
@@ -220,7 +218,7 @@ func (rt *Router) handlePresenter(w http.ResponseWriter, _ *http.Request) {
 	if desc == nil {
 		desc = &wsda.Service{Name: "wsda-router"}
 	}
-	writeXML(w, desc.ToXML())
+	wsda.WriteXML(w, desc.ToXML())
 }
 
 func (rt *Router) handlePublish(w http.ResponseWriter, r *http.Request) {
@@ -248,7 +246,7 @@ func (rt *Router) handlePublish(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := xmldoc.NewElement("granted")
 	resp.SetAttr("ttl-ms", strconv.FormatInt(granted.Milliseconds(), 10))
-	writeXML(w, resp)
+	wsda.WriteXML(w, resp)
 }
 
 func (rt *Router) handleUnpublish(w http.ResponseWriter, r *http.Request) {
@@ -269,7 +267,7 @@ func (rt *Router) handleUnpublish(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), backendStatus(err))
 		return
 	}
-	writeXML(w, xmldoc.NewElement("ok"))
+	wsda.WriteXML(w, xmldoc.NewElement("ok"))
 }
 
 // ownerLocked picks the shard owning link under the (already held) read
@@ -283,12 +281,7 @@ func (rt *Router) ownerLocked(link string) (Backend, int) {
 }
 
 func (rt *Router) handleMinQuery(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	f := registry.Filter{
-		Type:       q.Get("type"),
-		Context:    q.Get("ctx"),
-		LinkPrefix: q.Get("prefix"),
-	}
+	f := wsda.FilterParams(r.URL.Query())
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
 	backends := rt.backends
@@ -297,16 +290,10 @@ func (rt *Router) handleMinQuery(w http.ResponseWriter, r *http.Request) {
 		err    error
 	}
 	results := make([]res, len(backends))
-	var wg sync.WaitGroup
-	for i, b := range backends {
-		wg.Add(1)
-		go func(i int, b Backend) {
-			defer wg.Done()
-			tuples, err := b.MinQuery(r.Context(), f)
-			results[i] = res{tuples, err}
-		}(i, b)
-	}
-	wg.Wait()
+	fanOut(backends, func(i int, b Backend) {
+		tuples, err := b.MinQuery(r.Context(), f)
+		results[i] = res{tuples, err}
+	})
 	var merged []*tuple.Tuple
 	var shortfalls []string
 	for i, rr := range results {
@@ -330,7 +317,7 @@ func (rt *Router) handleMinQuery(w http.ResponseWriter, r *http.Request) {
 	for _, t := range merged {
 		root.AppendChild(t.ToXML())
 	}
-	writeXML(w, root)
+	wsda.WriteXML(w, root)
 }
 
 // handleQuery is the scatter-gather core behind both /wsda/xquery and
@@ -393,9 +380,11 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 
-	// One mutex serializes the merge: every Item, and the first shard plan
-	// seen, which the response reflects if it arrives before the headers
-	// commit.
+	// One mutex serializes the merge: every Item and Flush, and the first
+	// shard plan seen, which the response reflects if it arrives before the
+	// headers commit. Written items leave when the merge would wait: a
+	// shard's items one by one unless its backend holds (QuerySpec.hold),
+	// else before the backend blocks on its shard and when it is done.
 	var mu sync.Mutex
 	plan := ""
 	d.OnCommit = func(h http.Header) {
@@ -410,14 +399,23 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 			plan = p
 		}
 	}
-	deliver := func(it xq.Item) bool {
+	d.Hold()
+	deliver := func(it xq.Item, each bool) bool {
 		mu.Lock()
 		defer mu.Unlock()
-		if d.Item(it) {
-			return true
+		if !d.Item(it) {
+			cancel() // bound reached or client gone: stop the whole fan-out
+			return false
 		}
-		cancel() // bound reached or client gone: stop the whole fan-out
-		return false
+		if each {
+			d.Flush()
+		}
+		return true
+	}
+	flush := func() {
+		mu.Lock()
+		defer mu.Unlock()
+		d.Flush()
 	}
 
 	type shardResult struct {
@@ -425,21 +423,16 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		err error
 	}
 	results := make([]shardResult, len(targets))
-	var wg sync.WaitGroup
-	for i, b := range targets {
-		wg.Add(1)
-		go func(i int, b Backend) {
-			defer wg.Done()
-			sum, err := b.QueryStream(ctx, spec, onPlan, deliver)
-			results[i] = shardResult{sum, err}
-		}(i, b)
-	}
-	wg.Wait()
+	fanOut(targets, func(i int, b Backend) {
+		spec, each := spec, true
+		spec.hold, spec.wait = func() { each = false }, flush
+		sum, err := b.QueryStream(ctx, spec, onPlan, func(it xq.Item) bool { return deliver(it, each) })
+		flush() // this shard is done: the merge now waits on the others
+		results[i] = shardResult{sum, err}
+	})
 	items, first, truncated := d.Delivered() // the merge is over
 
-	responded := 0
-	complete := true
-	aborted := false
+	responded, complete, aborted := 0, true, false
 	var shortfalls []string
 	for i, res := range results {
 		if res.err != nil {
@@ -457,12 +450,8 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		responded++
 		if res.sum != nil {
-			if !res.sum.Complete {
-				complete = false
-			}
-			if res.sum.Aborted {
-				aborted = true
-			}
+			complete = complete && res.sum.Complete
+			aborted = aborted || res.sum.Aborted
 		}
 	}
 	shortfall := strings.Join(shortfalls, "; ")
@@ -544,7 +533,16 @@ func (rt *Router) handleCutoverHTTP(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(map[string]any{"total": len(backends), "pruned": pruned})
 }
 
-func writeXML(w http.ResponseWriter, n *xmldoc.Node) {
-	w.Header().Set("Content-Type", "text/xml; charset=utf-8")
-	_, _ = io.WriteString(w, n.String())
+// fanOut calls f for each backend, each in a goroutine of its own, and
+// returns when every call has.
+func fanOut(backends []Backend, f func(i int, b Backend)) {
+	var wg sync.WaitGroup
+	for i, b := range backends {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(i, b)
+		}()
+	}
+	wg.Wait()
 }

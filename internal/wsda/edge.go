@@ -87,11 +87,7 @@ func (e *Edge) Open(w http.ResponseWriter, r *http.Request) (query string, opts 
 // parse decodes the query options and the delivery parameters. Every error
 // is the client's (400).
 func (d *Delivery) parse(q url.Values) (opts registry.QueryOptions, err error) {
-	opts.Filter = registry.Filter{
-		Type:       q.Get("type"),
-		Context:    q.Get("ctx"),
-		LinkPrefix: q.Get("prefix"),
-	}
+	opts.Filter = FilterParams(q)
 	if s := q.Get("maxage-ms"); s != "" {
 		ms, err := strconv.ParseInt(s, 10, 64)
 		if err != nil {
@@ -147,11 +143,12 @@ const rootRoom = 256
 // rendering, when a streamed item is flushed, the max-results bound, the
 // moment headers commit, and how a failure is reported. A stream flushes
 // its first item at once, which commits the headers, and by default every
-// item after it; once the producer says it holds the rest (Hold), the
-// items leave back to back and are flushed with the trailer. Callers feed
-// it Item by Item and end with exactly one of Fail or Finish; which shape
-// goes out is not theirs to know. Not safe for concurrent use: the router
-// serializes Item under its merge mutex.
+// item after it; once the producer says it will tell when it would wait
+// (Hold), the items leave back to back and are flushed by Flush and with
+// the trailer. Callers feed it Item by Item and end with exactly one of
+// Fail or Finish; which shape goes out is not theirs to know. Not safe for
+// concurrent use: the router serializes Item and Flush under its merge
+// mutex.
 type Delivery struct {
 	// OnCommit, when set, is called once with the response headers
 	// immediately before the first byte of a 200 response is written —
@@ -171,7 +168,8 @@ type Delivery struct {
 	buf        []byte        // buffered delivery: rootRoom bytes, then the items so far as AppendItem renders them
 	skip       int           // items of the page offset still to pass over
 	count      int           // items delivered
-	held       bool          // Hold: the producer holds the rest; flush at Finish
+	held       bool          // Hold: flush in Flush and Finish, not per item
+	unflushed  bool          // items written since the last flush
 	first      time.Duration // start to the first delivered item
 	truncated  bool          // delivery stopped before the result ended
 	nextCursor string
@@ -189,12 +187,22 @@ func (d *Delivery) SetTx(tx string) {
 	}
 }
 
-// Hold tells the delivery that every item still to come exists already
-// and that Finish follows the last of them, in the form
-// registry.QueryOptions.Held takes. A stream then writes those items back
-// to back and flushes once, with the trailer, instead of after each item;
-// the first item is still flushed at once. The bytes are the same.
+// Hold tells the delivery that the producer calls Flush before each time
+// it would wait for an item, and Finish after its last, in the form
+// registry.QueryOptions.Held takes. A stream then flushes the items
+// written since the last flush only at those points, instead of after
+// each item; the first item is still flushed at once. A producer that
+// holds every item still to come (a sorted answer) never waits, so they
+// leave with the trailer. The bytes are the same.
 func (d *Delivery) Hold() { d.held = true }
+
+// Flush sends the streamed items written since the last flush, if any.
+func (d *Delivery) Flush() {
+	if d.unflushed {
+		d.unflushed = false
+		d.sw.flush()
+	}
+}
 
 // Item delivers one result item, in the form registry.QueryOptions.Emit
 // takes. False means stop producing: the client is gone, a write failed,
@@ -234,8 +242,8 @@ func (d *Delivery) Item(it xq.Item) bool {
 	} else if d.sw.WriteItem(it) != nil {
 		d.truncated = true
 		return false
-	} else if d.count == 0 || !d.held {
-		d.sw.flush()
+	} else if d.unflushed = true; d.count == 0 || !d.held {
+		d.Flush()
 	}
 	d.count++
 	if d.maxResults > 0 && d.count >= d.maxResults {

@@ -5,16 +5,19 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"wsda/internal/registry"
+	"wsda/internal/shard"
 	"wsda/internal/workload"
 	"wsda/internal/wsda"
 	"wsda/internal/xq"
@@ -137,23 +140,91 @@ func TestStreamFlushPoints(t *testing.T) {
 		}
 	}
 
-	// The router merges and the peer edge forwards items that arrive one by
-	// one, so every item is flushed, whatever the query's shape.
-	for _, e := range queryEdges(t) {
-		if e.pages {
-			continue
-		}
-		for _, query := range []string{allItems, orderedItems, pathItems} {
-			f := serve(e.good, e.path, "stream=true", query)
+	// The peer edge forwards items that arrive one by one, so every item is
+	// flushed, whatever the query's shape. The router does the same with
+	// the items of a shard that cannot tell when it would wait: a walk on
+	// a LocalBackend, and a scripted backend.
+	edges := queryEdges(t)
+	scripted := shard.NewRouter(shard.Config{Backends: []shard.Backend{
+		scriptedBackend{run: func(_ context.Context, emit func(xq.Item) bool) error {
+			for i := int64(0); i < edgeItems && emit(i); i++ {
+			}
+			return nil
+		}}}}).Handler()
+	for _, c := range []struct {
+		name    string
+		h       http.Handler
+		path    string
+		queries []string
+	}{
+		{"netquery", edges[2].good, edges[2].path, []string{allItems, orderedItems, pathItems}},
+		{"router over LocalBackends", edges[1].good, edges[1].path, []string{allItems}},
+		{"router over a scripted backend", scripted, wsda.PathXQuery, []string{allItems}},
+	} {
+		for _, query := range c.queries {
+			f := serve(c.h, c.path, "stream=true", query)
 			body := f.body.String()
 			ends := itemEnds(t, body)
 			if len(ends) != edgeItems {
-				t.Fatalf("%s %s: %d items, want %d", e.name, query, len(ends), edgeItems)
+				t.Fatalf("%s %s: %d items, want %d", c.name, query, len(ends), edgeItems)
 			}
 			if want := perItem(ends, len(body)); fmt.Sprint(f.flushAt) != fmt.Sprint(want) {
-				t.Errorf("%s %s: flushed at %v, want %v", e.name, query, f.flushAt, want)
+				t.Errorf("%s %s: flushed at %v, want %v", c.name, query, f.flushAt, want)
 			}
 		}
+	}
+}
+
+// An HTTP shard tells the router when it would wait: the router flushes
+// the first item at once, then what it has written each time it is about
+// to read the shard, so every item written before it waits on the shard
+// has left, and a burst it read in one Read leaves in one flush.
+func TestRouterFlushesBeforeItWaits(t *testing.T) {
+	const open = `<results streamed="true">`
+	bursts := []int{3, 1, 4, 2} // items per burst; 10 items of one width
+	item := func(i int) string { return string(wsda.AppendItem(nil, int64(i))) }
+	var ends []int // the router's body offsets at which each burst ends
+	for i, n := 0, 0; i < len(bursts); i++ {
+		n += bursts[i]
+		ends = append(ends, len(open)+n*len(item(0)))
+	}
+	gate := make(chan struct{}, len(bursts))
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		out, k := open, 0
+		for i, n := range bursts {
+			if i > 0 {
+				select {
+				case <-gate:
+				case <-time.After(5 * time.Second):
+					t.Errorf("the router waits on the shard before flushing burst %d", i)
+					return
+				}
+			}
+			for ; n > 0; n-- {
+				out += item(k)
+				k++
+			}
+			if i == len(bursts)-1 {
+				out += `<summary count="10" complete="true"/></results>`
+			}
+			_, _ = io.WriteString(w, out) // a burst: one write, one flush
+			w.(http.Flusher).Flush()
+			out = ""
+		}
+	}))
+	defer srv.Close()
+	router := shard.NewRouter(shard.Config{Backends: []shard.Backend{shard.NewHTTPBackend(srv.URL, srv.Client())}}).Handler()
+	f := newFlushLog()
+	f.onFlush = func() {
+		if i := slices.Index(ends, f.body.Len()); i >= 0 && i < len(bursts)-1 {
+			gate <- struct{}{} // burst i has left: send the next
+		}
+	}
+	router.ServeHTTP(f, httptest.NewRequest(http.MethodPost, wsda.PathXQuery+"?stream=true", strings.NewReader(allItems)))
+	body := f.body.String()
+	want := append(append([]int{itemEnds(t, body)[0]}, ends...), len(body))
+	if fmt.Sprint(f.flushAt) != fmt.Sprint(want) {
+		t.Errorf("flushed at %v, want the first item, each burst's end and the trailer: %v", f.flushAt, want)
 	}
 }
 

@@ -78,7 +78,7 @@ func HandlerWithObservability(n Node, m *telemetry.Metrics, fr *telemetry.Flight
 			httpError(w, http.StatusInternalServerError, err)
 			return
 		}
-		writeXML(w, desc.ToXML())
+		WriteXML(w, desc.ToXML())
 	})
 	mux.HandleFunc(PathPublish, func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -97,7 +97,7 @@ func HandlerWithObservability(n Node, m *telemetry.Metrics, fr *telemetry.Flight
 		}
 		resp := xmldoc.NewElement("granted")
 		resp.SetAttr("ttl-ms", strconv.FormatInt(granted.Milliseconds(), 10))
-		writeXML(w, resp)
+		WriteXML(w, resp)
 	})
 	mux.HandleFunc(PathUnpublish, func(w http.ResponseWriter, r *http.Request) {
 		link := r.URL.Query().Get("link")
@@ -109,15 +109,10 @@ func HandlerWithObservability(n Node, m *telemetry.Metrics, fr *telemetry.Flight
 			httpError(w, errorStatus(err, http.StatusInternalServerError), err)
 			return
 		}
-		writeXML(w, xmldoc.NewElement("ok"))
+		WriteXML(w, xmldoc.NewElement("ok"))
 	})
 	mux.HandleFunc(PathMinQuery, func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		tuples, err := n.MinQuery(registry.Filter{
-			Type:       q.Get("type"),
-			Context:    q.Get("ctx"),
-			LinkPrefix: q.Get("prefix"),
-		})
+		tuples, err := n.MinQuery(FilterParams(r.URL.Query()))
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, err)
 			return
@@ -126,7 +121,7 @@ func HandlerWithObservability(n Node, m *telemetry.Metrics, fr *telemetry.Flight
 		for _, t := range tuples {
 			root.AppendChild(t.ToXML())
 		}
-		writeXML(w, root)
+		WriteXML(w, root)
 	})
 	mux.HandleFunc(PathXQuery, func(w http.ResponseWriter, r *http.Request) {
 		query, opts, d := edge.Open(w, r)
@@ -168,7 +163,9 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	http.Error(w, err.Error(), code)
 }
 
-func writeXML(w http.ResponseWriter, n *xmldoc.Node) {
+// WriteXML answers with n as a text/xml document: the binding's
+// non-query responses, here and at the router.
+func WriteXML(w http.ResponseWriter, n *xmldoc.Node) {
 	w.Header().Set("Content-Type", "text/xml; charset=utf-8")
 	_, _ = io.WriteString(w, n.String())
 }
@@ -405,6 +402,12 @@ func (c *Client) MinQuery(f registry.Filter) ([]*tuple.Tuple, error) {
 	return out, nil
 }
 
+// FilterParams reads the attribute pre-filter (type, ctx, prefix) from
+// request parameters, as QueryParams writes it.
+func FilterParams(q url.Values) registry.Filter {
+	return registry.Filter{Type: q.Get("type"), Context: q.Get("ctx"), LinkPrefix: q.Get("prefix")}
+}
+
 // QueryParams renders the wire-crossing query options (Filter, Freshness
 // and TxID; Emit and Vars are local-only concepts) and the result bound as
 // /wsda/xquery URL parameters — the one encoder the Client, the router's
@@ -412,23 +415,17 @@ func (c *Client) MinQuery(f registry.Filter) ([]*tuple.Tuple, error) {
 // is its inverse.
 func QueryParams(opts registry.QueryOptions, maxResults int) url.Values {
 	q := url.Values{}
-	if opts.Filter.Type != "" {
-		q.Set("type", opts.Filter.Type)
-	}
-	if opts.Filter.Context != "" {
-		q.Set("ctx", opts.Filter.Context)
-	}
-	if opts.Filter.LinkPrefix != "" {
-		q.Set("prefix", opts.Filter.LinkPrefix)
+	for _, p := range [...][2]string{{"type", opts.Filter.Type}, {"ctx", opts.Filter.Context},
+		{"prefix", opts.Filter.LinkPrefix}, {"tx", opts.TxID}} {
+		if p[1] != "" {
+			q.Set(p[0], p[1])
+		}
 	}
 	if opts.Freshness.MaxAge > 0 {
 		q.Set("maxage-ms", strconv.FormatInt(opts.Freshness.MaxAge.Milliseconds(), 10))
 	}
 	if opts.Freshness.PullMissing {
 		q.Set("pull-missing", "true")
-	}
-	if opts.TxID != "" {
-		q.Set("tx", opts.TxID)
 	}
 	if maxResults > 0 {
 		q.Set("max-results", strconv.Itoa(maxResults))

@@ -2,6 +2,7 @@ package wsda
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -237,13 +238,7 @@ func (b *Builder) Attr(k, v string) *Builder {
 // Op adds an operation (creating the interface if absent) with an optional
 // HTTP binding endpoint.
 func (b *Builder) Op(ifaceType, opName, httpEndpoint string) *Builder {
-	var iface *Interface
-	for i := range b.s.Interfaces {
-		if b.s.Interfaces[i].Type == ifaceType {
-			iface = &b.s.Interfaces[i]
-			break
-		}
-	}
+	iface := b.s.Interface(ifaceType)
 	if iface == nil {
 		b.s.Interfaces = append(b.s.Interfaces, Interface{Type: ifaceType})
 		iface = &b.s.Interfaces[len(b.s.Interfaces)-1]
@@ -275,29 +270,11 @@ func (s *Service) Matches(specs ...MatchSpec) bool {
 		if iface == nil {
 			return false
 		}
-		if spec.Operation == "" {
-			continue
+		bound := func(b Binding) bool { return strings.EqualFold(b.Protocol, spec.Protocol) }
+		offers := func(op Operation) bool {
+			return op.Name == spec.Operation && (spec.Protocol == "" || slices.ContainsFunc(op.Bindings, bound))
 		}
-		found := false
-		for _, op := range iface.Operations {
-			if op.Name != spec.Operation {
-				continue
-			}
-			if spec.Protocol == "" {
-				found = true
-				break
-			}
-			for _, b := range op.Bindings {
-				if strings.EqualFold(b.Protocol, spec.Protocol) {
-					found = true
-					break
-				}
-			}
-			if found {
-				break
-			}
-		}
-		if !found {
+		if spec.Operation != "" && !slices.ContainsFunc(iface.Operations, offers) {
 			return false
 		}
 	}

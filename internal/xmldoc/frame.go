@@ -22,9 +22,11 @@ var ErrItemTooLarge = fmt.Errorf("xmldoc: frame: element larger than %d bytes", 
 // arrived, without building a tree. It runs the scanner Parse is built on
 // over everything it reads, so the well-formedness rules are Parse's —
 // balanced and matching tags, legal characters and references, MaxDepth —
-// and a span it yields is one ParseBytes accepts. It reads with single
-// Read calls and never waits to fill its buffer, so a producer that
-// flushes per item is consumed per item.
+// and a span it yields is one ParseBytes accepts. Once a child has opened,
+// the scanner runs to its end tag without handing back a token per tag or
+// attribute, stopping only where the buffer runs out or the input is
+// malformed. It reads with single Read calls and never waits to fill its
+// buffer, so a producer that flushes per item is consumed per item.
 type Framer struct {
 	r      io.Reader
 	s      scanner
@@ -159,12 +161,12 @@ func (f *Framer) Next() (name, span []byte, err error) {
 			case 1:
 				return nil, nil, errors.New("xmldoc: frame: second root element")
 			case 2:
-				f.item = tok.pos
+				f.item, f.s.skim = tok.pos, 2
 			}
 		case tokEmpty, tokEnd:
 			if f.s.depth() == 1 && f.item >= 0 {
 				span = f.buf[f.item:f.s.pos]
-				f.item = -1
+				f.item, f.s.skim = -1, 0
 				end := 1
 				for end < len(span) && (class[span[end]]&cName != 0 || span[end] >= 0x80) {
 					end++

@@ -11,7 +11,8 @@ import (
 	"testing/iotest"
 )
 
-// chunkReader hands out its data in pieces of random size.
+// chunkReader hands out its data in pieces of random size up to max, or
+// of max bytes each when rng is nil.
 type chunkReader struct {
 	data []byte
 	rng  *rand.Rand
@@ -22,7 +23,11 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 	if len(c.data) == 0 {
 		return 0, io.EOF
 	}
-	n := min(1+c.rng.Intn(c.max), len(p), len(c.data))
+	n := c.max
+	if c.rng != nil {
+		n = 1 + c.rng.Intn(c.max)
+	}
+	n = min(n, len(p), len(c.data))
 	copy(p, c.data[:n])
 	c.data = c.data[n:]
 	return n, nil

@@ -2,6 +2,7 @@ package xmldoc
 
 import (
 	"errors"
+	"io"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -142,39 +143,50 @@ func checkParse(t *testing.T, src string) {
 // checkFramer holds a Framer to Parse's verdict (doc, perr) on the same
 // input: it fails wherever Parse does; where Parse finds exactly one root
 // element it succeeds, its root is that element, and its spans parse to
-// the root's child elements, one for one.
+// the root's child elements, one for one. The input is read three ways:
+// a byte per Read, so every token waits for more; whole in one Read, so a
+// child is scanned to its end in one call; and 7 bytes per Read, so a
+// child's scan stops and resumes at odd places.
 func checkFramer(t *testing.T, src string, doc *Node, perr error) {
 	t.Helper()
-	root, _, spans, ferr := frames(iotest.OneByteReader(strings.NewReader(src)))
-	if perr != nil {
-		if ferr == nil {
-			t.Fatalf("the Framer accepts %q, which Parse rejects: %v", src, perr)
-		}
-		return
-	}
 	var roots []*Node
-	for _, c := range doc.Children {
-		if c.Kind == ElementNode {
-			roots = append(roots, c)
+	if perr == nil {
+		for _, c := range doc.Children {
+			if c.Kind == ElementNode {
+				roots = append(roots, c)
+			}
 		}
 	}
-	if len(roots) != 1 {
-		if ferr == nil {
-			t.Fatalf("the Framer accepts %q, which has %d root elements", src, len(roots))
+	for _, read := range []struct {
+		how string
+		r   io.Reader
+	}{
+		{"a byte per Read", iotest.OneByteReader(strings.NewReader(src))},
+		{"one Read", strings.NewReader(src)},
+		{"7 bytes per Read", &chunkReader{data: []byte(src), max: 7}},
+	} {
+		root, _, spans, ferr := frames(read.r)
+		switch {
+		case perr != nil && ferr == nil:
+			t.Fatalf("the Framer (%s) accepts %q, which Parse rejects: %v", read.how, src, perr)
+		case perr != nil:
+			continue
+		case len(roots) != 1 && ferr == nil:
+			t.Fatalf("the Framer (%s) accepts %q, which has %d root elements", read.how, src, len(roots))
+		case len(roots) != 1:
+			continue
+		case ferr != nil:
+			t.Fatalf("the Framer (%s) rejects %q, which Parse accepts: %v", read.how, src, ferr)
 		}
-		return
-	}
-	if ferr != nil {
-		t.Fatalf("the Framer rejects %q, which Parse accepts: %v", src, ferr)
-	}
-	want := roots[0].ChildElements()
-	if bare := (&Node{Kind: ElementNode, Name: roots[0].Name, Attrs: roots[0].Attrs}); root != bare.String() || len(spans) != len(want) {
-		t.Fatalf("the Framer finds root %s with %d children in %q; Parse finds %s with %d", root, len(spans), src, bare, len(want))
-	}
-	for i, span := range spans {
-		got, err := ParseString(span)
-		if err != nil || !got.DocumentElement().Equal(want[i]) {
-			t.Fatalf("span %d of %q is %q (%v); Parse finds %q", i, src, span, err, want[i])
+		want := roots[0].ChildElements()
+		if bare := (&Node{Kind: ElementNode, Name: roots[0].Name, Attrs: roots[0].Attrs}); root != bare.String() || len(spans) != len(want) {
+			t.Fatalf("the Framer (%s) finds root %s with %d children in %q; Parse finds %s with %d", read.how, root, len(spans), src, bare, len(want))
+		}
+		for i, span := range spans {
+			got, err := ParseString(span)
+			if err != nil || !got.DocumentElement().Equal(want[i]) {
+				t.Fatalf("span %d of %q (%s) is %q (%v); Parse finds %q", i, src, read.how, span, err, want[i])
+			}
 		}
 	}
 }

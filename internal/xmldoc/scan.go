@@ -142,6 +142,11 @@ type scanner struct {
 	names   []byte // names of the open elements, concatenated
 	ends    []int  // end of each in names
 	err     error
+	// skim, when nonzero, is a depth: next then passes over every token
+	// that leaves skim or more elements open instead of returning it, so
+	// the element that opened at depth skim is scanned to its end tag in
+	// one call (see Framer.Next). Every check is made as before.
+	skim int
 
 	namesArr [128]byte // backing arrays, enough for most documents
 	endsArr  [16]int
@@ -161,6 +166,10 @@ func (s *scanner) held() int {
 	}
 	return s.start
 }
+
+// skims reports whether a token just completed, leaving depth() open
+// elements, is one to pass over (see skim).
+func (s *scanner) skims() bool { return s.skim != 0 && len(s.ends) >= s.skim }
 
 // rebase tells the scanner the first n bytes of the buffer were dropped.
 func (s *scanner) rebase(n int) {
@@ -262,7 +271,10 @@ func (s *scanner) next(buf []byte, final bool) token {
 			}
 			switch c = buf[p]; c {
 			case '<':
-				return s.emit(token{kind: tokText, a: s.start, b: p, esc: s.esc}, p)
+				if !s.skims() {
+					return s.emit(token{kind: tokText, a: s.start, b: p, esc: s.esc}, p)
+				}
+				s.state = stContent
 			case '&':
 				s.ret, s.state, s.esc, s.n = stText, stRef, true, 0
 				p++
@@ -345,7 +357,9 @@ func (s *scanner) next(buf []byte, final bool) token {
 				s.names = append(s.names, buf[s.a:p]...)
 				s.ends = append(s.ends, len(s.names))
 				s.state, s.pos = stTag, p
-				return token{kind: tokStart, pos: s.start, a: s.a, b: p}
+				if !s.skims() {
+					return token{kind: tokStart, pos: s.start, a: s.a, b: p}
+				}
 			case stAttrName:
 				s.state = stAttrEq
 			case stEndName:
@@ -359,7 +373,11 @@ func (s *scanner) next(buf []byte, final bool) token {
 			case class[c]&cSpace != 0:
 				p++
 			case c == '>':
-				return s.emit(token{kind: tokOpen}, p+1)
+				if !s.skims() {
+					return s.emit(token{kind: tokOpen}, p+1)
+				}
+				s.state = stContent
+				p++
 			case c == '/':
 				s.state = stEmptyGT
 				p++
@@ -374,7 +392,11 @@ func (s *scanner) next(buf []byte, final bool) token {
 				return s.fail(p, "expected /> in element")
 			}
 			s.pop()
-			return s.emit(token{kind: tokEmpty}, p+1)
+			if !s.skims() {
+				return s.emit(token{kind: tokEmpty}, p+1)
+			}
+			s.state = stContent
+			p++
 
 		case stAttrEq:
 			switch {
@@ -408,7 +430,10 @@ func (s *scanner) next(buf []byte, final bool) token {
 			switch c = buf[p]; {
 			case c == s.quote:
 				s.state, s.pos = stTag, p+1
-				return token{kind: tokAttr, pos: s.start, a: s.a, b: s.b, c: s.c, d: p, esc: s.esc}
+				if !s.skims() {
+					return token{kind: tokAttr, pos: s.start, a: s.a, b: s.b, c: s.c, d: p, esc: s.esc}
+				}
+				p++
 			case c == '"' || c == '\'':
 				p++
 			case c == '<':
@@ -445,7 +470,11 @@ func (s *scanner) next(buf []byte, final bool) token {
 				return s.fail(s.start, "element <%s> closed by </%s>", s.top(), buf[s.a:s.b])
 			default:
 				s.pop()
-				return s.emit(token{kind: tokEnd, a: s.a, b: s.b}, p+1)
+				if !s.skims() {
+					return s.emit(token{kind: tokEnd, a: s.a, b: s.b}, p+1)
+				}
+				s.state = stContent
+				p++
 			}
 
 		case stPILT:
@@ -463,7 +492,11 @@ func (s *scanner) next(buf []byte, final bool) token {
 						return token{kind: tokError}
 					}
 				}
-				return s.emit(token{kind: tokSkip}, p+1)
+				if !s.skims() {
+					return s.emit(token{kind: tokSkip}, p+1)
+				}
+				s.state = stContent
+				p++
 			case c == '?':
 				s.n = 1
 				p++
@@ -500,7 +533,11 @@ func (s *scanner) next(buf []byte, final bool) token {
 			case s.n == 2 && c != '>':
 				return s.fail(p, `invalid sequence "--" not allowed in comments`)
 			case s.n == 2:
-				return s.emit(token{kind: tokComment, a: s.c, b: p - 2}, p+1)
+				if !s.skims() {
+					return s.emit(token{kind: tokComment, a: s.c, b: p - 2}, p+1)
+				}
+				s.state = stContent
+				p++
 			case c == '-':
 				s.n++
 				p++
@@ -541,7 +578,10 @@ func (s *scanner) next(buf []byte, final bool) token {
 				p++
 			case '>':
 				if s.n == 2 {
-					return s.emit(token{kind: tokCDATA, a: s.c, b: p - 2, esc: s.esc}, p+1)
+					if !s.skims() {
+						return s.emit(token{kind: tokCDATA, a: s.c, b: p - 2, esc: s.esc}, p+1)
+					}
+					s.state = stContent
 				}
 				s.n = 0
 				p++
@@ -566,7 +606,10 @@ func (s *scanner) next(buf []byte, final bool) token {
 					s.quote = 0
 				}
 			case c == '>' && s.n == 0:
-				return s.emit(token{kind: tokSkip}, p+1)
+				if !s.skims() {
+					return s.emit(token{kind: tokSkip}, p+1)
+				}
+				s.state = stContent
 			case c == '>':
 				s.n--
 			case c == '"' || c == '\'':

@@ -1,5 +1,5 @@
 // Benchmarks regenerating the evaluation's tables and figures (experiments
-// E1–E22, DESIGN.md) plus micro-benchmarks of the load-bearing components.
+// E1–E13, DESIGN.md) plus micro-benchmarks of the load-bearing components.
 // Each experiment benchmark runs a reduced-scale instance per iteration;
 // cmd/benchharness runs the full-scale versions and prints the tables.
 package wsda_test
@@ -140,22 +140,6 @@ func BenchmarkE12WSDAPrimitives(b *testing.B) {
 func BenchmarkE13Federation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.E13Federation([]int{8}, 5); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE14ViewMaintenance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E14ViewMaintenance([]int{500}, 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE15Replication(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E15Replication([]int{200}, 5); err != nil {
 			b.Fatal(err)
 		}
 	}

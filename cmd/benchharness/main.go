@@ -1,7 +1,8 @@
 // Command benchharness regenerates every table and figure of the
-// evaluation (experiments E1–E22, see DESIGN.md) at full scale and prints
-// them as aligned text tables. Use -quick for a fast smoke run and -only
-// to select individual experiments.
+// evaluation (experiments E1–E13, E16–E18, E20 and E21, indexed in
+// DESIGN.md and reported in EXPERIMENTS.md) at full scale and prints them
+// as aligned text tables. Use -quick for a fast smoke run and -only to
+// select individual experiments.
 //
 //	benchharness            # everything, full scale (minutes)
 //	benchharness -quick     # everything, small scale (seconds)
@@ -40,12 +41,83 @@ func main() {
 	}
 	selected := func(id string) bool { return len(want) == 0 || want[id] }
 
-	type runner struct {
-		id  string
-		run func() (*experiments.Table, error)
+	metrics := telemetry.NewMetrics()
+	phaseSeconds := metrics.HistogramVec("wsda_bench_phase_seconds",
+		"Wall-clock time per experiment phase.", nil, "experiment")
+	phasesRun := metrics.Counter("wsda_bench_phases_total", "Experiment phases executed.")
+
+	type result struct {
+		ID        string     `json:"id"`
+		Title     string     `json:"title"`
+		Note      string     `json:"note,omitempty"`
+		Header    []string   `json:"header"`
+		Rows      [][]string `json:"rows"`
+		ElapsedMS float64    `json:"elapsed_ms"`
 	}
-	q := *quick
-	runners := []runner{
+	var results []result
+
+	start := time.Now()
+	for _, r := range runners(*quick) {
+		if !selected(r.id) {
+			continue
+		}
+		t0 := time.Now()
+		tab, err := r.run()
+		if err != nil {
+			log.Fatalf("%s: %v", r.id, err)
+		}
+		elapsed := time.Since(t0)
+		phaseSeconds.With(r.id).ObserveDuration(elapsed)
+		phasesRun.Inc()
+		fmt.Println(tab.String())
+		fmt.Printf("   [%s completed in %v]\n\n", r.id, elapsed.Round(time.Millisecond))
+		results = append(results, result{
+			ID: tab.ID, Title: tab.Title, Note: tab.Note,
+			Header: tab.Header, Rows: tab.Rows,
+			ElapsedMS: float64(elapsed.Microseconds()) / 1000,
+		})
+	}
+	if len(results) == 0 {
+		fmt.Fprintln(os.Stderr, "no experiments selected")
+		os.Exit(2)
+	}
+	fmt.Printf("ran %d experiments in %v\n", len(results), time.Since(start).Round(time.Millisecond))
+
+	if *jsonOut != "" {
+		doc := struct {
+			Quick     bool                       `json:"quick"`
+			ElapsedMS float64                    `json:"elapsed_ms"`
+			Results   []result                   `json:"results"`
+			Metrics   []telemetry.FamilySnapshot `json:"metrics"`
+		}{
+			Quick:     *quick,
+			ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
+			Results:   results,
+			Metrics:   metrics.Snapshot(),
+		}
+		data, err := json.MarshalIndent(doc, "", "  ")
+		if err != nil {
+			log.Fatalf("json: %v", err)
+		}
+		data = append(data, '\n')
+		if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
+			log.Fatalf("json: %v", err)
+		}
+		fmt.Printf("wrote %s\n", *jsonOut)
+	}
+}
+
+// runner is one experiment of the harness: its ID, as -only names it and
+// as EXPERIMENTS.md heads its section, and the run at the chosen scale.
+type runner struct {
+	id  string
+	run func() (*experiments.Table, error)
+}
+
+// runners lists every experiment in run order, at small scale when q is
+// set.
+func runners(q bool) []runner {
+	return []runner{
 		{"E1", func() (*experiments.Table, error) {
 			return experiments.E1QueryTypes(pick(q, 200, 1000))
 		}},
@@ -114,18 +186,6 @@ func main() {
 			}
 			return experiments.E13Federation([]int{8, 32, 128}, 20)
 		}},
-		{"E14", func() (*experiments.Table, error) {
-			if q {
-				return experiments.E14ViewMaintenance([]int{1000}, 10)
-			}
-			return experiments.E14ViewMaintenance([]int{1000, 4000, 16_000}, 10)
-		}},
-		{"E15", func() (*experiments.Table, error) {
-			if q {
-				return experiments.E15Replication([]int{500}, 10)
-			}
-			return experiments.E15Replication([]int{1000, 4000, 16_000}, 25)
-		}},
 		{"E16", func() (*experiments.Table, error) {
 			if q {
 				return experiments.E16FaultTolerance([]float64{0.2}, []float64{0.25}, 4)
@@ -150,12 +210,6 @@ func main() {
 			}
 			return experiments.E18OverloadTriage(10, 40)
 		}},
-		{"E19", func() (*experiments.Table, error) {
-			if q {
-				return experiments.E19QueryPlanner([]int{500}, 20)
-			}
-			return experiments.E19QueryPlanner([]int{1000, 4000, 16_000}, 50)
-		}},
 		{"E20", func() (*experiments.Table, error) {
 			if q {
 				return experiments.E20ShardScaleOut([]int{1, 2, 4}, 50_000, 200)
@@ -168,80 +222,6 @@ func main() {
 			}
 			return experiments.E21TenantOverload(24, 2500, 60)
 		}},
-		{"E22", func() (*experiments.Table, error) {
-			if q {
-				return experiments.E22ClientSDKCache(2, 32, 10, 100, 500)
-			}
-			// base stays small so base*factor paced goroutines still get
-			// their 5 ms ticks on CI hosts — the ratio, not the absolute
-			// population, is what the experiment guards.
-			return experiments.E22ClientSDKCache(4, 64, 20, 100, 2000)
-		}},
-	}
-
-	metrics := telemetry.NewMetrics()
-	phaseSeconds := metrics.HistogramVec("wsda_bench_phase_seconds",
-		"Wall-clock time per experiment phase.", nil, "experiment")
-	phasesRun := metrics.Counter("wsda_bench_phases_total", "Experiment phases executed.")
-
-	type result struct {
-		ID        string     `json:"id"`
-		Title     string     `json:"title"`
-		Note      string     `json:"note,omitempty"`
-		Header    []string   `json:"header"`
-		Rows      [][]string `json:"rows"`
-		ElapsedMS float64    `json:"elapsed_ms"`
-	}
-	var results []result
-
-	start := time.Now()
-	for _, r := range runners {
-		if !selected(r.id) {
-			continue
-		}
-		t0 := time.Now()
-		tab, err := r.run()
-		if err != nil {
-			log.Fatalf("%s: %v", r.id, err)
-		}
-		elapsed := time.Since(t0)
-		phaseSeconds.With(r.id).ObserveDuration(elapsed)
-		phasesRun.Inc()
-		fmt.Println(tab.String())
-		fmt.Printf("   [%s completed in %v]\n\n", r.id, elapsed.Round(time.Millisecond))
-		results = append(results, result{
-			ID: tab.ID, Title: tab.Title, Note: tab.Note,
-			Header: tab.Header, Rows: tab.Rows,
-			ElapsedMS: float64(elapsed.Microseconds()) / 1000,
-		})
-	}
-	if len(results) == 0 {
-		fmt.Fprintln(os.Stderr, "no experiments selected")
-		os.Exit(2)
-	}
-	fmt.Printf("ran %d experiments in %v\n", len(results), time.Since(start).Round(time.Millisecond))
-
-	if *jsonOut != "" {
-		doc := struct {
-			Quick     bool                       `json:"quick"`
-			ElapsedMS float64                    `json:"elapsed_ms"`
-			Results   []result                   `json:"results"`
-			Metrics   []telemetry.FamilySnapshot `json:"metrics"`
-		}{
-			Quick:     *quick,
-			ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
-			Results:   results,
-			Metrics:   metrics.Snapshot(),
-		}
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			log.Fatalf("json: %v", err)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			log.Fatalf("json: %v", err)
-		}
-		fmt.Printf("wrote %s\n", *jsonOut)
 	}
 }
 

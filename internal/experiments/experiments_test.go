@@ -348,25 +348,6 @@ func TestTableString(t *testing.T) {
 	}
 }
 
-func TestE15(t *testing.T) {
-	tab, err := E15Replication([]int{200}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 1 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	// 50 delta rounds x 5 republished tuples each, all tailed over the feed.
-	if applied := cellFloat(t, tab.Rows[0][4]); applied < 250 {
-		t.Errorf("applied = %v, want >= 250", applied)
-	}
-	// Initial bootstrap plus the truncation recovery.
-	if tab.Rows[0][5] != "2" {
-		t.Errorf("bootstraps = %s, want 2", tab.Rows[0][5])
-	}
-	t.Log("\n" + tab.String())
-}
-
 func TestE16(t *testing.T) {
 	tab, err := E16FaultTolerance([]float64{0.2}, []float64{0.25}, 3)
 	if err != nil {
@@ -428,25 +409,6 @@ func TestE17(t *testing.T) {
 	t.Log("\n" + tab.String())
 }
 
-func TestE19(t *testing.T) {
-	tab, err := E19QueryPlanner([]int{300}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 1 {
-		t.Fatalf("rows = %d, want 1", len(tab.Rows))
-	}
-	// The planned link-index hit must beat the per-evaluation view build
-	// on the same store; the experiment itself already validates the plan
-	// hit/fallback accounting.
-	link := toMicros(t, tab.Rows[0][1])
-	view := toMicros(t, tab.Rows[0][4])
-	if link >= view {
-		t.Errorf("planned link query %s !< view-stream %s", tab.Rows[0][1], tab.Rows[0][4])
-	}
-	t.Log("\n" + tab.String())
-}
-
 func TestE20(t *testing.T) {
 	tab, err := E20ShardScaleOut([]int{1, 2}, 2000, 20)
 	if err != nil {
@@ -477,23 +439,5 @@ func TestE21(t *testing.T) {
 	// shedding holds goodput within 10% of calibrated capacity, the
 	// ungated run collapses below 50%, and the flood moves tenant A's
 	// p99 by under 20% only while quotas are on.
-	t.Log("\n" + tab.String())
-}
-
-func TestE22(t *testing.T) {
-	tab, err := E22ClientSDKCache(2, 32, 10, 50, 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(tab.Rows))
-	}
-	// The experiment self-validates the ISSUE 10 acceptance bounds: the
-	// grown window holds origin requests within 2x of the 1x baseline at
-	// a >= 95% hit ratio, and the probe never serves an unpublished tuple
-	// once the feed cursor passes the delete.
-	if tab.Rows[3][5] != "dead-gone" {
-		t.Errorf("probe row = %v", tab.Rows[3])
-	}
 	t.Log("\n" + tab.String())
 }

@@ -307,64 +307,3 @@ func E12WSDAPrimitives(n int) (*Table, error) {
 	}
 	return t, nil
 }
-
-// E14ViewMaintenance measures the tuple-set snapshots (ISSUE 2, 14): cold
-// first-query cost, warm steady-state cost of pinning the current snapshot
-// over an unchanged store, and query cost when every query must first
-// advance it past bounded publish churn, per store size. Warm cost should
-// be size-independent and churn cost should track the number of changed
-// tuples rather than the store size.
-func E14ViewMaintenance(sizes []int, churn int) (*Table, error) {
-	t := &Table{
-		ID:    "E14",
-		Title: "Incremental tuple-set view maintenance (thesis Ch. 4)",
-		Note: fmt.Sprintf("warm = repeated identical query, unchanged store; churn = %d tuples\n", churn) +
-			"republished between queries. Warm cost is store-size independent; churn\n" +
-			"cost is proportional to the changed tuples, not the store size.",
-		Header: []string{"tuples", "cold", "warm", "churn", "view-hits", "rebuilds"},
-	}
-	const (
-		warmIters  = 500
-		churnIters = 100
-		query      = `string(/tupleset/@registry)`
-	)
-	for _, n := range sizes {
-		gen := workload.NewGen(11)
-		reg := registry.New(registry.Config{Name: "e14", DefaultTTL: time.Hour})
-		if err := gen.Populate(reg, n, time.Hour); err != nil {
-			return nil, err
-		}
-
-		start := time.Now()
-		if _, err := reg.Query(query, registry.QueryOptions{}); err != nil {
-			return nil, err
-		}
-		cold := time.Since(start)
-
-		start = time.Now()
-		for i := 0; i < warmIters; i++ {
-			if _, err := reg.Query(query, registry.QueryOptions{}); err != nil {
-				return nil, err
-			}
-		}
-		warm := time.Since(start) / warmIters
-
-		start = time.Now()
-		for i := 0; i < churnIters; i++ {
-			for j := 0; j < churn; j++ {
-				if _, err := reg.Publish(gen.Tuple((i*churn+j)%n), time.Hour); err != nil {
-					return nil, err
-				}
-			}
-			if _, err := reg.Query(query, registry.QueryOptions{}); err != nil {
-				return nil, err
-			}
-		}
-		churnCost := time.Since(start) / churnIters
-
-		st := reg.Stats()
-		t.Add(fint(n), fdur(cold), fdur(warm), fdur(churnCost),
-			fint64(st.ViewHits), fint64(st.ViewRebuilds))
-	}
-	return t, nil
-}

@@ -220,6 +220,43 @@ func TestUnpublishExactInvalidation(t *testing.T) {
 	_ = before
 }
 
+// A herd of concurrent misses on one cold key costs the origin one fill:
+// the first misser leads, the rest queue on it and read what it
+// installed. This is what keeps the origin's load per (key, edge) flat as
+// clients grow.
+func TestConcurrentMissesCoalesce(t *testing.T) {
+	o := newOrigin(t)
+	link := o.publish(t, "herd")
+	c := newWarmClient(t, o)
+
+	const readers = 64
+	before := o.requests.Load()
+	start := make(chan struct{})
+	errs := make(chan error, readers)
+	for i := 0; i < readers; i++ {
+		go func() {
+			<-start
+			_, ok, err := c.Lookup(link)
+			if err == nil && !ok {
+				err = fmt.Errorf("lookup of %s missed", link)
+			}
+			errs <- err
+		}()
+	}
+	close(start)
+	for i := 0; i < readers; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := o.requests.Load() - before; got != 1 {
+		t.Errorf("%d concurrent lookups of one cold key made %d origin requests, want 1", readers, got)
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Hits != readers-1 {
+		t.Errorf("stats = %+v, want 1 miss and %d hits", st, readers-1)
+	}
+}
+
 // A MinQuery result set must be invalidated when a NEW tuple matching its
 // filter appears (membership can't know it yet — the filter match must).
 func TestResultSetInvalidatedByNewMatch(t *testing.T) {

@@ -266,7 +266,7 @@ func (lx *lexer) scan() (token, error) {
 	}
 	if singleSym[c] {
 		lx.pos++
-		return token{kind: tokSymbol, text: string(c), pos: start, end: lx.pos}, nil
+		return token{kind: tokSymbol, text: lx.src[start:lx.pos], pos: start, end: lx.pos}, nil
 	}
 	return token{}, lx.errorf(start, "unexpected character %q", c)
 }

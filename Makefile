@@ -4,9 +4,11 @@
 # detector, the bench/ module's vet and tests (its own go.mod, so the root
 # build skips it), and the guarded benchmarks (bench-guard). `make stress`
 # is not part of it: it reruns the concurrency-heavy packages (registry,
-# xq, telemetry, wsda, shard) twenty times under the race detector, for
-# changes to locking, snapshots, the recorder or the delivery the router
-# drives under its merge mutex (about 50 s of it is shard's).
+# xq, telemetry, wsda, shard) and softstate, whose model test meets a new
+# sweep order on every run, twenty times under the race detector, for changes
+# to locking, snapshots, the journal, the recorder or the delivery the
+# router drives under its merge mutex (about 50 s of it is shard's, 30 s
+# softstate's).
 # Nor is `make fuzz`, which CI runs as its own job beside `make check`.
 
 GO ?= go
@@ -43,12 +45,12 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 stress:
-	$(GO) test -race -count=20 ./internal/registry ./internal/xq ./internal/telemetry ./internal/wsda ./internal/shard
+	$(GO) test -race -count=20 ./internal/registry ./internal/xq ./internal/telemetry ./internal/wsda ./internal/shard ./internal/softstate
 
 # Runs every fuzz target for 30 s, one `go test -fuzz` per target (it
 # takes one at a time). A failing input is written under the package's
 # testdata/fuzz/ and fails the run; commit it with its fix.
-FUZZ_TARGETS = internal/pdp:FuzzDecode internal/xmldoc:FuzzParse internal/wsda:FuzzDecodeStream \
+FUZZ_TARGETS = internal/pdp:FuzzDecode internal/xmldoc:FuzzParse internal/xmldoc:FuzzFreeze internal/wsda:FuzzDecodeStream \
 	internal/xq:FuzzCompile internal/registry:FuzzCanonicalQuerySource internal/wsda:FuzzDecodePageCursor \
 	internal/changefeed:FuzzUnmarshalPage internal/tenant:FuzzAuthenticate \
 	internal/xq:FuzzCompiledComparisonMatchesGeneral

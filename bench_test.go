@@ -551,6 +551,30 @@ func BenchmarkStreamWriteItem(b *testing.B) {
 	}
 }
 
+// BenchmarkStreamWriteSharedItem is BenchmarkStreamWriteItem over what Q3
+// emits: the <service> of a registry-rendered tuple, about 1 KB against
+// that benchmark's 56-byte parsed element. The rendering is frozen, so
+// WriteItem copies its span of the revision's bytes instead of walking and
+// escaping the tree. cmd/benchguard holds it at no allocations and its
+// time to a multiple of StreamWriteItem's that a copy meets and a walk
+// misses.
+func BenchmarkStreamWriteSharedItem(b *testing.B) {
+	seq, err := benchRegistry(b, 100).Query(workload.CanonicalQueries[2].XQ, registry.QueryOptions{})
+	if err != nil || len(seq) == 0 {
+		b.Fatalf("Q3 returned %d items (%v)", len(seq), err)
+	}
+	el := seq[0].(*xmldoc.Node)
+	sw := wsda.NewStreamWriter(&discardWriter{h: make(http.Header)})
+	b.SetBytes(int64(len(el.String())))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sw.WriteItem(el); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // flushCounter is a discardWriter that counts flushes.
 type flushCounter struct {
 	discardWriter

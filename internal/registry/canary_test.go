@@ -22,10 +22,12 @@ import (
 // HTTP, the router's merge over a LocalBackend, and MarshalSequence into a
 // PDP message — and a change-feed page is marshalled from ChangesSince,
 // which shares the stored content. Afterwards every member of the pinned
-// tuple set must still serialize byte-identical to its tuple's ToXML(),
-// which renders that content again. A writer that
-// annotates a result node in place (a SetAttr in AppendItem, say) changes
-// the next query's answer for everyone; this is where it shows.
+// tuple set must still be byte-identical to its tuple's ToXML(), which
+// renders that content again, in two forms: its frozen bytes, and a clone
+// of it, which is unfrozen and so writes the tree as it now is (the frozen
+// bytes alone would hide a change to the tree). A writer that annotates a
+// result node in place (a SetAttr in AppendItem, say) changes the next
+// query's answer for everyone; this is where it shows.
 func TestSharedElementsSurviveEveryPath(t *testing.T) {
 	r := registry.New(registry.Config{Name: "canary", DefaultTTL: time.Hour})
 	if err := workload.NewGen(42).Populate(r, 200, time.Hour); err != nil {
@@ -82,8 +84,9 @@ func TestSharedElementsSurviveEveryPath(t *testing.T) {
 		t.Fatalf("pinned set has %d members, want 200", len(members))
 	}
 	for i, m := range members {
-		if got, want := m.String(), tuples[i].ToXML().String(); got != want {
-			t.Fatalf("member %d (%s) changed after serving results:\n got %s\nwant %s", i, tuples[i].Link, got, want)
+		tree, frozen, want := m.Clone().String(), m.String(), tuples[i].ToXML().String()
+		if tree != want || frozen != want {
+			t.Fatalf("member %d (%s) changed after serving results:\ntree   %s\nfrozen %s\nwant   %s", i, tuples[i].Link, tree, frozen, want)
 		}
 	}
 }

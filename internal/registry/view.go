@@ -3,9 +3,10 @@
 //
 // Each stored tuple revision is rendered to a <tuple> element once. The
 // rendering is immutable, parentless, numbered only within its own subtree,
-// and held by the stored value itself, so it lives exactly as long as the
-// revision does. A tuple set is a <tupleset> document whose root lists
-// those shared elements in link order; it too is immutable once published.
+// frozen (serialized once, so every answer copies its bytes), and held by
+// the stored value itself, so it lives exactly as long as the revision
+// does. A tuple set is a <tupleset> document whose root lists those shared
+// elements in link order; it too is immutable once published.
 // A query pins the current tuple set of its filter by loading one atomic
 // pointer and evaluates on it with no lock held, so a slow Emit callback
 // blocks nobody and results alias the snapshot safely. A tuple source
@@ -61,12 +62,13 @@ type stored struct {
 	elem   *xmldoc.Node
 }
 
-// element returns the revision's shared <tuple> element. Callers must not
-// mutate it or attach it with AppendChild: it has no parent on purpose.
+// element returns the revision's shared <tuple> element, frozen: every
+// answer that writes it, or any node of it, copies its bytes. Callers must
+// not mutate it or attach it with AppendChild: it has no parent on purpose.
 func (s *stored) element() *xmldoc.Node {
 	s.render.Do(func() {
 		s.elem = s.ToXML()
-		s.elem.Renumber()
+		s.elem.Freeze()
 	})
 	return s.elem
 }

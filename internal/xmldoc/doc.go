@@ -44,4 +44,25 @@
 //
 // A Framer additionally refuses to buffer a single child element larger
 // than MaxItemBytes (ErrItemTooLarge).
+//
+// # Serializing
+//
+// AppendTo, String and WriteTo write a tree compactly by walking it,
+// escaping text and attribute values as they go. A tree that is written
+// many times and never changes can be frozen: Freeze numbers it and
+// serializes it once, and keeps a record of the text and, indexed by
+// document order, every node's byte span of it, which each node of the
+// tree points at. From then on writing any of its nodes copies that span.
+// The record costs three pointer-free allocations; the pointer to it
+// fits in the word a Node had spare, so a Node stays 104 bytes.
+//
+// Freezing relies on an immutability contract: a frozen tree is never
+// mutated, and once shared never renumbered or frozen again. The frozen
+// bytes do not follow a mutation, so an edit in place leaves every later
+// answer writing the old tree; and Renumber and Freeze write every node,
+// which readers of a shared tree race with. Renumber unfreezes the tree it
+// numbers, and Clone always returns an unfrozen copy, which is the way to
+// change one.
+// An unfrozen tree that lists a frozen subtree among its children (a
+// tuple set listing shared elements, say) copies that subtree's bytes.
 package xmldoc

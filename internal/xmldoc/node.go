@@ -5,8 +5,9 @@ import (
 	"strings"
 )
 
-// Kind discriminates the node types of the data model.
-type Kind int
+// Kind discriminates the node types of the data model. It is a byte so
+// that it shares a Node's first word with the node's document order.
+type Kind uint8
 
 // Node kinds, mirroring the XPath/XQuery data model subset used by the
 // thesis queries.
@@ -42,16 +43,23 @@ func (k Kind) String() string {
 // Attrs holds attribute nodes; they are not part of Children, matching the
 // XPath data model.
 type Node struct {
-	Kind     Kind    // node kind (document/element/text/...)
+	Kind Kind // node kind (document/element/text/...)
+
+	// order is the document-order index assigned when the tree is built or
+	// renumbered; it makes sorting node sequences cheap. It sits beside
+	// Kind so that the two share a word: the parser allocates nodes in
+	// chunks, and every decoded answer pays for each byte of a Node.
+	order int32
+
 	Name     string  // element/attribute name, possibly "prefix:local"
 	Data     string  // text/comment content, attribute value
 	Attrs    []*Node // attribute nodes (Kind == AttributeNode)
 	Children []*Node // child nodes in document order
 	Parent   *Node   // enclosing node; nil at the root
 
-	// order is the document-order index assigned when the tree is built or
-	// renumbered; it makes sorting node sequences cheap.
-	order int
+	// frozen is the serialization of the frozen tree this node belongs
+	// to (see Freeze); nil for a tree that is serialized by walking it.
+	frozen *frozen
 }
 
 // NewDocument returns an empty document node.
@@ -210,20 +218,22 @@ func (n *Node) Walk(f func(*Node) bool) bool {
 
 // Renumber assigns document-order indices to the whole tree rooted at the
 // root of n. It must be called after structural mutation if document-order
-// sorting is required; Parse does it automatically.
+// sorting is required; Parse does it automatically. A frozen tree it
+// renumbers is unfrozen: its nodes are serialized by walking them again.
 func (n *Node) Renumber() {
 	i := 0
 	n.Root().Walk(func(m *Node) bool {
-		m.order = i
+		m.order, m.frozen = int32(i), nil
 		i++
 		return true
 	})
 }
 
 // Order returns the document-order index assigned by Renumber/Parse.
-func (n *Node) Order() int { return n.order }
+func (n *Node) Order() int { return int(n.order) }
 
-// Clone returns a deep copy of n with no parent.
+// Clone returns a deep copy of n with no parent. The copy is not frozen,
+// whether n is or not.
 func (n *Node) Clone() *Node {
 	c := &Node{Kind: n.Kind, Name: n.Name, Data: n.Data}
 	for _, a := range n.Attrs {

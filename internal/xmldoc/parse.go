@@ -74,7 +74,7 @@ type builder struct {
 	open    []*Node // the open elements, the document node first
 	marks   []int   // per open element: where its pending nodes start
 	pending []*Node // attributes, then children, of the open elements
-	order   int
+	order   int32
 	scratch []byte
 
 	// Backing arrays for the three stacks, enough for most documents.

@@ -166,6 +166,19 @@ func BenchmarkXQCompile(b *testing.B) {
 	}
 }
 
+// BenchmarkCompile compiles all ten canonical queries per op: the front
+// end a router runs on every query it routes, before any shard sees it.
+func BenchmarkCompile(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, q := range workload.CanonicalQueries {
+			if _, err := xq.Compile(q.XQ); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 func BenchmarkXQEvalSimple(b *testing.B) {
 	benchXQEval(b, workload.CanonicalQueries[1].XQ, 1000)
 }

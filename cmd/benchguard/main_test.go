@@ -109,6 +109,7 @@ func TestDroppedBenchmarkFails(t *testing.T) {
 		{"stream", "StreamWriteItem"},
 		{"xq", "PlannedQueryWarm"},
 		{"xq", "PlanFallback"},
+		{"xq", "Compile"},
 	} {
 		raw, err := os.ReadFile(filepath.Join("testdata", tc.suite+".txt"))
 		if err != nil {

@@ -148,9 +148,9 @@ var (
 )
 
 // requestSites are the files that may build an outgoing HTTP request: the
-// WSDA client's one request path, the change-feed tailer (it cannot import
-// wsda) and the smoke test's probe client.
-var requestSites = []string{"internal/wsda/httpbind.go", "internal/changefeed/tailer.go", "cmd/smoketest/main.go"}
+// WSDA client's one request path (the change-feed tailer sends through it
+// too) and the smoke test's probe client.
+var requestSites = []string{"internal/wsda/httpbind.go", "cmd/smoketest/main.go"}
 
 // singleSite maps a callee name to the only files that may call it. With
 // pkg set only calls qualified by it are restricted (http.NewRequest, not

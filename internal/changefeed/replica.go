@@ -242,7 +242,7 @@ func (f replicaFeed) Apply(p Page) {
 // snapshot's generation.
 func (f replicaFeed) Resync(ctx context.Context, _ Page) (string, uint64, error) {
 	r := f.r
-	doc, epoch, err := r.tail.get(ctx, PathSnapshot)
+	doc, epoch, err := r.tail.get(ctx, PathSnapshot, nil)
 	if err != nil {
 		return "", 0, err
 	}

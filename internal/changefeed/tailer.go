@@ -3,16 +3,16 @@ package changefeed
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"wsda/internal/resilience"
+	"wsda/internal/wsda"
 	"wsda/internal/xmldoc"
 )
 
@@ -42,8 +42,7 @@ type Consumer interface {
 // Consumer's business. Create with NewTailer, drive with Run (or Step for
 // deterministic tests).
 type Tailer struct {
-	origin string
-	hc     *http.Client
+	client *wsda.Client // the origin, on the tailer's HTTP client
 	wait   time.Duration
 	c      Consumer
 
@@ -66,7 +65,7 @@ func NewTailer(c Consumer, origin string, hc *http.Client, wait time.Duration) *
 		hc = &http.Client{Timeout: max(wait, 0) + 15*time.Second}
 	}
 	return &Tailer{
-		origin: origin, hc: hc, wait: wait, c: c,
+		client: &wsda.Client{BaseURL: origin, HTTP: hc}, wait: wait, c: c,
 		poll:    100 * time.Millisecond,
 		backoff: resilience.NewBackoff(100*time.Millisecond, 10*time.Second),
 	}
@@ -133,7 +132,7 @@ func (t *Tailer) Step(ctx context.Context) (progressed bool, err error) {
 		return true, nil
 	}
 	cursor := t.cursor.Load()
-	doc, hdrEpoch, err := t.get(ctx, t.feedPath(cursor))
+	doc, hdrEpoch, err := t.get(ctx, PathFeed, t.feedParams(cursor))
 	if err != nil {
 		return false, t.failed(ctx, err)
 	}
@@ -168,23 +167,20 @@ func (t *Tailer) failed(ctx context.Context, err error) error {
 	return err
 }
 
-// feedPath is the one place the feed request is spelled.
-func (t *Tailer) feedPath(cursor uint64) string {
-	u := PathFeed + "?since=" + strconv.FormatUint(cursor, 10)
+// feedParams is the one place the feed request's parameters are spelled.
+func (t *Tailer) feedParams(cursor uint64) url.Values {
+	q := url.Values{"since": {strconv.FormatUint(cursor, 10)}}
 	if t.wait > 0 {
-		u += "&wait-ms=" + strconv.FormatInt(t.wait.Milliseconds(), 10)
+		q.Set("wait-ms", strconv.FormatInt(t.wait.Milliseconds(), 10))
 	}
-	return u
+	return q
 }
 
-// get fetches origin+path and parses the XML body, returning the epoch
-// header alongside.
-func (t *Tailer) get(ctx context.Context, path string) (*xmldoc.Node, string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, t.origin+path, nil)
-	if err != nil {
-		return nil, "", err
-	}
-	resp, err := t.hc.Do(req)
+// get fetches path from the origin through the WSDA client's request path
+// and parses the XML body, returning the epoch header alongside. A non-200
+// answer is the client's *wsda.HTTPError.
+func (t *Tailer) get(ctx context.Context, path string, q url.Values) (*xmldoc.Node, string, error) {
+	resp, err := t.client.WithContext(ctx).Do(http.MethodGet, path, q, "")
 	if err != nil {
 		return nil, "", err
 	}
@@ -193,9 +189,6 @@ func (t *Tailer) get(ctx context.Context, path string) (*xmldoc.Node, string, er
 	if err != nil {
 		return nil, "", err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, "", &remoteError{code: resp.StatusCode, body: strings.TrimSpace(string(data))}
-	}
 	doc, err := xmldoc.ParseString(string(data))
 	if err != nil {
 		return nil, "", err
@@ -203,24 +196,12 @@ func (t *Tailer) get(ctx context.Context, path string) (*xmldoc.Node, string, er
 	return doc, resp.Header.Get(EpochHeader), nil
 }
 
-// remoteError is a non-200 answer from the origin, typed so an auth
-// rejection can be told from a transient failure.
-type remoteError struct {
-	code int
-	body string
-}
-
-// Error formats the status and the remote error text.
-func (e *remoteError) Error() string {
-	return fmt.Sprintf("changefeed: remote error %d: %s", e.code, e.body)
-}
-
 // isAuthError reports whether err is an origin's 401/403 — the gated-
 // origin/missing-token case that retrying cannot fix.
 func isAuthError(err error) bool {
-	var re *remoteError
-	return errors.As(err, &re) &&
-		(re.code == http.StatusUnauthorized || re.code == http.StatusForbidden)
+	var he *wsda.HTTPError
+	return errors.As(err, &he) &&
+		(he.StatusCode == http.StatusUnauthorized || he.StatusCode == http.StatusForbidden)
 }
 
 // jitter spreads a retry delay uniformly over [d/2, 3d/2) so a fleet of

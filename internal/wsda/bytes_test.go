@@ -255,6 +255,32 @@ func TestPublishTooDeepIs400(t *testing.T) {
 	}
 }
 
+// A query nested deeper than xq.MaxDepth is the client's error, refused at
+// the bound: a megabyte of "(" gets 422, and the server answers the next
+// query as before.
+func TestQueryTooDeepIs422(t *testing.T) {
+	srv := httptest.NewServer(Handler(newLocalNode()))
+	defer srv.Close()
+	for _, c := range []struct {
+		query string
+		code  int
+		msg   string
+	}{
+		{strings.Repeat("(", MaxQueryBytes), http.StatusUnprocessableEntity, "nested deeper than"},
+		{"count(/tupleset)", http.StatusOK, "<results"},
+	} {
+		resp, err := http.Post(srv.URL+PathXQuery, "text/xml", strings.NewReader(c.query))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.code || !strings.Contains(string(msg), c.msg) {
+			t.Fatalf("%.20q...: status %d %q, want %d containing %q", c.query, resp.StatusCode, msg, c.code, c.msg)
+		}
+	}
+}
+
 // FuzzDecodeStream feeds the decoder arbitrary bytes: it must not panic,
 // must frame them the same however they are cut into reads, must only
 // yield spans that parse, and must not call a stream complete unless it

@@ -35,65 +35,55 @@ func (e *attrExpr) eval(c *evalCtx) (Sequence, error) {
 // The '<' token lt has been peeked but not consumed; parsing proceeds at the
 // character level from lt.end, calling back into the token parser for
 // embedded expressions, and finally rewinds the lexer past the constructor.
-func (p *parser) parseDirectCtor(lt token) (Expr, error) {
+func (p *parser) parseDirectCtor(lt token) Expr {
 	// Constructor only if '<' is immediately followed by a name character.
-	r, _ := utf8.DecodeRuneInString(p.lx.src[lt.end:])
-	if !isNameStart(r) {
-		return nil, p.lx.errorf(lt.pos, "unexpected %q", "<")
+	if r, _ := utf8.DecodeRuneInString(p.lx.src[lt.end:]); !isNameStart(r) {
+		p.fail(lt.pos, "unexpected %q", "<")
 	}
-	p.lx.next() // consume '<'
-	ctor, off, err := p.parseCtorAt(lt.end)
-	if err != nil {
-		return nil, err
-	}
-	p.lx.rewind(off)
-	return ctor, nil
+	ctor, off := p.parseCtorAt(lt.end)
+	p.rewind(off)
+	return ctor
 }
 
 // parseCtorAt parses an element constructor whose tag name starts at byte
-// offset off (just past '<'). It returns the constructor and the offset just
-// past the closing tag.
-func (p *parser) parseCtorAt(off int) (*elemCtor, int, error) {
+// offset off (just past '<'), counting it against MaxDepth. It returns the
+// constructor and the offset just past the closing tag.
+func (p *parser) parseCtorAt(off int) (*elemCtor, int) {
+	p.enter(off)
+	defer func() { p.depth-- }()
 	src := p.lx.src
 	name, off := scanRawName(src, off)
 	if name == "" {
-		return nil, 0, p.lx.errorf(off, "expected element name in constructor")
+		p.fail(off, "expected element name in constructor")
 	}
 	ctor := &elemCtor{name: name}
 	// Attributes.
 	for {
 		off = skipRawSpace(src, off)
 		if off >= len(src) {
-			return nil, 0, p.lx.errorf(off, "unterminated start tag <%s", name)
+			p.fail(off, "unterminated start tag <%s", name)
 		}
 		if src[off] == '/' {
 			if off+1 >= len(src) || src[off+1] != '>' {
-				return nil, 0, p.lx.errorf(off, "expected /> in start tag")
+				p.fail(off, "expected /> in start tag")
 			}
-			return ctor, off + 2, nil
+			return ctor, off + 2
 		}
 		if src[off] == '>' {
 			off++
 			break
 		}
 		var attr attrCtor
-		attr.name, off = scanRawName(src, off)
-		if attr.name == "" {
-			return nil, 0, p.lx.errorf(off, "expected attribute name in <%s>", name)
+		if attr.name, off = scanRawName(src, off); attr.name == "" {
+			p.fail(off, "expected attribute name in <%s>", name)
 		}
-		off = skipRawSpace(src, off)
-		if off >= len(src) || src[off] != '=' {
-			return nil, 0, p.lx.errorf(off, "expected = after attribute %s", attr.name)
+		if off = skipRawSpace(src, off); off >= len(src) || src[off] != '=' {
+			p.fail(off, "expected = after attribute %s", attr.name)
 		}
-		off = skipRawSpace(src, off+1)
-		if off >= len(src) || (src[off] != '"' && src[off] != '\'') {
-			return nil, 0, p.lx.errorf(off, "expected quoted value for attribute %s", attr.name)
+		if off = skipRawSpace(src, off+1); off >= len(src) || (src[off] != '"' && src[off] != '\'') {
+			p.fail(off, "expected quoted value for attribute %s", attr.name)
 		}
-		var err error
-		attr.parts, off, err = p.parseAttrValue(off)
-		if err != nil {
-			return nil, 0, err
-		}
+		attr.parts, off = p.parseAttrValue(off)
 		ctor.attrs = append(ctor.attrs, attr)
 	}
 	// Content until matching </name>.
@@ -120,47 +110,40 @@ func (p *parser) parseCtorAt(off int) (*elemCtor, int, error) {
 				continue
 			}
 			flush()
-			e, n, err := p.parseEmbedded(off + 1)
-			if err != nil {
-				return nil, 0, err
-			}
+			var e Expr
+			e, off = p.parseEmbedded(off + 1)
 			ctor.content = append(ctor.content, e)
-			off = n
 		case '}':
 			if off+1 < len(src) && src[off+1] == '}' {
 				text.WriteByte('}')
 				off += 2
 				continue
 			}
-			return nil, 0, p.lx.errorf(off, "unescaped } in element content")
+			p.fail(off, "unescaped } in element content")
 		case '<':
 			if strings.HasPrefix(src[off:], "</") {
 				flush()
 				end, o := scanRawName(src, off+2)
-				o = skipRawSpace(src, o)
-				if o >= len(src) || src[o] != '>' {
-					return nil, 0, p.lx.errorf(off, "malformed end tag")
+				if o = skipRawSpace(src, o); o >= len(src) || src[o] != '>' {
+					p.fail(off, "malformed end tag")
 				}
 				if end != name {
-					return nil, 0, p.lx.errorf(off, "end tag </%s> does not match <%s>", end, name)
+					p.fail(off, "end tag </%s> does not match <%s>", end, name)
 				}
-				return ctor, o + 1, nil
+				return ctor, o + 1
 			}
 			if strings.HasPrefix(src[off:], "<!--") {
 				i := strings.Index(src[off+4:], "-->")
 				if i < 0 {
-					return nil, 0, p.lx.errorf(off, "unterminated comment")
+					p.fail(off, "unterminated comment")
 				}
 				off += 4 + i + 3
 				continue
 			}
 			flush()
-			child, n, err := p.parseCtorAt(off + 1)
-			if err != nil {
-				return nil, 0, err
-			}
+			var child *elemCtor
+			child, off = p.parseCtorAt(off + 1)
 			ctor.content = append(ctor.content, child)
-			off = n
 		case '&':
 			if rep, n, ok := scanEntity(src[off:]); ok {
 				text.WriteString(rep)
@@ -174,12 +157,13 @@ func (p *parser) parseCtorAt(off int) (*elemCtor, int, error) {
 			off++
 		}
 	}
-	return nil, 0, p.lx.errorf(off, "missing end tag </%s>", name)
+	p.fail(off, "missing end tag </%s>", name)
+	return nil, 0
 }
 
 // parseAttrValue parses a quoted attribute value template starting at the
 // opening quote, returning its parts and the offset past the closing quote.
-func (p *parser) parseAttrValue(off int) ([]attrPart, int, error) {
+func (p *parser) parseAttrValue(off int) ([]attrPart, int) {
 	src := p.lx.src
 	quote := src[off]
 	off++
@@ -196,7 +180,7 @@ func (p *parser) parseAttrValue(off int) ([]attrPart, int, error) {
 		switch {
 		case c == quote:
 			flush()
-			return parts, off + 1, nil
+			return parts, off + 1
 		case c == '{':
 			if off+1 < len(src) && src[off+1] == '{' {
 				text.WriteByte('{')
@@ -204,19 +188,16 @@ func (p *parser) parseAttrValue(off int) ([]attrPart, int, error) {
 				continue
 			}
 			flush()
-			e, n, err := p.parseEmbedded(off + 1)
-			if err != nil {
-				return nil, 0, err
-			}
+			var e Expr
+			e, off = p.parseEmbedded(off + 1)
 			parts = append(parts, attrPart{expr: e})
-			off = n
 		case c == '}':
 			if off+1 < len(src) && src[off+1] == '}' {
 				text.WriteByte('}')
 				off += 2
 				continue
 			}
-			return nil, 0, p.lx.errorf(off, "unescaped } in attribute value")
+			p.fail(off, "unescaped } in attribute value")
 		case c == '&':
 			if rep, n, ok := scanEntity(src[off:]); ok {
 				text.WriteString(rep)
@@ -230,25 +211,20 @@ func (p *parser) parseAttrValue(off int) ([]attrPart, int, error) {
 			off++
 		}
 	}
-	return nil, 0, p.lx.errorf(off, "unterminated attribute value")
+	p.fail(off, "unterminated attribute value")
+	return nil, 0
 }
 
 // parseEmbedded parses an embedded {expression} starting just past the '{'.
 // It returns the expression and the offset just past the matching '}'.
-func (p *parser) parseEmbedded(off int) (Expr, int, error) {
-	p.lx.rewind(off)
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, 0, err
+func (p *parser) parseEmbedded(off int) (Expr, int) {
+	p.rewind(off)
+	e := p.parseExpr()
+	t := p.next()
+	if !t.is(tokSymbol, "}") {
+		p.fail(t.pos, "expected } after embedded expression, got %q", t.text)
 	}
-	t, err := p.lx.next()
-	if err != nil {
-		return nil, 0, err
-	}
-	if t.kind != tokSymbol || t.text != "}" {
-		return nil, 0, p.lx.errorf(t.pos, "expected } after embedded expression, got %q", t.text)
-	}
-	return e, t.end, nil
+	return e, t.end
 }
 
 func scanRawName(src string, off int) (string, int) {

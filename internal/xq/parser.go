@@ -1,35 +1,58 @@
 package xq
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 )
 
+// MaxDepth bounds how deeply expressions nest in a query: parenthesized
+// expressions, predicates, function arguments, clauses, enclosed
+// {expressions} and direct element constructors all count. A deeper query
+// is a syntax error, so the recursive-descent parser's stack stays bounded
+// whatever a client sends.
+const MaxDepth = 256
+
 // parser is a recursive-descent parser over the on-demand lexer. Direct
 // element constructors are parsed at the character level, calling back into
 // the token-level parser for embedded {expressions}.
+//
+// A syntax error bails out: fail, and peek on a lexer error, panic with a
+// syntaxError that parse recovers, so the first error is the one reported
+// and the parse functions return only what they parsed.
 type parser struct {
-	lx      *lexer
+	lx      lexer
+	ahead   [2]token // lookahead: ahead[:n] are scanned, not yet consumed
+	n       int
+	depth   int         // expressions and constructors open around the current one
 	numbers []*funcCall // every call of number(), marked user if a prolog declares one
 }
 
+// syntaxError carries a positioned syntax error from fail to parse.
+type syntaxError struct{ err error }
+
+// fail bails out of the parse with a syntax error at byte offset pos.
+func (p *parser) fail(pos int, format string, args ...any) {
+	panic(syntaxError{p.lx.errorf(pos, format, args...)})
+}
+
 // parse compiles a complete query: an optional prolog (variable and
-// function declarations) followed by an expression and end of input.
-func (p *parser) parse() (Expr, []varDecl, map[string]*userFunc, error) {
-	decls, funcs, err := p.parseProlog()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	t, err := p.lx.peek(0)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if t.kind != tokEOF {
-		return nil, nil, nil, p.lx.errorf(t.pos, "unexpected %s %q after expression", t.kind, t.text)
+// function declarations) followed by an expression and end of input. It
+// recovers a syntax error as its error and re-panics anything else.
+func (p *parser) parse() (e Expr, decls []varDecl, funcs map[string]*userFunc, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			se, ok := r.(syntaxError)
+			if !ok {
+				panic(r)
+			}
+			e, decls, funcs, err = nil, nil, nil, se.err
+		}
+	}()
+	decls, funcs = p.parseProlog()
+	e = p.parseExpr()
+	if t := p.peek(0); t.kind != tokEOF {
+		p.fail(t.pos, "unexpected %s %q after expression", t.kind, t.text)
 	}
 	for _, f := range p.numbers {
 		f.user = funcs["number"] != nil
@@ -38,774 +61,334 @@ func (p *parser) parse() (Expr, []varDecl, map[string]*userFunc, error) {
 }
 
 // parseProlog parses "declare variable" and "declare function" clauses.
-func (p *parser) parseProlog() ([]varDecl, map[string]*userFunc, error) {
+func (p *parser) parseProlog() ([]varDecl, map[string]*userFunc) {
 	var decls []varDecl
 	funcs := map[string]*userFunc{}
-	for {
-		t, err := p.lx.peek(0)
-		if err != nil {
-			return nil, nil, err
-		}
-		if t.kind != tokName || t.text != "declare" {
-			return decls, funcs, nil
-		}
-		t1, err := p.lx.peek(1)
-		if err != nil {
-			return nil, nil, err
-		}
+	for p.peek(0).is(tokName, "declare") {
+		t1 := p.peek(1)
 		if t1.kind != tokName || (t1.text != "variable" && t1.text != "function") {
-			// "declare" used as an element name in a path; not a prolog.
-			return decls, funcs, nil
+			break // "declare" used as an element name in a path; not a prolog.
 		}
-		p.lx.next()
-		p.lx.next()
-		switch t1.text {
-		case "variable":
-			name, err := p.expectVar()
-			if err != nil {
-				return nil, nil, err
-			}
-			d := varDecl{name: name}
-			if ok, err := p.acceptName("external"); err != nil {
-				return nil, nil, err
-			} else if ok {
-				d.external = true
-			} else {
-				if err := p.expectSymbol(":="); err != nil {
-					return nil, nil, err
-				}
-				init, err := p.parseExprSingle()
-				if err != nil {
-					return nil, nil, err
-				}
-				d.init = init
+		p.next()
+		p.next()
+		if t1.text == "variable" {
+			d := varDecl{name: p.expectVar()}
+			if d.external = p.accept(tokName, "external"); !d.external {
+				p.expect(tokSymbol, ":=")
+				d.init = p.parseExprSingle()
 			}
 			decls = append(decls, d)
-		case "function":
-			ft, err := p.lx.next()
-			if err != nil {
-				return nil, nil, err
-			}
+		} else {
+			ft := p.next()
 			if ft.kind != tokName {
-				return nil, nil, p.lx.errorf(ft.pos, "expected function name, got %q", ft.text)
+				p.fail(ft.pos, "expected function name, got %q", ft.text)
 			}
-			name := strings.TrimPrefix(ft.text, "local:")
-			if err := p.expectSymbol("("); err != nil {
-				return nil, nil, err
-			}
-			uf := &userFunc{name: name}
-			nt, err := p.lx.peek(0)
-			if err != nil {
-				return nil, nil, err
-			}
-			if !(nt.kind == tokSymbol && nt.text == ")") {
-				for {
-					v, err := p.expectVar()
-					if err != nil {
-						return nil, nil, err
-					}
-					uf.params = append(uf.params, v)
-					ok, err := p.acceptSymbol(",")
-					if err != nil {
-						return nil, nil, err
-					}
-					if !ok {
-						break
-					}
+			uf := &userFunc{name: strings.TrimPrefix(ft.text, "local:")}
+			p.expect(tokSymbol, "(")
+			if !p.peek(0).is(tokSymbol, ")") {
+				for ok := true; ok; ok = p.accept(tokSymbol, ",") {
+					uf.params = append(uf.params, p.expectVar())
 				}
 			}
-			if err := p.expectSymbol(")"); err != nil {
-				return nil, nil, err
+			p.expect(tokSymbol, ")")
+			uf.body = p.parseEnclosed()
+			if _, dup := funcs[uf.name]; dup {
+				p.fail(ft.pos, "function %s declared twice", uf.name)
 			}
-			if err := p.expectSymbol("{"); err != nil {
-				return nil, nil, err
-			}
-			body, err := p.parseExpr()
-			if err != nil {
-				return nil, nil, err
-			}
-			if err := p.expectSymbol("}"); err != nil {
-				return nil, nil, err
-			}
-			uf.body = body
-			if _, dup := funcs[name]; dup {
-				return nil, nil, p.lx.errorf(ft.pos, "function %s declared twice", name)
-			}
-			funcs[name] = uf
+			funcs[uf.name] = uf
 		}
-		if err := p.expectSymbol(";"); err != nil {
-			return nil, nil, err
-		}
+		p.expect(tokSymbol, ";")
 	}
+	return decls, funcs
 }
 
 // parseExpr parses a comma-separated sequence expression.
-func (p *parser) parseExpr() (Expr, error) {
-	first, err := p.parseExprSingle()
-	if err != nil {
-		return nil, err
+func (p *parser) parseExpr() Expr {
+	e := p.parseExprSingle()
+	if !p.peek(0).is(tokSymbol, ",") {
+		return e
 	}
-	parts := []Expr{first}
-	for {
-		ok, err := p.acceptSymbol(",")
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		e, err := p.parseExprSingle()
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, e)
+	parts := []Expr{e}
+	for p.accept(tokSymbol, ",") {
+		parts = append(parts, p.parseExprSingle())
 	}
-	if len(parts) == 1 {
-		return parts[0], nil
-	}
-	return &seqExpr{parts: parts}, nil
+	return &seqExpr{parts: parts}
 }
 
-func (p *parser) parseExprSingle() (Expr, error) {
-	t, err := p.lx.peek(0)
-	if err != nil {
-		return nil, err
-	}
+// parseExprSingle parses one expression, counting it against MaxDepth.
+func (p *parser) parseExprSingle() Expr {
+	t := p.peek(0)
+	p.enter(t.pos)
+	defer func() { p.depth-- }()
 	if t.kind == tokName {
-		t1, err := p.lx.peek(1)
-		if err != nil {
-			return nil, err
-		}
-		switch t.text {
-		case "for", "let":
-			if t1.kind == tokVar {
-				return p.parseFLWOR()
-			}
-		case "some", "every":
-			if t1.kind == tokVar {
-				return p.parseQuantified()
-			}
-		case "if":
-			if t1.kind == tokSymbol && t1.text == "(" {
-				return p.parseIf()
-			}
+		t1 := p.peek(1)
+		switch {
+		case (t.text == "for" || t.text == "let") && t1.kind == tokVar:
+			return p.parseFLWOR()
+		case (t.text == "some" || t.text == "every") && t1.kind == tokVar:
+			return p.parseQuantified()
+		case t.text == "if" && t1.is(tokSymbol, "("):
+			return p.parseIf()
 		}
 	}
-	return p.parseOr()
+	return p.parseBinary(0)
 }
 
-func (p *parser) parseFLWOR() (Expr, error) {
+// enter opens one more level of nesting at byte offset pos, failing past
+// MaxDepth; the caller closes it again with p.depth--.
+func (p *parser) enter(pos int) {
+	if p.depth > MaxDepth {
+		p.fail(pos, "expressions nested deeper than %d", MaxDepth)
+	}
+	p.depth++
+}
+
+func (p *parser) parseFLWOR() Expr {
 	var fl flworExpr
-	for {
-		t, err := p.lx.peek(0)
-		if err != nil {
-			return nil, err
-		}
-		if t.kind != tokName || (t.text != "for" && t.text != "let") {
-			break
-		}
-		p.lx.next()
+	for t := p.peek(0); t.is(tokName, "for") || t.is(tokName, "let"); t = p.peek(0) {
+		p.next()
 		isLet := t.text == "let"
-		for {
-			v, err := p.expectVar()
-			if err != nil {
-				return nil, err
-			}
-			cl := flworClause{isLet: isLet, varName: v}
-			if !isLet {
-				if ok, err := p.acceptName("at"); err != nil {
-					return nil, err
-				} else if ok {
-					pv, err := p.expectVar()
-					if err != nil {
-						return nil, err
-					}
-					cl.posVar = pv
-				}
-				if err := p.expectName("in"); err != nil {
-					return nil, err
-				}
+		for ok := true; ok; ok = p.accept(tokSymbol, ",") {
+			cl := flworClause{isLet: isLet, varName: p.expectVar()}
+			if isLet {
+				p.expect(tokSymbol, ":=")
 			} else {
-				if err := p.expectSymbol(":="); err != nil {
-					return nil, err
+				if p.accept(tokName, "at") {
+					cl.posVar = p.expectVar()
 				}
+				p.expect(tokName, "in")
 			}
-			e, err := p.parseExprSingle()
-			if err != nil {
-				return nil, err
-			}
-			cl.expr = e
+			cl.expr = p.parseExprSingle()
 			fl.clauses = append(fl.clauses, cl)
-			ok, err := p.acceptSymbol(",")
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
 		}
 	}
-	if len(fl.clauses) == 0 {
-		t, _ := p.lx.peek(0)
-		return nil, p.lx.errorf(t.pos, "expected for/let clause")
+	if p.accept(tokName, "where") {
+		fl.where = p.parseExprSingle()
 	}
-	if ok, err := p.acceptName("where"); err != nil {
-		return nil, err
-	} else if ok {
-		w, err := p.parseExprSingle()
-		if err != nil {
-			return nil, err
-		}
-		fl.where = w
-	}
-	if ok, err := p.acceptName("order"); err != nil {
-		return nil, err
-	} else if ok {
-		if err := p.expectName("by"); err != nil {
-			return nil, err
-		}
-		for {
-			key, err := p.parseExprSingle()
-			if err != nil {
-				return nil, err
-			}
-			spec := orderSpec{key: key, emptyLeast: true}
-			if ok, err := p.acceptName("ascending"); err != nil {
-				return nil, err
-			} else if !ok {
-				if ok, err := p.acceptName("descending"); err != nil {
-					return nil, err
-				} else if ok {
-					spec.descending = true
-				}
+	if p.accept(tokName, "order") {
+		p.expect(tokName, "by")
+		for ok := true; ok; ok = p.accept(tokSymbol, ",") {
+			spec := orderSpec{key: p.parseExprSingle(), emptyLeast: true}
+			if !p.accept(tokName, "ascending") {
+				spec.descending = p.accept(tokName, "descending")
 			}
 			// "empty greatest|least"
-			if ok, err := p.acceptName("empty"); err != nil {
-				return nil, err
-			} else if ok {
-				if ok, err := p.acceptName("greatest"); err != nil {
-					return nil, err
-				} else if ok {
+			if p.accept(tokName, "empty") {
+				if p.accept(tokName, "greatest") {
 					spec.emptyLeast = false
-				} else if err := p.expectName("least"); err != nil {
-					return nil, err
+				} else {
+					p.expect(tokName, "least")
 				}
 			}
 			fl.orderBy = append(fl.orderBy, spec)
-			ok, err := p.acceptSymbol(",")
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
 		}
 	}
-	if err := p.expectName("return"); err != nil {
-		return nil, err
-	}
-	ret, err := p.parseExprSingle()
-	if err != nil {
-		return nil, err
-	}
-	fl.ret = ret
-	return &fl, nil
+	p.expect(tokName, "return")
+	fl.ret = p.parseExprSingle()
+	return &fl
 }
 
-func (p *parser) parseQuantified() (Expr, error) {
-	t, err := p.lx.next()
-	if err != nil {
-		return nil, err
+func (p *parser) parseQuantified() Expr {
+	q := quantExpr{every: p.next().text == "every"}
+	for ok := true; ok; ok = p.accept(tokSymbol, ",") {
+		v := p.expectVar()
+		p.expect(tokName, "in")
+		q.fl.clauses = append(q.fl.clauses, flworClause{varName: v, expr: p.parseExprSingle()})
 	}
-	q := quantExpr{every: t.text == "every"}
-	for {
-		v, err := p.expectVar()
-		if err != nil {
-			return nil, err
+	p.expect(tokName, "satisfies")
+	q.fl.ret = p.parseExprSingle()
+	return &q
+}
+
+func (p *parser) parseIf() Expr {
+	p.next() // "if"
+	p.expect(tokSymbol, "(")
+	e := &ifExpr{cond: p.parseExpr()}
+	p.expect(tokSymbol, ")")
+	p.expect(tokName, "then")
+	e.then = p.parseExprSingle()
+	p.expect(tokName, "else")
+	e.els = p.parseExprSingle()
+	return e
+}
+
+// binaryLevel is one row of the binary operators' precedence table.
+type binaryLevel struct {
+	symbols, names []string // the level's operators, as symbol and keyword tokens
+	once           bool     // at most one operator: "a op b op c" is an error
+	// A level builds its node either with nary, from every operand of a
+	// chain at once, or with join, folding the chain left to right.
+	nary func(args []Expr) Expr
+	join func(op token, l, r Expr) Expr
+}
+
+// binaryLevels are the binary operators, loosest first. The operands of
+// level i are level i+1 expressions; the last level's are parsed by
+// parseInstanceOf.
+var binaryLevels = [...]binaryLevel{
+	{names: []string{"or"}, nary: func(args []Expr) Expr { return &orExpr{args: args} }},
+	{names: []string{"and"}, nary: func(args []Expr) Expr { return &andExpr{args: args} }},
+	{symbols: []string{"=", "!=", "<", "<=", ">", ">="}, names: []string{"eq", "ne", "lt", "le", "gt", "ge"},
+		once: true, join: compare},
+	{symbols: []string{"||"}, join: func(_ token, l, r Expr) Expr { return &concatExpr{l: l, r: r} }},
+	{names: []string{"to"}, once: true, join: func(_ token, l, r Expr) Expr { return &rangeExpr{l: l, r: r} }},
+	{symbols: []string{"+", "-"}, join: arith},
+	{symbols: []string{"*"}, names: []string{"div", "idiv", "mod"}, join: arith},
+	{symbols: []string{"|"}, names: []string{"union"}, nary: func(args []Expr) Expr { return &unionExpr{args: args} }},
+	{names: []string{"intersect", "except"}, join: intersectExcept},
+}
+
+// compare builds a comparison: general for a symbol (=), value for a
+// keyword (eq).
+func compare(op token, l, r Expr) Expr {
+	return &compExpr{op: op.text, general: op.kind == tokSymbol, l: l, r: r}
+}
+
+func arith(op token, l, r Expr) Expr { return &arithExpr{op: op.text, l: l, r: r} }
+
+func intersectExcept(op token, l, r Expr) Expr {
+	return &intersectExceptExpr{intersect: op.text == "intersect", l: l, r: r}
+}
+
+// has reports whether t is one of the level's operators.
+func (b *binaryLevel) has(t token) bool {
+	return t.kind == tokSymbol && slices.Contains(b.symbols, t.text) ||
+		t.kind == tokName && slices.Contains(b.names, t.text)
+}
+
+// parseBinary parses an expression of binaryLevels[lvl]: a chain of
+// level lvl+1 operands joined by the level's operators. A chain is a loop,
+// so a long one costs no stack.
+func (p *parser) parseBinary(lvl int) Expr {
+	if lvl == len(binaryLevels) {
+		return p.parseInstanceOf()
+	}
+	b := &binaryLevels[lvl]
+	l := p.parseBinary(lvl + 1)
+	var chain []Expr // an n-ary level's operands
+	for op := p.peek(0); b.has(op); op = p.peek(0) {
+		p.next()
+		r := p.parseBinary(lvl + 1)
+		switch {
+		case b.nary == nil:
+			l = b.join(op, l, r)
+		case chain == nil:
+			chain = []Expr{l, r}
+		default:
+			chain = append(chain, r)
 		}
-		if err := p.expectName("in"); err != nil {
-			return nil, err
-		}
-		e, err := p.parseExprSingle()
-		if err != nil {
-			return nil, err
-		}
-		q.fl.clauses = append(q.fl.clauses, flworClause{varName: v, expr: e})
-		ok, err := p.acceptSymbol(",")
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
+		if b.once {
 			break
 		}
 	}
-	if err := p.expectName("satisfies"); err != nil {
-		return nil, err
+	if chain != nil {
+		return b.nary(chain)
 	}
-	if q.fl.ret, err = p.parseExprSingle(); err != nil {
-		return nil, err
-	}
-	return &q, nil
+	return l
 }
 
-func (p *parser) parseIf() (Expr, error) {
-	p.lx.next() // "if"
-	if err := p.expectSymbol("("); err != nil {
-		return nil, err
+// parseInstanceOf parses a unary expression and its optional "cast as",
+// "castable as" and "instance of" suffixes, tightest first.
+func (p *parser) parseInstanceOf() Expr {
+	x := p.parseUnary()
+	if p.acceptTwoNames("cast", "as") {
+		x = &castExpr{x: x, t: p.parseSeqType()}
 	}
-	cond, err := p.parseExpr()
-	if err != nil {
-		return nil, err
+	if p.acceptTwoNames("castable", "as") {
+		x = &castExpr{x: x, t: p.parseSeqType(), castable: true}
 	}
-	if err := p.expectSymbol(")"); err != nil {
-		return nil, err
+	if p.acceptTwoNames("instance", "of") {
+		x = &instanceOfExpr{x: x, t: p.parseSeqType()}
 	}
-	if err := p.expectName("then"); err != nil {
-		return nil, err
-	}
-	then, err := p.parseExprSingle()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectName("else"); err != nil {
-		return nil, err
-	}
-	els, err := p.parseExprSingle()
-	if err != nil {
-		return nil, err
-	}
-	return &ifExpr{cond: cond, then: then, els: els}, nil
-}
-
-func (p *parser) parseOr() (Expr, error) {
-	first, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	args := []Expr{first}
-	for {
-		ok, err := p.acceptName("or")
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		e, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		args = append(args, e)
-	}
-	if len(args) == 1 {
-		return args[0], nil
-	}
-	return &orExpr{args: args}, nil
-}
-
-func (p *parser) parseAnd() (Expr, error) {
-	first, err := p.parseComparison()
-	if err != nil {
-		return nil, err
-	}
-	args := []Expr{first}
-	for {
-		ok, err := p.acceptName("and")
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		e, err := p.parseComparison()
-		if err != nil {
-			return nil, err
-		}
-		args = append(args, e)
-	}
-	if len(args) == 1 {
-		return args[0], nil
-	}
-	return &andExpr{args: args}, nil
-}
-
-func (p *parser) parseComparison() (Expr, error) {
-	l, err := p.parseConcat()
-	if err != nil {
-		return nil, err
-	}
-	t, err := p.lx.peek(0)
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := cmpMask[t.text]; ok && t.kind == tokSymbol {
-		p.lx.next()
-		r, err := p.parseConcat()
-		if err != nil {
-			return nil, err
-		}
-		return &compExpr{op: t.text, general: true, l: l, r: r}, nil
-	}
-	if _, ok := cmpMask[t.text]; ok && t.kind == tokName {
-		p.lx.next()
-		r, err := p.parseConcat()
-		if err != nil {
-			return nil, err
-		}
-		return &compExpr{op: t.text, l: l, r: r}, nil
-	}
-	return l, nil
-}
-
-func (p *parser) parseConcat() (Expr, error) {
-	l, err := p.parseRange()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		ok, err := p.acceptSymbol("||")
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return l, nil
-		}
-		r, err := p.parseRange()
-		if err != nil {
-			return nil, err
-		}
-		l = &concatExpr{l: l, r: r}
-	}
-}
-
-func (p *parser) parseRange() (Expr, error) {
-	l, err := p.parseAdditive()
-	if err != nil {
-		return nil, err
-	}
-	ok, err := p.acceptName("to")
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return l, nil
-	}
-	r, err := p.parseAdditive()
-	if err != nil {
-		return nil, err
-	}
-	return &rangeExpr{l: l, r: r}, nil
-}
-
-func (p *parser) parseAdditive() (Expr, error) {
-	l, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t, err := p.lx.peek(0)
-		if err != nil {
-			return nil, err
-		}
-		if t.kind != tokSymbol || (t.text != "+" && t.text != "-") {
-			return l, nil
-		}
-		p.lx.next()
-		r, err := p.parseMultiplicative()
-		if err != nil {
-			return nil, err
-		}
-		l = &arithExpr{op: t.text, l: l, r: r}
-	}
-}
-
-func (p *parser) parseMultiplicative() (Expr, error) {
-	l, err := p.parseUnion()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t, err := p.lx.peek(0)
-		if err != nil {
-			return nil, err
-		}
-		var op string
-		if t.kind == tokSymbol && t.text == "*" {
-			op = "*"
-		} else if t.kind == tokName && (t.text == "div" || t.text == "idiv" || t.text == "mod") {
-			op = t.text
-		} else {
-			return l, nil
-		}
-		p.lx.next()
-		r, err := p.parseUnion()
-		if err != nil {
-			return nil, err
-		}
-		l = &arithExpr{op: op, l: l, r: r}
-	}
-}
-
-func (p *parser) parseUnion() (Expr, error) {
-	first, err := p.parseIntersectExcept()
-	if err != nil {
-		return nil, err
-	}
-	args := []Expr{first}
-	for {
-		t, err := p.lx.peek(0)
-		if err != nil {
-			return nil, err
-		}
-		isUnion := (t.kind == tokSymbol && t.text == "|") || (t.kind == tokName && t.text == "union")
-		if !isUnion {
-			break
-		}
-		p.lx.next()
-		e, err := p.parseIntersectExcept()
-		if err != nil {
-			return nil, err
-		}
-		args = append(args, e)
-	}
-	if len(args) == 1 {
-		return args[0], nil
-	}
-	return &unionExpr{args: args}, nil
-}
-
-func (p *parser) parseIntersectExcept() (Expr, error) {
-	l, err := p.parseInstanceOf()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t, err := p.lx.peek(0)
-		if err != nil {
-			return nil, err
-		}
-		if t.kind != tokName || (t.text != "intersect" && t.text != "except") {
-			return l, nil
-		}
-		p.lx.next()
-		r, err := p.parseInstanceOf()
-		if err != nil {
-			return nil, err
-		}
-		l = &intersectExceptExpr{intersect: t.text == "intersect", l: l, r: r}
-	}
-}
-
-func (p *parser) parseInstanceOf() (Expr, error) {
-	x, err := p.parseCastable()
-	if err != nil {
-		return nil, err
-	}
-	t, err := p.lx.peek(0)
-	if err != nil {
-		return nil, err
-	}
-	if t.kind == tokName && t.text == "instance" {
-		t1, err := p.lx.peek(1)
-		if err != nil {
-			return nil, err
-		}
-		if t1.kind == tokName && t1.text == "of" {
-			p.lx.next()
-			p.lx.next()
-			st, err := p.parseSeqType()
-			if err != nil {
-				return nil, err
-			}
-			return &instanceOfExpr{x: x, t: st}, nil
-		}
-	}
-	return x, nil
-}
-
-func (p *parser) parseCastable() (Expr, error) {
-	x, err := p.parseCast()
-	if err != nil {
-		return nil, err
-	}
-	ok, err := p.acceptTwoNames("castable", "as")
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return x, nil
-	}
-	st, err := p.parseSeqType()
-	if err != nil {
-		return nil, err
-	}
-	return &castExpr{x: x, t: st, castable: true}, nil
-}
-
-func (p *parser) parseCast() (Expr, error) {
-	x, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	ok, err := p.acceptTwoNames("cast", "as")
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return x, nil
-	}
-	st, err := p.parseSeqType()
-	if err != nil {
-		return nil, err
-	}
-	return &castExpr{x: x, t: st}, nil
+	return x
 }
 
 // acceptTwoNames consumes the two-keyword sequence if present.
-func (p *parser) acceptTwoNames(a, b string) (bool, error) {
-	t, err := p.lx.peek(0)
-	if err != nil {
-		return false, err
+func (p *parser) acceptTwoNames(a, b string) bool {
+	if !p.peek(0).is(tokName, a) || !p.peek(1).is(tokName, b) {
+		return false
 	}
-	if t.kind != tokName || t.text != a {
-		return false, nil
-	}
-	t1, err := p.lx.peek(1)
-	if err != nil {
-		return false, err
-	}
-	if t1.kind != tokName || t1.text != b {
-		return false, nil
-	}
-	p.lx.next()
-	p.lx.next()
-	return true, nil
+	p.next()
+	p.next()
+	return true
 }
 
 // parseSeqType parses a sequence type: an optionally xs:-prefixed name,
 // optional "()" for kind tests, and an occurrence indicator (?, *, +)
 // attached without whitespace.
-func (p *parser) parseSeqType() (seqType, error) {
-	t, err := p.lx.next()
-	if err != nil {
-		return seqType{}, err
-	}
+func (p *parser) parseSeqType() seqType {
+	t := p.next()
 	if t.kind != tokName {
-		return seqType{}, p.lx.errorf(t.pos, "expected type name, got %q", t.text)
+		p.fail(t.pos, "expected type name, got %q", t.text)
 	}
-	name := strings.TrimPrefix(t.text, "xs:")
-	if !knownSeqTypeNames[name] {
-		return seqType{}, p.lx.errorf(t.pos, "unknown type %q", t.text)
+	st := seqType{name: strings.TrimPrefix(t.text, "xs:")}
+	if !knownSeqTypeNames[st.name] {
+		p.fail(t.pos, "unknown type %q", t.text)
 	}
 	end := t.end
 	// Kind tests take parens: element(), node(), empty-sequence(), item().
-	nt, err := p.lx.peek(0)
-	if err != nil {
-		return seqType{}, err
-	}
-	if nt.kind == tokSymbol && nt.text == "(" && nt.pos == end {
-		p.lx.next()
-		close, err := p.lx.next()
-		if err != nil {
-			return seqType{}, err
-		}
-		if close.kind != tokSymbol || close.text != ")" {
-			return seqType{}, p.lx.errorf(close.pos, "expected ) in type, got %q", close.text)
+	if nt := p.peek(0); nt.is(tokSymbol, "(") && nt.pos == end {
+		p.next()
+		close := p.next()
+		if !close.is(tokSymbol, ")") {
+			p.fail(close.pos, "expected ) in type, got %q", close.text)
 		}
 		end = close.end
-		if nt, err = p.lx.peek(0); err != nil {
-			return seqType{}, err
-		}
 	}
-	st := seqType{name: name}
-	if nt.kind == tokSymbol && nt.pos == end && (nt.text == "?" || nt.text == "*" || nt.text == "+") {
+	if nt := p.peek(0); nt.kind == tokSymbol && nt.pos == end && (nt.text == "?" || nt.text == "*" || nt.text == "+") {
 		// Adjacent occurrence indicator (no whitespace) binds to the type.
-		p.lx.next()
+		p.next()
 		st.occurrence = nt.text[0]
 	}
-	return st, nil
+	return st
 }
 
-func (p *parser) parseUnary() (Expr, error) {
+func (p *parser) parseUnary() Expr {
 	neg := false
-	for {
-		t, err := p.lx.peek(0)
-		if err != nil {
-			return nil, err
+	for t := p.peek(0); t.is(tokSymbol, "-") || t.is(tokSymbol, "+"); t = p.peek(0) {
+		p.next()
+		if t.text == "-" {
+			neg = !neg
 		}
-		if t.kind == tokSymbol && (t.text == "-" || t.text == "+") {
-			p.lx.next()
-			if t.text == "-" {
-				neg = !neg
-			}
-			continue
-		}
-		break
 	}
-	e, err := p.parsePath()
-	if err != nil {
-		return nil, err
-	}
+	e := p.parsePath()
 	if neg {
-		return &unaryExpr{neg: true, x: e}, nil
+		return &unaryExpr{neg: true, x: e}
 	}
-	return e, nil
+	return e
 }
 
 // parsePath parses a path expression (possibly a single primary).
-func (p *parser) parsePath() (Expr, error) {
-	t, err := p.lx.peek(0)
-	if err != nil {
-		return nil, err
-	}
-	pe := &pathExpr{}
-	if t.kind == tokSymbol && (t.text == "/" || t.text == "//") {
-		p.lx.next()
-		pe.absolute = true
-		pe.doubleSlash = t.text == "//"
-		if !pe.doubleSlash {
-			// "/" alone selects the root; a following step is optional.
-			nt, err := p.lx.peek(0)
-			if err != nil {
-				return nil, err
-			}
-			if !p.startsStep(nt) {
-				return pe, nil
-			}
+func (p *parser) parsePath() Expr {
+	absolute, doubleSlash := false, false
+	if t := p.peek(0); isSlash(t) {
+		p.next()
+		absolute, doubleSlash = true, t.text == "//"
+		// "/" alone selects the root; a following step is optional.
+		if !doubleSlash && !startsStep(p.peek(0)) {
+			return &pathExpr{absolute: true}
 		}
 	}
-	st, err := p.parseStep()
-	if err != nil {
-		return nil, err
-	}
-	pe.steps = append(pe.steps, st)
-	for {
-		t, err := p.lx.peek(0)
-		if err != nil {
-			return nil, err
-		}
-		if t.kind != tokSymbol || (t.text != "/" && t.text != "//") {
-			break
-		}
-		p.lx.next()
-		if t.text == "//" {
-			pe.steps = append(pe.steps, descOrSelfNode)
-		}
-		st, err := p.parseStep()
-		if err != nil {
-			return nil, err
-		}
-		pe.steps = append(pe.steps, st)
-	}
+	st := p.parseStep()
 	// A bare primary with no predicates and no slashes needs no path wrapper.
-	if !pe.absolute && len(pe.steps) == 1 && pe.steps[0].primary != nil && len(pe.steps[0].preds) == 0 {
-		return pe.steps[0].primary, nil
+	if !absolute && st.primary != nil && len(st.preds) == 0 && !isSlash(p.peek(0)) {
+		return st.primary
 	}
-	return pe, nil
+	steps := []pathStep{st}
+	for t := p.peek(0); isSlash(t); t = p.peek(0) {
+		p.next()
+		if t.text == "//" {
+			steps = append(steps, descOrSelfNode)
+		}
+		steps = append(steps, p.parseStep())
+	}
+	return &pathExpr{absolute: absolute, doubleSlash: doubleSlash, steps: steps}
 }
 
+func isSlash(t token) bool { return t.is(tokSymbol, "/") || t.is(tokSymbol, "//") }
+
 // startsStep reports whether the token can begin a path step.
-func (p *parser) startsStep(t token) bool {
+func startsStep(t token) bool {
 	switch t.kind {
 	case tokName, tokVar, tokString, tokInteger, tokDecimal:
 		return true
@@ -824,378 +407,228 @@ var kindTests = map[string]testKind{
 }
 
 // parseStep parses one path step, including its predicates.
-func (p *parser) parseStep() (pathStep, error) {
-	t, err := p.lx.peek(0)
-	if err != nil {
-		return pathStep{}, err
-	}
+func (p *parser) parseStep() pathStep {
 	var st pathStep
-	switch {
-	case t.kind == tokSymbol && t.text == "@":
-		p.lx.next()
-		name, err := p.expectNameOrStar()
-		if err != nil {
-			return pathStep{}, err
-		}
-		st = pathStep{axis: axisAttribute, test: nameTest(name)}
-	case t.kind == tokSymbol && t.text == "..":
-		p.lx.next()
+	switch t := p.peek(0); {
+	case t.is(tokSymbol, "@"):
+		p.next()
+		st = pathStep{axis: axisAttribute, test: nameTest(p.expectNameOrStar())}
+	case t.is(tokSymbol, ".."):
+		p.next()
 		st = pathStep{axis: axisParent, test: nodeTest{kind: testNode}}
-	case t.kind == tokSymbol && t.text == "*":
-		p.lx.next()
+	case t.is(tokSymbol, "*"):
+		p.next()
 		st = pathStep{axis: axisChild, test: nameTest("*")}
 	case t.kind == tokName && strings.Contains(t.text, "::"):
 		// Explicit axis syntax: the lexer merges "axis::name" into one
 		// token (":" is a name character for QNames); split it here.
-		parts := strings.SplitN(t.text, "::", 2)
-		ax, ok := axisByName[parts[0]]
+		name, rest, _ := strings.Cut(t.text, "::")
+		ax, ok := axisByName[name]
 		if !ok {
-			return pathStep{}, p.lx.errorf(t.pos, "unknown axis %q", parts[0])
+			p.fail(t.pos, "unknown axis %q", name)
 		}
-		p.lx.next()
-		st = pathStep{axis: ax}
-		rest := parts[1]
-		switch {
-		case rest == "":
+		p.next()
+		st.axis = ax
+		if rest == "" {
 			// Test is the next token: * (or a parse error).
-			nt, err := p.lx.next()
-			if err != nil {
-				return pathStep{}, err
+			if nt := p.next(); !nt.is(tokSymbol, "*") {
+				p.fail(nt.pos, "expected node test after %s::", name)
 			}
-			if nt.kind == tokSymbol && nt.text == "*" {
-				st.test = nameTest("*")
-			} else {
-				return pathStep{}, p.lx.errorf(nt.pos, "expected node test after %s::", parts[0])
-			}
-		default:
-			// Possibly a kind test: axis::node() etc.
-			nt, err := p.lx.peek(0)
-			if err != nil {
-				return pathStep{}, err
-			}
-			if kind, isKind := kindTests[rest]; isKind && nt.kind == tokSymbol && nt.text == "(" && nt.pos == t.end {
-				p.lx.next()
-				if err := p.expectSymbol(")"); err != nil {
-					return pathStep{}, err
-				}
-				st.test = nodeTest{kind: kind}
-			} else {
-				st.test = nameTest(rest)
-			}
+			st.test = nameTest("*")
+		} else if kind, isKind := kindTests[rest]; isKind && p.peek(0).is(tokSymbol, "(") && p.peek(0).pos == t.end {
+			// A kind test: axis::node() etc.
+			p.next()
+			p.expect(tokSymbol, ")")
+			st.test = nodeTest{kind: kind}
+		} else {
+			st.test = nameTest(rest)
 		}
 	case t.kind == tokName:
-		t1, err := p.lx.peek(1)
-		if err != nil {
-			return pathStep{}, err
+		t1 := p.peek(1)
+		isCall := t1.is(tokSymbol, "(") && t1.pos == t.end
+		if kind, ok := kindTests[t.text]; isCall && ok {
+			p.next()
+			p.next()
+			p.expect(tokSymbol, ")")
+			st = pathStep{axis: axisChild, test: nodeTest{kind: kind}}
+		} else if isCall || (t.text == "element" || t.text == "attribute" || t.text == "text") &&
+			(t1.kind == tokName || t1.is(tokSymbol, "{")) {
+			// A function call, or a keyword that begins a computed
+			// constructor: a primary.
+			st = pathStep{primary: p.parsePrimary()}
+		} else {
+			p.next()
+			st = pathStep{axis: axisChild, test: nameTest(t.text)}
 		}
-		isCall := t1.kind == tokSymbol && t1.text == "(" && t1.pos == t.end
-		if isCall {
-			if kind, ok := kindTests[t.text]; ok {
-				p.lx.next()
-				p.lx.next()
-				if err := p.expectSymbol(")"); err != nil {
-					return pathStep{}, err
-				}
-				st = pathStep{axis: axisChild, test: nodeTest{kind: kind}}
-				break
-			}
-			prim, err := p.parsePrimary()
-			if err != nil {
-				return pathStep{}, err
-			}
-			st = pathStep{primary: prim}
-			break
-		}
-		// Keywords that begin computed constructors are primaries.
-		if (t.text == "element" || t.text == "attribute" || t.text == "text") &&
-			(t1.kind == tokName || (t1.kind == tokSymbol && t1.text == "{")) {
-			prim, err := p.parsePrimary()
-			if err != nil {
-				return pathStep{}, err
-			}
-			st = pathStep{primary: prim}
-			break
-		}
-		p.lx.next()
-		st = pathStep{axis: axisChild, test: nameTest(t.text)}
 	default:
-		prim, err := p.parsePrimary()
-		if err != nil {
-			return pathStep{}, err
-		}
-		st = pathStep{primary: prim}
+		st = pathStep{primary: p.parsePrimary()}
 	}
-	// Predicates.
-	for {
-		ok, err := p.acceptSymbol("[")
-		if err != nil {
-			return pathStep{}, err
-		}
-		if !ok {
-			break
-		}
-		pred, err := p.parseExpr()
-		if err != nil {
-			return pathStep{}, err
-		}
-		if err := p.expectSymbol("]"); err != nil {
-			return pathStep{}, err
-		}
-		st.preds = append(st.preds, pred)
+	for p.accept(tokSymbol, "[") {
+		st.preds = append(st.preds, p.parseExpr())
+		p.expect(tokSymbol, "]")
 	}
-	return st, nil
+	return st
 }
 
 // parsePrimary parses a primary expression.
-func (p *parser) parsePrimary() (Expr, error) {
-	t, err := p.lx.peek(0)
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) parsePrimary() Expr {
+	t := p.peek(0)
 	switch t.kind {
 	case tokString:
-		p.lx.next()
-		return &literal{val: [1]Item{t.text}}, nil
+		p.next()
+		return &literal{val: [1]Item{t.text}}
 	case tokInteger:
-		p.lx.next()
+		p.next()
 		i, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
-			return nil, p.lx.errorf(t.pos, "bad integer literal %q", t.text)
+			p.fail(t.pos, "bad integer literal %q", t.text)
 		}
-		return &literal{val: [1]Item{i}}, nil
+		return &literal{val: [1]Item{i}}
 	case tokDecimal:
-		p.lx.next()
+		p.next()
 		f, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
-			return nil, p.lx.errorf(t.pos, "bad decimal literal %q", t.text)
+			p.fail(t.pos, "bad decimal literal %q", t.text)
 		}
-		return &literal{val: [1]Item{f}}, nil
+		return &literal{val: [1]Item{f}}
 	case tokVar:
-		p.lx.next()
-		return &varRef{name: t.text}, nil
+		p.next()
+		return &varRef{name: t.text}
 	case tokSymbol:
 		switch t.text {
 		case ".":
-			p.lx.next()
-			return &ctxItemExpr{}, nil
+			p.next()
+			return &ctxItemExpr{}
 		case "(":
-			p.lx.next()
+			p.next()
 			// Possibly the empty sequence "()".
-			nt, err := p.lx.peek(0)
-			if err != nil {
-				return nil, err
+			if p.accept(tokSymbol, ")") {
+				return &seqExpr{}
 			}
-			if nt.kind == tokSymbol && nt.text == ")" {
-				p.lx.next()
-				return &seqExpr{}, nil
-			}
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectSymbol(")"); err != nil {
-				return nil, err
-			}
-			return e, nil
+			e := p.parseExpr()
+			p.expect(tokSymbol, ")")
+			return e
 		case "<":
 			return p.parseDirectCtor(t)
 		}
 	case tokName:
-		t1, err := p.lx.peek(1)
-		if err != nil {
-			return nil, err
-		}
-		if t1.kind == tokSymbol && t1.text == "(" {
-			p.lx.next()
-			p.lx.next()
-			var args []Expr
-			nt, err := p.lx.peek(0)
-			if err != nil {
-				return nil, err
-			}
-			if !(nt.kind == tokSymbol && nt.text == ")") {
-				for {
-					a, err := p.parseExprSingle()
-					if err != nil {
-						return nil, err
-					}
-					args = append(args, a)
-					ok, err := p.acceptSymbol(",")
-					if err != nil {
-						return nil, err
-					}
-					if !ok {
-						break
-					}
+		t1 := p.peek(1)
+		switch {
+		case t1.is(tokSymbol, "("):
+			p.next()
+			p.next()
+			f := &funcCall{name: strings.TrimPrefix(strings.TrimPrefix(t.text, "fn:"), "local:")}
+			if !p.peek(0).is(tokSymbol, ")") {
+				for ok := true; ok; ok = p.accept(tokSymbol, ",") {
+					f.args = append(f.args, p.parseExprSingle())
 				}
 			}
-			if err := p.expectSymbol(")"); err != nil {
-				return nil, err
-			}
-			f := &funcCall{name: strings.TrimPrefix(strings.TrimPrefix(t.text, "fn:"), "local:"), args: args}
+			p.expect(tokSymbol, ")")
 			if f.name == "number" {
 				p.numbers = append(p.numbers, f)
 			}
-			return f, nil
-		}
-		// Computed constructors.
-		switch t.text {
-		case "element":
-			return p.parseComputedElem()
-		case "attribute":
-			return p.parseComputedAttr()
-		case "text":
-			if t1.kind == tokSymbol && t1.text == "{" {
-				p.lx.next()
-				p.lx.next()
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				if err := p.expectSymbol("}"); err != nil {
-					return nil, err
-				}
-				return &textCtor{expr: e}, nil
+			return f
+		// Computed constructors. parseStep sends "element" and
+		// "attribute" here only before a name or a "{".
+		case t.text == "element":
+			p.next()
+			ctor := &elemCtor{}
+			if p.peek(0).kind == tokName {
+				ctor.name = p.next().text
+			} else {
+				ctor.nameExpr = p.parseEnclosed()
 			}
+			p.expect(tokSymbol, "{")
+			if !p.peek(0).is(tokSymbol, "}") {
+				ctor.content = []Expr{p.parseExpr()}
+			}
+			p.expect(tokSymbol, "}")
+			return ctor
+		case t.text == "attribute":
+			p.next()
+			n := p.next()
+			if n.kind != tokName {
+				p.fail(n.pos, "expected attribute name")
+			}
+			return &attrExpr{name: n.text, val: p.parseEnclosed()}
+		case t.text == "text" && t1.is(tokSymbol, "{"):
+			p.next()
+			return &textCtor{expr: p.parseEnclosed()}
 		}
 	}
-	return nil, p.lx.errorf(t.pos, "unexpected %s %q", t.kind, t.text)
+	p.fail(t.pos, "unexpected %s %q", t.kind, t.text)
+	return nil
 }
 
-func (p *parser) parseComputedElem() (Expr, error) {
-	p.lx.next() // "element"
-	t, err := p.lx.peek(0)
-	if err != nil {
-		return nil, err
-	}
-	ctor := &elemCtor{}
-	if t.kind == tokName {
-		p.lx.next()
-		ctor.name = t.text
-	} else if t.kind == tokSymbol && t.text == "{" {
-		p.lx.next()
-		ne, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectSymbol("}"); err != nil {
-			return nil, err
-		}
-		ctor.nameExpr = ne
-	} else {
-		return nil, p.lx.errorf(t.pos, "expected element name")
-	}
-	if err := p.expectSymbol("{"); err != nil {
-		return nil, err
-	}
-	nt, err := p.lx.peek(0)
-	if err != nil {
-		return nil, err
-	}
-	if !(nt.kind == tokSymbol && nt.text == "}") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		ctor.content = []Expr{e}
-	}
-	if err := p.expectSymbol("}"); err != nil {
-		return nil, err
-	}
-	return ctor, nil
-}
-
-func (p *parser) parseComputedAttr() (Expr, error) {
-	p.lx.next() // "attribute"
-	t, err := p.lx.next()
-	if err != nil {
-		return nil, err
-	}
-	if t.kind != tokName {
-		return nil, p.lx.errorf(t.pos, "expected attribute name")
-	}
-	if err := p.expectSymbol("{"); err != nil {
-		return nil, err
-	}
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectSymbol("}"); err != nil {
-		return nil, err
-	}
-	return &attrExpr{name: t.text, val: e}, nil
+// parseEnclosed parses an enclosed expression: "{" Expr "}".
+func (p *parser) parseEnclosed() Expr {
+	p.expect(tokSymbol, "{")
+	e := p.parseExpr()
+	p.expect(tokSymbol, "}")
+	return e
 }
 
 // --- token helpers ---
 
-func (p *parser) acceptSymbol(s string) (bool, error) {
-	t, err := p.lx.peek(0)
-	if err != nil {
-		return false, err
+// peek returns the i-th upcoming token (0 = next, at most 1) without
+// consuming it. A lexer error bails out of the parse.
+func (p *parser) peek(i int) token {
+	for p.n <= i {
+		t, err := p.lx.scan()
+		if err != nil {
+			panic(syntaxError{err})
+		}
+		p.ahead[p.n] = t
+		p.n++
 	}
-	if t.kind == tokSymbol && t.text == s {
-		p.lx.next()
-		return true, nil
-	}
-	return false, nil
+	return p.ahead[i]
 }
 
-func (p *parser) expectSymbol(s string) error {
-	t, err := p.lx.next()
-	if err != nil {
-		return err
-	}
-	if t.kind != tokSymbol || t.text != s {
-		return p.lx.errorf(t.pos, "expected %q, got %q", s, t.text)
-	}
-	return nil
+// next consumes and returns the next token.
+func (p *parser) next() token {
+	t := p.peek(0)
+	p.ahead[0] = p.ahead[1]
+	p.n--
+	return t
 }
 
-func (p *parser) acceptName(s string) (bool, error) {
-	t, err := p.lx.peek(0)
-	if err != nil {
-		return false, err
-	}
-	if t.kind == tokName && t.text == s {
-		p.lx.next()
-		return true, nil
-	}
-	return false, nil
+// rewind discards the lookahead and continues scanning at byte offset off.
+func (p *parser) rewind(off int) {
+	p.n = 0
+	p.lx.pos = off
 }
 
-func (p *parser) expectName(s string) error {
-	t, err := p.lx.next()
-	if err != nil {
-		return err
+// is reports whether t is the token text of kind k.
+func (t token) is(k tokKind, text string) bool { return t.kind == k && t.text == text }
+
+// accept consumes the next token if it is text of kind k.
+func (p *parser) accept(k tokKind, text string) bool {
+	if !p.peek(0).is(k, text) {
+		return false
 	}
-	if t.kind != tokName || t.text != s {
-		return p.lx.errorf(t.pos, "expected %q, got %q", s, t.text)
-	}
-	return nil
+	p.next()
+	return true
 }
 
-func (p *parser) expectVar() (string, error) {
-	t, err := p.lx.next()
-	if err != nil {
-		return "", err
+// expect consumes the next token, which must be text of kind k.
+func (p *parser) expect(k tokKind, text string) {
+	if t := p.next(); !t.is(k, text) {
+		p.fail(t.pos, "expected %q, got %q", text, t.text)
 	}
+}
+
+func (p *parser) expectVar() string {
+	t := p.next()
 	if t.kind != tokVar {
-		return "", p.lx.errorf(t.pos, "expected variable, got %q", t.text)
+		p.fail(t.pos, "expected variable, got %q", t.text)
 	}
-	return t.text, nil
+	return t.text
 }
 
-func (p *parser) expectNameOrStar() (string, error) {
-	t, err := p.lx.next()
-	if err != nil {
-		return "", err
+func (p *parser) expectNameOrStar() string {
+	t := p.next()
+	if t.kind != tokName && !t.is(tokSymbol, "*") {
+		p.fail(t.pos, "expected name or *, got %q", t.text)
 	}
-	if t.kind == tokName {
-		return t.text, nil
-	}
-	if t.kind == tokSymbol && t.text == "*" {
-		return "*", nil
-	}
-	return "", p.lx.errorf(t.pos, "expected name or *, got %q", t.text)
+	return t.text
 }

@@ -133,20 +133,12 @@ func init() {
 	}
 }
 
-// lexer scans tokens on demand from src. The parser can rewind it to an
-// arbitrary byte offset, which is how direct element constructors switch
-// between expression tokens and raw XML content.
+// lexer scans tokens on demand from src. The parser keeps the lookahead
+// and can move pos to an arbitrary byte offset, which is how direct element
+// constructors switch between expression tokens and raw XML content.
 type lexer struct {
 	src string
 	pos int
-	buf []token  // lookahead buffer, backed by arr until it overflows
-	arr [8]token // inline backing store: lookahead never allocates
-}
-
-func newLexer(src string) *lexer {
-	lx := &lexer{src: src}
-	lx.buf = lx.arr[:0]
-	return lx
 }
 
 // errorf produces a positioned syntax error.
@@ -163,42 +155,11 @@ func (lx *lexer) errorf(pos int, format string, args ...any) error {
 	return fmt.Errorf("xq: %d:%d: %s", line, col, fmt.Sprintf(format, args...))
 }
 
-// rewind discards buffered lookahead and continues scanning at off.
-func (lx *lexer) rewind(off int) {
-	lx.buf = lx.buf[:0]
-	lx.pos = off
-}
-
-// peek returns the i-th upcoming token (0 = next) without consuming it.
-func (lx *lexer) peek(i int) (token, error) {
-	for len(lx.buf) <= i {
-		t, err := lx.scan()
-		if err != nil {
-			return token{}, err
-		}
-		lx.buf = append(lx.buf, t)
-	}
-	return lx.buf[i], nil
-}
-
-// next consumes and returns the next token. The buffer shifts down in
-// place so its capacity (and inline backing array) is reused instead of
-// reallocating as the slice head advances.
-func (lx *lexer) next() (token, error) {
-	t, err := lx.peek(0)
-	if err != nil {
-		return token{}, err
-	}
-	n := copy(lx.buf, lx.buf[1:])
-	lx.buf = lx.buf[:n]
-	return t, nil
-}
-
 // ScanTokens lexes src to end of input and returns the number of tokens
 // scanned (excluding EOF). It exists so benchmarks and tests can drive
 // the scanner directly, without the parser on top.
 func ScanTokens(src string) (int, error) {
-	lx := newLexer(src)
+	lx := lexer{src: src}
 	n := 0
 	for {
 		t, err := lx.scan()

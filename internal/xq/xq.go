@@ -24,9 +24,10 @@ type Query struct {
 	general bool
 }
 
-// Compile parses src into a Query.
+// Compile parses src into a Query. A syntax error, nesting deeper than
+// MaxDepth among them, is returned with the line and column it was found at.
 func Compile(src string) (*Query, error) {
-	p := &parser{lx: newLexer(src)}
+	p := &parser{lx: lexer{src: src}}
 	e, decls, funcs, err := p.parse()
 	if err != nil {
 		return nil, err

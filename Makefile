@@ -4,11 +4,12 @@
 # detector, the bench/ module's vet and tests (its own go.mod, so the root
 # build skips it), and the guarded benchmarks (bench-guard). `make stress`
 # is not part of it: it reruns the concurrency-heavy packages (registry,
-# xq, telemetry, wsda, shard) and softstate, whose model test meets a new
+# xq, telemetry, wsda, shard, and xmldoc, whose Framers the client decoder
+# pools across goroutines) and softstate, whose model test meets a new
 # sweep order on every run, twenty times under the race detector, for changes
-# to locking, snapshots, the journal, the recorder or the delivery the
-# router drives under its merge mutex (about 50 s of it is shard's, 30 s
-# softstate's).
+# to locking, snapshots, the journal, the recorder, the pooled decoder or the
+# delivery the router drives under its merge mutex (about 50 s of it is
+# shard's, 30 s softstate's).
 # Nor is `make fuzz`, which CI runs as its own job beside `make check`.
 
 GO ?= go
@@ -45,7 +46,7 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 stress:
-	$(GO) test -race -count=20 ./internal/registry ./internal/xq ./internal/telemetry ./internal/wsda ./internal/shard ./internal/softstate
+	$(GO) test -race -count=20 ./internal/registry ./internal/xq ./internal/telemetry ./internal/wsda ./internal/shard ./internal/softstate ./internal/xmldoc
 
 # Runs every fuzz target for 30 s, one `go test -fuzz` per target (it
 # takes one at a time). A failing input is written under the package's

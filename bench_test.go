@@ -672,7 +672,15 @@ func BenchmarkStreamFirstItem(b *testing.B) {
 // parsed into trees. ns/op and allocs/op divided
 // by items/op are the per-item cost of DecodeStream.
 func BenchmarkDecodeStream(b *testing.B) {
-	benchDecode(b, func(r io.Reader, onItem func()) (*wsda.StreamSummary, error) {
+	benchDecode(b, 334, func(r io.Reader, onItem func()) (*wsda.StreamSummary, error) {
+		return wsda.DecodeStream(r, func(xq.Item) bool { onItem(); return true })
+	})
+}
+
+// BenchmarkDecodeStreamOne is the client's half of a point lookup: the
+// same stream with one item, where per-stream costs dominate.
+func BenchmarkDecodeStreamOne(b *testing.B) {
+	benchDecode(b, 1, func(r io.Reader, onItem func()) (*wsda.StreamSummary, error) {
 		return wsda.DecodeStream(r, func(xq.Item) bool { onItem(); return true })
 	})
 }
@@ -680,13 +688,12 @@ func BenchmarkDecodeStream(b *testing.B) {
 // BenchmarkDecodeRawStream is the router's half: the same stream framed
 // into raw items and nothing more, what HTTPBackend does per shard.
 func BenchmarkDecodeRawStream(b *testing.B) {
-	benchDecode(b, func(r io.Reader, onItem func()) (*wsda.StreamSummary, error) {
+	benchDecode(b, 334, func(r io.Reader, onItem func()) (*wsda.StreamSummary, error) {
 		return wsda.DecodeRawStream(r, func(wsda.RawItem) bool { onItem(); return true })
 	})
 }
 
-func benchDecode(b *testing.B, decode func(r io.Reader, onItem func()) (*wsda.StreamSummary, error)) {
-	const items = 334
+func benchDecode(b *testing.B, items int, decode func(r io.Reader, onItem func()) (*wsda.StreamSummary, error)) {
 	gen := workload.NewGen(1)
 	rec := httptest.NewRecorder()
 	sw := wsda.NewStreamWriter(rec)
@@ -710,7 +717,7 @@ func benchDecode(b *testing.B, decode func(r io.Reader, onItem func()) (*wsda.St
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(items, "items/op")
+	b.ReportMetric(float64(items), "items/op")
 }
 
 func BenchmarkXMLParse(b *testing.B) {

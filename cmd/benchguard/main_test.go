@@ -85,6 +85,7 @@ func TestJudge(t *testing.T) {
 		{"absolute over its max", guard{bench: "B", metric: "allocs/op", max: 4}, 9, false, false},
 		{"ratio", guard{bench: "A", metric: "ns/op", over: "B", max: 2}, 3, false, false},
 		{"ratio within", guard{bench: "B", metric: "ns/op", over: "A", max: 0.5}, 1.0 / 3, true, false},
+		{"ratio over another package", guard{pkg: ".", bench: "A", metric: "ns/op", over: "./p:B", max: 2}, 3, false, false},
 		{"allocs/item rounds up", guard{bench: "Decode", metric: "allocs/item", max: 5}, 5, true, false},
 		{"allocs/item rounds up past its max", guard{bench: "Decode", metric: "allocs/item", max: 4}, 5, false, false},
 		{"missing benchmark", guard{bench: "C", metric: "allocs/op", max: 1e9}, 0, false, true},
@@ -107,6 +108,8 @@ func TestJudge(t *testing.T) {
 func TestDroppedBenchmarkFails(t *testing.T) {
 	for _, tc := range []struct{ suite, dropped string }{
 		{"stream", "StreamWriteItem"},
+		{"stream", "ScanTokens"},
+		{"stream", "DecodeStreamOne"},
 		{"xq", "PlannedQueryWarm"},
 		{"xq", "PlanFallback"},
 		{"xq", "Compile"},
@@ -130,7 +133,7 @@ func TestDroppedBenchmarkFails(t *testing.T) {
 		named := 0
 		for i, g := range rows {
 			f, d := full.Guards[i], dropped.Guards[i]
-			if g.bench != tc.dropped && g.over != tc.dropped {
+			if _, over := g.overIn(); g.bench != tc.dropped && over != tc.dropped {
 				if f != d {
 					t.Errorf("%s without %s: unrelated row %s changed from %v to %v", tc.suite, tc.dropped, g.bench, f, d)
 				}
@@ -160,27 +163,34 @@ func TestTable(t *testing.T) {
 		if g.max < 0 || g.metric == "" {
 			t.Errorf("row %+v: want a metric and a ceiling >= 0", g)
 		}
-		if declared[g.pkg] == nil {
-			declared[g.pkg] = benchmarksIn(t, filepath.Join("..", "..", g.pkg))
-		}
-		for _, b := range []string{g.bench, g.over} {
-			if b == "" {
+		overPkg, over := g.overIn()
+		for _, b := range [][2]string{{g.pkg, g.bench}, {overPkg, over}} {
+			pkg, top := b[0], b[1]
+			if top == "" {
 				continue
 			}
-			top, _, _ := strings.Cut(b, "/")
-			key := g.pkg + " " + top
+			if declared[pkg] == nil {
+				declared[pkg] = benchmarksIn(t, filepath.Join("..", "..", pkg))
+			}
+			top, _, _ = strings.Cut(top, "/")
+			key := pkg + " " + top
 			if s, ok := suiteOf[key]; ok && s != g.suite {
 				t.Errorf("%s runs in suites %s and %s", key, s, g.suite)
 			}
 			suiteOf[key] = g.suite
-			if !slices.Contains(declared[g.pkg], "Benchmark"+top) {
-				t.Errorf("row %+v: no func Benchmark%s in %s", g, top, g.pkg)
+			if !slices.Contains(declared[pkg], "Benchmark"+top) {
+				t.Errorf("row %+v: no func Benchmark%s in %s", g, top, pkg)
 			}
 		}
 	}
 	_, pats := patterns(suiteRows(guards, "shard"))
 	if want := "^Benchmark(RoutedQueryWarm|DirectShardQueryWarm|ShardMergeItem|RoutedScatterHTTP)$"; pats["."] != want {
 		t.Errorf("shard pattern %q, want %q", pats["."], want)
+	}
+	// An over in another package runs there, in the same suite.
+	pkgs, pats := patterns([]guard{{"s", ".", "A", "ns/op", "./p:B", 1}, {"s", ".", "C", "ns/op", "D", 1}})
+	if !slices.Equal(pkgs, []string{".", "./p"}) || pats["."] != "^Benchmark(A|C|D)$" || pats["./p"] != "^Benchmark(B)$" {
+		t.Errorf("cross-package over: packages %v, patterns %v", pkgs, pats)
 	}
 }
 

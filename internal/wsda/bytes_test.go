@@ -283,8 +283,9 @@ func TestQueryTooDeepIs422(t *testing.T) {
 
 // FuzzDecodeStream feeds the decoder arbitrary bytes: it must not panic,
 // must frame them the same however they are cut into reads, must only
-// yield spans that parse, and must not call a stream complete unless it
-// ran to the root's end tag.
+// yield spans that parse, must build the items that parsing those spans
+// builds, and must not call a stream complete unless it ran to the root's
+// end tag.
 func FuzzDecodeStream(f *testing.F) {
 	f.Add([]byte(`<results count="2" complete="true"><node><a b="c>d">t</a></node><atomic type="integer">7</atomic></results>`), uint8(3))
 	f.Add([]byte(`<results streamed="true"><node attr-name="k">v</node><node/><summary count="2" complete="true" elapsed-ms="3"/></results>`), uint8(1))
@@ -311,6 +312,21 @@ func FuzzDecodeStream(f *testing.F) {
 			t.Fatalf("framing depends on chunking: %d spans (%v) vs %d spans (%v)", len(whole), werr, len(cut), cerr)
 		}
 
+		// The tree decoder agrees with parsing each framed item on its own,
+		// item for item, in its error and in its summary, however the
+		// bytes are cut into reads.
+		want, wsum, werr := parseRawItems(bytes.NewReader(data))
+		for _, r := range []io.Reader{bytes.NewReader(data), &chunked{data: data, n: int(step)}} {
+			var got []xq.Item
+			sum, err := DecodeStream(r, func(it xq.Item) bool { got = append(got, it); return true })
+			if fmt.Sprint(err) != fmt.Sprint(werr) || *sum != *wsum || len(got) != len(want) {
+				t.Fatalf("decoded %d items, %+v, %v; parsed raw items: %d, %+v, %v", len(got), *sum, err, len(want), *wsum, werr)
+			}
+			for i := range got {
+				sameItem(t, got[i], want[i])
+			}
+		}
+
 		sum, err := DecodeStream(bytes.NewReader(data), func(xq.Item) bool { return true })
 		if err == nil && sum.Complete {
 			// Complete means the whole document was there: cut anywhere
@@ -325,4 +341,48 @@ func FuzzDecodeStream(f *testing.F) {
 			}
 		}
 	})
+}
+
+// parseRawItems is DecodeStream as two passes: DecodeRawStream frames each
+// item, and RawItem.Item parses its bytes on their own.
+func parseRawItems(r io.Reader) ([]xq.Item, *StreamSummary, error) {
+	var items []xq.Item
+	var bad error
+	sum, err := DecodeRawStream(r, func(raw RawItem) bool {
+		it, err := raw.Item()
+		if err != nil {
+			bad = err
+			return false
+		}
+		items = append(items, it)
+		return true
+	})
+	if bad != nil {
+		return items, sum, bad
+	}
+	return items, sum, err
+}
+
+// sameItem fails unless got and want are the same item: equal atomics, or
+// nodes with the same serialization, structure and document order of
+// every node, and no parent.
+func sameItem(t *testing.T, got, want xq.Item) {
+	t.Helper()
+	g, ok := got.(*xmldoc.Node)
+	w, wok := want.(*xmldoc.Node)
+	if !ok || !wok {
+		if fmt.Sprintf("%T %v", got, got) != fmt.Sprintf("%T %v", want, want) {
+			t.Fatalf("item %T %v, want %T %v", got, got, want, want)
+		}
+		return
+	}
+	if g.Parent != nil || w.Parent != nil || g.String() != w.String() || !g.Equal(w) {
+		t.Fatalf("item %q (parent %v), want %q", g.String(), g.Parent, w.String())
+	}
+	var gotOrder, wantOrder []int
+	g.Walk(func(n *xmldoc.Node) bool { gotOrder = append(gotOrder, n.Order()); return true })
+	w.Walk(func(n *xmldoc.Node) bool { wantOrder = append(wantOrder, n.Order()); return true })
+	if fmt.Sprint(gotOrder) != fmt.Sprint(wantOrder) {
+		t.Fatalf("item %q: document order %v, want %v", g.String(), gotOrder, wantOrder)
+	}
 }

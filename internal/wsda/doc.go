@@ -19,7 +19,11 @@
 // and, when streamed, a trailing <summary>. AppendItem alone renders an
 // item to bytes, so an item has the same bytes on every path. Reading goes
 // through an xmldoc.Framer: DecodeRawStream yields each item's bytes — what
-// the router forwards, unparsed — and DecodeStream parses each into its
-// value, where an atomic's lexical form is checked. Both accept what
-// xmldoc.Parse accepts and, inside <results>, only those three elements.
+// the router forwards, unparsed — and DecodeStream builds each item's tree
+// in the pass that frames it (Framer.NextTree), with a pooled Framer,
+// and checks an atomic's lexical form. Both accept what xmldoc.Parse
+// accepts and, inside <results>, only those three elements. The Client
+// reads every result through DecodeStream, XQuery's buffered answer too,
+// and reads a whole answer (XQuery's, a fetch's) only up to
+// MaxResponseBytes.
 package wsda

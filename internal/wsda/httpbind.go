@@ -300,6 +300,17 @@ func (c *Client) Do(method, path string, q url.Values, body string) (*http.Respo
 	return resp, nil
 }
 
+// MaxResponseBytes caps a whole answer the Client reads before using it:
+// every fetch (presenter, publish, unpublish, MinQuery) and XQuery's
+// buffered <results>. A longer answer fails with ErrResponseTooLarge
+// instead of being cut short. Streamed answers (XQueryStream,
+// NetQueryStream, XQueryPage) are read item by item and are not capped.
+const MaxResponseBytes = 64 << 20
+
+// ErrResponseTooLarge is the error of a Client call whose answer exceeds
+// MaxResponseBytes.
+var ErrResponseTooLarge = fmt.Errorf("wsda: response exceeds %d MiB", MaxResponseBytes>>20)
+
 // fetch is Do for an XML document answer, read and parsed whole; it also
 // returns the response headers for side-channel metadata like X-Wsda-Plan.
 func (c *Client) fetch(method, path string, q url.Values, body string) (*xmldoc.Node, http.Header, error) {
@@ -308,7 +319,10 @@ func (c *Client) fetch(method, path string, q url.Values, body string) (*xmldoc.
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, MaxResponseBytes+1))
+	if len(data) > MaxResponseBytes {
+		err = ErrResponseTooLarge
+	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -464,14 +478,29 @@ func ParsePublish(body io.Reader) (*tuple.Tuple, time.Duration, error) {
 // XQuery implements the powerful query primitive against the remote node.
 // Only the Filter and Freshness options cross the wire; Emit and Vars are
 // local-only concepts. When opts.Explain is set it is filled from the
-// remote node's X-Wsda-Plan header (the view fallback when absent).
+// remote node's X-Wsda-Plan header (the view fallback when absent). The
+// buffered answer is read through DecodeStream, as a streamed one is,
+// up to MaxResponseBytes.
 func (c *Client) XQuery(query string, opts registry.QueryOptions) (xq.Sequence, error) {
-	doc, hdr, err := c.fetch(http.MethodPost, PathXQuery, QueryParams(opts, 0), query)
+	resp, err := c.Do(http.MethodPost, PathXQuery, QueryParams(opts, 0), query)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	body := &io.LimitedReader{R: resp.Body, N: MaxResponseBytes + 1}
+	var seq xq.Sequence
+	_, err = DecodeStream(body, func(it xq.Item) bool {
+		seq = append(seq, it)
+		return true
+	})
+	if body.N == 0 {
+		err = ErrResponseTooLarge
+	}
 	if err != nil {
 		return nil, err
 	}
 	if opts.Explain != nil {
-		*opts.Explain = registry.ParsePlanInfo(hdr.Get(HeaderPlan))
+		*opts.Explain = registry.ParsePlanInfo(resp.Header.Get(HeaderPlan))
 	}
-	return UnmarshalSequence(doc)
+	return seq, nil
 }

@@ -1,12 +1,12 @@
 package wsda
 
 import (
-	"cmp"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync"
 	"time"
 
 	"wsda/internal/registry"
@@ -214,19 +214,25 @@ func (sum *StreamSummary) appendAttrs(dst []byte) []byte {
 // streaming. onItem returning false stops the parse early. The returned
 // summary comes from the trailing <summary> element (streamed responses) or
 // from the root's own attributes (buffered responses); on early stop it
-// reflects what had been seen so far. Node items are the caller's own.
+// reflects what had been seen so far. Node items are the caller's own:
+// each is built in the pass that frames it (xmldoc.Framer.NextTree), by a
+// pooled Framer that keeps nothing of it.
 func DecodeStream(r io.Reader, onItem func(it xq.Item) bool) (*StreamSummary, error) {
-	var bad error
-	sum, err := DecodeRawStream(r, func(raw RawItem) bool {
-		it, err := raw.Item()
-		if err != nil {
-			bad = err
-			return false
-		}
-		return onItem == nil || onItem(it)
+	f := framers.Get().(*xmldoc.Framer)
+	f.Reset(r)
+	defer func() {
+		f.Reset(nil)
+		framers.Put(f)
+	}()
+	return decode(f, true, func(_ RawItem, el *xmldoc.Node) (bool, error) {
+		it, err := itemFromElement(el)
+		return err == nil && (onItem == nil || onItem(it)), err
 	})
-	return sum, cmp.Or(bad, err)
 }
+
+// framers pools DecodeStream's Framers, so that a one-item answer (a
+// point lookup) costs no buffer, scanner or builder of its own.
+var framers = sync.Pool{New: func() any { return new(xmldoc.Framer) }}
 
 // DecodeRawStream is DecodeStream without the trees: an xmldoc.Framer
 // finds each child of <results> and onItem receives the <node> and
@@ -236,12 +242,19 @@ func DecodeStream(r io.Reader, onItem func(it xq.Item) bool) (*StreamSummary, er
 // or one holding any other element, ends with an error — after the items
 // before the fault were delivered, and never reporting Complete.
 func DecodeRawStream(r io.Reader, onItem func(raw RawItem) bool) (*StreamSummary, error) {
+	return decode(xmldoc.NewFramer(r), false, func(raw RawItem, _ *xmldoc.Node) (bool, error) {
+		return onItem(raw), nil
+	})
+}
+
+// decode reads a <results> document with f and hands each item child to
+// item: as its tree with tree set, else as its bytes.
+func decode(f *xmldoc.Framer, tree bool, item func(raw RawItem, el *xmldoc.Node) (bool, error)) (*StreamSummary, error) {
 	sum := &StreamSummary{}
 	fail := func(err error) (*StreamSummary, error) {
 		sum.Complete = false
 		return sum, fmt.Errorf("wsda: decode results: %w", err)
 	}
-	f := xmldoc.NewFramer(r)
 	root, err := f.Root()
 	if err != nil {
 		return fail(err)
@@ -253,20 +266,34 @@ func DecodeRawStream(r io.Reader, onItem func(raw RawItem) bool) (*StreamSummary
 	summaryFromElement(sum, root)
 	count := 0
 	for {
-		name, span, err := f.Next()
+		var name string
+		var span []byte
+		var el *xmldoc.Node
+		if tree {
+			if el, err = f.NextTree(); err == nil {
+				name = el.Name
+			}
+		} else {
+			var local []byte
+			local, span, err = f.Next()
+			name = childName(local)
+		}
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return fail(err)
 		}
-		switch string(name) {
+		switch name {
 		case "summary":
-			el, err := xmldoc.ParseBytes(span)
-			if err != nil {
-				return fail(err)
+			if el == nil {
+				doc, err := xmldoc.ParseBytes(span)
+				if err != nil {
+					return fail(err)
+				}
+				el = doc.DocumentElement()
 			}
-			summaryFromElement(sum, el.DocumentElement())
+			summaryFromElement(sum, el)
 			continue
 		default:
 			return fail(fmt.Errorf("unexpected result element <%s>", name))
@@ -274,16 +301,32 @@ func DecodeRawStream(r io.Reader, onItem func(raw RawItem) bool) (*StreamSummary
 		}
 		count++
 		sum.Count = count
-		if !onItem(span) {
-			// The consumer stopped before the stream (and its trailing
-			// accounting) finished: whatever was left unread is missing,
-			// so this result must not claim completeness.
+		more, err := item(span, el)
+		if !more {
+			// The consumer stopped, or the item was bad, before the stream
+			// (and its trailing accounting) finished: whatever was left
+			// unread is missing, so this result must not claim
+			// completeness.
 			sum.Complete = false
-			return sum, nil
+			return sum, err
 		}
 	}
 	sum.Count = max(sum.Count, count)
 	return sum, nil
+}
+
+// childName is a <results> child's local name as a string, without
+// copying the three names a result holds.
+func childName(local []byte) string {
+	switch string(local) {
+	case "node":
+		return "node"
+	case "atomic":
+		return "atomic"
+	case "summary":
+		return "summary"
+	}
+	return string(local)
 }
 
 // summaryFromElement folds the accounting attributes of a <summary>

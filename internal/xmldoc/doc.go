@@ -12,8 +12,14 @@
 // One hand-written byte-level scanner (scan.go) reads XML for the whole
 // tree. Parse, ParseBytes and ParseString build a tree from it; a Framer
 // runs it over a stream and hands out the root's children as byte spans
-// without building anything. Both therefore accept and reject the same
-// input.
+// without building anything (Next) or as the trees ParseBytes would build
+// from those spans, built in the same pass (NextTree). All of them
+// therefore accept and reject the same input. The scanner takes plain
+// start-tag names, plain name="value" attributes and end tags that
+// repeat the open name on fast paths, and leaves every other shape to
+// its state machine at the same byte, so errors and their offsets do not
+// depend on them. A Framer can be Reset and pooled: it then keeps its
+// buffers and nothing that refers to what it handed out.
 //
 // Accepted: UTF-8 XML 1.0 — elements, attributes in either quote,
 // character data, CDATA sections, comments, processing instructions, an

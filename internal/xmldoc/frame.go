@@ -18,15 +18,16 @@ const MaxItemBytes = 16 << 20
 var ErrItemTooLarge = fmt.Errorf("xmldoc: frame: element larger than %d bytes", MaxItemBytes)
 
 // Framer reads one XML document incrementally and hands out the children
-// of its root element as byte spans, each the moment its end tag has
-// arrived, without building a tree. It runs the scanner Parse is built on
-// over everything it reads, so the well-formedness rules are Parse's —
-// balanced and matching tags, legal characters and references, MaxDepth —
-// and a span it yields is one ParseBytes accepts. Once a child has opened,
-// the scanner runs to its end tag without handing back a token per tag or
-// attribute, stopping only where the buffer runs out or the input is
-// malformed. It reads with single Read calls and never waits to fill its
-// buffer, so a producer that flushes per item is consumed per item.
+// of its root element, each the moment its end tag has arrived: as byte
+// spans (Next), without building a tree, or as trees (NextTree). It runs
+// the scanner Parse is built on over everything it reads, so the
+// well-formedness rules are Parse's — balanced and matching tags, legal
+// characters and references, MaxDepth — and a span it yields is one
+// ParseBytes accepts. For Next, once a child has opened, the scanner runs
+// to its end tag without handing back a token per tag or attribute,
+// stopping only where the buffer runs out or the input is malformed. It
+// reads with single Read calls and never waits to fill its buffer, so a
+// producer that flushes per item is consumed per item.
 type Framer struct {
 	r      io.Reader
 	s      scanner
@@ -34,13 +35,59 @@ type Framer struct {
 	eof    bool
 	rooted bool // the root's start tag has been read
 	item   int  // offset of the current child's '<', or -1 between children
+
+	// NextTree's state, kept from child to child: the current child's
+	// tokens, the builder that turns them into its tree, and the node that
+	// stands in for the child's document node while it is built.
+	toks []itemTok
+	b    builder
+	doc  Node
 }
+
+// itemTok is a token of the child NextTree is reading, with its offsets
+// counted from the child's first byte, so that they hold while the buffer
+// slides or grows under it.
+type itemTok struct {
+	kind       tokKind
+	esc        bool
+	a, b, c, d int32
+}
+
+// Limits on the buffers Reset keeps for the next document: a Framer that
+// once read a huge child does not hold on to its memory.
+const (
+	keptBuffer = 64 << 10
+	keptTokens = 4 << 10
+)
 
 // NewFramer returns a Framer reading from r.
 func NewFramer(r io.Reader) *Framer {
-	f := &Framer{r: r, buf: make([]byte, 0, 4096), item: -1}
-	f.s.init()
+	f := &Framer{}
+	f.Reset(r)
 	return f
+}
+
+// Reset readies f to read a new document from r, as NewFramer(r) would.
+// It keeps f's buffers, up to a bound, and nothing else: no tree NextTree
+// built and no byte it returned is referred to by f after Reset, so a
+// Framer can be pooled. Reset(nil) lets go of the reader.
+func (f *Framer) Reset(r io.Reader) {
+	buf, toks, scratch := f.buf[:0], f.toks[:0], f.b.scratch[:0]
+	if cap(buf) > keptBuffer {
+		buf = nil
+	}
+	if buf == nil && r != nil {
+		buf = make([]byte, 0, 4096)
+	}
+	if cap(toks) > keptTokens {
+		toks = nil
+	}
+	if cap(scratch) > keptBuffer {
+		scratch = nil
+	}
+	*f = Framer{r: r, buf: buf, item: -1, toks: toks}
+	f.s.init()
+	f.b.scratch = scratch
 }
 
 // token returns the scanner's next token, reading more input as needed.
@@ -107,13 +154,13 @@ func (f *Framer) drop(n int) {
 
 // Root reads up to the end of the root element's start tag and returns the
 // root as a childless element carrying its attributes. Text, comments and
-// processing instructions before it are skipped. Next calls it if the
-// caller has not.
+// processing instructions before it are skipped. Next and NextTree call it
+// if the caller has not.
 func (f *Framer) Root() (*Node, error) {
 	if f.rooted {
 		return nil, errors.New("xmldoc: frame: root already read")
 	}
-	var b builder
+	b := &f.b
 	b.init("", 0)
 	for {
 		tok, err := f.token()
@@ -143,36 +190,68 @@ func (f *Framer) Root() (*Node, error) {
 // may follow — and returns io.EOF; input that ends earlier is an error, as
 // is any malformed input, and no error is ever followed by a span.
 func (f *Framer) Next() (name, span []byte, err error) {
+	if span, err = f.child(false); err != nil {
+		return nil, nil, err
+	}
+	end := 1
+	for end < len(span) && (class[span[end]]&cName != 0 || span[end] >= 0x80) {
+		end++
+	}
+	return span[1+localName(span[1:end]) : end], span, nil
+}
+
+// NextTree is Next for a reader that wants trees: it returns the next
+// child element of the root as the document element ParseBytes would
+// build from its span — the same names, data, attributes, children and
+// document order, counted from 1 — but detached: its Parent is nil. The
+// scanner's tokens go to a builder as the child is read, so its bytes are
+// scanned once. Names and data are substrings of one copy of the span,
+// and nodes are carved from chunks shared with the children before and
+// after it (each child's lists are capped, so appending to one never
+// touches another). The tree is the caller's own; errors are Next's.
+func (f *Framer) NextTree() (*Node, error) {
+	span, err := f.child(true)
+	if err != nil {
+		return nil, err
+	}
+	return f.b.item(&f.doc, span, f.toks, len(span)+len(f.buf)-f.s.pos), nil
+}
+
+// child reads up to the end tag of the root's next child and returns its
+// span; with tree set it keeps the child's tokens in toks, where Next
+// skims.
+func (f *Framer) child(tree bool) ([]byte, error) {
 	if !f.rooted {
 		if _, err := f.Root(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	for {
 		tok, err := f.token()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		switch tok.kind {
-		case tokEOF:
-			return nil, nil, io.EOF
-		case tokStart:
-			switch f.s.depth() {
-			case 1:
-				return nil, nil, errors.New("xmldoc: frame: second root element")
-			case 2:
-				f.item, f.s.skim = tok.pos, 2
+		switch {
+		case tok.kind == tokEOF:
+			return nil, io.EOF
+		case tok.kind == tokStart && f.s.depth() == 1:
+			return nil, errors.New("xmldoc: frame: second root element")
+		case tok.kind == tokStart && f.s.depth() == 2:
+			f.item, f.toks = tok.pos, f.toks[:0]
+			if !tree {
+				f.s.skim = 2
 			}
-		case tokEmpty, tokEnd:
-			if f.s.depth() == 1 && f.item >= 0 {
-				span = f.buf[f.item:f.s.pos]
-				f.item, f.s.skim = -1, 0
-				end := 1
-				for end < len(span) && (class[span[end]]&cName != 0 || span[end] >= 0x80) {
-					end++
-				}
-				return span[1+localName(span[1:end]) : end], span, nil
-			}
+		case f.item < 0:
+			continue // between children
+		}
+		if tree {
+			at := f.item
+			f.toks = append(f.toks, itemTok{tok.kind, tok.esc, int32(tok.a - at), int32(tok.b - at), int32(tok.c - at), int32(tok.d - at)})
+		}
+		if (tok.kind == tokEmpty || tok.kind == tokEnd) && f.s.depth() == 1 {
+			span := f.buf[f.item:f.s.pos]
+			f.item, f.s.skim = -1, 0
+			return span, nil
 		}
 	}
 }

@@ -2,7 +2,9 @@ package xmldoc
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"runtime"
@@ -241,5 +243,219 @@ func TestFramerItemLimit(t *testing.T) {
 	_, span, err := NewFramer(bytes.NewReader(doc)).Next()
 	if err != nil || len(span) != len(big)+len(`<node></node>`) {
 		t.Fatalf("half-limit item after a half-limit comment: %d bytes, %v", len(span), err)
+	}
+}
+
+// trees runs a Framer's NextTree over r and returns the root's
+// serialization, the trees and the final error (nil for a clean io.EOF).
+func trees(f *Framer) (root string, els []*Node, err error) {
+	el, err := f.Root()
+	if err != nil {
+		return "", nil, err
+	}
+	for {
+		t, err := f.NextTree()
+		if err == io.EOF {
+			return el.String(), els, nil
+		}
+		if err != nil {
+			return el.String(), els, err
+		}
+		els = append(els, t)
+	}
+}
+
+// sameTree fails unless got is the document element ParseString(span)
+// builds — the same serialization, structure and document order of every
+// node, attributes included — and is detached.
+func sameTree(t *testing.T, span string, got *Node) {
+	t.Helper()
+	doc, err := ParseString(span)
+	if err != nil {
+		t.Fatalf("span %q does not parse: %v", span, err)
+	}
+	want := doc.DocumentElement()
+	if got.Parent != nil || got.String() != want.String() || !got.Equal(want) {
+		t.Fatalf("tree %q (parent %v), want %q", got.String(), got.Parent, want.String())
+	}
+	var g, w []int
+	got.Walk(func(n *Node) bool { g = append(g, n.Order()); return true })
+	want.Walk(func(n *Node) bool { w = append(w, n.Order()); return true })
+	if fmt.Sprint(g) != fmt.Sprint(w) {
+		t.Fatalf("tree %q: document order %v, ParseString's %v", span, g, w)
+	}
+}
+
+// NextTree builds each child as ParseString builds its span, however the
+// input is cut into reads.
+func TestFramerTreesMatchParse(t *testing.T) {
+	items := []string{
+		`<node><a b="x>y" c='/node>'>t</a></node>`,
+		`<node/>`,
+		`<x:atomic type="string" xmlns:x="u">&lt;&#x41;&amp;</x:atomic>`,
+		`<node><!-- </node> --><![CDATA[</node>]]>]]&gt;<b/><?pi x?></node>`,
+		`<node attr-name="k">` + strings.Repeat("long text ", 2000) + `</node>`,
+		"<node b=\"1\r\n2\" c='it\"s' d=\"a&amp;b\" b = \"again\">café \U0001F600\r</node>",
+		`<summary count="6" complete="true"/>`,
+	}
+	doc := `<?xml version="1.0"?><results streamed="true">` + " \n" + strings.Join(items, "\n<?pi?>") + `</results>`
+	for _, read := range []struct {
+		how string
+		r   io.Reader
+	}{
+		{"one Read", strings.NewReader(doc)},
+		{"a byte per Read", iotest.OneByteReader(strings.NewReader(doc))},
+		{"7 bytes per Read", &chunkReader{data: []byte(doc), max: 7}},
+		{"random chunks", &chunkReader{data: []byte(doc), rng: rand.New(rand.NewSource(1)), max: 300}},
+	} {
+		root, els, err := trees(NewFramer(read.r))
+		if err != nil || root != `<results streamed="true"/>` || len(els) != len(items) {
+			t.Fatalf("%s: root %s, %d trees, err %v", read.how, root, len(els), err)
+		}
+		for i, el := range els {
+			sameTree(t, items[i], el)
+		}
+	}
+}
+
+// The scanner's fast paths take a start tag's name, an attribute and an
+// end tag only in their plainest shape and leave anything else to the
+// state machine at the same byte, so every error reads as it did before
+// them: the texts below are the state machine's alone.
+func TestFastPathBailouts(t *testing.T) {
+	for _, c := range []struct {
+		item, parseErr, frameErr string
+		spans                    int
+	}{
+		{"<node><p:0a/></node>", "xmldoc: parse: invalid local name in \"p:0\" at byte 16", "", 0},
+		{"<node><a p:0b=\"1\"/></node>", "xmldoc: parse: invalid local name in \"p:0\" at byte 18", "", 0},
+		{"<node><p:a b=\"1\"></p:b></node>", "xmldoc: parse: element <p:a> closed by </p:b> at byte 26", "", 0},
+		{"<node><é\xff/></node>", "xmldoc: parse: invalid UTF-8 at byte 18", "", 0},
+		{"<node><a à\xff=\"1\"/></node>", "xmldoc: parse: invalid UTF-8 at byte 20", "", 0},
+		{"<node><é a=\"1\"></x></node>", "xmldoc: parse: element <é> closed by </x> at byte 25", "", 0},
+		{"<node><a b=\"x&nope;\"/></node>", "xmldoc: parse: invalid character entity at byte 27", "", 0},
+		{"<node><a b=\"x\ry\x01\"/></node>", "xmldoc: parse: illegal character code U+0001 at byte 24", "", 0},
+		{"<node><a b=\"x\r\ny&lt;\"><b c=\"\x02\"/></a></node>", "xmldoc: parse: illegal character code U+0002 at byte 37", "", 0},
+		{"<node><a b =\"1\" c = d/></node>", "xmldoc: parse: unquoted or missing attribute value in element at byte 29", "", 0},
+		{"<node><a b= \"1\"c/></node>", "xmldoc: parse: attribute name without = in element at byte 25", "", 0},
+		{"<node><a b=\"1'/></node>", "xmldoc: parse: unescaped < inside quoted string at byte 25", "", 0},
+		{"<node><a b='1\"/></node>", "xmldoc: parse: unescaped < inside quoted string at byte 25", "", 0},
+		{"<node><a b=\"café\xff\"/></node>", "xmldoc: parse: invalid UTF-8 at byte 26", "", 0},
+		{"<node><a></ab></node>", "xmldoc: parse: element <a> closed by </ab> at byte 18", "", 0},
+		{"<node><ab></a></node>", "xmldoc: parse: element <ab> closed by </a> at byte 19", "", 0},
+		{"<node><a></a ></node></nodex>", "xmldoc: parse: element <results> closed by </nodex> at byte 30", "", 1},
+		{"<node><a></a></node></results><x/>", "xmldoc: parse: unexpected end element </results> at byte 43", "xmldoc: frame: second root element", 1},
+	} {
+		doc := `<results>` + c.item + `</results>`
+		want := cmp.Or(c.frameErr, c.parseErr)
+		for _, fast := range []bool{true, false} {
+			noFastPaths = !fast
+			_, perr := ParseString(doc)
+			_, _, spans, ferr := frames(strings.NewReader(doc))
+			_, els, terr := trees(NewFramer(iotest.OneByteReader(strings.NewReader(doc))))
+			noFastPaths = false
+			if fmt.Sprint(perr) != c.parseErr || fmt.Sprint(ferr) != want || fmt.Sprint(terr) != want || len(spans) != c.spans || len(els) != c.spans {
+				t.Errorf("%q (fast paths %v):\n  Parse     %v\n  Next      %v (%d spans)\n  NextTree  %v (%d trees)\nwant %s, %d", c.item, fast, perr, ferr, len(spans), terr, len(els), want, c.spans)
+			}
+		}
+	}
+}
+
+// Cut anywhere, a stream holding every shape the fast paths take fails as
+// the state machine alone fails on it, at the same byte, after the same
+// children; read whole or a byte at a time, by Next or by NextTree.
+func TestFramerCutAtEveryByte(t *testing.T) {
+	doc := `<results a="1" b='2'><node><service name="x" link="http://h/p?q=1"><attr name="k" value=""/>` +
+		`<interface type="T"><bind endpoint="e"/></interface>text</service></node><node><x:a p:b="1" c = "&amp;">` +
+		"caf\xc3\xa9</x:a ></node><atomic type=\"string\">s</atomic><summary count=\"3\"/></results>"
+	outcome := func(cut string, tree, oneByte bool) string {
+		var r io.Reader = strings.NewReader(cut)
+		if oneByte {
+			r = iotest.OneByteReader(r)
+		}
+		if tree {
+			_, els, err := trees(NewFramer(r))
+			return fmt.Sprint(len(els), err)
+		}
+		_, _, spans, err := frames(r)
+		return fmt.Sprint(len(spans), err)
+	}
+	for i := 0; i <= len(doc); i++ {
+		cut := doc[:i]
+		noFastPaths = true
+		want := outcome(cut, false, false)
+		noFastPaths = false
+		_, perr := ParseString(cut)
+		for _, tree := range []bool{false, true} {
+			for _, oneByte := range []bool{false, true} {
+				if got := outcome(cut, tree, oneByte); got != want {
+					t.Fatalf("cut at %d (tree %v, a byte per Read %v): %s, state machine alone %s", i, tree, oneByte, got, want)
+				}
+			}
+		}
+		if perr != nil && !strings.HasSuffix(want, perr.Error()) {
+			t.Fatalf("cut at %d: framed %s, parsed %v", i, want, perr)
+		}
+	}
+}
+
+// A Framer Reset after an early stop, a malformed stream or an oversize
+// child reads the next document as a new Framer does, and keeps nothing
+// that refers to what it built before.
+func TestFramerResetStartsClean(t *testing.T) {
+	good := `<results n="2"><node><a b="1">x</a></node><atomic type="integer">7</atomic></results>`
+	wantRoot, wantEls, err := trees(NewFramer(strings.NewReader(good)))
+	if err != nil || len(wantEls) != 2 {
+		t.Fatalf("good: %d trees, %v", len(wantEls), err)
+	}
+	f := NewFramer(strings.NewReader(`<results><node><p:x/></node><node/></results>`))
+	for _, spoil := range []struct {
+		name string
+		run  func(f *Framer)
+	}{
+		{"early stop", func(f *Framer) {
+			f.Reset(strings.NewReader(`<results><node><a><b c="1">`))
+			if _, err := f.Root(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.NextTree(); err == nil {
+				t.Fatal("a cut stream decoded")
+			}
+		}},
+		{"malformed", func(f *Framer) {
+			f.Reset(strings.NewReader(`<results><node><a></b></node></results>`))
+			if _, _, err := trees(f); err == nil {
+				t.Fatal("a malformed stream decoded")
+			}
+		}},
+		{"stopped after one child", func(f *Framer) {
+			f.Reset(strings.NewReader(good + good))
+			if _, err := f.NextTree(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"oversize child", func(f *Framer) {
+			f.Reset(&repeatReader{head: `<results><node><deep><er a="`, fill: 'x', n: MaxItemBytes + 1})
+			if _, _, err := trees(f); !errors.Is(err, ErrItemTooLarge) {
+				t.Fatalf("oversize: %v", err)
+			}
+		}},
+	} {
+		spoil.run(f)
+		f.Reset(nil)
+		if f.r != nil || f.b.nodes != nil || f.b.slots != nil || f.b.open != nil || f.doc.Children != nil || cap(f.buf) > keptBuffer || f.s.depth() != 0 {
+			t.Fatalf("after %s, Reset(nil) keeps state", spoil.name)
+		}
+		f.Reset(strings.NewReader(good))
+		root, els, err := trees(f)
+		if err != nil || root != wantRoot || len(els) != len(wantEls) {
+			t.Fatalf("after %s: root %s, %d trees, %v", spoil.name, root, len(els), err)
+		}
+		for i, el := range els {
+			if el.String() != wantEls[i].String() {
+				t.Fatalf("after %s: tree %d is %s, want %s", spoil.name, i, el, wantEls[i])
+			}
+			sameTree(t, wantEls[i].String(), el)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package xmldoc
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -87,11 +88,18 @@ func isASCII(s string) bool {
 // checkParse holds Parse to its contract on one input: it agrees with the
 // oracle on what is a document and on the tree (structure, serialization,
 // document order), up to knownDivergence; whatever it accepts survives
-// serialize -> parse; and a Framer fed the same bytes agrees with it
+// serialize -> parse; the scanner's fast paths change nothing the state
+// machine alone finds; and a Framer fed the same bytes agrees with it
 // (checkFramer).
 func checkParse(t *testing.T, src string) {
 	t.Helper()
 	doc, err := ParseString(src)
+	noFastPaths = true
+	slow, serr := ParseString(src)
+	noFastPaths = false
+	if fmt.Sprint(err) != fmt.Sprint(serr) || err == nil && (doc.String() != slow.String() || !doc.Equal(slow)) {
+		t.Fatalf("the scanner's fast paths change %q: %v, state machine alone %v", src, err, serr)
+	}
 	want, quirk, oerr := oracleParse(src)
 	why := knownDivergence(src, quirk, oerr, err)
 	switch {
@@ -143,7 +151,8 @@ func checkParse(t *testing.T, src string) {
 // checkFramer holds a Framer to Parse's verdict (doc, perr) on the same
 // input: it fails wherever Parse does; where Parse finds exactly one root
 // element it succeeds, its root is that element, and its spans parse to
-// the root's child elements, one for one. The input is read three ways:
+// the root's child elements, one for one, each of which NextTree builds
+// as ParseString builds it, failing where Next fails. The input is read three ways:
 // a byte per Read, so every token waits for more; whole in one Read, so a
 // child is scanned to its end in one call; and 7 bytes per Read, so a
 // child's scan stops and resumes at odd places.
@@ -159,13 +168,20 @@ func checkFramer(t *testing.T, src string, doc *Node, perr error) {
 	}
 	for _, read := range []struct {
 		how string
-		r   io.Reader
+		r   func() io.Reader
 	}{
-		{"a byte per Read", iotest.OneByteReader(strings.NewReader(src))},
-		{"one Read", strings.NewReader(src)},
-		{"7 bytes per Read", &chunkReader{data: []byte(src), max: 7}},
+		{"a byte per Read", func() io.Reader { return iotest.OneByteReader(strings.NewReader(src)) }},
+		{"one Read", func() io.Reader { return strings.NewReader(src) }},
+		{"7 bytes per Read", func() io.Reader { return &chunkReader{data: []byte(src), max: 7} }},
 	} {
-		root, _, spans, ferr := frames(read.r)
+		root, _, spans, ferr := frames(read.r())
+		troot, els, terr := trees(NewFramer(read.r()))
+		if fmt.Sprint(terr) != fmt.Sprint(ferr) || troot != root || len(els) != len(spans) {
+			t.Fatalf("NextTree (%s) reads %q as %s with %d trees (%v); Next as %s with %d spans (%v)", read.how, src, troot, len(els), terr, root, len(spans), ferr)
+		}
+		for i, el := range els {
+			sameTree(t, spans[i], el)
+		}
 		switch {
 		case perr != nil && ferr == nil:
 			t.Fatalf("the Framer (%s) accepts %q, which Parse rejects: %v", read.how, src, perr)

@@ -92,6 +92,22 @@ func (b *builder) init(text string, size int) {
 	b.marks = append(b.marks, 0)
 }
 
+// item builds the tree of one child of a Framer's root from its span and
+// its tokens, as ParseBytes(span) would build the document element, and
+// returns that element detached; doc stands in for the document node. The
+// builder's chunks carry on from the child before; left is the input at
+// hand from the span on, which sizes the next chunk.
+func (b *builder) item(doc *Node, span []byte, toks []itemTok, left int) *Node {
+	b.text, b.left, b.order = string(span), left, 1
+	b.open, b.marks, b.pending = append(b.open[:0], doc), append(b.marks[:0], 0), b.pending[:0]
+	for _, t := range toks {
+		b.add(token{kind: t.kind, esc: t.esc, a: int(t.a), b: int(t.b), c: int(t.c), d: int(t.d)}, span)
+	}
+	el := b.pending[0]
+	el.Parent = nil
+	return el
+}
+
 // bytesPerNode is how much input a node is assumed to stand for when
 // chunks are sized: discovery documents run at about 18.
 const bytesPerNode = 16

@@ -33,6 +33,7 @@ const (
 	cText                        // needs no action inside character data
 	cValue                       // needs no action inside a quoted attribute value
 	cCDATA                       // needs no action inside a CDATA section
+	cPlain                       // cName but ':': what the fast paths take in a name
 )
 
 // class maps each input byte to its flags. Bytes >= 0x80 carry none: they
@@ -46,6 +47,9 @@ func init() {
 			class[c] |= cNameStart | cName
 		case '0' <= c && c <= '9', c == '-', c == '.':
 			class[c] |= cName
+		}
+		if class[c]&cName != 0 && c != ':' {
+			class[c] |= cPlain
 		}
 		if c >= 0x20 || c == '\t' || c == '\n' {
 			class[c] |= cText | cValue | cCDATA
@@ -306,6 +310,19 @@ func (s *scanner) next(buf []byte, final bool) token {
 			case c == '/':
 				s.state = stEndLT
 				p++
+				if len(s.ends) == 0 || noFastPaths {
+					continue
+				}
+				if top := s.top(); p+len(top) < len(buf) && buf[p+len(top)] == '>' && bytes.Equal(buf[p:p+len(top)], top) {
+					// The fast path: the end tag of the innermost element,
+					// whose name was checked when it opened.
+					e := p + len(top)
+					s.pop()
+					if !s.skims() {
+						return s.emit(token{kind: tokEnd, a: p, b: e}, e+1)
+					}
+					s.state, p = stContent, e+1
+				}
 			case c == '?':
 				s.state = stPILT
 				p++
@@ -314,6 +331,14 @@ func (s *scanner) next(buf []byte, final bool) token {
 				p++
 			case class[c]&cNameStart != 0 || c >= utf8.RuneSelf:
 				s.a, s.colons, s.state = p, 0, stStartName
+				if q := plainName(buf, p); q > p && !noFastPaths {
+					// The fast path: the whole name is at hand, ASCII and
+					// without a colon, so stStartName has nothing to check.
+					p = q
+					if tk, ok := s.startTag(buf, p); ok {
+						return tk
+					}
+				}
 			default:
 				return s.fail(p, "expected element name after <")
 			}
@@ -350,15 +375,8 @@ func (s *scanner) next(buf []byte, final bool) token {
 			}
 			switch s.state {
 			case stStartName:
-				if len(s.ends) == MaxDepth {
-					s.err = ErrTooDeep
-					return token{kind: tokError}
-				}
-				s.names = append(s.names, buf[s.a:p]...)
-				s.ends = append(s.ends, len(s.names))
-				s.state, s.pos = stTag, p
-				if !s.skims() {
-					return token{kind: tokStart, pos: s.start, a: s.a, b: p}
+				if tk, ok := s.startTag(buf, p); ok {
+					return tk
 				}
 			case stAttrName:
 				s.state = stAttrEq
@@ -382,6 +400,16 @@ func (s *scanner) next(buf []byte, final bool) token {
 				s.state = stEmptyGT
 				p++
 			case class[c]&cNameStart != 0 || c >= utf8.RuneSelf:
+				if nameEnd, from, to := plainAttr(buf, p); to > 0 && !noFastPaths {
+					// The fast path: name="value" at hand, with nothing
+					// for stAttrName, stAttrEq or stValue to check or mark.
+					s.pos = to + 1
+					if !s.skims() {
+						return token{kind: tokAttr, pos: s.start, a: p, b: nameEnd, c: from, d: to}
+					}
+					p = to + 1
+					continue
+				}
 				s.a, s.colons, s.state = p, 0, stAttrName
 			default:
 				return s.fail(p, "expected attribute name in element")
@@ -709,6 +737,61 @@ func (s *scanner) next(buf []byte, final bool) token {
 			}
 		}
 	}
+}
+
+// noFastPaths turns the fast paths of next off, for tests that check them
+// against the state machine alone.
+var noFastPaths bool
+
+// startTag opens the element whose start tag's name is buf[s.a:p] and
+// returns its tokStart, or false when the token is skimmed.
+func (s *scanner) startTag(buf []byte, p int) (token, bool) {
+	if len(s.ends) == MaxDepth {
+		s.err = ErrTooDeep
+		return token{kind: tokError}, true
+	}
+	s.names = append(s.names, buf[s.a:p]...)
+	s.ends = append(s.ends, len(s.names))
+	s.state, s.pos = stTag, p
+	return token{kind: tokStart, pos: s.start, a: s.a, b: p}, !s.skims()
+}
+
+// plainName is the end of the name starting at buf[p] if the name is
+// ASCII, holds no colon and is followed by another ASCII byte in buf:
+// a name the state machine would accept without a check. Otherwise it is
+// p, and the state machine scans the name from p.
+func plainName(buf []byte, p int) int {
+	for i, c := range buf[p:] {
+		if class[c]&cPlain == 0 {
+			if c == ':' || c >= utf8.RuneSelf {
+				return p
+			}
+			return p + i
+		}
+	}
+	return p
+}
+
+// plainAttr is the fast path for an attribute at buf[p]: a plain name
+// (see plainName), '=' and a quoted value of bytes that need no action
+// (no reference, CR, '<', other quote or non-ASCII byte), all in buf. It
+// returns the name's end and the value's bounds, or d == 0 when the
+// attribute has any other shape, and the state machine scans it from p.
+func plainAttr(buf []byte, p int) (b, c, d int) {
+	b = plainName(buf, p)
+	if b == p || b+1 >= len(buf) || buf[b] != '=' || buf[b+1] != '"' && buf[b+1] != '\'' {
+		return 0, 0, 0
+	}
+	c = b + 2
+	for i, v := range buf[c:] {
+		if class[v]&cValue == 0 {
+			if v != buf[b+1] {
+				return 0, 0, 0
+			}
+			return b, c, c + i
+		}
+	}
+	return 0, 0, 0
 }
 
 // end is next's answer at the end of a final buffer.

@@ -65,7 +65,7 @@ func (p *parser) parseProlog() ([]varDecl, map[string]*userFunc) {
 	var decls []varDecl
 	funcs := map[string]*userFunc{}
 	for p.peek(0).is(tokName, "declare") {
-		t1 := p.peek(1)
+		t1 := *p.peek(1)
 		if t1.kind != tokName || (t1.text != "variable" && t1.text != "function") {
 			break // "declare" used as an element name in a path; not a prolog.
 		}
@@ -145,7 +145,7 @@ func (p *parser) enter(pos int) {
 
 func (p *parser) parseFLWOR() Expr {
 	var fl flworExpr
-	for t := p.peek(0); t.is(tokName, "for") || t.is(tokName, "let"); t = p.peek(0) {
+	for t := *p.peek(0); t.is(tokName, "for") || t.is(tokName, "let"); t = *p.peek(0) {
 		p.next()
 		isLet := t.text == "let"
 		for ok := true; ok; ok = p.accept(tokSymbol, ",") {
@@ -251,23 +251,48 @@ func intersectExcept(op token, l, r Expr) Expr {
 }
 
 // has reports whether t is one of the level's operators.
-func (b *binaryLevel) has(t token) bool {
+func (b *binaryLevel) has(t *token) bool {
 	return t.kind == tokSymbol && slices.Contains(b.symbols, t.text) ||
 		t.kind == tokName && slices.Contains(b.names, t.text)
 }
 
-// parseBinary parses an expression of binaryLevels[lvl]: a chain of
-// level lvl+1 operands joined by the level's operators. A chain is a loop,
-// so a long one costs no stack.
-func (p *parser) parseBinary(lvl int) Expr {
-	if lvl == len(binaryLevels) {
-		return p.parseInstanceOf()
+// levelOf is the row of binaryLevels t is an operator of, or -1. No
+// operator is on two rows.
+func levelOf(t *token) int {
+	if t.kind == tokSymbol || t.kind == tokName {
+		for i := range binaryLevels {
+			if binaryLevels[i].has(t) {
+				return i
+			}
+		}
 	}
+	return -1
+}
+
+// parseBinary parses an expression of binaryLevels[lvl]: operands joined
+// by the operators of row lvl and the rows below it. After an operand one
+// peek looks the operator's row up, and that row's chain is parsed from
+// the operand on; a finished chain of row r can go on only with a looser
+// row. A chain is a loop, so a long one costs no stack.
+func (p *parser) parseBinary(lvl int) Expr {
+	l := p.parseInstanceOf()
+	for top := len(binaryLevels); ; {
+		r := levelOf(p.peek(0))
+		if r < lvl || r >= top {
+			return l
+		}
+		l, top = p.parseChain(r, l), r
+	}
+}
+
+// parseChain parses the rest of a chain of binaryLevels[lvl] whose first
+// operand l has been parsed and is followed by one of the row's
+// operators.
+func (p *parser) parseChain(lvl int, l Expr) Expr {
 	b := &binaryLevels[lvl]
-	l := p.parseBinary(lvl + 1)
 	var chain []Expr // an n-ary level's operands
-	for op := p.peek(0); b.has(op); op = p.peek(0) {
-		p.next()
+	for b.has(p.peek(0)) {
+		op := p.next()
 		r := p.parseBinary(lvl + 1)
 		switch {
 		case b.nary == nil:
@@ -335,7 +360,7 @@ func (p *parser) parseSeqType() seqType {
 		}
 		end = close.end
 	}
-	if nt := p.peek(0); nt.kind == tokSymbol && nt.pos == end && (nt.text == "?" || nt.text == "*" || nt.text == "+") {
+	if nt := *p.peek(0); nt.kind == tokSymbol && nt.pos == end && (nt.text == "?" || nt.text == "*" || nt.text == "+") {
 		// Adjacent occurrence indicator (no whitespace) binds to the type.
 		p.next()
 		st.occurrence = nt.text[0]
@@ -345,7 +370,7 @@ func (p *parser) parseSeqType() seqType {
 
 func (p *parser) parseUnary() Expr {
 	neg := false
-	for t := p.peek(0); t.is(tokSymbol, "-") || t.is(tokSymbol, "+"); t = p.peek(0) {
+	for t := *p.peek(0); t.is(tokSymbol, "-") || t.is(tokSymbol, "+"); t = *p.peek(0) {
 		p.next()
 		if t.text == "-" {
 			neg = !neg
@@ -361,8 +386,8 @@ func (p *parser) parseUnary() Expr {
 // parsePath parses a path expression (possibly a single primary).
 func (p *parser) parsePath() Expr {
 	absolute, doubleSlash := false, false
-	if t := p.peek(0); isSlash(t) {
-		p.next()
+	if isSlash(p.peek(0)) {
+		t := p.next()
 		absolute, doubleSlash = true, t.text == "//"
 		// "/" alone selects the root; a following step is optional.
 		if !doubleSlash && !startsStep(p.peek(0)) {
@@ -375,8 +400,8 @@ func (p *parser) parsePath() Expr {
 		return st.primary
 	}
 	steps := []pathStep{st}
-	for t := p.peek(0); isSlash(t); t = p.peek(0) {
-		p.next()
+	for isSlash(p.peek(0)) {
+		t := p.next()
 		if t.text == "//" {
 			steps = append(steps, descOrSelfNode)
 		}
@@ -385,10 +410,10 @@ func (p *parser) parsePath() Expr {
 	return &pathExpr{absolute: absolute, doubleSlash: doubleSlash, steps: steps}
 }
 
-func isSlash(t token) bool { return t.is(tokSymbol, "/") || t.is(tokSymbol, "//") }
+func isSlash(t *token) bool { return t.is(tokSymbol, "/") || t.is(tokSymbol, "//") }
 
 // startsStep reports whether the token can begin a path step.
-func startsStep(t token) bool {
+func startsStep(t *token) bool {
 	switch t.kind {
 	case tokName, tokVar, tokString, tokInteger, tokDecimal:
 		return true
@@ -409,7 +434,7 @@ var kindTests = map[string]testKind{
 // parseStep parses one path step, including its predicates.
 func (p *parser) parseStep() pathStep {
 	var st pathStep
-	switch t := p.peek(0); {
+	switch t := *p.peek(0); {
 	case t.is(tokSymbol, "@"):
 		p.next()
 		st = pathStep{axis: axisAttribute, test: nameTest(p.expectNameOrStar())}
@@ -472,7 +497,7 @@ func (p *parser) parseStep() pathStep {
 
 // parsePrimary parses a primary expression.
 func (p *parser) parsePrimary() Expr {
-	t := p.peek(0)
+	t := *p.peek(0)
 	switch t.kind {
 	case tokString:
 		p.next()
@@ -571,8 +596,9 @@ func (p *parser) parseEnclosed() Expr {
 // --- token helpers ---
 
 // peek returns the i-th upcoming token (0 = next, at most 1) without
-// consuming it. A lexer error bails out of the parse.
-func (p *parser) peek(i int) token {
+// consuming it, in place: the token is valid until the next call of next,
+// which shifts the lookahead. A lexer error bails out of the parse.
+func (p *parser) peek(i int) *token {
 	for p.n <= i {
 		t, err := p.lx.scan()
 		if err != nil {
@@ -581,12 +607,12 @@ func (p *parser) peek(i int) token {
 		p.ahead[p.n] = t
 		p.n++
 	}
-	return p.ahead[i]
+	return &p.ahead[i]
 }
 
 // next consumes and returns the next token.
 func (p *parser) next() token {
-	t := p.peek(0)
+	t := *p.peek(0)
 	p.ahead[0] = p.ahead[1]
 	p.n--
 	return t

@@ -345,6 +345,35 @@ func BenchmarkViewQueryQ7Shift(b *testing.B) {
 	}
 }
 
+// BenchmarkViewQueryMix is one generation of bench/'s view-xquery mix over
+// 1000 tuples: Q7 seven times, two of Q6, Q8 and Q10 in rotation, and one
+// refresh. Each query of the rotation skips every third generation, and
+// the advance carries what it read through the one it skips, so a
+// generation builds only the rank map (registry's TestViewMixKeepsItsMemo).
+// cmd/benchguard holds its allocs/op.
+func BenchmarkViewQueryMix(b *testing.B) {
+	reg := benchRegistry(b, 1000)
+	gen := workload.NewGen(1)
+	q7 := xq.MustCompile(workload.CanonicalQueries[6].XQ)
+	rotation := []*xq.Query{
+		xq.MustCompile(workload.CanonicalQueries[5].XQ),
+		xq.MustCompile(workload.CanonicalQueries[7].XQ),
+		xq.MustCompile(workload.CanonicalQueries[9].XQ),
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, q := range []*xq.Query{q7, q7, q7, q7, q7, q7, q7, rotation[2*i%3], rotation[(2*i+1)%3]} {
+			if _, err := reg.QueryCompiled(q, registry.QueryOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := reg.Publish(gen.Tuple(i%50), time.Hour); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkViewQueryQ3 is canonical Q3, the headed scan a sharded registry
 // scatters to every shard, streamed through Emit over 1000 tuples. Nothing
 // is pushed down, so it is evaluated over the pinned Filter{} set and,

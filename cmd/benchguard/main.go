@@ -88,6 +88,11 @@ var guards = []guard{
 	{"view", ".", "ViewQueryQ3Churn", "allocs/op", "", 264},
 	{"view", ".", "ViewQueryQ3", "ns/op", "ViewQueryCold", 0.002},
 	{"view", ".", "ViewQueryQ3Churn", "ns/op", "ViewQueryCold", 0.02},
+	// One generation of the view-xquery mix (seven Q7, two of Q6, Q8 and
+	// Q10 in rotation, one refresh): each advance carries what the
+	// rotation reads through the generation it skips, so it builds only
+	// the rank map (5 959-6 002 measured).
+	{"view", ".", "ViewQueryMix", "allocs/op", "", 6_600},
 
 	// Delivering one item serializes straight into a reused buffer.
 	{"stream", ".", "StreamWriteItem", "allocs/op", "", 2},
@@ -121,6 +126,11 @@ var guards = []guard{
 	// (0.67-0.85 measured in five runs, where a framer returning
 	// a token per tag read 1.24-1.57). The bound sits between the two.
 	{"stream", ".", "DecodeRawStream", "ns/op", "./internal/xmldoc:ScanTokens", 1.0},
+	// The router's Framer comes from the decoders' pool and the summary's
+	// attributes are read without a tree: 768-770 B/op measured, where a
+	// Framer per stream and a parsed summary took 8 104. The row is 0.1x
+	// that.
+	{"stream", ".", "DecodeRawStream", "B/op", "", 810},
 	// One query over the HTTP binding, client and server (121 measured).
 	{"stream", ".", "WSDAHTTPRoundTrip", "allocs/op", "", 134},
 	// Disabled instrumentation is a bare nil check on every edge. Its

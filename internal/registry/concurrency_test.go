@@ -320,7 +320,7 @@ func TestMemoResultsNotShared(t *testing.T) {
 	if st.MemoHits == 0 || st.MemoBuilds == 0 || st.MemoCarries == 0 {
 		t.Errorf("memo hits %d, builds %d, carries %d: the canary never read a memo or carried one", st.MemoHits, st.MemoBuilds, st.MemoCarries)
 	}
-	if hit, build, carry := memo.With("memo", "hit").Value(), memo.With("memo", "build").Value(), memo.With("memo", "carry").Value(); hit != st.MemoHits || build != st.MemoBuilds || carry != st.MemoCarries {
-		t.Errorf("wsda_registry_memo_total hit %d, build %d, carry %d; Stats %d, %d, %d", hit, build, carry, st.MemoHits, st.MemoBuilds, st.MemoCarries)
+	if hit, build, carry, drop := memo.With("memo", "hit").Value(), memo.With("memo", "build").Value(), memo.With("memo", "carry").Value(), memo.With("memo", "drop").Value(); hit != st.MemoHits || build != st.MemoBuilds || carry != st.MemoCarries || drop != st.MemoDrops {
+		t.Errorf("wsda_registry_memo_total hit %d, build %d, carry %d, drop %d; Stats %d, %d, %d, %d", hit, build, carry, drop, st.MemoHits, st.MemoBuilds, st.MemoCarries, st.MemoDrops)
 	}
 }

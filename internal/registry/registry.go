@@ -113,7 +113,8 @@ type Stats struct {
 
 	MemoHits    int64 // node lists, indexes and rank maps read from a pinned tuple set's memo
 	MemoBuilds  int64 // node lists, indexes and rank maps installed in a pinned tuple set's memo
-	MemoCarries int64 // node lists and indexes an advance carried to the successor set's memo
+	MemoCarries int64 // node lists, indexes and key columns an advance carried to the successor set's memo
+	MemoDrops   int64 // ones an advance dropped instead: carrying them unread had cost their price
 }
 
 // Registry is a hyper registry node. It is safe for concurrent use.
@@ -138,12 +139,12 @@ type Registry struct {
 	flightMu  sync.Mutex
 	flights   map[string]*pullFlight
 
-	queries, minQueries                atomic.Int64
-	cacheHits, cacheMisses             atomic.Int64
-	pulls, pullErrors, throttledCnt    atomic.Int64
-	viewHits, viewMisses, viewRebuilds atomic.Int64
-	planHits, planFallbacks            atomic.Int64
-	memoHits, memoBuilds, memoCarries  atomic.Int64
+	queries, minQueries                          atomic.Int64
+	cacheHits, cacheMisses                       atomic.Int64
+	pulls, pullErrors, throttledCnt              atomic.Int64
+	viewHits, viewMisses, viewRebuilds           atomic.Int64
+	planHits, planFallbacks                      atomic.Int64
+	memoHits, memoBuilds, memoCarries, memoDrops atomic.Int64
 
 	// Telemetry handles; all nil when Config.Metrics/Flight are unset, in
 	// which case every observation below is a nil-check no-op.
@@ -158,6 +159,7 @@ type Registry struct {
 	memoBuild        *telemetry.Counter
 	memoOverflow     *telemetry.Counter
 	memoCarry        *telemetry.Counter
+	memoDrop         *telemetry.Counter
 	flight           *telemetry.FlightRecorder
 }
 
@@ -198,12 +200,13 @@ func New(cfg Config) *Registry {
 			"XQuery evaluations answered over the pinned snapshot: their shape has no tuple head.",
 			"registry").With(cfg.Name)
 		memo := m.CounterVec("wsda_registry_memo_total",
-			"Node lists, value indexes and rank maps read from (hit) or installed in (build) a pinned tuple set's memo, kept private because it was full (overflow), or carried to its successor's by an advance (carry).",
+			"Node lists, value indexes, key columns and rank maps read from (hit) or installed in (build) a pinned tuple set's memo, kept private because it was full (overflow), carried to its successor's by an advance (carry), or dropped by one because carrying it unread had cost its price (drop).",
 			"registry", "outcome")
 		r.memoHit = memo.With(cfg.Name, "hit")
 		r.memoBuild = memo.With(cfg.Name, "build")
 		r.memoOverflow = memo.With(cfg.Name, "overflow")
 		r.memoCarry = memo.With(cfg.Name, "carry")
+		r.memoDrop = memo.With(cfg.Name, "drop")
 	}
 	return r
 }
@@ -675,6 +678,7 @@ func (r *Registry) Stats() Stats {
 		MemoHits:    r.memoHits.Load(),
 		MemoBuilds:  r.memoBuilds.Load(),
 		MemoCarries: r.memoCarries.Load(),
+		MemoDrops:   r.memoDrops.Load(),
 	}
 }
 

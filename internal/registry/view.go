@@ -112,10 +112,10 @@ type tupleSet struct {
 	ts4Once   sync.Once // guards minTS4
 
 	// memo is what evaluations over doc learn about it: node lists, value
-	// indexes and member ranks, built by the first query that needs them
-	// and read by every later one. It dies with the set; an advance from
-	// the journal carries what was read of it to the successor's, so it
-	// needs no eviction of its own.
+	// indexes, key columns and member ranks, built by the first query that
+	// needs them and read by every later one. It dies with the set; an
+	// advance from the journal carries what is worth carrying to the
+	// successor's, so it needs no eviction of its own.
 	memo xq.Memo
 }
 
@@ -300,9 +300,11 @@ func (r *Registry) advanceTupleSet(old *tupleSet, f Filter, now time.Time) *tupl
 	}
 	s := newTupleSet(r.cfg.Name, gen, kids, expires, vals, missing)
 	if journaled {
-		n := int64(s.memo.Carry(s.doc, &old.memo, func() []int32 { return from }))
-		r.memoCarries.Add(n)
-		r.memoCarry.Add(n)
+		n, dropped := s.memo.Carry(s.doc, &old.memo, func() []int32 { return from })
+		r.memoCarries.Add(int64(n))
+		r.memoCarry.Add(int64(n))
+		r.memoDrops.Add(int64(dropped))
+		r.memoDrop.Add(int64(dropped))
 	}
 	r.viewBuildSeconds.ObserveSince(t0)
 	return s

@@ -134,3 +134,69 @@ func TestResponseCap(t *testing.T) {
 		t.Errorf("MinQuery of exactly the cap: %v, want it read whole (and refused as no <tupleset>)", err)
 	}
 }
+
+// DecodeRawStream shares DecodeStream's pooled Framers: what a caller kept
+// of a stream it left early or that failed mid-way (the bytes it copied,
+// the trees it was handed) stays as delivered while later streams, raw and
+// decoded, run on the same Framers, and those streams read their own items.
+func TestPooledFramerKeepsDeliveredItems(t *testing.T) {
+	items := func(tag string, n int) string {
+		var b strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, `<node><%s n="%d">%s</%s></node>`, tag, i, strings.Repeat(tag, 40), tag)
+		}
+		return b.String()
+	}
+	first := map[string]struct {
+		doc  string
+		stop int // items delivered before onItem says stop
+	}{
+		"early stop": {`<results>` + items("a", 30) + `<summary count="30" complete="true"/></results>`, 20},
+		"malformed":  {`<results>` + items("a", 30) + `<node><a></b></node></results>`, 40},
+	}
+	later := `<results>` + items("b", 30) + `<summary count="30" complete="true"/></results>`
+	for name, c := range first {
+		var kept []string
+		var trees []*xmldoc.Node
+		_, rawErr := DecodeRawStream(strings.NewReader(c.doc), func(raw RawItem) bool {
+			kept = append(kept, string(raw))
+			return len(kept) < c.stop
+		})
+		_, err := DecodeStream(strings.NewReader(c.doc), func(it xq.Item) bool {
+			trees = append(trees, it.(*xmldoc.Node))
+			return len(trees) < c.stop
+		})
+		want := make([]string, len(trees))
+		for i, el := range trees {
+			want[i] = el.String()
+		}
+		if n := min(c.stop, 30); len(kept) != n || len(trees) != n || (rawErr == nil) != (c.stop < 30) || (err == nil) != (c.stop < 30) {
+			t.Fatalf("%s: %d raw items (%v) and %d trees (%v) delivered, want %d", name, len(kept), rawErr, len(trees), err, n)
+		}
+		for range 3 { // the pool may hand out any of the Framers it keeps
+			n := 0
+			if _, err := DecodeRawStream(strings.NewReader(later), func(raw RawItem) bool {
+				if !strings.Contains(string(raw), fmt.Sprintf(`<b n="%d">`, n)) {
+					t.Fatalf("%s: later raw item %d is %q", name, n, raw)
+				}
+				n++
+				return true
+			}); err != nil || n != 30 {
+				t.Fatalf("%s: later raw stream: %d items, %v", name, n, err)
+			}
+			if _, err := DecodeStream(strings.NewReader(later), nil); err != nil {
+				t.Fatalf("%s: later stream: %v", name, err)
+			}
+		}
+		for i, raw := range kept {
+			if !strings.HasPrefix(raw, fmt.Sprintf(`<node><a n="%d">`, i)) || !strings.HasSuffix(raw, `</a></node>`) {
+				t.Fatalf("%s: kept raw item %d is now %q", name, i, raw)
+			}
+		}
+		for i, el := range trees {
+			if el.String() != want[i] {
+				t.Fatalf("%s: tree %d is now %s, was %s", name, i, el, want[i])
+			}
+		}
+	}
+}

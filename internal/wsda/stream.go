@@ -218,38 +218,39 @@ func (sum *StreamSummary) appendAttrs(dst []byte) []byte {
 // each is built in the pass that frames it (xmldoc.Framer.NextTree), by a
 // pooled Framer that keeps nothing of it.
 func DecodeStream(r io.Reader, onItem func(it xq.Item) bool) (*StreamSummary, error) {
+	return decode(r, true, func(_ RawItem, el *xmldoc.Node) (bool, error) {
+		it, err := itemFromElement(el)
+		return err == nil && (onItem == nil || onItem(it)), err
+	})
+}
+
+// framers pools the decoders' Framers: a point lookup's answer and a
+// shard's stream cost no buffer, scanner or builder of their own.
+var framers = sync.Pool{New: func() any { return new(xmldoc.Framer) }}
+
+// DecodeRawStream is DecodeStream without the trees: a pooled Framer finds
+// each child of <results> and onItem receives the <node> and <atomic>
+// elements as RawItems, valid until onItem returns (the buffer then holds
+// the next item or another stream); only the root's and <summary>'s
+// attributes are read. The framer checks what it passes over as Parse
+// would, so a truncated or malformed stream, or one holding any other
+// element, ends with an error — after the items before the fault were
+// delivered, and never reporting Complete.
+func DecodeRawStream(r io.Reader, onItem func(raw RawItem) bool) (*StreamSummary, error) {
+	return decode(r, false, func(raw RawItem, _ *xmldoc.Node) (bool, error) {
+		return onItem(raw), nil
+	})
+}
+
+// decode reads a <results> document from r with a pooled Framer and hands
+// each item child to item: as its tree with tree set, else as its bytes.
+func decode(r io.Reader, tree bool, item func(raw RawItem, el *xmldoc.Node) (bool, error)) (*StreamSummary, error) {
 	f := framers.Get().(*xmldoc.Framer)
 	f.Reset(r)
 	defer func() {
 		f.Reset(nil)
 		framers.Put(f)
 	}()
-	return decode(f, true, func(_ RawItem, el *xmldoc.Node) (bool, error) {
-		it, err := itemFromElement(el)
-		return err == nil && (onItem == nil || onItem(it)), err
-	})
-}
-
-// framers pools DecodeStream's Framers, so that a one-item answer (a
-// point lookup) costs no buffer, scanner or builder of its own.
-var framers = sync.Pool{New: func() any { return new(xmldoc.Framer) }}
-
-// DecodeRawStream is DecodeStream without the trees: an xmldoc.Framer
-// finds each child of <results> and onItem receives the <node> and
-// <atomic> elements as RawItems (see there for how long one stays valid);
-// only the root's attributes and <summary> are parsed. The framer checks
-// what it passes over as Parse would, so a truncated or malformed stream,
-// or one holding any other element, ends with an error — after the items
-// before the fault were delivered, and never reporting Complete.
-func DecodeRawStream(r io.Reader, onItem func(raw RawItem) bool) (*StreamSummary, error) {
-	return decode(xmldoc.NewFramer(r), false, func(raw RawItem, _ *xmldoc.Node) (bool, error) {
-		return onItem(raw), nil
-	})
-}
-
-// decode reads a <results> document with f and hands each item child to
-// item: as its tree with tree set, else as its bytes.
-func decode(f *xmldoc.Framer, tree bool, item func(raw RawItem, el *xmldoc.Node) (bool, error)) (*StreamSummary, error) {
 	sum := &StreamSummary{}
 	fail := func(err error) (*StreamSummary, error) {
 		sum.Complete = false
@@ -263,7 +264,9 @@ func decode(f *xmldoc.Framer, tree bool, item func(raw RawItem, el *xmldoc.Node)
 		return fail(fmt.Errorf("expected <results> element, got <%s>", root.LocalName()))
 	}
 	sum.Complete = true
-	summaryFromElement(sum, root)
+	for _, a := range root.Attrs {
+		summaryAttr(sum, a.Name, a.Data)
+	}
 	count := 0
 	for {
 		var name string
@@ -287,13 +290,12 @@ func decode(f *xmldoc.Framer, tree bool, item func(raw RawItem, el *xmldoc.Node)
 		switch name {
 		case "summary":
 			if el == nil {
-				doc, err := xmldoc.ParseBytes(span)
-				if err != nil {
-					return fail(err)
+				f.Attrs(span, func(name []byte, value string) { summaryAttr(sum, string(name), value) })
+			} else {
+				for _, a := range el.Attrs {
+					summaryAttr(sum, a.Name, a.Data)
 				}
-				el = doc.DocumentElement()
 			}
-			summaryFromElement(sum, el)
 			continue
 		default:
 			return fail(fmt.Errorf("unexpected result element <%s>", name))
@@ -329,32 +331,30 @@ func childName(local []byte) string {
 	return string(local)
 }
 
-// summaryFromElement folds the accounting attributes of a <summary>
-// element, or of a buffered response's <results> root, into sum.
-func summaryFromElement(sum *StreamSummary, el *xmldoc.Node) {
-	for _, a := range el.Attrs {
-		n, err := strconv.Atoi(a.Data)
-		num := err == nil
-		switch {
-		case a.Name == "tx":
-			sum.TxID = a.Data
-		case a.Name == "count" && num:
-			sum.Count = n
-		case a.Name == "complete":
-			sum.Complete = a.Data == "true"
-		case a.Name == "elapsed-ms" && num:
-			sum.Elapsed = time.Duration(n) * time.Millisecond
-		case a.Name == "aborted":
-			sum.Aborted, sum.Network = a.Data == "true", true
-		case a.Name == "nodes-contacted" && num:
-			sum.NodesContacted, sum.Network = n, true
-		case a.Name == "nodes-responded" && num:
-			sum.NodesResponded = n
-		case a.Name == "shortfall":
-			sum.Shortfall = a.Data
-		case a.Name == "next-cursor":
-			sum.NextCursor = a.Data
-		}
+// summaryAttr folds one accounting attribute of a <summary> element, or
+// of a buffered response's <results> root, into sum.
+func summaryAttr(sum *StreamSummary, name, value string) {
+	n, err := strconv.Atoi(value)
+	num := err == nil
+	switch {
+	case name == "tx":
+		sum.TxID = value
+	case name == "count" && num:
+		sum.Count = n
+	case name == "complete":
+		sum.Complete = value == "true"
+	case name == "elapsed-ms" && num:
+		sum.Elapsed = time.Duration(n) * time.Millisecond
+	case name == "aborted":
+		sum.Aborted, sum.Network = value == "true", true
+	case name == "nodes-contacted" && num:
+		sum.NodesContacted, sum.Network = n, true
+	case name == "nodes-responded" && num:
+		sum.NodesResponded = n
+	case name == "shortfall":
+		sum.Shortfall = value
+	case name == "next-cursor":
+		sum.NextCursor = value
 	}
 }
 

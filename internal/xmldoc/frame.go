@@ -42,6 +42,8 @@ type Framer struct {
 	toks []itemTok
 	b    builder
 	doc  Node
+
+	attrs scanner // Attrs' own, beside the one reading the document
 }
 
 // itemTok is a token of the child NextTree is reading, with its offsets
@@ -215,6 +217,26 @@ func (f *Framer) NextTree() (*Node, error) {
 		return nil, err
 	}
 	return f.b.item(&f.doc, span, f.toks, len(span)+len(f.buf)-f.s.pos), nil
+}
+
+// Attrs calls visit with the local name and the value of each attribute
+// of span's start tag, span a child Next returned, as NextTree's tree of it
+// would hold them (namespace declarations dropped; a repeated attribute is
+// visited again): for the odd child a skimming reader reads without a
+// tree. The span was checked when it was framed; its start tag is scanned
+// again. name is valid until visit returns.
+func (f *Framer) Attrs(span []byte, visit func(name []byte, value string)) {
+	s := &f.attrs
+	*s = scanner{}
+	s.init()
+	f.b.text = "" // value copies what it returns
+	for tok := s.next(span, true); tok.kind == tokStart || tok.kind == tokAttr; tok = s.next(span, true) {
+		name := span[tok.a:tok.b]
+		i := localName(name)
+		if tok.kind == tokAttr && string(name[i:]) != "xmlns" && (i != 6 || string(name[:5]) != "xmlns") {
+			visit(name[i:], f.b.value(span, tok.c, tok.d, tok.esc, true))
+		}
+	}
 }
 
 // child reads up to the end tag of the root's next child and returns its

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -456,6 +457,34 @@ func TestFramerResetStartsClean(t *testing.T) {
 				t.Fatalf("after %s: tree %d is %s, want %s", spoil.name, i, el, wantEls[i])
 			}
 			sameTree(t, wantEls[i].String(), el)
+		}
+	}
+}
+
+// Attrs reads a framed child's attributes as NextTree's tree of the same
+// child holds them: references resolved, prefixes stripped, namespace
+// declarations dropped, a repeat visited last.
+func TestFramerAttrsMatchTrees(t *testing.T) {
+	doc := `<r><summary count="3" tx="a&amp;b&#x41;" p:x="1" xmlns:p="u" xmlns="v"/>` +
+		`<s a='q&quot;' a="2"><c d="e"/></s><n/></r>`
+	trees, raw := NewFramer(strings.NewReader(doc)), NewFramer(strings.NewReader(doc))
+	for {
+		el, err := trees.NextTree()
+		_, span, rerr := raw.Next()
+		if err == io.EOF && rerr == io.EOF {
+			return
+		}
+		if err != nil || rerr != nil {
+			t.Fatalf("%v, %v", err, rerr)
+		}
+		want := map[string]string{}
+		for _, a := range el.Attrs {
+			want[a.Name] = a.Data
+		}
+		got := map[string]string{}
+		raw.Attrs(span, func(name []byte, value string) { got[string(name)] = value })
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Attrs read %v, the tree holds %v", span, got, want)
 		}
 	}
 }

@@ -187,7 +187,7 @@ func (e *flworExpr) whereHolds(ci *evalCtx) (bool, error) {
 func (e *flworExpr) tuples(c *evalCtx, keep func(*evalCtx, *binding) error) error {
 	var b *binding
 	if p := e.analyzed().plan; p != nil && !c.general {
-		b = &binding{plan: p, vals: make([]float64, len(p.where))}
+		b = &binding{plan: p, vals: make([]float64, len(p.where)), cols: make([]keyCol, len(p.cols))}
 	}
 	var run func(ci *evalCtx, i int, bound *binding) error
 	run = func(ci *evalCtx, i int, bound *binding) error {
@@ -200,9 +200,13 @@ func (e *flworExpr) tuples(c *evalCtx, keep func(*evalCtx, *binding) error) erro
 			return keep(ci, bound)
 		}
 		cl := &e.clauses[i]
-		seq, err := e.forSource(ci, i)
+		seq, list, err := e.forSource(ci, i)
 		if err != nil {
 			return err
+		}
+		last := b != nil && i == len(e.clauses)-1
+		if last {
+			b.columns(c.run, list)
 		}
 		if cl.isLet {
 			if err := ci.tick(); err != nil {
@@ -216,8 +220,8 @@ func (e *flworExpr) tuples(c *evalCtx, keep func(*evalCtx, *binding) error) erro
 				return err
 			}
 			var bound *binding
-			if n, ok := it.(*xmldoc.Node); ok && b != nil && i == len(e.clauses)-1 {
-				if b.n, bound = n, b; b.plan.where != nil && !b.holds(&c.run.meter) {
+			if n, ok := it.(*xmldoc.Node); ok && last {
+				if b.n, b.at, bound = n, idx, b; b.plan.where != nil && !b.holds(&c.run.meter) {
 					if err := c.run.err(); err != nil {
 						return err
 					}
@@ -231,6 +235,9 @@ func (e *flworExpr) tuples(c *evalCtx, keep func(*evalCtx, *binding) error) erro
 			if err := run(next, i+1, bound); err != nil {
 				return err
 			}
+		}
+		if last && list.set != nil {
+			b.install(c.run, list)
 		}
 		return nil
 	}

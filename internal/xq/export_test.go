@@ -18,8 +18,9 @@ var ShareTopLevel = shareTopLevel
 const MemoCap = memoCap
 
 // MemoFootprint reports what m holds: its keys, and an estimate of their
-// bytes — each node list once (an index shares its list's), each index's
-// values and positions, each key, and the rank map, with Go's map slots.
+// bytes — each node list once (an index or a key column shares its
+// list's), each index's values and positions, each key column's cells,
+// each key, and the rank map, with Go's map slots.
 func MemoFootprint(m *Memo) (keys, bytes int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -33,7 +34,7 @@ func MemoFootprint(m *Memo) (keys, bytes int) {
 		for v, at := range s.index {
 			bytes += len(v) + 48 + 4*cap(at)
 		}
-		bytes += 24 * len(s.ranks)
+		bytes += 16*cap(s.cells) + 24*len(s.ranks)
 	}
 	return len(m.sets), bytes
 }

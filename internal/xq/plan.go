@@ -241,13 +241,16 @@ func compilePreds(args []Expr, v string) []nodePred {
 // cmpTest is a compiled comparison: pred, or for number(rel) the closure
 // num reading the number and holds deciding the comparison on it. As an
 // order-by key (bindPlan) it is number(rel) or rel's first leaf, and from
-// names the where conjunct that reads the same number, or is -1.
+// names the where conjunct that reads the same number, or is -1. In a
+// bindPlan a number(rel) reads key column col, whose memo key ends in key.
 type cmpTest struct {
 	pred  nodePred
 	num   func(*xmldoc.Node, *meter) float64
 	holds func(float64) bool
 	rel   []pathStep
 	from  int
+	col   int
+	key   string
 }
 
 // compileCmp compiles a general comparison, any of the six operators,
@@ -293,21 +296,25 @@ func compileNum(e Expr, v string) ([]pathStep, func(*xmldoc.Node, *meter) float6
 	if !ok {
 		return nil, nil
 	}
-	return steps, func(n *xmldoc.Node, m *meter) float64 {
-		var leaf *xmldoc.Node
-		count := 0
-		walkPlan(n, steps, m, func(l *xmldoc.Node) bool {
-			leaf, count = l, count+1
-			return true
-		})
-		if count == 1 {
-			return numberOf(leaf.StringValue())
-		}
-		if count > 1 && m.err() == nil {
-			m.fault = errSingleton(count)
-		}
-		return math.NaN()
+	return steps, func(n *xmldoc.Node, m *meter) float64 { return numOf(n, steps, m) }
+}
+
+// numOf is number() of the leaves steps reach from n: NaN over none, the
+// leaf's value over one, and over more number()'s own error, set on m.
+func numOf(n *xmldoc.Node, steps []pathStep, m *meter) float64 {
+	var leaf *xmldoc.Node
+	count := 0
+	walkPlan(n, steps, m, func(l *xmldoc.Node) bool {
+		leaf, count = l, count+1
+		return true
+	})
+	if count == 1 {
+		return numberOf(leaf.StringValue())
 	}
+	if count > 1 && m.err() == nil {
+		m.fault = errSingleton(count)
+	}
+	return math.NaN()
 }
 
 // cmpOperands splits a general comparison with an atomic literal on
@@ -469,16 +476,21 @@ func holdAll(preds []nodePred, n *xmldoc.Node, m *meter) bool {
 // keys when each is such an operand. A part that does not compile is
 // interpreted.
 type bindPlan struct {
-	where []cmpTest // the where's conjuncts, in order
-	keys  []cmpTest // one per order spec
+	where []cmpTest  // the where's conjuncts, in order
+	keys  []cmpTest  // one per order spec
+	cols  []*cmpTest // the first of both to read each distinct number() operand (setwise.go)
 }
 
-// binding is what a plan reads of one binding: the node, and the number
-// each of the where's number() conjuncts read from it.
+// binding is what a plan reads of one binding: the node, the number each
+// of the where's number() conjuncts read from it, and, over a memoised
+// list, the node's position in it and the plan's key columns.
 type binding struct {
 	plan *bindPlan
 	n    *xmldoc.Node
 	vals []float64
+	list *nodeSet // the list of this pass over the last for clause, or nil
+	at   int
+	cols []keyCol // one per plan.cols
 }
 
 // compilePlan returns the FLWOR's plan, or nil when nothing compiled.
@@ -513,6 +525,16 @@ func (e *flworExpr) compilePlan() *bindPlan {
 	if p.where == nil && p.keys == nil {
 		return nil
 	}
+	for _, ts := range [][]cmpTest{p.where, p.keys} {
+		for i := range ts {
+			if t := &ts[i]; t.num != nil {
+				t.key = "\x00number(" + string(memoText(nil, t.rel)) + ")"
+				if t.col = slices.IndexFunc(p.cols, func(c *cmpTest) bool { return c.key == t.key }); t.col < 0 {
+					t.col, p.cols = len(p.cols), append(p.cols, t)
+				}
+			}
+		}
+	}
 	return p
 }
 
@@ -520,10 +542,10 @@ func (e *flworExpr) compilePlan() *bindPlan {
 // reads. false with the meter's error set: a closure raised or the budget
 // ran out.
 func (b *binding) holds(m *meter) bool {
-	for i, t := range b.plan.where {
-		ok := false
+	for i := range b.plan.where {
+		t, ok := &b.plan.where[i], false
 		if t.num != nil {
-			b.vals[i] = t.num(b.n, m)
+			b.vals[i] = b.num(t, m)
 			ok = t.holds(b.vals[i])
 		} else {
 			ok = t.pred(b.n, m)
@@ -542,7 +564,7 @@ func (b *binding) key(k int, m *meter) sortKey {
 	case t.from >= 0:
 		return sortKey{num: b.vals[t.from], isNum: true}
 	case t.num != nil:
-		return sortKey{num: t.num(b.n, m), isNum: true}
+		return sortKey{num: b.num(t, m), isNum: true}
 	}
 	var s sortKey
 	walkPlan(b.n, t.rel, m, func(leaf *xmldoc.Node) bool {

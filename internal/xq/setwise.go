@@ -23,26 +23,30 @@
 // evaluation over it, the top level included. Nothing an evaluation learns
 // sits on the Query or the AST, which serve many snapshots at once.
 //
-// Carry derives a successor document's lists and indexes from a shared
-// memo's, walking only the members it does not share (segments).
+// A FLWOR over a memoised list keeps beside it a key column per number()
+// its where or order by reads: a value and the steps charged per node.
+//
+// Carry derives a successor document's sets from a shared memo's, walking
+// only the members it does not share (segments), for as long as carrying
+// a set costs less than building it again would (price).
 package xq
 
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
+	"strings"
 	"sync"
 
 	"wsda/internal/xmldoc"
 )
 
 // memoCap bounds a shared Memo's keys; past it an evaluation keeps its
-// builds in its own memo. Canonical Q6–Q10 install 9 keys, about 73 KB
-// over 1 000 tuples (TestMemoFootprint); on view-xquery they raised
-// registryd's peak RSS from about 44.5 to 45.7 MB. 36 keys are four such
+// builds in its own memo. Canonical Q6–Q10 install 10 keys, about 76 KB
+// over 1 000 tuples (TestMemoFootprint); on view-xquery nine raised
+// registryd's peak RSS from about 44.5 to 45.7 MB. 40 keys are four such
 // mixes per tuple set, about 6 MB per 1 000 tuples over 16 filter slots.
-const memoCap = 36
+const memoCap = 40
 
 // Memo holds what evaluations learn about one document: the node lists of
 // invariant absolute paths, the equality indexes built over them, and the
@@ -76,13 +80,17 @@ func (m *Memo) bind(root *xmldoc.Node) bool {
 	return m.root == root
 }
 
-// get returns the set held under key, or nil.
+// get returns the set held under key, or nil. Reading an index or a key
+// column reads its list too.
 func (m *Memo) get(key setKey) *nodeSet {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	set := m.sets[key]
 	if set != nil {
 		set.read = true
+		if list, _, over := strings.Cut(key.path, "\x00"); over && m.sets[setKey{list, key.root}] != nil {
+			m.sets[setKey{list, key.root}].read = true
+		}
 	}
 	return set
 }
@@ -107,21 +115,36 @@ func (m *Memo) put(key setKey, set *nodeSet) *nodeSet {
 }
 
 // Carry fills m, the unused memo of doc, with what prev learned about the
-// document doc succeeds: each node list and index of prev that splits by
-// member and was read or built since prev was made or carried, as a build
-// over doc would make it. from, called only if there is one, returns for
-// each member i of doc the position among prev's members of the very same
-// node, or -1 for one to walk; carried members must keep their order. A
-// carried member's nodes are copied, a new one is walked, index positions
-// move with their members, and each set costs what a build over doc is
-// charged. m keeps nothing of prev. Carry returns how many sets it carried.
-func (m *Memo) Carry(doc *xmldoc.Node, prev *Memo, from func() []int32) int {
+// document doc succeeds: each node list, index and key column of prev that
+// splits by member, as a build over doc would make it, unless carrying it
+// since it was last read would cost more than its price. from, called only
+// if there is one, returns for each member i of doc the position among
+// prev's members of the very same node, or -1 for one to walk; carried
+// members must keep their order. A carried member's nodes and cells are
+// copied, a new one is walked, index positions move with their members,
+// and each set costs what a build over doc is charged. m keeps nothing of
+// prev. Carry returns how many sets it carried, and how many it dropped
+// for their cost.
+func (m *Memo) Carry(doc *xmldoc.Node, prev *Memo, from func() []int32) (carried, dropped int) {
+	sets, spent := map[setKey]*nodeSet{}, map[setKey]int{} // spent: what carrying it will have cost since it was last read
 	prev.mu.Lock()
-	sets := maps.Clone(prev.sets)
-	maps.DeleteFunc(sets, func(_ setKey, set *nodeSet) bool { return !set.read || set.segs == nil })
+	for k, set := range prev.sets {
+		if set.segs == nil {
+			continue
+		}
+		n := len(set.nodes)
+		if !set.read {
+			n += set.spent
+		}
+		if n > set.price() {
+			dropped++
+			continue
+		}
+		sets[k], spent[k] = set, n
+	}
 	prev.mu.Unlock()
 	if len(sets) == 0 || !m.bind(doc) {
-		return 0
+		return 0, dropped
 	}
 	at := from()
 	lists := map[*segments]*nodeSet{} // carried lists by the segments they were carried from
@@ -135,25 +158,44 @@ func (m *Memo) Carry(doc *xmldoc.Node, prev *Memo, from func() []int32) int {
 		}
 		list, done := lists[old.segs]
 		if !done {
-			list = carried(old, kids, at)
+			list = carriedList(old, kids, at)
 			lists[old.segs] = list
 		}
-		if list == nil {
-			continue
-		}
 		set := list
-		if old.index != nil {
+		switch {
+		case list == nil:
+			continue
+		case old.index != nil:
 			set = carriedIndex(old, list, at)
+		case old.cells != nil:
+			if set = carriedColumn(old, list, at); set == nil {
+				continue
+			}
 		}
+		set.spent = spent[k]
 		m.sets[setKey{k.path, doc}] = set
 	}
-	return len(m.sets)
+	return len(m.sets), dropped
 }
 
-// carried returns old's node list over the members kids, from as Carry's:
+// price is what building s again takes at least, counted as a carry's
+// copy is, one per node of its list (a node, its index positions, its
+// cell): a walk of every member to every node, charged cost steps, and an
+// index's or a key column's entries again. Carry stops paying to keep a
+// set once it has paid that much since the set was last read, so what it
+// spends on a set nobody reads again is at most the set's price.
+func (s *nodeSet) price() int {
+	p := len(s.segs.of) - 1 + len(s.nodes) + s.cost
+	if s.index != nil || s.cells != nil {
+		p += len(s.nodes)
+	}
+	return p
+}
+
+// carriedList returns old's node list over the members kids, from as Carry's:
 // new members walked first, then runs of carried ones copied at a time; nil
 // when a new member's walk raised.
-func carried(old *nodeSet, kids []*xmldoc.Node, from []int32) *nodeSet {
+func carriedList(old *nodeSet, kids []*xmldoc.Node, from []int32) *nodeSet {
 	segs := &segments{steps: old.segs.steps, of: make([]segment, len(kids)+1)}
 	var walked Sequence
 	var m meter
@@ -225,7 +267,42 @@ func carriedIndex(old, list *nodeSet, from []int32) *nodeSet {
 			index[v] = to
 		}
 	}
-	return &nodeSet{nodes: list.nodes, index: index, rel: old.rel, segs: list.segs}
+	return &nodeSet{nodes: list.nodes, cost: list.cost, index: index, rel: old.rel, segs: list.segs}
+}
+
+// carriedColumn returns old, a key column, over list, its list carried
+// with from as Carry's: the cells of carried members copied, those of the
+// new members read; nil when one raised, as a FLWOR filling it would.
+func carriedColumn(old, list *nodeSet, from []int32) *nodeSet {
+	cells := make([]keyCell, 0, len(list.nodes))
+	lo, hi := 0, 0 // old.cells[lo:hi]: carried cells not yet copied
+	for i, j := range from {
+		if j >= 0 {
+			if start := int(old.segs.of[j].start); start != hi {
+				cells, lo = append(cells, old.cells[lo:hi]...), start
+			}
+			hi = int(old.segs.of[j+1].start)
+			continue
+		}
+		cells, lo, hi = append(cells, old.cells[lo:hi]...), 0, 0
+		for _, n := range list.nodes[list.segs.of[i].start:list.segs.of[i+1].start] {
+			var m meter
+			v := numOf(n.(*xmldoc.Node), old.rel, &m)
+			if cells = append(cells, keyCell{v, int32(m.steps)}); m.fault != nil {
+				return nil
+			}
+		}
+	}
+	return column(list, old.rel, append(cells, old.cells[lo:hi]...))
+}
+
+// column is the key column of rel's number() over list, cells its values.
+func column(list *nodeSet, rel []pathStep, cells []keyCell) *nodeSet {
+	set := &nodeSet{nodes: list.nodes, rel: rel, cells: cells, segs: list.segs}
+	for _, c := range cells {
+		set.cost += int(c.steps)
+	}
+	return set
 }
 
 // setKey names a memoised set: the canonical text of its walk (memoText),
@@ -237,16 +314,25 @@ type setKey struct {
 	root *xmldoc.Node
 }
 
-// nodeSet is one memoised path result in document order, or an index over
-// one. It is immutable once installed, but for its read mark.
+// nodeSet is one memoised path result in document order, or an index or
+// key column over one. Once installed only its read mark changes.
 type nodeSet struct {
 	nodes Sequence
-	cost  int                  // steps the walk was charged: the most a hit is charged
+	cost  int                  // steps the walk was charged: the most a hit is charged; an index's is its list's
 	index valueIndex           // nil for a plain list
-	rel   []pathStep           // what index is keyed by
+	rel   []pathStep           // what index is keyed by, or what a key column's number() reads
+	cells []keyCell            // instead, a key column: one per node
 	ranks map[*xmldoc.Node]int // instead, a document's shared members' positions (shared.go)
 	segs  *segments            // nodes by member, for Carry; nil when they do not split so
-	read  bool                 // read or built since installed, under the memo's lock: Carry takes only these
+	read  bool                 // read or built since installed or carried, under the memo's lock
+	spent int                  // what carrying it has cost since it was last read (Carry)
+}
+
+// keyCell is one position of a key column: the number a FLWOR's number()
+// closure read from the list's node there, and the steps it was charged.
+type keyCell struct {
+	val   float64
+	steps int32
 }
 
 // segments splits the node list of a walk /A/B/... from a document, A
@@ -483,35 +569,114 @@ func varPath(e Expr) (name string, rel []pathStep, ok bool) {
 }
 
 // forSource evaluates clause i's sequence, the last clause's through its
-// where-join when it has one.
-func (e *flworExpr) forSource(c *evalCtx, i int) (Sequence, error) {
-	if i == len(e.clauses)-1 && c.setwise() {
-		if j := e.analyzed().join; j != nil {
-			root, err := c.docRoot()
-			if err != nil {
-				return nil, err
-			}
-			return c.evalSet(j, root)
-		}
+// where-join when it has one. list is the memoised list the last clause's
+// sequence is, when it is one.
+func (e *flworExpr) forSource(c *evalCtx, i int) (seq Sequence, list sourceList, err error) {
+	src, isPath := e.clauses[i].expr.(*pathExpr)
+	if i < len(e.clauses)-1 || !c.setwise() || e.analyzed().join == nil && !(isPath && src.listed()) {
+		seq, err = e.clauses[i].expr.eval(c)
+		return seq, list, err
 	}
-	return e.clauses[i].expr.eval(c)
+	root, err := c.docRoot()
+	if err != nil || e.join != nil {
+		if err == nil {
+			seq, err = c.evalSet(e.join, root)
+		}
+		return seq, list, err
+	}
+	list.key = setKey{src.key, root}
+	if list.set, err = c.invariantSet(src, root); err != nil {
+		return nil, sourceList{}, err
+	}
+	return list.set.capped(), list, nil
 }
 
-// evalPathSet evaluates an invariant or probed absolute path from root. A
-// memoised list is charged one step per node it returns, never more than
-// its walk was.
+// listed reports whether the path's value is one memoised list.
+func (e *pathExpr) listed() bool {
+	e.compiled()
+	return e.invariant && e.probe == nil
+}
+
+// sourceList is a memoised list a FLWOR's last for clause binds from, and
+// its key: its key columns are keyed by it.
+type sourceList struct {
+	key setKey
+	set *nodeSet
+}
+
+// keyCol is one key column as a pass of a FLWOR over a memoised list reads
+// it (set, from the memo) or fills it (cells, in list order).
+type keyCol struct {
+	set   *nodeSet
+	cells []keyCell
+}
+
+// columns readies b for a pass over list: each key column read from the
+// memo when it holds one, else filled as the bindings are evaluated.
+func (b *binding) columns(r *evalRun, list sourceList) {
+	if b.list = list.set; b.list == nil {
+		return
+	}
+	for i := range b.plan.cols {
+		col := &b.cols[i]
+		if col.set = r.lookup(setKey{list.key.path + b.plan.cols[i].key, list.key.root}); col.set == nil {
+			col.cells = make([]keyCell, 0, len(list.set.nodes))
+		}
+	}
+}
+
+// install publishes the key columns the pass over list filled whole: one
+// cut short (an unordered stream stopped by its consumer), or whose
+// evaluation raised or ran out of steps, is never installed.
+func (b *binding) install(r *evalRun, list sourceList) {
+	for i, t := range b.plan.cols {
+		if col := &b.cols[i]; col.set == nil && len(col.cells) == len(list.set.nodes) {
+			col.set = r.install(setKey{list.key.path + t.key, list.key.root}, column(list.set, t.rel, col.cells))
+		}
+	}
+}
+
+// num is number() test t of the bound node: read from its key column when
+// the memo holds one, charged the steps the column's walk was, else run,
+// and the column filled in list order.
+func (b *binding) num(t *cmpTest, m *meter) float64 {
+	if b.list == nil {
+		return t.num(b.n, m)
+	}
+	col := &b.cols[t.col]
+	if set := col.set; set != nil {
+		m.charge(int(set.cells[b.at].steps))
+		return set.cells[b.at].val
+	}
+	before := m.steps
+	v := t.num(b.n, m)
+	if len(col.cells) == b.at {
+		col.cells = append(col.cells, keyCell{v, int32(m.steps - before)})
+	}
+	return v
+}
+
+// evalPathSet evaluates an invariant or probed absolute path from root.
 func (c *evalCtx) evalPathSet(e *pathExpr, root *xmldoc.Node) (Sequence, error) {
 	if e.probe != nil {
 		return c.evalSet(e.probe, root)
 	}
-	set, hit, err := c.nodeSet(e.key, e.steps, root)
-	if err == nil && hit && !c.run.charge(min(len(set.nodes), set.cost)) {
-		err = c.run.err()
-	}
+	set, err := c.invariantSet(e, root)
 	if err != nil {
 		return nil, err
 	}
 	return set.capped(), nil
+}
+
+// invariantSet returns an invariant path's memoised list from root. A
+// memoised list is charged one step per node it returns, never more than
+// its walk was.
+func (c *evalCtx) invariantSet(e *pathExpr, root *xmldoc.Node) (*nodeSet, error) {
+	set, hit, err := c.nodeSet(e.key, e.steps, root)
+	if err == nil && hit && !c.run.charge(min(len(set.nodes), set.cost)) {
+		err = c.run.err()
+	}
+	return set, err
 }
 
 // evalSet answers probe p from its path's memoised node set: the hits of its
@@ -625,7 +790,7 @@ func (c *evalCtx) probe(set *nodeSet, p *eqProbe, ikey setKey) (hits Sequence, o
 				return nil, false, c.run.err()
 			}
 		}
-		set = &nodeSet{nodes: set.nodes, index: index, rel: p.rel, segs: set.segs}
+		set = &nodeSet{nodes: set.nodes, cost: set.cost, index: index, rel: p.rel, segs: set.segs}
 	}
 	var at []int32
 	if len(keys) == 1 {

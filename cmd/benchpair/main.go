@@ -1,28 +1,30 @@
 // Command benchpair compares a change with its parent on the process-level
-// benchmark the way a claim is judged: it exports the parent revision
-// beside the checkout (git archive, so nothing is fetched and .git gains no
-// worktree), then runs `bash bench/run.sh` in both trees, alternately, for
-// a number of pairs per workload, swapping which tree goes first each pair,
-// on consecutive seeds it prints. For every end-to-end metric BENCHMARK.json
-// lists and every proc.*_cpu_ms_per_op column of the run's report it gives
-// each side's median and quartiles, the change/parent ratio of the medians,
-// how many pairs the change won, and the verdict a claim on it would get:
-// won at least nine pairs in ten, by a gap between the medians wider than
-// the parent's interquartile range. It writes the comparison as JSON and
-// one line per workload for CHANGES.md.
+// benchmark the way a claim is judged: it exports both revisions side by
+// side (git archive, so nothing is fetched and .git gains no worktree),
+// then runs `bash bench/run.sh` in both trees, alternately, for a number of
+// pairs per workload, swapping which tree goes first each pair, on
+// consecutive seeds it prints, for the run length BENCHMARK.json sets. For
+// every end-to-end metric BENCHMARK.json lists and every
+// proc.*_cpu_ms_per_op column of the run's report it gives each side's
+// median and quartiles, the change/parent ratio of the medians, how many
+// pairs the change won, and the verdict a claim on it would get: won at
+// least nine pairs in ten, by a gap between the medians wider than the
+// parent's interquartile range. It writes the comparison as JSON and one
+// line per workload for CHANGES.md.
 //
 // Usage, from the root of the checkout that holds the change:
 //
 //	go run ./cmd/benchpair -parent HEAD~1 -workloads view-xquery -pairs 10 -seed 4000
 //	go run ./cmd/benchpair -parent HEAD~1 -workloads point-lookup,routed-scatter -pairs 5 -seed 4100 -json pairs.json
 //
-// Each run takes -seconds plus its set-up (about half a minute at the
-// default 20 s); the runs' own reports go to the log under the export
-// directory, which -keep leaves in place.
+// The change is the checkout's tracked files as they are (git stash
+// create), or HEAD when none is modified; untracked files are left out.
+// Each run takes the run length plus its set-up (about half a minute at
+// 20 s). The exported trees are removed at the end; the runs' own reports
+// stay in a log under the temporary directory, named when it starts.
 package main
 
 import (
-	"archive/tar"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -44,46 +46,51 @@ func main() {
 		workloads = flag.String("workloads", "view-xquery", "comma-separated workloads")
 		pairs     = flag.Int("pairs", 10, "parent/change pairs per workload")
 		seed      = flag.Int64("seed", 4000, "the first workload's first seed; each pair takes the next, each workload starts 100 on")
-		seconds   = flag.Int("seconds", 20, "bench/run.sh --seconds")
 		out       = flag.String("json", "", "also write the comparison as JSON to this file")
-		keep      = flag.Bool("keep", false, "keep the exported parent tree and the run log")
 	)
 	flag.Parse()
-	if err := run(*parent, strings.Split(*workloads, ","), *pairs, *seed, *seconds, *out, *keep); err != nil {
+	if err := run(*parent, strings.Split(*workloads, ","), *pairs, *seed, *out); err != nil {
 		fmt.Fprintln(os.Stderr, "benchpair:", err)
 		os.Exit(1)
 	}
 }
 
-func run(rev string, workloads []string, pairs int, seed int64, seconds int, out string, keep bool) error {
+func run(rev string, workloads []string, pairs int, seed int64, out string) error {
 	if pairs < 1 {
 		return errors.New("-pairs must be at least 1")
 	}
-	change, err := os.Getwd()
+	repo, err := os.Getwd()
 	if err != nil {
 		return err
 	}
-	metrics, err := readMetrics(filepath.Join(change, "BENCHMARK.json"))
+	decl, err := readBenchmark(filepath.Join(repo, "BENCHMARK.json"))
 	if err != nil {
 		return err
+	}
+	changeRev, err := git(repo, "stash", "create")
+	if err != nil {
+		return err
+	}
+	if changeRev = strings.TrimSpace(changeRev); changeRev == "" {
+		changeRev = "HEAD"
 	}
 	dir, err := os.MkdirTemp("", "benchpair-")
 	if err != nil {
 		return err
 	}
-	if !keep {
-		defer os.RemoveAll(dir)
+	defer os.RemoveAll(dir)
+	parentTree, change := filepath.Join(dir, "parent"), filepath.Join(dir, "change")
+	for _, t := range [2][2]string{{rev, parentTree}, {changeRev, change}} {
+		if err := export(repo, t[0], t[1]); err != nil {
+			return err
+		}
 	}
-	parentTree := filepath.Join(dir, "parent")
-	if err := export(change, rev, parentTree); err != nil {
-		return err
-	}
-	logf, err := os.Create(filepath.Join(dir, "runs.log"))
+	logf, err := os.CreateTemp("", "benchpair-*.log")
 	if err != nil {
 		return err
 	}
 	defer logf.Close()
-	fmt.Fprintf(os.Stderr, "benchpair: parent %s exported to %s; run reports in %s\n", rev, parentTree, logf.Name())
+	fmt.Fprintf(os.Stderr, "benchpair: parent %s and change %s exported under %s; run reports in %s\n", rev, changeRev, dir, logf.Name())
 	var cmps []comparison
 	for w, name := range workloads {
 		first := seed + int64(100*w)
@@ -97,7 +104,7 @@ func run(rev string, workloads []string, pairs int, seed int64, seconds int, out
 			}
 			var got [2]runResult
 			for j, tree := range trees {
-				r, err := benchRun(tree, name, s, seconds, logf)
+				r, err := benchRun(tree, name, s, decl.RunSeconds, logf)
 				if err != nil {
 					return fmt.Errorf("%s seed %d in %s: %w", name, s, tree, err)
 				}
@@ -110,7 +117,7 @@ func run(rev string, workloads []string, pairs int, seed int64, seconds int, out
 			c.ParentRuns, c.ChangeRuns = append(c.ParentRuns, p), append(c.ChangeRuns, ch)
 			fmt.Fprintf(os.Stderr, "benchpair: %s seed %d done (%s first)\n", name, s, map[bool]string{true: "parent", false: "change"}[i%2 == 0])
 		}
-		c.compare(metrics)
+		c.compare(decl.metrics())
 		cmps = append(cmps, c)
 		fmt.Println(c.line())
 	}
@@ -130,79 +137,68 @@ type metricSpec struct {
 	Better string `json:"better"` // "lower" or "higher"
 }
 
-// readMetrics returns BENCHMARK.json's end-to-end metrics and its
-// proc.*_cpu_ms_per_op columns, in that order.
-func readMetrics(path string) ([]metricSpec, error) {
+// benchmark is what BENCHMARK.json declares that benchpair reads.
+type benchmark struct {
+	RunSeconds int          `json:"run_seconds"`
+	EndToEnd   []metricSpec `json:"end_to_end"`
+	PerLayer   []metricSpec `json:"per_layer"`
+}
+
+func readBenchmark(path string) (benchmark, error) {
+	var decl benchmark
 	b, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(b, &decl)
+	}
+	if err == nil && decl.RunSeconds < 1 {
+		err = errors.New("no run_seconds")
+	}
 	if err != nil {
-		return nil, err
+		return decl, fmt.Errorf("%s: %w", path, err)
 	}
-	var decl struct {
-		EndToEnd []metricSpec `json:"end_to_end"`
-		PerLayer []metricSpec `json:"per_layer"`
-	}
-	if err := json.Unmarshal(b, &decl); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	specs := decl.EndToEnd
-	for _, m := range decl.PerLayer {
+	return decl, nil
+}
+
+// metrics returns the end-to-end metrics and the proc.*_cpu_ms_per_op
+// columns, in that order.
+func (d benchmark) metrics() []metricSpec {
+	specs := slices.Clone(d.EndToEnd)
+	for _, m := range d.PerLayer {
 		if strings.HasPrefix(m.Name, "proc.") && strings.HasSuffix(m.Name, "_cpu_ms_per_op") {
 			specs = append(specs, m)
 		}
 	}
-	return specs, nil
+	return specs
 }
 
-// export writes the tree of rev, as git archive gives it, under dst.
-func export(repo, rev, dst string) error {
-	cmd := exec.Command("git", "archive", "--format=tar", rev)
+// git runs git in repo and returns its output.
+func git(repo string, args ...string) (string, error) {
+	cmd := exec.Command("git", args...)
 	cmd.Dir = repo
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
-	archive, err := cmd.Output()
+	out, err := cmd.Output()
 	if err != nil {
-		return fmt.Errorf("git archive %s: %v: %s", rev, err, stderr.String())
+		return "", fmt.Errorf("git %s: %v: %s", strings.Join(args, " "), err, stderr.String())
 	}
-	return untar(bytes.NewReader(archive), dst)
+	return string(out), nil
 }
 
-// untar writes the regular files and directories of a tar stream under dst.
-func untar(r io.Reader, dst string) error {
-	tr := tar.NewReader(r)
-	for {
-		h, err := tr.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(dst, filepath.Clean("/"+h.Name))
-		switch h.Typeflag {
-		case tar.TypeDir:
-			err = os.MkdirAll(path, 0o755)
-		case tar.TypeReg:
-			err = writeFile(path, tr, os.FileMode(h.Mode).Perm())
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-func writeFile(path string, r io.Reader, mode os.FileMode) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, mode)
+// export writes the tree of rev under dst: git archive rev | tar -x -C dst.
+func export(repo, rev, dst string) error {
+	archive, err := git(repo, "archive", "--format=tar", rev)
 	if err != nil {
 		return err
 	}
-	if _, err := io.Copy(f, r); err != nil {
-		f.Close()
+	if err := os.MkdirAll(dst, 0o755); err != nil {
 		return err
 	}
-	return f.Close()
+	tar := exec.Command("tar", "-x", "-C", dst)
+	tar.Stdin = strings.NewReader(archive)
+	if out, err := tar.CombinedOutput(); err != nil {
+		return fmt.Errorf("unpacking %s: %v: %s", rev, err, out)
+	}
+	return nil
 }
 
 // runResult is what one bench/run.sh run reported: its JSON line's

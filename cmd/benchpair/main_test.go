@@ -1,9 +1,6 @@
 package main
 
 import (
-	"archive/tar"
-	"bytes"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -104,11 +101,15 @@ func TestParseRun(t *testing.T) {
 	}
 }
 
-func TestReadMetrics(t *testing.T) {
-	specs, err := readMetrics(filepath.Join("..", "..", "BENCHMARK.json"))
+func TestReadBenchmark(t *testing.T) {
+	decl, err := readBenchmark(filepath.Join("..", "..", "BENCHMARK.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if decl.RunSeconds < 1 {
+		t.Errorf("run_seconds %d", decl.RunSeconds)
+	}
+	specs := decl.metrics()
 	var names []string
 	for _, s := range specs {
 		names = append(names, s.Name+":"+s.Better)
@@ -121,40 +122,5 @@ func TestReadMetrics(t *testing.T) {
 	}
 	if strings.Contains(got, "proc.server_peak_rss_mb") {
 		t.Errorf("metrics %s hold a proc column that is not CPU per op", got)
-	}
-}
-
-// untar writes files and directories, and keeps an entry named to climb
-// out of the destination inside it.
-func TestUntar(t *testing.T) {
-	var buf bytes.Buffer
-	tw := tar.NewWriter(&buf)
-	for _, f := range []struct {
-		name, body string
-		dir        bool
-	}{{"d/", "", true}, {"d/f.txt", "hello", false}, {"../escape.txt", "no", false}} {
-		h := &tar.Header{Name: f.name, Mode: 0o644, Size: int64(len(f.body)), Typeflag: tar.TypeReg}
-		if f.dir {
-			h.Typeflag, h.Mode = tar.TypeDir, 0o755
-		}
-		if err := tw.WriteHeader(h); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tw.Write([]byte(f.body)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	dst := t.TempDir()
-	if err := untar(&buf, filepath.Join(dst, "tree")); err != nil {
-		t.Fatal(err)
-	}
-	if b, err := os.ReadFile(filepath.Join(dst, "tree", "d", "f.txt")); err != nil || string(b) != "hello" {
-		t.Errorf("d/f.txt: %q, %v", b, err)
-	}
-	if _, err := os.Stat(filepath.Join(dst, "escape.txt")); err == nil {
-		t.Error("an entry climbed out of the destination")
 	}
 }

@@ -114,7 +114,7 @@ type Stats struct {
 	MemoHits    int64 // node lists, indexes and rank maps read from a pinned tuple set's memo
 	MemoBuilds  int64 // node lists, indexes and rank maps installed in a pinned tuple set's memo
 	MemoCarries int64 // node lists, indexes and key columns an advance carried to the successor set's memo
-	MemoDrops   int64 // ones an advance dropped instead: carrying them unread had cost their price
+	MemoDrops   int64 // carried ones dropped: by an advance, carrying them unread had cost their price; by a build, to make room
 }
 
 // Registry is a hyper registry node. It is safe for concurrent use.
@@ -200,7 +200,7 @@ func New(cfg Config) *Registry {
 			"XQuery evaluations answered over the pinned snapshot: their shape has no tuple head.",
 			"registry").With(cfg.Name)
 		memo := m.CounterVec("wsda_registry_memo_total",
-			"Node lists, value indexes, key columns and rank maps read from (hit) or installed in (build) a pinned tuple set's memo, kept private because it was full (overflow), carried to its successor's by an advance (carry), or dropped by one because carrying it unread had cost its price (drop).",
+			"Node lists, value indexes, key columns and rank maps read from (hit) or installed in (build) a pinned tuple set's memo, kept private because it was full (overflow), carried to its successor's by an advance (carry), or dropped, by an advance because carrying it unread had cost its price or by a build to make room for it (drop).",
 			"registry", "outcome")
 		r.memoHit = memo.With(cfg.Name, "hit")
 		r.memoBuild = memo.With(cfg.Name, "build")
@@ -517,6 +517,8 @@ func (r *Registry) QueryCompiled(q *xq.Query, opts QueryOptions) (xq.Sequence, e
 		r.memoHit.Add(int64(mc.Hits))
 		r.memoBuild.Add(int64(mc.Builds))
 		r.memoOverflow.Add(int64(mc.Overflows))
+		r.memoDrops.Add(int64(mc.Drops))
+		r.memoDrop.Add(int64(mc.Drops))
 	}
 	return seq, err
 }

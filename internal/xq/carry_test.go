@@ -227,7 +227,7 @@ func (c *carryTally) add(d carryTally) {
 // heldSet is a set of a memo as it stood before a carry.
 type heldSet struct {
 	set         *nodeSet
-	read        bool
+	idle        int
 	spent       int
 	size, price int
 }
@@ -242,7 +242,7 @@ func snapshot(m *Memo) map[string]heldSet {
 		if set.segs == nil {
 			continue
 		}
-		h := heldSet{set: set, read: set.read, spent: set.spent, size: len(set.nodes)}
+		h := heldSet{set: set, idle: set.idle, spent: set.spent, size: len(set.nodes)}
 		h.price = len(set.segs.of) - 1 + len(set.nodes) + set.cost
 		if set.index != nil || set.cells != nil {
 			h.price += h.size
@@ -260,7 +260,7 @@ func checkCarryRule(t *testing.T, at string, before map[string]heldSet, carried 
 	t.Helper()
 	for path, h := range before {
 		spend := h.size
-		if !h.read {
+		if h.idle > 0 {
 			spend += h.spent
 		}
 		got := carried.sets[setKey{path, doc}]
@@ -273,11 +273,11 @@ func checkCarryRule(t *testing.T, at string, before map[string]heldSet, carried 
 		case got == nil && h.set.cells != nil && columnRaises(h.set, doc):
 			tally.raised++
 		case got == nil:
-			t.Fatalf("%s: %q dropped, though carrying it costs %d of its price %d (read %v)", at, path, spend, h.price, h.read)
-		case got.spent != spend || got.read:
-			t.Fatalf("%s: %q carried with %d spent (read %v), want %d unread", at, path, got.spent, got.read, spend)
+			t.Fatalf("%s: %q dropped, though carrying it costs %d of its price %d (idle %d)", at, path, spend, h.price, h.idle)
+		case got.spent != spend || got.idle != h.idle+1:
+			t.Fatalf("%s: %q carried with %d spent (idle %d), want %d spent, idle %d", at, path, got.spent, got.idle, spend, h.idle+1)
 		default:
-			if !h.read {
+			if h.idle > 0 {
 				tally.unread++
 			}
 			if got.cells != nil {
@@ -381,6 +381,52 @@ func sameSet(got, want *nodeSet) error {
 		return fmt.Errorf("walk %s, cold %s", memoText(nil, got.segs.steps), memoText(nil, want.segs.steps))
 	}
 	return nil
+}
+
+// TestFullMemoMakesRoom rotates far more distinct node lists than memoCap
+// through a shared memo across advances, four new ones a generation, each
+// read once. Carried unread, each would outlive many generations (it copies
+// next to nothing while its walk reads every member), so the memo fills;
+// a build then drops the set unread for the most advances instead of
+// keeping itself private, and a query read every generation, carried
+// unread into each until it runs, still hits its list.
+func TestFullMemoMakesRoom(t *testing.T) {
+	m := &carryModel{rng: rand.New(rand.NewSource(11)), live: map[string]*xmldoc.Node{}}
+	for i := 0; i < 40; i++ {
+		l := fmt.Sprintf("http://h.org/svc-%02d", i)
+		m.links, m.live[l] = append(m.links, l), m.element(l)
+	}
+	const returning = `count(/tupleset/tuple/content/service[attr[@name="kind"]/@value="se"])`
+	back := MustCompile(returning)
+	kids := m.members()
+	doc, memo := tupleSetDoc(kids), &Memo{}
+	var rotation MemoCounts
+	for gen := 0; gen < 60; gen++ {
+		for i := 0; i < 4; i++ {
+			q := MustCompile(fmt.Sprintf(`count(/tupleset/tuple/content/service[@name="s%d-%d"])`, gen, i))
+			if _, err := q.Eval(&Options{Context: doc, Memo: memo, MemoCounts: &rotation}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var counts MemoCounts
+		got, err := back.Eval(&Options{Context: doc, Memo: memo, MemoCounts: &counts})
+		want, _ := MustCompileGeneral(returning).EvalDoc(doc)
+		if err != nil || Serialize(got) != Serialize(want) {
+			t.Fatalf("gen %d: %s (err %v), reference %s", gen, Serialize(got), err, Serialize(want))
+		}
+		if gen > 0 && counts.Hits == 0 {
+			t.Fatalf("gen %d: the returning query built its list again (%+v)", gen, counts)
+		}
+		link := m.links[m.rng.Intn(len(m.links))]
+		m.live[link] = m.element(link)
+		next := m.members()
+		nextDoc, nextMemo := tupleSetDoc(next), &Memo{}
+		nextMemo.Carry(nextDoc, memo, func() []int32 { return positions(kids, next) })
+		kids, doc, memo = next, nextDoc, nextMemo
+	}
+	if rotation.Overflows > 0 || rotation.Drops < 200 {
+		t.Fatalf("rotation %+v: a full memo kept builds private instead of dropping stale sets", rotation)
+	}
 }
 
 // TestCarryBesideReaders carries a memo while 8 goroutines still evaluate

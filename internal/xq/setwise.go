@@ -23,12 +23,10 @@
 // evaluation over it, the top level included. Nothing an evaluation learns
 // sits on the Query or the AST, which serve many snapshots at once.
 //
-// A FLWOR over a memoised list keeps beside it a key column per number()
-// its where or order by reads: a value and the steps charged per node.
-//
-// Carry derives a successor document's sets from a shared memo's, walking
-// only the members it does not share (segments), for as long as carrying
-// a set costs less than building it again would (price).
+// A FLWOR over a memoised list keeps a key column per number() its where
+// or order by reads. Carry derives a successor document's sets from a
+// shared memo's, walking only the members it does not share (segments),
+// while carrying a set costs less than building it again would (price).
 package xq
 
 import (
@@ -41,11 +39,9 @@ import (
 	"wsda/internal/xmldoc"
 )
 
-// memoCap bounds a shared Memo's keys; past it an evaluation keeps its
-// builds in its own memo. Canonical Q6–Q10 install 10 keys, about 76 KB
-// over 1 000 tuples (TestMemoFootprint); on view-xquery nine raised
-// registryd's peak RSS from about 44.5 to 45.7 MB. 40 keys are four such
-// mixes per tuple set, about 6 MB per 1 000 tuples over 16 filter slots.
+// memoCap bounds a shared Memo's keys (put). Q6–Q10 install 10, about
+// 76 KB over 1 000 tuples (TestMemoFootprint), so 40 keys are four such
+// mixes per set, about 6 MB per 1 000 tuples over 16 filter slots.
 const memoCap = 40
 
 // Memo holds what evaluations learn about one document: the node lists of
@@ -65,6 +61,7 @@ type MemoCounts struct {
 	Hits      int // node lists, indexes and rank maps read from it
 	Builds    int // node lists, indexes and rank maps installed in it
 	Overflows int // builds kept private because it held memoCap keys
+	Drops     int // carried sets nobody read since, dropped to make room for a build
 }
 
 // errMemoDoc is Eval's answer to a Memo passed with another document.
@@ -86,31 +83,43 @@ func (m *Memo) get(key setKey) *nodeSet {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	set := m.sets[key]
-	if set != nil {
-		set.read = true
-		if list, _, over := strings.Cut(key.path, "\x00"); over && m.sets[setKey{list, key.root}] != nil {
-			m.sets[setKey{list, key.root}].read = true
+	list, _, _ := strings.Cut(key.path, "\x00")
+	for _, s := range [2]*nodeSet{set, m.sets[setKey{list, key.root}]} {
+		if s != nil && set != nil {
+			s.idle, s.spent = 0, 0
 		}
 	}
 	return set
 }
 
 // put installs a complete build under key and returns what m then holds
-// there: the first complete build wins. A full shared memo returns nil.
-func (m *Memo) put(key setKey, set *nodeSet) *nodeSet {
+// there: the first complete build wins. A full shared memo drops, counted
+// in drops, the set unread for the most advances (of those, the one that
+// spent most of its price), or with none unread returns nil.
+func (m *Memo) put(key setKey, set *nodeSet, drops *int) *nodeSet {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if old := m.sets[key]; old != nil {
-		old.read = true
+		old.idle, old.spent = 0, 0
 		return old
 	}
 	if m.root != nil && len(m.sets) >= memoCap {
-		return nil
+		stale := setKey{}
+		for k, s := range m.sets {
+			if w := m.sets[stale]; s.idle > 0 && (w == nil || s.idle > w.idle || s.idle == w.idle && s.spent*w.price() > w.spent*s.price()) {
+				stale = k
+			}
+		}
+		if m.sets[stale] == nil {
+			return nil
+		}
+		delete(m.sets, stale)
+		*drops++
 	}
 	if m.sets == nil {
 		m.sets = make(map[setKey]*nodeSet)
 	}
-	m.sets[key], set.read = set, true
+	m.sets[key] = set
 	return set
 }
 
@@ -120,27 +129,23 @@ func (m *Memo) put(key setKey, set *nodeSet) *nodeSet {
 // since it was last read would cost more than its price. from, called only
 // if there is one, returns for each member i of doc the position among
 // prev's members of the very same node, or -1 for one to walk; carried
-// members must keep their order. A carried member's nodes and cells are
-// copied, a new one is walked, index positions move with their members,
-// and each set costs what a build over doc is charged. m keeps nothing of
-// prev. Carry returns how many sets it carried, and how many it dropped
-// for their cost.
+// members keep their order. A carried member's nodes and cells are copied,
+// a new one is walked, index positions move with their members, and each
+// set costs what a build over doc is charged. m keeps nothing of prev.
+// Carry returns how many sets it carried and how many it dropped.
 func (m *Memo) Carry(doc *xmldoc.Node, prev *Memo, from func() []int32) (carried, dropped int) {
-	sets, spent := map[setKey]*nodeSet{}, map[setKey]int{} // spent: what carrying it will have cost since it was last read
+	sets, spent, idle := map[setKey]*nodeSet{}, map[setKey]int{}, map[setKey]int{} // spent: what carrying it will have cost since it was last read
 	prev.mu.Lock()
 	for k, set := range prev.sets {
 		if set.segs == nil {
 			continue
 		}
-		n := len(set.nodes)
-		if !set.read {
-			n += set.spent
-		}
+		n := len(set.nodes) + set.spent // reset by a read
 		if n > set.price() {
 			dropped++
 			continue
 		}
-		sets[k], spent[k] = set, n
+		sets[k], spent[k], idle[k] = set, n, set.idle+1
 	}
 	prev.mu.Unlock()
 	if len(sets) == 0 || !m.bind(doc) {
@@ -172,18 +177,16 @@ func (m *Memo) Carry(doc *xmldoc.Node, prev *Memo, from func() []int32) (carried
 				continue
 			}
 		}
-		set.spent = spent[k]
+		set.spent, set.idle = spent[k], idle[k]
 		m.sets[setKey{k.path, doc}] = set
 	}
 	return len(m.sets), dropped
 }
 
-// price is what building s again takes at least, counted as a carry's
-// copy is, one per node of its list (a node, its index positions, its
-// cell): a walk of every member to every node, charged cost steps, and an
-// index's or a key column's entries again. Carry stops paying to keep a
-// set once it has paid that much since the set was last read, so what it
-// spends on a set nobody reads again is at most the set's price.
+// price is what building s again takes at least, in a carry's units (one
+// per node, index position or cell copied): a walk of every member to every
+// node, charged cost steps, and an index's or a key column's entries again.
+// Carry spends at most that on a set nobody reads again.
 func (s *nodeSet) price() int {
 	p := len(s.segs.of) - 1 + len(s.nodes) + s.cost
 	if s.index != nil || s.cells != nil {
@@ -315,7 +318,7 @@ type setKey struct {
 }
 
 // nodeSet is one memoised path result in document order, or an index or
-// key column over one. Once installed only its read mark changes.
+// key column over one. Once installed only its idle count changes.
 type nodeSet struct {
 	nodes Sequence
 	cost  int                  // steps the walk was charged: the most a hit is charged; an index's is its list's
@@ -324,8 +327,8 @@ type nodeSet struct {
 	cells []keyCell            // instead, a key column: one per node
 	ranks map[*xmldoc.Node]int // instead, a document's shared members' positions (shared.go)
 	segs  *segments            // nodes by member, for Carry; nil when they do not split so
-	read  bool                 // read or built since installed or carried, under the memo's lock
-	spent int                  // what carrying it has cost since it was last read (Carry)
+	idle  int                  // advances since it was last read or built; under the memo's lock
+	spent int                  // what carrying it has cost since then (Carry)
 }
 
 // keyCell is one position of a key column: the number a FLWOR's number()
@@ -380,13 +383,13 @@ func (r *evalRun) lookup(key setKey) *nodeSet {
 // the evaluation's own when that one is full, and returns the set to use.
 func (r *evalRun) install(key setKey, set *nodeSet) *nodeSet {
 	if r.serves(key.root) {
-		if got := r.shared.put(key, set); got != nil {
+		if got := r.shared.put(key, set, &r.counts.Drops); got != nil {
 			r.counts.Builds++
 			return got
 		}
 		r.counts.Overflows++
 	}
-	return r.own.put(key, set)
+	return r.own.put(key, set, nil)
 }
 
 // serves reports whether the shared memo holds the sets rooted at root.
@@ -614,14 +617,9 @@ type keyCol struct {
 // columns readies b for a pass over list: each key column read from the
 // memo when it holds one, else filled as the bindings are evaluated.
 func (b *binding) columns(r *evalRun, list sourceList) {
-	if b.list = list.set; b.list == nil {
-		return
-	}
-	for i := range b.plan.cols {
-		col := &b.cols[i]
-		if col.set = r.lookup(setKey{list.key.path + b.plan.cols[i].key, list.key.root}); col.set == nil {
-			col.cells = make([]keyCell, 0, len(list.set.nodes))
-		}
+	b.list = list.set
+	for i := 0; b.list != nil && i < len(b.plan.cols); i++ {
+		b.cols[i] = keyCol{r.lookup(setKey{list.key.path + b.plan.cols[i].key, list.key.root}), []keyCell{}} // non-nil even over an empty list: cells tell a column
 	}
 }
 
@@ -650,7 +648,7 @@ func (b *binding) num(t *cmpTest, m *meter) float64 {
 	}
 	before := m.steps
 	v := t.num(b.n, m)
-	if len(col.cells) == b.at {
+	if len(col.cells) == b.at { // grown as filled: one a position is skipped in stops there, never installed
 		col.cells = append(col.cells, keyCell{v, int32(m.steps - before)})
 	}
 	return v
